@@ -10,12 +10,7 @@ from .metrics import (
     size_reaching,
 )
 from .tables import format_series_table, format_table
-from .timeline import (
-    PacketTimeline,
-    Stage,
-    extract_packet_timeline,
-    extract_packet_timeline_from_spans,
-)
+from .timeline import PacketTimeline, Stage, fig7_timeline
 
 __all__ = [
     "PacketTimeline",
@@ -24,8 +19,7 @@ __all__ = [
     "cpu_breakdown",
     "Stage",
     "crossover_size",
-    "extract_packet_timeline",
-    "extract_packet_timeline_from_spans",
+    "fig7_timeline",
     "format_series_table",
     "format_table",
     "interpolate_half_bandwidth",

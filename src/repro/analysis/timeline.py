@@ -1,34 +1,57 @@
-"""Pipeline timeline extraction — reproduces Figure 7.
+"""Pipeline timeline — reproduces Figure 7.
 
 Figure 7 shows where the microseconds go for a single 1400-byte packet
 crossing the CLIC pipeline: sender syscall + CLIC_MODULE + driver, wire
 flight, receiver driver-interrupt stage (the dominant ~15 µs), bottom
-halves -> CLIC_MODULE, and the copy into user memory.  This module
-reconstructs those stages two ways:
+halves -> CLIC_MODULE, and the copy into user memory.
 
-* :func:`extract_packet_timeline` from the flat trace-record stream
-  (the original path, now using the trace's per-event index);
-* :func:`extract_packet_timeline_from_spans` from the structured spans
-  emitted by :class:`repro.obs.Tracer` — a set of lookups instead of
-  record scans.  Both produce identical stage boundaries because the
-  spans are begun/ended at exactly the simulated times the legacy
-  records are emitted.
+:func:`fig7_timeline` derives those stages from the packet's critical
+path (:func:`repro.obs.critical_path`), the one place trace anchors are
+looked up: each stage is a contiguous run of path hops, from its first
+hop's start to its last hop's end.  The path's ``direct`` flag picks
+the stage list — the stock bottom-half path (a) or the Figure 8(b)
+direct driver→CLIC_MODULE call (b), which has no bottom-half stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..obs import Tracer
-from ..sim import Trace, TraceRecord
+from ..obs import CriticalPath
 
 __all__ = [
     "Stage",
     "PacketTimeline",
-    "extract_packet_timeline",
-    "extract_packet_timeline_from_spans",
+    "fig7_timeline",
 ]
+
+_SENDER = ("sender: syscall + CLIC_MODULE + driver",
+           ("syscall entry", "CLIC_MODULE tx + copy", "driver tx call"))
+_FLIGHT = ("NIC DMA + flight",
+           ("NIC DMA + serialize", "flight + switch", "NIC rx buffer",
+            "interrupt coalescing"))
+_IRQ_HOPS = ("irq entry", "NIC->system copy")
+
+#: Figure 7(a) stages as (title, critical-path hops), in path order
+_STAGES_STOCK = (
+    _SENDER,
+    _FLIGHT,
+    ("receiver: driver interrupt (NIC->system copy)", _IRQ_HOPS),
+    ("bottom halves -> CLIC_MODULE", ("bottom halves", "CLIC_MODULE rx + demux")),
+    ("CLIC_MODULE copy to user + wake", ("CLIC_MODULE copy to user", "wake + reschedule")),
+)
+
+#: Figure 7(b) stages: the direct call folds module rx, copy and wake
+#: into one post-interrupt stage
+_STAGES_DIRECT = (
+    _SENDER,
+    _FLIGHT,
+    ("receiver: driver interrupt (direct DMA)", _IRQ_HOPS),
+    ("CLIC_MODULE direct call + copy + wake",
+     ("bottom halves", "CLIC_MODULE rx + demux", "CLIC_MODULE copy to user",
+      "wake + reschedule")),
+)
 
 
 @dataclass
@@ -70,102 +93,25 @@ class PacketTimeline:
         return [(s.name, round(s.start_ns / 1000, 2), round(s.duration_us, 2)) for s in self.stages]
 
 
-def _require(packet_id: int, **found) -> None:
-    missing = [name for name, rec in found.items() if rec is None]
-    if missing:
-        raise ValueError(f"trace incomplete for packet {packet_id}: missing {missing}")
+def fig7_timeline(path: CriticalPath) -> PacketTimeline:
+    """Regroup a critical path's hops into the Figure-7 stages.
 
-
-def _build_stages(packet_id: int, sys_enter_ns: float, drv_tx_ns: float,
-                  irq_begin_ns: float, drv_rx_ns: float, mod_rx_ns: float,
-                  wake_ns: Optional[float]) -> PacketTimeline:
-    stages = [
-        Stage("sender: syscall + CLIC_MODULE + driver", sys_enter_ns, drv_tx_ns),
-        Stage("NIC DMA + flight", drv_tx_ns, irq_begin_ns),
-        Stage("receiver: driver interrupt (NIC->system copy)", irq_begin_ns, drv_rx_ns),
-        Stage("bottom halves -> CLIC_MODULE", drv_rx_ns, mod_rx_ns),
-    ]
-    if wake_ns is not None:
-        stages.append(Stage("CLIC_MODULE copy to user + wake", mod_rx_ns, wake_ns))
-    return PacketTimeline(packet_id=packet_id, stages=stages)
-
-
-def extract_packet_timeline(trace: Trace, packet_id: int, sender: str, receiver: str) -> PacketTimeline:
-    """Rebuild Figure 7's stages for ``packet_id`` from trace records.
-
-    ``sender``/``receiver`` are node name prefixes ("node0", "node1").
-    Expected trace records (all emitted by the kernel/driver/module):
-
-    * sender: ``syscall_enter``/``syscall_exit`` around the send,
-      ``driver_tx`` when the descriptor is posted;
-    * receiver: ``irq_begin``, ``driver_rx`` (with ``t0``), ``module_rx``,
-      and the receive syscall/wake records.
+    Stage boundaries are hop boundaries (no durations are summed), so
+    the stages tile the path exactly.  Raises :class:`KeyError` for a
+    hop no stage claims.
     """
-    sys_enter = trace.first("syscall_enter", source_suffix=f"{sender}.kernel", label="clic_send")
-    drv_tx = trace.first("driver_tx", pkt=packet_id)
-    drv_rx = trace.first("driver_rx", pkt=packet_id)
-    mod_rx = trace.first("module_rx", source_suffix=f"{receiver}.clic", pkt=packet_id)
-    _require(packet_id, syscall_enter=sys_enter, driver_tx=drv_tx,
-             driver_rx=drv_rx, module_rx=mod_rx)
-
-    # The interrupt this frame was drained in: the *latest* irq_begin on
-    # the receiver at or before the frame's driver_rx (coalescing means
-    # earlier interrupts may have serviced earlier frames).
-    candidates = [
-        r for r in trace.by_event("irq_begin")
-        if r.source.startswith(receiver) and r.time <= drv_rx.time
-    ]
-    if not candidates:
-        raise ValueError("no irq_begin before driver_rx")
-    irq_begin = max(candidates, key=lambda r: r.time)
-
-    # Wake of the receiving process (first wake after module_rx), if any.
-    wake = None
-    for r in trace.by_event("wake"):
-        if r.source.startswith(receiver) and r.time >= mod_rx.time:
-            wake = r
-            break
-
-    return _build_stages(
-        packet_id, sys_enter.time, drv_tx.time, irq_begin.time, drv_rx.time,
-        mod_rx.time, wake.time if wake is not None else None,
-    )
-
-
-def extract_packet_timeline_from_spans(
-    tracer: Tracer, packet_id: int, sender: str, receiver: str
-) -> PacketTimeline:
-    """Rebuild Figure 7's stages for ``packet_id`` from structured spans.
-
-    Pure index lookups on the :class:`~repro.obs.Tracer`: the sender's
-    ``syscall`` span (label ``clic_send``), the ``driver_tx`` /
-    ``driver_rx`` / ``module_rx`` instants for the packet, the latest
-    receiver ``irq`` span enclosing the frame drain, and the receiver's
-    first ``wake`` instant after module processing.  Stage boundaries are
-    identical to :func:`extract_packet_timeline` by construction.
-    """
-    sys_span = tracer.first(scope=f"{sender}.kernel", name="syscall", label="clic_send")
-    drv_tx = tracer.first_instant("driver_tx", pkt=packet_id)
-    drv_rx = tracer.first_instant("driver_rx", pkt=packet_id)
-    mod_rx = tracer.first_instant("module_rx", scope_prefix=receiver, pkt=packet_id)
-    _require(packet_id, syscall_span=sys_span, driver_tx=drv_tx,
-             driver_rx=drv_rx, module_rx=mod_rx)
-
-    irq_spans = [
-        s for s in tracer.find(name="irq", scope_prefix=receiver)
-        if s.start_ns <= drv_rx.time
-    ]
-    if not irq_spans:
-        raise ValueError("no irq span before driver_rx")
-    irq_span = max(irq_spans, key=lambda s: s.start_ns)
-
-    wake = None
-    for inst in tracer.instants("wake", scope_prefix=receiver):
-        if inst.time >= mod_rx.time:
-            wake = inst
-            break
-
-    return _build_stages(
-        packet_id, sys_span.start_ns, drv_tx.time, irq_span.start_ns,
-        drv_rx.time, mod_rx.time, wake.time if wake is not None else None,
-    )
+    stage_of: Dict[str, str] = {
+        hop: title
+        for title, hops in (_STAGES_DIRECT if path.direct else _STAGES_STOCK)
+        for hop in hops
+    }
+    stages: List[Stage] = []
+    for seg in path.segments:
+        title = stage_of.get(seg.name)
+        if title is None:
+            raise KeyError(f"hop {seg.name!r} has no Figure-7 stage")
+        if stages and stages[-1].name == title:
+            stages[-1].end_ns = seg.end_ns
+        else:
+            stages.append(Stage(title, seg.start_ns, seg.end_ns))
+    return PacketTimeline(packet_id=path.packet_id, stages=stages)

@@ -24,7 +24,7 @@ from ..config import ClusterConfig
 from ..faults import ChannelFaults, FaultPlan
 from ..hw import Channel, Fabric
 from ..obs import MetricsRegistry, Tracer
-from ..sim import Counters, Environment, RngStreams, Trace
+from ..sim import Counters, Environment, RngStreams
 from .node import Node, mac_for
 
 __all__ = ["Cluster"]
@@ -101,9 +101,8 @@ class Cluster:
         _reset_global_ids()
         self.env = Environment(profile=getattr(self.cfg, "profile", False))
         self.rng = RngStreams(self.cfg.seed)
-        self.trace = Trace(enabled=self.cfg.trace)
-        #: cluster-wide span tracer (see repro.obs.span); shares the Trace
-        self.tracer = Tracer(self.env, self.trace)
+        #: cluster-wide span tracer (see repro.obs.span)
+        self.tracer = Tracer(self.env, enabled=self.cfg.trace)
         #: cluster-wide typed metrics namespace (counters/gauges/histograms)
         self.metrics = MetricsRegistry()
         #: the switch fabric (one switch unless ``cfg.topology`` says more)
@@ -143,7 +142,6 @@ class Cluster:
                 overrides.get(node_id, self.cfg.node),
                 self.cfg.link,
                 node_id,
-                trace=self.trace,
                 rx_mode=rx_mode,
                 tracer=self.tracer,
                 metrics=self.metrics,

@@ -16,7 +16,7 @@ from ..hw import Cpu, MemoryBus, PciBus
 from ..hw.nic import MacAddress, Nic
 from ..obs import MetricsRegistry, Tracer
 from ..oskernel import Kernel, UserProcess, VendorDriver
-from ..sim import Environment, Trace
+from ..sim import Environment
 
 __all__ = ["Node", "mac_for"]
 
@@ -42,7 +42,6 @@ class Node:
         link_params: LinkParams,
         node_id: int,
         name: str = "",
-        trace: Optional[Trace] = None,
         rx_mode: str = "irq-pull",
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -59,7 +58,7 @@ class Node:
         self.pci = PciBus(env, cfg.pci, name=f"{self.name}.pci")
         self.kernel = Kernel(
             env, cfg.kernel, self.cpu, self.memory, name=f"{self.name}.kernel",
-            trace=trace, tracer=tracer, metrics=metrics,
+            tracer=tracer, metrics=metrics,
         )
         #: the node's span tracer / metrics registry (shared cluster-wide
         #: when built by Cluster; private otherwise)

@@ -23,14 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..analysis import (
-    PacketTimeline,
-    Stage,
-    extract_packet_timeline_from_spans,
-    format_table,
-)
+from ..analysis import PacketTimeline, fig7_timeline, format_table
 from ..cluster import Cluster
 from ..config import granada2003
+from ..obs import critical_path, instants_of, spans_of
 from ..protocols.clic import ClicEndpoint
 
 EXPERIMENT_ID = "FIG7"
@@ -42,10 +38,10 @@ def capture(direct_rx: bool = False) -> Tuple[Cluster, int, PacketTimeline, floa
     """Run the single-packet exchange and keep the instrumented cluster.
 
     Returns ``(cluster, packet_id, timeline, done_ns)`` — the cluster
-    (with its trace, tracer and metrics still attached), the data
-    packet's id, its extracted Figure-7 timeline, and the simulated time
-    the receiver completed.  Used by :func:`run` and by the
-    ``python -m repro.trace`` exporter.
+    (with its tracer and metrics still attached), the data packet's id,
+    its Figure-7 timeline (regrouped from the packet's critical path),
+    and the simulated time the receiver completed.  Used by :func:`run`
+    and by the ``python -m repro.trace`` exporter.
     """
     cfg = granada2003(trace=True, profile=True)
     if direct_rx:
@@ -68,55 +64,21 @@ def capture(direct_rx: bool = False) -> Tuple[Cluster, int, PacketTimeline, floa
     cluster.env.run(done)
 
     # The single data packet is the first CLIC DATA packet traced.
-    pkt_id = cluster.trace.first("driver_tx").detail["pkt"]
-    if direct_rx:
-        timeline = _direct_timeline(cluster, pkt_id)
-    else:
-        timeline = extract_packet_timeline_from_spans(
-            cluster.tracer, pkt_id, "node0", "node1"
-        )
-    return cluster, pkt_id, timeline, outcome["done"]
-
-
-def _direct_timeline(cluster: Cluster, pkt_id: int) -> PacketTimeline:
-    """Reduced timeline for Figure 8(b): no bottom-half hop to anchor on,
-    so the post-DMA stage runs straight from driver_rx to the wake."""
-    trace = cluster.trace
-    sys_enter = trace.first("syscall_enter", label="clic_send")
-    drv_tx = trace.first("driver_tx", pkt=pkt_id)
-    irq_begin = trace.first("irq_begin", source_prefix="node1")
-    drv_rx = trace.first("driver_rx", pkt=pkt_id)
-    wake = trace.first("wake", source_prefix="node1")
-    missing = [name for name, rec in [
-        ("syscall_enter", sys_enter), ("driver_tx", drv_tx),
-        ("irq_begin", irq_begin), ("driver_rx", drv_rx), ("wake", wake),
-    ] if rec is None]
-    if missing:
-        raise ValueError(f"trace incomplete for packet {pkt_id}: missing {missing}")
-    return PacketTimeline(packet_id=pkt_id, stages=[
-        Stage("sender: syscall + CLIC_MODULE + driver", sys_enter.time, drv_tx.time),
-        Stage("NIC DMA + flight", drv_tx.time, irq_begin.time),
-        Stage("receiver: driver interrupt (direct DMA)", irq_begin.time, drv_rx.time),
-        Stage("CLIC_MODULE direct call + copy + wake", drv_rx.time, wake.time),
-    ])
+    pkt_id = cluster.tracer.first_instant("driver_tx").detail["pkt"]
+    path = critical_path(spans_of(cluster.tracer), instants_of(cluster.tracer),
+                         pkt_id, "node0", "node1")
+    return cluster, pkt_id, fig7_timeline(path), outcome["done"]
 
 
 def _measure(direct_rx: bool) -> Dict:
     cluster, pkt_id, timeline, done_ns = capture(direct_rx)
     stages = [(s.name, s.duration_us) for s in timeline.stages]
-    if direct_rx:
-        return {"stages": stages, "total_us": done_ns / 1000,
-                "sw_rx_us": stages[3][1], "driver_int_us": stages[2][1]}
-    sw_rx = timeline.stage("bottom halves -> CLIC_MODULE").duration_us + (
-        timeline.stages[4].duration_us if len(timeline.stages) > 4 else 0.0
-    )
     return {
         "stages": stages,
-        "total_us": timeline.total_us,
-        "sw_rx_us": sw_rx,
-        "driver_int_us": timeline.stage(
-            "receiver: driver interrupt (NIC->system copy)"
-        ).duration_us,
+        # (b) is timed to the receiver's return from recv
+        "total_us": done_ns / 1000 if direct_rx else timeline.total_us,
+        "sw_rx_us": sum(us for _, us in stages[3:]),
+        "driver_int_us": stages[2][1],
     }
 
 

@@ -100,7 +100,7 @@ class Nic:
         self.name = name
         self.rx_deliver = rx_deliver
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(env, None, enabled=False)
+        self.tracer = tracer if tracer is not None else Tracer(env)
         self.counters = Counters(registry=self.metrics, prefix=f"{name}.")
         #: frames waiting on-card for the driver (high-water via gauge)
         self._rx_depth_gauge = self.metrics.gauge(f"{name}.rx_buffer_depth")

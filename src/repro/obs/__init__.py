@@ -7,7 +7,7 @@ reports its numbers through the instruments here:
 
 * :mod:`repro.obs.span` — span-based structured tracing (``begin``/
   ``end`` with parent links and per-node/per-subsystem scopes such as
-  ``node0.clic``), layered on the flat :class:`repro.sim.Trace`;
+  ``node0.clic``) plus point instants — the run's one record stream;
 * :mod:`repro.obs.journey` — per-message causal tracing: every message
   followed send → fragment → wire → reassembly → deliver as a
   :class:`Journey` with per-hop waterfalls and retransmit genealogy;
@@ -45,7 +45,6 @@ from .analyze import (
     attribution_table,
     critical_path,
     explain_outliers,
-    fig7_stage_durations,
     journey_latency_summary,
     journey_waterfall,
     layer_attribution,
@@ -64,8 +63,8 @@ from .export import (
     RunArtifact,
     chrome_trace_events,
     chrome_trace_json,
+    instants_of,
     jsonable,
-    records_of,
     spans_of,
     timeseries_of,
 )
@@ -137,15 +136,14 @@ __all__ = [
     "critical_path",
     "evaluate",
     "explain_outliers",
-    "fig7_stage_durations",
     "flatten_numeric",
+    "instants_of",
     "journey_latency_summary",
     "journey_waterfall",
     "jsonable",
     "layer_attribution",
     "outlier_report",
     "packet_key",
-    "records_of",
     "render_html",
     "resolve_metric",
     "scope_stats",

@@ -1,8 +1,8 @@
-"""Trace analytics: span trees, self-time, critical paths, layer budgets.
+"""Span analytics: span trees, self-time, critical paths, layer budgets.
 
 The paper's core claim is a *per-layer overhead budget* — CLIC wins
 because time spent in the protocol/kernel/driver layers shrinks
-(Figures 4–7).  This module turns the raw spans/records a traced run
+(Figures 4–7).  This module turns the raw spans/instants a traced run
 emits (see :mod:`repro.obs.span` and :class:`~repro.obs.RunArtifact`)
 into exactly those budgets:
 
@@ -13,14 +13,12 @@ into exactly those budgets:
 * :func:`critical_path` — walk one message's packet through the
   pipeline (sender syscall → CLIC → driver → NIC → wire → interrupt →
   bottom halves → CLIC → wake) and label every hop with the layer that
-  owns it, re-deriving the Figure 7 breakdown from structured spans
-  instead of ad-hoc counters;
+  owns it — the one derivation of the Figure 7 breakdown, which
+  :func:`repro.analysis.fig7_timeline` regroups into the paper's
+  stages;
 * :func:`layer_attribution` / :func:`attribution_table` — fold a
   critical path into the per-layer table (user/CLIC/kernel/driver/
   NIC/wire) the paper argues about;
-* :func:`fig7_stage_durations` — regroup the path's segments into the
-  five classic Figure-7 stages so the span-derived budget can be
-  cross-checked against :mod:`repro.experiments.fig7`;
 * :func:`journey_waterfall` / :func:`explain_outliers` /
   :func:`journey_latency_summary` — the per-message view: turn a
   :class:`~repro.obs.journey.Journey` export dict into a waterfall of
@@ -29,7 +27,7 @@ into exactly those budgets:
   retransmission was involved — for the p99/p99.9 journeys of a run.
 
 Everything operates on the *plain dict* export forms (``Span.to_dict``
-/ ``Journey.to_dict`` / trace-record dicts), so a
+/ ``Journey.to_dict`` / instant-record dicts), so a
 :class:`~repro.obs.RunArtifact` loaded from disk can be analyzed
 without live simulator objects.
 """
@@ -63,7 +61,6 @@ __all__ = [
     "attribution_table",
     "critical_path",
     "explain_outliers",
-    "fig7_stage_durations",
     "journey_latency_summary",
     "journey_waterfall",
     "layer_attribution",
@@ -206,6 +203,9 @@ class CriticalPath:
 
     packet_id: int
     segments: List[PathSegment]
+    #: the receiver ran CLIC_MODULE straight from the interrupt handler
+    #: (Figure 8(b)) instead of through the bottom halves
+    direct: bool = False
 
     @property
     def total_ns(self) -> float:
@@ -260,16 +260,13 @@ def _first_span(spans: Sequence[Dict[str, Any]], *, scope: Optional[str] = None,
     return None
 
 
-def _first_record(records: Sequence[Dict[str, Any]], event: str, *,
-                  source_prefix: Optional[str] = None,
-                  after_ns: Optional[float] = None,
-                  **detail: Any) -> Optional[Dict[str, Any]]:
-    for r in records:
+def _first_instant(instants: Sequence[Dict[str, Any]], event: str, *,
+                   source_prefix: Optional[str] = None,
+                   **detail: Any) -> Optional[Dict[str, Any]]:
+    for r in instants:
         if r["event"] != event:
             continue
         if source_prefix is not None and not r["source"].startswith(source_prefix):
-            continue
-        if after_ns is not None and r["time"] < after_ns:
             continue
         if detail and not all((r.get("detail") or {}).get(k) == v for k, v in detail.items()):
             continue
@@ -277,30 +274,36 @@ def _first_record(records: Sequence[Dict[str, Any]], event: str, *,
     return None
 
 
-def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, Any]],
+def critical_path(spans: Sequence[Dict[str, Any]], instants: Sequence[Dict[str, Any]],
                   packet_id: int, sender: str, receiver: str) -> CriticalPath:
-    """Extract one packet's layer-labeled critical path (stock rx path).
+    """Extract one packet's layer-labeled critical path.
 
-    ``spans``/``records`` are the export-dict forms (e.g. the ``spans``
+    ``spans``/``instants`` are the export-dict forms (e.g. the ``spans``
     and ``records`` of a :class:`~repro.obs.RunArtifact`); ``sender``
     and ``receiver`` are node-name prefixes (``node0``, ``node1``).
-    The chain ends at the receiver's wake — the same window Figure 7
-    plots — so :func:`fig7_stage_durations` regroups it losslessly.
+    The chain ends at the receiver's wake (the end of its ``blocked``
+    span) — the same window Figure 7 plots — so
+    :func:`repro.analysis.fig7_timeline` regroups it losslessly.
 
-    Raises :class:`ValueError` when the trace does not contain the full
-    stock pipeline for ``packet_id`` (e.g. direct-dispatch runs, which
-    have no bottom-half hop).
+    Both receive paths are supported: the stock bottom-half path and
+    the Figure 8(b) direct dispatch, where the bottom-half hop is empty
+    and dropped.  The receiver's ``irq`` span says which one ran
+    (:attr:`CriticalPath.direct`).  Raises :class:`ValueError` when the
+    trace lacks an anchor for ``packet_id``.
     """
     sys_span = _first_span(spans, scope=f"{sender}.kernel", name="syscall",
                            label="clic_send")
     clic_tx = _first_span(spans, scope=f"{sender}.clic", name="clic_send")
-    drv_tx = _first_record(records, "driver_tx", pkt=packet_id)
-    drv_rx = _first_record(records, "driver_rx", pkt=packet_id)
+    drv_tx = _first_instant(instants, "driver_tx", pkt=packet_id)
+    drv_rx = _first_instant(instants, "driver_rx", pkt=packet_id)
     clic_rx = _first_span(spans, scope=f"{receiver}.clic", name="clic_rx",
                           pkt=packet_id)
+    mod_rx = _first_instant(instants, "module_rx", source_prefix=receiver,
+                            pkt=packet_id)
     missing = [label for label, found in [
         ("sender syscall span", sys_span), ("clic_send span", clic_tx),
         ("driver_tx", drv_tx), ("driver_rx", drv_rx), ("clic_rx span", clic_rx),
+        ("module_rx", mod_rx),
     ] if found is None]
     if missing:
         raise ValueError(f"trace incomplete for packet {packet_id}: missing {missing}")
@@ -322,10 +325,16 @@ def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, A
     irq = max(irq_candidates, key=lambda s: s["start_ns"])
     rx_frame = _first_span(spans, scope=irq["scope"], name="rx_frame",
                            after_ns=irq["start_ns"], pkt=packet_id)
-    wake = _first_record(records, "wake", source_prefix=receiver,
-                         after_ns=clic_rx["start_ns"])
-    if wake is None:
+    # The wake that delivered it: the first receiver ``blocked`` span to
+    # end once CLIC_MODULE started on the frame.
+    wakes = [
+        s for s in spans
+        if s["name"] == "blocked" and s["scope"].startswith(receiver)
+        and s["end_ns"] >= clic_rx["start_ns"]
+    ]
+    if not wakes:
         raise ValueError(f"trace incomplete for packet {packet_id}: missing wake")
+    wake_ns = min(wakes, key=lambda s: s["end_ns"])["end_ns"]
 
     segments = [
         PathSegment("syscall entry", "kernel",
@@ -343,9 +352,11 @@ def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, A
                     rx_frame["start_ns"] if rx_frame is not None else drv_rx["time"],
                     drv_rx["time"]),
         PathSegment("bottom halves", "kernel", drv_rx["time"], clic_rx["start_ns"]),
-        PathSegment("CLIC_MODULE rx + copy to user", "clic",
-                    clic_rx["start_ns"], clic_rx["end_ns"]),
-        PathSegment("wake + reschedule", "kernel", clic_rx["end_ns"], wake["time"]),
+        PathSegment("CLIC_MODULE rx + demux", "clic",
+                    clic_rx["start_ns"], mod_rx["time"]),
+        PathSegment("CLIC_MODULE copy to user", "clic",
+                    mod_rx["time"], clic_rx["end_ns"]),
+        PathSegment("wake + reschedule", "kernel", clic_rx["end_ns"], wake_ns),
     ]
     # Zero-length hops (e.g. a driver_tx instant coinciding with the span
     # edge) carry no information; out-of-order edges mean the trace was
@@ -356,7 +367,8 @@ def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, A
                 f"non-causal hop {seg.name!r} for packet {packet_id} "
                 f"({seg.start_ns} -> {seg.end_ns})")
     return CriticalPath(packet_id, [s for s in segments if s.duration_ns > 0.0]
-                        or segments[:1])
+                        or segments[:1],
+                        direct=bool((irq.get("attrs") or {}).get("direct")))
 
 
 def layer_attribution(path: CriticalPath) -> Dict[str, float]:
@@ -375,42 +387,6 @@ def attribution_table(layers_ns: Dict[str, float],
     ]
     rows.append(("TOTAL", round(total / 1000, 2), 100.0))
     return _format_table(["layer", "us", "%"], rows, title=title)
-
-
-#: critical-path hop name -> classic Figure-7 stage title
-_HOP_TO_STAGE = {
-    "syscall entry": "sender: syscall + CLIC_MODULE + driver",
-    "CLIC_MODULE tx + copy": "sender: syscall + CLIC_MODULE + driver",
-    "driver tx call": "sender: syscall + CLIC_MODULE + driver",
-    "NIC DMA + serialize": "NIC DMA + flight",
-    "flight + switch": "NIC DMA + flight",
-    "NIC rx buffer": "NIC DMA + flight",
-    "interrupt coalescing": "NIC DMA + flight",
-    "irq entry": "receiver: driver interrupt (NIC->system copy)",
-    "NIC->system copy": "receiver: driver interrupt (NIC->system copy)",
-    "bottom halves": "receiver: post-DMA software path",
-    "CLIC_MODULE rx + copy to user": "receiver: post-DMA software path",
-    "wake + reschedule": "receiver: post-DMA software path",
-}
-
-
-def fig7_stage_durations(path: CriticalPath) -> Dict[str, float]:
-    """Regroup a critical path into Figure-7 stage durations (ns).
-
-    The receiver's two software stages (bottom halves and the module
-    copy/wake) are merged into one ``post-DMA software path`` bucket:
-    the span boundaries (the ``clic_rx`` span begin) sit slightly
-    earlier than the legacy ``module_rx`` instant the flat-trace
-    extractor anchors on, so only the *merged* stage is well-defined
-    from spans alone.  Cross-check accordingly.
-    """
-    out: Dict[str, float] = {}
-    for seg in path.segments:
-        stage = _HOP_TO_STAGE.get(seg.name)
-        if stage is None:
-            raise KeyError(f"hop {seg.name!r} has no Figure-7 stage mapping")
-        out[stage] = out.get(stage, 0.0) + seg.duration_ns
-    return out
 
 
 # ---------------------------------------------------------------------------

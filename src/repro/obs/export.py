@@ -1,6 +1,6 @@
 """Exporters: Chrome ``trace_event`` JSON and the per-run artifact.
 
-* :func:`chrome_trace_events` converts spans + trace records — and,
+* :func:`chrome_trace_events` converts spans + instant records — and,
   when present, message journeys and time series — into the
   Chrome/Perfetto ``trace_event`` format (load the file at
   ``chrome://tracing`` or https://ui.perfetto.dev).  Scopes such as
@@ -14,7 +14,8 @@
 * :class:`RunArtifact` is the machine-readable JSON every experiment in
   the registry can write (``python -m repro.experiments fig7 --json``):
   schema-tagged, with the result dict, metrics snapshot, optional
-  profiler snapshot, and (when tracing was on) the spans and records.
+  profiler snapshot, and (when tracing was on) the spans and instants
+  (the ``records`` field).
 
 All functions here operate on *plain dicts* (the ``to_dict`` forms), so
 an artifact loaded from disk can be re-exported without live objects.
@@ -35,8 +36,8 @@ __all__ = [
     "RunArtifact",
     "chrome_trace_events",
     "chrome_trace_json",
+    "instants_of",
     "jsonable",
-    "records_of",
     "spans_of",
     "timeseries_of",
 ]
@@ -53,21 +54,18 @@ RUN_SCHEMA_V2 = "repro.run/2"
 RUN_SCHEMA_V1 = "repro.run/1"
 BATCH_SCHEMA = "repro.run-batch/1"
 
-#: trace-record event names that carry span bookkeeping (already
-#: represented as complete "X" events, so not re-exported as instants)
-_SPAN_MARKERS = ("span_begin", "span_end")
-
 
 def spans_of(tracer) -> List[Dict[str, Any]]:
     """Completed spans of a tracer as export dicts (begin order)."""
     return [s.to_dict() for s in tracer.spans if s.end_ns is not None]
 
 
-def records_of(trace) -> List[Dict[str, Any]]:
-    """Flat trace records as export dicts (append order)."""
+def instants_of(tracer) -> List[Dict[str, Any]]:
+    """A tracer's instants as export dicts (append order) — the
+    ``records`` of a :class:`RunArtifact`."""
     return [
-        {"time": r.time, "source": r.source, "event": r.event, "detail": dict(r.detail)}
-        for r in trace.records
+        {"time": i.time, "source": i.scope, "event": i.name, "detail": dict(i.detail)}
+        for i in tracer.instants()
     ]
 
 
@@ -122,14 +120,14 @@ def chrome_trace_events(
     """Build the ``traceEvents`` list from span/record export dicts.
 
     Spans become complete ("X") events with microsecond timestamps;
-    records (except span bookkeeping) become instant ("i") events;
+    records (instants) become instant ("i") events;
     journeys become flow-event chains ("s"/"t"/"f", flow id = journey
     id); time series become counter events ("C").  Output order is
     fixed — metadata, spans, records, flows (journey order), counters
     (sorted series name) — so exports are byte-identical across runs.
     """
     spans = list(spans)
-    records = [r for r in records if r["event"] not in _SPAN_MARKERS]
+    records = list(records)
     journeys = list(journeys)
     timeseries = dict(timeseries or {})
     scopes = [s["scope"] for s in spans] + [r["source"] for r in records]
@@ -309,7 +307,11 @@ class RunArtifact:
         loaded = cls(**{k: v for k, v in data.items() if k in fields})
         # v1/v2/v3 documents upgrade in place: same fields, the newer
         # ones (profile / journeys / timeseries / slo / health) just
-        # stay empty.
+        # stay empty.  Older writers mirrored every span edge into the
+        # records as ``span_begin``/``span_end``; the spans already hold
+        # those, so the records keep only the instants.
+        loaded.records = [r for r in loaded.records
+                          if r.get("event") not in ("span_begin", "span_end")]
         loaded.schema = RUN_SCHEMA
         return loaded
 

@@ -200,9 +200,6 @@ class Histogram:
         idx = int(math.floor(math.log(value) / self._log_growth))
         self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
-    #: alias kept for IntervalStats-style call sites
-    observe = record
-
     # -- merging ---------------------------------------------------------
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold another histogram (or its :meth:`to_dict` form) into this

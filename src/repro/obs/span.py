@@ -9,19 +9,17 @@ user process never becomes the parent of an interrupt handler that
 merely fires while the process sleeps — the handler runs in its own
 sim process and gets its own stack).
 
-The :class:`Tracer` also emits every begin/end into the flat
-:class:`repro.sim.Trace` (events ``span_begin``/``span_end``) so the
-classic record stream stays a superset of the old format, and it keeps
-an index of *instant* (point) events so Figure-7 stage extraction is a
-lookup, not a linear scan over the whole trace.
+Next to spans, the :class:`Tracer` keeps *instants*: point events that
+are not span edges (``driver_tx``, ``driver_rx``, ``module_rx``,
+``peer_dead``), in one append-ordered list.  Spans and instants are the
+run's only record stream; :func:`repro.obs.critical_path` derives the
+Figure-7 breakdown from their export dicts.
 
 Everything is cheap when tracing is disabled: one attribute check and a
 shared :data:`NULL_SPAN` singleton on the hot paths.
 
 This module intentionally imports nothing from :mod:`repro.sim` — the
-``env`` argument is duck-typed (``.now`` and ``.active_process``), and
-the ``trace`` argument only needs a ``.record`` method and an
-``.enabled`` flag.
+``env`` argument is duck-typed (``.now`` and ``.active_process``).
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ __all__ = ["Span", "Instant", "Tracer", "NULL_SPAN"]
 
 
 class Instant(NamedTuple):
-    """A point event kept in the tracer's by-name index."""
+    """A point event kept in the tracer's instant list."""
 
     time: float
     scope: str
@@ -155,11 +153,10 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Factory and index for spans/instants of one simulation run."""
 
-    def __init__(self, env: Any, trace: Any = None, enabled: Optional[bool] = None):
+    def __init__(self, env: Any, enabled: bool = False):
         self.env = env
-        self.trace = trace
-        #: explicit override; when None, follows ``trace.enabled``
-        self._enabled = enabled
+        #: span/instant recording switch (``ClusterConfig.trace``)
+        self.enabled = enabled
         #: optional :class:`repro.obs.journey.JourneyRecorder`; ``None``
         #: (the default) disables journey capture — instrumented hop
         #: sites check this attribute inline, independent of span
@@ -170,14 +167,8 @@ class Tracer:
         self.spans: List[Span] = []
         self._stacks: Dict[Any, List[Span]] = {}
         self._by_name: Dict[Tuple[str, str], List[Span]] = {}
-        self._instants: Dict[str, List[Instant]] = {}
-
-    # -- state -----------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        if self._enabled is not None:
-            return self._enabled
-        return bool(self.trace is not None and self.trace.enabled)
+        #: every instant recorded, in append (= simulated time) order
+        self._instants: List[Instant] = []
 
     # -- span lifecycle --------------------------------------------------
     def begin(self, scope: str, name: str, parent: Optional[Span] = None,
@@ -203,16 +194,12 @@ class Tracer:
             self._stacks[key] = [span]
         else:
             stack.append(span)
-        if self.trace is not None:
-            self.trace.record(now, scope, "span_begin",
-                              span=span.span_id, name=name, parent=parent_id)
         return span
 
     def _end(self, span: Span) -> None:
         if span.end_ns is not None:
             raise ValueError(f"span {span.name!r} ended twice")
-        now = self.env.now
-        span.end_ns = now
+        span.end_ns = self.env.now
         stack = self._stacks.get(span._key)
         if stack is not None:
             for i in range(len(stack) - 1, -1, -1):
@@ -221,21 +208,13 @@ class Tracer:
                     break
             if not stack:
                 del self._stacks[span._key]
-        if self.trace is not None:
-            self.trace.record(now, span.scope, "span_end",
-                              span=span.span_id, name=span.name,
-                              dur_ns=now - span.start_ns, **span.attrs)
 
     # -- instants --------------------------------------------------------
     def instant(self, scope: str, name: str, **detail: Any) -> None:
-        """Record a point event (also mirrored into the flat trace under
-        the same event name, so legacy record consumers see no change)."""
+        """Record a point event that is not a span edge."""
         if not self.enabled:
             return
-        now = self.env.now
-        self._instants.setdefault(name, []).append(Instant(now, scope, name, detail))
-        if self.trace is not None:
-            self.trace.record(now, scope, name, **detail)
+        self._instants.append(Instant(self.env.now, scope, name, detail))
 
     # -- lookups ---------------------------------------------------------
     def find(self, scope: Optional[str] = None, name: Optional[str] = None,
@@ -271,16 +250,16 @@ class Tracer:
                 best = span
         return best
 
-    def instants(self, name: str, scope_prefix: Optional[str] = None,
+    def instants(self, name: Optional[str] = None, scope_prefix: Optional[str] = None,
                  **detail: Any) -> List[Instant]:
-        """Indexed lookup of point events by name (+ scope/detail filter)."""
-        out = self._instants.get(name, [])
-        if scope_prefix is not None:
-            out = [i for i in out if i.scope.startswith(scope_prefix)]
-        if detail:
-            out = [i for i in out
-                   if all(i.detail.get(k) == v for k, v in detail.items())]
-        return list(out)
+        """Point events in append order, filtered by name, scope prefix
+        and detail (every instant when no filter is given)."""
+        return [
+            i for i in self._instants
+            if (name is None or i.name == name)
+            and (scope_prefix is None or i.scope.startswith(scope_prefix))
+            and all(i.detail.get(k) == v for k, v in detail.items())
+        ]
 
     def first_instant(self, name: str, scope_prefix: Optional[str] = None,
                       **detail: Any) -> Optional[Instant]:

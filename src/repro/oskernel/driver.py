@@ -106,7 +106,6 @@ class VendorDriver:
         direct = self.kernel.params.direct_rx_dispatch
         self.counters.add("rx_irqs")
         irq_span = self.tracer.begin(self.name, "irq", direct=direct)
-        self.tracer.instant(self.name, "irq_begin")
         yield from cpu.execute(self.params.irq_overhead_ns, PRIO_IRQ, label="drv_irq")
         drained = 0
         while self.nic.rx_pending() and drained < self.params.rx_budget_per_irq:
@@ -159,7 +158,6 @@ class VendorDriver:
                 self.kernel.deliver_rx(rx.frame.ethertype, skb, in_irq_context=True)
             drained += k
         self.counters.add("rx_frames", drained)
-        self.tracer.instant(self.name, "irq_end", drained=drained)
         irq_span.end(drained=drained)
         self.kernel.metrics.histogram(f"{self.name}.irq_frames").record(drained)
         self.nic.irq_service_done()

@@ -27,7 +27,7 @@ from ..config import KernelParams, MemoryParams
 from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
 from ..hw.memory import MemoryBus
 from ..obs import MetricsRegistry, Tracer
-from ..sim import Counters, Environment, Event, Trace
+from ..sim import Counters, Environment, Event
 from .interrupts import BottomHalves, IrqController
 
 __all__ = ["Kernel"]
@@ -43,7 +43,6 @@ class Kernel:
         cpu: Cpu,
         memory: MemoryBus,
         name: str = "kernel",
-        trace: Optional[Trace] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -52,9 +51,9 @@ class Kernel:
         self.cpu = cpu
         self.memory = memory
         self.name = name
-        self.trace = trace if trace is not None else Trace(enabled=False)
-        #: span tracer; shared cluster-wide when supplied, private otherwise
-        self.tracer = tracer if tracer is not None else Tracer(env, self.trace)
+        #: span tracer; shared cluster-wide when supplied, private (and
+        #: disabled) otherwise
+        self.tracer = tracer if tracer is not None else Tracer(env)
         #: typed metrics registry (counters/gauges/histograms)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.counters = Counters(registry=self.metrics, prefix=f"{name}.")
@@ -78,13 +77,11 @@ class Kernel:
         self.counters.add("syscalls")
         t0 = self.env.now
         span = self.tracer.begin(self.name, "syscall", label=label)
-        self.tracer.instant(self.name, "syscall_enter", label=label)
         yield from self.cpu.execute(self.params.syscall_enter_ns, PRIO_KERNEL, label="sys_enter")
         result = yield from body
         yield from self.cpu.execute(self.params.syscall_exit_ns, PRIO_KERNEL, label="sys_exit")
         if self.params.scheduler_on_syscall_return:
             yield from self.cpu.scheduler_pass(PRIO_KERNEL)
-        self.tracer.instant(self.name, "syscall_exit", label=label)
         span.end()
         self.metrics.histogram(f"{self.name}.syscall_ns").record(self.env.now - t0)
         return result
@@ -109,12 +106,10 @@ class Kernel:
         self.counters.add("blocks")
         t0 = self.env.now
         span = self.tracer.begin(self.name, "blocked", label=label)
-        self.tracer.instant(self.name, "block", label=label)
         yield from self.cpu.context_switch(PRIO_KERNEL)
         value = yield event
         yield from self.cpu.scheduler_pass(PRIO_KERNEL)
         yield from self.cpu.context_switch(PRIO_KERNEL)
-        self.tracer.instant(self.name, "wake", label=label)
         span.end()
         self.metrics.histogram(f"{self.name}.block_ns").record(self.env.now - t0)
         return value

@@ -12,10 +12,10 @@ resilience point) and reports three kinds of cost:
   "the simulation got slower" regressions that simulated time hides;
 * **wall clock** — informational only (machine-dependent, never gated).
 
-The Figure-7 scenario additionally cross-checks the span-derived layer
-attribution (:func:`repro.obs.critical_path`) against the classic
-timeline extraction of :mod:`repro.experiments.fig7` and fails loudly
-if the two disagree by more than :data:`CROSSCHECK_TOLERANCE`.
+The Figure-7 scenario gates the per-layer budget of the traced packet's
+critical path (:func:`repro.obs.critical_path`); its Figure-7 stages
+are a regrouping of the same path (:func:`repro.analysis.fig7_timeline`),
+so there is nothing left to cross-check.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..obs import aggregate_profiles, critical_path, fig7_stage_durations, jsonable
+from ..obs import aggregate_profiles, critical_path, jsonable
 from ..parallel import run_tasks
 from ..sim import profiled
 
 __all__ = [
     "BASELINE_PATH",
     "BENCH_SCHEMA",
-    "CROSSCHECK_TOLERANCE",
     "SCENARIOS",
     "current_rev",
     "flow_packet_diff",
@@ -45,10 +44,6 @@ BENCH_SCHEMA = "repro.bench/1"
 
 #: where ``repro.perf check`` finds the committed baseline by default
 BASELINE_PATH = "benchmarks/baselines/BENCH_baseline.json"
-
-#: max relative disagreement between span-derived and timeline-derived
-#: Figure-7 stage durations before the bench itself errors out
-CROSSCHECK_TOLERANCE = 0.05
 
 #: default relative tolerance on gated simulated metrics
 GATE_TOLERANCE = 0.05
@@ -137,36 +132,14 @@ def _scenario_fig5(quick: bool) -> Tuple[Dict, Dict]:
 
 
 def _scenario_fig7(quick: bool) -> Tuple[Dict, Dict]:
-    """Span-derived Figure-7 layer budget, cross-checked vs the classic
-    timeline extraction (the two must agree within 5%)."""
+    """Figure-7 layer budget from the traced packet's critical path."""
+    from ..analysis import fig7_timeline
     from ..trace import capture_fig7
 
     art = capture_fig7()
     path = critical_path(art.spans, art.records, art.result["packet_id"],
                          "node0", "node1")
     layers_us = {layer: ns / 1000 for layer, ns in path.layer_ns().items()}
-
-    # Regroup the experiment's stage list the same way fig7_stage_durations
-    # groups path hops (the two receiver software stages merge).
-    derived = {k: v / 1000 for k, v in fig7_stage_durations(path).items()}
-    legacy: Dict[str, float] = {}
-    for stage in art.result["stages"]:
-        name = stage["name"]
-        if name in ("bottom halves -> CLIC_MODULE", "CLIC_MODULE copy to user + wake"):
-            name = "receiver: post-DMA software path"
-        legacy[name] = legacy.get(name, 0.0) + (stage["end_ns"] - stage["start_ns"]) / 1000
-    max_rel = 0.0
-    for name, want in legacy.items():
-        got = derived.get(name)
-        if got is None:
-            raise ValueError(f"span-derived path lacks Figure-7 stage {name!r}")
-        rel = abs(got - want) / want if want else abs(got)
-        max_rel = max(max_rel, rel)
-        if rel > CROSSCHECK_TOLERANCE:
-            raise ValueError(
-                f"span-derived stage {name!r} disagrees with the fig7 "
-                f"experiment: {got:.2f} vs {want:.2f} us ({rel:.1%})")
-
     gates = {
         "total_us": _gate(path.total_us, "lower"),
         **{f"{layer}_us": _gate(us, "lower")
@@ -175,8 +148,7 @@ def _scenario_fig7(quick: bool) -> Tuple[Dict, Dict]:
     metrics = {
         "layers_us": layers_us,
         "layer_shares": path.layer_shares(),
-        "stages_us": derived,
-        "crosscheck_max_rel": max_rel,
+        "stages_us": {s.name: s.duration_us for s in fig7_timeline(path).stages},
         "path_hops": len(path.segments),
     }
     return gates, metrics
@@ -222,9 +194,8 @@ def _scenario_journey(quick: bool) -> Tuple[Dict, Dict]:
     """Journey-tracing purity: on-vs-off must not perturb the simulation.
 
     Runs the same burst-loss CLIC stream twice — journeys disabled, then
-    enabled — and *errors out* (like the fig7 cross-check) if the
-    simulated results, the metrics snapshot, or the event-loop profile
-    differ at all: the observability layer must observe, never perturb.
+    enabled — and *errors out* if the simulated results, the metrics
+    snapshot, or the event-loop profile differ at all: the observability layer must observe, never perturb.
     The gates then track the traced run's cost like any other scenario.
     """
     from dataclasses import replace
@@ -282,8 +253,8 @@ def _scenario_bulk_flowmode(quick: bool) -> Tuple[Dict, Dict]:
 
     Runs the same 1 MB MTU-1500 stream twice — ``flow_mode="off"``
     (the packet-exact reference) and ``"auto"`` (analytic bulk-train
-    batching) — and *errors out* (like the fig7 cross-check) unless the
-    hybrid engine cuts ``events_processed`` by at least
+    batching) — and *errors out* unless the hybrid engine cuts
+    ``events_processed`` by at least
     :data:`FLOWMODE_MIN_RATIO` while reproducing the exact engine's
     bandwidth within :data:`FLOWMODE_BW_TOLERANCE`.  The gates then pin
     both numbers against the committed baseline like any other scenario.
@@ -347,8 +318,8 @@ def _scenario_collectives(quick: bool) -> Tuple[Dict, Dict]:
 
     Pins one point of the ``collectives-scaling`` experiment: barrier
     and small-payload allreduce at a fixed P over a 2-level fat-tree,
-    in both ``collectives`` modes.  *Errors out* (like the fig7
-    cross-check) if the NIC engine fails to beat the host barrier, or
+    in both ``collectives`` modes.  *Errors out* if the NIC engine
+    fails to beat the host barrier, or
     if a traced NIC barrier shows any syscall/IRQ/bottom-half on the
     collective critical path — the property the offload exists for.
     The gates then pin the absolute times and the speedup against the

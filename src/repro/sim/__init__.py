@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.sim.core.Environment` and the event/process machinery,
 * queuing resources in :mod:`repro.sim.resources`,
 * deterministic RNG streams in :mod:`repro.sim.rng`,
-* tracing and accounting in :mod:`repro.sim.monitor`.
+* counters and busy-time accounting in :mod:`repro.sim.monitor`.
 """
 
 from .core import (
@@ -22,7 +22,7 @@ from .core import (
     profiled,
 )
 from .flowmode import FlowModeController, FlowRoute
-from .monitor import BusyTracker, Counters, IntervalStats, Trace, TraceRecord
+from .monitor import BusyTracker, Counters
 from .resources import (
     Preempted,
     PreemptiveResource,
@@ -44,7 +44,6 @@ __all__ = [
     "FlowModeController",
     "FlowRoute",
     "Interrupt",
-    "IntervalStats",
     "Preempted",
     "PreemptiveResource",
     "PriorityResource",
@@ -56,7 +55,5 @@ __all__ = [
     "Store",
     "Timeout",
     "TimerHandle",
-    "Trace",
-    "TraceRecord",
     "profiled",
 ]

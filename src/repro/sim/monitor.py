@@ -1,110 +1,23 @@
-"""Instrumentation: trace records, counters, and utilization accounting.
+"""Instrumentation: counters and utilization accounting.
 
-The experiments need three kinds of observability:
+Two kinds of accounting live here (tracing lives in :mod:`repro.obs.span`):
 
-* **Trace** — timestamped named records, indexed by event name (used to
-  extract the Figure 7 per-stage pipeline timeline of a packet); the
-  span layer in :mod:`repro.obs.span` emits its begin/end markers here
-  too, so the record stream stays the single source of truth.
-* **Counter** — monotonically increasing event tallies (interrupt counts
+* **Counters** — monotonically increasing event tallies (interrupt counts
   for the Section 2 analysis, packets, retransmissions, ...).  Since the
   observability refactor, :class:`Counters` is a thin dict-like face
   over :class:`repro.obs.metrics.MetricsRegistry` counters, so ad-hoc
   tallies and typed instruments share one implementation.
 * **BusyTracker** — integrates busy time of a device to report CPU / bus
   utilization over an interval.
-
-Everything is cheap no-op-able: a disabled :class:`Trace` costs one
-attribute check per record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, Optional
 
-from ..obs.metrics import Histogram, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 
-__all__ = ["TraceRecord", "Trace", "Counters", "BusyTracker", "IntervalStats"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One timestamped trace entry."""
-
-    time: float
-    source: str
-    event: str
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-    def __repr__(self) -> str:
-        extras = " ".join(f"{k}={v}" for k, v in self.detail.items())
-        return f"[{self.time:,.0f} ns] {self.source}: {self.event} {extras}".rstrip()
-
-
-class Trace:
-    """An append-only trace of :class:`TraceRecord` entries.
-
-    Records are additionally indexed by event name, so stage extraction
-    (:mod:`repro.analysis.timeline`) is a lookup instead of a scan over
-    the whole trace.
-    """
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self.records: List[TraceRecord] = []
-        self._by_event: Dict[str, List[TraceRecord]] = {}
-
-    def record(self, time: float, source: str, event: str, **detail: Any) -> None:
-        """Append a record (no-op when tracing is disabled)."""
-        if self.enabled:
-            rec = TraceRecord(time, source, event, detail)
-            self.records.append(rec)
-            self._by_event.setdefault(event, []).append(rec)
-
-    def by_event(self, event: str) -> List[TraceRecord]:
-        """All records with the given event name (indexed, append order)."""
-        return list(self._by_event.get(event, ()))
-
-    def first(
-        self,
-        event: str,
-        source_suffix: str = "",
-        source_prefix: str = "",
-        **detail: Any,
-    ) -> Optional[TraceRecord]:
-        """First record of ``event`` matching source affixes + detail."""
-        for r in self._by_event.get(event, ()):
-            if source_suffix and not r.source.endswith(source_suffix):
-                continue
-            if source_prefix and not r.source.startswith(source_prefix):
-                continue
-            if all(r.detail.get(k) == v for k, v in detail.items()):
-                return r
-        return None
-
-    def filter(self, source: Optional[str] = None, event: Optional[str] = None) -> List[TraceRecord]:
-        """All records matching the given source and/or event name."""
-        out = self._by_event.get(event, []) if event is not None else self.records
-        if source is not None:
-            out = [r for r in out if r.source == source]
-        return list(out)
-
-    def matching(self, **detail: Any) -> List[TraceRecord]:
-        """All records whose detail dict contains every given key/value."""
-        return [
-            r
-            for r in self.records
-            if all(r.detail.get(k) == v for k, v in detail.items())
-        ]
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self.records.clear()
-        self._by_event.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)
+__all__ = ["Counters", "BusyTracker"]
 
 
 class Counters:
@@ -208,54 +121,3 @@ class BusyTracker:
         if span <= 0:
             return 0.0
         return (self.busy_time(now) - self._mark_busy) / span
-
-
-class IntervalStats:
-    """Streaming sample statistics (now histogram-backed: adds p50/p95/p99).
-
-    Kept as the historical name; internally a log-bucketed
-    :class:`~repro.obs.metrics.Histogram`, so mean/min/max/count stay
-    exact while percentiles come for free.
-    """
-
-    __slots__ = ("_hist",)
-
-    def __init__(self):
-        self._hist = Histogram()
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into the running statistics."""
-        self._hist.record(value)
-
-    @property
-    def count(self) -> int:
-        return self._hist.count
-
-    @property
-    def total(self) -> float:
-        return self._hist.total
-
-    @property
-    def minimum(self) -> float:
-        return self._hist.minimum
-
-    @property
-    def maximum(self) -> float:
-        return self._hist.maximum
-
-    @property
-    def mean(self) -> float:
-        return self._hist.mean
-
-    def percentile(self, p: float) -> float:
-        """Approximate ``p``-th percentile of the observed samples."""
-        return self._hist.percentile(p)
-
-    def as_dict(self) -> Dict[str, float]:
-        """The statistics as a plain dict."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-        }

@@ -1,7 +1,7 @@
 """``python -m repro.trace`` — capture and export structured traces.
 
 Runs the Figure-7 single-packet experiment with tracing on, then exports
-the structured spans + trace records as a Chrome ``trace_event`` JSON
+the structured spans + instants as a Chrome ``trace_event`` JSON
 document (open it at https://ui.perfetto.dev or ``chrome://tracing``) or
 as a human-readable span listing.  On top of the component spans the
 exporter adds one synthetic complete span per Figure-7 pipeline stage
@@ -25,8 +25,8 @@ Typical invocations::
     python -m repro.trace --experiment fig4-point --loss 0.02 --outliers 5
     python -m repro.trace --experiment fig4-point --journey 3
 
-``--source``/``--event`` filter the exported records (and, for
-``--source``, the spans) by scope prefix / event name.
+``--source``/``--event`` filter the exported instants (and, for
+``--source``, the spans) by scope prefix / instant name.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .obs import (
     SLOSpec,
     chrome_trace_json,
     evaluate,
+    instants_of,
     journey_latency_summary,
     outlier_report,
-    records_of,
     render_html,
     spans_of,
     timeseries_of,
@@ -81,7 +81,7 @@ def capture_fig7(direct: bool = False) -> RunArtifact:
     Returns a :class:`~repro.obs.RunArtifact` holding the extracted
     stage timings, the cluster-wide metrics snapshot, every completed
     span (component spans plus the synthetic ``fig7.pipeline`` stage
-    spans), and the flat trace records.
+    spans), and the instants (as ``records``).
     """
     from .experiments import fig7
 
@@ -104,7 +104,7 @@ def capture_fig7(direct: bool = False) -> RunArtifact:
         metrics=cluster.metrics.snapshot(),
         profile=profiler.snapshot() if profiler is not None else {},
         spans=spans,
-        records=records_of(cluster.trace),
+        records=instants_of(cluster.tracer),
     )
 
 
@@ -250,7 +250,7 @@ def capture_fig4_point(
         metrics=cluster.metrics.snapshot(),
         profile=profiler.snapshot() if profiler is not None else {},
         spans=spans_of(cluster.tracer),
-        records=records_of(cluster.trace),
+        records=instants_of(cluster.tracer),
         journeys=journeys,
         timeseries=timeseries_of(cluster.metrics),
         health=watchdog.to_dicts(),
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     parser.add_argument("--source", default=None,
                         help="only scopes/sources with this prefix (e.g. node1)")
     parser.add_argument("--event", default=None,
-                        help="only trace records with this event name")
+                        help="only instants with this name")
     parser.add_argument("--indent", type=int, default=None,
                         help="pretty-print the Chrome JSON with this indent")
     args = parser.parse_args(argv)

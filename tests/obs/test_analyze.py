@@ -6,7 +6,6 @@ from repro.obs import (
     LAYERS,
     attribution_table,
     critical_path,
-    fig7_stage_durations,
     layer_attribution,
     scope_stats,
     span_tree,
@@ -103,22 +102,37 @@ def test_critical_path_covers_figure7_window(fig7_artifact):
 
 
 def test_span_attribution_matches_fig7_experiment(fig7_artifact):
-    """The headline acceptance check: span-derived stage durations agree
-    with the classic flat-trace extraction within 5%."""
+    """The fig7 experiment's stages are exactly the regrouped hops of the
+    critical path derived from its own artifact."""
+    from repro.analysis import fig7_timeline
+
     art = fig7_artifact
     path = critical_path(art.spans, art.records, art.result["packet_id"],
                          "node0", "node1")
-    derived = fig7_stage_durations(path)
-    legacy = {}
-    for stage in art.result["stages"]:
-        name = stage["name"]
-        if name in ("bottom halves -> CLIC_MODULE",
-                    "CLIC_MODULE copy to user + wake"):
-            name = "receiver: post-DMA software path"
-        legacy[name] = legacy.get(name, 0.0) + stage["end_ns"] - stage["start_ns"]
-    assert set(derived) == set(legacy)
-    for name, want in legacy.items():
-        assert derived[name] == pytest.approx(want, rel=0.05), name
+    assert len(path.segments) == 12
+    assert [seg.name for seg in path.segments if seg.layer == "clic"] == [
+        "CLIC_MODULE tx + copy", "CLIC_MODULE rx + demux",
+        "CLIC_MODULE copy to user"]
+    stages = [{"name": s.name, "start_ns": s.start_ns, "end_ns": s.end_ns}
+              for s in fig7_timeline(path).stages]
+    assert stages == art.result["stages"]
+    assert fig7_timeline(path).total_us == art.result["total_us"]
+
+
+def test_critical_path_supports_direct_dispatch():
+    """Figure 8(b) runs have no bottom-half hop; the irq span's
+    ``direct`` attribute marks the path so Figure 7(b) can regroup it."""
+    from repro.analysis import fig7_timeline
+    from repro.trace import capture_fig7
+
+    art = capture_fig7(direct=True)
+    path = critical_path(art.spans, art.records, art.result["packet_id"],
+                         "node0", "node1")
+    assert path.direct
+    assert "bottom halves" not in [seg.name for seg in path.segments]
+    timeline = fig7_timeline(path)
+    assert [s.name for s in timeline.stages][-1] == "CLIC_MODULE direct call + copy + wake"
+    assert timeline.stages[-1].end_ns == path.segments[-1].end_ns
 
 
 def test_critical_path_rejects_incomplete_traces(fig7_artifact):
@@ -134,9 +148,10 @@ def test_critical_path_rejects_incomplete_traces(fig7_artifact):
         critical_path(art.spans, art.records, pkt + 999, "node0", "node1")
 
 
-def test_fig7_stage_durations_rejects_unknown_hops():
+def test_fig7_timeline_rejects_unknown_hops():
+    from repro.analysis import fig7_timeline
     from repro.obs import CriticalPath, PathSegment
 
     path = CriticalPath(1, [PathSegment("martian hop", "kernel", 0.0, 1.0)])
     with pytest.raises(KeyError, match="martian"):
-        fig7_stage_durations(path)
+        fig7_timeline(path)

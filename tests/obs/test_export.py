@@ -30,8 +30,6 @@ RECORDS = [
      "detail": {"pkt": 1, "nbytes": 1412}},
     {"time": 74240.0, "source": "node1.eth0", "event": "driver_rx",
      "detail": {"pkt": 1, "t0": 56495.0, "nbytes": 1412}},
-    {"time": 100.0, "source": "node0.kernel", "event": "span_begin",
-     "detail": {"span": 9}},
 ]
 
 
@@ -52,7 +50,6 @@ def test_chrome_events_structure():
     instants = [e for e in events if e["ph"] == "i"]
     meta = [e for e in events if e["ph"] == "M"]
     assert len(complete) == 3
-    # span bookkeeping records are not re-exported as instants
     assert len(instants) == 2
     assert {m["name"] for m in meta} == {"process_name", "thread_name"}
     # timestamps are microseconds
@@ -109,6 +106,22 @@ def test_run_artifact_loads_schema_v1():
     assert art.schema == RUN_SCHEMA  # upgraded on load
     assert art.profile == {}
     assert art.result["total_us"] == 84.9
+
+
+def test_run_artifact_load_drops_span_edge_records():
+    """Older artifacts mirrored every span edge into their records; the
+    spans already carry those, so loading keeps only the instants."""
+    doc = RunArtifact(experiment="fig7", spans=SPANS, records=RECORDS).to_dict()
+    doc["records"] = doc["records"] + [
+        {"time": 100.0, "source": "node0.kernel", "event": "span_begin",
+         "detail": {"span": 9}},
+        {"time": 200.0, "source": "node0.kernel", "event": "span_end",
+         "detail": {"span": 9, "dur_ns": 100.0}},
+    ]
+    loaded = RunArtifact.from_dict(doc)
+    assert loaded.records == RECORDS
+    with open(GOLDEN) as fh:
+        assert loaded.chrome_json(indent=2) == fh.read().rstrip("\n")
 
 
 def test_chrome_export_is_deterministic_across_runs():

@@ -3,17 +3,16 @@
 import pytest
 
 from repro.obs import NULL_SPAN, Tracer
-from repro.sim import Environment, Trace
+from repro.sim import Environment
 
 
 def make_tracer(enabled=True):
     env = Environment()
-    trace = Trace(enabled=enabled)
-    return env, trace, Tracer(env, trace)
+    return env, Tracer(env, enabled=enabled)
 
 
 def test_spans_nest_within_one_process():
-    env, trace, tracer = make_tracer()
+    env, tracer = make_tracer()
 
     def proc():
         outer = tracer.begin("node0.kernel", "syscall", label="send")
@@ -30,15 +29,12 @@ def test_spans_nest_within_one_process():
     assert outer.parent_id is None
     assert inner.start_ns == 0 and inner.end_ns == 10
     assert outer.duration_ns == 15
-    # begin/end markers were mirrored into the flat trace.
-    assert len(trace.by_event("span_begin")) == 2
-    assert len(trace.by_event("span_end")) == 2
 
 
 def test_concurrent_processes_do_not_cross_parent():
     """A span opened by one sim process must never parent a span opened
     by another process that merely runs while the first sleeps."""
-    env, trace, tracer = make_tracer()
+    env, tracer = make_tracer()
 
     def sleeper():
         span = tracer.begin("node0.kernel", "syscall")
@@ -59,18 +55,17 @@ def test_concurrent_processes_do_not_cross_parent():
 
 
 def test_disabled_tracer_returns_null_span():
-    env, trace, tracer = make_tracer(enabled=False)
+    env, tracer = make_tracer(enabled=False)
     span = tracer.begin("x", "y")
     assert span is NULL_SPAN
     span.annotate(a=1).end()
     tracer.instant("x", "z")
     assert tracer.spans == []
-    assert tracer.instants("z") == []
-    assert len(trace) == 0
+    assert tracer.instants() == []
 
 
 def test_span_double_end_raises_and_open_spans():
-    env, trace, tracer = make_tracer()
+    env, tracer = make_tracer()
     span = tracer.begin("s", "n")
     assert tracer.open_spans == [span]
     span.end()
@@ -82,7 +77,7 @@ def test_span_double_end_raises_and_open_spans():
 
 
 def test_lookups_and_containing():
-    env, trace, tracer = make_tracer()
+    env, tracer = make_tracer()
 
     def proc():
         a = tracer.begin("node1.eth0", "irq")
@@ -111,12 +106,12 @@ def test_same_seed_runs_are_byte_identical():
     """Two identical fig7 captures must produce identical span streams
     and byte-identical Chrome exports (determinism acceptance check)."""
     from repro.experiments import fig7
-    from repro.obs import chrome_trace_json, records_of, spans_of
+    from repro.obs import chrome_trace_json, instants_of, spans_of
 
     def one_run():
         cluster, pkt_id, timeline, done = fig7.capture(direct_rx=False)
         spans = spans_of(cluster.tracer)
-        return spans, chrome_trace_json(spans, records_of(cluster.trace))
+        return spans, chrome_trace_json(spans, instants_of(cluster.tracer))
 
     spans_1, chrome_1 = one_run()
     spans_2, chrome_2 = one_run()

@@ -71,14 +71,14 @@ def test_trace_conservation_every_tx_packet_received():
     cluster.env.run(cluster.env.all_of([d0, d1]))
 
     tx_pkts = [
-        r.detail["pkt"]
-        for r in cluster.trace.records
-        if r.event == "driver_tx" and r.source == "node0.eth0" and r.detail.get("nbytes", 0) > 100
+        i.detail["pkt"]
+        for i in cluster.tracer.instants("driver_tx", scope_prefix="node0.eth0")
+        if i.detail.get("nbytes", 0) > 100
     ]
     rx_pkts = [
-        r.detail["pkt"]
-        for r in cluster.trace.records
-        if r.event == "driver_rx" and r.source == "node1.eth0" and r.detail.get("nbytes", 0) > 100
+        i.detail["pkt"]
+        for i in cluster.tracer.instants("driver_rx", scope_prefix="node1.eth0")
+        if i.detail.get("nbytes", 0) > 100
     ]
     assert sorted(tx_pkts) == sorted(rx_pkts)
     assert len(tx_pkts) == len(set(tx_pkts))  # no duplicates either

@@ -1,34 +1,36 @@
-"""Tests for tracing, counters, busy tracking, and RNG streams."""
+"""Tests for instant tracing, counters, busy tracking, and RNG streams."""
 
 import pytest
 
-from repro.sim import BusyTracker, Counters, IntervalStats, RngStreams, Trace
+from repro.obs import Tracer
+from repro.sim import BusyTracker, Counters, Environment, RngStreams
 
 
 def test_trace_disabled_records_nothing():
-    t = Trace(enabled=False)
-    t.record(1.0, "src", "ev", x=1)
-    assert len(t) == 0
+    tracer = Tracer(Environment())
+    tracer.instant("src", "ev", x=1)
+    assert tracer.instants() == []
 
 
 def test_trace_filter_by_source_and_event():
-    t = Trace(enabled=True)
-    t.record(1, "a", "x", k=1)
-    t.record(2, "a", "y")
-    t.record(3, "b", "x")
-    assert len(t.filter(source="a")) == 2
-    assert len(t.filter(event="x")) == 2
-    assert len(t.filter(source="a", event="x")) == 1
-    assert t.matching(k=1)[0].time == 1
-    t.clear()
-    assert len(t) == 0
+    env = Environment()
+    tracer = Tracer(env, enabled=True)
 
+    def proc():
+        for scope, name, detail in (("a", "x", {"k": 1}), ("a", "y", {}),
+                                    ("b", "x", {})):
+            yield env.timeout(1)
+            tracer.instant(scope, name, **detail)
 
-def test_trace_record_repr():
-    t = Trace(enabled=True)
-    t.record(1500, "node0", "stage", pkt=7)
-    assert "node0" in repr(t.records[0])
-    assert "pkt=7" in repr(t.records[0])
+    env.process(proc())
+    env.run()
+    assert [i.time for i in tracer.instants()] == [1, 2, 3]
+    assert len(tracer.instants(scope_prefix="a")) == 2
+    assert len(tracer.instants("x")) == 2
+    assert len(tracer.instants("x", scope_prefix="a")) == 1
+    assert tracer.instants(k=1)[0].time == 1
+    tracer.clear()
+    assert tracer.instants() == []
 
 
 def test_counters_accumulate_and_snapshot():
@@ -77,17 +79,6 @@ def test_busy_tracker_unbalanced_release_raises():
     b = BusyTracker()
     with pytest.raises(RuntimeError):
         b.release(1)
-
-
-def test_interval_stats():
-    s = IntervalStats()
-    assert s.mean == 0.0
-    for v in (1.0, 3.0, 2.0):
-        s.observe(v)
-    d = s.as_dict()
-    assert d["count"] == 3
-    assert d["mean"] == pytest.approx(2.0)
-    assert d["min"] == 1.0 and d["max"] == 3.0
 
 
 def test_rng_streams_deterministic_and_independent():

@@ -107,9 +107,10 @@ def test_crossover_and_ratio():
 
 
 def test_timeline_extraction_from_real_trace():
-    from repro.analysis import extract_packet_timeline
+    from repro.analysis import fig7_timeline
     from repro.cluster import Cluster
     from repro.config import granada2003
+    from repro.obs import critical_path, instants_of, spans_of
     from repro.protocols.clic import ClicEndpoint
 
     cluster = Cluster(granada2003(trace=True))
@@ -125,8 +126,10 @@ def test_timeline_extraction_from_real_trace():
     p0.run(a)
     done = p1.run(b)
     cluster.env.run(done)
-    pkt = [r for r in cluster.trace.records if r.event == "driver_tx"][0].detail["pkt"]
-    timeline = extract_packet_timeline(cluster.trace, pkt, "node0", "node1")
+    pkt = cluster.tracer.first_instant("driver_tx").detail["pkt"]
+    path = critical_path(spans_of(cluster.tracer), instants_of(cluster.tracer),
+                         pkt, "node0", "node1")
+    timeline = fig7_timeline(path)
     names = [s.name for s in timeline.stages]
     assert "NIC DMA + flight" in names
     assert timeline.total_us > 0
@@ -140,61 +143,97 @@ def test_timeline_extraction_from_real_trace():
 
 
 def test_timeline_missing_packet_raises():
-    from repro.analysis import extract_packet_timeline
-    from repro.sim import Trace
+    from repro.obs import critical_path
 
     with pytest.raises(ValueError, match="missing"):
-        extract_packet_timeline(Trace(enabled=True), 999, "node0", "node1")
+        critical_path([], [], 999, "node0", "node1")
 
 
-def _synthetic_trace(irq_times):
-    """A minimal trace with all Figure-7 anchor records for packet 7."""
-    from repro.sim import Trace
+def _span(id, scope, name, start, end, **attrs):
+    return {"id": id, "scope": scope, "name": name, "start_ns": start,
+            "end_ns": end, "parent": None, "attrs": attrs}
 
-    trace = Trace(enabled=True)
-    trace.record(0.0, "node0.kernel", "syscall_enter", label="clic_send")
-    trace.record(5.0, "node0.eth0", "driver_tx", pkt=7)
-    for t in irq_times:
-        trace.record(t, "node1.eth0", "irq_begin")
-    trace.record(25.0, "node1.eth0", "driver_rx", pkt=7, t0=20.0)
-    trace.record(30.0, "node1.clic", "module_rx", pkt=7)
-    trace.record(40.0, "node1.kernel", "wake", label="recv:1")
-    return trace
+
+def _instant(time, source, event, **detail):
+    return {"time": time, "source": source, "event": event, "detail": detail}
+
+
+def _synthetic_trace(irq_times, module_rx=True):
+    """Minimal spans + instants with every critical-path anchor for
+    packet 7; each receiver irq span lasts 6 ns."""
+    spans = [
+        _span(1, "node0.kernel", "syscall", 0.0, 50.0, label="clic_send"),
+        _span(2, "node0.clic", "clic_send", 1.0, 4.0),
+        _span(3, "node0.nic0", "nic_tx", 5.0, 8.0),
+        _span(4, "node1.nic0", "nic_rx", 9.0, 9.5),
+        _span(5, "node1.clic", "clic_rx", 27.0, 32.0, pkt=7),
+        _span(6, "node1.kernel", "blocked", 0.0, 40.0, label="recv:1"),
+    ]
+    spans += [_span(10 + i, "node1.eth0", "irq", t, t + 6.0, direct=False)
+              for i, t in enumerate(irq_times)]
+    instants = [
+        _instant(5.0, "node0.eth0", "driver_tx", pkt=7),
+        _instant(25.0, "node1.eth0", "driver_rx", pkt=7, t0=20.0),
+    ]
+    if module_rx:
+        instants.append(_instant(30.0, "node1.clic", "module_rx", pkt=7))
+    return spans, instants
 
 
 def test_timeline_picks_latest_irq_begin_before_driver_rx():
-    """Regression: the guard used to be a tautology (r.time <= r.time)
-    and with coalesced interrupts any earlier irq_begin could win."""
-    from repro.analysis import extract_packet_timeline
+    """Regression: with coalesced interrupts, the latest irq opening at
+    or before the frame's driver_rx anchors the interrupt stage."""
+    from repro.analysis import fig7_timeline
+    from repro.obs import critical_path
 
-    trace = _synthetic_trace(irq_times=[10.0, 20.0, 35.0])
-    timeline = extract_packet_timeline(trace, 7, "node0", "node1")
+    spans, instants = _synthetic_trace(irq_times=[10.0, 20.0, 35.0])
+    path = critical_path(spans, instants, 7, "node0", "node1")
+    timeline = fig7_timeline(path)
     irq_stage = timeline.stage("receiver: driver interrupt (NIC->system copy)")
-    # The 20.0 irq_begin (latest at or before driver_rx@25.0) anchors the
+    # The 20.0 irq (latest at or before driver_rx@25.0) anchors the
     # stage — not 10.0 (earlier) and not 35.0 (after the drain).
     assert irq_stage.start_ns == 20.0
     assert irq_stage.end_ns == 25.0
+    assert timeline.stage("bottom halves -> CLIC_MODULE").end_ns == 30.0
+    assert timeline.stages[-1].end_ns == 40.0  # the receiver's wake
 
 
 def test_timeline_no_irq_before_driver_rx_raises():
-    from repro.analysis import extract_packet_timeline
+    from repro.obs import critical_path
 
-    trace = _synthetic_trace(irq_times=[35.0])  # only after driver_rx
-    with pytest.raises(ValueError, match="irq_begin"):
-        extract_packet_timeline(trace, 7, "node0", "node1")
+    spans, instants = _synthetic_trace(irq_times=[35.0])  # only after driver_rx
+    with pytest.raises(ValueError, match="irq"):
+        critical_path(spans, instants, 7, "node0", "node1")
 
 
-def test_span_extraction_matches_record_extraction():
-    """The span port must not move any Figure-7 stage boundary."""
-    from repro.analysis import (
-        extract_packet_timeline,
-        extract_packet_timeline_from_spans,
-    )
+def test_timeline_missing_module_rx_raises():
+    from repro.obs import critical_path
+
+    spans, instants = _synthetic_trace(irq_times=[20.0], module_rx=False)
+    with pytest.raises(ValueError, match="module_rx"):
+        critical_path(spans, instants, 7, "node0", "node1")
+
+
+def test_fig7_stages_regroup_path_hops_exactly():
+    """Both Figure-7 variants are contiguous regroupings of the packet's
+    critical-path hops: every stage edge is a hop edge, in order, and
+    the stages cover the path with no float drift."""
+    from repro.analysis import fig7_timeline
     from repro.experiments import fig7
+    from repro.obs import critical_path, instants_of, spans_of
 
-    cluster, pkt_id, _, _ = fig7.capture(direct_rx=False)
-    from_records = extract_packet_timeline(cluster.trace, pkt_id, "node0", "node1")
-    from_spans = extract_packet_timeline_from_spans(cluster.tracer, pkt_id, "node0", "node1")
-    assert [(s.name, s.start_ns, s.end_ns) for s in from_records.stages] == [
-        (s.name, s.start_ns, s.end_ns) for s in from_spans.stages
-    ]
+    for direct in (False, True):
+        cluster, pkt_id, timeline, _ = fig7.capture(direct_rx=direct)
+        path = critical_path(spans_of(cluster.tracer), instants_of(cluster.tracer),
+                             pkt_id, "node0", "node1")
+        assert path.direct is direct
+        assert fig7_timeline(path) == timeline
+        assert len(timeline.stages) == (4 if direct else 5)
+        hop_edges = [path.segments[0].start_ns] + [h.end_ns for h in path.segments]
+        stage_edges = [timeline.stages[0].start_ns] + [s.end_ns for s in timeline.stages]
+        positions = [hop_edges.index(edge) for edge in stage_edges]
+        assert positions[0] == 0 and positions[-1] == len(hop_edges) - 1
+        assert positions == sorted(set(positions))
+        for first, second in zip(timeline.stages, timeline.stages[1:]):
+            assert first.end_ns == second.start_ns
+        assert timeline.stages[-1].end_ns - timeline.stages[0].start_ns == path.total_ns
