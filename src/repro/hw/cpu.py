@@ -23,7 +23,7 @@ the host CPU" effect emerges in the simulated bandwidth curves.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from ..config import CpuParams
 from ..sim import (
@@ -63,6 +63,9 @@ class Cpu:
         self._res = PreemptiveResource(env, capacity=1, name=name)
         self.busy = BusyTracker()
         self.counters = Counters()
+        #: work label -> its counter name, formatted once per label (a
+        #: bulk run charges ~100k slices under a handful of labels)
+        self._work_counters: Dict[str, str] = {}
 
     def execute(
         self,
@@ -84,19 +87,21 @@ class Cpu:
         preempt = priority <= PRIO_IRQ
         while remaining > 0:
             req = self._res.request(priority=priority, preempt=preempt)
-            try:
-                yield req
-            except Interrupt as intr:
-                # A preemption can race with the grant when both land in
-                # the same timestep (grant callback queued, URGENT
-                # interrupt delivered first).  The resource has already
-                # evicted the granted slot; just retry with full remaining.
-                if not isinstance(intr.cause, Preempted):
-                    raise
-                if not req.triggered:
-                    req.cancel()
-                self.counters.add("preemptions")
-                continue
+            if req.callbacks is not None:  # not granted at once: wait
+                try:
+                    yield req
+                except Interrupt as intr:
+                    # A preemption can race with the grant when both land
+                    # in the same timestep (grant callback queued, URGENT
+                    # interrupt delivered first).  The resource has
+                    # already evicted the granted slot; just retry with
+                    # full remaining.
+                    if not isinstance(intr.cause, Preempted):
+                        raise
+                    if not req.triggered:
+                        req.cancel()
+                    self.counters.add("preemptions")
+                    continue
             started = env.now
             self.busy.acquire(started)
             try:
@@ -114,7 +119,7 @@ class Cpu:
             self.busy.release(env.now)
             self._res.release(req)
             remaining = 0.0
-        self.counters.add(f"work.{label or 'anon'}", duration)
+        self.counters.add(self._work_counter(label), duration)
 
     def occupy(self, subwork: Generator, priority: int = PRIO_IRQ, label: str = "occupy") -> Generator:
         """Hold the CPU while ``subwork`` runs (busy-wait semantics).
@@ -134,9 +139,15 @@ class Cpu:
             result = yield from subwork
         finally:
             self.busy.release(self.env.now)
-            self.counters.add(f"work.{label}", self.env.now - started)
+            self.counters.add(self._work_counter(label), self.env.now - started)
             self._safe_release(req)
         return result
+
+    def _work_counter(self, label: str) -> str:
+        name = self._work_counters.get(label)
+        if name is None:
+            name = self._work_counters[label] = f"work.{label or 'anon'}"
+        return name
 
     def _safe_release(self, req) -> None:
         try:

@@ -20,6 +20,7 @@ delivered + lost, always.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Generator, Optional
 
 import numpy as np
@@ -122,8 +123,7 @@ class Channel:
             # proved both directions quiet over its horizon (no
             # stochastic models, no outage/congestion window), so the
             # verdict is DELIVER with no extras — skip the per-frame
-            # draw and hand the batch to the sink with one timer
-            # instead of a delivery process.
+            # draw and hand the batch to the sink with one plain timer.
             self.counters.add("frames", k)
             self.counters.add("bytes", frame.payload_bytes)
             sink = self._sink
@@ -133,10 +133,7 @@ class Channel:
         if self.faults is None:
             self.counters.add("frames")
             self.counters.add("bytes", frame.payload_bytes)
-            self.env.process(
-                self._deliver(frame, self.params.propagation_ns),
-                name=f"{self.name}.deliver",
-            )
+            self.env.defer(self.params.propagation_ns, partial(self._sink, frame))
             return
         decision = self.faults.decide(self.env.now)
         journeys = self._journeys()
@@ -167,13 +164,7 @@ class Channel:
         for _ in range(decision.copies):
             self.counters.add("frames")
             self.counters.add("bytes", frame.payload_bytes)
-            self.env.process(
-                self._deliver(frame, delay), name=f"{self.name}.deliver"
-            )
-
-    def _deliver(self, frame: Frame, delay_ns: float) -> Generator:
-        yield self.env.timeout(delay_ns)
-        self._sink(frame)
+            self.env.defer(delay, partial(self._sink, frame))
 
     def utilization(self) -> float:
         """Busy fraction of this direction since time zero."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator, List, Optional
 
 from typing import TYPE_CHECKING
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING
 from ...config import LinkParams, NicParams
 from ...obs import MetricsRegistry, Tracer
 from ...sim import Counters, Environment, Event, Store
+from ...sim.core import URGENT
 from ..pci import PciBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: link.py needs frames.py
@@ -102,6 +104,9 @@ class Nic:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(env)
         self.counters = Counters(registry=self.metrics, prefix=f"{name}.")
+        #: PCI counter labels of the per-frame DMAs
+        self._tx_label = f"{name}.tx"
+        self._rx_label = f"{name}.rx"
         #: frames waiting on-card for the driver (high-water via gauge)
         self._rx_depth_gauge = self.metrics.gauge(f"{name}.rx_buffer_depth")
 
@@ -203,7 +208,13 @@ class Nic:
                          nbytes=frame.payload_bytes)
         self._rx_claimed += k  # hardware claims the descriptor(s) at arrival
         rx = RxFrame(frame=frame, arrived_at=self.env.now)
-        self.env.process(self._rx_process(rx), name=f"{self.name}.rx")
+        if self.rx_deliver == "push":
+            self.env.process(self._rx_push(rx), name=f"{self.name}.rx")
+        else:
+            # A zero-delay URGENT trampoline: ``_rx_begin`` (which opens
+            # the span) runs where a process spawned now would start;
+            # see Environment.defer.
+            self.env.call_later(0, partial(self._rx_begin, rx), URGENT)
 
     # ------------------------------------------------------------------
     # transmit path
@@ -270,10 +281,10 @@ class Nic:
                     # the background DMA just as the exact per-packet
                     # schedule does.
                     yield from self.pci.dma(per_frame, priority=2,
-                                            label=f"{self.name}.tx")
+                                            label=self._tx_label)
                     self.env.process(
                         self.pci.dma(desc.payload_bytes - per_frame,
-                                     priority=2, label=f"{self.name}.tx",
+                                     priority=2, label=self._tx_label,
                                      transactions=k - 1),
                         name=f"{self.name}.txdma",
                     )
@@ -307,7 +318,7 @@ class Nic:
                 # firmware processing, and a single batched FIFO entry —
                 # closed-form equal to k back-to-back per-frame passes.
                 yield from self.pci.dma(desc.payload_bytes, priority=2,
-                                        label=f"{self.name}.tx",
+                                        label=self._tx_label,
                                         transactions=k)
                 yield self.env.timeout(self.params.frame_processing_ns * k)
                 frame = Frame(
@@ -324,7 +335,7 @@ class Nic:
                 span.end(frames=k)
                 continue
             # Bus-master DMA: fetch the payload (plus headers) across PCI.
-            yield from self.pci.dma(desc.payload_bytes, priority=2, label=f"{self.name}.tx")
+            yield from self.pci.dma(desc.payload_bytes, priority=2, label=self._tx_label)
             journeys = self.tracer.journeys
             if journeys is not None:
                 journeys.hop(desc.payload, "nic_dma", self.name,
@@ -376,10 +387,9 @@ class Nic:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _rx_process(self, rx: RxFrame) -> Generator:
-        span = self.tracer.begin(self.name, "nic_rx", nbytes=rx.frame.payload_bytes)
-        k = rx.frame.train_frames
-        yield self.env.timeout(self.params.frame_processing_ns * k)
+    def _rx_reassemble(self, rx: RxFrame, span) -> bool:
+        """Firmware fragment handling once a frame is processed on-card;
+        False when the frame was absorbed into a partial reassembly."""
         marker = rx.frame.payload if isinstance(rx.frame.payload, _FragmentMarker) else None
         if marker is not None and self.params.supports_fragmentation:
             # On-NIC reassembly: accumulate, deliver once complete.
@@ -388,7 +398,7 @@ class Nic:
             if not marker.last:
                 self._rx_claimed -= 1  # fragment consumed on-card
                 span.end(reassembling=True)
-                return
+                return False
             total = acc[0]
             del self._reassembly[marker.desc_id]
             rx.frame.payload_bytes = total
@@ -399,16 +409,39 @@ class Nic:
             # protocol module deals with it (interop corner, counted).
             self.counters.add("rx_fragment_no_offload")
             rx.frame.payload = marker.payload
+        return True
 
-        if self.rx_deliver == "push":
-            # NIC pushes straight to host memory, then tells the host.
-            yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
-            rx.in_host_memory = True
-            self._rx_claimed -= k  # descriptor recycled after the push
-            if self.push_callback is not None:
-                self.push_callback(rx)
-            span.end(pushed=True)
+    def _rx_push(self, rx: RxFrame) -> Generator:
+        """Push mode: process on-card, then DMA to host and call back."""
+        span = self.tracer.begin(self.name, "nic_rx", nbytes=rx.frame.payload_bytes)
+        k = rx.frame.train_frames
+        yield self.env.timeout(self.params.frame_processing_ns * k)
+        if not self._rx_reassemble(rx, span):
             return
+        # NIC pushes straight to host memory, then tells the host.
+        yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
+        rx.in_host_memory = True
+        self._rx_claimed -= k  # descriptor recycled after the push
+        if self.push_callback is not None:
+            self.push_callback(rx)
+        span.end(pushed=True)
+
+    def _rx_begin(self, rx: RxFrame) -> None:
+        """irq-pull mode, first half: start on-card processing."""
+        # Begun outside any process, the span takes a stack of its own
+        # (no parent, no children), keyed by the frame: unique while the
+        # frame is in flight.
+        span = self.tracer.begin(self.name, "nic_rx", owner=id(rx),
+                                 nbytes=rx.frame.payload_bytes)
+        self.env.call_later(self.params.frame_processing_ns * rx.frame.train_frames,
+                            partial(self._rx_buffer_frame, rx, span))
+
+    def _rx_buffer_frame(self, rx: RxFrame, span) -> None:
+        """irq-pull mode, second half: park the frame for the driver and
+        feed the interrupt coalescer."""
+        if not self._rx_reassemble(rx, span):
+            return
+        k = rx.frame.train_frames
         self._rx_claimed -= k  # claimed -> buffered
         self._rx_occ += k
         self._rx_buffer.append(rx)
@@ -457,7 +490,7 @@ class Nic:
         self._rx_occ -= rx.frame.train_frames
         self._rx_depth_gauge.set(self._rx_occ)
         yield from self.pci.dma(rx.frame.payload_bytes, priority=2,
-                                label=f"{self.name}.rx",
+                                label=self._rx_label,
                                 transactions=rx.frame.train_frames)
         rx.in_host_memory = True
         return rx

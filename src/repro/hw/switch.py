@@ -28,6 +28,7 @@ configured capacity (the bounded-memory rule).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..config import LinkParams
@@ -226,57 +227,47 @@ class Switch:
         """Sink callable for the channel feeding this switch from a device."""
 
         def _receive(frame: Frame) -> None:
-            if frame.train_frames > 1 and self.backpressure == "drop":
-                # Flow-mode train: forwarding is one timer + a
-                # synchronous enqueue (drop mode never blocks), so the
-                # whole store-and-forward stage costs one event.
-                self.env.call_later(
-                    self.forward_ns,
-                    lambda: self._forward_train(frame, from_port),
-                )
-                return
-            self.env.process(
-                self._forward(frame, from_port), name=f"{self.name}.forward"
-            )
+            if self.backpressure == "pause":
+                # Enqueueing may block: the forward stays a process.
+                self.env.process(self._forward_paused(frame, from_port),
+                                 name=f"{self.name}.forward")
+            elif frame.train_frames > 1:
+                # Flow-mode train: one plain timer for the whole stage.
+                self.env.call_later(self.forward_ns,
+                                    partial(self._forward, frame, from_port))
+            else:
+                # Drop mode never blocks: forwarding is a callback.
+                self.env.defer(self.forward_ns,
+                               partial(self._forward, frame, from_port))
 
         return _receive
 
-    def _forward_train(self, frame: Frame, from_port: SwitchPort) -> None:
-        """Synchronous forwarding for a train (drop-mode fast path)."""
-        k = frame.train_frames
-        self.counters.add("forwarded", k)
-        port = self._mac_table.get(frame.dst)
-        if port is None:
-            self.counters.add("unknown_dst", k)
-            return
-        if port is from_port:
-            self.counters.add("hairpin_dropped", k)
-            return
-        port.enqueue(frame)
-
-    def _enqueue(self, port: SwitchPort, frame: Frame) -> Generator:
-        """Hand ``frame`` to ``port`` per the backpressure mode."""
-        if self.backpressure == "pause":
-            yield from port.enqueue_blocking(frame)
-        else:
-            port.enqueue(frame)
-
-    def _forward(self, frame: Frame, from_port: SwitchPort) -> Generator:
-        yield self.env.timeout(self.forward_ns)
+    def _egress_ports(self, frame: Frame, from_port: SwitchPort) -> Sequence[SwitchPort]:
+        """Count one forward of ``frame``; the ports it leaves through."""
         k = frame.train_frames
         self.counters.add("forwarded", k)
         if frame.is_broadcast:
-            for port in self.ports:
-                if port is not from_port and port.flood:
-                    yield from self._enqueue(port, frame)
-            return
+            return [p for p in self.ports if p is not from_port and p.flood]
         port = self._mac_table.get(frame.dst)
         if port is None:
             # Unknown unicast: a real switch floods; in a closed cluster
             # this indicates a wiring bug, so count and drop loudly.
             self.counters.add("unknown_dst", k)
-            return
+            return ()
         if port is from_port:
             self.counters.add("hairpin_dropped", k)
-            return
-        yield from self._enqueue(port, frame)
+            return ()
+        return (port,)
+
+    def _forward(self, frame: Frame, from_port: SwitchPort) -> None:
+        """Forward ``frame`` once it has been through the switch
+        (``"drop"`` backpressure: synchronous, never blocks)."""
+        for port in self._egress_ports(frame, from_port):
+            port.enqueue(frame)
+
+    def _forward_paused(self, frame: Frame, from_port: SwitchPort) -> Generator:
+        """Forward under ``"pause"`` backpressure: a full egress queue
+        stalls the forwarding engine."""
+        yield self.env.timeout(self.forward_ns)
+        for port in self._egress_ports(frame, from_port):
+            yield from port.enqueue_blocking(frame)

@@ -172,13 +172,17 @@ class Tracer:
 
     # -- span lifecycle --------------------------------------------------
     def begin(self, scope: str, name: str, parent: Optional[Span] = None,
-              **attrs: Any) -> Span:
+              owner: Any = None, **attrs: Any) -> Span:
         """Open a span; the parent defaults to the innermost open span of
-        the same simulated process."""
+        the same simulated process.
+
+        ``owner`` stands in for the process when a span is begun from a
+        callback rather than a process: spans nest within one owner.
+        """
         if not self.enabled:
             return NULL_SPAN
         now = self.env.now
-        key = getattr(self.env, "active_process", None)
+        key = owner if owner is not None else getattr(self.env, "active_process", None)
         stack = self._stacks.get(key)
         if parent is not None:
             parent_id: Optional[int] = parent.span_id

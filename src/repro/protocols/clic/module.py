@@ -31,7 +31,7 @@ from ...hw.nic import BROADCAST, EtherType, MacAddress
 from ...oskernel import SkBuff
 from ...sim import Counters, Environment, Event, Store
 from ..headers import ClicAck, ClicPacket, ClicPacketType, ClicTrain, fragment_plan
-from ..reliability import OrderedReceiver, RtoEstimator, WindowedSender
+from ..reliability import DeliveryFailed, OrderedReceiver, RtoEstimator, WindowedSender
 
 __all__ = ["ClicModule", "ClicMessage", "RemoteRegion"]
 
@@ -233,6 +233,10 @@ class ClicModule:
             sender.abort(f"peer {peer} declared dead: {reason}")
         for listener in list(self.peer_death_listeners):
             listener(peer, reason)
+
+    def failed_channels(self) -> List[DeliveryFailed]:
+        """The error of every failed sender channel, by peer."""
+        return [s.failure for _, s in sorted(self._senders.items()) if s.failed]
 
     def _on_peer_failed(self, peer: int, reason: str) -> None:
         """A sender channel exhausted its retry budget."""

@@ -488,6 +488,12 @@ class WindowedSender:
         """True once the retry budget is exhausted or :meth:`abort` ran."""
         return self._failed is not None
 
+    @property
+    def failure(self) -> Optional[DeliveryFailed]:
+        """The error a failed channel raises (names it and why); None
+        while the channel is healthy."""
+        return self._failed
+
     def abort(self, reason: str) -> None:
         """Externally declare this channel dead (e.g. the aliveness
         tracker lost the peer): fail all waiters, reject future sends."""

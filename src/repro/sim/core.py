@@ -12,21 +12,31 @@ Time is measured in **nanoseconds** throughout the project (see
 in FIFO order of scheduling (a monotonic tie-break counter in the heap
 entries — never re-sorted), which keeps every simulation bit-reproducible.
 
-Two hot-path shortcuts keep the per-event Python cost down:
+Hot-path shortcuts keep the per-event Python cost down, each exact (the
+same events run in the same order at the same times):
 
 * :meth:`Environment.call_later` schedules a bare callback through a
   slotted :class:`TimerHandle` instead of the full ``Process`` +
   ``Timeout`` machinery — the dominant shape for protocol timers that
   are armed and cancelled far more often than they fire;
+* :meth:`Environment.defer` runs a callback ordered exactly like a
+  process spawned now that sleeps and then calls it (a zero-delay
+  URGENT trampoline takes the heap slot the process's start event
+  would have held) — per-frame hops use it instead of spawning;
 * cancellation is *lazy*: :meth:`TimerHandle.cancel` just marks the
   handle dead, and the loop drops the stale heap entry when it reaches
-  the top, instead of rebuilding the heap.
+  the top, instead of rebuilding the heap;
+* an event the loop would pop next with nothing else to run in between
+  is *born processed* instead of scheduled (:meth:`Environment._settle`
+  holds the guard), so an uncontended resource grant or store operation
+  costs no heap entry and no process suspension.
 """
 
 from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional
 
 __all__ = [
@@ -460,6 +470,8 @@ class Environment:
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
         self._active_proc: Optional[Process] = None
+        #: callback list of the event being dispatched (see _settle)
+        self._dispatch: Any = ()
         #: optional :class:`~repro.obs.profile.EnvProfiler`
         self.profiler = None
         #: optional :class:`~repro.sim.flowmode.FlowModeController` — the
@@ -541,6 +553,22 @@ class Environment:
             self.profiler.on_schedule(len(self._queue))
         return handle
 
+    def defer(self, delay: float, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` after ``delay`` ns, ordered exactly as a process
+        spawned now that yields ``timeout(delay)`` and then calls ``fn``.
+
+        A zero-delay URGENT trampoline takes the heap slot the process's
+        start event would have held; when it runs it schedules ``fn``,
+        drawing the tie-break sequence number the process's timeout
+        would have drawn.  So ``fn`` runs in the same place among
+        same-time events as the process body would, for two timer
+        handles — no generator, no ``Process`` and no end-of-process
+        event.  ``fn`` must not raise (as for :meth:`call_later`).
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self.call_later(0, partial(self.call_later, delay, fn), URGENT)
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of ``events`` does."""
         return AnyOf(self, events)
@@ -555,6 +583,35 @@ class Environment:
         _heappush(self._queue, (self._now + delay, priority, self._seq, event))
         if self.profiler is not None:
             self.profiler.on_schedule(len(self._queue))
+
+    def _settle(self, event: Event, value: Any) -> None:
+        """Succeed a fresh ``event`` that its creator yields at once:
+        born processed when that cannot reorder anything, else scheduled.
+
+        Scheduled, the event would sit at ``(now, NORMAL)`` and the loop
+        would resume its creator when it pops.  It is born processed (the
+        creator's ``yield`` continues at once) only when nothing could
+        run in between, i.e. when all three hold:
+
+        * it is granted at creation — the only time callers use this
+          (a resource grant or store operation satisfied at once);
+        * a process is running and is the sole callback of the event
+          being dispatched (no sibling callback runs after it);
+        * nothing else is due at ``now`` (the heap head is later).
+
+        Callers also yield the event before scheduling anything else:
+        an URGENT event scheduled in between would have run first.
+        """
+        event._value = value
+        queue = self._queue
+        if (self._active_proc is not None and len(self._dispatch) == 1
+                and (not queue or queue[0][0] > self._now)):
+            event.callbacks = None
+            return
+        self._seq += 1
+        _heappush(queue, (self._now, NORMAL, self._seq, event))
+        if self.profiler is not None:
+            self.profiler.on_schedule(len(queue))
 
     def step(self) -> None:
         """Process the next scheduled event (advancing the clock).
@@ -574,6 +631,7 @@ class Environment:
         if self.profiler is not None:
             self.profiler.on_step(event, callbacks)
         if type(callbacks) is list:
+            self._dispatch = callbacks
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:
@@ -621,6 +679,7 @@ class Environment:
                     self._now = item[0]
                     event.callbacks = None
                     if type(callbacks) is list:
+                        self._dispatch = callbacks
                         for callback in callbacks:
                             callback(event)
                         if not event._ok and not event._defused:

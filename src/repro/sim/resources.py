@@ -18,7 +18,7 @@ automatically.
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from typing import Any, List, Optional
 
 from .core import Environment, Event, SimulationError
@@ -81,7 +81,7 @@ class Request(Event):
 class PriorityRequest(Request):
     """A request with priority (lower value = more important) and preempt flag."""
 
-    __slots__ = ("priority", "preempt", "time", "key")
+    __slots__ = ("priority", "preempt", "time", "key", "owner")
 
     def __init__(self, resource: "Resource", priority: int = 0, preempt: bool = False):
         self.priority = priority
@@ -90,19 +90,29 @@ class PriorityRequest(Request):
         # FIFO within the same priority; preempting requests beat
         # non-preempting ones of equal priority and time.
         self.key = (priority, self.time, not preempt)
+        #: the process to interrupt if a preemptive resource evicts us
+        self.owner = None
         super().__init__(resource)
 
 
 class Release(Event):
-    """Event representing a release; triggers immediately."""
+    """A release, done synchronously: the event is born processed.
+
+    The resource is free (and the next waiter granted) before the
+    constructor returns, so there is nothing to wait for — the event
+    never takes a heap slot, and yielding it resumes the yielder at once.
+    """
 
     __slots__ = ("request",)
 
     def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = None
+        self._value = request
+        self._ok = True
+        self._defused = False
         self.request = request
         resource._do_release(request)
-        self.succeed(request)
 
 
 class Resource:
@@ -141,8 +151,18 @@ class Resource:
 
     # -- mechanics -------------------------------------------------------
     def _do_request(self, request: Request) -> None:
-        self.queue.append(request)
+        if not self.queue and len(self.users) < self.capacity:
+            # Uncontended: granted at creation (born processed when the
+            # environment's guard allows — see Environment._settle).
+            self.users.append(request)
+            request.usage_since = self.env._now
+            self.env._settle(request, self)
+            return
+        self._enqueue(request)
         self._trigger_queued()
+
+    def _enqueue(self, request: Request) -> None:
+        self.queue.append(request)
 
     def _do_release(self, request: Request) -> None:
         try:
@@ -151,7 +171,8 @@ class Resource:
             # Never granted; drop from the wait queue instead.
             self._do_cancel(request)
             return
-        self._trigger_queued()
+        if self.queue:
+            self._trigger_queued()
 
     def _do_cancel(self, request: Request) -> None:
         try:
@@ -179,11 +200,14 @@ class PriorityResource(Resource):
         """Queue a prioritized request (lower = more important)."""
         return PriorityRequest(self, priority=priority, preempt=preempt)
 
-    def _do_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        self.queue.append(request)
-        self.queue.sort(key=lambda r: r.key)
-        self._trigger_queued()
+    def _enqueue(self, request: Request) -> None:
+        # The queue stays sorted by key; inserting after equal keys keeps
+        # FIFO order within a class (what a stable re-sort would do).
+        insort(self.queue, request, key=_request_key)
+
+
+def _request_key(request: PriorityRequest) -> tuple:
+    return request.key
 
 
 class PreemptiveResource(PriorityResource):
@@ -199,30 +223,27 @@ class PreemptiveResource(PriorityResource):
     user-mode computation (priority 10).
     """
 
-    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
-        super().__init__(env, capacity, name)
-        self._owners: dict = {}  # request -> process to interrupt on preemption
-
     def request(self, priority: int = 0, preempt: bool = True) -> PriorityRequest:  # type: ignore[override]
         """Request that may evict a lower-priority holder."""
+        env = self.env
         req = PriorityRequest.__new__(PriorityRequest)
         req.priority = priority
         req.preempt = preempt
-        req.time = self.env.now
+        req.time = env._now
         req.key = (priority, req.time, not preempt)
-        Event.__init__(req, self.env)
+        req.env = env
+        req.callbacks = []
+        req._value = Event._PENDING
+        req._ok = True
+        req._defused = False
         req.resource = self
         req.usage_since = None
-        owner = self.env.active_process
-        self._owners[req] = owner
+        req.owner = env._active_proc
         self._do_request(req)
         return req
 
     def _do_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        if request.preempt and len(self.users) >= self.capacity and not self.queue:
-            self._maybe_preempt(request)
-        elif request.preempt and len(self.users) >= self.capacity:
+        if request.preempt and len(self.users) >= self.capacity:
             self._maybe_preempt(request)
         super()._do_request(request)
 
@@ -230,17 +251,12 @@ class PreemptiveResource(PriorityResource):
         victims = [u for u in self.users if isinstance(u, PriorityRequest)]
         if not victims:
             return
-        victim = max(victims, key=lambda r: r.key)
+        victim = max(victims, key=_request_key)
         if victim.key > request.key:
-            owner = self._owners.get(victim)
+            owner = victim.owner
             self.users.remove(victim)
-            self._owners.pop(victim, None)
             if owner is not None and owner.is_alive:
                 owner.interrupt(Preempted(request, victim.usage_since, self))
-
-    def _do_release(self, request: Request) -> None:
-        self._owners.pop(request, None)
-        super()._do_release(request)
 
 
 class StorePut(Event):
@@ -251,7 +267,12 @@ class StorePut(Event):
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.env)
         self.item = item
-        store._put_queue.append(self)
+        if not store._put_queue and len(store.items) < store.capacity:
+            # Room now: stored at creation (see Environment._settle).
+            store.items.append(item)
+            store.env._settle(self, None)
+        else:
+            store._put_queue.append(self)
         store._trigger()
 
 
@@ -264,7 +285,13 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.filter = filter
         self._store = store
-        store._get_queue.append(self)
+        idx = None if store._get_queue else store._find(filter)
+        if idx is not None:
+            # An item waits and no earlier getter does: served at
+            # creation (see Environment._settle).
+            store.env._settle(self, store.items.pop(idx))
+        else:
+            store._get_queue.append(self)
         store._trigger()
 
     def cancel(self) -> None:

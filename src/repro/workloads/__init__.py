@@ -12,7 +12,7 @@ from .adapters import (
 )
 from .mpibench import COLLECTIVES, collective_time, mpi_pingpong
 from .patterns import HotspotResult, all_pairs, hotspot, overlap_efficiency
-from .pingpong import PingPongResult, StreamResult, pingpong, stream
+from .pingpong import PingPongResult, StreamResult, TransferFailed, pingpong, stream
 from .sweep import SweepSeries, bandwidth_sweep, netpipe_sizes
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "StreamResult",
     "SweepSeries",
     "TcpAdapter",
+    "TransferFailed",
     "ViaAdapter",
     "bandwidth_sweep",
     "clic_pair",

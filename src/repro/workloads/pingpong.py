@@ -19,11 +19,61 @@ typed adapters (CLIC endpoint / TCP socket / GAMMA port / VIA interface
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, List, Optional
 
+from ..protocols.reliability import DeliveryFailed
+from ..sim import SimulationError
 from ..units import bandwidth_mbps
 
-__all__ = ["pingpong", "stream", "PingPongResult", "StreamResult"]
+__all__ = ["pingpong", "stream", "PingPongResult", "StreamResult", "TransferFailed"]
+
+
+class TransferFailed(DeliveryFailed):
+    """A workload can never finish: a transport channel failed.
+
+    A reliable sender that exhausts its retries declares its peer dead
+    and stops retransmitting, so the receiving process waits forever and
+    the event queue drains.  This error replaces the event loop's generic
+    complaint about that with what went wrong.
+
+    Attributes
+    ----------
+    channels:
+        The failure of every failed sender channel (each names the
+        channel and why it failed).
+    dead_peers:
+        ``(protocol scope, peer node, reason)`` per peer declared dead.
+    """
+
+    def __init__(self, workload: str, channels: List[DeliveryFailed],
+                 dead_peers: List[tuple]):
+        self.channels = channels
+        self.dead_peers = dead_peers
+        causes = [str(c) for c in channels] + [
+            f"{scope} declared peer {peer} dead ({reason})"
+            for scope, peer, reason in dead_peers]
+        super().__init__(f"{workload} did not complete: " + "; ".join(causes))
+
+
+def _run_to(cluster, done, workload: str) -> None:
+    """Run until ``done``; a stall behind a failed transport channel
+    raises :class:`TransferFailed` instead of the generic drain error."""
+    try:
+        cluster.env.run(done)
+    except SimulationError as exc:
+        if done.triggered:
+            raise
+        channels: List[DeliveryFailed] = []
+        dead_peers: List[tuple] = []
+        for node in cluster.nodes:
+            clic = getattr(node, "clic", None)
+            if clic is not None:
+                channels += clic.failed_channels()
+                dead_peers += [(clic.scope, peer, reason)
+                               for peer, reason in sorted(clic.dead_peers.items())]
+        if not channels and not dead_peers:
+            raise
+        raise TransferFailed(workload, channels, dead_peers) from exc
 
 
 @dataclass
@@ -96,7 +146,7 @@ def pingpong(cluster, setup, nbytes: int, repeats: int = 3, warmup: int = 1) -> 
 
     done_a = proc_a.run(ping)
     proc_b.run(pong)
-    cluster.env.run(done_a)
+    _run_to(cluster, done_a, "ping-pong")
     if "rtt" not in result:
         raise RuntimeError("ping-pong did not complete")
     return PingPongResult(nbytes=nbytes, repeats=repeats, rtt_ns=result["rtt"])
@@ -121,7 +171,7 @@ def stream(cluster, setup, nbytes: int, messages: int = 1) -> StreamResult:
 
     proc_a.run(tx)
     done_b = proc_b.run(rx)
-    cluster.env.run(done_b)
+    _run_to(cluster, done_b, "stream")
     return StreamResult(
         nbytes_total=nbytes * messages,
         elapsed_ns=result["done"],

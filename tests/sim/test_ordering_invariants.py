@@ -4,11 +4,16 @@ The reliability timers and the NIC coalescer assume: same-timestamp
 events run in scheduling (FIFO) order, URGENT beats NORMAL at equal
 timestamps, and a cancelled :class:`~repro.sim.TimerHandle` never fires
 — its dead heap entry is dropped without advancing the clock.
+
+The hot-path shortcuts must not move anything: a deferred callback runs
+where the process it replaces would have, an uncontended grant skips the
+heap only when nothing could have run before its waiter, and a release
+never takes a heap slot.
 """
 
 import pytest
 
-from repro.sim import Environment, Process, Timeout
+from repro.sim import Environment, Process, Resource, Store, Timeout
 from repro.sim.core import NORMAL, URGENT
 
 
@@ -111,3 +116,176 @@ def test_interleaved_run_is_deterministic():
     assert first == trace()
     assert first[0] == (10, "a") and first[1] == (10, "b")
     assert (15, "timer") in first
+
+
+# -- deferred callbacks (the URGENT trampoline) ------------------------------
+
+def _hop_as_process(env, delay, fn):
+    def body():
+        yield env.timeout(delay)
+        fn()
+
+    env.process(body(), name="hop")
+
+
+def _hop_deferred(env, delay, fn):
+    env.defer(delay, fn)
+
+
+@pytest.mark.parametrize("spawn", [_hop_as_process, _hop_deferred])
+def test_deferred_callback_orders_like_a_spawned_process(spawn):
+    """Ties at now+d scheduled before, during and after the spawning
+    step (directly, by an earlier-spawned process, by a later URGENT
+    event) interleave with the hop identically for both shapes."""
+    d = 40
+    env = Environment()
+    log = []
+
+    def mark(tag):
+        return lambda: log.append((env.now, tag))
+
+    def early():
+        yield env.timeout(d)
+        log.append((env.now, "early-proc"))
+
+    def spawning_step():
+        env.call_later(d, mark("before"))
+        env.process(early())
+        spawn(env, d, mark("hop"))
+        env.call_later(d, mark("after"))
+        env.call_later(0, lambda: env.call_later(d, mark("urgent-later")), URGENT)
+
+    env.call_later(5, spawning_step)
+    env.run()
+    t = 5 + d
+    assert log == [(t, "before"), (t, "after"), (t, "early-proc"), (t, "hop"),
+                   (t, "urgent-later")]
+
+
+def test_defer_rejects_negative_delay():
+    with pytest.raises(ValueError, match="negative delay"):
+        Environment().defer(-1, lambda: None)
+
+
+# -- grants born processed ---------------------------------------------------
+
+def test_uncontended_grant_is_born_processed_when_nothing_else_is_due():
+    env = Environment()
+    res = Resource(env)
+    seen = []
+
+    def user():
+        yield env.timeout(10)
+        req = res.request()
+        seen.append((req.processed, len(env._queue)))
+        yield req
+        seen.append(env.now)
+        res.release(req)
+
+    env.process(user())
+    env.run()
+    assert seen == [(True, 0), 10]
+
+
+def test_immediate_grant_goes_through_heap_when_another_event_is_due():
+    env = Environment()
+    res = Resource(env)
+    log = []
+
+    def user():
+        yield env.timeout(10)
+        env.call_later(0, lambda: log.append("due-now"))
+        req = res.request()
+        log.append(("granted-pending", not req.processed))
+        yield req
+        log.append("user-resumed")
+        res.release(req)
+
+    env.process(user())
+    env.run()
+    assert log == [("granted-pending", True), "due-now", "user-resumed"]
+
+
+def test_immediate_grant_goes_through_heap_when_waker_has_second_waiter():
+    """The +90 ns case: the first of two waiters of one event requests
+    an idle resource; the second waiter must still run before the first
+    continues, as it did when every grant went through the heap."""
+    env = Environment()
+    cpu = Resource(env)
+    gate = env.event()
+    log = []
+
+    def first():
+        yield gate
+        req = cpu.request()
+        log.append(("first-grant-pending", not req.processed))
+        yield req
+        log.append("first-runs")
+        yield env.timeout(90)
+        cpu.release(req)
+
+    def second():
+        yield gate
+        log.append("second-woke")
+
+    env.process(first())
+    env.process(second())
+    env.call_later(10, gate.succeed)
+    env.run()
+    assert log == [("first-grant-pending", True), "second-woke", "first-runs"]
+
+
+def test_store_get_and_put_follow_the_same_guard():
+    env = Environment()
+    store = Store(env, capacity=1)
+    seen = []
+
+    def producer():
+        yield env.timeout(5)
+        put = store.put("a")
+        seen.append(("put", put.processed))
+        yield put
+        other = store.put("b")  # full: waits for the consumer
+        seen.append(("full-put", other.processed))
+        yield other
+        seen.append("producer-resumed")
+
+    def consumer():
+        yield env.timeout(20)
+        get = store.get()
+        # served at creation; the blocked put it readmits is scheduled
+        # after it, so the consumer still runs before the producer
+        seen.append(("get", get.processed))
+        item = yield get
+        seen.append(item)
+
+    env.process(producer())
+    env.process(consumer())
+    env.run()
+    assert seen == [("put", True), ("full-put", False), ("get", True), "a",
+                    "producer-resumed"]
+
+
+# -- releases ----------------------------------------------------------------
+
+def test_release_takes_no_heap_slot_and_resumes_at_once():
+    env = Environment()
+    res = Resource(env)
+    log = []
+
+    def user():
+        req = res.request()
+        yield req
+        yield env.timeout(10)
+        before = list(env._queue)
+        rel = res.release(req)
+        assert env._queue == before
+        assert rel.processed and rel.value is req
+        env.call_later(0, lambda: log.append("due-now"))
+        value = yield rel
+        log.append(("resumed", env.now, value is req))
+
+    env.process(user())
+    env.run()
+    assert log == [("resumed", 10, True), "due-now"]
+    assert res.count == 0
