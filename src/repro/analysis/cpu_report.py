@@ -60,7 +60,7 @@ def categorize(label: str) -> str:
 def cpu_breakdown(cpu: Cpu) -> Dict[str, float]:
     """Aggregate a CPU's ``work.*`` counters into category -> busy ns."""
     out: Dict[str, float] = {}
-    for name, value in cpu.counters.snapshot().items():
+    for name, value in sorted(cpu.counters.items()):
         if not name.startswith("work."):
             continue
         label = name[len("work."):]

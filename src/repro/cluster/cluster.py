@@ -24,7 +24,7 @@ from ..config import ClusterConfig
 from ..faults import ChannelFaults, FaultPlan
 from ..hw import Channel, Fabric
 from ..obs import MetricsRegistry, Tracer
-from ..sim import Counters, Environment, RngStreams
+from ..sim import Environment, RngStreams
 from .node import Node, mac_for
 
 __all__ = ["Cluster"]
@@ -204,10 +204,8 @@ class Cluster:
         injector = ChannelFaults(
             spec,
             rng=self.rng.stream(f"loss.{node_id}.{ch}.{direction}"),
-            counters=Counters(
-                registry=self.metrics,
-                prefix=f"faults.link.{node_id}.{ch}.{direction}.",
-            ),
+            metrics=self.metrics,
+            prefix=f"faults.link.{node_id}.{ch}.{direction}.",
         )
         for window in spec.outages:
             self.env.process(
@@ -316,7 +314,7 @@ class Cluster:
                     rx_budget=dst.drivers[0].params.rx_budget_per_irq,
                     dst_coalescing=dst.nics[0].params.coalescing_enabled,
                     forward_ns=self.switch.forward_ns,
-                    switch_counters=self.switch.counters,
+                    switch=self.switch,
                 )
                 route.stash_depth = (
                     lambda module=dst.clic, peer=src.node_id:
@@ -353,15 +351,10 @@ class Cluster:
 
                 def _deliver_ack(cum, route=route, peer=src.node_id,
                                  module=dst.clic, nbytes=ack_bytes):
-                    for channel in (route.up, route.down):
-                        c = channel.counters
-                        c.add("frames_offered")
-                        c.add("bytes_offered", nbytes)
-                        c.add("frames")
-                        c.add("bytes", nbytes)
-                    route.switch_counters.add("forwarded")
-                    route.dst_nic.counters.add("rx_frames")
-                    route.dst_nic.counters.add("rx_bytes", nbytes)
+                    route.credit_hop(1, nbytes)
+                    dst_nic = route.dst_nic
+                    dst_nic.metrics.counter(f"{dst_nic.name}.rx_frames").value += 1
+                    dst_nic.metrics.counter(f"{dst_nic.name}.rx_bytes").value += nbytes
                     module.receive_ack_express(peer, cum)
 
                 route.deliver_ack = _deliver_ack

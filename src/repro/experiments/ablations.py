@@ -75,8 +75,8 @@ def _via_pingpong(poll_pci: bool, poll_interval_ns: float, repeats: int = 4) -> 
     cluster.env.run(done)
     return {
         "lat_us": result["rtt"] / 2 / 1000,
-        "poll_pci_accesses": cluster.nodes[0].pci.counters.get("via_poll_accesses"),
-        "cpu_poll_us": cluster.nodes[0].cpu.counters.get("work.via_poll") / 1000,
+        "poll_pci_accesses": cluster.nodes[0].pci.counters["via_poll_accesses"],
+        "cpu_poll_us": cluster.nodes[0].cpu.counters["work.via_poll"] / 1000,
     }
 
 

@@ -49,8 +49,8 @@ def _measure(mtu: int, coalescing: bool) -> Dict:
     result = stream(cluster, clic_pair(), TRANSFER_BYTES, messages=1)
     rx_node = cluster.nodes[1]
     nic = rx_node.nics[0]
-    irqs = nic.counters.get("irqs_asserted")
-    frames = nic.counters.get("rx_frames")
+    irqs = cluster.metrics.value(f"{nic.name}.irqs_asserted", 0)
+    frames = cluster.metrics.value(f"{nic.name}.rx_frames", 0)
     elapsed = result.elapsed_ns
     return {
         "mtu": mtu,

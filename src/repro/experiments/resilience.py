@@ -295,7 +295,7 @@ def _adversarial_run(kind: str, nbytes: int, messages: int) -> Dict:
     finally:
         sampler.stop()
         probe.uninstall()
-    switch = cluster.switch.counters
+    metrics = cluster.metrics
     out = {
         "kind": kind,
         "backpressure": backpressure,
@@ -307,10 +307,10 @@ def _adversarial_run(kind: str, nbytes: int, messages: int) -> Dict:
             "overrun_drops": (
                 _sum_counters(cluster, ".stash_overflow_drops")
                 + _sum_counters(cluster, ".rx_drops")
-                + switch.get("drops")
+                + metrics.value("switch.drops", 0)
             ),
-            "pause_events": switch.get("pause_events"),
-            "pause_time_ns": switch.get("pause_time_ns"),
+            "pause_events": metrics.value("switch.pause_events", 0),
+            "pause_time_ns": metrics.value("switch.pause_time_ns", 0),
         },
         "health": watchdog.to_dicts(),
         "health_summary": watchdog.summary(),

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..sim import Counters
+from ..obs import MetricsRegistry
 from .plan import BurstLoss, LinkFaultSpec, OutageWindow
 
 __all__ = [
@@ -115,17 +115,26 @@ class GilbertElliottModel:
 
 
 class ChannelFaults:
-    """One channel's fault engine: loss model + corruption + outages."""
+    """One channel's fault engine: loss model + corruption + outages.
+
+    Every verdict it passes is tallied as a counter ``<prefix><kind>``
+    (``loss_drops``, ``burst_drops``, ``outage_drops``, ``corrupted``,
+    ``congested``, ``jittered``, ``duplicated``, ``dup_copies``) in
+    ``metrics`` — the cluster registry under ``faults.link.<node>.<ch>.
+    <dir>.``, or a fresh registry when none is given.
+    """
 
     def __init__(
         self,
         spec: LinkFaultSpec,
         rng: Optional[np.random.Generator],
-        counters: Optional[Counters] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        prefix: str = "",
     ):
         self.spec = spec
         self.rng = rng
-        self.counters = counters if counters is not None else Counters()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.prefix = prefix
         #: any draw-consuming model configured — such a channel is never
         #: provably quiet, so flow-mode trains may not cross it
         self.stochastic = bool(
@@ -189,15 +198,14 @@ class ChannelFaults:
     def judge(self, now: float) -> FrameVerdict:
         """Pass verdict on one frame whose serialization ends at ``now``."""
         if self.link_down(now):
-            self.counters.add("outage_drops")
+            self.metrics.counter(f"{self.prefix}outage_drops").value += 1
             return FrameVerdict.OUTAGE
         if self.model is not None and self.model.frame_lost(self.rng):
-            self.counters.add(
-                "burst_drops" if isinstance(self.model, GilbertElliottModel) else "loss_drops"
-            )
+            kind = "burst" if isinstance(self.model, GilbertElliottModel) else "loss"
+            self.metrics.counter(f"{self.prefix}{kind}_drops").value += 1
             return FrameVerdict.LOST
         if self.spec.corrupt_rate and self.rng.random() < self.spec.corrupt_rate:
-            self.counters.add("corrupted")
+            self.metrics.counter(f"{self.prefix}corrupted").value += 1
             return FrameVerdict.CORRUPT
         return FrameVerdict.DELIVER
 
@@ -212,7 +220,7 @@ class ChannelFaults:
         """
         congested = self.congested(now)
         if congested:
-            self.counters.add("congested")
+            self.metrics.counter(f"{self.prefix}congested").value += 1
         verdict = self.judge(now)
         if verdict.dropped:
             return FrameDecision(verdict, congested=congested)
@@ -220,13 +228,13 @@ class ChannelFaults:
         jitter = self.spec.jitter
         if jitter is not None and self.rng.random() < jitter.rate:
             extra_delay = float(self.rng.random() * jitter.max_delay_ns)
-            self.counters.add("jittered")
+            self.metrics.counter(f"{self.prefix}jittered").value += 1
         copies = 1
         duplicate = self.spec.duplicate
         if duplicate is not None and self.rng.random() < duplicate.rate:
             copies = 1 + int(self.rng.integers(1, duplicate.max_copies + 1))
-            self.counters.add("duplicated")
-            self.counters.add("dup_copies", copies - 1)
+            self.metrics.counter(f"{self.prefix}duplicated").value += 1
+            self.metrics.counter(f"{self.prefix}dup_copies").value += copies - 1
         return FrameDecision(
             verdict, extra_delay_ns=extra_delay, copies=copies, congested=congested
         )

@@ -23,12 +23,12 @@ the host CPU" effect emerges in the simulated bandwidth curves.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Generator, Optional
 
 from ..config import CpuParams
 from ..sim import (
     BusyTracker,
-    Counters,
     Environment,
     Interrupt,
     Preempted,
@@ -62,7 +62,7 @@ class Cpu:
         self.name = name
         self._res = PreemptiveResource(env, capacity=1, name=name)
         self.busy = BusyTracker()
-        self.counters = Counters()
+        self.counters = Counter()
         #: work label -> its counter name, formatted once per label (a
         #: bulk run charges ~100k slices under a handful of labels)
         self._work_counters: Dict[str, str] = {}
@@ -100,7 +100,7 @@ class Cpu:
                         raise
                     if not req.triggered:
                         req.cancel()
-                    self.counters.add("preemptions")
+                    self.counters["preemptions"] += 1
                     continue
             started = env.now
             self.busy.acquire(started)
@@ -114,12 +114,12 @@ class Cpu:
                     raise
                 self.busy.release(env.now)
                 remaining -= env.now - started
-                self.counters.add("preemptions")
+                self.counters["preemptions"] += 1
                 continue
             self.busy.release(env.now)
             self._res.release(req)
             remaining = 0.0
-        self.counters.add(self._work_counter(label), duration)
+        self.counters[self._work_counter(label)] += duration
 
     def occupy(self, subwork: Generator, priority: int = PRIO_IRQ, label: str = "occupy") -> Generator:
         """Hold the CPU while ``subwork`` runs (busy-wait semantics).
@@ -139,7 +139,7 @@ class Cpu:
             result = yield from subwork
         finally:
             self.busy.release(self.env.now)
-            self.counters.add(self._work_counter(label), self.env.now - started)
+            self.counters[self._work_counter(label)] += self.env.now - started
             self._safe_release(req)
         return result
 
@@ -158,14 +158,14 @@ class Cpu:
     # -- conveniences ------------------------------------------------------
     def context_switch(self, priority: int = PRIO_KERNEL) -> Generator:
         """Charge one context switch."""
-        self.counters.add("context_switches")
+        self.counters["context_switches"] += 1
         yield from self.execute(
             self.params.context_switch_ns, priority, label="ctxsw"
         )
 
     def scheduler_pass(self, priority: int = PRIO_KERNEL) -> Generator:
         """Charge one scheduler pass."""
-        self.counters.add("scheduler_passes")
+        self.counters["scheduler_passes"] += 1
         yield from self.execute(
             self.params.scheduler_pass_ns, priority, label="sched"
         )

@@ -19,6 +19,7 @@ delivered + lost, always.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from typing import Callable, Generator, Optional
@@ -27,7 +28,7 @@ import numpy as np
 
 from ..config import LinkParams
 from ..faults import ChannelFaults, FrameVerdict, LinkFaultSpec
-from ..sim import BusyTracker, Counters, Environment, Resource
+from ..sim import BusyTracker, Environment, Resource
 from .nic.frames import Frame, frame_time_ns
 
 __all__ = ["Channel", "Link"]
@@ -54,7 +55,7 @@ class Channel:
         self._wire = Resource(env, capacity=1, name=name)
         self._sink: Optional[Callable[[Frame], None]] = None
         self.busy = BusyTracker()
-        self.counters = Counters()
+        self.counters = Counter()
         #: optional :class:`repro.obs.Tracer`; only its ``journeys``
         #: attribute is consulted (for wire drop / duplicate events)
         self.tracer = tracer
@@ -116,30 +117,30 @@ class Channel:
             finally:
                 self.busy.release(self.env.now)
         k = frame.train_frames
-        self.counters.add("frames_offered", k)
-        self.counters.add("bytes_offered", frame.payload_bytes)
+        self.counters["frames_offered"] += k
+        self.counters["bytes_offered"] += frame.payload_bytes
         if k > 1:
             # Flow-mode train: it only formed because the controller
             # proved both directions quiet over its horizon (no
             # stochastic models, no outage/congestion window), so the
             # verdict is DELIVER with no extras — skip the per-frame
             # draw and hand the batch to the sink with one plain timer.
-            self.counters.add("frames", k)
-            self.counters.add("bytes", frame.payload_bytes)
+            self.counters["frames"] += k
+            self.counters["bytes"] += frame.payload_bytes
             sink = self._sink
             self.env.call_later(self.params.propagation_ns,
                                 lambda: sink(frame))
             return
         if self.faults is None:
-            self.counters.add("frames")
-            self.counters.add("bytes", frame.payload_bytes)
+            self.counters["frames"] += 1
+            self.counters["bytes"] += frame.payload_bytes
             self.env.defer(self.params.propagation_ns, partial(self._sink, frame))
             return
         decision = self.faults.decide(self.env.now)
         journeys = self._journeys()
         if decision.dropped:
-            self.counters.add("frames_lost")
-            self.counters.add("bytes_lost", frame.payload_bytes)
+            self.counters["frames_lost"] += 1
+            self.counters["bytes_lost"] += frame.payload_bytes
             if journeys is not None:
                 journeys.hop(frame.payload, "wire_drop", "wire", link=self.name,
                              reason=decision.verdict.value)
@@ -148,22 +149,21 @@ class Channel:
             # Deliver a damaged copy (a broadcast frame object is shared
             # across egress ports — never corrupt the shared instance).
             frame = replace(frame, corrupted=True)
-            self.counters.add("frames_corrupted")
+            self.counters["frames_corrupted"] += 1
         delay = (
             self.params.propagation_ns
             + decision.extra_delay_ns
             + self.faults.congestion_latency_ns(self.env.now)
         )
         if decision.copies > 1:
-            self.counters.add("frames_duplicated", decision.copies - 1)
-            self.counters.add("bytes_duplicated",
-                              frame.payload_bytes * (decision.copies - 1))
+            self.counters["frames_duplicated"] += decision.copies - 1
+            self.counters["bytes_duplicated"] += frame.payload_bytes * (decision.copies - 1)
             if journeys is not None:
                 journeys.hop(frame.payload, "wire_dup", "wire", link=self.name,
                              copies=decision.copies)
         for _ in range(decision.copies):
-            self.counters.add("frames")
-            self.counters.add("bytes", frame.payload_bytes)
+            self.counters["frames"] += 1
+            self.counters["bytes"] += frame.payload_bytes
             self.env.defer(delay, partial(self._sink, frame))
 
     def utilization(self) -> float:

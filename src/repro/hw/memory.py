@@ -9,10 +9,11 @@ also holding the memory bus so concurrent DMA observes the contention.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Generator
 
 from ..config import MemoryParams
-from ..sim import BusyTracker, Counters, Environment, Resource
+from ..sim import BusyTracker, Environment, Resource
 
 __all__ = ["MemoryBus"]
 
@@ -34,7 +35,7 @@ class MemoryBus:
         self.name = name
         self._bus = Resource(env, capacity=1, name=name)
         self.busy = BusyTracker()
-        self.counters = Counters()
+        self.counters = Counter()
 
     def copy_time(self, nbytes: int, setups: int = 1) -> float:
         """Time for ``setups`` back-to-back CPU memcpys totalling ``nbytes``."""
@@ -60,8 +61,8 @@ class MemoryBus:
                 yield from cpu.execute(duration, priority, label=label)
             finally:
                 self.busy.release(self.env.now)
-        self.counters.add("cpu_copies", setups)
-        self.counters.add("cpu_copy_bytes", nbytes)
+        self.counters["cpu_copies"] += setups
+        self.counters["cpu_copy_bytes"] += nbytes
 
     def engine_transfer(self, nbytes: int, label: str = "dma") -> Generator:
         """A non-CPU engine (NIC DMA) crossing the memory bus.
@@ -79,7 +80,7 @@ class MemoryBus:
                 yield self.env.timeout(duration)
             finally:
                 self.busy.release(self.env.now)
-        self.counters.add(f"{label}_bytes", nbytes)
+        self.counters[f"{label}_bytes"] += nbytes
 
     def utilization(self) -> float:
         """Busy fraction of the memory bus since time zero."""

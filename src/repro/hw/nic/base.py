@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from ...config import LinkParams, NicParams
 from ...obs import MetricsRegistry, Tracer
-from ...sim import Counters, Environment, Event, Store
+from ...sim import Environment, Event, Store
 from ...sim.core import URGENT
 from ..pci import PciBus
 
@@ -103,7 +103,6 @@ class Nic:
         self.rx_deliver = rx_deliver
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(env)
-        self.counters = Counters(registry=self.metrics, prefix=f"{name}.")
         #: PCI counter labels of the per-frame DMAs
         self._tx_label = f"{name}.tx"
         self._rx_label = f"{name}.rx"
@@ -161,13 +160,13 @@ class Nic:
     def receive_frame(self, frame: Frame) -> None:
         """Link-side entry point: a frame has fully arrived (channel sink)."""
         k = frame.train_frames
-        self.counters.add("rx_frames", k)
-        self.counters.add("rx_bytes", frame.payload_bytes)
+        self.metrics.counter(f"{self.name}.rx_frames").value += k
+        self.metrics.counter(f"{self.name}.rx_bytes").value += frame.payload_bytes
         journeys = self.tracer.journeys
         if frame.corrupted:
             # Ethernet CRC check in NIC hardware: a damaged frame never
             # reaches the host — the reliability layer must retransmit.
-            self.counters.add("rx_crc_drops", k)
+            self.metrics.counter(f"{self.name}.rx_crc_drops").value += k
             if journeys is not None:
                 journeys.hop(frame.payload, "nic_drop", self.name, reason="crc")
             return
@@ -176,7 +175,7 @@ class Nic:
             # Jumbo interoperability (paper §2: "both communicating
             # computers have to use Jumbo frames"): an oversized frame is
             # dropped by a standard-MTU receiver.
-            self.counters.add("rx_oversize_drops", k)
+            self.metrics.counter(f"{self.name}.rx_oversize_drops").value += k
             if journeys is not None:
                 journeys.hop(frame.payload, "nic_drop", self.name, reason="oversize")
             return
@@ -199,7 +198,7 @@ class Nic:
         """Ring admission for one (possibly train) frame; counts drops."""
         k = frame.train_frames
         if self._rx_occ + self._rx_claimed + k > self.params.rx_ring_slots:
-            self.counters.add("rx_drops", k)
+            self.metrics.counter(f"{self.name}.rx_drops").value += k
             if journeys is not None:
                 journeys.hop(frame.payload, "nic_drop", self.name, reason="overflow")
             return
@@ -231,7 +230,7 @@ class Nic:
         in system memory and retries later.
         """
         if self.tx_ring_space() <= 0:
-            self.counters.add("tx_ring_full")
+            self.metrics.counter(f"{self.name}.tx_ring_full").value += 1
             return False
         self._effective_mtu_check(desc)
         self._tx_ring.put(desc)
@@ -298,9 +297,9 @@ class Nic:
                         train_frames=k,
                     )
                     if desc.from_user_memory:
-                        self.counters.add("tx_zero_copy", k)
-                    self.counters.add("tx_frames", k)
-                    self.counters.add("tx_bytes", desc.payload_bytes)
+                        self.metrics.counter(f"{self.name}.tx_zero_copy").value += k
+                    self.metrics.counter(f"{self.name}.tx_frames").value += k
+                    self.metrics.counter(f"{self.name}.tx_bytes").value += desc.payload_bytes
                     latency = (
                         payload_time_ns(per_frame, route.up.params)
                         + route.up.params.propagation_ns
@@ -331,7 +330,7 @@ class Nic:
                 )
                 yield self._tx_fifo.put((frame, desc.on_wire))
                 if desc.from_user_memory:
-                    self.counters.add("tx_zero_copy", k)
+                    self.metrics.counter(f"{self.name}.tx_zero_copy").value += k
                 span.end(frames=k)
                 continue
             # Bus-master DMA: fetch the payload (plus headers) across PCI.
@@ -351,7 +350,7 @@ class Nic:
                     take = min(mtu, remaining)
                     remaining -= take
                     pieces.append((take, desc.payload, remaining == 0))
-                self.counters.add("tx_offload_fragmented")
+                self.metrics.counter(f"{self.name}.tx_offload_fragmented").value += 1
             last_idx = len(pieces) - 1
             for idx, (nbytes, payload, last) in enumerate(pieces):
                 yield self.env.timeout(self.params.frame_processing_ns)
@@ -367,7 +366,7 @@ class Nic:
                 on_wire = desc.on_wire if idx == last_idx else None
                 yield self._tx_fifo.put((frame, on_wire))
             if desc.from_user_memory:
-                self.counters.add("tx_zero_copy")
+                self.metrics.counter(f"{self.name}.tx_zero_copy").value += 1
             span.end(frames=len(pieces))
 
     def _wire_pump(self) -> Generator:
@@ -379,8 +378,8 @@ class Nic:
             if journeys is not None:
                 journeys.hop(frame.payload, "wire", self.name,
                              nbytes=frame.payload_bytes)
-            self.counters.add("tx_frames", frame.train_frames)
-            self.counters.add("tx_bytes", frame.payload_bytes)
+            self.metrics.counter(f"{self.name}.tx_frames").value += frame.train_frames
+            self.metrics.counter(f"{self.name}.tx_bytes").value += frame.payload_bytes
             if on_wire is not None:
                 on_wire.succeed(self.env.now)
 
@@ -403,11 +402,11 @@ class Nic:
             del self._reassembly[marker.desc_id]
             rx.frame.payload_bytes = total
             rx.frame.payload = marker.payload
-            self.counters.add("rx_offload_reassembled")
+            self.metrics.counter(f"{self.name}.rx_offload_reassembled").value += 1
         elif marker is not None:
             # Fragments but no offload on this side: hand up as-is; the
             # protocol module deals with it (interop corner, counted).
-            self.counters.add("rx_fragment_no_offload")
+            self.metrics.counter(f"{self.name}.rx_fragment_no_offload").value += 1
             rx.frame.payload = marker.payload
         return True
 
@@ -450,7 +449,7 @@ class Nic:
         # memory invariant audits against ``rx_ring_slots``.
         if self._rx_occ > self.rx_buffer_peak:
             self.rx_buffer_peak = self._rx_occ
-            self.counters.set("rx_buffer_peak", self.rx_buffer_peak)
+            self.metrics.gauge(f"{self.name}.rx_buffer_peak").set(self.rx_buffer_peak)
         span.end()
         if k > 1:
             self.coalescer.note_train(k)
@@ -458,7 +457,7 @@ class Nic:
             self.coalescer.note_frame()
 
     def _assert_irq(self) -> None:
-        self.counters.add("irqs_asserted")
+        self.metrics.counter(f"{self.name}.irqs_asserted").value += 1
         if self.irq_callback is None:
             raise RuntimeError(f"{self.name}: IRQ asserted but no driver installed")
         self.irq_callback()

@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...protocols.headers import COLLECTIVE_OPS, ClicCollective, fragment_plan
-from ...sim import Counters, Event
+from ...sim import Event
 from ..cpu import PRIO_USER
 from .frames import EtherType, Frame
 
@@ -86,7 +86,6 @@ class CollectiveEngine:
     def __init__(self, nic):
         self.nic = nic
         self.env = nic.env
-        self.counters = Counters(registry=nic.metrics, prefix=f"{nic.name}.coll.")
         self.rank: Optional[int] = None
         self.size = 0
         self.mac_of = None
@@ -164,7 +163,7 @@ class CollectiveEngine:
             raise ValueError(f"unknown collective op {op!r}")
         coll_id = self._posts
         self._posts += 1
-        self.counters.add("posts")
+        self.nic.metrics.counter(f"{self.nic.name}.coll.posts").value += 1
         yield from proc.cpu.execute(
             self.nic.params.collective_doorbell_ns, PRIO_USER,
             label="nic_coll_doorbell",
@@ -227,7 +226,7 @@ class CollectiveEngine:
         state = self._state_for(coll.op, coll.coll_id, coll.root)
         state.nbytes = max(state.nbytes, coll.nbytes)
         if coll.phase == "up":
-            self.counters.add("combined")
+            self.nic.metrics.counter(f"{self.nic.name}.coll.combined").value += 1
             src_vrank = self._vrank(coll.src_rank, coll.root)
             seen = state.child_frags.get(src_vrank, 0) + 1
             state.child_frags[src_vrank] = seen
@@ -235,7 +234,7 @@ class CollectiveEngine:
                 state.contributions += coll.contributions
             yield from self._try_up(state)
         else:
-            self.counters.add("forwarded")
+            self.nic.metrics.counter(f"{self.nic.name}.coll.forwarded").value += 1
             state.contributions = max(state.contributions, coll.contributions)
             # Cut-through: relay this fragment down before local DMA.
             vrank = self._vrank(self.rank, coll.root)
@@ -292,11 +291,11 @@ class CollectiveEngine:
             yield from self.nic.pci.dma(
                 state.nbytes, priority=2,
                 label=f"{self.nic.name}.coll_deliver")
-            self.counters.add("bytes_delivered", state.nbytes)
+            self.nic.metrics.counter(f"{self.nic.name}.coll.bytes_delivered").value += state.nbytes
         yield from self.nic.pci.dma(
             COMPLETION_BYTES, priority=2,
             label=f"{self.nic.name}.coll_complete")
-        self.counters.add("completions")
+        self.nic.metrics.counter(f"{self.nic.name}.coll.completions").value += 1
         del self._state[(state.op, state.coll_id)]
         state.completion.succeed(state.contributions)
 
@@ -327,4 +326,4 @@ class CollectiveEngine:
         # On-card injection: straight into the tx FIFO — no host DMA,
         # no tx ring descriptor, no doorbell.
         yield self.nic._tx_fifo.put((frame, None))
-        self.counters.add("tx_frames")
+        self.nic.metrics.counter(f"{self.nic.name}.coll.tx_frames").value += 1

@@ -17,10 +17,11 @@ The coalescer here is deliberately driver-visible:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Optional
 
 from ...config import NicParams
-from ...sim import Counters, Environment, TimerHandle
+from ...sim import Environment, TimerHandle
 
 __all__ = ["InterruptCoalescer"]
 
@@ -33,7 +34,7 @@ class InterruptCoalescer:
         self.params = params
         self.fire_cb = fire_cb
         self.name = name
-        self.counters = Counters()
+        self.counters = Counter()
         self._pending = 0
         self._in_service = False
         self._timer: Optional[TimerHandle] = None
@@ -46,7 +47,7 @@ class InterruptCoalescer:
     def note_frame(self) -> None:
         """NIC-side: one more received frame awaits service."""
         self._pending += 1
-        self.counters.add("frames_noted")
+        self.counters["frames_noted"] += 1
         if self._in_service:
             # The driver's drain loop will pick it up; no new IRQ.
             return
@@ -68,7 +69,7 @@ class InterruptCoalescer:
         back-to-back :meth:`note_frame` calls would have produced.
         """
         self._pending += k
-        self.counters.add("frames_noted", k)
+        self.counters["frames_noted"] += k
         if self._in_service:
             return
         if not self.params.coalescing_enabled:
@@ -104,7 +105,7 @@ class InterruptCoalescer:
             self._timer = None
         self._pending = 0
         self._in_service = True
-        self.counters.add("interrupts")
+        self.counters["interrupts"] += 1
         self.fire_cb()
 
     def _start_timer(self) -> None:
@@ -119,5 +120,5 @@ class InterruptCoalescer:
     def _on_timer(self) -> None:
         self._timer = None
         if not self._in_service and self._pending:
-            self.counters.add("timer_fires")
+            self.counters["timer_fires"] += 1
             self._fire()

@@ -15,10 +15,11 @@ discussion of Section 3.2(b)) are modeled as small transactions too.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Generator, Tuple
 
 from ..config import PciParams
-from ..sim import BusyTracker, Counters, Environment, PriorityResource
+from ..sim import BusyTracker, Environment, PriorityResource
 
 __all__ = ["PciBus"]
 
@@ -32,7 +33,7 @@ class PciBus:
         self.name = name
         self._bus = PriorityResource(env, capacity=1)
         self.busy = BusyTracker()
-        self.counters = Counters()
+        self.counters = Counter()
         #: DMA label -> its two counter names, formatted once per label
         self._dma_counters: Dict[str, Tuple[str, str]] = {}
 
@@ -71,8 +72,8 @@ class PciBus:
         names = self._dma_counters.get(label)
         if names is None:
             names = self._dma_counters[label] = (f"{label}_transactions", f"{label}_bytes")
-        self.counters.add(names[0], transactions)
-        self.counters.add(names[1], nbytes)
+        self.counters[names[0]] += transactions
+        self.counters[names[1]] += nbytes
 
     def pio(self, priority: int = 0, label: str = "pio") -> Generator:
         """One programmed-I/O access (doorbell write / status read)."""
@@ -83,7 +84,7 @@ class PciBus:
                 yield self.env.timeout(self.params.transaction_setup_ns)
             finally:
                 self.busy.release(self.env.now)
-        self.counters.add(f"{label}_accesses")
+        self.counters[f"{label}_accesses"] += 1
 
     def utilization(self) -> float:
         """Busy fraction of the bus since time zero."""

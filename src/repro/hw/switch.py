@@ -32,7 +32,8 @@ from functools import partial
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..config import LinkParams
-from ..sim import Counters, Environment, Store
+from ..obs import MetricsRegistry
+from ..sim import Environment, Store
 from .link import Channel
 from .nic.frames import Frame, MacAddress
 
@@ -59,6 +60,8 @@ class SwitchPort:
         self.blackouts: Tuple = ()
         #: highest queue occupancy ever observed (bounded-memory audit)
         self.max_depth = 0
+        #: name of this port's depth gauge, formatted once per port
+        self._depth_name = f"{switch.name}.port{index}_depth"
         #: broadcast frames replicate out this port (fabric builders clear
         #: this on redundant trunk ports to keep the flood tree loop-free)
         self.flood = True
@@ -84,17 +87,18 @@ class SwitchPort:
         return any(w.covers(now) for w in self.blackouts)
 
     def _note_depth(self) -> None:
-        """Refresh the depth gauge and the cluster-wide high-water mark."""
+        """Refresh the depth gauge and the switch-wide high-water mark."""
         depth = self.occupancy
         self.max_depth = max(self.max_depth, depth)
-        self.switch.counters.set(f"port{self.index}_depth", depth)
+        self.switch.metrics.gauge(self._depth_name).set(depth)
         self.switch.note_depth(self.max_depth)
 
     def _drop_for_blackout(self, frame: Frame) -> bool:
         """Drop (counted) when a blackout window covers now."""
-        if self.blackouts and self.in_blackout(self.switch.env.now):
-            self.switch.counters.add("blackout_drops", frame.train_frames)
-            journeys = self.switch._journeys()
+        switch = self.switch
+        if self.blackouts and self.in_blackout(switch.env.now):
+            switch.metrics.counter(f"{switch.name}.blackout_drops").value += frame.train_frames
+            journeys = switch._journeys()
             if journeys is not None:
                 journeys.hop(frame.payload, "switch_drop", "switch",
                              port=self.index, reason="blackout")
@@ -109,7 +113,7 @@ class SwitchPort:
         k = frame.train_frames
         journeys = self.switch._journeys()
         if self.occupancy + k > self.queue.capacity:
-            self.switch.counters.add("drops", k)
+            self.switch.metrics.counter(f"{self.switch.name}.drops").value += k
             if journeys is not None:
                 journeys.hop(frame.payload, "switch_drop", "switch",
                              port=self.index, reason="overflow")
@@ -136,11 +140,11 @@ class SwitchPort:
             journeys.hop(frame.payload, "switch", "switch",
                          port=self.index, depth=self.occupancy)
         if len(self.queue.items) >= self.queue.capacity:
-            self.switch.counters.add("pause_events")
-            paused_at = self.switch.env.now
+            switch = self.switch
+            switch.metrics.counter(f"{switch.name}.pause_events").value += 1
+            paused_at = switch.env.now
             yield self.queue.put(frame)
-            self.switch.counters.add("pause_time_ns",
-                                     self.switch.env.now - paused_at)
+            switch.metrics.counter(f"{switch.name}.pause_time_ns").value += switch.env.now - paused_at
         else:
             yield self.queue.put(frame)
         self._note_depth()
@@ -173,13 +177,11 @@ class Switch:
         self.backpressure = backpressure
         self.ports: List[SwitchPort] = []
         self._mac_table: Dict[MacAddress, SwitchPort] = {}
-        #: counters land in the shared cluster registry (``<name>.*``)
-        #: when a :class:`~repro.obs.MetricsRegistry` is given, so run
-        #: artifacts can surface drop/pause accounting; private otherwise.
-        self.counters = (
-            Counters(registry=metrics, prefix=f"{name}.")
-            if metrics is not None else Counters()
-        )
+        #: tallies land in this registry as ``<name>.*`` (the shared
+        #: cluster registry, so run artifacts surface drop/pause accounting)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: highest egress-queue occupancy seen on any port
+        self.max_queue_depth = 0
         #: optional :class:`repro.obs.Tracer`; only its ``journeys``
         #: attribute is consulted (the switch emits no spans)
         self.tracer = tracer
@@ -188,14 +190,10 @@ class Switch:
         return self.tracer.journeys if self.tracer is not None else None
 
     def note_depth(self, depth: int) -> None:
-        """Fold one port's high-water mark into the cluster-wide gauge."""
-        if depth > self.counters.level("max_queue_depth"):
-            self.counters.set("max_queue_depth", depth)
-
-    @property
-    def max_queue_depth(self) -> int:
-        """Highest egress-queue occupancy seen on any port."""
-        return max((p.max_depth for p in self.ports), default=0)
+        """Fold one port's high-water mark into the switch-wide gauge."""
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
+            self.metrics.gauge(f"{self.name}.max_queue_depth").set(depth)
 
     def attach(self, egress: Channel, mac: MacAddress) -> SwitchPort:
         """Create a port transmitting on ``egress``, owning ``mac``.
@@ -245,17 +243,17 @@ class Switch:
     def _egress_ports(self, frame: Frame, from_port: SwitchPort) -> Sequence[SwitchPort]:
         """Count one forward of ``frame``; the ports it leaves through."""
         k = frame.train_frames
-        self.counters.add("forwarded", k)
+        self.metrics.counter(f"{self.name}.forwarded").value += k
         if frame.is_broadcast:
             return [p for p in self.ports if p is not from_port and p.flood]
         port = self._mac_table.get(frame.dst)
         if port is None:
             # Unknown unicast: a real switch floods; in a closed cluster
             # this indicates a wiring bug, so count and drop loudly.
-            self.counters.add("unknown_dst", k)
+            self.metrics.counter(f"{self.name}.unknown_dst").value += k
             return ()
         if port is from_port:
-            self.counters.add("hairpin_dropped", k)
+            self.metrics.counter(f"{self.name}.hairpin_dropped").value += k
             return ()
         return (port,)
 

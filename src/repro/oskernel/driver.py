@@ -24,7 +24,7 @@ from typing import Generator, Optional
 from ..config import DriverParams
 from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL
 from ..hw.nic import MacAddress, Nic, TxDescriptor
-from ..sim import Counters, Event
+from ..sim import Event
 from .kernel import Kernel
 from .skbuff import NIC_MEMORY, SYSTEM_MEMORY, USER_MEMORY, SkBuff
 
@@ -45,7 +45,6 @@ class VendorDriver:
         self.name = name
         #: shares the kernel's tracer so driver spans nest with kernel ones
         self.tracer = kernel.tracer
-        self.counters = Counters(registry=kernel.metrics, prefix=f"{name}.")
         if nic.rx_deliver == "irq-pull":
             nic.irq_callback = self._on_irq
 
@@ -85,13 +84,13 @@ class VendorDriver:
         )
         accepted = self.nic.try_post_tx(desc)
         if accepted:
-            self.counters.add("tx_accepted", train_frames)
+            self.kernel.metrics.counter(f"{self.name}.tx_accepted").value += train_frames
             self.tracer.instant(
                 self.name, "driver_tx",
                 pkt=_pkt_id(skb.payload), nbytes=skb.total_bytes(),
             )
         else:
-            self.counters.add("tx_ring_busy")
+            self.kernel.metrics.counter(f"{self.name}.tx_ring_busy").value += 1
         return accepted
 
     # ------------------------------------------------------------------
@@ -104,7 +103,7 @@ class VendorDriver:
         env = self.kernel.env
         cpu = self.kernel.cpu
         direct = self.kernel.params.direct_rx_dispatch
-        self.counters.add("rx_irqs")
+        self.kernel.metrics.counter(f"{self.name}.rx_irqs").value += 1
         irq_span = self.tracer.begin(self.name, "irq", direct=direct)
         yield from cpu.execute(self.params.irq_overhead_ns, PRIO_IRQ, label="drv_irq")
         drained = 0
@@ -157,7 +156,7 @@ class VendorDriver:
                 )
                 self.kernel.deliver_rx(rx.frame.ethertype, skb, in_irq_context=True)
             drained += k
-        self.counters.add("rx_frames", drained)
+        self.kernel.metrics.counter(f"{self.name}.rx_frames").value += drained
         irq_span.end(drained=drained)
         self.kernel.metrics.histogram(f"{self.name}.irq_frames").record(drained)
         self.nic.irq_service_done()

@@ -20,12 +20,13 @@ effect).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Generator, Optional
 
 from ..config import KernelParams
 from ..hw.cpu import PRIO_IRQ, PRIO_SOFTIRQ, Cpu
 from ..obs import MetricsRegistry
-from ..sim import Counters, Environment, Store
+from ..sim import Environment, Store
 
 __all__ = ["IrqController", "BottomHalves"]
 
@@ -40,7 +41,6 @@ class BottomHalves:
         self.params = params
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.counters = Counters(registry=self.metrics, prefix=f"{name}.")
         #: live queue depth (+ high-water mark) of deferred work
         self._depth_gauge = self.metrics.gauge(f"{name}.queue_depth")
         self._queue: Store = Store(env, name=f"{name}.queue")
@@ -48,7 +48,7 @@ class BottomHalves:
 
     def schedule(self, work: Callable[[], Generator]) -> None:
         """Queue ``work`` (a generator factory) to run in softirq context."""
-        self.counters.add("scheduled")
+        self.metrics.counter(f"{self.name}.scheduled").value += 1
         self._queue.put(work)
         self._depth_gauge.set(len(self._queue.items))
 
@@ -64,7 +64,7 @@ class BottomHalves:
                 self.params.bottom_half_dispatch_ns, PRIO_SOFTIRQ, label="bh_dispatch"
             )
             yield from work()
-            self.counters.add("executed")
+            self.metrics.counter(f"{self.name}.executed").value += 1
 
 
 class IrqController:
@@ -75,7 +75,7 @@ class IrqController:
         self.cpu = cpu
         self.params = params
         self.name = name
-        self.counters = Counters()
+        self.counters = Counter()
 
     def raise_irq(self, handler: Callable[[], Generator], label: str = "irq") -> None:
         """Deliver an interrupt: run ``handler()`` in interrupt context.
@@ -83,11 +83,11 @@ class IrqController:
         Fire-and-forget from the device's perspective (the NIC's IRQ line
         is edge-like here; re-arming is the coalescer's job).
         """
-        self.counters.add("raised")
+        self.counters["raised"] += 1
         self.env.process(self._service(handler, label), name=f"{self.name}.{label}")
 
     def _service(self, handler: Callable[[], Generator], label: str) -> Generator:
         yield from self.cpu.execute(self.params.irq_entry_ns, PRIO_IRQ, label="irq_entry")
         yield from handler()
         yield from self.cpu.execute(self.params.irq_exit_ns, PRIO_IRQ, label="irq_exit")
-        self.counters.add("serviced")
+        self.counters["serviced"] += 1

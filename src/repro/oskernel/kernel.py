@@ -27,7 +27,7 @@ from ..config import KernelParams, MemoryParams
 from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
 from ..hw.memory import MemoryBus
 from ..obs import MetricsRegistry, Tracer
-from ..sim import Counters, Environment, Event
+from ..sim import Environment, Event
 from .interrupts import BottomHalves, IrqController
 
 __all__ = ["Kernel"]
@@ -56,7 +56,6 @@ class Kernel:
         self.tracer = tracer if tracer is not None else Tracer(env)
         #: typed metrics registry (counters/gauges/histograms)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.counters = Counters(registry=self.metrics, prefix=f"{name}.")
         self.irq = IrqController(env, cpu, params, name=f"{name}.irq")
         self.bottom_halves = BottomHalves(
             env, cpu, params, name=f"{name}.bh", metrics=self.metrics
@@ -74,7 +73,7 @@ class Kernel:
         body itself charges its own CPU/bus costs), charges the exit and —
         per CLIC's design — a scheduler pass on return to user mode.
         """
-        self.counters.add("syscalls")
+        self.metrics.counter(f"{self.name}.syscalls").value += 1
         t0 = self.env.now
         span = self.tracer.begin(self.name, "syscall", label=label)
         yield from self.cpu.execute(self.params.syscall_enter_ns, PRIO_KERNEL, label="sys_enter")
@@ -88,7 +87,7 @@ class Kernel:
 
     def lightweight_call(self, body: Generator, label: str = "lwcall") -> Generator:
         """GAMMA-style lightweight trap: minimal switch, no scheduler."""
-        self.counters.add("lightweight_calls")
+        self.metrics.counter(f"{self.name}.lightweight_calls").value += 1
         yield from self.cpu.execute(self.params.lightweight_syscall_ns, PRIO_KERNEL, label="lw_enter")
         result = yield from body
         yield from self.cpu.execute(self.params.lightweight_syscall_ns / 2, PRIO_KERNEL, label="lw_exit")
@@ -103,7 +102,7 @@ class Kernel:
         Charges the context switch away now and the scheduler pass +
         context switch back when woken; returns the event's value.
         """
-        self.counters.add("blocks")
+        self.metrics.counter(f"{self.name}.blocks").value += 1
         t0 = self.env.now
         span = self.tracer.begin(self.name, "blocked", label=label)
         yield from self.cpu.context_switch(PRIO_KERNEL)
@@ -124,23 +123,23 @@ class Kernel:
         ``setups`` batches a flow-mode train's per-fragment copies into
         one bus hold charging ``setups`` copy-setup costs.
         """
-        self.counters.add("copies_user_to_system", setups)
-        self.counters.add("copy_bytes", nbytes)
+        self.metrics.counter(f"{self.name}.copies_user_to_system").value += setups
+        self.metrics.counter(f"{self.name}.copy_bytes").value += nbytes
         yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="u2s",
                                         setups=setups)
 
     def copy_system_to_user(self, nbytes: int, priority: int = PRIO_KERNEL,
                             setups: int = 1) -> Generator:
         """CPU copy from kernel memory to the user buffer (receive side)."""
-        self.counters.add("copies_system_to_user", setups)
-        self.counters.add("copy_bytes", nbytes)
+        self.metrics.counter(f"{self.name}.copies_system_to_user").value += setups
+        self.metrics.counter(f"{self.name}.copy_bytes").value += nbytes
         yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="s2u",
                                         setups=setups)
 
     def copy_user_to_user(self, nbytes: int, priority: int = PRIO_KERNEL) -> Generator:
         """Same-node process-to-process copy (CLIC local delivery)."""
-        self.counters.add("copies_user_to_user")
-        self.counters.add("copy_bytes", nbytes)
+        self.metrics.counter(f"{self.name}.copies_user_to_user").value += 1
+        self.metrics.counter(f"{self.name}.copy_bytes").value += nbytes
         yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="u2u")
 
     # ------------------------------------------------------------------
@@ -161,7 +160,7 @@ class Kernel:
         """
         handler = self.protocol_handlers.get(ethertype)
         if handler is None:
-            self.counters.add("rx_unknown_ethertype")
+            self.metrics.counter(f"{self.name}.rx_unknown_ethertype").value += 1
             return
         self.bottom_halves.schedule(lambda h=handler, s=skb: h(s))
 
@@ -170,6 +169,6 @@ class Kernel:
         already in interrupt context)."""
         handler = self.protocol_handlers.get(ethertype)
         if handler is None:
-            self.counters.add("rx_unknown_ethertype")
+            self.metrics.counter(f"{self.name}.rx_unknown_ethertype").value += 1
             return
         yield from handler(skb)

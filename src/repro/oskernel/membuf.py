@@ -10,9 +10,10 @@ provides the blocking byte-count accounting.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Generator, List, Tuple
 
-from ..sim import Counters, Environment, Event
+from ..sim import Environment, Event
 
 __all__ = ["BufferPool", "PoolExhausted"]
 
@@ -39,7 +40,7 @@ class BufferPool:
         self.capacity = capacity_bytes
         self.name = name
         self.in_use = 0.0
-        self.counters = Counters()
+        self.counters = Counter()
         self._waiters: List[Tuple[float, Event]] = []
 
     @property
@@ -56,11 +57,11 @@ class BufferPool:
                 f"({self.capacity} B)"
             )
         if self._waiters or nbytes > self.available:
-            self.counters.add("alloc_denied")
+            self.counters["alloc_denied"] += 1
             return False
         self.in_use += nbytes
-        self.counters.add("allocs")
-        self.counters.add("alloc_bytes", nbytes)
+        self.counters["allocs"] += 1
+        self.counters["alloc_bytes"] += nbytes
         return True
 
     def take(self, nbytes: float) -> Generator:
@@ -69,7 +70,7 @@ class BufferPool:
             return
         event = self.env.event()
         self._waiters.append((nbytes, event))
-        self.counters.add("alloc_waits")
+        self.counters["alloc_waits"] += 1
         yield event
         # The releaser granted us the bytes before waking us.
 
@@ -80,15 +81,15 @@ class BufferPool:
         self.in_use -= nbytes
         if self.in_use < -1e-9:
             raise RuntimeError(f"pool {self.name} freed more than allocated")
-        self.counters.add("frees")
+        self.counters["frees"] += 1
         while self._waiters:
             want, event = self._waiters[0]
             if want > self.available:
                 break
             self._waiters.pop(0)
             self.in_use += want
-            self.counters.add("allocs")
-            self.counters.add("alloc_bytes", want)
+            self.counters["allocs"] += 1
+            self.counters["alloc_bytes"] += want
             event.succeed()
 
     def utilization(self) -> float:

@@ -14,10 +14,11 @@ rather than an afterthought.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, Generator, Optional
 
 from ..hw.cpu import PRIO_USER, Cpu
-from ..sim import Counters, Environment, Process
+from ..sim import Environment, Process
 
 __all__ = ["UserProcess"]
 
@@ -31,7 +32,7 @@ class UserProcess:
         self.node = node
         self.pid = next(_pids)
         self.name = name or f"pid{self.pid}"
-        self.counters = Counters()
+        self.counters = Counter()
         self._main: Optional[Process] = None
 
     @property
@@ -44,7 +45,7 @@ class UserProcess:
 
     def compute(self, duration_ns: float) -> Generator:
         """Burn application CPU time (preemptible by kernel work)."""
-        self.counters.add("compute_ns", duration_ns)
+        self.counters["compute_ns"] += duration_ns
         yield from self.cpu.execute(duration_ns, PRIO_USER, label=f"user.{self.name}")
 
     def run(self, body: Callable[["UserProcess"], Generator]) -> Process:

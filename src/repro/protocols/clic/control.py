@@ -22,10 +22,11 @@ builds the two obvious services on top of it:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
-from ...sim import Counters, Environment, Event
+from ...sim import Environment, Event
 from ..reliability import DeliveryFailed
 
 __all__ = ["ClicControl", "EchoStats"]
@@ -63,7 +64,7 @@ class ClicControl:
         self.node = node
         self.env: Environment = node.env
         self.module = node.clic
-        self.counters = Counters()
+        self.counters = Counter()
         self._pending: Dict[int, Event] = {}  # echo id -> completion
         self._sent_at: Dict[int, float] = {}
         self.stats: Dict[int, EchoStats] = {}
@@ -84,7 +85,7 @@ class ClicControl:
         stats = self.stats.setdefault(peer, EchoStats(peer=peer))
         stats.sent += 1
         self._sent_at[echo_id] = self.env.now
-        self.counters.add("echo_sent")
+        self.counters["echo_sent"] += 1
         try:
             yield from self.node.kernel.syscall(
                 self.module.send(
@@ -98,13 +99,13 @@ class ClicControl:
             # cannot leave the node; report it as a lost probe.
             self._pending.pop(echo_id, None)
             self._sent_at.pop(echo_id, None)
-            self.counters.add("echo_failed")
+            self.counters["echo_failed"] += 1
             return None
         outcome = yield self.env.any_of([done, self.env.timeout(timeout_ns)])
         self._pending.pop(echo_id, None)
         sent_at = self._sent_at.pop(echo_id)
         if done not in outcome:
-            self.counters.add("echo_timeouts")
+            self.counters["echo_timeouts"] += 1
             return None
         rtt = self.env.now - sent_at
         stats.received += 1
@@ -147,7 +148,7 @@ class ClicControl:
                 break
             if rtt is None:
                 misses += 1
-                self.counters.add("watch_misses")
+                self.counters["watch_misses"] += 1
                 if misses >= loss_threshold:
                     self.module.declare_peer_dead(
                         peer, f"{misses} consecutive aliveness probes lost"
@@ -162,12 +163,12 @@ class ClicControl:
         return self.module.peer_is_dead(peer)
 
     def _on_peer_dead(self, peer: int, reason: str) -> None:
-        self.counters.add("peers_reported_dead")
+        self.counters["peers_reported_dead"] += 1
 
     # -- kernel-side handlers (bottom-half context) ----------------------------
     def _on_echo_request(self, pkt) -> Generator:
         """Remote side: bounce the reply straight from kernel context."""
-        self.counters.add("echo_served")
+        self.counters["echo_served"] += 1
         kind, echo_id, origin = pkt.payload
         yield from self.module.send(
             origin, port=0, nbytes=8, tag=FN_ECHO_REPLY,
@@ -179,7 +180,7 @@ class ClicControl:
         done = self._pending.get(echo_id)
         if done is not None and not done.triggered:
             done.succeed()
-        self.counters.add("echo_replies")
+        self.counters["echo_replies"] += 1
         return
         yield  # pragma: no cover - keeps this a generator
 

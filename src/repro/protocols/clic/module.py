@@ -29,7 +29,7 @@ from ...config import ClicParams
 from ...hw.cpu import PRIO_KERNEL, PRIO_SOFTIRQ
 from ...hw.nic import BROADCAST, EtherType, MacAddress
 from ...oskernel import SkBuff
-from ...sim import Counters, Environment, Event, Store
+from ...sim import Environment, Event, Store
 from ..headers import ClicAck, ClicPacket, ClicPacketType, ClicTrain, fragment_plan
 from ..reliability import DeliveryFailed, OrderedReceiver, RtoEstimator, WindowedSender
 
@@ -103,7 +103,7 @@ class ClicModule:
         #: tracing scope of this module, e.g. ``node0.clic``
         self.scope = f"{node.name}.clic"
         self.tracer = self.kernel.tracer
-        self.counters = Counters(registry=self.kernel.metrics, prefix=f"{self.scope}.")
+        self.metrics = self.kernel.metrics
         self._msg_ids = itertools.count(1)
 
         self._senders: Dict[int, WindowedSender] = {}
@@ -176,9 +176,8 @@ class ClicModule:
                 retransmit=lambda packets, d=dst_node: self._retransmit(d, packets),
                 name=f"{self.node.name}.clic.tx->{dst_node}",
                 rto=rto,
-                counters=Counters(
-                    registry=self.kernel.metrics, prefix=f"{self.scope}.tx{dst_node}."
-                ),
+                metrics=self.metrics,
+                prefix=f"{self.scope}.tx{dst_node}.",
                 fail_listener=lambda reason, d=dst_node: self._on_peer_failed(d, reason),
             )
             sender.dupack_threshold = self.params.dupack_threshold
@@ -196,9 +195,8 @@ class ClicModule:
                 ack_delay_ns=self.params.ack_delay_ns,
                 stash_limit=self.params.reorder_stash_frames,
                 name=f"{self.node.name}.clic.rx<-{src_node}",
-                counters=Counters(
-                    registry=self.kernel.metrics, prefix=f"{self.scope}.rx{src_node}."
-                ),
+                metrics=self.metrics,
+                prefix=f"{self.scope}.rx{src_node}.",
             )
             self._receivers[src_node] = receiver
         return receiver
@@ -226,7 +224,7 @@ class ClicModule:
         if peer in self.dead_peers:
             return
         self.dead_peers[peer] = reason
-        self.counters.add("peers_dead")
+        self.metrics.counter(f"{self.scope}.peers_dead").value += 1
         self.tracer.instant(self.scope, "peer_dead", peer=peer, reason=reason)
         sender = self._senders.get(peer)
         if sender is not None and not sender.failed:
@@ -337,8 +335,8 @@ class ClicModule:
                 journeys.fragment(pkt, self.scope)
             yield from self._tx_packet(pkt)
             index += 1
-        self.counters.add("msgs_sent")
-        self.counters.add("bytes_sent", nbytes)
+        self.metrics.counter(f"{self.scope}.msgs_sent").value += 1
+        self.metrics.counter(f"{self.scope}.bytes_sent").value += nbytes
         span.end()
         return msg_id
 
@@ -368,7 +366,7 @@ class ClicModule:
                 payload=payload,
             )
             yield from self._tx_packet(pkt, dst_mac=BROADCAST)
-        self.counters.add("bcasts_sent")
+        self.metrics.counter(f"{self.scope}.bcasts_sent").value += 1
         return msg_id
 
     def send_kernel_fn(self, dst_node: int, fn_id: int, nbytes: int = 0) -> Generator:
@@ -408,7 +406,7 @@ class ClicModule:
         if journeys is not None:
             journeys.tx(pkt, self.scope, accepted)
         if accepted:
-            self.counters.add("pkts_tx")
+            self.metrics.counter(f"{self.scope}.pkts_tx").value += 1
             span.end(accepted=True)
             return
         # NIC busy: stage in system memory (the copy overlaps other
@@ -416,8 +414,8 @@ class ClicModule:
         if skb.is_zero_copy:
             yield from self.kernel.copy_user_to_system(pkt.frag_bytes)
             skb.relocate("system")
-            self.counters.add("staged_copies")
-        self.counters.add("pkts_staged")
+            self.metrics.counter(f"{self.scope}.staged_copies").value += 1
+        self.metrics.counter(f"{self.scope}.pkts_staged").value += 1
         self._backlog.put((skb, mac))
         span.end(accepted=False)
 
@@ -447,7 +445,7 @@ class ClicModule:
         skb.push_header("clic", self.params.header_bytes * k)
         accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
         if accepted:
-            self.counters.add("pkts_tx", k)
+            self.metrics.counter(f"{self.scope}.pkts_tx").value += k
             span.end(accepted=True, frames=k)
             return
         # NIC busy mid-train: stage the whole batch (one copy, k setups)
@@ -455,8 +453,8 @@ class ClicModule:
         if skb.is_zero_copy:
             yield from self.kernel.copy_user_to_system(total_user, setups=k)
             skb.relocate("system")
-            self.counters.add("staged_copies", k)
-        self.counters.add("pkts_staged", k)
+            self.metrics.counter(f"{self.scope}.staged_copies").value += k
+        self.metrics.counter(f"{self.scope}.pkts_staged").value += k
         self._backlog.put((skb, mac))
         span.end(accepted=False, frames=k)
 
@@ -478,7 +476,7 @@ class ClicModule:
                 driver = self.node.drivers[self._bond_rr % len(self.node.drivers)]
                 accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
                 if accepted:
-                    self.counters.add("pkts_tx_from_backlog")
+                    self.metrics.counter(f"{self.scope}.pkts_tx_from_backlog").value += 1
                     break
                 yield self.env.timeout(5_000.0)  # ring still full; retry soon
 
@@ -487,7 +485,7 @@ class ClicModule:
 
         def _do() -> Generator:
             for pkt in packets:
-                self.counters.add("pkts_retx")
+                self.metrics.counter(f"{self.scope}.pkts_retx").value += 1
                 yield from self._tx_packet(pkt)
 
         self.env.process(_do(), name=f"{self.node.name}.clic.retx")
@@ -516,10 +514,10 @@ class ClicModule:
                 )
                 ack_bytes = ClicAck.WIRE_BYTES + self.params.header_bytes
                 nic = self.node.nics[0]
-                nic.counters.add("tx_frames")
-                nic.counters.add("tx_bytes", ack_bytes)
-                driver.counters.add("tx_accepted")
-                self.counters.add("acks_tx")
+                self.metrics.counter(f"{nic.name}.tx_frames").value += 1
+                self.metrics.counter(f"{nic.name}.tx_bytes").value += ack_bytes
+                self.metrics.counter(f"{driver.name}.tx_accepted").value += 1
+                self.metrics.counter(f"{self.scope}.acks_tx").value += 1
                 deliver = route.deliver_ack
                 cum = cumulative_seq
                 self.env.call_later(route.ack_latency_ns,
@@ -533,7 +531,7 @@ class ClicModule:
             accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
             if not accepted:
                 self._backlog.put((skb, mac))
-            self.counters.add("acks_tx")
+            self.metrics.counter(f"{self.scope}.acks_tx").value += 1
 
         self.env.process(_do(), name=f"{self.node.name}.clic.ack")
 
@@ -544,7 +542,7 @@ class ClicModule:
         flight time has elapsed; applies the ack with the exact same
         sender-side semantics as the packet path.
         """
-        self.counters.add("acks_rx")
+        self.metrics.counter(f"{self.scope}.acks_rx").value += 1
         self._sender(src_node).on_ack(cumulative_seq)
 
     # ------------------------------------------------------------------
@@ -578,13 +576,13 @@ class ClicModule:
         yield from cpu.execute(self.params.module_rx_ns, PRIO_SOFTIRQ, label="clic_rx")
         if isinstance(item, ClicAck):
             self._sender(item.src_node).on_ack(item.cumulative_seq)
-            self.counters.add("acks_rx")
+            self.metrics.counter(f"{self.scope}.acks_rx").value += 1
             span.end(kind="ack")
             return
         if not isinstance(item, ClicPacket):
             # Malformed frame on our ethertype (corrupted peer, fuzzing):
             # the module must survive it — protection is a design goal.
-            self.counters.add("rx_malformed")
+            self.metrics.counter(f"{self.scope}.rx_malformed").value += 1
             span.end(kind="malformed")
             return
         pkt: ClicPacket = item
@@ -630,7 +628,7 @@ class ClicModule:
                 yield from self._consume_fragment(pkt)
             return
         k = len(fragments)
-        self.counters.add("pkts_rx", k)
+        self.metrics.counter(f"{self.scope}.pkts_rx").value += k
         if partial is None:
             partial = _Partial(
                 src_node=first.src_node,
@@ -654,7 +652,7 @@ class ClicModule:
             if region is not None:
                 region.bytes_written += total
         elif partial.bound_waiter is not None and direct:
-            self.counters.add("direct_user_deliveries", k)
+            self.metrics.counter(f"{self.scope}.direct_user_deliveries").value += k
         elif partial.bound_waiter is not None:
             yield from self.kernel.copy_system_to_user(
                 total, PRIO_SOFTIRQ, setups=k
@@ -662,7 +660,7 @@ class ClicModule:
         partial.received += total
 
     def _consume_fragment(self, pkt: ClicPacket) -> Generator:
-        self.counters.add("pkts_rx")
+        self.metrics.counter(f"{self.scope}.pkts_rx").value += 1
         key = (pkt.src_node, pkt.msg_id)
         partial = self._partials.get(key)
         if partial is None:
@@ -692,7 +690,7 @@ class ClicModule:
         elif partial.bound_waiter is not None and direct:
             # Figure 8(b): the module directed the DMA straight into the
             # waiting process's buffer — no staging copy at all.
-            self.counters.add("direct_user_deliveries")
+            self.metrics.counter(f"{self.scope}.direct_user_deliveries").value += 1
         elif partial.bound_waiter is not None:
             # A process is already waiting: move the fragment into its
             # memory right away.
@@ -712,7 +710,7 @@ class ClicModule:
         if pkt.ptype is ClicPacketType.KERNEL_FN:
             handler = self._kernel_fns.get(pkt.tag)
             if handler is None:
-                self.counters.add("kernel_fn_unknown")
+                self.metrics.counter(f"{self.scope}.kernel_fn_unknown").value += 1
             else:
                 yield from handler(pkt)
             return
@@ -727,8 +725,8 @@ class ClicModule:
             completed_at=self.env.now,
             in_user_memory=partial.bound_waiter is not None or partial.remote_write,
         )
-        self.counters.add("msgs_rx")
-        self.counters.add("bytes_rx", message.nbytes)
+        self.metrics.counter(f"{self.scope}.msgs_rx").value += 1
+        self.metrics.counter(f"{self.scope}.bytes_rx").value += message.nbytes
         if partial.remote_write:
             region = self.port(message.port).region
             if region is not None:
@@ -793,14 +791,14 @@ class ClicModule:
                 if not msg.in_user_memory:
                     yield from self.kernel.copy_system_to_user(msg.nbytes)
                     msg.in_user_memory = True
-                self.counters.add("recv_immediate")
+                self.metrics.counter(f"{self.scope}.recv_immediate").value += 1
                 return msg
         if not block:
-            self.counters.add("recv_would_block")
+            self.metrics.counter(f"{self.scope}.recv_would_block").value += 1
             return None
         event = self.env.event()
         state.waiters.append((match, event))
-        self.counters.add("recv_blocked")
+        self.metrics.counter(f"{self.scope}.recv_blocked").value += 1
         msg = yield from self.kernel.block_on(event, label=f"recv:{port}")
         if not msg.in_user_memory:
             # Bound only at completion: the data was parked in system
@@ -874,7 +872,7 @@ class ClicModule:
                 message.in_user_memory = True
                 message.completed_at = self.env.now
                 event.succeed(message)
-                self.counters.add("local_direct")
+                self.metrics.counter(f"{self.scope}.local_direct").value += 1
                 span.end(path="direct")
                 return msg_id
         # Nobody waiting: stage in system memory; recv() will copy out.
@@ -886,10 +884,10 @@ class ClicModule:
                 state.waiters.pop(idx)
                 message.completed_at = self.env.now
                 event.succeed(message)
-                self.counters.add("local_direct")
+                self.metrics.counter(f"{self.scope}.local_direct").value += 1
                 span.end(path="late-direct")
                 return msg_id
         state.ready.append(message)
-        self.counters.add("local_staged")
+        self.metrics.counter(f"{self.scope}.local_staged").value += 1
         span.end(path="staged")
         return msg_id

@@ -22,6 +22,7 @@ driver does not support.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -29,7 +30,7 @@ from ..config import GammaParams
 from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL
 from ..hw.nic import EtherType, RxFrame, TxDescriptor
 from ..oskernel import SkBuff, UserProcess
-from ..sim import Counters, Event
+from ..sim import Event
 from .headers import GammaPacket, fragment_plan
 
 __all__ = ["GammaLayer", "GammaPort", "GammaMessage"]
@@ -70,7 +71,7 @@ class GammaLayer:
         self.env = node.env
         self.params: GammaParams = node.cfg.gamma
         self.kernel = node.kernel
-        self.counters = Counters()
+        self.counters = Counter()
         self._ports: Dict[int, GammaPort] = {}
         self._assembling: Dict[Tuple[int, int], _Assembling] = {}
         nic = node.nics[0]
@@ -122,8 +123,8 @@ class GammaLayer:
                     from_user_memory=True,
                 )
                 yield nic.post_tx(desc)  # blocking on ring space
-            self.counters.add("msgs_sent")
-            self.counters.add("bytes_sent", nbytes)
+            self.counters["msgs_sent"] += 1
+            self.counters["bytes_sent"] += nbytes
             return msg_id
 
         result = yield from self.kernel.lightweight_call(body(), label="gamma_send")
@@ -154,7 +155,7 @@ class GammaLayer:
             payload=acc.payload,
             completed_at=self.env.now,
         )
-        self.counters.add("msgs_rx")
+        self.counters["msgs_rx"] += 1
         state = self.port(pkt.port)
         if state.waiters:
             state.waiters.pop(0).succeed(msg)

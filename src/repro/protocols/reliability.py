@@ -29,7 +29,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
-from ..sim import Counters, Environment, Event, TimerHandle
+from ..obs import MetricsRegistry
+from ..sim import Environment, Event, TimerHandle
 
 __all__ = [
     "WindowedSender",
@@ -205,9 +206,10 @@ class WindowedSender:
         Optional :class:`RtoEstimator`; when present the retransmission
         timer adapts to measured RTTs and backs off exponentially on
         consecutive timeouts instead of firing at a fixed cadence.
-    counters:
-        Optional shared :class:`~repro.sim.Counters` face (e.g. backed
-        by the cluster metrics registry) — defaults to a private one.
+    metrics, prefix:
+        Registry the channel's tallies land in, under ``prefix`` (e.g.
+        the cluster registry and ``node0.clic.tx1.``) — defaults to a
+        fresh one.
     fail_listener:
         Called with a reason string when the retry budget is exhausted
         (or :meth:`abort` is invoked) — the peer-death hook.
@@ -222,7 +224,8 @@ class WindowedSender:
         retransmit: Callable[[List[Any]], None],
         name: str = "sender",
         rto: Optional[RtoEstimator] = None,
-        counters: Optional[Counters] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        prefix: str = "",
         fail_listener: Optional[Callable[[str], None]] = None,
     ):
         if window < 1:
@@ -234,7 +237,8 @@ class WindowedSender:
         self.retransmit = retransmit
         self.name = name
         self.rto = rto
-        self.counters = counters if counters is not None else Counters()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.prefix = prefix
         self.fail_listener = fail_listener
         #: captured at construction (see :func:`install_channel_probe`)
         self.probe = _active_probe
@@ -286,7 +290,7 @@ class WindowedSender:
         while self.window_full():
             event = self.env.event()
             self._window_waiters.append(event)
-            self.counters.add("window_stalls")
+            self.metrics.counter(f"{self.prefix}window_stalls").value += 1
             yield event
             self._check_failed()
 
@@ -303,7 +307,7 @@ class WindowedSender:
         self.next_seq += 1
         self._in_flight[seq] = packet
         self._sent_at[seq] = self.env.now
-        self.counters.add("registered")
+        self.metrics.counter(f"{self.prefix}registered").value += 1
         if self.probe is not None:
             self.probe.on_register(self, seq)
         if len(self._in_flight) == 1:
@@ -344,10 +348,10 @@ class WindowedSender:
             # copy).  It carries no information about the *current* base,
             # so it must not feed the dupack counter — otherwise jittered
             # ack arrivals would fire spurious fast retransmissions.
-            self.counters.add("stale_acks")
+            self.metrics.counter(f"{self.prefix}stale_acks").value += 1
             return
         if cumulative_seq == self.base:
-            self.counters.add("duplicate_acks")
+            self.metrics.counter(f"{self.prefix}duplicate_acks").value += 1
             self._dupacks += 1
             if (
                 self.dupack_threshold
@@ -362,7 +366,7 @@ class WindowedSender:
                 self._dupacks = 0
                 if self.base in self._in_flight:
                     self._recover = self.next_seq - 1
-                    self.counters.add("fast_retransmits")
+                    self.metrics.counter(f"{self.prefix}fast_retransmits").value += 1
                     self._note_retransmitted([self.base])  # Karn: RTT now ambiguous
                     if self.fast_retransmit_listener is not None:
                         self.fast_retransmit_listener()
@@ -386,7 +390,7 @@ class WindowedSender:
                 rtt_sample_seq = seq
         if self.rto is not None and rtt_sample_sent_at is not None:
             self.rto.sample(self.env.now - rtt_sample_sent_at)
-            self.counters.set("rto_ns", self.rto.current_ns())
+            self.metrics.gauge(f"{self.prefix}rto_ns").set(self.rto.current_ns())
             if self.probe is not None:
                 self.probe.on_rtt_sample(
                     self, rtt_sample_seq, self.env.now - rtt_sample_sent_at
@@ -397,7 +401,7 @@ class WindowedSender:
         self._retries = 0
         if self.ack_listener is not None:
             self.ack_listener(acked)
-        self.counters.set("acked_through", cumulative_seq)
+        self.metrics.gauge(f"{self.prefix}acked_through").set(cumulative_seq)
         if self.base <= self._recover and self.base in self._in_flight:
             # RFC 6582 partial ack: the cumulative ack advanced without
             # passing the recovery point, so the next hole is known lost
@@ -405,7 +409,7 @@ class WindowedSender:
             # of waiting out the RTO.  Driven only by *new* cumulative
             # progress, so duplicated ack copies cannot amplify it, and
             # bounded by one resend per hole per recovery episode.
-            self.counters.add("partial_ack_retransmits")
+            self.metrics.counter(f"{self.prefix}partial_ack_retransmits").value += 1
             self._note_retransmitted([self.base])  # Karn: RTT now ambiguous
             if self.probe is not None:
                 self.probe.on_retransmit(self, [self.base], "partial_ack")
@@ -460,11 +464,11 @@ class WindowedSender:
                 f"(base={self.base}, in flight={self.in_flight})"
             )
             return
-        self.counters.add("timeouts")
+        self.metrics.counter(f"{self.prefix}timeouts").value += 1
         rto_before = self.current_timeout_ns()
         if self.rto is not None:
             self.rto.on_timeout()
-            self.counters.set("rto_ns", self.rto.current_ns())
+            self.metrics.gauge(f"{self.prefix}rto_ns").set(self.rto.current_ns())
         if self.probe is not None:
             self.probe.on_timeout(self, rto_before, self.current_timeout_ns())
         if self.timeout_listener is not None:
@@ -478,7 +482,7 @@ class WindowedSender:
         self._note_retransmitted(seqs)  # Karn: all resent, all ambiguous
         if self.probe is not None:
             self.probe.on_retransmit(self, seqs, "rto")
-        self.counters.add("retransmitted", len(packets))
+        self.metrics.counter(f"{self.prefix}retransmitted").value += len(packets)
         self._start_timer()
         self.retransmit(packets)
 
@@ -503,7 +507,7 @@ class WindowedSender:
     def _fail(self, reason: str) -> None:
         self._failed = DeliveryFailed(f"{self.name}: {reason}")
         self._cancel_timer()
-        self.counters.add("failed")
+        self.metrics.counter(f"{self.prefix}failed").value += 1
         if self.probe is not None:
             self.probe.on_fail(self, reason)
         for event in (*self._window_waiters, *self._drained_waiters):
@@ -519,7 +523,11 @@ class WindowedSender:
 
 
 class OrderedReceiver:
-    """Per-source in-order receive state with bounded reorder stash."""
+    """Per-source in-order receive state with bounded reorder stash.
+
+    Like :class:`WindowedSender`, it tallies into ``metrics`` (a fresh
+    registry by default) under ``prefix``, e.g. ``node1.clic.rx0.``.
+    """
 
     def __init__(
         self,
@@ -530,7 +538,8 @@ class OrderedReceiver:
         ack_delay_ns: float = 50_000.0,
         stash_limit: int = 64,
         name: str = "receiver",
-        counters: Optional[Counters] = None,
+        metrics: Optional[MetricsRegistry] = None,
+        prefix: str = "",
     ):
         if ack_every < 1:
             raise ValueError("ack_every must be >= 1")
@@ -541,7 +550,8 @@ class OrderedReceiver:
         self.ack_delay_ns = ack_delay_ns
         self.stash_limit = stash_limit
         self.name = name
-        self.counters = counters if counters is not None else Counters()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.prefix = prefix
         #: captured at construction (see :func:`install_channel_probe`)
         self.probe = _active_probe
         if self.probe is not None:
@@ -595,7 +605,7 @@ class OrderedReceiver:
             # Duplicate (a retransmission, or an extra copy from a
             # duplication fault): suppress, but re-ack so the sender's
             # window can advance.
-            self.counters.add("duplicates")
+            self.metrics.counter(f"{self.prefix}duplicates").value += 1
             self._emit_ack()
             return
         if seq <= self.expected:
@@ -603,7 +613,7 @@ class OrderedReceiver:
             # Drain any stashed successors.
             while self.expected in self._stash:
                 self._deliver_next(self.expected, self._stash.pop(self.expected))
-            self.counters.add("delivered_in_order")
+            self.metrics.counter(f"{self.prefix}delivered_in_order").value += 1
             if self._unacked >= self.ack_every:
                 self._emit_ack()
             else:
@@ -615,15 +625,15 @@ class OrderedReceiver:
         # (counted) — the frame is repaired by go-back-N retransmission,
         # so adversarial reordering can never grow memory without bound.
         if seq in self._stash:
-            self.counters.add("duplicates")
+            self.metrics.counter(f"{self.prefix}duplicates").value += 1
         elif len(self._stash) < self.stash_limit:
             self._stash[seq] = packet
-            self.counters.add("stashed")
+            self.metrics.counter(f"{self.prefix}stashed").value += 1
             if len(self._stash) > self.max_stash:
                 self.max_stash = len(self._stash)
-                self.counters.set("max_stash", self.max_stash)
+                self.metrics.gauge(f"{self.prefix}max_stash").set(self.max_stash)
         else:
-            self.counters.add("stash_overflow_drops")
+            self.metrics.counter(f"{self.prefix}stash_overflow_drops").value += 1
         # Remind the sender where we are (acts like a duplicate ack).
         self._emit_ack()
 
@@ -633,7 +643,7 @@ class OrderedReceiver:
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
-        self.counters.add("acks_sent")
+        self.metrics.counter(f"{self.prefix}acks_sent").value += 1
         if self.probe is not None:
             self.probe.on_ack_emitted(self, self.expected)
         self.send_ack(self.expected)
@@ -649,5 +659,5 @@ class OrderedReceiver:
     def _on_delayed_ack(self) -> None:
         self._ack_timer = None
         if self._unacked:
-            self.counters.add("delayed_acks")
+            self.metrics.counter(f"{self.prefix}delayed_acks").value += 1
             self._emit_ack()

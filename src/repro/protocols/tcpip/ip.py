@@ -19,13 +19,14 @@ driver call) shared by both.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from ...config import TcpIpParams
 from ...hw.nic import EtherType
 from ...oskernel import SkBuff
-from ...sim import Counters, Store
+from ...sim import Store
 
 __all__ = ["IpLayer", "IpDatagram"]
 
@@ -54,7 +55,7 @@ class IpLayer:
     def __init__(self, node, params: TcpIpParams):
         self.node = node
         self.params = params
-        self.counters = Counters()
+        self.counters = Counter()
         self._backlog: Store = Store(node.env, name=f"{node.name}.ip.backlog")
         node.env.process(self._backlog_pump(), name=f"{node.name}.ip.pump")
         self._reassembly: Dict[Tuple[int, int], list] = {}
@@ -90,7 +91,7 @@ class IpLayer:
                 total_bytes=total,
                 payload=dgram.payload,
             )
-            self.counters.add("fragments_tx")
+            self.counters["fragments_tx"] += 1
             yield from self._tx_one(frag)
             offset += take
 
@@ -101,10 +102,10 @@ class IpLayer:
         mac = self.node.mac_of(dgram.dst_node, 0)
         accepted = yield from driver.transmit(skb, mac, EtherType.IPV4)
         if accepted:
-            self.counters.add("datagrams_tx")
+            self.counters["datagrams_tx"] += 1
         else:
             self._backlog.put((skb, mac))
-            self.counters.add("datagrams_backlogged")
+            self.counters["datagrams_backlogged"] += 1
 
     def _backlog_pump(self) -> Generator:
         while True:
@@ -120,16 +121,16 @@ class IpLayer:
         """Reassembly: returns the complete datagram or ``None`` (more
         fragments outstanding).  Unfragmented datagrams pass through."""
         if dgram.total_bytes == 0:
-            self.counters.add("datagrams_rx")
+            self.counters["datagrams_rx"] += 1
             return dgram
         key = (dgram.src_node, dgram.datagram_id)
         acc = self._reassembly.setdefault(key, [0])
         acc[0] += dgram.data_bytes
-        self.counters.add("fragments_rx")
+        self.counters["fragments_rx"] += 1
         if acc[0] < dgram.total_bytes:
             return None
         del self._reassembly[key]
-        self.counters.add("datagrams_rx")
+        self.counters["datagrams_rx"] += 1
         return IpDatagram(
             src_node=dgram.src_node,
             dst_node=dgram.dst_node,

@@ -12,7 +12,6 @@ from typing import Generator, Optional
 
 from ...hw.nic import EtherType
 from ...oskernel import SkBuff, UserProcess
-from ...sim import Counters
 from .ip import IpDatagram, IpLayer
 from .sockets import TcpSocket, UdpSocket
 from .tcp import TcpConnection, TcpLayer
@@ -30,7 +29,6 @@ class TcpIpStack:
         #: tracing scope of this stack, e.g. ``node0.tcpip``
         self.scope = f"{node.name}.tcpip"
         self.tracer = node.kernel.tracer
-        self.counters = Counters(registry=node.kernel.metrics, prefix=f"{self.scope}.")
         self.ip = IpLayer(node, self.params)
         self.tcp = TcpLayer(node, self.params, self.ip)
         self.udp = UdpLayer(node, self.params, self.ip)
@@ -65,4 +63,4 @@ class TcpIpStack:
                 span.annotate(kind="udp")
                 yield from self.udp.on_datagram(complete.payload)
             else:
-                self.counters.add("unknown_ip_protocol")
+                self.node.kernel.metrics.counter(f"{self.scope}.unknown_ip_protocol").value += 1

@@ -20,12 +20,13 @@ fragments; retransmission reuses the shared reliability machinery.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...config import TcpIpParams
 from ...hw.cpu import PRIO_KERNEL, PRIO_SOFTIRQ
-from ...sim import Counters, Environment, Event
+from ...sim import Environment, Event
 from ..headers import TcpSegment
 from ..reliability import OrderedReceiver, RtoEstimator, WindowedSender
 from .ip import IpDatagram, IpLayer
@@ -95,7 +96,7 @@ class TcpConnection:
         self.local_node = local_node
         self.remote_node = remote_node
         self.conn_id = conn_id
-        self.counters = Counters()
+        self.counters = Counter()
 
         rto = None
         if self.params.adaptive_rto:
@@ -113,9 +114,8 @@ class TcpConnection:
             retransmit=self._retransmit,
             name=f"{layer.node.name}.tcp{conn_id}.tx",
             rto=rto,
-            counters=Counters(
-                registry=registry, prefix=f"{layer.node.name}.tcp{conn_id}.tx."
-            ),
+            metrics=registry,
+            prefix=f"{layer.node.name}.tcp{conn_id}.tx.",
         )
         self.receiver = OrderedReceiver(
             self.env,
@@ -124,9 +124,8 @@ class TcpConnection:
             ack_every=self.params.ack_every,
             ack_delay_ns=self.params.ack_delay_ns,
             name=f"{layer.node.name}.tcp{conn_id}.rx",
-            counters=Counters(
-                registry=registry, prefix=f"{layer.node.name}.tcp{conn_id}.rx."
-            ),
+            metrics=registry,
+            prefix=f"{layer.node.name}.tcp{conn_id}.rx.",
         )
         self.rx = _RxSide()
 
@@ -145,12 +144,12 @@ class TcpConnection:
     def _on_rto(self) -> None:
         self.congestion.on_timeout()
         self.sender.window = self.congestion.window()
-        self.counters.add("rto_events")
+        self.counters["rto_events"] += 1
 
     def _on_fast_retx(self) -> None:
         self.congestion.on_fast_retransmit()
         self.sender.window = self.congestion.window()
-        self.counters.add("fast_retransmits")
+        self.counters["fast_retransmits"] += 1
 
     # -- send (kernel context, inside the caller's syscall) ---------------------
     def mss(self) -> int:
@@ -182,7 +181,7 @@ class TcpConnection:
             offset += seg_bytes
             if offset >= nbytes:
                 break
-        self.counters.add("bytes_sent", nbytes)
+        self.counters["bytes_sent"] += nbytes
 
     def _tx_segment(self, seg: TcpSegment, priority: int = PRIO_KERNEL) -> Generator:
         kernel = self.layer.node.kernel
@@ -200,12 +199,12 @@ class TcpConnection:
             payload=seg,
         )
         yield from self.layer.ip.tx(dgram)
-        self.counters.add("segments_tx")
+        self.counters["segments_tx"] += 1
 
     def _retransmit(self, segments: List[TcpSegment]) -> None:
         def _do() -> Generator:
             for seg in segments:
-                self.counters.add("segments_retx")
+                self.counters["segments_retx"] += 1
                 yield from self._tx_segment(seg)
 
         self.env.process(_do(), name=f"tcp{self.conn_id}.retx")
@@ -221,13 +220,13 @@ class TcpConnection:
         yield from kernel.cpu.execute(cost, PRIO_SOFTIRQ, label="tcp_rx")
         if seg.is_ack:
             self.sender.on_ack(seg.ack_seq)
-            self.counters.add("acks_rx")
+            self.counters["acks_rx"] += 1
             return
         self.receiver.on_packet(seg.seq, seg)
 
     def _deliver_segment(self, seg: TcpSegment) -> None:
         self.rx.buffered_bytes += seg.data_bytes
-        self.counters.add("segments_rx")
+        self.counters["segments_rx"] += 1
         # Wake receivers whose byte count is now satisfied (FIFO).
         while self.rx.waiters and self.rx.buffered_bytes >= self.rx.waiters[0][0]:
             wanted, event = self.rx.waiters.pop(0)
@@ -258,7 +257,7 @@ class TcpConnection:
                 payload=ack,
             )
             yield from self.layer.ip.tx(dgram)
-            self.counters.add("acks_tx")
+            self.counters["acks_tx"] += 1
 
         self.env.process(_do(), name=f"tcp{self.conn_id}.ack")
 
@@ -276,7 +275,7 @@ class TcpConnection:
             self.rx.buffered_bytes -= nbytes
         for _ in range(self.params.copies_on_rx):
             yield from kernel.copy_system_to_user(nbytes)
-        self.counters.add("bytes_recv", nbytes)
+        self.counters["bytes_recv"] += nbytes
         return nbytes
 
 
@@ -309,6 +308,6 @@ class TcpLayer:
         conn = self.connections.get(seg.conn_id)
         if conn is None:
             # RST territory in real TCP; count and drop.
-            self.ip.counters.add("tcp_no_connection")
+            self.ip.counters["tcp_no_connection"] += 1
             return
         yield from conn.on_segment(seg)

@@ -9,12 +9,13 @@ exercise the IP fragmentation/reassembly machinery.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...config import TcpIpParams
 from ...hw.cpu import PRIO_KERNEL, PRIO_SOFTIRQ
-from ...sim import Counters, Event
+from ...sim import Event
 from .ip import IpDatagram, IpLayer
 
 __all__ = ["UdpLayer", "UdpDatagramMsg"]
@@ -41,7 +42,7 @@ class UdpLayer:
         self.node = node
         self.params = params
         self.ip = ip
-        self.counters = Counters()
+        self.counters = Counter()
         self._ports: Dict[int, List[UdpDatagramMsg]] = {}
         self._waiters: Dict[int, List[Event]] = {}
 
@@ -65,7 +66,7 @@ class UdpLayer:
             payload=msg,
         )
         yield from self.ip.tx(dgram)
-        self.counters.add("datagrams_tx")
+        self.counters["datagrams_tx"] += 1
 
     # -- receive (softirq context) --------------------------------------------------
     def on_datagram(self, msg: UdpDatagramMsg) -> Generator:
@@ -76,7 +77,7 @@ class UdpLayer:
             + msg.nbytes * self.params.checksum_ns_per_byte
         )
         yield from kernel.cpu.execute(cost, PRIO_SOFTIRQ, label="udp_rx")
-        self.counters.add("datagrams_rx")
+        self.counters["datagrams_rx"] += 1
         waiters = self._waiters.get(msg.port)
         if waiters:
             waiters.pop(0).succeed(msg)

@@ -18,13 +18,13 @@ entirely:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config import ViaParams
 from ..hw.cpu import PRIO_USER
 from ..hw.nic import EtherType, RxFrame, TxDescriptor
-from ..sim import Counters
 from .headers import ViaPacket, fragment_plan
 
 __all__ = ["ViaNic", "VirtualInterface", "ViaMessage"]
@@ -90,7 +90,7 @@ class VirtualInterface:
                 from_user_memory=True,
             )
             yield nic.post_tx(desc)
-        self.via.counters.add("msgs_sent")
+        self.via.counters["msgs_sent"] += 1
         return msg_id
 
     # -- receive: poll the completion queue ------------------------------------
@@ -110,7 +110,7 @@ class VirtualInterface:
                 yield from node.pci.pio(priority=9, label="via_poll")
             polls += 1
             yield node.env.timeout(params.poll_interval_ns)
-        self.via.counters.add("poll_probes", polls)
+        self.via.counters["poll_probes"] += polls
         return self.completions.pop(0)
 
     def try_recv(self) -> Optional[ViaMessage]:
@@ -124,7 +124,7 @@ class ViaNic:
     def __init__(self, node):
         self.node = node
         self.params: ViaParams = node.cfg.via
-        self.counters = Counters()
+        self.counters = Counter()
         self._vis: Dict[int, VirtualInterface] = {}
         self._assembling: Dict[Tuple[int, int], _Assembling] = {}
         nic = node.nics[0]
@@ -151,7 +151,7 @@ class ViaNic:
         vi = self._vis.get(pkt.vi_id)
         if vi is None:
             # No receive descriptor posted: VIA drops (counted).
-            self.counters.add("no_vi_drops")
+            self.counters["no_vi_drops"] += 1
             return
         key = (pkt.src_node, pkt.msg_id)
         acc = self._assembling.get(key)
@@ -171,4 +171,4 @@ class ViaNic:
                 completed_at=self.node.env.now,
             )
         )
-        self.counters.add("msgs_rx")
+        self.counters["msgs_rx"] += 1

@@ -5,7 +5,9 @@ Public surface:
 * :class:`~repro.sim.core.Environment` and the event/process machinery,
 * queuing resources in :mod:`repro.sim.resources`,
 * deterministic RNG streams in :mod:`repro.sim.rng`,
-* counters and busy-time accounting in :mod:`repro.sim.monitor`.
+* busy-time accounting in :mod:`repro.sim.monitor` (tallies live in
+  the cluster :class:`~repro.obs.MetricsRegistry` or in a component's
+  plain :class:`collections.Counter`).
 """
 
 from .core import (
@@ -22,7 +24,7 @@ from .core import (
     profiled,
 )
 from .flowmode import FlowModeController, FlowRoute
-from .monitor import BusyTracker, Counters
+from .monitor import BusyTracker
 from .resources import (
     Preempted,
     PreemptiveResource,
@@ -38,7 +40,6 @@ __all__ = [
     "AnyOf",
     "BusyTracker",
     "Condition",
-    "Counters",
     "Environment",
     "Event",
     "FlowModeController",

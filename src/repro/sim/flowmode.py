@@ -54,12 +54,12 @@ class FlowRoute:
 
     __slots__ = ("up", "down", "port", "src_nic", "dst_nic",
                  "rx_budget", "dst_coalescing", "stash_depth",
-                 "forward_ns", "switch_counters", "ack_latency_ns",
+                 "forward_ns", "switch", "ack_latency_ns",
                  "deliver_ack")
 
     def __init__(self, up: Any, down: Any, port: Any, src_nic: Any,
                  dst_nic: Any, rx_budget: int, dst_coalescing: bool,
-                 forward_ns: float = 0.0, switch_counters: Any = None,
+                 forward_ns: float = 0.0, switch: Any = None,
                  ack_latency_ns: float = 0.0):
         #: src NIC -> switch channel
         self.up = up
@@ -80,8 +80,8 @@ class FlowRoute:
         self.stash_depth = lambda: 0
         #: switch store-and-forward latency for the analytic hop
         self.forward_ns = forward_ns
-        #: the switch's counters (``forwarded`` is bumped closed-form)
-        self.switch_counters = switch_counters
+        #: the switch (its ``forwarded`` counter is bumped closed-form)
+        self.switch = switch
         #: closed-form one-way latency of a cumulative-ack frame along
         #: this route (computed once by the cluster wiring from the
         #: per-node hardware parameters)
@@ -112,17 +112,21 @@ class FlowRoute:
         machinery — ring admission, coalescing and the IRQ path stay
         fully simulated.
         """
-        k = frame.train_frames
-        nbytes = frame.payload_bytes
+        self.credit_hop(frame.train_frames, frame.payload_bytes)
+        self.dst_nic.receive_frame(frame)
+
+    def credit_hop(self, k: int, nbytes: int) -> None:
+        """Credit ``k`` frames of ``nbytes`` payload as offered and
+        carried on both wires and forwarded by the switch — the tallies
+        the exact path bumps when the frames cross it."""
         for channel in (self.up, self.down):
             c = channel.counters
-            c.add("frames_offered", k)
-            c.add("bytes_offered", nbytes)
-            c.add("frames", k)
-            c.add("bytes", nbytes)
-        if self.switch_counters is not None:
-            self.switch_counters.add("forwarded", k)
-        self.dst_nic.receive_frame(frame)
+            c["frames_offered"] += k
+            c["bytes_offered"] += nbytes
+            c["frames"] += k
+            c["bytes"] += nbytes
+        if self.switch is not None:
+            self.switch.metrics.counter(f"{self.switch.name}.forwarded").value += k
 
 
 class FlowModeController:

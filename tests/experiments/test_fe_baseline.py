@@ -34,7 +34,7 @@ def test_fe_clic_delivery_works():
     done = p1.run(b)
     assert cluster.env.run(done) == 50_000
     # First-generation CLIC: every fragment was staged (1-copy).
-    assert cluster.nodes[0].nics[0].counters.get("tx_zero_copy") == 0
+    assert cluster.metrics.value("node0.nic0.tx_zero_copy") == 0
 
 
 def test_fe_latency_higher_than_gige():

@@ -126,7 +126,7 @@ def test_channel_faults_outage_beats_loss_model():
     eng = ChannelFaults(spec, rng=None)
     assert eng.judge(150.0) is FrameVerdict.OUTAGE
     assert eng.judge(250.0) is FrameVerdict.DELIVER
-    assert eng.counters.get("outage_drops") == 1
+    assert eng.metrics.value("outage_drops") == 1
 
 
 def test_channel_faults_requires_rng_for_stochastic_models():
@@ -141,7 +141,7 @@ def test_channel_faults_corruption_verdict():
     assert eng.judge(0.0) is FrameVerdict.CORRUPT
     assert not FrameVerdict.CORRUPT.dropped  # delivered, then killed by CRC
     assert FrameVerdict.LOST.dropped and FrameVerdict.OUTAGE.dropped
-    assert eng.counters.get("corrupted") == 1
+    assert eng.metrics.value("corrupted") == 1
 
 
 # -- adversarial-delivery spec validation ------------------------------------
@@ -235,7 +235,7 @@ def test_decide_jitter_bounds_and_counter():
     decisions = [eng.decide(float(t)) for t in range(100)]
     assert all(0.0 <= d.extra_delay_ns < 5_000.0 for d in decisions)
     assert any(d.extra_delay_ns > 0.0 for d in decisions)
-    assert eng.counters.get("jittered") == 100
+    assert eng.metrics.value("jittered") == 100
 
 
 def test_decide_duplication_copy_bounds():
@@ -244,8 +244,8 @@ def test_decide_duplication_copy_bounds():
     copies = [eng.decide(float(t)).copies for t in range(200)]
     assert set(copies) <= {2, 3, 4}  # 1 original + [1, max_copies] extras
     assert len(set(copies)) > 1
-    assert eng.counters.get("duplicated") == 200
-    assert eng.counters.get("dup_copies") == sum(c - 1 for c in copies)
+    assert eng.metrics.value("duplicated") == 200
+    assert eng.metrics.value("dup_copies") == sum(c - 1 for c in copies)
 
 
 def test_decide_dropped_frames_never_draw_for_jitter_or_duplication():
@@ -259,8 +259,8 @@ def test_decide_dropped_frames_never_draw_for_jitter_or_duplication():
     eng = ChannelFaults(spec, rng=np.random.default_rng(1))
     d = eng.decide(0.0)
     assert d.dropped and d.copies == 1 and d.extra_delay_ns == 0.0
-    assert eng.counters.get("jittered") == 0
-    assert eng.counters.get("duplicated") == 0
+    assert eng.metrics.value("jittered") == 0
+    assert eng.metrics.value("duplicated") == 0
 
 
 def test_congestion_is_deterministic_and_zero_draw():
@@ -276,4 +276,4 @@ def test_congestion_is_deterministic_and_zero_draw():
     assert eng.congestion_factor(350.0) == 2.0
     d = eng.decide(250.0)
     assert d.congested and d.verdict is FrameVerdict.DELIVER
-    assert eng.counters.get("congested") == 1
+    assert eng.metrics.value("congested") == 1

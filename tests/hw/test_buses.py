@@ -32,7 +32,7 @@ def test_cpu_copy_charges_cpu_and_bus():
 
     assert env.run(env.process(work(env))) == pytest.approx(5000)
     assert cpu.busy.total_busy == pytest.approx(5000)
-    assert mem.counters.get("cpu_copy_bytes") == 5000
+    assert mem.counters["cpu_copy_bytes"] == 5000
 
 
 def test_memory_bus_serializes_copies():
@@ -77,8 +77,8 @@ def test_pci_dma_serializes_transactions():
     env.process(work(env))
     env.run()
     assert ends == [10_000, 20_000]
-    assert pci.counters.get("dma_transactions") == 2
-    assert pci.counters.get("dma_bytes") == 2000
+    assert pci.counters["dma_transactions"] == 2
+    assert pci.counters["dma_bytes"] == 2000
 
 
 def test_pci_priority_grants_bus_in_order():

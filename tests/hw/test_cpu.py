@@ -53,7 +53,7 @@ def test_irq_preempts_user_and_user_resumes():
     env.run()
     # User ran 300ns, IRQ ran 300..500, user resumed for its remaining 700.
     assert log == [("irq-done", 500), ("user-done", 1200)]
-    assert cpu.counters.get("preemptions") == 1
+    assert cpu.counters["preemptions"] == 1
     assert cpu.busy.total_busy == 1200
 
 
@@ -141,5 +141,5 @@ def test_context_switch_and_scheduler_helpers():
         return env.now
 
     assert env.run(env.process(work(env))) == 200
-    assert cpu.counters.get("context_switches") == 1
-    assert cpu.counters.get("scheduler_passes") == 1
+    assert cpu.counters["context_switches"] == 1
+    assert cpu.counters["scheduler_passes"] == 1

@@ -117,7 +117,7 @@ def test_channel_loss_injection_drops_frames():
     env.process(send(env))
     env.run()
     assert arrivals == []
-    assert chan.counters.get("frames_lost") == 1
+    assert chan.counters["frames_lost"] == 1
 
 
 def test_channel_loss_requires_rng():
@@ -153,7 +153,7 @@ def test_switch_forwards_unicast_to_correct_port():
     env.run()
     assert len(inboxes[2]) == 1
     assert inboxes[1] == [] and inboxes[3] == []
-    assert switch.counters.get("forwarded") == 1
+    assert switch.metrics.value("switch.forwarded") == 1
 
 
 def test_switch_broadcast_fans_out_to_all_other_ports():
@@ -178,7 +178,7 @@ def test_switch_unknown_destination_counted_dropped():
 
     env.process(send(env))
     env.run()
-    assert switch.counters.get("unknown_dst") == 1
+    assert switch.metrics.value("switch.unknown_dst") == 1
     assert all(not v for v in inboxes.values())
 
 
@@ -260,13 +260,13 @@ def test_channel_duplication_delivers_extra_copies():
     env.process(send(env))
     env.run()
     assert len(arrivals) == 2  # original + 1 forced copy
-    assert chan.counters.get("frames_offered") == 1
-    assert chan.counters.get("frames_duplicated") == 1
-    assert chan.counters.get("frames") == 2  # every delivered copy counts
+    assert chan.counters["frames_offered"] == 1
+    assert chan.counters["frames_duplicated"] == 1
+    assert chan.counters["frames"] == 2  # every delivered copy counts
     # conservation: offered + duplicated == delivered + lost
-    assert (chan.counters.get("frames_offered")
-            + chan.counters.get("frames_duplicated")
-            == chan.counters.get("frames") + chan.counters.get("frames_lost"))
+    assert (chan.counters["frames_offered"]
+            + chan.counters["frames_duplicated"]
+            == chan.counters["frames"] + chan.counters["frames_lost"])
 
 
 def test_channel_jitter_can_reorder_frames():
@@ -294,7 +294,7 @@ def test_channel_jitter_can_reorder_frames():
     env.run()
     assert sorted(arrivals) == list(range(40))  # nothing lost
     assert arrivals != sorted(arrivals)  # ...but not in order
-    assert chan.counters.get("frames_lost") == 0
+    assert chan.counters["frames_lost"] == 0
 
 
 def test_wire_drop_and_dup_journey_hops():

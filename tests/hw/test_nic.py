@@ -34,7 +34,7 @@ def test_tx_sends_frame_with_payload():
     assert sent[0].payload_bytes == 1000
     assert sent[0].payload == "hello"
     assert sent[0].src == MacAddress(1)
-    assert nic.counters.get("tx_frames") == 1
+    assert nic.metrics.value("nic.tx_frames") == 1
 
 
 def test_tx_on_wire_event_fires():
@@ -56,7 +56,7 @@ def test_tx_ring_full_rejects():
     assert nic.try_post_tx(desc(100))
     # The pump hasn't run yet (no env.run), so the third must bounce.
     assert not nic.try_post_tx(desc(100))
-    assert nic.counters.get("tx_ring_full") == 1
+    assert nic.metrics.value("nic.tx_ring_full") == 1
 
 
 def test_tx_oversized_descriptor_without_offload_rejected():
@@ -73,7 +73,7 @@ def test_tx_fragmentation_offload_splits_to_mtu():
     nic.try_post_tx(desc(3200))
     env.run()
     assert [f.payload_bytes for f in sent] == [1500, 1500, 200]
-    assert nic.counters.get("tx_offload_fragmented") == 1
+    assert nic.metrics.value("nic.tx_offload_fragmented") == 1
 
 
 def test_jumbo_mtu_requires_support():
@@ -143,7 +143,7 @@ def test_rx_ring_overflow_drops():
     for _ in range(4):
         nic.receive_frame(Frame(src=MacAddress(2), dst=MacAddress(1), ethertype=EtherType.CLIC, payload_bytes=100))
         env.run()
-    assert nic.counters.get("rx_drops") == 2
+    assert nic.metrics.value("nic.rx_drops") == 2
     assert nic.rx_pending() == 2
 
 
@@ -184,7 +184,7 @@ def test_push_mode_delivers_to_callback_without_irq():
     env.run()
     assert len(got) == 1
     assert got[0].in_host_memory
-    assert nic.coalescer.counters.get("interrupts") == 0
+    assert nic.coalescer.counters["interrupts"] == 0
 
 
 def test_irq_without_driver_raises():

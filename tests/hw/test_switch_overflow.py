@@ -37,8 +37,8 @@ def test_switch_egress_overflow_drops_and_clic_recovers():
     cluster.env.run(done)
     assert sorted(got) == [(0, 150_000), (1, 150_000)]
     # With 4-frame egress queues and two full-rate senders, drops happen.
-    assert cluster.switch.counters.get("drops") > 0
-    retx = sum(n.clic.counters.get("pkts_retx") for n in cluster.nodes)
+    assert cluster.metrics.value("switch.drops") > 0
+    retx = sum(cluster.metrics.value(f"{n.name}.clic.pkts_retx") for n in cluster.nodes)
     assert retx > 0
 
 
@@ -116,10 +116,10 @@ def test_enqueue_drops_at_exactly_full_capacity():
     port.enqueue(_frame(0))
     port.enqueue(_frame(1))
     assert len(port.queue.items) == 2
-    assert switch.counters.get("drops") == 0
+    assert switch.metrics.value("switch.drops") == 0
     port.enqueue(_frame(2))
     assert len(port.queue.items) == 2  # untouched
-    assert switch.counters.get("drops") == 1
+    assert switch.metrics.value("switch.drops") == 1
     drop_hops = [d for h, d in journeys.hops if h == "switch_drop"]
     assert drop_hops == [{"port": 0, "reason": "overflow"}]
 
@@ -128,8 +128,8 @@ def test_enqueue_refreshes_depth_gauges():
     env, switch, port = _switch_with_port(4)
     port.enqueue(_frame(0))
     port.enqueue(_frame(1))
-    assert switch.counters.level("port0_depth") == 2
-    assert switch.counters.level("max_queue_depth") == 2
+    assert switch.metrics.value("switch.port0_depth") == 2
+    assert switch.metrics.value("switch.max_queue_depth") == 2
     assert port.max_depth == 2
     assert switch.max_queue_depth == 2
 
@@ -138,7 +138,7 @@ def test_overflow_drop_does_not_move_the_depth_gauge():
     env, switch, port = _switch_with_port(1)
     port.enqueue(_frame(0))
     port.enqueue(_frame(1))  # dropped
-    assert switch.counters.level("port0_depth") == 1
+    assert switch.metrics.value("switch.port0_depth") == 1
     assert port.max_depth == 1
 
 
@@ -157,10 +157,10 @@ def test_pause_mode_blocks_instead_of_dropping():
     env.process(producer(env))
     env.run()
     assert arrivals == [0, 1, 2]
-    assert switch.counters.get("drops") == 0
-    assert switch.counters.get("pause_events") == 1
+    assert switch.metrics.value("switch.drops") == 0
+    assert switch.metrics.value("switch.pause_events") == 1
     # the stall lasted one egress serialization, not an instant
-    assert switch.counters.get("pause_time_ns") == pytest.approx(
+    assert switch.metrics.value("switch.pause_time_ns") == pytest.approx(
         frame_time_ns(_frame(0), LINK))
 
 
@@ -175,8 +175,8 @@ def test_pause_mode_still_drops_during_blackout():
 
     env.process(producer(env))
     env.run()
-    assert switch.counters.get("blackout_drops") == 1
-    assert switch.counters.get("pause_events") == 0
+    assert switch.metrics.value("switch.blackout_drops") == 1
+    assert switch.metrics.value("switch.pause_events") == 0
     assert port.queue.items == []
 
 

@@ -119,7 +119,7 @@ def test_bcast_binomial_message_count():
 
     mpirun(cluster, program)
     total_msgs = sum(
-        node.clic.counters.get("msgs_sent") for node in cluster.nodes
+        cluster.metrics.value(f"{node.name}.clic.msgs_sent") for node in cluster.nodes
     )
     assert total_msgs == nodes - 1
 
@@ -135,7 +135,7 @@ def test_barrier_message_complexity_logarithmic():
         yield from ctx.barrier()
 
     mpirun(cluster, program)
-    total_msgs = sum(node.clic.counters.get("msgs_sent") for node in cluster.nodes)
+    total_msgs = sum(cluster.metrics.value(f"{node.name}.clic.msgs_sent") for node in cluster.nodes)
     assert total_msgs == nodes * math.ceil(math.log2(nodes))
 
 

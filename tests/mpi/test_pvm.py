@@ -42,4 +42,4 @@ def test_pack_copy_charges_memory_traffic():
     pingpong(cluster, pvm_pair(cluster.cfg.pvm), 50_000, repeats=1, warmup=0)
     mem = cluster.nodes[0].memory
     # pack on send + unpack on recv crossed the memory bus.
-    assert mem.counters.get("cpu_copy_bytes") >= 2 * 50_000
+    assert mem.counters["cpu_copy_bytes"] >= 2 * 50_000

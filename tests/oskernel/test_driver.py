@@ -27,7 +27,7 @@ def test_transmit_charges_tx_call_and_posts():
     ok, t = cluster.env.run(cluster.env.process(body(cluster.env)))
     assert ok
     assert t >= n0.cfg.driver.tx_call_ns
-    assert driver.counters.get("tx_accepted") == 1
+    assert cluster.metrics.value("node0.eth0.tx_accepted") == 1
 
 
 def test_transmit_reports_ring_full():
@@ -50,7 +50,7 @@ def test_transmit_reports_ring_full():
 
     results = cluster.env.run(cluster.env.process(body(cluster.env)))
     assert not all(results)
-    assert driver.counters.get("tx_ring_busy") >= 1
+    assert cluster.metrics.value("node0.eth0.tx_ring_busy") >= 1
 
 
 def test_irq_handler_respects_budget():
@@ -67,8 +67,8 @@ def test_irq_handler_respects_budget():
     cluster.env.run(until=cluster.env.now + 5e6)
     # The budget forced a second interrupt for the leftover frames
     # (re-armed through the coalescer's hold-off timer).
-    assert n1.drivers[0].counters.get("rx_irqs") == 2
-    assert n1.drivers[0].counters.get("rx_frames") == budget + 4
+    assert cluster.metrics.value("node1.eth0.rx_irqs") == 2
+    assert cluster.metrics.value("node1.eth0.rx_frames") == budget + 4
     assert nic.rx_pending() == 0
 
 
@@ -87,7 +87,7 @@ def test_unknown_ethertype_counted_not_crashed():
     nic._rx_buffer.append(_rx(nic, 50))
     n1.drivers[0]._on_irq()
     cluster.env.run(until=cluster.env.now + 5e6)
-    assert n1.kernel.counters.get("rx_unknown_ethertype") == 1
+    assert cluster.metrics.value("node1.kernel.rx_unknown_ethertype") == 1
 
 
 def test_direct_mode_skips_bottom_halves():
@@ -111,7 +111,7 @@ def test_direct_mode_skips_bottom_halves():
     assert cluster.env.run(done) == 2000
     # Data packets never took the bottom-half path on the receiver...
     # (acks on the sender side still might; check the receiver's kernel).
-    assert cluster.nodes[1].kernel.bottom_halves.counters.get("scheduled") == 0
+    assert cluster.metrics.value("node1.kernel.bh.scheduled") == 0
 
 
 def test_direct_mode_waiting_receiver_skips_copy():
@@ -134,6 +134,5 @@ def test_direct_mode_waiting_receiver_skips_copy():
     done = p1.run(b)
     p0.run(a)
     assert cluster.env.run(done) == 2000
-    mod = cluster.nodes[1].clic
-    assert mod.counters.get("direct_user_deliveries") >= 1
-    assert cluster.nodes[1].kernel.counters.get("copies_system_to_user") == 0
+    assert cluster.metrics.value("node1.clic.direct_user_deliveries") >= 1
+    assert cluster.metrics.value("node1.kernel.copies_system_to_user") == 0

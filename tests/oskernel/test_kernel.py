@@ -31,7 +31,7 @@ def test_syscall_charges_enter_body_exit_scheduler():
     assert result == "r"
     # enter 350 + body 1000 + exit 300 + scheduler 50
     assert t == pytest.approx(1700)
-    assert k.counters.get("syscalls") == 1
+    assert k.metrics.value("kernel.syscalls") == 1
 
 
 def test_syscall_without_scheduler_on_return():
@@ -86,7 +86,7 @@ def test_block_on_charges_wakeup_path():
     assert value == "data"
     # ctxsw out (100) overlaps the wait; wake at 1000 + sched 50 + ctxsw 100
     assert t == pytest.approx(1_150)
-    assert k.counters.get("blocks") == 1
+    assert k.metrics.value("kernel.blocks") == 1
 
 
 def test_copy_helpers_charge_memory_time():
@@ -101,7 +101,7 @@ def test_copy_helpers_charge_memory_time():
 
     t = env.run(env.process(proc(env)))
     assert t == pytest.approx(1750)  # 1 GB/s, zero setup
-    assert k.counters.get("copy_bytes") == 1750
+    assert k.metrics.value("kernel.copy_bytes") == 1750
 
 
 def test_protocol_registry_rejects_duplicates():
@@ -129,7 +129,7 @@ def test_deliver_rx_runs_handler_via_bottom_half():
     assert seen[0][0] == 42
     # BH dispatch cost was charged before the handler ran.
     assert seen[0][1] >= k.params.bottom_half_dispatch_ns
-    assert k.bottom_halves.counters.get("executed") == 1
+    assert k.metrics.value("kernel.bh.executed") == 1
 
 
 def test_deliver_rx_unknown_ethertype_counted():
@@ -137,7 +137,7 @@ def test_deliver_rx_unknown_ethertype_counted():
     k = make_kernel(env)
     k.deliver_rx(0x9999, SkBuff(payload_bytes=1), in_irq_context=False)
     env.run()
-    assert k.counters.get("rx_unknown_ethertype") == 1
+    assert k.metrics.value("kernel.rx_unknown_ethertype") == 1
 
 
 def test_direct_rx_runs_inline():
@@ -158,7 +158,7 @@ def test_direct_rx_runs_inline():
     t = env.run(env.process(proc(env)))
     assert seen == [0]
     assert t == 10
-    assert k.bottom_halves.counters.get("scheduled") == 0
+    assert k.metrics.value("kernel.bh.scheduled") == 0
 
 
 def test_irq_controller_charges_entry_and_exit():

@@ -59,7 +59,7 @@ def test_pool_try_take_and_give():
     assert not pool.try_take(500)
     pool.give(600)
     assert pool.try_take(500)
-    assert pool.counters.get("alloc_denied") == 1
+    assert pool.counters["alloc_denied"] == 1
 
 
 def test_pool_oversized_request_rejected():

@@ -54,9 +54,8 @@ def test_large_message_fragments_and_reassembles():
     _, got = run_pair(cluster, a, b)
     assert got == 100_000
     # 100 kB over (1500-12)-byte fragments
-    n0 = cluster.nodes[0]
     expected_frags = -(-100_000 // (1500 - 12))
-    assert n0.clic.counters.get("pkts_tx") == expected_frags
+    assert cluster.metrics.value("node0.clic.pkts_tx") == expected_frags
 
 
 def test_message_larger_than_jumbo_works():
@@ -203,7 +202,7 @@ def test_same_node_communication():
     got = cluster.env.run(done)
     assert got == (4000, 0)
     # No frames crossed the NIC.
-    assert node.nics[0].counters.get("tx_frames") == 0
+    assert cluster.metrics.value("node0.nic0.tx_frames") == 0
 
 
 def test_same_node_latency_lower_than_network():
@@ -324,9 +323,8 @@ def test_channel_bonding_uses_both_nics():
 
     _, got = run_pair(cluster, a, b)
     assert got == 200_000
-    n0 = cluster.nodes[0]
-    assert n0.nics[0].counters.get("tx_frames") > 0
-    assert n0.nics[1].counters.get("tx_frames") > 0
+    assert cluster.metrics.value("node0.nic0.tx_frames") > 0
+    assert cluster.metrics.value("node0.nic1.tx_frames") > 0
 
 
 def test_bonding_improves_bandwidth_when_io_bus_allows():
@@ -370,8 +368,7 @@ def test_reliability_under_frame_loss():
 
     _, got = run_pair(cluster, a, b, until=60e9)
     assert got == 300_000
-    n0 = cluster.nodes[0]
-    assert n0.clic.counters.get("pkts_retx") > 0
+    assert cluster.metrics.value("node0.clic.pkts_retx") > 0
 
 
 def test_exactly_once_under_loss_many_messages():
@@ -422,6 +419,5 @@ def test_byte_conservation_counters():
         return msg.nbytes
 
     run_pair(cluster, a, b)
-    n0, n1 = cluster.nodes
-    assert n0.clic.counters.get("bytes_sent") == 123_456
-    assert n1.clic.counters.get("bytes_rx") == 123_456
+    assert cluster.metrics.value("node0.clic.bytes_sent") == 123_456
+    assert cluster.metrics.value("node1.clic.bytes_rx") == 123_456

@@ -57,8 +57,8 @@ def test_mpi_over_bonded_nics():
     assert mpirun(cluster, program) == [100_000, 100_000]
     # Both channels carried traffic.
     for node in cluster.nodes:
-        assert node.nics[0].counters.get("tx_frames") > 0
-        assert node.nics[1].counters.get("tx_frames") > 0
+        assert cluster.metrics.value(f"{node.name}.nic0.tx_frames") > 0
+        assert cluster.metrics.value(f"{node.name}.nic1.tx_frames") > 0
 
 
 def test_direct_dispatch_reliability_under_loss():
@@ -80,7 +80,7 @@ def test_direct_dispatch_reliability_under_loss():
     d0, d1 = p0.run(a), p1.run(b)
     cluster.env.run(cluster.env.all_of([d0, d1]))
     assert d1.value == 200_000
-    assert cluster.nodes[0].clic.counters.get("pkts_retx") > 0
+    assert cluster.metrics.value("node0.clic.pkts_retx") > 0
 
 
 def test_broadcast_coexists_with_unicast():

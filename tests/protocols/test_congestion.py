@@ -76,7 +76,7 @@ def test_fast_retransmit_fires_under_loss():
     cluster, sock, got = _transfer(loss_rate=0.03)
     assert got == 150_000
     # With dup-ack signalling, recovery should mostly avoid full RTOs.
-    assert sock.conn.counters.get("fast_retransmits") >= 1
+    assert sock.conn.counters["fast_retransmits"] >= 1
 
 
 def test_connection_recovers_and_reopens_window():

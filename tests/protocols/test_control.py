@@ -23,7 +23,7 @@ def test_kernel_echo_returns_rtt():
     done = cluster.nodes[0].spawn().run(body)
     cluster.env.run(done)
     assert rtts[0] is not None and rtts[0] > 0
-    assert ctl[1].counters.get("echo_served") == 1
+    assert ctl[1].counters["echo_served"] == 1
     assert ctl[0].stats[1].received == 1
     assert ctl[0].stats[1].mean_rtt_ns == pytest.approx(rtts[0])
 
@@ -65,7 +65,7 @@ def test_echo_timeout_on_dead_link():
     done = cluster.nodes[0].spawn().run(body)
     cluster.env.run(done)
     assert results == [None]
-    assert ctl[0].counters.get("echo_timeouts") == 1
+    assert ctl[0].counters["echo_timeouts"] == 1
     assert ctl[0].stats[1].lost == 1
 
 

@@ -53,7 +53,7 @@ def test_same_node_delivery_clic_yes_gamma_no():
     gnode.spawn().run(grx)
     gcluster.env.run(until=5e6)
     assert got_g == []
-    assert gcluster.switch.counters.get("hairpin_dropped") == 1
+    assert gcluster.metrics.value("switch.hairpin_dropped") == 1
 
 
 def test_reentrant_module_concurrent_senders_one_node():

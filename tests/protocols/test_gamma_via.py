@@ -52,8 +52,7 @@ def test_gamma_latency_below_clic():
 def test_gamma_fragments_large_messages():
     cluster = gamma_cluster(mtu=MTU_STANDARD)
     result = pingpong(cluster, gamma_pair(), 50_000, repeats=1, warmup=0)
-    nic = cluster.nodes[0].nics[0]
-    assert nic.counters.get("tx_frames") >= -(-50_000 // (1500 - 16))
+    assert cluster.metrics.value("node0.nic0.tx_frames") >= -(-50_000 // (1500 - 16))
 
 
 def test_gamma_no_retransmission_loss_is_fatal():
@@ -79,22 +78,22 @@ def test_via_roundtrip_and_polling():
     result = pingpong(cluster, via_pair(), 5_000, repeats=1, warmup=0)
     assert result.rtt_ns > 0
     # The receiver polled at least once.
-    assert cluster.nodes[0].via.counters.get("poll_probes") > 0
+    assert cluster.nodes[0].via.counters["poll_probes"] > 0
 
 
 def test_via_send_has_no_syscall():
     """VIA bypasses the kernel: no syscalls on the data path."""
     cluster = via_cluster()
     pingpong(cluster, via_pair(), 1_000, repeats=1, warmup=0)
-    assert cluster.nodes[0].kernel.counters.get("syscalls") == 0
-    assert cluster.nodes[1].kernel.counters.get("syscalls") == 0
+    assert cluster.metrics.value("node0.kernel.syscalls") == 0
+    assert cluster.metrics.value("node1.kernel.syscalls") == 0
 
 
 def test_via_no_interrupts_on_receive():
     cluster = via_cluster()
     pingpong(cluster, via_pair(), 1_000, repeats=1, warmup=0)
     for node in cluster.nodes:
-        assert node.kernel.irq.counters.get("raised") == 0
+        assert node.kernel.irq.counters["raised"] == 0
 
 
 def test_via_unmatched_vi_drops():
@@ -109,7 +108,7 @@ def test_via_unmatched_vi_drops():
     cluster.nodes[0].spawn().run(a)
     cluster.env.run(until=10e6)
     assert sent == [1]
-    assert cluster.nodes[1].via.counters.get("no_vi_drops") >= 1
+    assert cluster.nodes[1].via.counters["no_vi_drops"] >= 1
 
 
 def test_via_loss_not_recovered():

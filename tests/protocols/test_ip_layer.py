@@ -32,8 +32,8 @@ def test_tx_small_datagram_single_frame():
         yield from ip.tx(dgram(1000))
 
     cluster.env.run(cluster.env.process(body(cluster.env)))
-    assert ip.counters.get("datagrams_tx") == 1
-    assert ip.counters.get("fragments_tx") == 0
+    assert ip.counters["datagrams_tx"] == 1
+    assert ip.counters["fragments_tx"] == 0
 
 
 def test_tx_fragments_exact_multiple():
@@ -44,7 +44,7 @@ def test_tx_fragments_exact_multiple():
         yield from ip.tx(dgram(3 * limit))
 
     cluster.env.run(cluster.env.process(body(cluster.env)))
-    assert ip.counters.get("fragments_tx") == 3
+    assert ip.counters["fragments_tx"] == 3
 
 
 def test_tx_fragments_with_remainder():
@@ -55,7 +55,7 @@ def test_tx_fragments_with_remainder():
         yield from ip.tx(dgram(2 * limit + 1))
 
     cluster.env.run(cluster.env.process(body(cluster.env)))
-    assert ip.counters.get("fragments_tx") == 3
+    assert ip.counters["fragments_tx"] == 3
 
 
 def test_rx_reassembles_in_any_order():
@@ -71,7 +71,7 @@ def test_rx_reassembles_in_any_order():
     complete = ip.rx(frags[1])
     assert complete is not None
     assert complete.data_bytes == total
-    assert ip.counters.get("datagrams_rx") == 1
+    assert ip.counters["datagrams_rx"] == 1
 
 
 def test_rx_unfragmented_passthrough():

@@ -121,7 +121,7 @@ def test_duplicate_acks_ignored():
     sender.register("a")
     sender.on_ack(1)
     sender.on_ack(1)
-    assert sender.counters.get("duplicate_acks") == 1
+    assert sender.metrics.value("duplicate_acks") == 1
 
 
 def test_invalid_window_rejected():
@@ -170,7 +170,7 @@ def test_receiver_duplicate_reacks():
     receiver.on_packet(0, "a")  # retransmission
     assert delivered == ["a"]
     assert acks == [1, 1]
-    assert receiver.counters.get("duplicates") == 1
+    assert receiver.metrics.value("duplicates") == 1
 
 
 def test_receiver_stash_overflow_drops():
@@ -178,7 +178,7 @@ def test_receiver_stash_overflow_drops():
     receiver, delivered, acks = make_receiver(env, stash=2)
     for seq in (5, 6, 7, 8):
         receiver.on_packet(seq, seq)
-    assert receiver.counters.get("stash_overflow_drops") == 2
+    assert receiver.metrics.value("stash_overflow_drops") == 2
     assert delivered == []
 
 
@@ -341,12 +341,12 @@ def test_acked_through_is_a_gauge_level():
     for _ in range(6):
         sender.register("p")
     sender.on_ack(2)
-    assert sender.counters.level("acked_through") == 2
+    assert sender.metrics.value("acked_through") == 2
     sender.on_ack(5)
-    assert sender.counters.level("acked_through") == 5
+    assert sender.metrics.value("acked_through") == 5
     # A stale/duplicate ack must not drag the level backwards.
     sender.on_ack(3)
-    assert sender.counters.level("acked_through") == 5
+    assert sender.metrics.value("acked_through") == 5
 
 
 # -- fast retransmit: once per window of data (RFC 6582 recovery point) -------
@@ -359,13 +359,13 @@ def test_fast_retransmit_fires_once_per_window():
         sender.register("p")
     for _ in range(3):
         sender.on_ack(0)  # three dupacks -> fast retransmit
-    assert sender.counters.get("fast_retransmits") == 1
+    assert sender.metrics.value("fast_retransmits") == 1
     # More dupacks for the same base are echoes of our own resend (or of
     # duplicated frames on the wire): re-triggering would hand a duplicate
     # storm a positive feedback loop, so recovery waits for the RTO.
     for _ in range(6):
         sender.on_ack(0)
-    assert sender.counters.get("fast_retransmits") == 1
+    assert sender.metrics.value("fast_retransmits") == 1
     assert len(retx) == 1
 
 
@@ -378,13 +378,13 @@ def test_fast_retransmit_rearms_after_recovery_completes():
         sender.register("p")
     for _ in range(3):
         sender.on_ack(0)  # recovery point = highest outstanding seq (3)
-    assert sender.counters.get("fast_retransmits") == 1
+    assert sender.metrics.value("fast_retransmits") == 1
     sender.on_ack(4)  # cumulative ack passes the recovery point
     for _ in range(2):
         sender.register("p")
     for _ in range(3):
         sender.on_ack(4)  # a stall in the NEW window may trigger again
-    assert sender.counters.get("fast_retransmits") == 2
+    assert sender.metrics.value("fast_retransmits") == 2
     assert len(retx) == 2
 
 
@@ -400,9 +400,9 @@ def test_fast_retransmit_counts_reset_after_progress():
     sender.on_ack(2)  # progress resets the dupack count
     sender.on_ack(2)
     sender.on_ack(2)
-    assert sender.counters.get("fast_retransmits") == 0
+    assert sender.metrics.value("fast_retransmits") == 0
     sender.on_ack(2)
-    assert sender.counters.get("fast_retransmits") == 1
+    assert sender.metrics.value("fast_retransmits") == 1
 
 
 def test_abort_fails_waiters_and_rejects_future_sends():
@@ -438,8 +438,8 @@ def test_stale_ack_counted_separately_from_dupacks():
         sender.register("p")
     sender.on_ack(3)
     sender.on_ack(1)  # late/reordered ack from the past
-    assert sender.counters.get("stale_acks") == 1
-    assert sender.counters.get("duplicate_acks") == 0
+    assert sender.metrics.value("stale_acks") == 1
+    assert sender.metrics.value("duplicate_acks") == 0
 
 
 def test_stale_acks_never_trigger_fast_retransmit():
@@ -454,9 +454,9 @@ def test_stale_acks_never_trigger_fast_retransmit():
     sender.on_ack(4)
     for _ in range(5):
         sender.on_ack(2)  # all stale
-    assert sender.counters.get("fast_retransmits") == 0
+    assert sender.metrics.value("fast_retransmits") == 0
     assert retx == []
-    assert sender.counters.get("stale_acks") == 5
+    assert sender.metrics.value("stale_acks") == 5
 
 
 def test_window_waiters_wake_in_fifo_order():
@@ -489,8 +489,8 @@ def test_duplicate_of_stashed_packet_counts_as_duplicate():
     receiver, delivered, acks = make_receiver(env, ack_every=10)
     receiver.on_packet(2, "c")
     receiver.on_packet(2, "c")  # wire duplication of a stashed frame
-    assert receiver.counters.get("stashed") == 1
-    assert receiver.counters.get("duplicates") == 1
+    assert receiver.metrics.value("stashed") == 1
+    assert receiver.metrics.value("duplicates") == 1
     assert delivered == []
 
 
@@ -500,7 +500,7 @@ def test_max_stash_high_water_mark():
     for seq in (3, 1, 2):
         receiver.on_packet(seq, seq)
     assert receiver.max_stash == 3
-    assert receiver.counters.level("max_stash") == 3
+    assert receiver.metrics.value("max_stash") == 3
     receiver.on_packet(0, 0)  # drains the stash completely
     assert delivered == [0, 1, 2, 3]
     assert receiver.max_stash == 3  # high-water mark survives the drain

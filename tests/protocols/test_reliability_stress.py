@@ -95,7 +95,7 @@ def test_exactly_once_in_order_under_loss_reorder_dup(seeded_rng, trial):
     assert delivered == list(range(total))  # exactly once, in order
     assert sender.in_flight == 0
     assert channel.dropped > 0  # the channel was actually hostile
-    assert receiver.counters.get("duplicates") + receiver.counters.get("stashed") > 0
+    assert receiver.metrics.value("duplicates") + receiver.metrics.value("stashed") > 0
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -104,7 +104,7 @@ def test_retransmissions_bounded(seeded_rng, trial):
     down: bound total (re)transmissions by a window's worth per drop."""
     total = 60
     sender, receiver, channel, delivered = _run_stress(seeded_rng(trial), total=total)
-    resent = sender.counters.get("retransmitted") + sender.counters.get("fast_retransmits")
+    resent = sender.metrics.value("retransmitted") + sender.metrics.value("fast_retransmits")
     budget = (channel.dropped + channel.duplicated + 1) * sender.window
     assert resent <= budget
     assert delivered == list(range(total))
@@ -114,5 +114,5 @@ def test_stress_deterministic_per_seed(seeded_rng):
     a = _run_stress(seeded_rng())
     b = _run_stress(seeded_rng())
     assert a[3] == b[3]
-    assert a[0].counters.get("retransmitted") == b[0].counters.get("retransmitted")
+    assert a[0].metrics.value("retransmitted") == b[0].metrics.value("retransmitted")
     assert a[2].dropped == b[2].dropped

@@ -56,7 +56,7 @@ def test_tcp_segments_to_mss():
     cluster.env.run(cluster.env.all_of([da, db]))
     mss = 1500 - 40
     expected = -(-10_000 // mss)
-    assert sa.conn.counters.get("segments_tx") == expected
+    assert sa.conn.counters["segments_tx"] == expected
 
 
 def test_tcp_bidirectional():
@@ -140,7 +140,7 @@ def test_tcp_reliability_under_loss():
     da, db = p0.run(a), p1.run(b)
     cluster.env.run(cluster.env.all_of([da, db]))
     assert db.value == 200_000
-    assert sa.conn.counters.get("segments_retx") > 0
+    assert sa.conn.counters["segments_retx"] > 0
 
 
 def test_tcp_duplicate_conn_id_rejected():
@@ -166,8 +166,7 @@ def test_tcp_headers_count_on_wire():
     da, db = p0.run(a), p1.run(b)
     cluster.env.run(cluster.env.all_of([da, db]))
     # One data frame with 1460 + 20 (TCP) + 20 (IP) payload bytes.
-    nic = cluster.nodes[0].nics[0]
-    assert nic.counters.get("tx_bytes") >= 1_500
+    assert cluster.metrics.value("node0.nic0.tx_bytes") >= 1_500
 
 
 def test_udp_datagram_roundtrip():
@@ -206,7 +205,7 @@ def test_udp_fragments_over_mtu():
     da, db = p0.run(a), p1.run(b)
     cluster.env.run(cluster.env.all_of([da, db]))
     assert db.value == 60_000
-    assert cluster.nodes[0].tcp.ip.counters.get("fragments_tx") > 1
+    assert cluster.nodes[0].tcp.ip.counters["fragments_tx"] > 1
 
 
 def test_udp_nonblocking_recv():

@@ -5,8 +5,12 @@ it with minimal stubs and check one boundary per test: each fallback
 reason, the batch-size clamp, and the express-ack gate.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.sim.flowmode import FlowModeController, FlowRoute
 
 
@@ -27,19 +31,11 @@ class _Faults:
         return self._quiet
 
 
-class _Counters:
-    def __init__(self):
-        self.values = {}
-
-    def add(self, name, value=1):
-        self.values[name] = self.values.get(name, 0) + value
-
-
 class _Channel:
     def __init__(self, idle=True, faults=None):
         self.idle = idle
         self.faults = faults
-        self.counters = _Counters()
+        self.counters = Counter()
 
 
 class _Port:
@@ -53,7 +49,6 @@ class _Nic:
         self._headroom = headroom
         self.mac = mac
         self.received = []
-        self.counters = _Counters()
 
     def rx_headroom(self):
         return self._headroom
@@ -200,15 +195,15 @@ def test_hop_clear_requires_idle_path():
 
 
 def test_complete_hop_balances_conservation_counters():
-    switch_counters = _Counters()
-    route = _route(switch_counters=switch_counters)
+    switch = SimpleNamespace(name="switch", metrics=MetricsRegistry())
+    route = _route(switch=switch)
     frame = _Frame(train_frames=8, payload_bytes=8 * 1500)
     route.complete_hop(frame)
     for channel in (route.up, route.down):
-        assert channel.counters.values["frames_offered"] == 8
-        assert channel.counters.values["frames"] == 8
-        assert channel.counters.values["bytes"] == 8 * 1500
-    assert switch_counters.values["forwarded"] == 8
+        assert channel.counters["frames_offered"] == 8
+        assert channel.counters["frames"] == 8
+        assert channel.counters["bytes"] == 8 * 1500
+    assert switch.metrics.value("switch.forwarded") == 8
     assert route.dst_nic.received == [frame]
 
 

@@ -1,9 +1,9 @@
-"""Tests for instant tracing, counters, busy tracking, and RNG streams."""
+"""Tests for instant tracing, busy tracking, and RNG streams."""
 
 import pytest
 
 from repro.obs import Tracer
-from repro.sim import BusyTracker, Counters, Environment, RngStreams
+from repro.sim import BusyTracker, Environment, RngStreams
 
 
 def test_trace_disabled_records_nothing():
@@ -31,19 +31,6 @@ def test_trace_filter_by_source_and_event():
     assert tracer.instants(k=1)[0].time == 1
     tracer.clear()
     assert tracer.instants() == []
-
-
-def test_counters_accumulate_and_snapshot():
-    c = Counters()
-    c.add("x")
-    c.add("x", 2)
-    c.add("y", 0.5)
-    assert c["x"] == 3
-    assert c.get("missing") == 0
-    snap = c.snapshot()
-    assert snap == {"x": 3, "y": 0.5}
-    c.reset()
-    assert c.get("x") == 0
 
 
 def test_busy_tracker_integrates_intervals():

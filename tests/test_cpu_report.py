@@ -40,7 +40,7 @@ def test_cpu_breakdown_aggregates_work_labels():
 def test_breakdown_ignores_non_work_counters():
     env = Environment()
     cpu = Cpu(env, CpuParams())
-    cpu.counters.add("preemptions", 5)
+    cpu.counters["preemptions"] += 5
     assert cpu_breakdown(cpu) == {}
 
 
@@ -87,5 +87,5 @@ def test_occupy_time_is_labeled():
         yield from cpu.occupy(inner(env), label="drv_rx_dma")
 
     env.run(env.process(work(env)))
-    assert cpu.counters.get("work.drv_rx_dma") == 777
+    assert cpu.counters["work.drv_rx_dma"] == 777
     assert cpu_breakdown(cpu)["driver rx"] == 777

@@ -35,7 +35,7 @@ def test_all_pairs_completes():
     finish = all_pairs(cluster, nbytes=50_000)
     assert finish > 0
     # Every node sent to every other: 12 messages total.
-    total_msgs = sum(n.clic.counters.get("msgs_sent") for n in cluster.nodes)
+    total_msgs = sum(cluster.metrics.value(f"{n.name}.clic.msgs_sent") for n in cluster.nodes)
     assert total_msgs == 12
 
 
