@@ -177,8 +177,6 @@ class Cluster:
 
         self._attach_protocols()
 
-        #: hybrid flow/packet engine (None unless ``sim.flow_mode="auto"``)
-        self.flow = None
         sim = getattr(self.cfg, "sim", None)
         if (
             sim is not None
@@ -271,10 +269,11 @@ class Cluster:
         """Build the hybrid-engine controller and register flow routes.
 
         Routes exist only between single-NIC endpoints (channel bonding
-        always takes the exact per-packet path) and are wired with a
-        live view of the destination's reorder stash, so the
-        controller's eligibility checks read the same state the exact
-        simulation would.
+        always takes the exact per-packet path).  Each route holds the
+        destination's CLIC module, so the controller's eligibility checks
+        read the same reorder-stash state the exact simulation would, and
+        the closed-form ack latency composed here from the per-node
+        hardware parameters.
 
         Flow routes are derived for the single-switch fabric only: a
         multi-switch path has per-trunk queueing the closed-form route
@@ -282,20 +281,12 @@ class Cluster:
         ``topology_known=False`` and every train falls back to the
         exact per-packet engine (counted as ``fallback_unknown_topology``).
         """
-        from ..hw.nic.frames import payload_time_ns
         from ..protocols.headers import ClicAck
         from ..sim import FlowModeController, FlowRoute
 
-        sim = self.cfg.sim
-        controller = FlowModeController(
-            min_train=sim.flow_min_train,
-            max_train=sim.flow_max_train,
-            horizon_ns=sim.flow_horizon_ns,
-            topology_known=not self.fabric.multi_switch,
-        )
+        controller = FlowModeController(topology_known=not self.fabric.multi_switch)
+        self.env.flow = controller
         if self.fabric.multi_switch:
-            self.env.flow = controller
-            self.flow = controller
             return
         for src in self.nodes:
             if len(src.nics) != 1:
@@ -305,21 +296,6 @@ class Cluster:
                     continue
                 up = self._chan_map[(src.node_id, 0, "up")]
                 down = self._chan_map[(dst.node_id, 0, "down")]
-                route = FlowRoute(
-                    up=up,
-                    down=down,
-                    port=self._port_map[(dst.node_id, 0)],
-                    src_nic=src.nics[0],
-                    dst_nic=dst.nics[0],
-                    rx_budget=dst.drivers[0].params.rx_budget_per_irq,
-                    dst_coalescing=dst.nics[0].params.coalescing_enabled,
-                    forward_ns=self.switch.forward_ns,
-                    switch=self.switch,
-                )
-                route.stash_depth = (
-                    lambda module=dst.clic, peer=src.node_id:
-                    module.reorder_stash_depth(peer)
-                )
                 # Closed-form one-way flight time of a cumulative ack
                 # along this route, composed from the same per-stage
                 # parameters the packet path charges: tx DMA + firmware,
@@ -330,13 +306,13 @@ class Cluster:
                 ack_bytes = src.clic.params.header_bytes + ClicAck.WIRE_BYTES
                 dst_nic = dst.nics[0]
                 dst_drv = dst.drivers[0]
-                route.ack_latency_ns = (
+                ack_latency_ns = (
                     src.nics[0].pci.transfer_time(ack_bytes)
                     + src.nics[0].params.frame_processing_ns
-                    + payload_time_ns(ack_bytes, up.params)
+                    + up.params.payload_time_ns(ack_bytes)
                     + up.params.propagation_ns
                     + self.switch.forward_ns
-                    + payload_time_ns(ack_bytes, down.params)
+                    + down.params.payload_time_ns(ack_bytes)
                     + down.params.propagation_ns
                     + dst_nic.params.frame_processing_ns
                     + (dst_nic.params.coalesce_timeout_ns
@@ -348,19 +324,21 @@ class Cluster:
                     + dst.kernel.params.bottom_half_dispatch_ns
                     + dst.clic.params.module_rx_ns
                 )
-
-                def _deliver_ack(cum, route=route, peer=src.node_id,
-                                 module=dst.clic, nbytes=ack_bytes):
-                    route.credit_hop(1, nbytes)
-                    dst_nic = route.dst_nic
-                    dst_nic.metrics.counter(f"{dst_nic.name}.rx_frames").value += 1
-                    dst_nic.metrics.counter(f"{dst_nic.name}.rx_bytes").value += nbytes
-                    module.receive_ack_express(peer, cum)
-
-                route.deliver_ack = _deliver_ack
-                controller.register_route(src.node_id, dst.node_id, route)
-        self.env.flow = controller
-        self.flow = controller
+                controller.register_route(src.node_id, dst.node_id, FlowRoute(
+                    up=up,
+                    down=down,
+                    port=self._port_map[(dst.node_id, 0)],
+                    switch=self.switch,
+                    src_nic=src.nics[0],
+                    src_driver=src.drivers[0],
+                    dst_nic=dst_nic,
+                    rx_budget=dst_drv.params.rx_budget_per_irq,
+                    dst_coalescing=dst_nic.params.coalescing_enabled,
+                    module=dst.clic,
+                    peer=src.node_id,
+                    ack_bytes=ack_bytes,
+                    ack_latency_ns=ack_latency_ns,
+                ))
 
     # -- conveniences ----------------------------------------------------------
     def node(self, node_id: int) -> Node:

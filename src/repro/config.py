@@ -120,6 +120,14 @@ class LinkParams:
     #: one-way propagation + switch port latency, ns
     propagation_ns: float = 500.0
 
+    def payload_time_ns(self, payload_bytes: int) -> float:
+        """Serialization time of one frame carrying ``payload_bytes``
+        (preamble, MAC header, CRC, minimum frame and IFG included) —
+        the flow-mode engine's closed-form per-frame wire time."""
+        mac_frame = self.mac_header_bytes + payload_bytes + self.crc_bytes
+        mac_frame = max(mac_frame, self.min_frame_bytes)
+        return (self.preamble_bytes + mac_frame + self.ifg_bytes) * 8 / self.rate_bps * 1e9
+
 
 @dataclass(frozen=True)
 class NicParams:
@@ -390,16 +398,6 @@ class SimParams:
 
     #: ``"off"`` (exact, the reference) | ``"auto"`` (hybrid fast path)
     flow_mode: str = "off"
-    #: smallest batch worth the batching bookkeeping; below this the
-    #: per-packet path is used
-    flow_min_train: int = 4
-    #: largest batch advanced as one analytic step (kept at the driver's
-    #: per-IRQ rx budget so a train is consumed by a single interrupt)
-    flow_max_train: int = 16
-    #: lookahead used to prove a train's transit quiet: no scheduled
-    #: fault/blackout/congestion window may intersect
-    #: ``[now, now + horizon)`` for the fast path to engage
-    flow_horizon_ns: float = 10_000_000.0
 
 
 @dataclass(frozen=True)

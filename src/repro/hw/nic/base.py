@@ -41,7 +41,7 @@ from ..pci import PciBus
 if TYPE_CHECKING:  # pragma: no cover - import cycle: link.py needs frames.py
     from ..link import Channel
 from .frames import (EtherType, Frame, MacAddress, max_payload,
-                     payload_time_ns, split_train)
+                     split_train)
 from .interrupts import InterruptCoalescer
 
 __all__ = ["TxDescriptor", "RxFrame", "Nic"]
@@ -300,16 +300,7 @@ class Nic:
                         self.metrics.counter(f"{self.name}.tx_zero_copy").value += k
                     self.metrics.counter(f"{self.name}.tx_frames").value += k
                     self.metrics.counter(f"{self.name}.tx_bytes").value += desc.payload_bytes
-                    latency = (
-                        payload_time_ns(per_frame, route.up.params)
-                        + route.up.params.propagation_ns
-                        + route.forward_ns
-                        + payload_time_ns(per_frame, route.down.params)
-                        + route.down.params.propagation_ns
-                    )
-                    self.env.call_later(
-                        latency, lambda f=frame, r=route: r.complete_hop(f)
-                    )
+                    route.carry(frame)
                     span.end(frames=k, analytic=True)
                     continue
                 # Exact-resource train path: one bus-master burst charging
@@ -451,10 +442,7 @@ class Nic:
             self.rx_buffer_peak = self._rx_occ
             self.metrics.gauge(f"{self.name}.rx_buffer_peak").set(self.rx_buffer_peak)
         span.end()
-        if k > 1:
-            self.coalescer.note_train(k)
-        else:
-            self.coalescer.note_frame()
+        self.coalescer.note_frame(k)
 
     def _assert_irq(self) -> None:
         self.metrics.counter(f"{self.name}.irqs_asserted").value += 1

@@ -23,7 +23,6 @@ __all__ = [
     "Frame",
     "wire_bytes",
     "frame_time_ns",
-    "payload_time_ns",
     "max_payload",
     "split_train",
 ]
@@ -114,18 +113,6 @@ def wire_bytes(frame: Frame, link: LinkParams) -> int:
 def frame_time_ns(frame: Frame, link: LinkParams) -> float:
     """Serialization time of the frame at the link rate."""
     return wire_bytes(frame, link) * 8 / link.rate_bps * 1e9
-
-
-def payload_time_ns(payload_bytes: int, link: LinkParams) -> float:
-    """Serialization time of one frame carrying ``payload_bytes``.
-
-    Same framing arithmetic as :func:`wire_bytes` without needing a
-    :class:`Frame` object — used by the flow-mode engine to compute
-    closed-form hop latencies.
-    """
-    mac_frame = link.mac_header_bytes + payload_bytes + link.crc_bytes
-    mac_frame = max(mac_frame, link.min_frame_bytes)
-    return (link.preamble_bytes + mac_frame + link.ifg_bytes) * 8 / link.rate_bps * 1e9
 
 
 def split_train(frame: Frame) -> list:

@@ -44,33 +44,18 @@ class InterruptCoalescer:
         """Frames noted since the last IRQ assert."""
         return self._pending
 
-    def note_frame(self) -> None:
-        """NIC-side: one more received frame awaits service."""
-        self._pending += 1
-        self.counters["frames_noted"] += 1
-        if self._in_service:
-            # The driver's drain loop will pick it up; no new IRQ.
-            return
-        if not self.params.coalescing_enabled:
-            self._fire()
-            return
-        if self._pending >= self.params.coalesce_frames:
-            self._fire()
-        elif self._timer is None:
-            self._start_timer()
+    def note_frame(self, k: int = 1) -> None:
+        """NIC-side: ``k`` more received frames await service.
 
-    def note_train(self, k: int) -> None:
-        """NIC-side: a flow-mode train of ``k`` frames awaits service.
-
-        Batch accounting for the closed-form path: the ``k`` frames
-        land at once, so the frame-count threshold is evaluated once
-        against the whole batch instead of ``k`` times — one IRQ per
-        train when ``k`` meets the threshold, exactly what ``k``
-        back-to-back :meth:`note_frame` calls would have produced.
+        A flow-mode train lands its ``k`` frames at once, so the
+        frame-count threshold is evaluated once against the whole batch
+        — one IRQ per train when ``k`` meets the threshold, exactly what
+        ``k`` back-to-back single-frame calls would have produced.
         """
         self._pending += k
         self.counters["frames_noted"] += k
         if self._in_service:
+            # The driver's drain loop will pick it up; no new IRQ.
             return
         if not self.params.coalescing_enabled:
             self._fire()

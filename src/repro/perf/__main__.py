@@ -8,10 +8,6 @@
   ``MICRO_<rev>.json`` (see :mod:`repro.perf.micro`);
 * ``diff A B`` compares two run/bench JSON documents metric-by-metric
   and exits 1 when anything moved beyond tolerance;
-* ``flowdiff`` runs the bulk point under both simulator engines
-  (``flow_mode`` off/auto), writes the :class:`~repro.obs.RunDiff`
-  comparison document, and exits 1 if the hybrid engine moved the
-  physics beyond tolerance (the CI flow-vs-packet artifact);
 * ``check [CANDIDATE]`` gates a bench document against the committed
   baseline and exits 1 on regression (``--warn-only`` downgrades
   failures to warnings for first-landing workflows);
@@ -29,8 +25,7 @@ import sys
 from typing import Optional
 
 from ..parallel import add_jobs_argument, resolve_jobs
-from .bench import (BASELINE_PATH, SCENARIOS, flow_packet_diff, run_bench,
-                    write_bench)
+from .bench import BASELINE_PATH, SCENARIOS, run_bench, write_bench
 from .check import check_bench, load_bench, report, scenario_scorecards
 from .micro import run_micro
 
@@ -75,25 +70,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     print(diff.report(only_changes=not args.all,
                       title=f"Run diff: {args.a} -> {args.b}"))
     return 0 if diff.within_tolerance() else 1
-
-
-def _cmd_flowdiff(args: argparse.Namespace) -> int:
-    doc = flow_packet_diff(nbytes=args.nbytes, messages=args.messages,
-                           tolerance=args.tolerance)
-    write_bench(doc, args.output)
-    print(doc["report"])
-    print(f"event reduction: {doc['event_reduction']:.2f}x "
-          f"({doc['runs']['off']['events_processed']} -> "
-          f"{doc['runs']['auto']['events_processed']} events)")
-    print(f"wrote {args.output}")
-    if not doc["within_tolerance"]:
-        drifted = [d["key"] for d in doc["physics"] if d["status"] != "same"]
-        print(f"FAIL: flow engine moved physics beyond "
-              f"{args.tolerance:.0%}: {', '.join(drifted)}", file=sys.stderr)
-        return 1
-    print(f"flow engine agrees with the exact engine within "
-          f"{args.tolerance:.0%}", file=sys.stderr)
-    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -206,21 +182,6 @@ def main(argv: Optional[list] = None) -> int:
     diff.add_argument("--all", action="store_true",
                       help="show every compared metric, not only changes")
     diff.set_defaults(func=_cmd_diff)
-
-    flowdiff = sub.add_parser(
-        "flowdiff",
-        help="flow-vs-packet RunDiff artifact for the bulk point")
-    flowdiff.add_argument("-o", "--output", metavar="PATH",
-                          default="flow-vs-packet.json",
-                          help="output path (default flow-vs-packet.json)")
-    flowdiff.add_argument("--nbytes", type=int, default=1_000_000,
-                          help="bytes per message (default 1000000)")
-    flowdiff.add_argument("--messages", type=int, default=8,
-                          help="messages in the stream (default 8)")
-    flowdiff.add_argument("--tolerance", type=float, default=0.05,
-                          help="relative tolerance on the physics keys "
-                               "(default 0.05)")
-    flowdiff.set_defaults(func=_cmd_flowdiff)
 
     check = sub.add_parser("check", help="gate a bench run against the baseline")
     check.add_argument("candidate", nargs="?", default=None,

@@ -35,7 +35,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "SCENARIOS",
     "current_rev",
-    "flow_packet_diff",
     "run_bench",
     "write_bench",
 ]
@@ -467,84 +466,3 @@ def write_bench(doc: Dict[str, Any], path: str) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def flow_packet_diff(nbytes: int = 1_000_000, messages: int = 8,
-                     tolerance: float = FLOWMODE_BW_TOLERANCE) -> Dict[str, Any]:
-    """:class:`~repro.obs.RunDiff` document: one bulk run, both engines.
-
-    Runs the bulk-flowmode point under ``flow_mode="off"`` and
-    ``"auto"`` and splits the comparison in two, matching the engine's
-    contract:
-
-    * ``physics`` — transfer result and protocol conservation counters,
-      which must agree within ``tolerance`` (``within_tolerance`` is
-      the verdict CI gates on);
-    * ``report`` — the full metric-by-metric diff, informational only:
-      event-granularity counters (IRQs, timer pops, ack frames)
-      legitimately collapse by ~an order of magnitude in flow mode.
-    """
-    from dataclasses import replace
-
-    from ..cluster import Cluster
-    from ..config import MTU_STANDARD, granada2003
-    from ..obs import RunDiff
-    from ..workloads import clic_pair, stream
-
-    #: metric-snapshot keys the flow engine must conserve exactly
-    physics_metrics = (
-        "node0.clic.bytes_sent", "node1.clic.bytes_rx",
-        "node0.clic.pkts_tx", "node1.clic.pkts_rx",
-        "node0.nic0.tx_frames", "node1.nic0.rx_frames",
-    )
-
-    runs: Dict[str, Dict[str, Any]] = {}
-    for mode in ("off", "auto"):
-        cfg = replace(granada2003(mtu=MTU_STANDARD),
-                      profile=True).with_flow_mode(mode)
-        cluster = Cluster(cfg, protocols=("clic",))
-        res = stream(cluster, clic_pair(), nbytes, messages=messages)
-        snap = cluster.metrics.snapshot()
-        runs[mode] = {
-            "result": {
-                "bandwidth_mbps": res.bandwidth_mbps,
-                "elapsed_ns": res.elapsed_ns,
-                "nbytes_total": res.nbytes_total,
-            },
-            "events_processed": cluster.env.profiler.events_processed,
-            "metrics": jsonable(snap),
-            "flow": dict(cluster.env.flow.counters) if cluster.env.flow else {},
-        }
-
-    def physics_view(run: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "result": run["result"],
-            "conservation": {k: run["metrics"].get(k)
-                             for k in physics_metrics},
-        }
-
-    physics = RunDiff(physics_view(runs["off"]), physics_view(runs["auto"]),
-                      tolerance=tolerance)
-    full = RunDiff(
-        {k: runs["off"][k] for k in ("result", "events_processed", "metrics")},
-        {k: runs["auto"][k] for k in ("result", "events_processed", "metrics")},
-        tolerance=tolerance)
-    return jsonable({
-        "schema": "repro.flowdiff/1",
-        "a": "flow_mode=off",
-        "b": "flow_mode=auto",
-        "message_bytes": nbytes,
-        "messages": messages,
-        "tolerance": tolerance,
-        "event_reduction": (runs["off"]["events_processed"]
-                            / runs["auto"]["events_processed"]),
-        "within_tolerance": physics.within_tolerance(),
-        "runs": runs,
-        "physics": [
-            {"key": d.key, "a": d.a, "b": d.b, "status": d.status}
-            for d in physics.deltas
-        ],
-        "report": full.report(
-            only_changes=False,
-            title="flow-vs-packet: flow_mode=off -> auto"),
-    })

@@ -204,7 +204,7 @@ class ClicModule:
     def reorder_stash_depth(self, src_node: int) -> int:
         """Out-of-order stash occupancy for the channel from ``src_node``
         (0 when the channel does not exist yet) — flow-mode eligibility
-        consults this through :attr:`FlowRoute.stash_depth`."""
+        consults this through :class:`~repro.sim.flowmode.FlowRoute`."""
         receiver = self._receivers.get(src_node)
         return receiver.stash_depth if receiver is not None else 0
 
@@ -311,8 +311,8 @@ class ClicModule:
                         tag=tag,
                         payload=payload,
                     ))
-                for pkt, seq in zip(packets, sender.register_train(packets)):
-                    pkt.seq = seq
+                for pkt in packets:
+                    pkt.seq = sender.register(pkt)
                 train = ClicTrain(packets=tuple(packets), frag_bytes=frag_max)
                 yield from self._tx_train(train, dst_node)
                 index += k
@@ -502,26 +502,17 @@ class ClicModule:
             if route is not None:
                 # Flow-mode express lane: the whole reverse path is
                 # provably quiet, so charge the same local CPU work in
-                # one slice and advance the ack with one closed-form
-                # timer.  Conservation counters along the path are
-                # bumped by the route's delivery hook; cumulative-ack
-                # semantics tolerate any reordering against exact-path
-                # acks.
+                # one slice; the route times the ack with one
+                # closed-form timer and credits every hop's counters.
+                # Cumulative-ack semantics tolerate any reordering
+                # against exact-path acks.
                 driver = self.node.drivers[0]
                 yield from cpu.execute(
                     self.params.module_tx_ns / 2 + driver.params.tx_call_ns,
                     PRIO_SOFTIRQ, label="clic_ack_tx",
                 )
-                ack_bytes = ClicAck.WIRE_BYTES + self.params.header_bytes
-                nic = self.node.nics[0]
-                self.metrics.counter(f"{nic.name}.tx_frames").value += 1
-                self.metrics.counter(f"{nic.name}.tx_bytes").value += ack_bytes
-                self.metrics.counter(f"{driver.name}.tx_accepted").value += 1
                 self.metrics.counter(f"{self.scope}.acks_tx").value += 1
-                deliver = route.deliver_ack
-                cum = cumulative_seq
-                self.env.call_later(route.ack_latency_ns,
-                                    lambda: deliver(cum))
+                route.send_ack(cumulative_seq)
                 return
             yield from cpu.execute(self.params.module_tx_ns / 2, PRIO_SOFTIRQ, label="clic_ack_tx")
             ack = ClicAck(src_node=self.node_id, dst_node=dst_node, cumulative_seq=cumulative_seq)
@@ -535,15 +526,15 @@ class ClicModule:
 
         self.env.process(_do(), name=f"{self.node.name}.clic.ack")
 
-    def receive_ack_express(self, src_node: int, cumulative_seq: int) -> None:
-        """Terminal hook of the flow-mode ack express lane.
+    def receive_ack(self, src_node: int, cumulative_seq: int) -> None:
+        """Apply a cumulative ack from ``src_node`` to our sender.
 
-        Invoked by :attr:`FlowRoute.deliver_ack` once the closed-form
-        flight time has elapsed; applies the ack with the exact same
-        sender-side semantics as the packet path.
+        Shared by the packet path and the flow-mode express lane
+        (:meth:`FlowRoute.send_ack <repro.sim.flowmode.FlowRoute.send_ack>`),
+        so both apply the same sender-side semantics.
         """
-        self.metrics.counter(f"{self.scope}.acks_rx").value += 1
         self._sender(src_node).on_ack(cumulative_seq)
+        self.metrics.counter(f"{self.scope}.acks_rx").value += 1
 
     # ------------------------------------------------------------------
     # receive path (bottom-half or direct-IRQ context)
@@ -562,9 +553,9 @@ class ClicModule:
                                    label="clic_rx")
             for pkt in item.packets:
                 pkt._direct_delivery = skb.direct_delivery
-            self._receiver(item.packets[0].src_node).on_train(
-                (pkt.seq, pkt) for pkt in item.packets
-            )
+            receiver = self._receiver(item.packets[0].src_node)
+            for pkt in item.packets:
+                receiver.on_packet(pkt.seq, pkt)
             if self._rx_ready:
                 # Drain in place: the receiver holds a bound ``append`` of
                 # this exact list object, so rebinding would orphan it.
@@ -575,8 +566,7 @@ class ClicModule:
             return
         yield from cpu.execute(self.params.module_rx_ns, PRIO_SOFTIRQ, label="clic_rx")
         if isinstance(item, ClicAck):
-            self._sender(item.src_node).on_ack(item.cumulative_seq)
-            self.metrics.counter(f"{self.scope}.acks_rx").value += 1
+            self.receive_ack(item.src_node, item.cumulative_seq)
             span.end(kind="ack")
             return
         if not isinstance(item, ClicPacket):

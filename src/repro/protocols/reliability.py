@@ -27,7 +27,7 @@ ack (CPU, PCI, wire) is charged through the normal send path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Set
 
 from ..obs import MetricsRegistry
 from ..sim import Environment, Event, TimerHandle
@@ -314,16 +314,6 @@ class WindowedSender:
             self._start_timer()
         return seq
 
-    def register_train(self, packets: Iterable[Any]) -> List[int]:
-        """Register a flow-mode train: one sequence per packet, in order.
-
-        Pure function calls — semantically identical to ``register``
-        per packet (probe events, timer arming and counters included),
-        so a batched send stays observable and auditable packet by
-        packet through the :class:`ChannelProbe` seam.
-        """
-        return [self.register(packet) for packet in packets]
-
     @property
     def retransmitting(self) -> bool:
         """True while any in-flight packet's RTT is retransmission-
@@ -570,17 +560,6 @@ class OrderedReceiver:
         reads this: a non-empty stash means reordering is being
         repaired, which forces exact per-packet simulation)."""
         return len(self._stash)
-
-    def on_train(self, packets: Iterable[Tuple[int, Any]]) -> None:
-        """Consume a flow-mode train of ``(seq, packet)`` pairs.
-
-        A plain loop over :meth:`on_packet` — pure function calls, no
-        events — so delivery order, duplicate suppression, ack cadence
-        (including ``ack_every`` boundaries crossing mid-train) and
-        probe traffic are exactly what per-packet arrival produces.
-        """
-        for seq, packet in packets:
-            self.on_packet(seq, packet)
 
     def _already_delivered(self, seq: int) -> bool:
         """True when ``seq`` was already handed to the application.

@@ -1,4 +1,4 @@
-"""Hybrid flow/packet engine: eligibility oracle for bulk-train batching.
+"""Hybrid flow/packet engine: eligibility and the analytic lanes.
 
 The perf profile of a bulk transfer is one event per frame per hop —
 NIC tx pump, wire, switch forward, egress wire, NIC rx, IRQ, bottom
@@ -13,14 +13,17 @@ slots, one coalesced interrupt).  Frames only materialize individually
 at protocol-relevant boundaries: window edges, scheduled fault windows,
 switch contention, reorder stash occupancy, ack cadence.
 
-:class:`FlowModeController` owns *eligibility*.  It never touches the
-hardware models directly (this module stays import-free of ``hw`` and
-``protocols``; everything is duck-typed), it only answers one question:
-"may the next ``k`` full-size fragments of this flow advance as one
-train, starting now?"  Anything it cannot prove quiet forces the exact
-per-packet path for the affected flow — and because the answer is
-re-evaluated per train, the fast path re-engages seamlessly once the
-disturbance has passed.
+:class:`FlowModeController` owns *eligibility*: "may the next ``k``
+full-size fragments of this flow advance as one train, starting now?"
+and "may this ack skip the event-level transit?"  Anything it cannot
+prove quiet forces the exact per-packet path for the affected flow — and
+because the answer is re-evaluated per train, the fast path re-engages
+seamlessly once the disturbance has passed.
+
+:class:`FlowRoute` owns the two *analytic lanes*: it times the train hop
+and the express ack and credits every counter they bypass.  This module
+stays import-free of ``hw``, ``protocols`` and ``cluster``; the hardware
+and protocol objects a route holds are duck-typed.
 
 The controller is installed on :attr:`Environment.flow
 <repro.sim.Environment>` by the cluster builder when
@@ -31,9 +34,22 @@ pre-hybrid simulator.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["FlowModeController", "FlowRoute"]
+__all__ = ["FlowModeController", "FlowRoute", "HORIZON_NS", "MAX_TRAIN",
+           "MIN_TRAIN"]
+
+#: smallest batch worth the batching bookkeeping; below it the
+#: per-packet path is used
+MIN_TRAIN = 4
+#: largest batch one analytic step advances (the driver's per-IRQ rx
+#: budget, so a train is consumed by a single interrupt)
+MAX_TRAIN = 16
+#: lookahead that proves a transit quiet: no scheduled fault, blackout or
+#: congestion window may intersect ``[now, now + HORIZON_NS)``
+HORIZON_NS = 10_000_000.0
 
 
 def _windows_quiet(windows, start: float, end: float) -> bool:
@@ -45,53 +61,60 @@ def _windows_quiet(windows, start: float, end: float) -> bool:
 
 
 class FlowRoute:
-    """Everything the controller must inspect along one (src, dst) path.
+    """One (src, dst) path and the two analytic lanes that cross it.
 
     Built by the cluster wiring (single-NIC endpoints only — channel
     bonding always takes the exact path).  All attributes are duck-typed
-    references into the hardware graph; the controller only reads them.
+    references into the hardware graph.  The route is the only code that
+    knows how a lane is timed and which counters it credits:
+
+    * the **train hop** (:meth:`carry`): an eligible train leaving
+      ``src_nic`` lands on ``dst_nic`` after wire -> switch -> wire as
+      one closed-form timer;
+    * the **express ack** (:meth:`send_ack`): a cumulative ack sent
+      from ``src`` lands on ``module`` (dst's protocol module) after
+      ``ack_latency_ns`` as one closed-form timer.
     """
 
-    __slots__ = ("up", "down", "port", "src_nic", "dst_nic",
-                 "rx_budget", "dst_coalescing", "stash_depth",
-                 "forward_ns", "switch", "ack_latency_ns",
-                 "deliver_ack")
+    __slots__ = ("env", "up", "down", "port", "switch", "src_nic",
+                 "src_driver", "dst_nic", "rx_budget", "dst_coalescing",
+                 "module", "peer", "ack_bytes", "ack_latency_ns")
 
-    def __init__(self, up: Any, down: Any, port: Any, src_nic: Any,
-                 dst_nic: Any, rx_budget: int, dst_coalescing: bool,
-                 forward_ns: float = 0.0, switch: Any = None,
-                 ack_latency_ns: float = 0.0):
+    def __init__(self, up: Any, down: Any, port: Any, switch: Any,
+                 src_nic: Any, src_driver: Any, dst_nic: Any,
+                 rx_budget: int, dst_coalescing: bool, module: Any,
+                 peer: int, ack_bytes: int, ack_latency_ns: float):
+        self.env = src_nic.env
         #: src NIC -> switch channel
         self.up = up
         #: switch -> dst NIC channel
         self.down = down
         #: the switch egress port feeding ``down``
         self.port = port
+        #: the switch (store-and-forward latency; ``forwarded`` counter)
+        self.switch = switch
         self.src_nic = src_nic
+        #: src driver (an express ack is accepted by it, closed-form)
+        self.src_driver = src_driver
         self.dst_nic = dst_nic
         #: dst driver's per-IRQ rx budget (a train must fit one IRQ)
         self.rx_budget = rx_budget
         #: dst NIC interrupt coalescing enabled (without it the per-frame
         #: IRQ cadence is itself the protocol-relevant boundary)
         self.dst_coalescing = dst_coalescing
-        #: zero-arg callable: the dst reorder stash depth for this flow
-        #: (assigned once the protocol layer is attached; a non-empty
-        #: stash means in-flight reordering is being repaired)
-        self.stash_depth = lambda: 0
-        #: switch store-and-forward latency for the analytic hop
-        self.forward_ns = forward_ns
-        #: the switch (its ``forwarded`` counter is bumped closed-form)
-        self.switch = switch
+        #: dst protocol module: its reorder stash for ``peer`` gates
+        #: trains, and it applies express acks from ``peer``
+        self.module = module
+        #: the src node id, as ``module`` knows it
+        self.peer = peer
+        #: wire payload of a cumulative-ack frame
+        self.ack_bytes = ack_bytes
         #: closed-form one-way latency of a cumulative-ack frame along
         #: this route (computed once by the cluster wiring from the
         #: per-node hardware parameters)
         self.ack_latency_ns = ack_latency_ns
-        #: one-arg callable delivering an express ack (cumulative seq)
-        #: to the peer module, bumping conservation counters on the way
-        #: (assigned by the cluster wiring)
-        self.deliver_ack = None
 
-    # -- analytic hop ----------------------------------------------------
+    # -- train hop -------------------------------------------------------
     def hop_clear(self) -> bool:
         """May a train skip the wire/switch event machinery right now?
 
@@ -102,6 +125,24 @@ class FlowRoute:
         the exact resource walk.
         """
         return self.up.idle and self.down.idle and self.port.occupancy == 0
+
+    def carry(self, frame: Any) -> None:
+        """Advance a train across wire -> switch -> wire analytically.
+
+        The train's head lands at the pipelined (cut-through) time: one
+        frame's serialization and propagation per wire plus the switch's
+        store-and-forward latency, then :meth:`complete_hop`.
+        """
+        per_frame = frame.payload_bytes // frame.train_frames
+        up, down = self.up.params, self.down.params
+        latency = (
+            up.payload_time_ns(per_frame)
+            + up.propagation_ns
+            + self.switch.forward_ns
+            + down.payload_time_ns(per_frame)
+            + down.propagation_ns
+        )
+        self.env.call_later(latency, partial(self.complete_hop, frame))
 
     def complete_hop(self, frame: Any) -> None:
         """Land an analytically advanced train on the destination NIC.
@@ -125,35 +166,46 @@ class FlowRoute:
             c["bytes_offered"] += nbytes
             c["frames"] += k
             c["bytes"] += nbytes
-        if self.switch is not None:
-            self.switch.metrics.counter(f"{self.switch.name}.forwarded").value += k
+        self.switch.metrics.counter(f"{self.switch.name}.forwarded").value += k
+
+    # -- express ack -----------------------------------------------------
+    def send_ack(self, cumulative_seq: int) -> None:
+        """Send a cumulative ack down this route as one closed-form timer.
+
+        The caller has charged its own CPU work; the src NIC and driver
+        are credited with the frame they would have carried, and the ack
+        lands after ``ack_latency_ns`` (:meth:`_land_ack`).
+        """
+        nic = self.src_nic
+        metrics = nic.metrics
+        metrics.counter(f"{nic.name}.tx_frames").value += 1
+        metrics.counter(f"{nic.name}.tx_bytes").value += self.ack_bytes
+        metrics.counter(f"{self.src_driver.name}.tx_accepted").value += 1
+        self.env.call_later(self.ack_latency_ns,
+                            partial(self._land_ack, cumulative_seq))
+
+    def _land_ack(self, cumulative_seq: int) -> None:
+        """Credit both wires, the switch and the dst NIC with the ack
+        frame, then hand the ack to the dst module."""
+        self.credit_hop(1, self.ack_bytes)
+        nic = self.dst_nic
+        nic.metrics.counter(f"{nic.name}.rx_frames").value += 1
+        nic.metrics.counter(f"{nic.name}.rx_bytes").value += self.ack_bytes
+        self.module.receive_ack(self.peer, cumulative_seq)
 
 
 class FlowModeController:
     """Eligibility oracle + accounting for the hybrid flow/packet engine.
 
-    Parameters mirror :class:`repro.config.SimParams`: ``min_train`` is
-    the smallest batch worth forming, ``max_train`` the largest batch one
-    analytic step may advance, and ``horizon_ns`` the lookahead over
-    which the path must be provably quiet (no scheduled outage,
-    congestion or blackout window may intersect ``[now, now+horizon)``).
+    A train holds at least :data:`MIN_TRAIN` and at most
+    :data:`MAX_TRAIN` frames, and its path must be provably quiet over
+    :data:`HORIZON_NS` (no scheduled outage, congestion or blackout
+    window may intersect ``[now, now + HORIZON_NS)``).
     """
 
-    __slots__ = ("min_train", "max_train", "horizon_ns", "topology_known",
-                 "_routes", "_by_src_nic", "counters")
+    __slots__ = ("topology_known", "_routes", "_by_src_nic", "counters")
 
-    def __init__(self, min_train: int = 4, max_train: int = 16,
-                 horizon_ns: float = 10_000_000.0,
-                 topology_known: bool = True):
-        if min_train < 2:
-            raise ValueError(f"min_train must be >= 2 (got {min_train!r})")
-        if max_train < min_train:
-            raise ValueError("max_train must be >= min_train")
-        if horizon_ns <= 0:
-            raise ValueError("horizon_ns must be positive")
-        self.min_train = min_train
-        self.max_train = max_train
-        self.horizon_ns = horizon_ns
+    def __init__(self, topology_known: bool = True):
         #: False when the cluster's fabric has no closed-form route model
         #: (multi-switch topologies): every train then falls back to the
         #: exact engine, counted as ``fallback_unknown_topology``.
@@ -162,17 +214,13 @@ class FlowModeController:
         self._by_src_nic: Dict[int, FlowRoute] = {}
         #: accounting: trains formed, frames batched, and per-reason
         #: fallback tallies (why the exact path was taken)
-        self.counters: Dict[str, int] = {"trains": 0, "frames_batched": 0}
+        self.counters: Counter = Counter(trains=0, frames_batched=0)
 
     # -- wiring ----------------------------------------------------------
     def register_route(self, src: int, dst: int, route: FlowRoute) -> None:
         """Register the hardware path for one (src, dst) node pair."""
         self._routes[(src, dst)] = route
         self._by_src_nic[(id(route.src_nic), route.dst_nic.mac)] = route
-
-    def route(self, src: int, dst: int) -> Optional[FlowRoute]:
-        """The registered route, or None (bonded/unknown paths)."""
-        return self._routes.get((src, dst))
 
     def hop_route(self, src_nic: Any, dst_mac: Any) -> Optional[FlowRoute]:
         """Route for a train leaving ``src_nic`` toward ``dst_mac``.
@@ -194,35 +242,28 @@ class FlowModeController:
         is impossible because acks travel the reverse direction.
         """
         route = self._routes.get((src, dst))
-        if route is None or route.deliver_ack is None:
-            self.counters["acks_exact"] = self.counters.get("acks_exact", 0) + 1
+        if route is None:
+            self.counters["acks_exact"] += 1
             return None
-        horizon_end = now + self.horizon_ns
+        horizon_end = now + HORIZON_NS
         for channel in (route.up, route.down):
             faults = channel.faults
             if faults is not None and not faults.quiet_over(now, horizon_end):
-                self.counters["acks_exact"] = self.counters.get("acks_exact", 0) + 1
+                self.counters["acks_exact"] += 1
                 return None
         if (not route.up.idle or not route.down.idle
                 or route.port.occupancy > 0
                 or not _windows_quiet(route.port.blackouts, now, horizon_end)):
-            self.counters["acks_exact"] = self.counters.get("acks_exact", 0) + 1
+            self.counters["acks_exact"] += 1
             return None
-        self.counters["acks_express"] = self.counters.get("acks_express", 0) + 1
+        self.counters["acks_express"] += 1
         return route
 
-    # -- accounting ------------------------------------------------------
+    # -- the eligibility decision ---------------------------------------
     def _fallback(self, reason: str) -> int:
-        key = f"fallback_{reason}"
-        self.counters[key] = self.counters.get(key, 0) + 1
+        self.counters[f"fallback_{reason}"] += 1
         return 0
 
-    def note_train(self, k: int) -> None:
-        """Record a formed train of ``k`` frames."""
-        self.counters["trains"] += 1
-        self.counters["frames_batched"] += k
-
-    # -- the eligibility decision ---------------------------------------
     def plan_train(self, src: int, dst: int, sender: Any,
                    remaining_full: int, now: float) -> int:
         """Largest train size admissible right now (0 = exact path).
@@ -239,8 +280,8 @@ class FlowModeController:
 
         * unknown topology — the fabric is multi-switch, so no
           closed-form route model exists at all;
-        * window edge — fewer than ``min_train`` fragments or window
-          slots available;
+        * window edge — fewer than :data:`MIN_TRAIN` fragments or
+          window slots available;
         * recovery — the sender is failed, retransmitting, or has
           dupack/timeout state in flight;
         * topology — no registered route (channel bonding, unknown
@@ -255,17 +296,17 @@ class FlowModeController:
         """
         if not self.topology_known:
             return self._fallback("unknown_topology")
-        if remaining_full < self.min_train:
+        if remaining_full < MIN_TRAIN:
             return self._fallback("window_edge")
         window_free = sender.window - sender.in_flight
-        if window_free < self.min_train:
+        if window_free < MIN_TRAIN:
             return self._fallback("window_edge")
         if sender.failed or sender.retransmitting:
             return self._fallback("recovery")
         route = self._routes.get((src, dst))
         if route is None:
             return self._fallback("topology")
-        horizon_end = now + self.horizon_ns
+        horizon_end = now + HORIZON_NS
         for channel in (route.up, route.down):
             faults = channel.faults
             if faults is not None and not faults.quiet_over(now, horizon_end):
@@ -277,13 +318,14 @@ class FlowModeController:
             return self._fallback("switch_contention")
         if not route.dst_coalescing:
             return self._fallback("coalescing_off")
-        if route.stash_depth() > 0:
+        if route.module.reorder_stash_depth(route.peer) > 0:
             return self._fallback("reorder_stash")
-        k = min(remaining_full, window_free, self.max_train, route.rx_budget)
+        k = min(remaining_full, window_free, MAX_TRAIN, route.rx_budget)
         headroom = route.dst_nic.rx_headroom()
         if headroom < k:
             k = headroom
-        if k < self.min_train:
+        if k < MIN_TRAIN:
             return self._fallback("rx_ring")
-        self.note_train(k)
+        self.counters["trains"] += 1
+        self.counters["frames_batched"] += k
         return k

@@ -1,11 +1,16 @@
 """Pin the published metrics: every name and value in a run's snapshot.
 
 A component's tallies reach the run's metrics snapshot only through the
-cluster :class:`~repro.obs.MetricsRegistry`.  These four small runs
-cover the publishing components (kernel, bottom half, driver, NIC, NIC
-collective engine, CLIC with its sender/receiver, TCP, switch, channel
-faults) and compare the whole snapshot against a recorded fixture, so a
-dropped, renamed or eagerly created zero counter fails here.
+cluster :class:`~repro.obs.MetricsRegistry`.  These small runs cover the
+publishing components (kernel, bottom half, driver, NIC, NIC collective
+engine, CLIC with its sender/receiver, TCP, switch, channel faults) and
+compare the whole snapshot against a recorded fixture, so a dropped,
+renamed or eagerly created zero counter fails here.
+
+The two ``flow_mode="auto"`` streams also pin the hybrid engine bit for
+bit: their entries add the stream's ``elapsed_ns`` and the controller's
+``flow_counters``.  Between them they take every flow-mode lane — the
+analytic train hop, the exact-resource train path and the express ack.
 
 The fixture changes only on purpose.  To record it again after a
 deliberate change to what a run publishes::
@@ -31,6 +36,16 @@ def _clic_stream():
     cluster = Cluster(granada2003(mtu=1500), protocols=("clic",))
     stream(cluster, clic_pair(), 65536, messages=2)
     return cluster.metrics.snapshot()
+
+
+def _clic_stream_flow(mtu):
+    cluster = Cluster(granada2003(mtu=mtu).with_flow_mode("auto"),
+                      protocols=("clic",))
+    result = stream(cluster, clic_pair(), 1_000_000, messages=4)
+    snapshot = cluster.metrics.snapshot()
+    snapshot["elapsed_ns"] = result.elapsed_ns
+    snapshot["flow_counters"] = dict(cluster.env.flow.counters)
+    return snapshot
 
 
 def _tcp_pingpong():
@@ -60,6 +75,8 @@ def _ge_lossy_fig4_point():
 
 RUNS = {
     "clic_stream": _clic_stream,
+    "clic_stream_flow_mtu1500": lambda: _clic_stream_flow(1500),
+    "clic_stream_flow_mtu9000": lambda: _clic_stream_flow(9000),
     "tcp_pingpong": _tcp_pingpong,
     "nic_barrier": _nic_barrier,
     "ge_lossy_fig4_point": _ge_lossy_fig4_point,

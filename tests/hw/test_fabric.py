@@ -166,7 +166,7 @@ def _flow_cluster(topology):
 
 def test_flow_mode_auto_falls_back_on_fat_tree():
     cluster = _flow_cluster(Topology("fat-tree", leaf_fan=2, uplink_fan=2))
-    controller = cluster.flow
+    controller = cluster.env.flow
     assert controller is not None
     assert not controller.topology_known
     plan = controller.plan_train(0, 1, None, 16, 0.0)
@@ -197,7 +197,7 @@ def test_flow_mode_auto_falls_back_on_fat_tree():
 
 def test_flow_mode_auto_still_plans_on_single_switch():
     cluster = _flow_cluster(None)
-    controller = cluster.flow
+    controller = cluster.env.flow
     assert controller is not None
     assert controller.topology_known
     assert controller.counters.get("fallback_unknown_topology", 0) == 0

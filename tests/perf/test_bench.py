@@ -92,25 +92,3 @@ def test_run_bench_rejects_unknown_scenarios():
 def test_current_rev_is_short_string():
     rev = current_rev()
     assert isinstance(rev, str) and rev and "\n" not in rev
-
-
-def test_flow_packet_diff_document(tmp_path):
-    """The CI flow-vs-packet artifact: physics agree, events collapse."""
-    from repro.perf.bench import flow_packet_diff
-
-    doc = flow_packet_diff(nbytes=500_000, messages=4)
-    assert doc["schema"] == "repro.flowdiff/1"
-    assert doc["within_tolerance"] is True
-    assert doc["event_reduction"] > 10
-    # Every conservation key compared exactly equal across engines.
-    physics = {d["key"]: d for d in doc["physics"]}
-    for key in ("conservation.node0.clic.bytes_sent",
-                "conservation.node1.clic.bytes_rx",
-                "conservation.node0.nic0.tx_frames",
-                "conservation.node1.nic0.rx_frames"):
-        assert physics[key]["status"] == "same"
-        assert physics[key]["a"] == physics[key]["b"]
-    assert doc["runs"]["auto"]["flow"]["trains"] > 0
-    assert "flow-vs-packet" in doc["report"]
-    write_bench(doc, str(tmp_path / "flow-vs-packet.json"))
-    json.loads((tmp_path / "flow-vs-packet.json").read_text())

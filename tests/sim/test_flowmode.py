@@ -8,10 +8,11 @@ reason, the batch-size clamp, and the express-ack gate.
 from collections import Counter
 from types import SimpleNamespace
 
-import pytest
-
+from repro.config import LinkParams
 from repro.obs import MetricsRegistry
-from repro.sim.flowmode import FlowModeController, FlowRoute
+from repro.sim import Environment
+from repro.sim.flowmode import (HORIZON_NS, MAX_TRAIN, MIN_TRAIN,
+                                FlowModeController, FlowRoute)
 
 
 class _Window:
@@ -36,6 +37,7 @@ class _Channel:
         self.idle = idle
         self.faults = faults
         self.counters = Counter()
+        self.params = LinkParams()
 
 
 class _Port:
@@ -45,9 +47,12 @@ class _Port:
 
 
 class _Nic:
-    def __init__(self, headroom=64, mac="nic"):
+    def __init__(self, headroom=64, mac="nic", env=None, metrics=None):
         self._headroom = headroom
         self.mac = mac
+        self.name = f"{mac}.nic0"
+        self.env = env
+        self.metrics = metrics
         self.received = []
 
     def rx_headroom(self):
@@ -55,6 +60,18 @@ class _Nic:
 
     def receive_frame(self, frame):
         self.received.append(frame)
+
+
+class _Module:
+    def __init__(self, stash_depth=0):
+        self._stash_depth = stash_depth
+        self.acks = []
+
+    def reorder_stash_depth(self, peer):
+        return self._stash_depth
+
+    def receive_ack(self, peer, cum):
+        self.acks.append((peer, cum))
 
 
 class _Sender:
@@ -72,17 +89,22 @@ class _Frame:
         self.payload_bytes = payload_bytes
 
 
-def _route(**kw):
+def _route(env=None, **kw):
+    metrics = MetricsRegistry()
     defaults = dict(up=_Channel(), down=_Channel(), port=_Port(),
-                    src_nic=_Nic(mac="src"), dst_nic=_Nic(mac="dst"),
-                    rx_budget=16, dst_coalescing=True)
+                    switch=SimpleNamespace(name="switch", metrics=metrics,
+                                           forward_ns=2_000.0),
+                    src_nic=_Nic(mac="src", env=env, metrics=metrics),
+                    src_driver=SimpleNamespace(name="src.eth0"),
+                    dst_nic=_Nic(mac="dst", env=env, metrics=metrics),
+                    rx_budget=16, dst_coalescing=True, module=_Module(),
+                    peer=0, ack_bytes=80, ack_latency_ns=30_000.0)
     defaults.update(kw)
     return FlowRoute(**defaults)
 
 
-def _controller(**kw):
-    ctl = FlowModeController(**kw)
-    return ctl
+def _controller():
+    return FlowModeController()
 
 
 def _register(ctl, route):
@@ -94,20 +116,11 @@ def plan(ctl, sender=None, remaining=32, now=0.0):
     return ctl.plan_train(0, 1, sender or _Sender(), remaining, now)
 
 
-def test_controller_validates_parameters():
-    with pytest.raises(ValueError):
-        FlowModeController(min_train=1)
-    with pytest.raises(ValueError):
-        FlowModeController(min_train=8, max_train=4)
-    with pytest.raises(ValueError):
-        FlowModeController(horizon_ns=0)
-
-
 def test_steady_state_train_is_granted_and_counted():
     ctl = _controller()
     _register(ctl, _route())
     k = plan(ctl)
-    assert k == 16  # min(remaining=32, window_free=64, max_train=16, budget=16)
+    assert k == MAX_TRAIN == 16  # min(remaining=32, window_free=64, MAX_TRAIN, budget=16)
     assert ctl.counters["trains"] == 1
     assert ctl.counters["frames_batched"] == 16
 
@@ -115,8 +128,8 @@ def test_steady_state_train_is_granted_and_counted():
 def test_window_edge_fallbacks():
     ctl = _controller()
     _register(ctl, _route())
-    assert plan(ctl, remaining=3) == 0  # fewer fragments than min_train
-    assert plan(ctl, sender=_Sender(window=64, in_flight=62)) == 0
+    assert plan(ctl, remaining=MIN_TRAIN - 1) == 0  # fewer fragments than MIN_TRAIN
+    assert plan(ctl, sender=_Sender(window=64, in_flight=64 - MIN_TRAIN + 1)) == 0
     assert ctl.counters["fallback_window_edge"] == 2
 
 
@@ -135,7 +148,7 @@ def test_topology_fallback_without_route():
 
 
 def test_fault_window_inside_horizon_forces_exact():
-    ctl = _controller(horizon_ns=1_000_000.0)
+    ctl = _controller()
     _register(ctl, _route(down=_Channel(faults=_Faults(quiet=False))))
     assert plan(ctl) == 0
     assert ctl.counters["fallback_faults"] == 1
@@ -145,14 +158,16 @@ def test_switch_contention_fallbacks():
     ctl = _controller()
     _register(ctl, _route(port=_Port(occupancy=2)))
     assert plan(ctl) == 0
-    ctl2 = _controller(horizon_ns=1_000_000.0)
-    _register(ctl2, _route(port=_Port(blackouts=(_Window(500_000, 600_000),))))
+    ctl2 = _controller()
+    inside = _Window(HORIZON_NS / 2, HORIZON_NS / 2 + 100_000)
+    _register(ctl2, _route(port=_Port(blackouts=(inside,))))
     assert plan(ctl2, now=0.0) == 0
     assert ctl.counters["fallback_switch_contention"] == 1
     assert ctl2.counters["fallback_switch_contention"] == 1
     # ... but a blackout entirely beyond the horizon does not block.
-    ctl3 = _controller(horizon_ns=1_000_000.0)
-    _register(ctl3, _route(port=_Port(blackouts=(_Window(2_000_000, 3_000_000),))))
+    ctl3 = _controller()
+    beyond = _Window(2 * HORIZON_NS, 3 * HORIZON_NS)
+    _register(ctl3, _route(port=_Port(blackouts=(beyond,))))
     assert plan(ctl3, now=0.0) > 0
 
 
@@ -163,8 +178,7 @@ def test_receiver_side_fallbacks():
     assert ctl.counters["fallback_coalescing_off"] == 1
 
     ctl2 = _controller()
-    route = _register(ctl2, _route())
-    route.stash_depth = lambda: 3
+    _register(ctl2, _route(module=_Module(stash_depth=3)))
     assert plan(ctl2) == 0
     assert ctl2.counters["fallback_reorder_stash"] == 1
 
@@ -175,13 +189,13 @@ def test_receiver_side_fallbacks():
 
 
 def test_train_size_clamps():
-    ctl = _controller(min_train=4, max_train=16)
+    ctl = _controller()
     _register(ctl, _route(rx_budget=8))
     assert plan(ctl, remaining=100) == 8  # rx budget clamps
-    ctl2 = _controller(min_train=4, max_train=16)
+    ctl2 = _controller()
     _register(ctl2, _route(dst_nic=_Nic(headroom=5)))
     assert plan(ctl2, remaining=100) == 5  # ring headroom clamps
-    ctl3 = _controller(min_train=4, max_train=16)
+    ctl3 = _controller()
     _register(ctl3, _route())
     assert plan(ctl3, remaining=100,
                 sender=_Sender(window=64, in_flight=57)) == 7  # window clamps
@@ -195,16 +209,50 @@ def test_hop_clear_requires_idle_path():
 
 
 def test_complete_hop_balances_conservation_counters():
-    switch = SimpleNamespace(name="switch", metrics=MetricsRegistry())
-    route = _route(switch=switch)
+    route = _route()
     frame = _Frame(train_frames=8, payload_bytes=8 * 1500)
     route.complete_hop(frame)
     for channel in (route.up, route.down):
         assert channel.counters["frames_offered"] == 8
         assert channel.counters["frames"] == 8
         assert channel.counters["bytes"] == 8 * 1500
-    assert switch.metrics.value("switch.forwarded") == 8
+    assert route.switch.metrics.value("switch.forwarded") == 8
     assert route.dst_nic.received == [frame]
+
+
+def test_carry_lands_the_train_after_one_pipelined_hop():
+    env = Environment()
+    route = _route(env=env)
+    frame = _Frame(train_frames=8, payload_bytes=8 * 1500)
+    route.carry(frame)
+    assert route.dst_nic.received == []
+    env.run()
+    link = LinkParams()
+    hop = (link.payload_time_ns(1500) + link.propagation_ns + 2_000.0
+           + link.payload_time_ns(1500) + link.propagation_ns)
+    assert env.now == hop
+    assert route.switch.metrics.value("switch.forwarded") == 8
+    assert route.dst_nic.received == [frame]
+
+
+def test_send_ack_credits_every_hop_and_lands_on_the_module():
+    env = Environment()
+    route = _route(env=env, peer=3)
+    route.send_ack(41)
+    metrics = route.switch.metrics
+    assert metrics.value("src.nic0.tx_frames") == 1
+    assert metrics.value("src.nic0.tx_bytes") == 80
+    assert metrics.value("src.eth0.tx_accepted") == 1
+    assert route.module.acks == []
+    env.run()
+    assert env.now == 30_000.0
+    assert route.module.acks == [(3, 41)]
+    for channel in (route.up, route.down):
+        assert channel.counters["frames"] == 1
+        assert channel.counters["bytes"] == 80
+    assert metrics.value("switch.forwarded") == 1
+    assert metrics.value("dst.nic0.rx_frames") == 1
+    assert metrics.value("dst.nic0.rx_bytes") == 80
 
 
 def test_hop_route_is_keyed_by_nic_and_mac():
@@ -218,24 +266,23 @@ def test_hop_route_is_keyed_by_nic_and_mac():
 def test_express_ack_requires_quiet_reverse_path():
     ctl = _controller()
     route = _register(ctl, _route())
-    route.deliver_ack = lambda cum: None
     assert ctl.express_ack_route(0, 1, now=0.0) is route
     assert ctl.counters["acks_express"] == 1
-    # No deliver_ack wired -> exact.
-    ctl2 = _controller()
-    _register(ctl2, _route())
-    assert ctl2.express_ack_route(0, 1, now=0.0) is None
     # Busy wire -> exact.
-    ctl3 = _controller()
-    r3 = _register(ctl3, _route(up=_Channel(idle=False)))
-    r3.deliver_ack = lambda cum: None
-    assert ctl3.express_ack_route(0, 1, now=0.0) is None
+    ctl2 = _controller()
+    _register(ctl2, _route(up=_Channel(idle=False)))
+    assert ctl2.express_ack_route(0, 1, now=0.0) is None
     # Fault model not provably quiet -> exact.
+    ctl3 = _controller()
+    _register(ctl3, _route(up=_Channel(faults=_Faults(quiet=False))))
+    assert ctl3.express_ack_route(0, 1, now=0.0) is None
+    # Blackout inside the horizon -> exact.
     ctl4 = _controller()
-    r4 = _register(ctl4, _route(up=_Channel(faults=_Faults(quiet=False))))
-    r4.deliver_ack = lambda cum: None
+    inside = _Window(HORIZON_NS / 2, HORIZON_NS / 2 + 100_000)
+    _register(ctl4, _route(port=_Port(blackouts=(inside,))))
     assert ctl4.express_ack_route(0, 1, now=0.0) is None
     # Unknown route -> exact.
     assert ctl.express_ack_route(1, 0, now=0.0) is None
+    assert ctl.counters["acks_exact"] == 1
     for c in (ctl2, ctl3, ctl4):
         assert c.counters["acks_exact"] == 1
