@@ -26,8 +26,6 @@ from .core import (
 from .flowmode import FlowModeController, FlowRoute
 from .monitor import BusyTracker
 from .resources import (
-    Preempted,
-    PreemptiveResource,
     PriorityResource,
     Request,
     Resource,
@@ -45,8 +43,6 @@ __all__ = [
     "FlowModeController",
     "FlowRoute",
     "Interrupt",
-    "Preempted",
-    "PreemptiveResource",
     "PriorityResource",
     "Process",
     "Request",

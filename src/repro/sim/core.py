@@ -604,6 +604,7 @@ class Environment:
         """
         event._value = value
         queue = self._queue
+        # :meth:`_alone`, inlined on this hot path
         if (self._active_proc is not None and len(self._dispatch) == 1
                 and (not queue or queue[0][0] > self._now)):
             event.callbacks = None
@@ -612,6 +613,19 @@ class Environment:
         _heappush(queue, (self._now, NORMAL, self._seq, event))
         if self.profiler is not None:
             self.profiler.on_schedule(len(queue))
+
+    def _alone(self) -> bool:
+        """``True`` when nothing but the running process can run before
+        it next yields: a process is running, it is the sole callback of
+        the event being dispatched, and nothing else is due at ``now``.
+
+        The guard of :meth:`_settle` (which inlines it); the CPU
+        scheduler (:class:`repro.hw.cpu.Cpu`) uses it to start a slice at
+        once where a resource grant would have been born processed.
+        """
+        queue = self._queue
+        return (self._active_proc is not None and len(self._dispatch) == 1
+                and (not queue or queue[0][0] > self._now))
 
     def step(self) -> None:
         """Process the next scheduled event (advancing the clock).

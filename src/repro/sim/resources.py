@@ -6,14 +6,15 @@ Provides the queuing abstractions the hardware and OS models are built on:
   engine, a bus grant).
 * :class:`PriorityResource` — FIFO within priority classes (e.g. the PCI
   arbiter favouring the NIC over programmed I/O).
-* :class:`PreemptiveResource` — priority plus preemption of the running
-  user (the CPU model: interrupts preempt user code).
 * :class:`Store` — a producer/consumer buffer of Python objects (e.g. NIC
   descriptor rings, socket receive queues).
 
 All requests are events; processes ``yield`` them.  Request objects are
 context managers so ``with resource.request() as req: yield req`` releases
 automatically.
+
+Preemption is not a resource feature: the one preemptible server, the
+host CPU, schedules its own slices (:class:`repro.hw.cpu.Cpu`).
 """
 
 from __future__ import annotations
@@ -27,31 +28,12 @@ __all__ = [
     "Request",
     "PriorityRequest",
     "Release",
-    "Preempted",
     "Resource",
     "PriorityResource",
-    "PreemptiveResource",
     "Store",
     "StorePut",
     "StoreGet",
 ]
-
-
-class Preempted:
-    """Cause object delivered with the Interrupt when a request is preempted."""
-
-    __slots__ = ("by", "usage_since", "resource")
-
-    def __init__(self, by: "PriorityRequest", usage_since: float, resource: "Resource"):
-        #: The request that preempted us.
-        self.by = by
-        #: Simulation time at which the preempted request acquired the resource.
-        self.usage_since = usage_since
-        #: The resource involved.
-        self.resource = resource
-
-    def __repr__(self) -> str:
-        return f"<Preempted by={self.by!r} since={self.usage_since}>"
 
 
 class Request(Event):
@@ -81,7 +63,7 @@ class Request(Event):
 class PriorityRequest(Request):
     """A request with priority (lower value = more important) and preempt flag."""
 
-    __slots__ = ("priority", "preempt", "time", "key", "owner")
+    __slots__ = ("priority", "preempt", "time", "key")
 
     def __init__(self, resource: "Resource", priority: int = 0, preempt: bool = False):
         self.priority = priority
@@ -90,8 +72,6 @@ class PriorityRequest(Request):
         # FIFO within the same priority; preempting requests beat
         # non-preempting ones of equal priority and time.
         self.key = (priority, self.time, not preempt)
-        #: the process to interrupt if a preemptive resource evicts us
-        self.owner = None
         super().__init__(resource)
 
 
@@ -208,55 +188,6 @@ class PriorityResource(Resource):
 
 def _request_key(request: PriorityRequest) -> tuple:
     return request.key
-
-
-class PreemptiveResource(PriorityResource):
-    """A priority resource where preempting requests evict lower-priority users.
-
-    When a request with ``preempt=True`` arrives and all slots are taken,
-    the user with the *worst* key is compared against the new request; if
-    strictly less important it is interrupted (its owning process receives
-    an :class:`~repro.sim.core.Interrupt` whose cause is a
-    :class:`Preempted` record) and the slot is handed over.
-
-    This models the CPU: a hardware interrupt (priority 0, preempt) evicts
-    user-mode computation (priority 10).
-    """
-
-    def request(self, priority: int = 0, preempt: bool = True) -> PriorityRequest:  # type: ignore[override]
-        """Request that may evict a lower-priority holder."""
-        env = self.env
-        req = PriorityRequest.__new__(PriorityRequest)
-        req.priority = priority
-        req.preempt = preempt
-        req.time = env._now
-        req.key = (priority, req.time, not preempt)
-        req.env = env
-        req.callbacks = []
-        req._value = Event._PENDING
-        req._ok = True
-        req._defused = False
-        req.resource = self
-        req.usage_since = None
-        req.owner = env._active_proc
-        self._do_request(req)
-        return req
-
-    def _do_request(self, request: Request) -> None:
-        if request.preempt and len(self.users) >= self.capacity:
-            self._maybe_preempt(request)
-        super()._do_request(request)
-
-    def _maybe_preempt(self, request: PriorityRequest) -> None:
-        victims = [u for u in self.users if isinstance(u, PriorityRequest)]
-        if not victims:
-            return
-        victim = max(victims, key=_request_key)
-        if victim.key > request.key:
-            owner = victim.owner
-            self.users.remove(victim)
-            if owner is not None and owner.is_alive:
-                owner.interrupt(Preempted(request, victim.usage_since, self))
 
 
 class StorePut(Event):

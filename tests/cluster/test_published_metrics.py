@@ -12,6 +12,12 @@ bit: their entries add the stream's ``elapsed_ns`` and the controller's
 ``flow_counters``.  Between them they take every flow-mode lane — the
 analytic train hop, the exact-resource train path and the express ack.
 
+The ``multiprogramming`` run pins the CPU's preemption path: ping-pong,
+a 1 MB CLIC bulk transfer and a user-priority compute slice share two
+nodes, so interrupt and protocol work preempt the compute slice.  Its
+entry adds each node's ``cpu.counters`` and ``cpu.busy.total_busy`` and
+the time the compute slice finished.
+
 The fixture changes only on purpose.  To record it again after a
 deliberate change to what a run publishes::
 
@@ -24,6 +30,7 @@ import os
 import pytest
 
 from repro.cluster import Cluster
+from repro.protocols.clic import ClicEndpoint
 from repro.config import Topology, granada2003
 from repro.mpi import build_world
 from repro.trace import capture_fig4_point
@@ -73,6 +80,59 @@ def _ge_lossy_fig4_point():
     return art.metrics
 
 
+def multiprogramming_cluster():
+    """Run the multiprogramming mix; return the cluster and the time the
+    compute slice finished."""
+    cluster = Cluster(granada2003(), protocols=("clic",))
+    node_a, node_b = cluster.nodes
+    finished = {}
+
+    def endpoints(name_a, name_b, port):
+        proc_a, proc_b = node_a.spawn(name_a), node_b.spawn(name_b)
+        return proc_a, proc_b, ClicEndpoint(proc_a, port), ClicEndpoint(proc_b, port)
+
+    ping_a, ping_b, ep_ping_a, ep_ping_b = endpoints("ping", "pong", 10)
+    bulk_a, bulk_b, ep_bulk_a, ep_bulk_b = endpoints("bulk-tx", "bulk-rx", 11)
+
+    def pinger(proc):
+        for _ in range(10):
+            yield from ep_ping_a.send(1, 64)
+            yield from ep_ping_a.recv()
+
+    def ponger(proc):
+        for _ in range(10):
+            yield from ep_ping_b.recv()
+            yield from ep_ping_b.send(0, 64)
+
+    def bulk_tx(proc):
+        yield from ep_bulk_a.send(1, 1_000_000)
+
+    def bulk_rx(proc):
+        yield from ep_bulk_b.recv()
+
+    def cruncher(proc):
+        yield from proc.compute(4e6)
+        finished["compute_done_ns"] = proc.env.now
+
+    ping_a.run(pinger)
+    ping_b.run(ponger)
+    bulk_a.run(bulk_tx)
+    bulk_b.run(bulk_rx)
+    node_b.spawn("crunch").run(cruncher)
+    cluster.run()
+    return cluster, finished["compute_done_ns"]
+
+
+def _multiprogramming():
+    cluster, compute_done_ns = multiprogramming_cluster()
+    snapshot = cluster.metrics.snapshot()
+    snapshot["compute_done_ns"] = compute_done_ns
+    for node in cluster.nodes:
+        snapshot[f"{node.name}.cpu.counters"] = dict(node.cpu.counters)
+        snapshot[f"{node.name}.cpu.total_busy"] = node.cpu.busy.total_busy
+    return snapshot
+
+
 RUNS = {
     "clic_stream": _clic_stream,
     "clic_stream_flow_mtu1500": lambda: _clic_stream_flow(1500),
@@ -80,6 +140,7 @@ RUNS = {
     "tcp_pingpong": _tcp_pingpong,
     "nic_barrier": _nic_barrier,
     "ge_lossy_fig4_point": _ge_lossy_fig4_point,
+    "multiprogramming": _multiprogramming,
 }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CpuParams
-from repro.hw import PRIO_IRQ, PRIO_KERNEL, PRIO_USER, Cpu
+from repro.hw import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
 from repro.sim import Environment
 
 
@@ -55,6 +55,188 @@ def test_irq_preempts_user_and_user_resumes():
     assert log == [("irq-done", 500), ("user-done", 1200)]
     assert cpu.counters["preemptions"] == 1
     assert cpu.busy.total_busy == 1200
+
+
+def test_irq_evicts_user_mid_slice_and_runs_at_once():
+    env = Environment()
+    cpu = make_cpu(env)
+    log = []
+
+    def user(env):
+        yield from cpu.execute(100, PRIO_USER)
+        log.append(("user-done", env.now))
+
+    def irq(env):
+        yield env.timeout(30)
+        yield from cpu.execute(20, PRIO_IRQ)
+        log.append(("irq-done", env.now))
+
+    env.process(user(env))
+    env.process(irq(env))
+    env.run()
+    assert log == [("irq-done", 50), ("user-done", 120)]
+    assert cpu.counters["preemptions"] == 1
+
+
+def test_preempted_slice_is_charged_only_the_time_it_ran():
+    env = Environment()
+    cpu = make_cpu(env)
+    busy_at = {}
+
+    def victim(env):
+        yield from cpu.execute(1000, PRIO_USER)
+
+    def bully(env):
+        yield env.timeout(40)
+        busy_at["preempted"] = cpu.busy.busy_time(env.now)
+        yield from cpu.execute(1, PRIO_IRQ)
+        busy_at["bully-done"] = cpu.busy.busy_time(env.now)
+
+    env.process(victim(env))
+    env.process(bully(env))
+    env.run()
+    # the victim ran from 0 (its usage start) until the preemption at 40
+    assert busy_at == {"preempted": 40, "bully-done": 41}
+    assert cpu.busy.total_busy == 1001
+    assert cpu.counters["work.anon"] == 1001
+
+
+def test_equal_irq_priority_does_not_preempt():
+    env = Environment()
+    cpu = make_cpu(env)
+    log = []
+
+    def one(env):
+        yield from cpu.execute(50, PRIO_IRQ)
+        log.append(("one", env.now))
+
+    def two(env):
+        yield env.timeout(10)
+        yield from cpu.execute(5, PRIO_IRQ)
+        log.append(("two", env.now))
+
+    env.process(one(env))
+    env.process(two(env))
+    env.run()
+    assert log == [("one", 50), ("two", 55)]
+    assert cpu.counters["preemptions"] == 0
+
+
+def test_irq_execute_never_preempts_an_occupy_holder():
+    env = Environment()
+    cpu = make_cpu(env)
+    log = []
+
+    def dma(env):
+        yield env.timeout(100)
+        return "dma-done"
+
+    def driver(env):
+        result = yield from cpu.occupy(dma(env), PRIO_IRQ, label="drv_rx_dma")
+        log.append((result, env.now))
+
+    def irq(env):
+        yield env.timeout(10)
+        yield from cpu.execute(20, PRIO_IRQ)
+        log.append(("irq", env.now))
+
+    env.process(driver(env))
+    env.process(irq(env))
+    env.run()
+    assert log == [("dma-done", 100), ("irq", 120)]
+    assert cpu.counters["preemptions"] == 0
+    assert cpu.counters["work.drv_rx_dma"] == 100
+
+
+def _grant_then_preempt(bystander):
+    """The CPU frees up and is granted to a waiting softirq slice; in the
+    same timestep, before that slice starts, the releasing process
+    raises an IRQ slice that preempts it."""
+    env = Environment()
+    cpu = make_cpu(env)
+    log = []
+    gate = env.event()
+
+    def holder(env):
+        yield from cpu.execute(100, PRIO_KERNEL)
+        if bystander == "sibling":
+            yield gate
+        yield from cpu.execute(30, PRIO_IRQ)
+        log.append(("irq", env.now))
+
+    def waiter(env):
+        yield env.timeout(10)
+        if bystander == "same-time":
+            env.call_later(90, lambda: log.append(("bystander", env.now)))
+        yield from cpu.execute(50, PRIO_SOFTIRQ)
+        log.append(("softirq", env.now))
+
+    def sibling(env):
+        yield gate
+        log.append(("sibling", env.now))
+
+    env.process(holder(env))
+    env.process(waiter(env))
+    if bystander == "sibling":
+        env.process(sibling(env))
+        env.call_later(100, gate.succeed)
+    env.run()
+    return cpu, [entry for entry in log if entry[0] in ("irq", "softirq")]
+
+
+@pytest.mark.parametrize("bystander", ["none", "same-time", "sibling"])
+def test_grant_preempted_in_its_timestep_is_charged_nothing(bystander):
+    cpu, log = _grant_then_preempt(bystander)
+    assert log == [("irq", 130), ("softirq", 180)]
+    # counted once, charged nothing for the lost grant, then ran in full
+    assert cpu.counters["preemptions"] == 1
+    assert cpu.busy.total_busy == 180
+    assert cpu.counters["work.anon"] == 180
+
+
+def test_preempted_slice_requeues_behind_an_earlier_equal_priority_waiter():
+    env = Environment()
+    cpu = make_cpu(env)
+    order = []
+
+    def first(env):
+        yield from cpu.execute(100, PRIO_SOFTIRQ)
+        order.append(("first", env.now))
+
+    def second(env):
+        yield env.timeout(10)
+        yield from cpu.execute(10, PRIO_SOFTIRQ)
+        order.append(("second", env.now))
+
+    def irq(env):
+        yield env.timeout(40)
+        yield from cpu.execute(5, PRIO_IRQ)
+        order.append(("irq", env.now))
+
+    env.process(first(env))
+    env.process(second(env))
+    env.process(irq(env))
+    env.run()
+    # "first" re-queued at 45 behind "second", which queued at 10
+    assert order == [("irq", 45), ("second", 55), ("first", 115)]
+
+
+def test_zero_work_schedules_no_event():
+    env = Environment()
+    cpu = make_cpu(env)
+    seen = []
+
+    def work(env):
+        yield env.timeout(5)
+        before = list(env._queue)
+        yield from cpu.execute(0, PRIO_KERNEL, label="nothing")
+        seen.append((env.now, env._queue == before))
+
+    env.process(work(env))
+    env.run()
+    assert seen == [(5, True)]
+    assert cpu.busy.total_busy == 0
+    assert cpu.counters["work.nothing"] == 0
 
 
 def test_kernel_does_not_preempt_kernel():

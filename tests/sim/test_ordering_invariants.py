@@ -8,12 +8,19 @@ timestamps, and a cancelled :class:`~repro.sim.TimerHandle` never fires
 The hot-path shortcuts must not move anything: a deferred callback runs
 where the process it replaces would have, an uncontended grant skips the
 heap only when nothing could have run before its waiter, and a release
-never takes a heap slot.
+never takes a heap slot.  The CPU's slice scheduler orders grants,
+preemptions and completions exactly as a process holding a preemptible
+resource would.
 """
+
+import random
+from collections import Counter
 
 import pytest
 
-from repro.sim import Environment, Process, Resource, Store, Timeout
+from repro.hw import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
+from repro.sim import (BusyTracker, Environment, Interrupt, PriorityResource, Process,
+                       Resource, Store, Timeout)
 from repro.sim.core import NORMAL, URGENT
 
 
@@ -289,3 +296,139 @@ def test_release_takes_no_heap_slot_and_resumes_at_once():
     env.run()
     assert log == [("resumed", 10, True), "due-now"]
     assert res.count == 0
+
+
+# -- the CPU's own slice scheduler --------------------------------------------
+
+class _ResourceCpu:
+    """Reference model: the CPU as a priority resource whose IRQ-level
+    requests evict a less important holder by interrupting its process.
+
+    This is the shape :class:`repro.hw.Cpu` replaced with its own queue
+    and timer; the scheduler must reproduce it event for event.
+    """
+
+    def __init__(self, env):
+        self.env = env
+        self.res = PriorityResource(env)
+        self.busy = BusyTracker()
+        self.counters = Counter()
+        self._owners = {}
+        do_request = self.res._do_request
+
+        def evicting_request(request):
+            self._owners[request] = env.active_process
+            users = self.res.users
+            if request.preempt and users and users[0].key > request.key:
+                victim = users.pop()
+                self._owners[victim].interrupt("preempted")
+            do_request(request)
+
+        self.res._do_request = evicting_request
+
+    def execute(self, duration, priority, label=""):
+        env = self.env
+        remaining = float(duration)
+        while remaining > 0:
+            req = self.res.request(priority=priority, preempt=priority <= PRIO_IRQ)
+            if req.callbacks is not None:
+                try:
+                    yield req
+                except Interrupt:  # evicted between grant and start
+                    self.counters["preemptions"] += 1
+                    continue
+            started = env.now
+            self.busy.acquire(started)
+            try:
+                yield env.timeout(remaining)
+            except Interrupt:
+                self.busy.release(env.now)
+                remaining -= env.now - started
+                self.counters["preemptions"] += 1
+                continue
+            self.busy.release(env.now)
+            self.res.release(req)
+            remaining = 0.0
+        self.counters[f"work.{label or 'anon'}"] += duration
+
+    def occupy(self, subwork, priority=PRIO_IRQ, label="occupy"):
+        req = self.res.request(priority=priority, preempt=priority <= PRIO_IRQ)
+        yield req
+        started = self.env.now
+        self.busy.acquire(started)
+        try:
+            result = yield from subwork
+        finally:
+            self.busy.release(self.env.now)
+            self.counters[f"work.{label}"] += self.env.now - started
+            self.res.release(req)
+        return result
+
+
+def _cpu_scenario(make_cpu, seed):
+    """Random slices at the four priorities on coarse times, so grants,
+    preemptions, completions and unrelated events (sleeping processes,
+    timers, freshly spawned claimants) keep colliding; returns everything
+    observable."""
+    rng = random.Random(seed)
+    env = Environment()
+    cpu = make_cpu(env)
+    log = []
+    gates = [env.event() for _ in range(3)]
+    prios = (PRIO_IRQ, PRIO_SOFTIRQ, PRIO_KERNEL, PRIO_USER)
+
+    def hold(ns):
+        yield env.timeout(ns)
+        return ns
+
+    def worker(name, steps):
+        for i, (wait, kind, prio, ns) in enumerate(steps):
+            if wait == "gate":
+                yield gates[i % len(gates)]
+            elif wait:
+                yield env.timeout(wait)
+            if kind == "occupy":
+                got = yield from cpu.occupy(hold(ns), PRIO_IRQ, label="hold")
+                assert got == ns
+            else:
+                if kind == "spawn":  # its first claim is due before ours
+                    env.process(worker(f"{name}.{i}", [(0, "exec", prio, 10)]))
+                yield from cpu.execute(ns, prio, label=f"p{prio}")
+            log.append((env.now, name, i))
+
+    def sleeper(name, naps):
+        for nap in naps:
+            yield env.timeout(nap)
+            log.append((env.now, name))
+
+    def spawner():
+        yield env.timeout(rng.choice((10, 20, 30)))
+        env.process(worker("late", [(0, "exec", PRIO_KERNEL, 10)]))
+
+    for w in range(rng.randint(2, 6)):
+        steps = [(rng.choice((0, 0, 10, 20, 30, "gate")),
+                  rng.choice(("exec", "exec", "exec", "occupy", "spawn")),
+                  rng.choice(prios), rng.choice((0, 5, 10, 20, 30)))
+                 for _ in range(rng.randint(1, 6))]
+        env.process(worker(f"w{w}", steps))
+    for s in range(2):
+        env.process(sleeper(f"s{s}", [rng.choice((5, 10, 20)) for _ in range(8)]))
+    env.process(spawner())
+    for t in (10, 20, 30, 40, 60):
+        env.call_later(t, lambda: log.append((env.now, "timer")))
+        env.call_later(t, lambda: log.append((env.now, "urgent")), URGENT)
+    for i, gate in enumerate(gates):
+        env.call_later(10 * (i + 1), gate.succeed)
+    env.run()
+    return log, env.now, cpu.busy.total_busy, sorted(cpu.counters.items())
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_cpu_scheduler_orders_like_a_preemptible_resource(seed):
+    """Same-time grants, preemptions (mid-slice, in the grant's own
+    timestep, at the slice's last instant) and completions interleave
+    with other events exactly as under the reference model."""
+    from repro.config import CpuParams
+
+    expected = _cpu_scenario(_ResourceCpu, seed)
+    assert _cpu_scenario(lambda env: Cpu(env, CpuParams()), seed) == expected

@@ -4,9 +4,6 @@ import pytest
 
 from repro.sim import (
     Environment,
-    Interrupt,
-    Preempted,
-    PreemptiveResource,
     PriorityResource,
     Resource,
     Store,
@@ -122,89 +119,6 @@ def test_priority_resource_orders_by_priority():
     env.process(contender(env, "mid", 5, 3))
     env.run()
     assert order == ["high", "mid", "low"]
-
-
-def test_preemptive_resource_evicts_lower_priority():
-    env = Environment()
-    cpu = PreemptiveResource(env, capacity=1)
-    log = []
-
-    def user_task(env):
-        req = cpu.request(priority=10, preempt=False)
-        yield req
-        try:
-            yield env.timeout(100)
-            log.append(("user-done", env.now))
-            cpu.release(req)
-        except Interrupt as intr:
-            assert isinstance(intr.cause, Preempted)
-            log.append(("user-preempted", env.now))
-
-    def irq(env):
-        yield env.timeout(30)
-        with cpu.request(priority=0, preempt=True) as req:
-            yield req
-            log.append(("irq-run", env.now))
-            yield env.timeout(20)
-        log.append(("irq-done", env.now))
-
-    env.process(user_task(env))
-    env.process(irq(env))
-    env.run()
-    assert ("user-preempted", 30) in log
-    assert ("irq-run", 30) in log
-    assert ("irq-done", 50) in log
-
-
-def test_preempted_cause_records_usage_since():
-    env = Environment()
-    cpu = PreemptiveResource(env, capacity=1)
-    seen = {}
-
-    def victim(env):
-        req = cpu.request(priority=10, preempt=False)
-        yield req
-        try:
-            yield env.timeout(1000)
-        except Interrupt as intr:
-            seen["cause"] = intr.cause
-
-    def bully(env):
-        yield env.timeout(40)
-        with cpu.request(priority=0, preempt=True) as req:
-            yield req
-            yield env.timeout(1)
-
-    env.process(victim(env))
-    env.process(bully(env))
-    env.run()
-    cause = seen["cause"]
-    assert isinstance(cause, Preempted)
-    assert cause.usage_since == 0
-    assert cause.resource is cpu
-
-
-def test_equal_priority_does_not_preempt():
-    env = Environment()
-    cpu = PreemptiveResource(env, capacity=1)
-    log = []
-
-    def one(env):
-        with cpu.request(priority=5, preempt=False) as req:
-            yield req
-            yield env.timeout(50)
-            log.append(("one", env.now))
-
-    def two(env):
-        yield env.timeout(10)
-        with cpu.request(priority=5, preempt=True) as req:
-            yield req
-            log.append(("two", env.now))
-
-    env.process(one(env))
-    env.process(two(env))
-    env.run()
-    assert log == [("one", 50), ("two", 50)]
 
 
 def test_store_put_get_fifo():
