@@ -13,7 +13,8 @@ both transports.  Shape checks:
 * barrier time grows sub-linearly with node count (dissemination is
   O(log P) rounds);
 * an 8-node CLIC barrier still completes in O(100 us) — cheap enough
-  for fine-grained codes, the paper's motivating workload class.
+  for fine-grained codes, the paper's motivating workload class;
+* at 8 nodes the TCP barrier takes more than twice as long as CLIC's.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def shape_checks(result: Dict) -> None:
     check(b8 < 1_000_000,
           "an 8-node CLIC barrier completes within O(100 us)",
           f"{b8/1000:.1f} us")
+    tcp_b8 = times["barrier"]["tcp/8"]
+    check(tcp_b8 > 2 * b8,
+          "CLIC's advantage holds for the synchronization-heavy barrier "
+          "(TCP takes more than twice as long at 8 nodes)",
+          f"{tcp_b8/1000:.1f} vs {b8/1000:.1f} us")
 
 
 if __name__ == "__main__":

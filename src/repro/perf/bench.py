@@ -2,15 +2,18 @@
 
 Each scenario measures a headline point of the reproduction (the
 paper's latency/bandwidth claims, the Figure-7 layer budget, one
-resilience point) and reports three kinds of cost:
+resilience point) and reports two kinds of number:
 
-* **simulated metrics** — deterministic given the seeds, so they gate
-  regressions tightly (the ``gates`` section, each with a direction and
-  a relative tolerance);
-* **simulator cost** — aggregated :class:`~repro.obs.EnvProfiler`
-  tallies (events processed/scheduled, queue high-water), catching
-  "the simulation got slower" regressions that simulated time hides;
-* **wall clock** — informational only (machine-dependent, never gated).
+* **gates** — simulated metrics, deterministic given the seeds, each
+  with a direction and a relative tolerance, plus the
+  ``events_processed`` tally from :func:`repro.sim.profiled`, which
+  catches "the simulation does more work" regressions that simulated
+  time hides;
+* **metrics** — informational simulated detail, never gated.
+
+Nothing here is wall time: host cost is measured, gated and attributed
+to layers by ``bench/run.py`` against ``BENCHMARK.json``.  The document
+is therefore a pure function of the code and the ``quick`` flag.
 
 The Figure-7 scenario gates the per-layer budget of the traced packet's
 critical path (:func:`repro.obs.critical_path`); its Figure-7 stages
@@ -23,7 +26,6 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import aggregate_profiles, critical_path, jsonable
@@ -193,8 +195,9 @@ def _scenario_journey(quick: bool) -> Tuple[Dict, Dict]:
     """Journey-tracing purity: on-vs-off must not perturb the simulation.
 
     Runs the same burst-loss CLIC stream twice — journeys disabled, then
-    enabled — and *errors out* if the simulated results, the metrics
-    snapshot, or the event-loop profile differ at all: the observability layer must observe, never perturb.
+    enabled — and *errors out* if the simulated results or the metrics
+    snapshot differ at all: the observability layer must observe, never
+    perturb.
     The gates then track the traced run's cost like any other scenario.
     """
     from dataclasses import replace
@@ -202,7 +205,7 @@ def _scenario_journey(quick: bool) -> Tuple[Dict, Dict]:
     from ..cluster import Cluster
     from ..config import granada2003
     from ..faults import FaultPlan
-    from ..obs import JourneyProbe, JourneyRecorder, jsonable as _jsonable
+    from ..obs import JourneyProbe, JourneyRecorder
     from ..workloads import clic_pair, stream
 
     nbytes, messages = (65_536, 8) if quick else (262_144, 16)
@@ -222,7 +225,7 @@ def _scenario_journey(quick: bool) -> Tuple[Dict, Dict]:
         finally:
             if probe is not None:
                 probe.uninstall()
-        snapshot = json.dumps(_jsonable(cluster.metrics.snapshot()), sort_keys=True)
+        snapshot = json.dumps(jsonable(cluster.metrics.snapshot()), sort_keys=True)
         return res, snapshot, recorder
 
     res_off, snap_off, _ = one(False)
@@ -391,19 +394,15 @@ def current_rev() -> str:
         return "local"
 
 
-def _scenario_task(spec: Tuple[str, bool]) -> Tuple[str, Dict, Dict, Dict, float]:
-    """Run one scenario from a pure-data spec (module-level: pool-safe).
-
-    Wall clock is measured in the worker, so with ``jobs > 1`` each
-    scenario still reports its own cost rather than pool overhead.
-    """
+def _scenario_task(spec: Tuple[str, bool]) -> Tuple[str, Dict, Dict]:
+    """Run one scenario from a pure-data spec (module-level: pool-safe)."""
     name, quick = spec
     runner = dict(SCENARIOS)[name]
-    t0 = time.perf_counter()
     with profiled() as profilers:
         gates, metrics = runner(quick)
-    wall = time.perf_counter() - t0
-    return name, gates, metrics, aggregate_profiles(profilers), wall
+    events = aggregate_profiles(profilers)["events_processed"]
+    gates["events_processed"] = _gate(float(events), "lower", PROFILE_TOLERANCE)
+    return name, gates, metrics
 
 
 def run_bench(quick: bool = True, scenarios: Optional[List[str]] = None,
@@ -411,54 +410,23 @@ def run_bench(quick: bool = True, scenarios: Optional[List[str]] = None,
     """Run the pinned suite and return the bench document (plain dict).
 
     ``jobs > 1`` fans the scenarios out over a process pool; the
-    document's gates/metrics/profile sections are byte-identical to a
-    serial run (only the informational wall-clock numbers move).
+    document is byte-identical to a serial run.
     """
     wanted = {name for name, _ in SCENARIOS} if scenarios is None else set(scenarios)
     unknown = wanted - {name for name, _ in SCENARIOS}
     if unknown:
         raise KeyError(f"unknown scenarios {sorted(unknown)}; "
                        f"have {[name for name, _ in SCENARIOS]}")
-    doc: Dict[str, Any] = {
+    specs = [(name, quick) for name, _ in SCENARIOS if name in wanted]
+    return jsonable({
         "schema": BENCH_SCHEMA,
         "rev": rev if rev is not None else current_rev(),
         "quick": quick,
         "python": sys.version.split()[0],
-        "scenarios": {},
-    }
-    specs = [(name, quick) for name, _ in SCENARIOS if name in wanted]
-    total_wall = 0.0
-    wall_by_scenario: Dict[str, float] = {}
-    total_events = {"events_processed": 0, "events_scheduled": 0}
-    for name, gates, metrics, profile, wall in run_tasks(_scenario_task, specs, jobs=jobs):
-        gates["events_processed"] = _gate(
-            float(profile["events_processed"]), "lower", PROFILE_TOLERANCE)
-        doc["scenarios"][name] = {
-            "gates": gates,
-            "metrics": metrics,
-            "profile": profile,
-            "wall_s": round(wall, 3),
-        }
-        total_wall += wall
-        wall_by_scenario[name] = round(wall, 3)
-        for key in total_events:
-            total_events[key] += profile[key]
-    # Scenarios that A/B the hybrid flow engine publish an
-    # ``event_reduction`` metric; surface those ratios in the totals so
-    # the scorecard (``repro.obs.report``) can headline the speedup.
-    reductions = {
-        name: entry["metrics"]["event_reduction"]
-        for name, entry in doc["scenarios"].items()
-        if "event_reduction" in entry.get("metrics", {})
-    }
-    doc["totals"] = {
-        "wall_s": round(total_wall, 3),
-        "wall_by_scenario": wall_by_scenario,
-        **total_events,
-    }
-    if reductions:
-        doc["totals"]["event_reduction_by_scenario"] = reductions
-    return jsonable(doc)
+        "scenarios": {name: {"gates": gates, "metrics": metrics}
+                      for name, gates, metrics
+                      in run_tasks(_scenario_task, specs, jobs=jobs)},
+    })
 
 
 def write_bench(doc: Dict[str, Any], path: str) -> None:

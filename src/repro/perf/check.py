@@ -1,20 +1,16 @@
 """Baseline comparison behind ``python -m repro.perf check``.
 
 The committed baseline's gates are *declared data*: each gate
-``{value, better, tol}`` is translated into one
-:class:`~repro.obs.slo.Objective` — a ``ceiling`` of
-``value * (1 + tol)`` when lower is better, a ``floor`` of
-``value * (1 - tol)`` when higher is better — giving one
-:class:`~repro.obs.slo.SLOSpec` per scenario (:func:`slo_from_bench`).
-``check`` evaluates those specs against the candidate document; a
-violated objective is a regression.  On top of the pass/fail verdict the
-:class:`GateResult` layer keeps the reporting distinctions: in-tolerance
-drift is ``ok``, movement past tolerance in the *good* direction is
-``improved``, and gates present on only one side are ``baseline-only`` /
+``{value, better, tol}`` bounds the candidate at ``value * (1 + tol)``
+when lower is better and at ``value * (1 - tol)`` when higher is better
+(both bounds inclusive); past the bound is a regression.  Inside it,
+drift is ``ok``; movement past tolerance in the *good* direction is
+``improved``; gates present on only one side are ``baseline-only`` /
 ``new`` (reported, never failing — the suite is allowed to grow).
 
-``python -m repro.perf slo`` exposes the same evaluation as scorecard
-JSON for CI.
+Only documents of the same depth compare: a ``--full`` candidate
+measures other message sizes and event counts than a quick baseline, so
+:func:`check_bench` refuses the pair instead of reporting noise.
 """
 
 from __future__ import annotations
@@ -23,11 +19,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..obs.slo import Objective, SLOSpec, evaluate
 from .bench import BENCH_SCHEMA
 
-__all__ = ["GateResult", "check_bench", "load_bench", "report",
-           "scenario_scorecards", "slo_from_bench"]
+__all__ = ["GateResult", "check_bench", "load_bench", "report"]
 
 
 def load_bench(path: str) -> Dict[str, Any]:
@@ -61,80 +55,8 @@ class GateResult:
         return (self.candidate - self.baseline) / abs(self.baseline)
 
 
-def _gate_spec(base_gates: Dict[str, Any], cand_gates: Dict[str, Any],
-               metric: str) -> Dict[str, Any]:
-    """Tolerance/direction come from the candidate when it defines the
-    gate (the current code owns its contract), else from the baseline."""
-    return cand_gates.get(metric) or base_gates[metric]
-
-
-def slo_from_bench(baseline: Dict[str, Any],
-                   candidate: Optional[Dict[str, Any]] = None
-                   ) -> Dict[str, SLOSpec]:
-    """One SLO spec per baseline scenario, gates expressed as objectives.
-
-    A ``lower``-is-better gate becomes a ceiling at
-    ``value * (1 + tol)``; a ``higher``-is-better gate a floor at
-    ``value * (1 - tol)`` — the exact regression boundary
-    ``python -m repro.perf check`` enforces, now as declared data any
-    SLO consumer (dashboard, CI scorecard) can evaluate.
-    """
-    # Flow-vs-packet speedup headlines (totals.event_reduction_by_scenario,
-    # published by scenarios that A/B the hybrid engine) ride along in the
-    # spec description so scorecard tables and the dashboard show them.
-    reductions = {
-        **(baseline.get("totals", {}).get("event_reduction_by_scenario") or {}),
-        **((candidate or {}).get("totals", {})
-           .get("event_reduction_by_scenario") or {}),
-    }
-    specs: Dict[str, SLOSpec] = {}
-    for scenario in sorted(baseline.get("scenarios", {})):
-        base_gates = (baseline["scenarios"][scenario] or {}).get("gates", {})
-        cand_gates = ((candidate or {}).get("scenarios", {})
-                      .get(scenario) or {}).get("gates", {})
-        objectives = []
-        for metric in sorted(base_gates):
-            gate = _gate_spec(base_gates, cand_gates, metric)
-            better, tol = gate["better"], gate["tol"]
-            base = base_gates[metric]["value"]
-            if better == "lower":
-                kind, threshold = "ceiling", base * (1 + tol)
-            else:
-                kind, threshold = "floor", base * (1 - tol)
-            objectives.append(Objective(
-                name=metric,
-                metric=f"scenarios.{scenario}.gates.{metric}.value",
-                kind=kind, threshold=threshold,
-                description=f"baseline {base:g}, {better} is better, "
-                            f"tol {tol:.0%}"))
-        description = (f"perf gates of scenario {scenario!r} vs baseline "
-                       f"{baseline.get('rev', '?')}")
-        if scenario in reductions:
-            description += (f"; hybrid flow engine: "
-                            f"{reductions[scenario]:.1f}x fewer events "
-                            f"than packet-exact")
-        specs[scenario] = SLOSpec(
-            name=f"bench.{scenario}",
-            description=description,
-            objectives=tuple(objectives))
-    return specs
-
-
-def scenario_scorecards(candidate: Dict[str, Any],
-                        baseline: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Evaluate every baseline scenario's SLO spec against the candidate."""
-    return {scenario: evaluate(spec, candidate)
-            for scenario, spec in slo_from_bench(baseline, candidate).items()}
-
-
 def _classify(baseline: float, candidate: float, better: str, tol: float) -> str:
-    """Scalar ok/improved/regressed verdict for one gate.
-
-    The regression boundary here is by construction the same one
-    :func:`slo_from_bench` declares (``value * (1 ± tol)``); the SLO
-    evaluation is authoritative in :func:`check_bench`, this classifier
-    adds the ``improved`` distinction on passing gates.
-    """
+    """Scalar ok/improved/regressed verdict for one gate."""
     if better == "lower":
         if candidate > baseline * (1 + tol):
             return "regressed"
@@ -146,15 +68,18 @@ def _classify(baseline: float, candidate: float, better: str, tol: float) -> str
 
 def check_bench(candidate: Dict[str, Any],
                 baseline: Dict[str, Any]) -> List[GateResult]:
-    """Compare the candidate against the baseline's gates-as-SLOs.
+    """Compare every gate of the candidate against the baseline's.
 
-    The pass/fail verdict per gate is the SLO objective's: violated
-    means regressed.  Gates on only one side stay informational.
+    Tolerance and direction come from the candidate when it defines the
+    gate (the current code owns its contract), else from the baseline.
+    Raises :class:`ValueError` when the two documents differ in
+    ``quick``.
     """
-    cards = scenario_scorecards(candidate, baseline)
-    verdicts = {(scenario, row["name"]): row
-                for scenario, card in cards.items()
-                for row in card["objectives"]}
+    if candidate.get("quick") != baseline.get("quick"):
+        raise ValueError(
+            f"candidate has quick={candidate.get('quick')!r} but the baseline "
+            f"has quick={baseline.get('quick')!r}; quick and full bench "
+            f"documents measure different points and cannot be compared")
     results: List[GateResult] = []
     scenarios = sorted(set(baseline.get("scenarios", {}))
                        | set(candidate.get("scenarios", {})))
@@ -162,7 +87,7 @@ def check_bench(candidate: Dict[str, Any],
         base_gates = (baseline.get("scenarios", {}).get(scenario) or {}).get("gates", {})
         cand_gates = (candidate.get("scenarios", {}).get(scenario) or {}).get("gates", {})
         for metric in sorted(set(base_gates) | set(cand_gates)):
-            gate = _gate_spec(base_gates, cand_gates, metric)
+            gate = cand_gates.get(metric) or base_gates[metric]
             better, tol = gate["better"], gate["tol"]
             base = base_gates.get(metric, {}).get("value")
             cand = cand_gates.get(metric, {}).get("value")
@@ -170,8 +95,6 @@ def check_bench(candidate: Dict[str, Any],
                 status = "new"
             elif cand is None:
                 status = "baseline-only"
-            elif not verdicts[(scenario, metric)]["ok"]:
-                status = "regressed"
             else:
                 status = _classify(base, cand, better, tol)
             results.append(GateResult(scenario, metric, base, cand, better, tol, status))

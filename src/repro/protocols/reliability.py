@@ -432,8 +432,7 @@ class WindowedSender:
     def _start_timer(self) -> None:
         # Re-arming cancels the previous timer lazily (dead heap entry),
         # so ack-by-ack restarts cost one handle + one push, not a
-        # process spawn (the pre-optimization shape, kept as the "A"
-        # side of ``repro.perf micro``).
+        # process spawn.
         if self._timer is not None:
             self._timer.cancel()
         self._timer = self.env.call_later(self.current_timeout_ns(), self._on_rto)

@@ -27,7 +27,7 @@ def test_battery_jobs2_byte_identical(tmp_path, capsys):
     assert [run["experiment"] for run in parallel["runs"]] == ["fig7", "comparison"]
 
 
-@pytest.mark.perf
+@pytest.mark.slow
 def test_resilience_jobs2_fleet_fold_byte_identical(tmp_path, capsys):
     """The fleet-wide digest fold happens in the parent, in submission
     order, so a ``--jobs 2`` resilience sweep — cells fanned out over a

@@ -5,20 +5,18 @@ import json
 import pytest
 
 from repro.perf import BENCH_SCHEMA, check_bench, load_bench
-from repro.perf.check import (_classify, report, scenario_scorecards,
-                              slo_from_bench)
+from repro.perf.check import _classify, report
 from repro.perf.__main__ import main
 
 
-def _doc(**gates):
+def _doc(quick=True, **gates):
     """Minimal one-scenario bench document with the given gates."""
     return {
-        "schema": BENCH_SCHEMA, "rev": "t", "quick": True, "python": "3",
+        "schema": BENCH_SCHEMA, "rev": "t", "quick": quick, "python": "3",
         "scenarios": {"s": {"gates": {
             name: {"value": value, "better": better, "tol": tol}
             for name, (value, better, tol) in gates.items()
-        }, "metrics": {}, "profile": {}, "wall_s": 0.0}},
-        "totals": {"wall_s": 0.0},
+        }, "metrics": {}}},
     }
 
 
@@ -29,6 +27,11 @@ def test_classify_directions_and_tolerance():
     assert _classify(100.0, 96.0, "higher", 0.05) == "ok"
     assert _classify(100.0, 94.0, "higher", 0.05) == "regressed"
     assert _classify(100.0, 110.0, "higher", 0.05) == "improved"
+    # The tolerance bound itself passes: value*(1+tol) is the last
+    # passing value of a lower-is-better gate, value*(1-tol) of a
+    # higher-is-better one.
+    assert _classify(100.0, 100.0 * (1 + 0.05), "lower", 0.05) == "ok"
+    assert _classify(200.0, 200.0 * (1 - 0.10), "higher", 0.10) == "ok"
 
 
 def test_check_bench_union_and_statuses():
@@ -83,71 +86,21 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     assert main(["diff", a, far, "--tolerance", "2.0"]) == 0
 
 
-def test_slo_from_bench_declares_gate_boundaries():
-    baseline = _doc(lat=(100.0, "lower", 0.05), tput=(200.0, "higher", 0.10))
-    specs = slo_from_bench(baseline)
-    spec = specs["s"]
-    assert spec.name == "bench.s"
-    by_name = {o.name: o for o in spec.objectives}
-    # lower-is-better -> ceiling at value*(1+tol); higher -> floor at (1-tol).
-    assert by_name["lat"].kind == "ceiling"
-    assert by_name["lat"].threshold == pytest.approx(105.0)
-    assert by_name["tput"].kind == "floor"
-    assert by_name["tput"].threshold == pytest.approx(180.0)
-    assert by_name["lat"].metric == "scenarios.s.gates.lat.value"
-    # Specs are pure data: JSON round-trip preserves the boundary.
-    from repro.obs import SLOSpec
-    assert SLOSpec.from_json(spec.to_json()) == spec
-
-
-def test_slo_from_bench_headlines_event_reduction():
-    """Scenarios with a flow-vs-packet ratio in the totals get the
-    speedup headline in their spec description (candidate wins over
-    baseline), and the scorecard table surfaces it."""
-    from repro.obs.slo import scorecard_table
-
-    baseline = _doc(lat=(100.0, "lower", 0.05))
-    baseline["totals"]["event_reduction_by_scenario"] = {"s": 12.0}
-    specs = slo_from_bench(baseline)
-    assert "12.0x fewer events" in specs["s"].description
-    candidate = _doc(lat=(101.0, "lower", 0.05))
-    candidate["totals"]["event_reduction_by_scenario"] = {"s": 14.1}
-    assert "14.1x fewer events" in slo_from_bench(baseline,
-                                                  candidate)["s"].description
-    cards = scenario_scorecards(candidate, baseline)
-    assert "14.1x fewer events" in scorecard_table(cards["s"])
-    # Scenarios without a ratio keep the plain description.
-    plain = slo_from_bench(_doc(lat=(100.0, "lower", 0.05)))
-    assert "fewer events" not in plain["s"].description
-
-
-def test_scenario_scorecards_match_check_verdicts():
-    baseline = _doc(lat=(100.0, "lower", 0.05))
-    bad = _doc(lat=(150.0, "lower", 0.05))
-    cards = scenario_scorecards(bad, baseline)
-    assert not cards["s"]["ok"]
-    assert cards["s"]["violations"] == ["lat"]
-    # check_bench's regressed status comes from the same evaluation.
-    assert [r.status for r in check_bench(bad, baseline)] == ["regressed"]
-    good = _doc(lat=(101.0, "lower", 0.05))
-    assert scenario_scorecards(good, baseline)["s"]["ok"]
-
-
-def test_cli_slo_exit_codes_and_output(tmp_path, capsys):
+def test_check_rejects_quick_vs_full(tmp_path, capsys):
+    """A --full candidate measures other points than a quick baseline:
+    check refuses the pair (exit 2) rather than report regressions."""
     base = _write(tmp_path, "base.json", _doc(lat=(100.0, "lower", 0.05)))
-    good = _write(tmp_path, "good.json", _doc(lat=(101.0, "lower", 0.05)))
-    bad = _write(tmp_path, "bad.json", _doc(lat=(150.0, "lower", 0.05)))
-    out_path = str(tmp_path / "cards.json")
-    assert main(["slo", good, "--baseline", base]) == 0
-    assert main(["slo", bad, "--baseline", base, "-o", out_path]) == 1
-    assert main(["slo", bad, "--baseline", base, "--warn-only"]) == 0
-    out = capsys.readouterr()
-    assert "SLO bench.s" in out.out
-    assert "s:lat" in out.err
-    doc = json.loads((tmp_path / "cards.json").read_text())
-    assert doc["schema"] == "repro.slo-scorecards/1"
-    assert doc["ok"] is False
-    assert doc["scenarios"]["s"]["violations"] == ["lat"]
+    full = _write(tmp_path, "full.json",
+                  _doc(quick=False, lat=(100.0, "lower", 0.05)))
+    with pytest.raises(ValueError, match="quick"):
+        check_bench(load_bench(full), load_bench(base))
+    assert main(["check", full, "--baseline", base]) == 2
+    assert main(["check", full, "--baseline", base, "--warn-only"]) == 2
+    err = capsys.readouterr().err
+    assert "quick=False" in err and "quick=True" in err
+    # A document that is not a bench document is refused the same way.
+    other = _write(tmp_path, "other.json", {"schema": "other/1"})
+    assert main(["check", other, "--baseline", base]) == 2
 
 
 def test_cli_bench_writes_document(tmp_path, capsys, monkeypatch):
@@ -157,3 +110,7 @@ def test_cli_bench_writes_document(tmp_path, capsys, monkeypatch):
     assert "wrote BENCH_cli.json" in out and "fig7:" in out
     doc = json.loads((tmp_path / "BENCH_cli.json").read_text())
     assert doc["schema"] == BENCH_SCHEMA and doc["rev"] == "cli"
+    assert doc["quick"] is True
+    # --quick is gone: quick is the default, --full the only switch.
+    with pytest.raises(SystemExit):
+        main(["bench", "--quick"])
