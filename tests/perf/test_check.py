@@ -27,11 +27,20 @@ def test_classify_directions_and_tolerance():
     assert _classify(100.0, 96.0, "higher", 0.05) == "ok"
     assert _classify(100.0, 94.0, "higher", 0.05) == "regressed"
     assert _classify(100.0, 110.0, "higher", 0.05) == "improved"
-    # The tolerance bound itself passes: value*(1+tol) is the last
-    # passing value of a lower-is-better gate, value*(1-tol) of a
-    # higher-is-better one.
+
+
+def test_gate_boundaries_by_direction():
+    """A lower-is-better gate fails above value*(1+tol), a higher-is-better
+    one below value*(1-tol); the bound itself passes."""
     assert _classify(100.0, 100.0 * (1 + 0.05), "lower", 0.05) == "ok"
     assert _classify(200.0, 200.0 * (1 - 0.10), "higher", 0.10) == "ok"
+    baseline = _doc(lat=(100.0, "lower", 0.05), tput=(200.0, "higher", 0.10))
+    at_bound = _doc(lat=(105.0, "lower", 0.05), tput=(180.0, "higher", 0.10))
+    past = _doc(lat=(105.5, "lower", 0.05), tput=(179.0, "higher", 0.10))
+    assert {r.metric: r.status for r in check_bench(at_bound, baseline)} == {
+        "lat": "ok", "tput": "ok"}
+    assert {r.metric: r.status for r in check_bench(past, baseline)} == {
+        "lat": "regressed", "tput": "regressed"}
 
 
 def test_check_bench_union_and_statuses():
@@ -48,6 +57,14 @@ def test_check_bench_union_and_statuses():
     # Regressions sort first in the report.
     lines = table.splitlines()
     assert "regressed" in lines[3]
+
+
+def test_check_bench_flags_only_gates_past_tolerance():
+    baseline = _doc(lat=(100.0, "lower", 0.05))
+    bad = _doc(lat=(150.0, "lower", 0.05))
+    good = _doc(lat=(101.0, "lower", 0.05))
+    assert [r.status for r in check_bench(bad, baseline)] == ["regressed"]
+    assert [r.status for r in check_bench(good, baseline)] == ["ok"]
 
 
 def _write(tmp_path, name, doc):
