@@ -88,7 +88,6 @@ from .slo import (
     SLOSpec,
     evaluate,
     resolve_metric,
-    scorecard_table,
 )
 from .span import NULL_SPAN, Instant, Span, Tracer
 
@@ -147,7 +146,6 @@ __all__ = [
     "render_html",
     "resolve_metric",
     "scope_stats",
-    "scorecard_table",
     "span_tree",
     "spans_of",
     "summary_table",

@@ -240,7 +240,11 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(dataclasses.asdict(obj))
+        # field by field rather than ``dataclasses.asdict``: this walk
+        # already rebuilds every container, so asdict's deep copy of
+        # each leaf would be thrown away
+        return {f.name: jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -273,8 +277,15 @@ class RunArtifact:
     schema: str = RUN_SCHEMA
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict form of the artifact."""
-        return jsonable(dataclasses.asdict(self))
+        """JSON-ready dict form of the artifact.
+
+        A full copy of the run's records — every span, journey event
+        and time-series point is rebuilt, so nothing in the returned
+        dict aliases the artifact.  That costs time proportional to the
+        capture; code that only *reads* a few sections (an SLO
+        evaluation, a summary) should read the attributes directly.
+        """
+        return jsonable(self)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Serialize the artifact (sorted keys, deterministic)."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "SLOSpec",
     "evaluate",
     "resolve_metric",
-    "scorecard_table",
 ]
 
 SLO_SCHEMA = "repro.slo/1"
@@ -227,6 +227,11 @@ def _score(obj: Objective, doc: Dict[str, Any]) -> Dict[str, Any]:
             row.update(value=None, ok=False, status="missing", margin=None)
             return row
         value = float(raw)
+    if not math.isfinite(value):
+        # NaN/inf is no measurement (the serialized artifact stores it
+        # as null), so it scores exactly like an absent metric
+        row.update(value=None, ok=False, status="missing", margin=None)
+        return row
     if obj.kind == "floor":
         ok = value >= obj.threshold
         margin = value - obj.threshold
@@ -240,6 +245,13 @@ def _score(obj: Objective, doc: Dict[str, Any]) -> Dict[str, Any]:
 
 def evaluate(spec: SLOSpec, doc: Dict[str, Any]) -> Dict[str, Any]:
     """Score every objective of ``spec`` against ``doc``.
+
+    ``doc`` is only read, never copied or mutated, so pass the live
+    sections a spec names (``{"result": art.result, "metrics":
+    art.metrics, "timeseries": art.timeseries}``) rather than
+    ``art.to_dict()``, which copies every record of the run first.
+    Non-finite values score as ``missing``, so the live and the
+    serialized form of a run give the same scorecard.
 
     Returns the structured scorecard: schema-tagged, JSON-able, with one
     row per objective in declaration order and an overall verdict.  A
@@ -256,25 +268,3 @@ def evaluate(spec: SLOSpec, doc: Dict[str, Any]) -> Dict[str, Any]:
         "objectives": rows,
         "violations": violations,
     }
-
-
-def scorecard_table(card: Dict[str, Any]) -> str:
-    """Render a scorecard as a human-readable table (violations first)."""
-    from ..analysis.tables import format_table
-
-    def fmt(v: Any) -> str:
-        return "-" if v is None else f"{v:g}"
-
-    rows = [
-        (r["name"], r["metric"], r["kind"], fmt(r["threshold"]),
-         fmt(r["value"]), fmt(r["margin"]),
-         r["status"].upper() if r["status"] != "ok" else "ok")
-        for r in sorted(card["objectives"], key=lambda r: (r["ok"], r["name"]))
-    ]
-    verdict = "PASS" if card["ok"] else f"FAIL ({len(card['violations'])} violated)"
-    table = format_table(
-        ["objective", "metric", "kind", "threshold", "value", "margin", "status"],
-        rows, title=f"SLO {card['slo']}: {verdict}")
-    if card.get("description"):
-        table += f"\n  {card['description']}"
-    return table

@@ -97,6 +97,33 @@ def test_run_artifact_to_dict_is_a_fixed_point():
     assert once["profile"]["per_type"] == {"timer": 4}
 
 
+def test_run_artifact_to_dict_does_not_alias_the_artifact():
+    """to_dict returns a copy: mutating any of its nested containers
+    leaves the artifact (and so a second to_dict) unchanged."""
+    art = RunArtifact(
+        experiment="fig4.point",
+        result={"latency": {"p99_us": 12.5, "ids": [1, 2]}},
+        journeys=[{"id": 1, "events": [{"hop": "send", "t_ns": 0.0}],
+                   "retransmits": [(0, 1)]}],
+        timeseries={"nic.rx_depth": {"unit": "frames",
+                                     "points": [(0.0, 1.0), (5.0, 3.0)]}},
+    )
+    before = art.to_dict()
+    doc = art.to_dict()
+    doc["result"]["latency"]["p99_us"] = -1.0
+    doc["result"]["latency"]["ids"].append(3)
+    doc["journeys"][0]["events"][0]["hop"] = "forged"
+    doc["journeys"][0]["retransmits"][0][1] = 99
+    doc["journeys"].append({"id": 2})
+    doc["timeseries"]["nic.rx_depth"]["points"][0][1] = 1e9
+    doc["timeseries"]["nic.rx_depth"]["points"].clear()
+    assert art.result == {"latency": {"p99_us": 12.5, "ids": [1, 2]}}
+    assert art.journeys[0]["events"][0]["hop"] == "send"
+    assert art.journeys[0]["retransmits"] == [(0, 1)] and len(art.journeys) == 1
+    assert art.timeseries["nic.rx_depth"]["points"] == [(0.0, 1.0), (5.0, 3.0)]
+    assert art.to_dict() == before
+
+
 def test_run_artifact_loads_schema_v1():
     """Pre-profile artifacts (schema v1) load and upgrade in place."""
     art = RunArtifact.from_dict({
@@ -170,3 +197,27 @@ def test_jsonable_sanitizes():
     assert out["dc"] == {"x": 4}
     assert isinstance(out["obj"], str)
     assert json.dumps(out)  # fully serializable
+
+
+def test_jsonable_dataclass_matches_asdict_walk():
+    """Dataclasses serialize field by field to exactly what the
+    deep-copying ``dataclasses.asdict`` walk used to give."""
+    import dataclasses
+
+    @dataclasses.dataclass
+    class Inner:
+        pts: tuple
+        tags: dict
+
+    @dataclasses.dataclass
+    class Outer:
+        name: str
+        inner: Inner
+        many: list
+        ratio: float = float("nan")
+
+    obj = Outer("o", Inner(((0.0, 1.0),), {2: float("inf"), "s": {3, 1}}),
+                [Inner((), {}), {"k": (1, Inner((5,), {}))}])
+    assert jsonable(obj) == jsonable(dataclasses.asdict(obj))
+    assert json.dumps(jsonable(obj), sort_keys=True) == \
+        json.dumps(jsonable(dataclasses.asdict(obj)), sort_keys=True)

@@ -9,8 +9,8 @@ from repro.obs import (
     Objective,
     SLOSpec,
     evaluate,
+    jsonable,
     resolve_metric,
-    scorecard_table,
 )
 from repro.obs.slo import burn_rate
 
@@ -116,12 +116,19 @@ def test_evaluate_burn_rate_reads_timeseries_dict():
     assert row["ok"]
 
 
-def test_scorecard_table_lists_violations_first():
-    doc = {"result": {"a": 5.0, "b": 1.0}}
-    card = evaluate(_spec(
-        Objective("fine", "result.b", "ceiling", 2.0),
-        Objective("broken", "result.a", "ceiling", 2.0)), doc)
-    table = scorecard_table(card)
-    assert "FAIL (1 violated)" in table
-    assert table.index("broken") < table.index("fine")
-    assert "VIOLATED" in table
+def test_evaluate_non_finite_value_is_missing():
+    """NaN/inf is no measurement: it scores as missing (as the null the
+    serialized artifact stores for it does), never as ok or violated."""
+    spec = _spec(Objective("p99", "result.p99_us", "ceiling", 2000.0),
+                 Objective("goodput", "result.goodput", "floor", 50.0),
+                 Objective("drops", "result.drops", "budget", 0.0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        doc = {"result": {"p99_us": bad, "goodput": bad, "drops": bad}}
+        card = evaluate(spec, doc)
+        assert not card["ok"]
+        assert card["violations"] == ["p99", "goodput", "drops"]
+        for row in card["objectives"]:
+            assert row["status"] == "missing"
+            assert row["value"] is None and row["margin"] is None
+        # live and serialized documents score the same
+        assert card == evaluate(spec, jsonable(doc))

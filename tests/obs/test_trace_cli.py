@@ -191,6 +191,35 @@ def test_capture_fig4_point_has_slo_and_health(fig4p_artifact):
     assert not any(e["severity"] == "critical" for e in art.health)
 
 
+def test_capture_fig4_point_live_scorecard_equals_serialized(fig4p_artifact):
+    """The SLO is scored on the live sections; re-scoring the serialized
+    artifact, and the artifact reloaded from disk, gives the same card."""
+    from repro.obs import evaluate
+    from repro.trace import fig4_point_slo
+
+    art, path = fig4p_artifact
+    spec = fig4_point_slo(16_384, 8, 0.02)
+    assert art.slo == evaluate(spec, art.to_dict())
+    assert RunArtifact.load(str(path)).slo == evaluate(spec, art.to_dict())
+
+
+def test_capture_fig4_point_never_serializes_in_the_run(monkeypatch):
+    """Structural cost pin: a capture builds no serialized copy of its
+    records — neither RunArtifact.to_dict nor dataclasses.asdict runs."""
+    import dataclasses
+
+    from repro.trace import capture_fig4_point
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("serialized copy built inside the capture")
+
+    monkeypatch.setattr(RunArtifact, "to_dict", forbidden)
+    monkeypatch.setattr(dataclasses, "asdict", forbidden)
+    art = capture_fig4_point(nbytes=8_192, messages=2, loss=0.02)
+    assert art.slo["slo"] == "fig4-point"
+    assert len(art.slo["objectives"]) == 5
+
+
 def test_cli_html_dashboard_is_self_contained(fig4p_artifact, tmp_path, capsys):
     _, path = fig4p_artifact
     out = tmp_path / "dash.html"
