@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..obs import MetricsRegistry
 from .plan import BurstLoss, LinkFaultSpec, OutageWindow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FrameVerdict",

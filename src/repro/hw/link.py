@@ -22,14 +22,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..config import LinkParams
 from ..faults import ChannelFaults, FrameVerdict, LinkFaultSpec
 from ..sim import BusyTracker, Environment, Resource
 from .nic.frames import Frame, frame_time_ns
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Channel", "Link"]
 

@@ -31,45 +31,20 @@ reports its numbers through the instruments here:
   ``chrome://tracing``; spans as slices, journeys as flow events, time
   series as counters) and the per-run :class:`RunArtifact` JSON.
 
+Only :mod:`~repro.obs.metrics` and :mod:`~repro.obs.span` load with the
+package, because the models record through them.  ``analyze``, ``diff``,
+``export``, ``health``, ``journey``, ``profile``, ``report`` and ``slo``
+load on first use: ``from repro.obs import RunArtifact`` (or any other
+name of theirs in ``__all__``) imports the defining submodule then, so a
+run that never analyses or exports pays nothing for them.
+
 The package deliberately imports nothing from :mod:`repro.sim` so the
 simulation kernel can build *on top of* the instruments (``repro.sim``
 -> ``repro.obs``, never the other way).
 """
 
-from .analyze import (
-    LAYERS,
-    CriticalPath,
-    PathSegment,
-    ScopeStat,
-    SpanNode,
-    attribution_table,
-    critical_path,
-    explain_outliers,
-    journey_latency_summary,
-    journey_waterfall,
-    layer_attribution,
-    outlier_report,
-    scope_stats,
-    span_tree,
-    summary_table,
-    waterfall_table,
-)
-from .diff import Delta, RunDiff, flatten_numeric
-from .export import (
-    RUN_SCHEMA,
-    RUN_SCHEMA_V1,
-    RUN_SCHEMA_V2,
-    RUN_SCHEMA_V3,
-    RunArtifact,
-    chrome_trace_events,
-    chrome_trace_json,
-    instants_of,
-    jsonable,
-    spans_of,
-    timeseries_of,
-)
-from .health import HEALTH_SCHEMA, SEVERITIES, HealthEvent, HealthWatchdog
-from .journey import HOP_CHAIN, Journey, JourneyProbe, JourneyRecorder, packet_key
+import importlib
+
 from .metrics import (
     Counter,
     Gauge,
@@ -78,18 +53,49 @@ from .metrics import (
     TimeSeries,
     TimeSeriesSampler,
 )
-from .profile import EnvProfiler, aggregate_profiles
-from .report import render_html, write_html
-from .slo import (
-    OBJECTIVE_KINDS,
-    SCORECARD_SCHEMA,
-    SLO_SCHEMA,
-    Objective,
-    SLOSpec,
-    evaluate,
-    resolve_metric,
-)
 from .span import NULL_SPAN, Instant, Span, Tracer
+
+#: public names of the analysis/export submodules, imported on first access
+_LAZY = {
+    "analyze": (
+        "LAYERS", "CriticalPath", "PathSegment", "ScopeStat", "SpanNode",
+        "attribution_table", "critical_path", "explain_outliers",
+        "journey_latency_summary", "journey_waterfall", "layer_attribution",
+        "outlier_report", "scope_stats", "span_tree", "summary_table",
+        "waterfall_table",
+    ),
+    "diff": ("Delta", "RunDiff", "flatten_numeric"),
+    "export": (
+        "RUN_SCHEMA", "RUN_SCHEMA_V1", "RUN_SCHEMA_V2", "RUN_SCHEMA_V3",
+        "RunArtifact", "chrome_trace_events", "chrome_trace_json",
+        "instants_of", "jsonable", "spans_of", "timeseries_of",
+    ),
+    "health": ("HEALTH_SCHEMA", "SEVERITIES", "HealthEvent", "HealthWatchdog"),
+    "journey": ("HOP_CHAIN", "Journey", "JourneyProbe", "JourneyRecorder", "packet_key"),
+    "profile": ("EnvProfiler", "aggregate_profiles"),
+    "report": ("render_html", "write_html"),
+    "slo": (
+        "OBJECTIVE_KINDS", "SCORECARD_SCHEMA", "SLO_SCHEMA", "Objective",
+        "SLOSpec", "evaluate", "resolve_metric",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and cache the name here."""
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    """Every public name, loaded or not."""
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "Counter",

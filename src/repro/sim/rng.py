@@ -5,14 +5,18 @@ inter-arrival jitter, scheduler tie-breaking noise, ...) draws from its own
 named stream so that adding randomness to one subsystem never perturbs
 another.  All streams derive from a single root seed, making whole runs
 bit-reproducible.
+
+numpy (and :mod:`hashlib`) load on the first :meth:`RngStreams.stream` or
+:meth:`RngStreams.spawn` call, so a run that never draws a random number
+never imports them.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RngStreams"]
 
@@ -33,6 +37,10 @@ class RngStreams:
         """Return (creating on first use) the generator for ``name``."""
         gen = self._streams.get(name)
         if gen is None:
+            import hashlib
+
+            import numpy as np
+
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             child_seed = int.from_bytes(digest[:8], "little")
             gen = np.random.default_rng(child_seed)
@@ -41,6 +49,8 @@ class RngStreams:
 
     def spawn(self, name: str) -> "RngStreams":
         """Derive a child family (e.g. one per node) from this one."""
+        import hashlib
+
         digest = hashlib.sha256(f"{self.seed}/{name}".encode()).digest()
         return RngStreams(int.from_bytes(digest[:8], "little"))
 

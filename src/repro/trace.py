@@ -31,26 +31,11 @@ Typical invocations::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .obs import (
-    HealthWatchdog,
-    Objective,
-    RunArtifact,
-    SLOSpec,
-    chrome_trace_json,
-    evaluate,
-    instants_of,
-    journey_latency_summary,
-    outlier_report,
-    render_html,
-    spans_of,
-    timeseries_of,
-    waterfall_table,
-)
+if TYPE_CHECKING:
+    from .obs import RunArtifact, SLOSpec
 
 __all__ = ["PIPELINE_SCOPE", "capture_fig4_point", "capture_fig7",
            "fig4_point_slo", "main"]
@@ -84,6 +69,7 @@ def capture_fig7(direct: bool = False) -> RunArtifact:
     spans), and the instants (as ``records``).
     """
     from .experiments import fig7
+    from .obs import RunArtifact, instants_of, spans_of
 
     cluster, pkt_id, timeline, done_ns = fig7.capture(direct_rx=direct)
     spans = spans_of(cluster.tracer)
@@ -117,6 +103,8 @@ def fig4_point_slo(nbytes: int, messages: int, loss: float) -> SLOSpec:
     (zero retransmit budget) and an adversarial run generously — a
     regression has to be structural, not statistical, to trip it.
     """
+    from .obs import Objective, SLOSpec
+
     # per-message wire time at line rate, in µs (1 Gb/s = 8 ns/byte)
     wire_us = nbytes * 8e-3
     # budget over retransmitted *messages* (always present in the journey
@@ -178,7 +166,9 @@ def capture_fig4_point(
     from .cluster import Cluster
     from .config import granada2003
     from .faults import FaultPlan
-    from .obs import JourneyProbe, JourneyRecorder, TimeSeriesSampler
+    from .obs import (HealthWatchdog, JourneyProbe, JourneyRecorder, RunArtifact,
+                      TimeSeriesSampler, evaluate, instants_of, journey_latency_summary,
+                      spans_of, timeseries_of)
     from .workloads.adapters import clic_pair
     from .workloads.pingpong import stream
 
@@ -291,6 +281,11 @@ def _span_listing(spans: List[Dict[str, Any]]) -> str:
 
 def main(argv=None) -> int:
     """CLI entry: capture (or load) a run and export its trace."""
+    import argparse
+
+    from .obs import (RunArtifact, chrome_trace_json, outlier_report, render_html,
+                      summary_table, waterfall_table)
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
         description="Capture a traced run and export spans/records",
@@ -411,8 +406,6 @@ def main(argv=None) -> int:
     elif args.spans:
         out = _span_listing(spans)
     elif args.summary:
-        from .obs import summary_table
-
         out = summary_table(spans, top=args.top,
                             title=f"{artifact.experiment}: top scopes by self time")
     else:
