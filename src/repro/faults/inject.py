@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..obs import MetricsRegistry
+from ..sim import Pcg64
 from .plan import BurstLoss, LinkFaultSpec, OutageWindow
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FrameVerdict",
@@ -82,7 +80,7 @@ class UniformLossModel:
             raise ValueError(f"loss rate must be a probability (got {rate!r})")
         self.rate = rate
 
-    def frame_lost(self, rng: np.random.Generator) -> bool:
+    def frame_lost(self, rng: Pcg64) -> bool:
         """One Bernoulli trial: is this frame dropped?"""
         return rng.random() < self.rate
 
@@ -100,7 +98,7 @@ class GilbertElliottModel:
         self.bad = False
         self.bursts = 0  # completed good->bad transitions
 
-    def frame_lost(self, rng: np.random.Generator) -> bool:
+    def frame_lost(self, rng: Pcg64) -> bool:
         """Step the two-state machine, then draw this frame's fate."""
         flip = self.spec.p_bad_to_good if self.bad else self.spec.p_good_to_bad
         if rng.random() < flip:
@@ -128,7 +126,7 @@ class ChannelFaults:
     def __init__(
         self,
         spec: LinkFaultSpec,
-        rng: Optional[np.random.Generator],
+        rng: Optional[Pcg64],
         metrics: Optional[MetricsRegistry] = None,
         prefix: str = "",
     ):

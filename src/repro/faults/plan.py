@@ -177,9 +177,10 @@ class Duplication:
 
     def __post_init__(self) -> None:
         _require_probability("Duplication", "rate", self.rate)
-        if self.max_copies < 1:
+        copies = self.max_copies
+        if isinstance(copies, bool) or not isinstance(copies, int) or copies < 1:
             raise ValueError(
-                f"Duplication.max_copies must be >= 1 (got {self.max_copies!r})"
+                f"Duplication.max_copies must be an int >= 1 (got {copies!r})"
             )
 
 

@@ -22,15 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..config import LinkParams
 from ..faults import ChannelFaults, FrameVerdict, LinkFaultSpec
-from ..sim import BusyTracker, Environment, Resource
+from ..sim import BusyTracker, Environment, Pcg64, Resource
 from .nic.frames import Frame, frame_time_ns
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["Channel", "Link"]
 
@@ -44,7 +41,7 @@ class Channel:
         params: LinkParams,
         name: str = "chan",
         loss_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Pcg64] = None,
         faults: Optional[ChannelFaults] = None,
         tracer=None,
     ):
@@ -184,7 +181,7 @@ class Link:
         params: LinkParams,
         name: str = "link",
         loss_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Pcg64] = None,
     ):
         self.env = env
         self.params = params

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`~repro.sim.core.Environment` and the event/process machinery,
 * queuing resources in :mod:`repro.sim.resources`,
-* deterministic RNG streams in :mod:`repro.sim.rng`,
+* deterministic RNG streams (pure-Python PCG64) in :mod:`repro.sim.rng`,
 * busy-time accounting in :mod:`repro.sim.monitor` (tallies live in
   the cluster :class:`~repro.obs.MetricsRegistry` or in a component's
   plain :class:`collections.Counter`).
@@ -31,7 +31,7 @@ from .resources import (
     Resource,
     Store,
 )
-from .rng import RngStreams
+from .rng import Pcg64, RngStreams
 
 __all__ = [
     "AllOf",
@@ -43,6 +43,7 @@ __all__ = [
     "FlowModeController",
     "FlowRoute",
     "Interrupt",
+    "Pcg64",
     "PriorityResource",
     "Process",
     "Request",

@@ -167,6 +167,15 @@ def test_duplication_validation():
     assert Duplication(rate=1.0, max_copies=1).max_copies == 1
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+def test_duplication_max_copies_must_be_an_int(bad):
+    # a float bound used to be truncated silently by the draw
+    with pytest.raises(ValueError, match="max_copies"):
+        Duplication(rate=0.2, max_copies=bad)
+    with pytest.raises(ValueError, match="max_copies"):
+        FaultPlan.duplication(0.2, max_copies=bad)
+
+
 def test_congestion_window_validation():
     w = OutageWindow(0.0, 100.0)
     with pytest.raises(ValueError):
