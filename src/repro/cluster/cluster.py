@@ -105,6 +105,8 @@ class Cluster:
         self.tracer = Tracer(self.env, enabled=self.cfg.trace)
         #: cluster-wide typed metrics namespace (counters/gauges/histograms)
         self.metrics = MetricsRegistry()
+        #: tallies of the fault plan's scheduled windows (``faults.*``)
+        self.fault_counters = self.metrics.tallies("faults")
         #: the switch fabric (one switch unless ``cfg.topology`` says more)
         self.fabric = Fabric(
             self.env,
@@ -230,7 +232,7 @@ class Cluster:
         """Emit a trace span covering one scheduled link outage."""
         yield self.env.timeout(max(window.start_ns - self.env.now, 0.0))
         span = self.tracer.begin("faults", "link_outage", link=link)
-        self.metrics.counter("faults.outages_started").value += 1
+        self.fault_counters["outages_started"] += 1
         yield self.env.timeout(window.duration_ns)
         span.end(duration_ns=window.duration_ns)
 
@@ -238,7 +240,7 @@ class Cluster:
         """Emit a trace span covering one switch egress blackout."""
         yield self.env.timeout(max(window.start_ns - self.env.now, 0.0))
         span = self.tracer.begin("faults", "egress_blackout", port=port)
-        self.metrics.counter("faults.blackouts_started").value += 1
+        self.fault_counters["blackouts_started"] += 1
         yield self.env.timeout(window.duration_ns)
         span.end(duration_ns=window.duration_ns)
 

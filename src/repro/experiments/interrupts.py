@@ -49,8 +49,8 @@ def _measure(mtu: int, coalescing: bool) -> Dict:
     result = stream(cluster, clic_pair(), TRANSFER_BYTES, messages=1)
     rx_node = cluster.nodes[1]
     nic = rx_node.nics[0]
-    irqs = cluster.metrics.value(f"{nic.name}.irqs_asserted", 0)
-    frames = cluster.metrics.value(f"{nic.name}.rx_frames", 0)
+    irqs = float(nic.counters["irqs_asserted"])
+    frames = float(nic.counters["rx_frames"])
     elapsed = result.elapsed_ns
     return {
         "mtu": mtu,

@@ -98,16 +98,17 @@ def _traced_critical_path(mode: str) -> Dict[str, float]:
     cluster = Cluster(granada2003(num_nodes=TRACED_P, trace=True))
     world = build_world(cluster, "clic", collectives=mode)
     t0: List[float] = []
-    bh_before: List[float] = []
+    bh_before: List[int] = []
+
+    def bh_scheduled() -> int:
+        return sum(node.kernel.bottom_halves.counters["scheduled"]
+                   for node in cluster.nodes)
 
     def program(ctx):
         yield from ctx.barrier()
         t0.append(ctx.proc.env.now)
         if not bh_before:
-            bh_before.append(sum(
-                cluster.metrics.counter(
-                    f"{node.name}.kernel.bh.scheduled").value
-                for node in cluster.nodes))
+            bh_before.append(bh_scheduled())
         yield from ctx.barrier()
 
     world.run(program)
@@ -116,11 +117,8 @@ def _traced_critical_path(mode: str) -> Dict[str, float]:
                    if s.start_ns >= start)
     irqs = sum(1 for s in cluster.tracer.find(name="irq")
                if s.start_ns >= start)
-    bh_after = sum(
-        cluster.metrics.counter(f"{node.name}.kernel.bh.scheduled").value
-        for node in cluster.nodes)
     return {"syscall_spans": syscalls, "irq_spans": irqs,
-            "bh_scheduled": bh_after - bh_before[0]}
+            "bh_scheduled": float(bh_scheduled() - bh_before[0])}
 
 
 def run(quick: bool = True, jobs: int = 1) -> Dict:

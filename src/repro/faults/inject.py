@@ -133,7 +133,7 @@ class ChannelFaults:
         self.spec = spec
         self.rng = rng
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.prefix = prefix
+        self.counters = self.metrics.tallies(prefix.rstrip("."))
         #: any draw-consuming model configured — such a channel is never
         #: provably quiet, so flow-mode trains may not cross it
         self.stochastic = bool(
@@ -197,14 +197,14 @@ class ChannelFaults:
     def judge(self, now: float) -> FrameVerdict:
         """Pass verdict on one frame whose serialization ends at ``now``."""
         if self.link_down(now):
-            self.metrics.counter(f"{self.prefix}outage_drops").value += 1
+            self.counters["outage_drops"] += 1
             return FrameVerdict.OUTAGE
         if self.model is not None and self.model.frame_lost(self.rng):
             kind = "burst" if isinstance(self.model, GilbertElliottModel) else "loss"
-            self.metrics.counter(f"{self.prefix}{kind}_drops").value += 1
+            self.counters[f"{kind}_drops"] += 1
             return FrameVerdict.LOST
         if self.spec.corrupt_rate and self.rng.random() < self.spec.corrupt_rate:
-            self.metrics.counter(f"{self.prefix}corrupted").value += 1
+            self.counters["corrupted"] += 1
             return FrameVerdict.CORRUPT
         return FrameVerdict.DELIVER
 
@@ -219,7 +219,7 @@ class ChannelFaults:
         """
         congested = self.congested(now)
         if congested:
-            self.metrics.counter(f"{self.prefix}congested").value += 1
+            self.counters["congested"] += 1
         verdict = self.judge(now)
         if verdict.dropped:
             return FrameDecision(verdict, congested=congested)
@@ -227,13 +227,13 @@ class ChannelFaults:
         jitter = self.spec.jitter
         if jitter is not None and self.rng.random() < jitter.rate:
             extra_delay = float(self.rng.random() * jitter.max_delay_ns)
-            self.metrics.counter(f"{self.prefix}jittered").value += 1
+            self.counters["jittered"] += 1
         copies = 1
         duplicate = self.spec.duplicate
         if duplicate is not None and self.rng.random() < duplicate.rate:
             copies = 1 + int(self.rng.integers(1, duplicate.max_copies + 1))
-            self.metrics.counter(f"{self.prefix}duplicated").value += 1
-            self.metrics.counter(f"{self.prefix}dup_copies").value += copies - 1
+            self.counters["duplicated"] += 1
+            self.counters["dup_copies"] += copies - 1
         return FrameDecision(
             verdict, extra_delay_ns=extra_delay, copies=copies, congested=congested
         )

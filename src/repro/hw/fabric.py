@@ -257,7 +257,7 @@ class Fabric:
 
     def counter_sum(self, counter: str) -> float:
         """Sum one switch counter over every switch in the fabric."""
-        return sum(s.metrics.value(f"{s.name}.{counter}", 0) for s in self.switches)
+        return sum(s.counters[counter] for s in self.switches)
 
     @property
     def max_queue_depth(self) -> int:

@@ -102,6 +102,7 @@ class Nic:
         self.name = name
         self.rx_deliver = rx_deliver
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.counters = self.metrics.tallies(name)
         self.tracer = tracer if tracer is not None else Tracer(env)
         #: PCI counter labels of the per-frame DMAs
         self._tx_label = f"{name}.tx"
@@ -160,13 +161,13 @@ class Nic:
     def receive_frame(self, frame: Frame) -> None:
         """Link-side entry point: a frame has fully arrived (channel sink)."""
         k = frame.train_frames
-        self.metrics.counter(f"{self.name}.rx_frames").value += k
-        self.metrics.counter(f"{self.name}.rx_bytes").value += frame.payload_bytes
+        self.counters["rx_frames"] += k
+        self.counters["rx_bytes"] += frame.payload_bytes
         journeys = self.tracer.journeys
         if frame.corrupted:
             # Ethernet CRC check in NIC hardware: a damaged frame never
             # reaches the host — the reliability layer must retransmit.
-            self.metrics.counter(f"{self.name}.rx_crc_drops").value += k
+            self.counters["rx_crc_drops"] += k
             if journeys is not None:
                 journeys.hop(frame.payload, "nic_drop", self.name, reason="crc")
             return
@@ -175,7 +176,7 @@ class Nic:
             # Jumbo interoperability (paper §2: "both communicating
             # computers have to use Jumbo frames"): an oversized frame is
             # dropped by a standard-MTU receiver.
-            self.metrics.counter(f"{self.name}.rx_oversize_drops").value += k
+            self.counters["rx_oversize_drops"] += k
             if journeys is not None:
                 journeys.hop(frame.payload, "nic_drop", self.name, reason="oversize")
             return
@@ -198,7 +199,7 @@ class Nic:
         """Ring admission for one (possibly train) frame; counts drops."""
         k = frame.train_frames
         if self._rx_occ + self._rx_claimed + k > self.params.rx_ring_slots:
-            self.metrics.counter(f"{self.name}.rx_drops").value += k
+            self.counters["rx_drops"] += k
             if journeys is not None:
                 journeys.hop(frame.payload, "nic_drop", self.name, reason="overflow")
             return
@@ -230,7 +231,7 @@ class Nic:
         in system memory and retries later.
         """
         if self.tx_ring_space() <= 0:
-            self.metrics.counter(f"{self.name}.tx_ring_full").value += 1
+            self.counters["tx_ring_full"] += 1
             return False
         self._effective_mtu_check(desc)
         self._tx_ring.put(desc)
@@ -297,9 +298,9 @@ class Nic:
                         train_frames=k,
                     )
                     if desc.from_user_memory:
-                        self.metrics.counter(f"{self.name}.tx_zero_copy").value += k
-                    self.metrics.counter(f"{self.name}.tx_frames").value += k
-                    self.metrics.counter(f"{self.name}.tx_bytes").value += desc.payload_bytes
+                        self.counters["tx_zero_copy"] += k
+                    self.counters["tx_frames"] += k
+                    self.counters["tx_bytes"] += desc.payload_bytes
                     route.carry(frame)
                     span.end(frames=k, analytic=True)
                     continue
@@ -321,7 +322,7 @@ class Nic:
                 )
                 yield self._tx_fifo.put((frame, desc.on_wire))
                 if desc.from_user_memory:
-                    self.metrics.counter(f"{self.name}.tx_zero_copy").value += k
+                    self.counters["tx_zero_copy"] += k
                 span.end(frames=k)
                 continue
             # Bus-master DMA: fetch the payload (plus headers) across PCI.
@@ -341,7 +342,7 @@ class Nic:
                     take = min(mtu, remaining)
                     remaining -= take
                     pieces.append((take, desc.payload, remaining == 0))
-                self.metrics.counter(f"{self.name}.tx_offload_fragmented").value += 1
+                self.counters["tx_offload_fragmented"] += 1
             last_idx = len(pieces) - 1
             for idx, (nbytes, payload, last) in enumerate(pieces):
                 yield self.env.timeout(self.params.frame_processing_ns)
@@ -357,7 +358,7 @@ class Nic:
                 on_wire = desc.on_wire if idx == last_idx else None
                 yield self._tx_fifo.put((frame, on_wire))
             if desc.from_user_memory:
-                self.metrics.counter(f"{self.name}.tx_zero_copy").value += 1
+                self.counters["tx_zero_copy"] += 1
             span.end(frames=len(pieces))
 
     def _wire_pump(self) -> Generator:
@@ -369,8 +370,8 @@ class Nic:
             if journeys is not None:
                 journeys.hop(frame.payload, "wire", self.name,
                              nbytes=frame.payload_bytes)
-            self.metrics.counter(f"{self.name}.tx_frames").value += frame.train_frames
-            self.metrics.counter(f"{self.name}.tx_bytes").value += frame.payload_bytes
+            self.counters["tx_frames"] += frame.train_frames
+            self.counters["tx_bytes"] += frame.payload_bytes
             if on_wire is not None:
                 on_wire.succeed(self.env.now)
 
@@ -393,11 +394,11 @@ class Nic:
             del self._reassembly[marker.desc_id]
             rx.frame.payload_bytes = total
             rx.frame.payload = marker.payload
-            self.metrics.counter(f"{self.name}.rx_offload_reassembled").value += 1
+            self.counters["rx_offload_reassembled"] += 1
         elif marker is not None:
             # Fragments but no offload on this side: hand up as-is; the
             # protocol module deals with it (interop corner, counted).
-            self.metrics.counter(f"{self.name}.rx_fragment_no_offload").value += 1
+            self.counters["rx_fragment_no_offload"] += 1
             rx.frame.payload = marker.payload
         return True
 
@@ -445,7 +446,7 @@ class Nic:
         self.coalescer.note_frame(k)
 
     def _assert_irq(self) -> None:
-        self.metrics.counter(f"{self.name}.irqs_asserted").value += 1
+        self.counters["irqs_asserted"] += 1
         if self.irq_callback is None:
             raise RuntimeError(f"{self.name}: IRQ asserted but no driver installed")
         self.irq_callback()

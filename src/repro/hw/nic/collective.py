@@ -86,6 +86,7 @@ class CollectiveEngine:
     def __init__(self, nic):
         self.nic = nic
         self.env = nic.env
+        self.counters = nic.metrics.tallies(f"{nic.name}.coll")
         self.rank: Optional[int] = None
         self.size = 0
         self.mac_of = None
@@ -163,7 +164,7 @@ class CollectiveEngine:
             raise ValueError(f"unknown collective op {op!r}")
         coll_id = self._posts
         self._posts += 1
-        self.nic.metrics.counter(f"{self.nic.name}.coll.posts").value += 1
+        self.counters["posts"] += 1
         yield from proc.cpu.execute(
             self.nic.params.collective_doorbell_ns, PRIO_USER,
             label="nic_coll_doorbell",
@@ -226,7 +227,7 @@ class CollectiveEngine:
         state = self._state_for(coll.op, coll.coll_id, coll.root)
         state.nbytes = max(state.nbytes, coll.nbytes)
         if coll.phase == "up":
-            self.nic.metrics.counter(f"{self.nic.name}.coll.combined").value += 1
+            self.counters["combined"] += 1
             src_vrank = self._vrank(coll.src_rank, coll.root)
             seen = state.child_frags.get(src_vrank, 0) + 1
             state.child_frags[src_vrank] = seen
@@ -234,7 +235,7 @@ class CollectiveEngine:
                 state.contributions += coll.contributions
             yield from self._try_up(state)
         else:
-            self.nic.metrics.counter(f"{self.nic.name}.coll.forwarded").value += 1
+            self.counters["forwarded"] += 1
             state.contributions = max(state.contributions, coll.contributions)
             # Cut-through: relay this fragment down before local DMA.
             vrank = self._vrank(self.rank, coll.root)
@@ -291,11 +292,11 @@ class CollectiveEngine:
             yield from self.nic.pci.dma(
                 state.nbytes, priority=2,
                 label=f"{self.nic.name}.coll_deliver")
-            self.nic.metrics.counter(f"{self.nic.name}.coll.bytes_delivered").value += state.nbytes
+            self.counters["bytes_delivered"] += state.nbytes
         yield from self.nic.pci.dma(
             COMPLETION_BYTES, priority=2,
             label=f"{self.nic.name}.coll_complete")
-        self.nic.metrics.counter(f"{self.nic.name}.coll.completions").value += 1
+        self.counters["completions"] += 1
         del self._state[(state.op, state.coll_id)]
         state.completion.succeed(state.contributions)
 
@@ -326,4 +327,4 @@ class CollectiveEngine:
         # On-card injection: straight into the tx FIFO — no host DMA,
         # no tx ring descriptor, no doorbell.
         yield self.nic._tx_fifo.put((frame, None))
-        self.nic.metrics.counter(f"{self.nic.name}.coll.tx_frames").value += 1
+        self.counters["tx_frames"] += 1

@@ -90,7 +90,6 @@ class InterruptCoalescer:
             self._timer = None
         self._pending = 0
         self._in_service = True
-        self.counters["interrupts"] += 1
         self.fire_cb()
 
     def _start_timer(self) -> None:

@@ -97,7 +97,7 @@ class SwitchPort:
         """Drop (counted) when a blackout window covers now."""
         switch = self.switch
         if self.blackouts and self.in_blackout(switch.env.now):
-            switch.metrics.counter(f"{switch.name}.blackout_drops").value += frame.train_frames
+            switch.counters["blackout_drops"] += frame.train_frames
             journeys = switch._journeys()
             if journeys is not None:
                 journeys.hop(frame.payload, "switch_drop", "switch",
@@ -113,7 +113,7 @@ class SwitchPort:
         k = frame.train_frames
         journeys = self.switch._journeys()
         if self.occupancy + k > self.queue.capacity:
-            self.switch.metrics.counter(f"{self.switch.name}.drops").value += k
+            self.switch.counters["drops"] += k
             if journeys is not None:
                 journeys.hop(frame.payload, "switch_drop", "switch",
                              port=self.index, reason="overflow")
@@ -141,10 +141,10 @@ class SwitchPort:
                          port=self.index, depth=self.occupancy)
         if len(self.queue.items) >= self.queue.capacity:
             switch = self.switch
-            switch.metrics.counter(f"{switch.name}.pause_events").value += 1
+            switch.counters["pause_events"] += 1
             paused_at = switch.env.now
             yield self.queue.put(frame)
-            switch.metrics.counter(f"{switch.name}.pause_time_ns").value += switch.env.now - paused_at
+            switch.counters["pause_time_ns"] += switch.env.now - paused_at
         else:
             yield self.queue.put(frame)
         self._note_depth()
@@ -180,6 +180,7 @@ class Switch:
         #: tallies land in this registry as ``<name>.*`` (the shared
         #: cluster registry, so run artifacts surface drop/pause accounting)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.counters = self.metrics.tallies(name)
         #: highest egress-queue occupancy seen on any port
         self.max_queue_depth = 0
         #: optional :class:`repro.obs.Tracer`; only its ``journeys``
@@ -243,17 +244,17 @@ class Switch:
     def _egress_ports(self, frame: Frame, from_port: SwitchPort) -> Sequence[SwitchPort]:
         """Count one forward of ``frame``; the ports it leaves through."""
         k = frame.train_frames
-        self.metrics.counter(f"{self.name}.forwarded").value += k
+        self.counters["forwarded"] += k
         if frame.is_broadcast:
             return [p for p in self.ports if p is not from_port and p.flood]
         port = self._mac_table.get(frame.dst)
         if port is None:
             # Unknown unicast: a real switch floods; in a closed cluster
             # this indicates a wiring bug, so count and drop loudly.
-            self.metrics.counter(f"{self.name}.unknown_dst").value += k
+            self.counters["unknown_dst"] += k
             return ()
         if port is from_port:
-            self.metrics.counter(f"{self.name}.hairpin_dropped").value += k
+            self.counters["hairpin_dropped"] += k
             return ()
         return (port,)
 

@@ -1,9 +1,10 @@
 """Typed metric instruments and the registry that names them.
 
-Three instrument kinds, mirroring what the experiments actually report:
+The instrument kinds, mirroring what the experiments actually report:
 
-* :class:`Counter` — monotonically increasing tallies (interrupts,
-  packets, retransmissions, copied bytes);
+* tallies — monotonically increasing counts (interrupts, packets,
+  copied bytes): keys of a scope's ``collections.Counter``
+  (:meth:`MetricsRegistry.tallies`), read as :class:`Counter` ``s.k``;
 * :class:`Gauge` — a sampled level with high/low water marks (bottom-half
   queue depth, NIC rx-buffer occupancy);
 * :class:`Histogram` — log-bucketed value distribution with streaming
@@ -18,13 +19,15 @@ Three instrument kinds, mirroring what the experiments actually report:
 
 A :class:`MetricsRegistry` is a flat namespace of instruments keyed by
 dotted names (``node1.kernel.syscall_ns``); one registry is shared by a
-whole cluster so a run's metrics snapshot is a single dict.  Time
+whole cluster so a run's metrics snapshot is a single dict.  The
+``scope.key`` format of tally names lives only in this module.  Time
 series are kept out of :meth:`MetricsRegistry.snapshot` (they are bulk
 data, exported through the artifact's dedicated ``timeseries`` field).
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -39,32 +42,20 @@ __all__ = [
 
 
 class Counter:
-    """A monotonically increasing tally."""
+    """The read-side form of one tally key: its name and ``float`` value
+    (built by :meth:`MetricsRegistry.items`; nothing bumps one)."""
 
     __slots__ = ("name", "value")
 
     kind = "counter"
 
-    def __init__(self, name: str = ""):
+    def __init__(self, name: str = "", value: float = 0.0):
         self.name = name
-        self.value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Increase the counter by ``amount`` (must not be negative)."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (got {amount!r})")
-        self.value += amount
+        self.value = float(value)
 
     def as_dict(self) -> float:
         """Snapshot form: counters export as their bare value."""
         return self.value
-
-    def merge(self, other: "Counter") -> "Counter":
-        """Fold another counter's tally into this one (sum)."""
-        if isinstance(other, dict):
-            other = Counter.from_dict(other)
-        self.value += other.value
-        return self
 
     def to_dict(self) -> Dict[str, Any]:
         """Full-fidelity digest form (see :meth:`MetricsRegistry.digest`)."""
@@ -72,9 +63,7 @@ class Counter:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], name: str = "") -> "Counter":
-        c = cls(name)
-        c.value = float(data["value"])
-        return c
+        return cls(name, data["value"])
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value!r})"
@@ -102,14 +91,6 @@ class Gauge:
             self.high_water = value
         if value < self.low_water:
             self.low_water = value
-
-    def inc(self, delta: float = 1.0) -> None:
-        """Raise the level by ``delta``."""
-        self.set(self.value + delta)
-
-    def dec(self, delta: float = 1.0) -> None:
-        """Lower the level by ``delta``."""
-        self.set(self.value - delta)
 
     def as_dict(self) -> Dict[str, float]:
         """Snapshot form: level plus extremes."""
@@ -493,18 +474,37 @@ class TimeSeriesSampler:
 class MetricsRegistry:
     """A flat, typed namespace of instruments.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create; asking for an
-    existing name with a different kind is a programming error and
-    raises immediately.
+    Tallies are kept per scope: :meth:`tallies` hands a component the
+    ``collections.Counter`` of its scope once, and the component bumps
+    keys of it in place.  The registry reads key ``k`` of scope ``s`` as
+    the counter ``s.k`` (keys hold no dot), only when asked.
+    ``gauge``/``histogram``/``timeseries`` are get-or-create; a name
+    used as two kinds is a programming error and raises ``TypeError``.
     """
 
     def __init__(self):
+        self._tallies: Dict[str, collections.Counter] = {}
         self._instruments: Dict[str, object] = {}
 
     # -- get-or-create ---------------------------------------------------
+    def tallies(self, scope: str) -> collections.Counter:
+        """The tally ``Counter`` of ``scope``, shared by every caller.
+
+        Take it once, at construction, and bump it in place
+        (``self.counters["rx_frames"] += k``).  A key is published as
+        ``f"{scope}.{key}"`` from its first bump (``+= 0`` included);
+        an unbumped key stays absent.
+        """
+        tally = self._tallies.get(scope)
+        if tally is None:
+            tally = self._tallies[scope] = collections.Counter()
+        return tally
+
     def _get(self, name: str, cls, *args):
         inst = self._instruments.get(name)
         if inst is None:
+            if self.value(name, None) is not None:
+                raise TypeError(f"metric {name!r} is a counter, not a {cls.kind}")
             inst = cls(name, *args)
             self._instruments[name] = inst
         elif type(inst) is not cls:
@@ -512,10 +512,6 @@ class MetricsRegistry:
                 f"metric {name!r} is a {inst.kind}, not a {cls.kind}"
             )
         return inst
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge called ``name``."""
@@ -528,11 +524,15 @@ class MetricsRegistry:
     def value(self, name: str, default: float = 0.0) -> float:
         """Current value of a counter/gauge by name, without creating it.
 
-        The read-only twin of the get-or-create accessors, for pure
-        observers (e.g. health-watchdog probes) that must not perturb
-        the registry: a lazily-created counter that never fires must
-        stay absent from the snapshot whether or not it was watched.
+        The read-only accessor for pure observers (e.g. health-watchdog
+        probes) that must not perturb the registry: a tally that never
+        fires must stay absent from the snapshot whether or not it was
+        watched.
         """
+        scope, _, key = name.rpartition(".")
+        tally = self._tallies.get(scope)
+        if tally is not None and key in tally:
+            return float(tally[key])
         inst = self._instruments.get(name)
         return default if inst is None else float(inst.value)
 
@@ -576,14 +576,15 @@ class MetricsRegistry:
     def merge_from(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry — or a :meth:`digest` dict — into this one.
 
-        Per-name semantics: counters add, gauges combine extremes (the
-        folded-last level wins), histograms merge **exactly** (bucket
-        counts add — merged percentiles equal a single-registry run over
-        the concatenated samples), and time series concatenate their
-        timestamped points.  A name present on both sides with different
-        kinds raises, mirroring the get-or-create kind check.  Folding
-        shards in submission order is deterministic, so a ``--jobs N``
-        fleet fold is byte-identical to the serial one.
+        Per-name semantics: counters add (into the tally of their scope),
+        gauges combine extremes (the folded-last level wins), histograms
+        merge **exactly** (bucket counts add — merged percentiles equal
+        a single-registry run over the concatenated samples), and time
+        series concatenate their timestamped points.  A name present on
+        both sides with different kinds raises, mirroring the
+        get-or-create kind check.  Folding shards in submission order is
+        deterministic, so a ``--jobs N`` fleet fold is byte-identical to
+        the serial one.
         """
         items = other.items() if isinstance(other, MetricsRegistry) \
             else sorted(other.items())
@@ -596,27 +597,40 @@ class MetricsRegistry:
                         f"{entry.get('kind')!r}")
                 entry = cls.from_dict(entry, name)
             cls = type(entry)
-            mine = self._instruments.get(name)
-            if mine is None:
-                args = (entry.growth,) if cls is Histogram else ()
-                mine = self._instruments[name] = cls(name, *args)
-            elif type(mine) is not cls:
-                raise TypeError(f"metric {name!r} is a {mine.kind}, not a {cls.kind}")
-            mine.merge(entry)
+            if cls is Counter:
+                if name in self._instruments:
+                    raise TypeError(f"metric {name!r} is a "
+                                    f"{self._instruments[name].kind}, not a counter")
+                scope, _, key = name.rpartition(".")
+                self.tallies(scope)[key] += entry.value
+                continue
+            args = (entry.growth,) if cls is Histogram else ()
+            self._get(name, cls, *args).merge(entry)
         return self
 
     # -- introspection ---------------------------------------------------
     def peek(self, name: str):
-        """The instrument called ``name``, or ``None`` (never creates)."""
-        return self._instruments.get(name)
-
-    def discard(self, name: str) -> None:
-        """Remove an instrument (no error when absent)."""
-        self._instruments.pop(name, None)
+        """The instrument called ``name``, or ``None`` (never creates);
+        a tally reads as its :class:`Counter`."""
+        inst = self._instruments.get(name)
+        if inst is None and self.value(name, None) is not None:
+            inst = Counter(name, self.value(name))
+        return inst
 
     def items(self) -> Iterator[Tuple[str, object]]:
-        """(name, instrument) pairs sorted by name."""
-        return iter(sorted(self._instruments.items()))
+        """(name, instrument) pairs sorted by name; each tally key reads
+        as a :class:`Counter` named ``scope.key``."""
+        named = dict(self._instruments)
+        for scope, tally in self._tallies.items():
+            for key, n in tally.items():
+                if "." in key:
+                    raise ValueError(f"tally key {key!r} of scope {scope!r} holds a dot")
+                name = f"{scope}.{key}" if scope else key
+                if name in named:
+                    raise TypeError(
+                        f"metric {name!r} is a {named[name].kind}, not a counter")
+                named[name] = Counter(name, n)
+        return iter(sorted(named.items()))
 
     def snapshot(self) -> Dict[str, object]:
         """name -> plain value (counters) or stats dict, sorted by name.
@@ -628,12 +642,8 @@ class MetricsRegistry:
         return {name: inst.as_dict() for name, inst in self.items()
                 if not isinstance(inst, TimeSeries)}
 
-    def reset(self) -> None:
-        """Drop every instrument."""
-        self._instruments.clear()
-
     def __len__(self) -> int:
-        return len(self._instruments)
+        return len(self._instruments) + sum(map(len, self._tallies.values()))
 
     def __repr__(self) -> str:
-        return f"<MetricsRegistry {len(self._instruments)} instruments>"
+        return f"<MetricsRegistry {len(self)} instruments>"

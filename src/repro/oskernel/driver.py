@@ -43,6 +43,7 @@ class VendorDriver:
         self.nic = nic
         self.params = params
         self.name = name
+        self.counters = kernel.metrics.tallies(name)
         #: shares the kernel's tracer so driver spans nest with kernel ones
         self.tracer = kernel.tracer
         if nic.rx_deliver == "irq-pull":
@@ -84,13 +85,13 @@ class VendorDriver:
         )
         accepted = self.nic.try_post_tx(desc)
         if accepted:
-            self.kernel.metrics.counter(f"{self.name}.tx_accepted").value += train_frames
+            self.counters["tx_accepted"] += train_frames
             self.tracer.instant(
                 self.name, "driver_tx",
                 pkt=_pkt_id(skb.payload), nbytes=skb.total_bytes(),
             )
         else:
-            self.kernel.metrics.counter(f"{self.name}.tx_ring_busy").value += 1
+            self.counters["tx_ring_busy"] += 1
         return accepted
 
     # ------------------------------------------------------------------
@@ -103,7 +104,7 @@ class VendorDriver:
         env = self.kernel.env
         cpu = self.kernel.cpu
         direct = self.kernel.params.direct_rx_dispatch
-        self.kernel.metrics.counter(f"{self.name}.rx_irqs").value += 1
+        self.counters["rx_irqs"] += 1
         irq_span = self.tracer.begin(self.name, "irq", direct=direct)
         yield from cpu.execute(self.params.irq_overhead_ns, PRIO_IRQ, label="drv_irq")
         drained = 0
@@ -156,7 +157,7 @@ class VendorDriver:
                 )
                 self.kernel.deliver_rx(rx.frame.ethertype, skb, in_irq_context=True)
             drained += k
-        self.kernel.metrics.counter(f"{self.name}.rx_frames").value += drained
+        self.counters["rx_frames"] += drained
         irq_span.end(drained=drained)
         self.kernel.metrics.histogram(f"{self.name}.irq_frames").record(drained)
         self.nic.irq_service_done()

@@ -41,6 +41,7 @@ class BottomHalves:
         self.params = params
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.counters = self.metrics.tallies(name)
         #: live queue depth (+ high-water mark) of deferred work
         self._depth_gauge = self.metrics.gauge(f"{name}.queue_depth")
         self._queue: Store = Store(env, name=f"{name}.queue")
@@ -48,7 +49,7 @@ class BottomHalves:
 
     def schedule(self, work: Callable[[], Generator]) -> None:
         """Queue ``work`` (a generator factory) to run in softirq context."""
-        self.metrics.counter(f"{self.name}.scheduled").value += 1
+        self.counters["scheduled"] += 1
         self._queue.put(work)
         self._depth_gauge.set(len(self._queue.items))
 
@@ -64,7 +65,7 @@ class BottomHalves:
                 self.params.bottom_half_dispatch_ns, PRIO_SOFTIRQ, label="bh_dispatch"
             )
             yield from work()
-            self.metrics.counter(f"{self.name}.executed").value += 1
+            self.counters["executed"] += 1
 
 
 class IrqController:

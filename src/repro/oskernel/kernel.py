@@ -56,6 +56,7 @@ class Kernel:
         self.tracer = tracer if tracer is not None else Tracer(env)
         #: typed metrics registry (counters/gauges/histograms)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.counters = self.metrics.tallies(name)
         self.irq = IrqController(env, cpu, params, name=f"{name}.irq")
         self.bottom_halves = BottomHalves(
             env, cpu, params, name=f"{name}.bh", metrics=self.metrics
@@ -73,7 +74,7 @@ class Kernel:
         body itself charges its own CPU/bus costs), charges the exit and —
         per CLIC's design — a scheduler pass on return to user mode.
         """
-        self.metrics.counter(f"{self.name}.syscalls").value += 1
+        self.counters["syscalls"] += 1
         t0 = self.env.now
         span = self.tracer.begin(self.name, "syscall", label=label)
         yield from self.cpu.execute(self.params.syscall_enter_ns, PRIO_KERNEL, label="sys_enter")
@@ -87,7 +88,7 @@ class Kernel:
 
     def lightweight_call(self, body: Generator, label: str = "lwcall") -> Generator:
         """GAMMA-style lightweight trap: minimal switch, no scheduler."""
-        self.metrics.counter(f"{self.name}.lightweight_calls").value += 1
+        self.counters["lightweight_calls"] += 1
         yield from self.cpu.execute(self.params.lightweight_syscall_ns, PRIO_KERNEL, label="lw_enter")
         result = yield from body
         yield from self.cpu.execute(self.params.lightweight_syscall_ns / 2, PRIO_KERNEL, label="lw_exit")
@@ -102,7 +103,7 @@ class Kernel:
         Charges the context switch away now and the scheduler pass +
         context switch back when woken; returns the event's value.
         """
-        self.metrics.counter(f"{self.name}.blocks").value += 1
+        self.counters["blocks"] += 1
         t0 = self.env.now
         span = self.tracer.begin(self.name, "blocked", label=label)
         yield from self.cpu.context_switch(PRIO_KERNEL)
@@ -123,23 +124,23 @@ class Kernel:
         ``setups`` batches a flow-mode train's per-fragment copies into
         one bus hold charging ``setups`` copy-setup costs.
         """
-        self.metrics.counter(f"{self.name}.copies_user_to_system").value += setups
-        self.metrics.counter(f"{self.name}.copy_bytes").value += nbytes
+        self.counters["copies_user_to_system"] += setups
+        self.counters["copy_bytes"] += nbytes
         yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="u2s",
                                         setups=setups)
 
     def copy_system_to_user(self, nbytes: int, priority: int = PRIO_KERNEL,
                             setups: int = 1) -> Generator:
         """CPU copy from kernel memory to the user buffer (receive side)."""
-        self.metrics.counter(f"{self.name}.copies_system_to_user").value += setups
-        self.metrics.counter(f"{self.name}.copy_bytes").value += nbytes
+        self.counters["copies_system_to_user"] += setups
+        self.counters["copy_bytes"] += nbytes
         yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="s2u",
                                         setups=setups)
 
     def copy_user_to_user(self, nbytes: int, priority: int = PRIO_KERNEL) -> Generator:
         """Same-node process-to-process copy (CLIC local delivery)."""
-        self.metrics.counter(f"{self.name}.copies_user_to_user").value += 1
-        self.metrics.counter(f"{self.name}.copy_bytes").value += nbytes
+        self.counters["copies_user_to_user"] += 1
+        self.counters["copy_bytes"] += nbytes
         yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="u2u")
 
     # ------------------------------------------------------------------
@@ -160,7 +161,7 @@ class Kernel:
         """
         handler = self.protocol_handlers.get(ethertype)
         if handler is None:
-            self.metrics.counter(f"{self.name}.rx_unknown_ethertype").value += 1
+            self.counters["rx_unknown_ethertype"] += 1
             return
         self.bottom_halves.schedule(lambda h=handler, s=skb: h(s))
 
@@ -169,6 +170,6 @@ class Kernel:
         already in interrupt context)."""
         handler = self.protocol_handlers.get(ethertype)
         if handler is None:
-            self.metrics.counter(f"{self.name}.rx_unknown_ethertype").value += 1
+            self.counters["rx_unknown_ethertype"] += 1
             return
         yield from handler(skb)

@@ -104,6 +104,7 @@ class ClicModule:
         self.scope = f"{node.name}.clic"
         self.tracer = self.kernel.tracer
         self.metrics = self.kernel.metrics
+        self.counters = self.metrics.tallies(self.scope)
         self._msg_ids = itertools.count(1)
 
         self._senders: Dict[int, WindowedSender] = {}
@@ -224,7 +225,7 @@ class ClicModule:
         if peer in self.dead_peers:
             return
         self.dead_peers[peer] = reason
-        self.metrics.counter(f"{self.scope}.peers_dead").value += 1
+        self.counters["peers_dead"] += 1
         self.tracer.instant(self.scope, "peer_dead", peer=peer, reason=reason)
         sender = self._senders.get(peer)
         if sender is not None and not sender.failed:
@@ -335,8 +336,8 @@ class ClicModule:
                 journeys.fragment(pkt, self.scope)
             yield from self._tx_packet(pkt)
             index += 1
-        self.metrics.counter(f"{self.scope}.msgs_sent").value += 1
-        self.metrics.counter(f"{self.scope}.bytes_sent").value += nbytes
+        self.counters["msgs_sent"] += 1
+        self.counters["bytes_sent"] += nbytes
         span.end()
         return msg_id
 
@@ -366,7 +367,7 @@ class ClicModule:
                 payload=payload,
             )
             yield from self._tx_packet(pkt, dst_mac=BROADCAST)
-        self.metrics.counter(f"{self.scope}.bcasts_sent").value += 1
+        self.counters["bcasts_sent"] += 1
         return msg_id
 
     def send_kernel_fn(self, dst_node: int, fn_id: int, nbytes: int = 0) -> Generator:
@@ -406,7 +407,7 @@ class ClicModule:
         if journeys is not None:
             journeys.tx(pkt, self.scope, accepted)
         if accepted:
-            self.metrics.counter(f"{self.scope}.pkts_tx").value += 1
+            self.counters["pkts_tx"] += 1
             span.end(accepted=True)
             return
         # NIC busy: stage in system memory (the copy overlaps other
@@ -414,8 +415,8 @@ class ClicModule:
         if skb.is_zero_copy:
             yield from self.kernel.copy_user_to_system(pkt.frag_bytes)
             skb.relocate("system")
-            self.metrics.counter(f"{self.scope}.staged_copies").value += 1
-        self.metrics.counter(f"{self.scope}.pkts_staged").value += 1
+            self.counters["staged_copies"] += 1
+        self.counters["pkts_staged"] += 1
         self._backlog.put((skb, mac))
         span.end(accepted=False)
 
@@ -445,7 +446,7 @@ class ClicModule:
         skb.push_header("clic", self.params.header_bytes * k)
         accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
         if accepted:
-            self.metrics.counter(f"{self.scope}.pkts_tx").value += k
+            self.counters["pkts_tx"] += k
             span.end(accepted=True, frames=k)
             return
         # NIC busy mid-train: stage the whole batch (one copy, k setups)
@@ -453,8 +454,8 @@ class ClicModule:
         if skb.is_zero_copy:
             yield from self.kernel.copy_user_to_system(total_user, setups=k)
             skb.relocate("system")
-            self.metrics.counter(f"{self.scope}.staged_copies").value += k
-        self.metrics.counter(f"{self.scope}.pkts_staged").value += k
+            self.counters["staged_copies"] += k
+        self.counters["pkts_staged"] += k
         self._backlog.put((skb, mac))
         span.end(accepted=False, frames=k)
 
@@ -476,7 +477,7 @@ class ClicModule:
                 driver = self.node.drivers[self._bond_rr % len(self.node.drivers)]
                 accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
                 if accepted:
-                    self.metrics.counter(f"{self.scope}.pkts_tx_from_backlog").value += 1
+                    self.counters["pkts_tx_from_backlog"] += 1
                     break
                 yield self.env.timeout(5_000.0)  # ring still full; retry soon
 
@@ -485,7 +486,7 @@ class ClicModule:
 
         def _do() -> Generator:
             for pkt in packets:
-                self.metrics.counter(f"{self.scope}.pkts_retx").value += 1
+                self.counters["pkts_retx"] += 1
                 yield from self._tx_packet(pkt)
 
         self.env.process(_do(), name=f"{self.node.name}.clic.retx")
@@ -511,7 +512,7 @@ class ClicModule:
                     self.params.module_tx_ns / 2 + driver.params.tx_call_ns,
                     PRIO_SOFTIRQ, label="clic_ack_tx",
                 )
-                self.metrics.counter(f"{self.scope}.acks_tx").value += 1
+                self.counters["acks_tx"] += 1
                 route.send_ack(cumulative_seq)
                 return
             yield from cpu.execute(self.params.module_tx_ns / 2, PRIO_SOFTIRQ, label="clic_ack_tx")
@@ -522,7 +523,7 @@ class ClicModule:
             accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
             if not accepted:
                 self._backlog.put((skb, mac))
-            self.metrics.counter(f"{self.scope}.acks_tx").value += 1
+            self.counters["acks_tx"] += 1
 
         self.env.process(_do(), name=f"{self.node.name}.clic.ack")
 
@@ -534,7 +535,7 @@ class ClicModule:
         so both apply the same sender-side semantics.
         """
         self._sender(src_node).on_ack(cumulative_seq)
-        self.metrics.counter(f"{self.scope}.acks_rx").value += 1
+        self.counters["acks_rx"] += 1
 
     # ------------------------------------------------------------------
     # receive path (bottom-half or direct-IRQ context)
@@ -572,7 +573,7 @@ class ClicModule:
         if not isinstance(item, ClicPacket):
             # Malformed frame on our ethertype (corrupted peer, fuzzing):
             # the module must survive it — protection is a design goal.
-            self.metrics.counter(f"{self.scope}.rx_malformed").value += 1
+            self.counters["rx_malformed"] += 1
             span.end(kind="malformed")
             return
         pkt: ClicPacket = item
@@ -618,7 +619,7 @@ class ClicModule:
                 yield from self._consume_fragment(pkt)
             return
         k = len(fragments)
-        self.metrics.counter(f"{self.scope}.pkts_rx").value += k
+        self.counters["pkts_rx"] += k
         if partial is None:
             partial = _Partial(
                 src_node=first.src_node,
@@ -642,7 +643,7 @@ class ClicModule:
             if region is not None:
                 region.bytes_written += total
         elif partial.bound_waiter is not None and direct:
-            self.metrics.counter(f"{self.scope}.direct_user_deliveries").value += k
+            self.counters["direct_user_deliveries"] += k
         elif partial.bound_waiter is not None:
             yield from self.kernel.copy_system_to_user(
                 total, PRIO_SOFTIRQ, setups=k
@@ -650,7 +651,7 @@ class ClicModule:
         partial.received += total
 
     def _consume_fragment(self, pkt: ClicPacket) -> Generator:
-        self.metrics.counter(f"{self.scope}.pkts_rx").value += 1
+        self.counters["pkts_rx"] += 1
         key = (pkt.src_node, pkt.msg_id)
         partial = self._partials.get(key)
         if partial is None:
@@ -680,7 +681,7 @@ class ClicModule:
         elif partial.bound_waiter is not None and direct:
             # Figure 8(b): the module directed the DMA straight into the
             # waiting process's buffer — no staging copy at all.
-            self.metrics.counter(f"{self.scope}.direct_user_deliveries").value += 1
+            self.counters["direct_user_deliveries"] += 1
         elif partial.bound_waiter is not None:
             # A process is already waiting: move the fragment into its
             # memory right away.
@@ -700,7 +701,7 @@ class ClicModule:
         if pkt.ptype is ClicPacketType.KERNEL_FN:
             handler = self._kernel_fns.get(pkt.tag)
             if handler is None:
-                self.metrics.counter(f"{self.scope}.kernel_fn_unknown").value += 1
+                self.counters["kernel_fn_unknown"] += 1
             else:
                 yield from handler(pkt)
             return
@@ -715,8 +716,8 @@ class ClicModule:
             completed_at=self.env.now,
             in_user_memory=partial.bound_waiter is not None or partial.remote_write,
         )
-        self.metrics.counter(f"{self.scope}.msgs_rx").value += 1
-        self.metrics.counter(f"{self.scope}.bytes_rx").value += message.nbytes
+        self.counters["msgs_rx"] += 1
+        self.counters["bytes_rx"] += message.nbytes
         if partial.remote_write:
             region = self.port(message.port).region
             if region is not None:
@@ -781,14 +782,14 @@ class ClicModule:
                 if not msg.in_user_memory:
                     yield from self.kernel.copy_system_to_user(msg.nbytes)
                     msg.in_user_memory = True
-                self.metrics.counter(f"{self.scope}.recv_immediate").value += 1
+                self.counters["recv_immediate"] += 1
                 return msg
         if not block:
-            self.metrics.counter(f"{self.scope}.recv_would_block").value += 1
+            self.counters["recv_would_block"] += 1
             return None
         event = self.env.event()
         state.waiters.append((match, event))
-        self.metrics.counter(f"{self.scope}.recv_blocked").value += 1
+        self.counters["recv_blocked"] += 1
         msg = yield from self.kernel.block_on(event, label=f"recv:{port}")
         if not msg.in_user_memory:
             # Bound only at completion: the data was parked in system
@@ -862,7 +863,7 @@ class ClicModule:
                 message.in_user_memory = True
                 message.completed_at = self.env.now
                 event.succeed(message)
-                self.metrics.counter(f"{self.scope}.local_direct").value += 1
+                self.counters["local_direct"] += 1
                 span.end(path="direct")
                 return msg_id
         # Nobody waiting: stage in system memory; recv() will copy out.
@@ -874,10 +875,10 @@ class ClicModule:
                 state.waiters.pop(idx)
                 message.completed_at = self.env.now
                 event.succeed(message)
-                self.metrics.counter(f"{self.scope}.local_direct").value += 1
+                self.counters["local_direct"] += 1
                 span.end(path="late-direct")
                 return msg_id
         state.ready.append(message)
-        self.metrics.counter(f"{self.scope}.local_staged").value += 1
+        self.counters["local_staged"] += 1
         span.end(path="staged")
         return msg_id

@@ -239,6 +239,7 @@ class WindowedSender:
         self.rto = rto
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.prefix = prefix
+        self.counters = self.metrics.tallies(prefix.rstrip("."))
         self.fail_listener = fail_listener
         #: captured at construction (see :func:`install_channel_probe`)
         self.probe = _active_probe
@@ -290,7 +291,7 @@ class WindowedSender:
         while self.window_full():
             event = self.env.event()
             self._window_waiters.append(event)
-            self.metrics.counter(f"{self.prefix}window_stalls").value += 1
+            self.counters["window_stalls"] += 1
             yield event
             self._check_failed()
 
@@ -307,7 +308,7 @@ class WindowedSender:
         self.next_seq += 1
         self._in_flight[seq] = packet
         self._sent_at[seq] = self.env.now
-        self.metrics.counter(f"{self.prefix}registered").value += 1
+        self.counters["registered"] += 1
         if self.probe is not None:
             self.probe.on_register(self, seq)
         if len(self._in_flight) == 1:
@@ -338,10 +339,10 @@ class WindowedSender:
             # copy).  It carries no information about the *current* base,
             # so it must not feed the dupack counter — otherwise jittered
             # ack arrivals would fire spurious fast retransmissions.
-            self.metrics.counter(f"{self.prefix}stale_acks").value += 1
+            self.counters["stale_acks"] += 1
             return
         if cumulative_seq == self.base:
-            self.metrics.counter(f"{self.prefix}duplicate_acks").value += 1
+            self.counters["duplicate_acks"] += 1
             self._dupacks += 1
             if (
                 self.dupack_threshold
@@ -356,7 +357,7 @@ class WindowedSender:
                 self._dupacks = 0
                 if self.base in self._in_flight:
                     self._recover = self.next_seq - 1
-                    self.metrics.counter(f"{self.prefix}fast_retransmits").value += 1
+                    self.counters["fast_retransmits"] += 1
                     self._note_retransmitted([self.base])  # Karn: RTT now ambiguous
                     if self.fast_retransmit_listener is not None:
                         self.fast_retransmit_listener()
@@ -399,7 +400,7 @@ class WindowedSender:
             # of waiting out the RTO.  Driven only by *new* cumulative
             # progress, so duplicated ack copies cannot amplify it, and
             # bounded by one resend per hole per recovery episode.
-            self.metrics.counter(f"{self.prefix}partial_ack_retransmits").value += 1
+            self.counters["partial_ack_retransmits"] += 1
             self._note_retransmitted([self.base])  # Karn: RTT now ambiguous
             if self.probe is not None:
                 self.probe.on_retransmit(self, [self.base], "partial_ack")
@@ -453,7 +454,7 @@ class WindowedSender:
                 f"(base={self.base}, in flight={self.in_flight})"
             )
             return
-        self.metrics.counter(f"{self.prefix}timeouts").value += 1
+        self.counters["timeouts"] += 1
         rto_before = self.current_timeout_ns()
         if self.rto is not None:
             self.rto.on_timeout()
@@ -471,7 +472,7 @@ class WindowedSender:
         self._note_retransmitted(seqs)  # Karn: all resent, all ambiguous
         if self.probe is not None:
             self.probe.on_retransmit(self, seqs, "rto")
-        self.metrics.counter(f"{self.prefix}retransmitted").value += len(packets)
+        self.counters["retransmitted"] += len(packets)
         self._start_timer()
         self.retransmit(packets)
 
@@ -496,7 +497,7 @@ class WindowedSender:
     def _fail(self, reason: str) -> None:
         self._failed = DeliveryFailed(f"{self.name}: {reason}")
         self._cancel_timer()
-        self.metrics.counter(f"{self.prefix}failed").value += 1
+        self.counters["failed"] += 1
         if self.probe is not None:
             self.probe.on_fail(self, reason)
         for event in (*self._window_waiters, *self._drained_waiters):
@@ -541,6 +542,7 @@ class OrderedReceiver:
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.prefix = prefix
+        self.counters = self.metrics.tallies(prefix.rstrip("."))
         #: captured at construction (see :func:`install_channel_probe`)
         self.probe = _active_probe
         if self.probe is not None:
@@ -583,7 +585,7 @@ class OrderedReceiver:
             # Duplicate (a retransmission, or an extra copy from a
             # duplication fault): suppress, but re-ack so the sender's
             # window can advance.
-            self.metrics.counter(f"{self.prefix}duplicates").value += 1
+            self.counters["duplicates"] += 1
             self._emit_ack()
             return
         if seq <= self.expected:
@@ -591,7 +593,7 @@ class OrderedReceiver:
             # Drain any stashed successors.
             while self.expected in self._stash:
                 self._deliver_next(self.expected, self._stash.pop(self.expected))
-            self.metrics.counter(f"{self.prefix}delivered_in_order").value += 1
+            self.counters["delivered_in_order"] += 1
             if self._unacked >= self.ack_every:
                 self._emit_ack()
             else:
@@ -603,15 +605,15 @@ class OrderedReceiver:
         # (counted) — the frame is repaired by go-back-N retransmission,
         # so adversarial reordering can never grow memory without bound.
         if seq in self._stash:
-            self.metrics.counter(f"{self.prefix}duplicates").value += 1
+            self.counters["duplicates"] += 1
         elif len(self._stash) < self.stash_limit:
             self._stash[seq] = packet
-            self.metrics.counter(f"{self.prefix}stashed").value += 1
+            self.counters["stashed"] += 1
             if len(self._stash) > self.max_stash:
                 self.max_stash = len(self._stash)
                 self.metrics.gauge(f"{self.prefix}max_stash").set(self.max_stash)
         else:
-            self.metrics.counter(f"{self.prefix}stash_overflow_drops").value += 1
+            self.counters["stash_overflow_drops"] += 1
         # Remind the sender where we are (acts like a duplicate ack).
         self._emit_ack()
 
@@ -621,7 +623,7 @@ class OrderedReceiver:
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
-        self.metrics.counter(f"{self.prefix}acks_sent").value += 1
+        self.counters["acks_sent"] += 1
         if self.probe is not None:
             self.probe.on_ack_emitted(self, self.expected)
         self.send_ack(self.expected)
@@ -637,5 +639,5 @@ class OrderedReceiver:
     def _on_delayed_ack(self) -> None:
         self._ack_timer = None
         if self._unacked:
-            self.metrics.counter(f"{self.prefix}delayed_acks").value += 1
+            self.counters["delayed_acks"] += 1
             self._emit_ack()

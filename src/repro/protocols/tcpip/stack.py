@@ -29,6 +29,7 @@ class TcpIpStack:
         #: tracing scope of this stack, e.g. ``node0.tcpip``
         self.scope = f"{node.name}.tcpip"
         self.tracer = node.kernel.tracer
+        self.counters = node.kernel.metrics.tallies(self.scope)
         self.ip = IpLayer(node, self.params)
         self.tcp = TcpLayer(node, self.params, self.ip)
         self.udp = UdpLayer(node, self.params, self.ip)
@@ -63,4 +64,4 @@ class TcpIpStack:
                 span.annotate(kind="udp")
                 yield from self.udp.on_datagram(complete.payload)
             else:
-                self.node.kernel.metrics.counter(f"{self.scope}.unknown_ip_protocol").value += 1
+                self.counters["unknown_ip_protocol"] += 1

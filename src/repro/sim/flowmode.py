@@ -166,7 +166,7 @@ class FlowRoute:
             c["bytes_offered"] += nbytes
             c["frames"] += k
             c["bytes"] += nbytes
-        self.switch.metrics.counter(f"{self.switch.name}.forwarded").value += k
+        self.switch.counters["forwarded"] += k
 
     # -- express ack -----------------------------------------------------
     def send_ack(self, cumulative_seq: int) -> None:
@@ -176,11 +176,10 @@ class FlowRoute:
         are credited with the frame they would have carried, and the ack
         lands after ``ack_latency_ns`` (:meth:`_land_ack`).
         """
-        nic = self.src_nic
-        metrics = nic.metrics
-        metrics.counter(f"{nic.name}.tx_frames").value += 1
-        metrics.counter(f"{nic.name}.tx_bytes").value += self.ack_bytes
-        metrics.counter(f"{self.src_driver.name}.tx_accepted").value += 1
+        c = self.src_nic.counters
+        c["tx_frames"] += 1
+        c["tx_bytes"] += self.ack_bytes
+        self.src_driver.counters["tx_accepted"] += 1
         self.env.call_later(self.ack_latency_ns,
                             partial(self._land_ack, cumulative_seq))
 
@@ -188,9 +187,9 @@ class FlowRoute:
         """Credit both wires, the switch and the dst NIC with the ack
         frame, then hand the ack to the dst module."""
         self.credit_hop(1, self.ack_bytes)
-        nic = self.dst_nic
-        nic.metrics.counter(f"{nic.name}.rx_frames").value += 1
-        nic.metrics.counter(f"{nic.name}.rx_bytes").value += self.ack_bytes
+        c = self.dst_nic.counters
+        c["rx_frames"] += 1
+        c["rx_bytes"] += self.ack_bytes
         self.module.receive_ack(self.peer, cumulative_seq)
 
 

@@ -210,17 +210,15 @@ class StorePut(Event):
 class StoreGet(Event):
     """Get request on a :class:`Store`; triggers with the retrieved item."""
 
-    __slots__ = ("filter", "_store")
+    __slots__ = ("_store",)
 
-    def __init__(self, store: "Store", filter=None):
+    def __init__(self, store: "Store"):
         super().__init__(store.env)
-        self.filter = filter
         self._store = store
-        idx = None if store._get_queue else store._find(filter)
-        if idx is not None:
+        if store.items and not store._get_queue:
             # An item waits and no earlier getter does: served at
             # creation (see Environment._settle).
-            store.env._settle(self, store.items.pop(idx))
+            store.env._settle(self, store.items.pop(0))
         else:
             store._get_queue.append(self)
         store._trigger()
@@ -238,9 +236,7 @@ class Store:
     """A FIFO buffer of items with optional capacity.
 
     ``put(item)`` blocks (as an event) while the store is full;
-    ``get()`` blocks while it is empty.  ``get(filter=f)`` retrieves the
-    first item matching predicate ``f`` (a *FilterStore* in SimPy terms),
-    used e.g. for tag-matched message receive queues.
+    ``get()`` blocks while it is empty.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf"), name: str = ""):
@@ -257,9 +253,9 @@ class Store:
         """Event that triggers once the item is stored."""
         return StorePut(self, item)
 
-    def get(self, filter=None) -> StoreGet:
-        """Event that triggers with the next (or first matching) item."""
-        return StoreGet(self, filter)
+    def get(self) -> StoreGet:
+        """Event that triggers with the next item."""
+        return StoreGet(self)
 
     def try_get(self) -> Any:
         """Non-blocking get: pop and return the head item or ``None``."""
@@ -285,26 +281,9 @@ class Store:
                 self.items.append(put.item)
                 put.succeed()
                 progressed = True
-            # Satisfy gets while items match.
-            idx = 0
-            while idx < len(self._get_queue):
-                get = self._get_queue[idx]
-                if get.triggered:
-                    self._get_queue.pop(idx)
-                    continue
-                item_idx = self._find(get.filter)
-                if item_idx is None:
-                    idx += 1
-                    continue
-                item = self.items.pop(item_idx)
-                self._get_queue.pop(idx)
-                get.succeed(item)
-                progressed = True
-
-    def _find(self, filter) -> Optional[int]:
-        if filter is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if filter(item):
-                return i
-        return None
+            # Satisfy gets in FIFO order while items remain.
+            while self._get_queue and self.items:
+                get = self._get_queue.pop(0)
+                if not get.triggered:
+                    get.succeed(self.items.pop(0))
+                    progressed = True

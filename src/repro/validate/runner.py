@@ -199,7 +199,7 @@ def _assemble(
     for node in cluster.nodes:
         for nic in node.nics:
             for c in nic_totals:
-                nic_totals[c] += nic.metrics.value(f"{nic.name}.{c}")
+                nic_totals[c] += nic.counters[c]
             rx_buffer_peak = max(rx_buffer_peak, nic.rx_buffer_peak)
     nic_totals["rx_buffer_peak"] = rx_buffer_peak
     nic_totals["rx_ring_slots"] = cluster.cfg.node.nic.rx_ring_slots
@@ -230,7 +230,7 @@ def _assemble(
             for node in cluster.nodes if node.clic.dead_peers
         }
         record["modules"] = {
-            str(node.node_id): {c: cluster.metrics.value(f"{node.clic.scope}.{c}", 0) for c in
+            str(node.node_id): {c: node.clic.counters[c] for c in
                                 ("msgs_sent", "bytes_sent", "msgs_rx", "bytes_rx")}
             for node in cluster.nodes
         }

@@ -92,7 +92,7 @@ def test_switch_blackout_drops_frames_and_is_survived():
     res = stream(cluster, clic_pair(), 16_384, messages=16)
     assert res.nbytes_total == 16_384 * 16
     assert cluster.metrics.value("switch.blackout_drops") > 0
-    assert cluster.metrics.counter("faults.blackouts_started").value == 1
+    assert cluster.fault_counters["blackouts_started"] == 1
 
 
 # -- link outage shorter than the retry budget -------------------------------
@@ -179,4 +179,4 @@ def test_outage_spans_and_counters_emitted():
     plan = FaultPlan.link_outage(1_000.0, 2_000.0, node=0, channel=0)
     cluster = Cluster(_cfg(), faults=plan)
     cluster.env.run(until=5_000.0)
-    assert cluster.metrics.counter("faults.outages_started").value == 2  # up + down
+    assert cluster.fault_counters["outages_started"] == 2  # up + down

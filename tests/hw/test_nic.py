@@ -184,7 +184,7 @@ def test_push_mode_delivers_to_callback_without_irq():
     env.run()
     assert len(got) == 1
     assert got[0].in_host_memory
-    assert nic.coalescer.counters["interrupts"] == 0
+    assert nic.counters["irqs_asserted"] == 0
 
 
 def test_irq_without_driver_raises():

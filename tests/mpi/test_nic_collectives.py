@@ -84,12 +84,12 @@ def test_nic_allreduce_byte_accounting():
     assert mpirun(cluster, program, collectives="nic") == [nodes] * nodes
     # Every rank's engine DMAs the full reduced payload to its host.
     delivered = sum(
-        cluster.metrics.counter(f"node{i}.nic0.coll.bytes_delivered").value
-        for i in range(nodes))
+        node.nics[0].collective_engine().counters["bytes_delivered"]
+        for node in cluster.nodes)
     assert delivered == nodes * PAYLOAD
     completions = sum(
-        cluster.metrics.counter(f"node{i}.nic0.coll.completions").value
-        for i in range(nodes))
+        node.nics[0].collective_engine().counters["completions"]
+        for node in cluster.nodes)
     assert completions == nodes
 
 
@@ -125,8 +125,8 @@ def test_nic_mode_has_zero_kernel_crossings():
             if s.start_ns >= start]
     assert syscalls == [], f"{len(syscalls)} syscall spans on the NIC path"
     assert irqs == [], f"{len(irqs)} IRQ spans on the NIC path"
-    bh = sum(cluster.metrics.counter(f"node{i}.kernel.bh.scheduled").value
-             for i in range(4))
+    bh = sum(node.kernel.bottom_halves.counters["scheduled"]
+             for node in cluster.nodes)
     assert bh == 0, f"{bh} bottom halves scheduled in nic mode"
 
 

@@ -103,7 +103,7 @@ def test_as_dict_carries_total_and_underflow():
 # -- registry fold -------------------------------------------------------
 
 def _fill(reg, seed, n=120):
-    reg.counter("pkts").inc(n)
+    reg.tallies("")["pkts"] += n
     g = reg.gauge("depth")
     hist = reg.histogram("lat_ns")
     for i, s in enumerate(_samples(seed, n)):
@@ -127,7 +127,7 @@ def test_registry_merge_from_instance_and_digest_agree():
 
 def test_registry_merge_kind_mismatch_raises():
     a = MetricsRegistry()
-    a.counter("m")
+    a.tallies("")["m"] += 0
     b = MetricsRegistry()
     b.gauge("m")
     with pytest.raises(TypeError):

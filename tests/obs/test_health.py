@@ -117,7 +117,7 @@ def test_watchdog_is_pure_observer_on_sampler():
         sampler.start()
         for step in range(5):
             clock.now += 100.0
-            reg.counter("pkts").inc()
+            reg.tallies("")["pkts"] += 1
             sampler._sample_all()
         return json.dumps({"snapshot": reg.snapshot(),
                            "digest": reg.digest()}, sort_keys=True)

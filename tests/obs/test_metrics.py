@@ -16,21 +16,19 @@ from repro.obs import (
 
 
 def test_counter_basics():
-    c = Counter("x")
-    c.inc()
-    c.inc(2.5)
-    assert c.value == 3.5
-    assert c.as_dict() == 3.5
-    with pytest.raises(ValueError):
-        c.inc(-1)
+    c = Counter("x", 3)
+    assert c.value == 3.0 and isinstance(c.value, float)
+    assert c.as_dict() == 3.0
+    assert c.to_dict() == {"kind": "counter", "value": 3.0}
+    assert Counter.from_dict(c.to_dict(), "x").value == 3.0
 
 
 def test_gauge_tracks_extremes():
     g = Gauge("depth")
     assert g.as_dict() == {"value": 0.0, "high_water": 0.0, "low_water": 0.0, "samples": 0}
     g.set(3)
-    g.inc()
-    g.dec(5)
+    g.set(4)
+    g.set(-1)
     assert g.value == -1
     assert g.high_water == 4
     assert g.low_water == -1
@@ -108,29 +106,28 @@ def test_histogram_empty_every_percentile_is_zero():
 
 def test_registry_get_or_create_and_kind_conflict():
     reg = MetricsRegistry()
-    c = reg.counter("a.count")
-    assert reg.counter("a.count") is c
-    reg.gauge("a.depth")
+    tally = reg.tallies("a")
+    assert reg.tallies("a") is tally
+    tally["count"] += 1
+    gauge = reg.gauge("a.depth")
+    assert reg.gauge("a.depth") is gauge
     reg.histogram("a.lat_ns")
     assert len(reg) == 3
     with pytest.raises(TypeError, match="gauge"):
-        reg.counter("a.depth")
+        reg.histogram("a.depth")
+    with pytest.raises(TypeError, match="counter"):
+        reg.gauge("a.count")
     assert reg.peek("nope") is None
-    reg.discard("a.depth")
-    reg.discard("a.depth")  # idempotent
-    assert len(reg) == 2
 
 
 def test_registry_snapshot_sorted_and_typed():
     reg = MetricsRegistry()
-    reg.counter("z").inc(2)
+    reg.tallies("")["z"] += 2
     reg.histogram("a").record(10.0)
     snap = reg.snapshot()
     assert list(snap) == ["a", "z"]
-    assert snap["z"] == 2
+    assert snap["z"] == 2 and isinstance(snap["z"], float)
     assert snap["a"]["count"] == 1
-    reg.reset()
-    assert len(reg) == 0
 
 
 def test_histogram_p999_tracks_extreme_tail():
@@ -208,7 +205,7 @@ def test_sampler_max_samples_backstop():
 
 def test_registry_timeseries_excluded_from_snapshot():
     reg = MetricsRegistry()
-    reg.counter("a").inc()
+    reg.tallies("")["a"] += 1
     ts = reg.timeseries("b.depth", unit="frames")
     ts.sample(0.0, 2.0)
     assert reg.timeseries("b.depth") is ts
@@ -270,6 +267,82 @@ def test_registry_value_and_peek_never_create():
     assert reg.value("ghost") == 0.0
     assert reg.value("ghost", default=-1.0) == -1.0
     assert list(reg.snapshot()) == []  # reads left no trace
-    reg.counter("hits").inc(3.0)
+    reg.tallies("")["hits"] += 3
     assert reg.value("hits") == 3.0
     assert reg.peek("hits").value == 3.0
+
+
+# -- tallies: one collections.Counter per scope -------------------------
+
+def test_tallies_shared_scope_sums():
+    reg = MetricsRegistry()
+    a, b = reg.tallies("node0.nic0"), reg.tallies("node0.nic0")
+    a["rx_frames"] += 3
+    b["rx_frames"] += 4
+    assert reg.snapshot() == {"node0.nic0.rx_frames": 7.0}
+
+
+def test_tally_bumped_by_zero_publishes_zero():
+    reg = MetricsRegistry()
+    reg.tallies("node0.kernel")["blocks"] += 0
+    snap = reg.snapshot()
+    assert snap == {"node0.kernel.blocks": 0.0}
+    assert isinstance(snap["node0.kernel.blocks"], float)
+
+
+def test_unbumped_tally_stays_absent_after_reads():
+    reg = MetricsRegistry()
+    tally = reg.tallies("node0.clic")
+    tally["pkts_tx"] += 1
+    assert tally["pkts_retx"] == 0  # a Counter read does not insert
+    assert reg.value("node0.clic.pkts_retx") == 0.0
+    assert reg.value("node9.clic.pkts_retx", default=-1.0) == -1.0
+    assert reg.peek("node0.clic.pkts_retx") is None
+    assert list(reg.snapshot()) == ["node0.clic.pkts_tx"]
+    assert "node9.clic" not in reg._tallies  # reading a scope never creates it
+
+
+def test_tally_and_gauge_name_clash_raises():
+    tallied_first = MetricsRegistry()
+    tallied_first.tallies("sw")["drops"] += 1
+    with pytest.raises(TypeError, match="counter"):
+        tallied_first.gauge("sw.drops")
+    gauged_first = MetricsRegistry()
+    gauged_first.gauge("sw.drops").set(1)
+    gauged_first.tallies("sw")["drops"] += 1
+    with pytest.raises(TypeError, match="gauge"):
+        gauged_first.snapshot()
+    dotted = MetricsRegistry()
+    dotted.tallies("sw")["port0.drops"] += 1
+    with pytest.raises(ValueError, match="dot"):
+        dotted.snapshot()
+
+
+def test_value_sees_a_bump_between_sampler_ticks():
+    env = _FakeEnv()
+    reg = MetricsRegistry()
+    tally = reg.tallies("node1.clic")
+    sampler = TimeSeriesSampler(env, interval_ns=10.0, max_samples=3)
+    ts = sampler.add(TimeSeries("rx"), lambda: reg.value("node1.clic.pkts_rx"))
+    sampler.start()
+    tally["pkts_rx"] += 2
+    env.run_until(10.0)
+    tally["pkts_rx"] += 5
+    env.run_until(20.0)
+    assert ts.points == [(0.0, 0.0), (10.0, 2.0), (20.0, 7.0)]
+
+
+def test_tally_digest_merge_round_trips_exactly():
+    import json
+
+    shard = MetricsRegistry()
+    shard.tallies("sw")["pause_time_ns"] += 0.1
+    shard.tallies("sw")["pause_time_ns"] += 0.2
+    shard.tallies("node0.nic0")["tx_frames"] += 2 ** 40 + 1
+    shard.tallies("")["registered"] += 0
+    fold = MetricsRegistry().merge_from(shard.digest())
+    assert json.dumps(fold.digest(), sort_keys=True) == \
+        json.dumps(shard.digest(), sort_keys=True)
+    assert fold.value("sw.pause_time_ns") == 0.1 + 0.2
+    assert fold.snapshot() == shard.snapshot()
+    assert fold.tallies("node0.nic0")["tx_frames"] == 2 ** 40 + 1

@@ -52,7 +52,8 @@ class _Nic:
         self.mac = mac
         self.name = f"{mac}.nic0"
         self.env = env
-        self.metrics = metrics
+        self.counters = (metrics if metrics is not None
+                         else MetricsRegistry()).tallies(self.name)
         self.received = []
 
     def rx_headroom(self):
@@ -92,10 +93,12 @@ class _Frame:
 def _route(env=None, **kw):
     metrics = MetricsRegistry()
     defaults = dict(up=_Channel(), down=_Channel(), port=_Port(),
-                    switch=SimpleNamespace(name="switch", metrics=metrics,
+                    switch=SimpleNamespace(metrics=metrics,
+                                           counters=metrics.tallies("switch"),
                                            forward_ns=2_000.0),
                     src_nic=_Nic(mac="src", env=env, metrics=metrics),
-                    src_driver=SimpleNamespace(name="src.eth0"),
+                    src_driver=SimpleNamespace(
+                        counters=metrics.tallies("src.eth0")),
                     dst_nic=_Nic(mac="dst", env=env, metrics=metrics),
                     rx_budget=16, dst_coalescing=True, module=_Module(),
                     peer=0, ack_bytes=80, ack_latency_ns=30_000.0)

@@ -165,37 +165,6 @@ def test_store_capacity_blocks_producer():
     assert ("put-b", 100) in log
 
 
-def test_store_filter_get():
-    env = Environment()
-    store = Store(env)
-
-    def producer(env):
-        yield store.put({"tag": 1, "v": "x"})
-        yield store.put({"tag": 2, "v": "y"})
-
-    def consumer(env):
-        item = yield store.get(filter=lambda m: m["tag"] == 2)
-        return item["v"]
-
-    env.process(producer(env))
-    p = env.process(consumer(env))
-    assert env.run(p) == "y"
-
-
-def test_store_filter_leaves_other_items():
-    env = Environment()
-    store = Store(env)
-
-    def run(env):
-        yield store.put("a")
-        yield store.put("b")
-        first = yield store.get(filter=lambda m: m == "b")
-        second = yield store.get()
-        return (first, second)
-
-    assert env.run(env.process(run(env))) == ("b", "a")
-
-
 def test_store_try_get():
     env = Environment()
     store = Store(env)
