@@ -31,17 +31,65 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .cluster import Cluster, Node
-from .config import (
+from importlib import import_module as _import_module
+
+
+def _lazy_exports(namespace: dict, table: dict[str, tuple[str, ...]]) -> tuple:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package that loads
+    some of its submodules on first use.
+
+    ``namespace`` is the package's ``globals()``; ``table`` (the package's
+    ``_LAZY``) maps a submodule, relative to the package (``"flowmode"``,
+    ``"protocols.clic"``), to the public names it exports::
+
+        _LAZY = {"flowmode": ("FlowModeController", "FlowRoute")}
+        __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
+
+    Reading ``package.FlowRoute`` (or ``from package import FlowRoute``)
+    then imports ``package.flowmode`` and binds all of its listed names
+    in the package, so later reads are plain attribute lookups.  ``dir()``
+    lists every name of ``__all__``, loaded or not.  A lazy name must not
+    equal a submodule's name: importing that submodule by any other route
+    would bind the module object over it.
+    """
+    package = namespace["__name__"]
+    owner = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        """Import the submodule that defines ``name`` and bind its names here."""
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        loaded = _import_module(f".{module}", package)
+        for export in table[module]:
+            namespace[export] = getattr(loaded, export)
+        return namespace[name]
+
+    def __dir__():
+        """Every public name, loaded or not."""
+        return sorted(set(namespace) | set(namespace["__all__"]))
+
+    return __getattr__, __dir__
+
+
+# The subpackages imported below take ``_lazy_exports`` from this module
+# while it is still initialising, so it is defined above them.
+from .cluster import Cluster, Node  # noqa: E402
+from .config import (  # noqa: E402
     ClusterConfig,
     MTU_JUMBO,
     MTU_STANDARD,
     NodeConfig,
     granada2003,
 )
-from .protocols.clic import ClicEndpoint, ClicMessage
-from .protocols.tcpip import TcpIpStack, TcpSocket, UdpSocket
-from .workloads import pingpong, stream
+
+#: protocol engines and workloads, imported on first access
+_LAZY = {
+    "protocols.clic": ("ClicEndpoint", "ClicMessage"),
+    "protocols.tcpip": ("TcpIpStack", "TcpSocket", "UdpSocket"),
+    "workloads": ("pingpong", "stream"),
+}
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __version__ = "1.0.0"
 

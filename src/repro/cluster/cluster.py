@@ -18,19 +18,45 @@ matching reality, where installing GAMMA means replacing the driver.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Tuple
+import itertools
+import sys
+from typing import TYPE_CHECKING, Generator, Iterable, List, Optional, Tuple
 
 from ..config import ClusterConfig
-from ..faults import ChannelFaults, FaultPlan
 from ..hw import Channel, Fabric
 from ..obs import MetricsRegistry, Tracer
 from ..sim import Environment, RngStreams
 from .node import Node, mac_for
 
+if TYPE_CHECKING:
+    from ..faults import ChannelFaults, FaultPlan
+
 __all__ = ["Cluster"]
 
 _PULL_PROTOCOLS = {"clic", "tcp"}
 _PUSH_PROTOCOLS = {"gamma", "via"}
+
+#: the process-global id counters, as (module, attribute, first value);
+#: the port counters restart too, so that a cluster built in a pool
+#: worker binds the same ports as the same cluster built serially (see
+#: repro.parallel)
+_GLOBAL_ID_COUNTERS = (
+    ("repro.hw.nic.base", "_desc_ids", 1),
+    ("repro.hw.nic.frames", "_frame_ids", 1),
+    ("repro.mpi.transports", "_world_ports", 1000),
+    ("repro.oskernel.process", "_pids", 1),
+    ("repro.oskernel.skbuff", "_skb_ids", 1),
+    ("repro.protocols.clic.control", "_echo_ids", 1),
+    ("repro.protocols.gamma", "_msg_ids", 1),
+    ("repro.protocols.headers", "_packet_ids", 1),
+    ("repro.protocols.tcpip.ip", "_dgram_ids", 1),
+    ("repro.protocols.tcpip.tcp", "_conn_ids", 1),
+    ("repro.protocols.tcpip.udp", "_udp_ids", 1),
+    ("repro.protocols.via", "_msg_ids", 1),
+    ("repro.protocols.via", "_vi_ids", 1),
+    ("repro.pvm.api", "_task_ids", 1),
+    ("repro.workloads.adapters", "_ports", 100),
+)
 
 
 def _reset_global_ids() -> None:
@@ -42,27 +68,15 @@ def _reset_global_ids() -> None:
     leak into trace records and span attributes, so restarting them per
     cluster makes two same-seed runs byte-identical — including their
     span and Chrome-trace exports.
+
+    Only modules already loaded are reset: each counter starts at its
+    reset value, so a module that loads later starts where a reset
+    would have put it.
     """
-    import itertools
-
-    from ..hw.nic import base as nic_base
-    from ..hw.nic import frames as nic_frames
-    from ..oskernel import process as osk_process
-    from ..oskernel import skbuff as osk_skbuff
-    from ..protocols import headers
-    from ..protocols.tcpip import tcp
-    from ..workloads import adapters
-
-    nic_base._desc_ids = itertools.count(1)
-    nic_frames._frame_ids = itertools.count(1)
-    osk_process._pids = itertools.count(1)
-    osk_skbuff._skb_ids = itertools.count(1)
-    headers._packet_ids = itertools.count(1)
-    tcp._conn_ids = itertools.count(1)
-    # Auto-assigned workload ports too: a cluster built in a pool worker
-    # must bind the same ports as the same cluster built serially, or
-    # parallel sweeps would not be byte-identical (see repro.parallel).
-    adapters._ports = itertools.count(100)
+    for module, attribute, first in _GLOBAL_ID_COUNTERS:
+        loaded = sys.modules.get(module)
+        if loaded is not None:
+            setattr(loaded, attribute, itertools.count(first))
 
 
 class Cluster:
@@ -132,10 +146,12 @@ class Cluster:
 
         if faults is not None and loss_rate:
             raise ValueError("give either loss_rate or a FaultPlan, not both")
+        if loss_rate:
+            from ..faults import FaultPlan
+
+            faults = FaultPlan.uniform(loss_rate)
         #: the active fault plan (None = clean links)
-        self.faults = faults if faults is not None else (
-            FaultPlan.uniform(loss_rate) if loss_rate else None
-        )
+        self.faults = faults
 
         overrides = node_overrides or {}
         for node_id in range(self.cfg.num_nodes):
@@ -201,6 +217,8 @@ class Cluster:
         spec = self.faults.link_spec(node_id, ch, direction)
         if not spec.active:
             return None
+        from ..faults import ChannelFaults
+
         injector = ChannelFaults(
             spec,
             rng=self.rng.stream(f"loss.{node_id}.{ch}.{direction}"),

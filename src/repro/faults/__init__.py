@@ -34,13 +34,7 @@ scheduled windows are emitted as ``link_outage`` / ``egress_blackout``
 spans on the cluster tracer.
 """
 
-from .inject import (
-    ChannelFaults,
-    FrameDecision,
-    FrameVerdict,
-    GilbertElliottModel,
-    UniformLossModel,
-)
+from .. import _lazy_exports
 from .plan import (
     BurstLoss,
     CongestionWindow,
@@ -52,6 +46,15 @@ from .plan import (
     SwitchBlackout,
     flap_timeline,
 )
+
+#: the injectors, imported when a cluster compiles an active plan
+_LAZY = {
+    "inject": (
+        "ChannelFaults", "FrameDecision", "FrameVerdict", "GilbertElliottModel",
+        "UniformLossModel",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "BurstLoss",

@@ -22,12 +22,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..config import LinkParams
-from ..faults import ChannelFaults, FrameVerdict, LinkFaultSpec
 from ..sim import BusyTracker, Environment, Pcg64, Resource
 from .nic.frames import Frame, frame_time_ns
+
+if TYPE_CHECKING:
+    from ..faults import ChannelFaults
 
 __all__ = ["Channel", "Link"]
 
@@ -62,6 +64,8 @@ class Channel:
         if faults is None and loss_rate:
             # Legacy constructor path: plain Bernoulli loss from the given
             # stream (draw-for-draw identical to the historical behaviour).
+            from ..faults import ChannelFaults, LinkFaultSpec
+
             faults = ChannelFaults(LinkFaultSpec(loss_rate=loss_rate), rng=rng)
         self.faults = faults
 
@@ -134,6 +138,8 @@ class Channel:
             self.counters["bytes"] += frame.payload_bytes
             self.env.defer(self.params.propagation_ns, partial(self._sink, frame))
             return
+        from ..faults import FrameVerdict
+
         decision = self.faults.decide(self.env.now)
         journeys = self._journeys()
         if decision.dropped:

@@ -122,6 +122,7 @@ class Nic:
         self._rx_claimed = 0
         #: highest rx-buffer occupancy ever observed (overrun accounting)
         self.rx_buffer_peak = 0
+        self._rx_peak_gauge = None  # registered on first use
         self._tx_channel: Optional["Channel"] = None
 
         #: host-side IRQ trampoline, installed by the driver
@@ -441,7 +442,9 @@ class Nic:
         # memory invariant audits against ``rx_ring_slots``.
         if self._rx_occ > self.rx_buffer_peak:
             self.rx_buffer_peak = self._rx_occ
-            self.metrics.gauge(f"{self.name}.rx_buffer_peak").set(self.rx_buffer_peak)
+            if self._rx_peak_gauge is None:
+                self._rx_peak_gauge = self.metrics.gauge(f"{self.name}.rx_buffer_peak")
+            self._rx_peak_gauge.set(self.rx_buffer_peak)
         span.end()
         self.coalescer.note_frame(k)
 

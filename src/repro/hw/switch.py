@@ -60,8 +60,9 @@ class SwitchPort:
         self.blackouts: Tuple = ()
         #: highest queue occupancy ever observed (bounded-memory audit)
         self.max_depth = 0
-        #: name of this port's depth gauge, formatted once per port
-        self._depth_name = f"{switch.name}.port{index}_depth"
+        #: this port's depth gauge, registered on first use (an
+        #: instrument that never fires stays out of the snapshot)
+        self._depth_gauge = None
         #: broadcast frames replicate out this port (fabric builders clear
         #: this on redundant trunk ports to keep the flood tree loop-free)
         self.flood = True
@@ -90,7 +91,10 @@ class SwitchPort:
         """Refresh the depth gauge and the switch-wide high-water mark."""
         depth = self.occupancy
         self.max_depth = max(self.max_depth, depth)
-        self.switch.metrics.gauge(self._depth_name).set(depth)
+        if self._depth_gauge is None:
+            self._depth_gauge = self.switch.metrics.gauge(
+                f"{self.switch.name}.port{self.index}_depth")
+        self._depth_gauge.set(depth)
         self.switch.note_depth(self.max_depth)
 
     def _drop_for_blackout(self, frame: Frame) -> bool:
@@ -183,6 +187,7 @@ class Switch:
         self.counters = self.metrics.tallies(name)
         #: highest egress-queue occupancy seen on any port
         self.max_queue_depth = 0
+        self._max_depth_gauge = None  # registered on first use
         #: optional :class:`repro.obs.Tracer`; only its ``journeys``
         #: attribute is consulted (the switch emits no spans)
         self.tracer = tracer
@@ -194,7 +199,9 @@ class Switch:
         """Fold one port's high-water mark into the switch-wide gauge."""
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-            self.metrics.gauge(f"{self.name}.max_queue_depth").set(depth)
+            if self._max_depth_gauge is None:
+                self._max_depth_gauge = self.metrics.gauge(f"{self.name}.max_queue_depth")
+            self._max_depth_gauge.set(depth)
 
     def attach(self, egress: Channel, mac: MacAddress) -> SwitchPort:
         """Create a port transmitting on ``egress``, owning ``mac``.

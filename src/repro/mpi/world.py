@@ -8,13 +8,13 @@ the moral equivalent of ``mpirun`` over the simulated cluster.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List
 
 from ..cluster import Cluster
 from ..config import MpiParams
-from ..protocols.tcpip import TcpIpStack
-from .api import RankContext
-from .transports import ClicTransport, TcpTransport, fresh_world_port
+
+if TYPE_CHECKING:
+    from .api import RankContext
 
 __all__ = ["World", "build_world", "mpirun"]
 
@@ -48,6 +48,9 @@ class World:
             self._configure_nic_collectives()
 
     def _build(self) -> None:
+        from .api import RankContext
+        from .transports import ClicTransport, TcpTransport, fresh_world_port
+
         procs = [self.cluster.nodes[n].spawn(f"rank{r}") for r, n in self._rank_to_node.items()]
         if self.transport_kind == "clic":
             port = fresh_world_port()
@@ -55,6 +58,8 @@ class World:
                 transport = ClicTransport(proc, rank, self._rank_to_node, port)
                 self.ranks.append(RankContext(self, rank, proc, transport))
         else:
+            from ..protocols.tcpip import TcpIpStack
+
             transports = [TcpTransport(proc, rank) for rank, proc in enumerate(procs)]
             for a in range(self.size):
                 for b in range(a + 1, self.size):

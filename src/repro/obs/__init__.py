@@ -43,8 +43,7 @@ simulation kernel can build *on top of* the instruments (``repro.sim``
 -> ``repro.obs``, never the other way).
 """
 
-import importlib
-
+from .. import _lazy_exports
 from .metrics import (
     Counter,
     Gauge,
@@ -79,23 +78,7 @@ _LAZY = {
         "SLOSpec", "evaluate", "resolve_metric",
     ),
 }
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name: str):
-    """Import the submodule that defines ``name`` and cache the name here."""
-    module = _LAZY_MODULE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    """Every public name, loaded or not."""
-    return sorted(set(globals()) | set(__all__))
-
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Counter",

@@ -44,6 +44,7 @@ class VendorDriver:
         self.params = params
         self.name = name
         self.counters = kernel.metrics.tallies(name)
+        self._irq_frames = None  # frames per interrupt, registered on first use
         #: shares the kernel's tracer so driver spans nest with kernel ones
         self.tracer = kernel.tracer
         if nic.rx_deliver == "irq-pull":
@@ -159,5 +160,7 @@ class VendorDriver:
             drained += k
         self.counters["rx_frames"] += drained
         irq_span.end(drained=drained)
-        self.kernel.metrics.histogram(f"{self.name}.irq_frames").record(drained)
+        if self._irq_frames is None:
+            self._irq_frames = self.kernel.metrics.histogram(f"{self.name}.irq_frames")
+        self._irq_frames.record(drained)
         self.nic.irq_service_done()

@@ -57,6 +57,10 @@ class Kernel:
         #: typed metrics registry (counters/gauges/histograms)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.counters = self.metrics.tallies(name)
+        # latency histograms, registered on first use: one that never
+        # fires stays out of the snapshot
+        self._syscall_ns = None
+        self._block_ns = None
         self.irq = IrqController(env, cpu, params, name=f"{name}.irq")
         self.bottom_halves = BottomHalves(
             env, cpu, params, name=f"{name}.bh", metrics=self.metrics
@@ -83,7 +87,9 @@ class Kernel:
         if self.params.scheduler_on_syscall_return:
             yield from self.cpu.scheduler_pass(PRIO_KERNEL)
         span.end()
-        self.metrics.histogram(f"{self.name}.syscall_ns").record(self.env.now - t0)
+        if self._syscall_ns is None:
+            self._syscall_ns = self.metrics.histogram(f"{self.name}.syscall_ns")
+        self._syscall_ns.record(self.env.now - t0)
         return result
 
     def lightweight_call(self, body: Generator, label: str = "lwcall") -> Generator:
@@ -111,7 +117,9 @@ class Kernel:
         yield from self.cpu.scheduler_pass(PRIO_KERNEL)
         yield from self.cpu.context_switch(PRIO_KERNEL)
         span.end()
-        self.metrics.histogram(f"{self.name}.block_ns").record(self.env.now - t0)
+        if self._block_ns is None:
+            self._block_ns = self.metrics.histogram(f"{self.name}.block_ns")
+        self._block_ns.record(self.env.now - t0)
         return value
 
     # ------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Protocol stacks: CLIC (the contribution), TCP/IP (baseline), GAMMA and
 VIA (comparators), plus shared wire formats and reliability machinery."""
 
-from .clic import ClicEndpoint, ClicMessage, ClicModule
-from .gamma import GammaLayer, GammaMessage
+from .. import _lazy_exports
 from .headers import ClicAck, ClicPacket, ClicPacketType, GammaPacket, TcpSegment, ViaPacket
 from .reliability import DeliveryFailed, OrderedReceiver, WindowedSender
-from .tcpip import TcpIpStack, TcpSocket, UdpSocket
-from .via import ViaMessage, ViaNic, VirtualInterface
+
+#: the protocol engines, each imported when first used
+_LAZY = {
+    "clic": ("ClicEndpoint", "ClicMessage", "ClicModule"),
+    "gamma": ("GammaLayer", "GammaMessage"),
+    "tcpip": ("TcpIpStack", "TcpSocket", "UdpSocket"),
+    "via": ("ViaMessage", "ViaNic", "VirtualInterface"),
+}
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "ClicAck",

@@ -240,6 +240,10 @@ class WindowedSender:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.prefix = prefix
         self.counters = self.metrics.tallies(prefix.rstrip("."))
+        # gauges registered on first use: one that never fires stays
+        # out of the snapshot
+        self._rto_gauge = None
+        self._acked_gauge = None
         self.fail_listener = fail_listener
         #: captured at construction (see :func:`install_channel_probe`)
         self.probe = _active_probe
@@ -381,7 +385,7 @@ class WindowedSender:
                 rtt_sample_seq = seq
         if self.rto is not None and rtt_sample_sent_at is not None:
             self.rto.sample(self.env.now - rtt_sample_sent_at)
-            self.metrics.gauge(f"{self.prefix}rto_ns").set(self.rto.current_ns())
+            self._note_rto()
             if self.probe is not None:
                 self.probe.on_rtt_sample(
                     self, rtt_sample_seq, self.env.now - rtt_sample_sent_at
@@ -392,7 +396,9 @@ class WindowedSender:
         self._retries = 0
         if self.ack_listener is not None:
             self.ack_listener(acked)
-        self.metrics.gauge(f"{self.prefix}acked_through").set(cumulative_seq)
+        if self._acked_gauge is None:
+            self._acked_gauge = self.metrics.gauge(f"{self.prefix}acked_through")
+        self._acked_gauge.set(cumulative_seq)
         if self.base <= self._recover and self.base in self._in_flight:
             # RFC 6582 partial ack: the cumulative ack advanced without
             # passing the recovery point, so the next hole is known lost
@@ -417,6 +423,12 @@ class WindowedSender:
             self._window_waiters.popleft().succeed()
 
     # -- timer / retransmission ---------------------------------------------
+    def _note_rto(self) -> None:
+        """Publish the current RTO on its gauge."""
+        if self._rto_gauge is None:
+            self._rto_gauge = self.metrics.gauge(f"{self.prefix}rto_ns")
+        self._rto_gauge.set(self.rto.current_ns())
+
     def current_timeout_ns(self) -> float:
         """The retransmission timeout that would be armed right now."""
         return self.rto.current_ns() if self.rto is not None else self.timeout_ns
@@ -458,7 +470,7 @@ class WindowedSender:
         rto_before = self.current_timeout_ns()
         if self.rto is not None:
             self.rto.on_timeout()
-            self.metrics.gauge(f"{self.prefix}rto_ns").set(self.rto.current_ns())
+            self._note_rto()
         if self.probe is not None:
             self.probe.on_timeout(self, rto_before, self.current_timeout_ns())
         if self.timeout_listener is not None:
@@ -554,6 +566,7 @@ class OrderedReceiver:
         self._ack_timer: Optional[TimerHandle] = None
         #: highest stash occupancy ever reached (bounded-memory audit)
         self.max_stash = 0
+        self._max_stash_gauge = None  # registered on first use
 
     @property
     def stash_depth(self) -> int:
@@ -611,7 +624,9 @@ class OrderedReceiver:
             self.counters["stashed"] += 1
             if len(self._stash) > self.max_stash:
                 self.max_stash = len(self._stash)
-                self.metrics.gauge(f"{self.prefix}max_stash").set(self.max_stash)
+                if self._max_stash_gauge is None:
+                    self._max_stash_gauge = self.metrics.gauge(f"{self.prefix}max_stash")
+                self._max_stash_gauge.set(self.max_stash)
         else:
             self.counters["stash_overflow_drops"] += 1
         # Remind the sender where we are (acts like a duplicate ack).

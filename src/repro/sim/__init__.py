@@ -10,6 +10,7 @@ Public surface:
   plain :class:`collections.Counter`).
 """
 
+from .. import _lazy_exports
 from .core import (
     AllOf,
     AnyOf,
@@ -23,7 +24,6 @@ from .core import (
     TimerHandle,
     profiled,
 )
-from .flowmode import FlowModeController, FlowRoute
 from .monitor import BusyTracker
 from .resources import (
     PriorityResource,
@@ -32,6 +32,10 @@ from .resources import (
     Store,
 )
 from .rng import Pcg64, RngStreams
+
+#: the hybrid flow engine, imported when a cluster runs ``flow_mode="auto"``
+_LAZY = {"flowmode": ("FlowModeController", "FlowRoute")}
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "AllOf",

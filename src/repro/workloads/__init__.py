@@ -1,5 +1,6 @@
 """Measurement workloads and transport adapters."""
 
+from .. import _lazy_exports
 from .adapters import (
     ClicAdapter,
     GammaAdapter,
@@ -10,10 +11,15 @@ from .adapters import (
     tcp_pair,
     via_pair,
 )
-from .mpibench import COLLECTIVES, collective_time, mpi_pingpong
-from .patterns import HotspotResult, all_pairs, hotspot, overlap_efficiency
 from .pingpong import PingPongResult, StreamResult, TransferFailed, pingpong, stream
-from .sweep import SweepSeries, bandwidth_sweep, netpipe_sizes
+
+#: the MPI benchmark, traffic patterns and sweep runner, imported when first used
+_LAZY = {
+    "mpibench": ("COLLECTIVES", "collective_time", "mpi_pingpong"),
+    "patterns": ("HotspotResult", "all_pairs", "hotspot", "overlap_efficiency"),
+    "sweep": ("SweepSeries", "bandwidth_sweep", "netpipe_sizes"),
+}
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "COLLECTIVES",
