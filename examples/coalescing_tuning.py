@@ -36,7 +36,7 @@ def measure(rx_usecs: int):
     bulk = stream(bulk_cluster, clic_pair(), TRANSFER)
     rx_node = bulk_cluster.nodes[1]
     irqs = rx_node.nics[0].counters.get("irqs_asserted")
-    cpu_ms = rx_node.cpu.busy.total_busy / 1e6
+    cpu_ms = rx_node.cpu.total_busy / 1e6
     return {
         "latency_us": latency.one_way_ns / 1000,
         "mbps": bulk.bandwidth_mbps,

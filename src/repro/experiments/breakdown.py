@@ -39,7 +39,7 @@ def _measure(setup_factory) -> Dict:
         "breakdown": cpu_breakdown(rx.cpu),
         "elapsed_ns": result.elapsed_ns,
         "mbps": result.bandwidth_mbps,
-        "busy_ns": rx.cpu.busy.total_busy,
+        "busy_ns": rx.cpu.total_busy,
         # Where the *simulator* spent its events (obs profiling hooks).
         "sim_profile": cluster.env.profiler.snapshot(),
         # Receiver-side typed metrics, e.g. bottom-half queue high-water.

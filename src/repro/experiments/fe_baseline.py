@@ -46,7 +46,7 @@ def _measure(cfg, wire_mbps: float, setup_factory) -> Dict:
     return {
         "mbps": result.bandwidth_mbps,
         "wire_fraction": result.bandwidth_mbps / wire_mbps,
-        "rx_cpu": rx.cpu.busy.busy_time(elapsed) / elapsed,
+        "rx_cpu": rx.cpu.busy_time(elapsed) / elapsed,
     }
 
 

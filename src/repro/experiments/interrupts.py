@@ -59,8 +59,8 @@ def _measure(mtu: int, coalescing: bool) -> Dict:
         "frames": frames,
         "irqs_per_frame": irqs / frames if frames else 0.0,
         "interval_us": elapsed / irqs / 1000 if irqs else float("inf"),
-        "cpu_util": rx_node.cpu.busy.busy_time(elapsed) / elapsed,
-        "cpu_us_per_frame": rx_node.cpu.busy.busy_time(elapsed) / frames / 1000 if frames else 0.0,
+        "cpu_util": rx_node.cpu.busy_time(elapsed) / elapsed,
+        "cpu_us_per_frame": rx_node.cpu.busy_time(elapsed) / frames / 1000 if frames else 0.0,
         "mbps": result.bandwidth_mbps,
     }
 

@@ -25,7 +25,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..config import LinkParams
-from ..sim import BusyTracker, Environment, Pcg64, Resource
+from ..sim import Environment, Pcg64, Server
 from .nic.frames import Frame, frame_time_ns
 
 if TYPE_CHECKING:
@@ -34,8 +34,12 @@ if TYPE_CHECKING:
 __all__ = ["Channel", "Link"]
 
 
-class Channel:
-    """One direction of a link: serialize, propagate, deliver."""
+class Channel(Server):
+    """One direction of a link: serialize, propagate, deliver.
+
+    The wire is an exclusive :class:`~repro.sim.Server`: one frame
+    serializes at a time, the others wait in FIFO order.
+    """
 
     def __init__(
         self,
@@ -47,14 +51,12 @@ class Channel:
         faults: Optional[ChannelFaults] = None,
         tracer=None,
     ):
-        self.env = env
+        super().__init__(env)
         self.params = params
         self.name = name
         self.loss_rate = loss_rate
         self._rng = rng
-        self._wire = Resource(env, capacity=1, name=name)
         self._sink: Optional[Callable[[Frame], None]] = None
-        self.busy = BusyTracker()
         self.counters = Counter()
         #: optional :class:`repro.obs.Tracer`; only its ``journeys``
         #: attribute is consulted (for wire drop / duplicate events)
@@ -78,10 +80,11 @@ class Channel:
 
         The flow-mode engine consults this before advancing a train (or
         an express ack) analytically past the wire: any in-progress or
-        queued transmission forces the exact resource-contended path so
-        ordering can never invert.
+        queued transmission forces the exact contended path so ordering
+        can never invert.  (A frame only queues behind a holder, so an
+        idle wire has no holder.)
         """
-        return not self._wire.users and not self._wire.queue
+        return self._holder is None
 
     def connect(self, sink: Callable[[Frame], None]) -> None:
         """Attach the receiving endpoint (called once per channel)."""
@@ -111,13 +114,7 @@ class Channel:
             # for a multiple of the healthy serialization time, so every
             # queued successor is pushed out too (the spike cascades).
             duration *= self.faults.congestion_factor(self.env.now)
-        with self._wire.request() as grant:
-            yield grant
-            self.busy.acquire(self.env.now)
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                self.busy.release(self.env.now)
+        yield from self.hold(duration)
         k = frame.train_frames
         self.counters["frames_offered"] += k
         self.counters["bytes_offered"] += frame.payload_bytes
@@ -169,13 +166,6 @@ class Channel:
             self.counters["frames"] += 1
             self.counters["bytes"] += frame.payload_bytes
             self.env.defer(delay, partial(self._sink, frame))
-
-    def utilization(self) -> float:
-        """Busy fraction of this direction since time zero."""
-        now = self.env.now
-        if now <= 0:
-            return 0.0
-        return self.busy.busy_time(now) / now
 
 
 class Link:

@@ -1,10 +1,12 @@
 """Main-memory subsystem.
 
 Models the cost of CPU-driven copies (the "1-copy" in the paper's
-vocabulary) and provides a contended bus for non-CPU engines.  A CPU
-memcpy is charged *on the CPU* (the processor is busy moving the bytes —
-this is the very resource drain the paper's 0-copy work removes) while
-also holding the memory bus so concurrent DMA observes the contention.
+vocabulary) and provides a contended bus for non-CPU engines.  The bus
+is an exclusive :class:`~repro.sim.Server` served FIFO.  A CPU memcpy is
+charged *on the CPU* (the processor is busy moving the bytes — this is
+the very resource drain the paper's 0-copy work removes) while also
+holding the memory bus, so concurrent DMA observes the contention: the
+copy claims the bus, runs a preemptible ``cpu.execute`` and releases it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from collections import Counter
 from typing import Generator
 
 from ..config import MemoryParams
-from ..sim import BusyTracker, Environment, Resource
+from ..sim import Environment, Server
 
 __all__ = ["MemoryBus"]
 
 
-class MemoryBus:
+class MemoryBus(Server):
     """Shared memory bandwidth.
 
     Parameters
@@ -30,11 +32,9 @@ class MemoryBus:
     """
 
     def __init__(self, env: Environment, params: MemoryParams, name: str = "mem"):
-        self.env = env
+        super().__init__(env)
         self.params = params
         self.name = name
-        self._bus = Resource(env, capacity=1, name=name)
-        self.busy = BusyTracker()
         self.counters = Counter()
 
     def copy_time(self, nbytes: int, setups: int = 1) -> float:
@@ -54,13 +54,9 @@ class MemoryBus:
         fragment copies back to back.
         """
         duration = self.copy_time(nbytes, setups)
-        with self._bus.request() as grant:
-            yield grant
-            self.busy.acquire(self.env.now)
-            try:
-                yield from cpu.execute(duration, priority, label=label)
-            finally:
-                self.busy.release(self.env.now)
+        yield from self.acquire()
+        yield from cpu.execute(duration, priority, label=label)
+        self.release()
         self.counters["cpu_copies"] += setups
         self.counters["cpu_copy_bytes"] += nbytes
 
@@ -71,20 +67,6 @@ class MemoryBus:
         *time* is charged there; this call only accounts occupancy so
         utilization reports include DMA traffic.
         """
-        with self._bus.request() as grant:
-            yield grant
-            self.busy.acquire(self.env.now)
-            try:
-                # Occupies the bus for the bytes' memory-side time.
-                duration = nbytes / self.params.copy_bw_Bps * 1e9
-                yield self.env.timeout(duration)
-            finally:
-                self.busy.release(self.env.now)
+        # Occupies the bus for the bytes' memory-side time.
+        yield from self.hold(nbytes / self.params.copy_bw_Bps * 1e9)
         self.counters[f"{label}_bytes"] += nbytes
-
-    def utilization(self) -> float:
-        """Busy fraction of the memory bus since time zero."""
-        now = self.env.now
-        if now <= 0:
-            return 0.0
-        return self.busy.busy_time(now) / now

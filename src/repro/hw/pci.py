@@ -7,7 +7,9 @@ microseconds" per transaction (PCI 2.1 arbitration).  Every byte that
 moves between host memory and the NIC crosses this bus exactly once per
 copy — which is why copy-count is the paper's central design axis.
 
-The bus is a single-owner resource; a DMA transfer holds it for
+The bus is an exclusive :class:`~repro.sim.Server` whose priority
+classes play the PCI arbiter: a doorbell write beats NIC DMA, which
+beats a polling read.  A DMA transfer holds it for
 ``transaction_setup + bytes / effective_bw``.  Host programmed I/O
 (doorbell writes, polling reads across the bus, as in the VIA
 discussion of Section 3.2(b)) are modeled as small transactions too.
@@ -19,20 +21,18 @@ from collections import Counter
 from typing import Dict, Generator, Tuple
 
 from ..config import PciParams
-from ..sim import BusyTracker, Environment, PriorityResource
+from ..sim import Environment, Server
 
 __all__ = ["PciBus"]
 
 
-class PciBus:
+class PciBus(Server):
     """A 33 MHz / 32-bit PCI bus shared by all devices on a node."""
 
     def __init__(self, env: Environment, params: PciParams, name: str = "pci"):
-        self.env = env
+        super().__init__(env)
         self.params = params
         self.name = name
-        self._bus = PriorityResource(env, capacity=1)
-        self.busy = BusyTracker()
         self.counters = Counter()
         #: DMA label -> its two counter names, formatted once per label
         self._dma_counters: Dict[str, Tuple[str, str]] = {}
@@ -61,14 +61,7 @@ class PciBus:
         tallied) for the burst: 1 for an ordinary frame, ``k`` when a
         flow-mode train moves ``k`` frames' bytes in one bus hold.
         """
-        duration = self.transfer_time(nbytes, transactions)
-        with self._bus.request(priority=priority) as grant:
-            yield grant
-            self.busy.acquire(self.env.now)
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                self.busy.release(self.env.now)
+        yield from self.hold(self.transfer_time(nbytes, transactions), priority)
         names = self._dma_counters.get(label)
         if names is None:
             names = self._dma_counters[label] = (f"{label}_transactions", f"{label}_bytes")
@@ -77,18 +70,5 @@ class PciBus:
 
     def pio(self, priority: int = 0, label: str = "pio") -> Generator:
         """One programmed-I/O access (doorbell write / status read)."""
-        with self._bus.request(priority=priority) as grant:
-            yield grant
-            self.busy.acquire(self.env.now)
-            try:
-                yield self.env.timeout(self.params.transaction_setup_ns)
-            finally:
-                self.busy.release(self.env.now)
+        yield from self.hold(self.params.transaction_setup_ns, priority)
         self.counters[f"{label}_accesses"] += 1
-
-    def utilization(self) -> float:
-        """Busy fraction of the bus since time zero."""
-        now = self.env.now
-        if now <= 0:
-            return 0.0
-        return self.busy.busy_time(now) / now

@@ -3,11 +3,14 @@
 Public surface:
 
 * :class:`~repro.sim.core.Environment` and the event/process machinery,
-* queuing resources in :mod:`repro.sim.resources`,
-* deterministic RNG streams (pure-Python PCG64) in :mod:`repro.sim.rng`,
-* busy-time accounting in :mod:`repro.sim.monitor` (tallies live in
-  the cluster :class:`~repro.obs.MetricsRegistry` or in a component's
-  plain :class:`collections.Counter`).
+* the exclusive :class:`~repro.sim.resources.Server` (the CPU, PCI
+  bus, memory bus and wire schedule through it, busy time included) and
+  the :class:`~repro.sim.resources.Store` buffer in
+  :mod:`repro.sim.resources`,
+* deterministic RNG streams (pure-Python PCG64) in :mod:`repro.sim.rng`.
+
+Tallies live in the cluster :class:`~repro.obs.MetricsRegistry` or in a
+component's plain :class:`collections.Counter`.
 """
 
 from .. import _lazy_exports
@@ -24,13 +27,7 @@ from .core import (
     TimerHandle,
     profiled,
 )
-from .monitor import BusyTracker
-from .resources import (
-    PriorityResource,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Server, Store
 from .rng import Pcg64, RngStreams
 
 #: the hybrid flow engine, imported when a cluster runs ``flow_mode="auto"``
@@ -40,7 +37,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BusyTracker",
     "Condition",
     "Environment",
     "Event",
@@ -48,11 +44,9 @@ __all__ = [
     "FlowRoute",
     "Interrupt",
     "Pcg64",
-    "PriorityResource",
     "Process",
-    "Request",
-    "Resource",
     "RngStreams",
+    "Server",
     "SimulationError",
     "Store",
     "Timeout",

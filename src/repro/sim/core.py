@@ -28,7 +28,7 @@ same events run in the same order at the same times):
   the top, instead of rebuilding the heap;
 * an event the loop would pop next with nothing else to run in between
   is *born processed* instead of scheduled (:meth:`Environment._settle`
-  holds the guard), so an uncontended resource grant or store operation
+  holds the guard), so an uncontended store operation or server claim
   costs no heap entry and no process suspension.
 """
 
@@ -594,17 +594,22 @@ class Environment:
         run in between, i.e. when all three hold:
 
         * it is granted at creation — the only time callers use this
-          (a resource grant or store operation satisfied at once);
+          (a store operation satisfied at once);
         * a process is running and is the sole callback of the event
           being dispatched (no sibling callback runs after it);
         * nothing else is due at ``now`` (the heap head is later).
 
         Callers also yield the event before scheduling anything else:
         an URGENT event scheduled in between would have run first.
+
+        The last two conditions say the running process is *alone* at
+        this instant: an exclusive :class:`~repro.sim.resources.Server`
+        (the CPU, the buses, the wire) tests the same guard to start a
+        claim at once where a resource grant would have been born
+        processed.
         """
         event._value = value
         queue = self._queue
-        # :meth:`_alone`, inlined on this hot path
         if (self._active_proc is not None and len(self._dispatch) == 1
                 and (not queue or queue[0][0] > self._now)):
             event.callbacks = None
@@ -613,19 +618,6 @@ class Environment:
         _heappush(queue, (self._now, NORMAL, self._seq, event))
         if self.profiler is not None:
             self.profiler.on_schedule(len(queue))
-
-    def _alone(self) -> bool:
-        """``True`` when nothing but the running process can run before
-        it next yields: a process is running, it is the sole callback of
-        the event being dispatched, and nothing else is due at ``now``.
-
-        The guard of :meth:`_settle` (which inlines it); the CPU
-        scheduler (:class:`repro.hw.cpu.Cpu`) uses it to start a slice at
-        once where a resource grant would have been born processed.
-        """
-        queue = self._queue
-        return (self._active_proc is not None and len(self._dispatch) == 1
-                and (not queue or queue[0][0] > self._now))
 
     def step(self) -> None:
         """Process the next scheduled event (advancing the clock).

@@ -1,193 +1,199 @@
-"""Shared-resource primitives for the simulation core.
+"""Queuing primitives for the simulation core.
 
-Provides the queuing abstractions the hardware and OS models are built on:
+* :class:`Server` — an exclusive server: one holder at a time, a FIFO of
+  waiting claims per priority (lowest number first) and the integral of
+  its busy time.  The PCI bus, the memory bus and each direction of a
+  link are servers; the host CPU is one with preemption on top
+  (:class:`repro.hw.cpu.Cpu`).
+* :class:`Store` — a producer/consumer buffer of Python objects (NIC
+  descriptor rings, switch port queues, protocol backlogs).
 
-* :class:`Resource` — a counted server with FIFO queueing (e.g. a DMA
-  engine, a bus grant).
-* :class:`PriorityResource` — FIFO within priority classes (e.g. the PCI
-  arbiter favouring the NIC over programmed I/O).
-* :class:`Store` — a producer/consumer buffer of Python objects (e.g. NIC
-  descriptor rings, socket receive queues).
-
-All requests are events; processes ``yield`` them.  Request objects are
-context managers so ``with resource.request() as req: yield req`` releases
-automatically.
-
-Preemption is not a resource feature: the one preemptible server, the
-host CPU, schedules its own slices (:class:`repro.hw.cpu.Cpu`).
+Neither takes a heap entry that exists only as bookkeeping, and both put
+every entry they do take at the ``(time, priority, seq)`` place the
+resource-based model they replaced put it (a process holding a priority
+resource; a store re-running a fixpoint after each operation).  DESIGN.md
+§9 gives the rules.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Any, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
-from .core import Environment, Event, SimulationError
+from .core import Environment, Event, SimulationError, Timeout
 
-__all__ = [
-    "Request",
-    "PriorityRequest",
-    "Release",
-    "Resource",
-    "PriorityResource",
-    "Store",
-    "StorePut",
-    "StoreGet",
-]
+__all__ = ["Server", "Store", "StorePut", "StoreGet"]
+
+_PENDING = Event._PENDING
 
 
-class Request(Event):
-    """A request to use a :class:`Resource` (also a context manager)."""
+class _Claim:
+    """One claim on a :class:`Server`: a timed hold, or a hold-while
+    (``remaining is None``) that runs until released."""
 
-    __slots__ = ("resource", "usage_since")
+    __slots__ = ("priority", "remaining", "waiter", "carrier", "grant")
 
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        #: When the request was granted (None while queued).
-        self.usage_since: Optional[float] = None
-        resource._do_request(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if self.resource is not None:
-            self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw a still-queued request (no-op if already granted)."""
-        self.resource._do_cancel(self)
-
-
-class PriorityRequest(Request):
-    """A request with priority (lower value = more important) and preempt flag."""
-
-    __slots__ = ("priority", "preempt", "time", "key")
-
-    def __init__(self, resource: "Resource", priority: int = 0, preempt: bool = False):
+    def __init__(self, priority: int, remaining: Optional[float]):
         self.priority = priority
-        self.preempt = preempt
-        self.time = resource.env.now
-        # FIFO within the same priority; preempting requests beat
-        # non-preempting ones of equal priority and time.
-        self.key = (priority, self.time, not preempt)
-        super().__init__(resource)
+        #: service time still owed (ns); a preemptive server banks it down
+        self.remaining = remaining
+        #: callback list of the process waiting for the claim
+        self.waiter: Optional[list] = None
+        #: the event that currently carries ``waiter``
+        self.carrier: Optional[Event] = None
+        #: scheduled start of a granted claim that has not run yet
+        self.grant = None
+
+    def hand_to(self, event: Event) -> Event:
+        """Make ``event`` the one whose processing resumes the waiting
+        process (the first such event is the one the process yields)."""
+        if self.carrier is None:
+            self.waiter = event.callbacks
+        else:
+            event.callbacks = self.waiter
+            self.carrier.callbacks = None
+        self.carrier = event
+        return event
 
 
-class Release(Event):
-    """A release, done synchronously: the event is born processed.
+class Server:
+    """An exclusive server: one holder at a time, the others wait.
 
-    The resource is free (and the next waiter granted) before the
-    constructor returns, so there is nothing to wait for — the event
-    never takes a heap slot, and yielding it resumes the yielder at once.
+    Claims are served lowest priority number first, FIFO within a
+    priority.  A timed claim (:meth:`hold`) holds the server for a fixed
+    time through one completion :class:`~repro.sim.Timeout` that carries
+    the waiting process's callbacks; a hold-while (:meth:`acquire` …
+    :meth:`release`) holds it around other work.
+
+    Ordering is exact: grants and completions land where they would if
+    the server were a priority resource whose waiter resumed, held and
+    released it.  A claim the server can take now starts at once when
+    the claimant is alone at this instant (the guard of
+    :meth:`Environment._settle`); otherwise its start is scheduled at
+    ``(now, NORMAL)``, where the resource's grant would sit, and so is
+    the next claim's start when a holder finishes.
     """
 
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request):
-        self.env = resource.env
-        self.callbacks = None
-        self._value = request
-        self._ok = True
-        self._defused = False
-        self.request = request
-        resource._do_release(request)
-
-
-class Resource:
-    """A counted, FIFO-queued resource.
-
-    Parameters
-    ----------
-    env:
-        Simulation environment.
-    capacity:
-        Number of concurrent users (>= 1).
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
-        self.name = name
-        self.users: List[Request] = []
-        self.queue: List[Request] = []
+        #: the claim that owns the server (granted, maybe not started)
+        self._holder: Optional[_Claim] = None
+        #: priority -> FIFO of waiting claims; empty FIFOs are dropped
+        self._waiting: Dict[int, List[_Claim]] = {}
+        #: busy time of the runs that have ended (ns)
+        self.total_busy = 0.0
+        #: start of the run in progress (``None`` while none runs)
+        self._busy_since: Optional[float] = None
 
-    # -- public API -----------------------------------------------------
-    def request(self) -> Request:
-        """Queue a request; the returned event triggers when granted."""
-        return Request(self)
+    def hold(self, duration: float, priority: int = 0) -> Generator:
+        """Hold the server for ``duration`` ns at ``priority`` (lower is
+        more important), waiting for it first while it is busy."""
+        if (yield self._claim(_Claim(priority, duration))) is None:
+            self._finish()
 
-    def release(self, request: Request) -> Release:
-        """Release a granted request (or cancel a queued one)."""
-        return Release(self, request)
+    def acquire(self, priority: int = 0) -> Generator:
+        """Wait for the server and hold it until :meth:`release`."""
+        wait = self._claim(_Claim(priority, None))
+        if wait is not None:
+            yield wait
+        self._busy_since = self.env._now
 
-    @property
-    def count(self) -> int:
-        """Number of current users."""
-        return len(self.users)
+    def release(self) -> None:
+        """End the hold begun by :meth:`acquire`; the next claim is
+        granted."""
+        if self._busy_since is None:
+            raise SimulationError(
+                f"{self!r} released at t={self.env._now:,.0f} ns with no hold running"
+            )
+        self._finish()
 
-    # -- mechanics -------------------------------------------------------
-    def _do_request(self, request: Request) -> None:
-        if not self.queue and len(self.users) < self.capacity:
-            # Uncontended: granted at creation (born processed when the
-            # environment's guard allows — see Environment._settle).
-            self.users.append(request)
-            request.usage_since = self.env._now
-            self.env._settle(request, self)
+    def busy_time(self, now: float) -> float:
+        """Total busy time up to ``now`` (including a run in progress)."""
+        since = self._busy_since
+        return self.total_busy + ((now - since) if since is not None else 0.0)
+
+    def utilization(self) -> float:
+        """Busy fraction since time zero."""
+        now = self.env.now
+        if now <= 0:
+            return 0.0
+        return self.busy_time(now) / now
+
+    # -- the scheduler ------------------------------------------------------
+    def _claim(self, claim: _Claim) -> Optional[Event]:
+        """Grant, start or queue ``claim`` for the running process.
+
+        Returns the event the process waits on: a timed claim's
+        completion timer, or a hold-while's grant — ``None`` when the
+        hold-while runs at once.
+        """
+        if self._holder is None:
+            self._holder = claim
+            env = self.env
+            queue = env._queue
+            # alone at this instant: the guard of Environment._settle
+            if (env._active_proc is not None and len(env._dispatch) == 1
+                    and (not queue or queue[0][0] > env._now)):
+                return self._start(claim)
+            return self._schedule_start(claim)
+        return self._contend(claim)
+
+    def _contend(self, claim: _Claim) -> Event:
+        """The server is held: queue ``claim`` behind it."""
+        self._enqueue(claim)
+        return claim.hand_to(Event(self.env))
+
+    def _enqueue(self, claim: _Claim) -> None:
+        queue = self._waiting.get(claim.priority)
+        if queue is None:
+            queue = self._waiting[claim.priority] = []
+        queue.append(claim)
+
+    def _start(self, claim: _Claim) -> Optional[Timeout]:
+        """Run ``claim`` from now: arm a timed claim's completion timer
+        (handed the waiter's callbacks), or let a hold-while continue."""
+        if claim.remaining is None:
+            return None
+        env = self.env
+        self._busy_since = env._now
+        return claim.hand_to(Timeout(env, claim.remaining))
+
+    def _schedule_start(self, claim: _Claim) -> Event:
+        """Grant ``claim`` with its start at ``(now, NORMAL)``: a
+        trampoline that arms a timed claim's timer, or a zero timeout
+        that resumes a hold-while's process."""
+        env = self.env
+        if claim.remaining is None:
+            return claim.hand_to(Timeout(env, 0))
+        claim.grant = env.call_later(0, self._start_holder)
+        if claim.carrier is None:
+            claim.hand_to(Event(env))
+        return claim.carrier
+
+    def _start_holder(self) -> None:
+        claim = self._holder
+        claim.grant = None
+        self._start(claim)
+
+    def _stop(self) -> None:
+        """Close the run in progress into the busy integral."""
+        self.total_busy += self.env._now - self._busy_since
+        self._busy_since = None
+
+    def _finish(self) -> None:
+        """The holder is done: close its run (:meth:`_stop`, inlined) and
+        grant the next waiting claim, if any."""
+        self.total_busy += self.env._now - self._busy_since
+        self._busy_since = None
+        waiting = self._waiting
+        if not waiting:
+            self._holder = None
             return
-        self._enqueue(request)
-        self._trigger_queued()
-
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-
-    def _do_release(self, request: Request) -> None:
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Never granted; drop from the wait queue instead.
-            self._do_cancel(request)
-            return
-        if self.queue:
-            self._trigger_queued()
-
-    def _do_cancel(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-    def _grant(self, request: Request) -> None:
-        self.users.append(request)
-        request.usage_since = self.env.now
-        request.succeed(self)
-
-    def _trigger_queued(self) -> None:
-        while self.queue and len(self.users) < self.capacity:
-            request = self.queue.pop(0)
-            if request.triggered:  # cancelled/failed while queued
-                continue
-            self._grant(request)
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by request priority."""
-
-    def request(self, priority: int = 0, preempt: bool = False) -> PriorityRequest:  # type: ignore[override]
-        """Queue a prioritized request (lower = more important)."""
-        return PriorityRequest(self, priority=priority, preempt=preempt)
-
-    def _enqueue(self, request: Request) -> None:
-        # The queue stays sorted by key; inserting after equal keys keeps
-        # FIFO order within a class (what a stable re-sort would do).
-        insort(self.queue, request, key=_request_key)
-
-
-def _request_key(request: PriorityRequest) -> tuple:
-    return request.key
+        priority = min(waiting)
+        queue = waiting[priority]
+        claim = self._holder = queue.pop(0)
+        if not queue:
+            del waiting[priority]
+        self._schedule_start(claim)
 
 
 class StorePut(Event):
@@ -196,47 +202,61 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
+        # Event.__init__, inlined (one per frame per queue)
+        self.env = env = store.env
+        self.callbacks = []
+        self._ok = True
+        self._defused = False
         self.item = item
-        if not store._put_queue and len(store.items) < store.capacity:
+        if len(store.items) < store.capacity:
             # Room now: stored at creation (see Environment._settle).
-            store.items.append(item)
-            store.env._settle(self, None)
+            env._settle(self, None)
+            getters = store._getters
+            if getters:
+                # a getter waits, so the store is empty: hand it over
+                getter = getters.pop(0)
+                getter._value = item
+                env._schedule(getter)
+            else:
+                store.items.append(item)
         else:
-            store._put_queue.append(self)
-        store._trigger()
+            self._value = _PENDING
+            store._putters.append(self)
 
 
 class StoreGet(Event):
     """Get request on a :class:`Store`; triggers with the retrieved item."""
 
-    __slots__ = ("_store",)
+    __slots__ = ()
 
     def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        self._store = store
-        if store.items and not store._get_queue:
-            # An item waits and no earlier getter does: served at
-            # creation (see Environment._settle).
-            store.env._settle(self, store.items.pop(0))
+        self.env = env = store.env
+        self.callbacks = []
+        self._ok = True
+        self._defused = False
+        items = store.items
+        if items:
+            # An item waits: served at creation (see Environment._settle).
+            env._settle(self, items.pop(0))
+            putters = store._putters
+            if putters:
+                # a put waits, so the store was full: admit it
+                put = putters.pop(0)
+                items.append(put.item)
+                put._value = None
+                env._schedule(put)
         else:
-            store._get_queue.append(self)
-        store._trigger()
-
-    def cancel(self) -> None:
-        """Withdraw the get request if not yet satisfied."""
-        if not self.triggered:
-            try:
-                self._store._get_queue.remove(self)
-            except ValueError:
-                pass
+            self._value = _PENDING
+            store._getters.append(self)
 
 
 class Store:
     """A FIFO buffer of items with optional capacity.
 
     ``put(item)`` blocks (as an event) while the store is full;
-    ``get()`` blocks while it is empty.
+    ``get()`` blocks while it is empty.  Every operation hands off
+    directly, so there is never an item waiting beside a waiting getter,
+    nor free room beside a waiting putter.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf"), name: str = ""):
@@ -246,8 +266,8 @@ class Store:
         self.capacity = capacity
         self.name = name
         self.items: List[Any] = []
-        self._put_queue: List[StorePut] = []
-        self._get_queue: List[StoreGet] = []
+        self._putters: List[StorePut] = []
+        self._getters: List[StoreGet] = []
 
     def put(self, item: Any) -> StorePut:
         """Event that triggers once the item is stored."""
@@ -257,33 +277,5 @@ class Store:
         """Event that triggers with the next item."""
         return StoreGet(self)
 
-    def try_get(self) -> Any:
-        """Non-blocking get: pop and return the head item or ``None``."""
-        if self.items:
-            item = self.items.pop(0)
-            self._trigger()
-            return item
-        return None
-
     def __len__(self) -> int:
         return len(self.items)
-
-    # -- mechanics -------------------------------------------------------
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            # Satisfy puts while there is room.
-            while self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.pop(0)
-                if put.triggered:
-                    continue
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            # Satisfy gets in FIFO order while items remain.
-            while self._get_queue and self.items:
-                get = self._get_queue.pop(0)
-                if not get.triggered:
-                    get.succeed(self.items.pop(0))
-                    progressed = True

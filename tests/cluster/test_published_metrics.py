@@ -15,7 +15,7 @@ analytic train hop, the exact-resource train path and the express ack.
 The ``multiprogramming`` run pins the CPU's preemption path: ping-pong,
 a 1 MB CLIC bulk transfer and a user-priority compute slice share two
 nodes, so interrupt and protocol work preempt the compute slice.  Its
-entry adds each node's ``cpu.counters`` and ``cpu.busy.total_busy`` and
+entry adds each node's ``cpu.counters`` and ``cpu.total_busy`` and
 the time the compute slice finished.
 
 The fixture changes only on purpose.  To record it again after a
@@ -129,7 +129,7 @@ def _multiprogramming():
     snapshot["compute_done_ns"] = compute_done_ns
     for node in cluster.nodes:
         snapshot[f"{node.name}.cpu.counters"] = dict(node.cpu.counters)
-        snapshot[f"{node.name}.cpu.total_busy"] = node.cpu.busy.total_busy
+        snapshot[f"{node.name}.cpu.total_busy"] = node.cpu.total_busy
     return snapshot
 
 

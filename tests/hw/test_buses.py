@@ -31,7 +31,7 @@ def test_cpu_copy_charges_cpu_and_bus():
         return env.now
 
     assert env.run(env.process(work(env))) == pytest.approx(5000)
-    assert cpu.busy.total_busy == pytest.approx(5000)
+    assert cpu.total_busy == pytest.approx(5000)
     assert mem.counters["cpu_copy_bytes"] == 5000
 
 

@@ -20,7 +20,7 @@ def test_execute_charges_exact_duration():
         return env.now
 
     assert env.run(env.process(work(env))) == 1000
-    assert cpu.busy.total_busy == 1000
+    assert cpu.total_busy == 1000
 
 
 def test_execute_rejects_negative():
@@ -54,7 +54,7 @@ def test_irq_preempts_user_and_user_resumes():
     # User ran 300ns, IRQ ran 300..500, user resumed for its remaining 700.
     assert log == [("irq-done", 500), ("user-done", 1200)]
     assert cpu.counters["preemptions"] == 1
-    assert cpu.busy.total_busy == 1200
+    assert cpu.total_busy == 1200
 
 
 def test_irq_evicts_user_mid_slice_and_runs_at_once():
@@ -88,16 +88,16 @@ def test_preempted_slice_is_charged_only_the_time_it_ran():
 
     def bully(env):
         yield env.timeout(40)
-        busy_at["preempted"] = cpu.busy.busy_time(env.now)
+        busy_at["preempted"] = cpu.busy_time(env.now)
         yield from cpu.execute(1, PRIO_IRQ)
-        busy_at["bully-done"] = cpu.busy.busy_time(env.now)
+        busy_at["bully-done"] = cpu.busy_time(env.now)
 
     env.process(victim(env))
     env.process(bully(env))
     env.run()
     # the victim ran from 0 (its usage start) until the preemption at 40
     assert busy_at == {"preempted": 40, "bully-done": 41}
-    assert cpu.busy.total_busy == 1001
+    assert cpu.total_busy == 1001
     assert cpu.counters["work.anon"] == 1001
 
 
@@ -190,7 +190,7 @@ def test_grant_preempted_in_its_timestep_is_charged_nothing(bystander):
     assert log == [("irq", 130), ("softirq", 180)]
     # counted once, charged nothing for the lost grant, then ran in full
     assert cpu.counters["preemptions"] == 1
-    assert cpu.busy.total_busy == 180
+    assert cpu.total_busy == 180
     assert cpu.counters["work.anon"] == 180
 
 
@@ -235,7 +235,7 @@ def test_zero_work_schedules_no_event():
     env.process(work(env))
     env.run()
     assert seen == [(5, True)]
-    assert cpu.busy.total_busy == 0
+    assert cpu.total_busy == 0
     assert cpu.counters["work.nothing"] == 0
 
 
@@ -295,7 +295,7 @@ def test_total_busy_time_conserved_under_nested_preemption():
     env.process(irqs(env))
     env.run()
     # total work = 10000 + 5*100
-    assert cpu.busy.total_busy == pytest.approx(10_500)
+    assert cpu.total_busy == pytest.approx(10_500)
     # wall-clock end = work is serialized on one CPU
     assert env.now == pytest.approx(10_500)
 

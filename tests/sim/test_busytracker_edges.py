@@ -1,54 +1,62 @@
-"""BusyTracker edge cases: unmatched release, re-entrancy, zero spans."""
+"""Busy-time edge cases of :class:`repro.sim.Server`: a release with no
+hold running, and utilization over empty and partly busy windows."""
 
 import pytest
 
-from repro.sim import BusyTracker
+from repro.sim import Environment, Server, SimulationError
 
 
 def test_release_without_acquire_names_the_timestamp():
     """The error must say *when* the bogus release happened — that is the
     only clue when a generator tears down mid-simulation."""
-    tracker = BusyTracker()
-    with pytest.raises(RuntimeError, match=r"t=12,500 ns"):
-        tracker.release(12_500.0)
+    env = Environment()
+    server = Server(env)
+    env.run(until=12_500)
+    with pytest.raises(SimulationError, match=r"t=12,500 ns"):
+        server.release()
 
 
 def test_release_after_balanced_pair_still_raises():
-    tracker = BusyTracker()
-    tracker.acquire(0.0)
-    tracker.release(10.0)
-    with pytest.raises(RuntimeError, match="without matching acquire"):
-        tracker.release(20.0)
+    env = Environment()
+    server = Server(env)
 
+    def user():
+        yield from server.acquire()
+        yield env.timeout(10)
+        server.release()
 
-def test_reentrant_acquire_release_counts_busy_once():
-    """Overlapping busy intervals from several users integrate once."""
-    tracker = BusyTracker()
-    tracker.acquire(0.0)
-    tracker.acquire(5.0)   # nested: device already busy
-    tracker.release(8.0)   # inner release: still busy
-    assert tracker.total_busy == 0.0
-    assert tracker.busy_time(9.0) == 9.0  # open interval counts live
-    tracker.release(10.0)  # outermost release closes the interval
-    assert tracker.total_busy == 10.0
-    assert tracker.busy_time(15.0) == 10.0
+    env.run(env.process(user()))
+    assert server.total_busy == 10
+    with pytest.raises(SimulationError, match="no hold running"):
+        server.release()
 
 
 def test_utilization_zero_span_window():
-    """A window of zero (or negative) width reports 0.0, not a division
-    error — this happens when utilization is sampled at the mark time."""
-    tracker = BusyTracker()
-    tracker.acquire(0.0)
-    tracker.mark(100.0)
-    assert tracker.utilization_since_mark(100.0) == 0.0
-    assert tracker.utilization_since_mark(90.0) == 0.0  # clock skew guard
-    tracker.release(200.0)
-    assert tracker.utilization_since_mark(200.0) == pytest.approx(1.0)
+    """A window of zero width reports 0.0, not a division error — this
+    happens when utilization is sampled at time zero."""
+    env = Environment()
+    server = Server(env)
+
+    def user():
+        yield from server.acquire()
+        assert server.utilization() == 0.0
+        yield env.timeout(200)
+        assert server.utilization() == pytest.approx(1.0)
+        server.release()
+
+    env.run(env.process(user()))
+    assert server.utilization() == pytest.approx(1.0)
 
 
 def test_utilization_window_with_partial_busy():
-    tracker = BusyTracker()
-    tracker.mark(0.0)
-    tracker.acquire(25.0)
-    tracker.release(75.0)
-    assert tracker.utilization_since_mark(100.0) == pytest.approx(0.5)
+    env = Environment()
+    server = Server(env)
+
+    def user():
+        yield env.timeout(25)
+        yield from server.hold(50)
+
+    env.process(user())
+    env.run(until=100)
+    assert server.utilization() == pytest.approx(0.5)
+    assert server.busy_time(100.0) == 50

@@ -1,6 +1,7 @@
 """Edge-case tests for the simulation core."""
 
 import pytest
+from reference_resources import Resource
 
 from repro.sim import (
     AllOf,
@@ -8,7 +9,6 @@ from repro.sim import (
     Environment,
     Event,
     Interrupt,
-    Resource,
     SimulationError,
 )
 

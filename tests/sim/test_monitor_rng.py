@@ -1,9 +1,9 @@
-"""Tests for instant tracing, busy tracking, and RNG streams."""
+"""Tests for instant tracing, server busy time, and RNG streams."""
 
 import pytest
 
 from repro.obs import Tracer
-from repro.sim import BusyTracker, Environment, RngStreams
+from repro.sim import Environment, RngStreams, Server, SimulationError
 
 
 def test_trace_disabled_records_nothing():
@@ -34,38 +34,29 @@ def test_trace_filter_by_source_and_event():
 
 
 def test_busy_tracker_integrates_intervals():
-    b = BusyTracker()
-    b.acquire(0)
-    b.release(10)
-    b.acquire(20)
-    b.release(25)
-    assert b.total_busy == 15
-    assert b.busy_time(100) == 15
+    """A server's busy time sums its holds, counting a hold in progress
+    up to the time asked about."""
+    env = Environment()
+    server = Server(env)
 
+    def user():
+        yield from server.hold(10)
+        yield env.timeout(10)
+        yield from server.hold(5)
+        yield env.timeout(5)
+        yield from server.acquire()
+        assert server.busy_time(45) == 15 + 15
+        yield env.timeout(30)
+        server.release()
 
-def test_busy_tracker_reentrant_counts_once():
-    b = BusyTracker()
-    b.acquire(0)
-    b.acquire(5)  # overlap
-    b.release(10)
-    b.release(20)
-    assert b.total_busy == 20
-
-
-def test_busy_tracker_open_interval_and_marks():
-    b = BusyTracker()
-    b.acquire(0)
-    assert b.busy_time(30) == 30
-    b.mark(30)
-    b.release(40)
-    assert b.utilization_since_mark(50) == pytest.approx(0.5)
-    assert b.utilization_since_mark(30) == 0.0
+    env.run(env.process(user()))
+    assert server.total_busy == 45
+    assert server.busy_time(100) == 45
 
 
 def test_busy_tracker_unbalanced_release_raises():
-    b = BusyTracker()
-    with pytest.raises(RuntimeError):
-        b.release(1)
+    with pytest.raises(SimulationError):
+        Server(Environment()).release()
 
 
 def test_rng_streams_deterministic_and_independent():

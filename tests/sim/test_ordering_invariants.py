@@ -6,11 +6,12 @@ timestamps, and a cancelled :class:`~repro.sim.TimerHandle` never fires
 — its dead heap entry is dropped without advancing the clock.
 
 The hot-path shortcuts must not move anything: a deferred callback runs
-where the process it replaces would have, an uncontended grant skips the
+where the process it replaces would have, an uncontended claim skips the
 heap only when nothing could have run before its waiter, and a release
-never takes a heap slot.  The CPU's slice scheduler orders grants,
-preemptions and completions exactly as a process holding a preemptible
-resource would.
+never takes a heap slot.  The exclusive servers order claims, grants and
+completions exactly as processes holding resources would (the CPU's
+preemptions too), and the store's direct hand-off schedules what its old
+fixpoint did; the reference models live in ``reference_resources.py``.
 """
 
 import random
@@ -18,9 +19,13 @@ from collections import Counter
 
 import pytest
 
-from repro.hw import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
-from repro.sim import (BusyTracker, Environment, Interrupt, PriorityResource, Process,
-                       Resource, Store, Timeout)
+from reference_resources import BusyTracker, PriorityResource, Resource
+from reference_resources import Store as FixpointStore
+
+from repro.config import CpuParams, MemoryParams
+from repro.hw import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu, MemoryBus
+from repro.sim import (Environment, Interrupt, Process, Server, SimulationError, Store,
+                       Timeout)
 from repro.sim.core import NORMAL, URGENT
 
 
@@ -174,62 +179,65 @@ def test_defer_rejects_negative_delay():
         Environment().defer(-1, lambda: None)
 
 
-# -- grants born processed ---------------------------------------------------
+# -- claims started at once ---------------------------------------------------
 
 def test_uncontended_grant_is_born_processed_when_nothing_else_is_due():
     env = Environment()
-    res = Resource(env)
+    server = Server(env)
     seen = []
 
     def user():
         yield env.timeout(10)
-        req = res.request()
-        seen.append((req.processed, len(env._queue)))
-        yield req
+        yield from server.acquire()  # starts at once: no grant entry
+        seen.append((env.now, len(env._queue)))
+        server.release()
+        hold = server.hold(5)
+        timer = next(hold)  # starts at once: only its completion timer
+        seen.append((type(timer).__name__, [entry[0] for entry in env._queue]))
+        yield timer
+        with pytest.raises(StopIteration):
+            next(hold)
         seen.append(env.now)
-        res.release(req)
 
     env.process(user())
     env.run()
-    assert seen == [(True, 0), 10]
+    assert seen == [(10, 0), ("Timeout", [15]), 15]
+    assert server.total_busy == 5
 
 
 def test_immediate_grant_goes_through_heap_when_another_event_is_due():
     env = Environment()
-    res = Resource(env)
+    server = Server(env)
     log = []
 
     def user():
         yield env.timeout(10)
         env.call_later(0, lambda: log.append("due-now"))
-        req = res.request()
-        log.append(("granted-pending", not req.processed))
-        yield req
-        log.append("user-resumed")
-        res.release(req)
+        log.append("claim")
+        yield from server.hold(5)
+        log.append(("user-resumed", env.now))
 
     env.process(user())
     env.run()
-    assert log == [("granted-pending", True), "due-now", "user-resumed"]
+    assert log == ["claim", "due-now", ("user-resumed", 15)]
 
 
 def test_immediate_grant_goes_through_heap_when_waker_has_second_waiter():
-    """The +90 ns case: the first of two waiters of one event requests
-    an idle resource; the second waiter must still run before the first
+    """The +90 ns case: the first of two waiters of one event claims an
+    idle server; the second waiter must still run before the first
     continues, as it did when every grant went through the heap."""
     env = Environment()
-    cpu = Resource(env)
+    server = Server(env)
     gate = env.event()
     log = []
 
     def first():
         yield gate
-        req = cpu.request()
-        log.append(("first-grant-pending", not req.processed))
-        yield req
+        log.append("first-claims")
+        yield from server.acquire()
         log.append("first-runs")
         yield env.timeout(90)
-        cpu.release(req)
+        server.release()
 
     def second():
         yield gate
@@ -239,7 +247,7 @@ def test_immediate_grant_goes_through_heap_when_waker_has_second_waiter():
     env.process(second())
     env.call_later(10, gate.succeed)
     env.run()
-    assert log == [("first-grant-pending", True), "second-woke", "first-runs"]
+    assert log == ["first-claims", "second-woke", "first-runs"]
 
 
 def test_store_get_and_put_follow_the_same_guard():
@@ -276,36 +284,52 @@ def test_store_get_and_put_follow_the_same_guard():
 # -- releases ----------------------------------------------------------------
 
 def test_release_takes_no_heap_slot_and_resumes_at_once():
+    """A release is synchronous: with nobody waiting it schedules
+    nothing; with a waiter it schedules exactly the waiter's start, at
+    ``(now, NORMAL)``, and the releaser runs on before it."""
     env = Environment()
-    res = Resource(env)
+    server = Server(env)
     log = []
 
     def user():
-        req = res.request()
-        yield req
+        yield from server.acquire()
         yield env.timeout(10)
         before = list(env._queue)
-        rel = res.release(req)
+        server.release()
         assert env._queue == before
-        assert rel.processed and rel.value is req
-        env.call_later(0, lambda: log.append("due-now"))
-        value = yield rel
-        log.append(("resumed", env.now, value is req))
+        yield from server.acquire()
+        env.process(waiter())
+        yield env.timeout(10)
+        server.release()
+        assert [entry[:2] for entry in env._queue] == [(20, NORMAL)]
+        log.append(("released", env.now))
+
+    def waiter():
+        yield from server.hold(5)
+        log.append(("waiter-done", env.now))
 
     env.process(user())
     env.run()
-    assert log == [("resumed", 10, True), "due-now"]
-    assert res.count == 0
+    assert log == [("released", 20), ("waiter-done", 25)]
+    assert server._holder is None and server.total_busy == 25
 
 
-# -- the CPU's own slice scheduler --------------------------------------------
+def test_release_with_no_hold_running_raises():
+    env = Environment()
+    server = Server(env)
+    with pytest.raises(SimulationError, match="no hold running"):
+        server.release()
+
+
+# -- the CPU: an exclusive server plus preemption -----------------------------
 
 class _ResourceCpu:
     """Reference model: the CPU as a priority resource whose IRQ-level
     requests evict a less important holder by interrupting its process.
 
-    This is the shape :class:`repro.hw.Cpu` replaced with its own queue
-    and timer; the scheduler must reproduce it event for event.
+    This is the shape :class:`repro.hw.Cpu` replaced with a
+    :class:`~repro.sim.Server` and preemption; it must reproduce it event
+    for event.
     """
 
     def __init__(self, env):
@@ -325,6 +349,10 @@ class _ResourceCpu:
             do_request(request)
 
         self.res._do_request = evicting_request
+
+    @property
+    def total_busy(self):
+        return self.busy.total_busy
 
     def execute(self, duration, priority, label=""):
         env = self.env
@@ -365,6 +393,27 @@ class _ResourceCpu:
         return result
 
 
+def _collisions(env, rng, log, spawn):
+    """Unrelated events on the scenarios' coarse time grid: sleeping
+    processes, NORMAL and URGENT timers and a late-spawned claimant."""
+
+    def sleeper(name, naps):
+        for nap in naps:
+            yield env.timeout(nap)
+            log.append((env.now, name))
+
+    def spawner():
+        yield env.timeout(rng.choice((10, 20, 30)))
+        spawn()
+
+    for s in range(2):
+        env.process(sleeper(f"s{s}", [rng.choice((5, 10, 20)) for _ in range(8)]))
+    env.process(spawner())
+    for t in (10, 20, 30, 40, 60):
+        env.call_later(t, lambda: log.append((env.now, "timer")))
+        env.call_later(t, lambda: log.append((env.now, "urgent")), URGENT)
+
+
 def _cpu_scenario(make_cpu, seed):
     """Random slices at the four priorities on coarse times, so grants,
     preemptions, completions and unrelated events (sleeping processes,
@@ -396,39 +445,206 @@ def _cpu_scenario(make_cpu, seed):
                 yield from cpu.execute(ns, prio, label=f"p{prio}")
             log.append((env.now, name, i))
 
-    def sleeper(name, naps):
-        for nap in naps:
-            yield env.timeout(nap)
-            log.append((env.now, name))
-
-    def spawner():
-        yield env.timeout(rng.choice((10, 20, 30)))
-        env.process(worker("late", [(0, "exec", PRIO_KERNEL, 10)]))
-
     for w in range(rng.randint(2, 6)):
         steps = [(rng.choice((0, 0, 10, 20, 30, "gate")),
                   rng.choice(("exec", "exec", "exec", "occupy", "spawn")),
                   rng.choice(prios), rng.choice((0, 5, 10, 20, 30)))
                  for _ in range(rng.randint(1, 6))]
         env.process(worker(f"w{w}", steps))
-    for s in range(2):
-        env.process(sleeper(f"s{s}", [rng.choice((5, 10, 20)) for _ in range(8)]))
-    env.process(spawner())
-    for t in (10, 20, 30, 40, 60):
-        env.call_later(t, lambda: log.append((env.now, "timer")))
-        env.call_later(t, lambda: log.append((env.now, "urgent")), URGENT)
+    _collisions(env, rng, log,
+                lambda: env.process(worker("late", [(0, "exec", PRIO_KERNEL, 10)])))
     for i, gate in enumerate(gates):
         env.call_later(10 * (i + 1), gate.succeed)
     env.run()
-    return log, env.now, cpu.busy.total_busy, sorted(cpu.counters.items())
+    return log, env.now, cpu.total_busy, sorted(cpu.counters.items())
 
 
 @pytest.mark.parametrize("seed", range(300))
 def test_cpu_scheduler_orders_like_a_preemptible_resource(seed):
     """Same-time grants, preemptions (mid-slice, in the grant's own
     timestep, at the slice's last instant) and completions interleave
-    with other events exactly as under the reference model."""
-    from repro.config import CpuParams
+    with other events exactly as under the reference model.
 
+    The tie-break counter is not compared: a preemption the CPU resolves
+    at once draws no number where the reference's ``Interrupt`` did."""
     expected = _cpu_scenario(_ResourceCpu, seed)
     assert _cpu_scenario(lambda env: Cpu(env, CpuParams()), seed) == expected
+
+
+# -- the PCI bus, memory bus and wire ------------------------------------------
+
+#: a memory bus whose copy of ``n`` bytes takes ``n / 1e9 * 1e9`` ns
+_MEMORY = MemoryParams(copy_bw_Bps=1e9, copy_setup_ns=0)
+
+
+class _ResourceDevices:
+    """Reference model: the PCI bus (a priority resource), the memory bus
+    and the wire (FIFO resources) held by their users' processes, with
+    busy intervals tracked around each hold."""
+
+    def __init__(self, env):
+        self.env = env
+        self.cpu = Cpu(env, CpuParams())
+        self.pci = PriorityResource(env)
+        self.mem = Resource(env)
+        self.wire = Resource(env)
+        self.busy = [BusyTracker() for _ in range(3)]
+        self._copy_time = MemoryBus(env, _MEMORY).copy_time
+
+    def _hold(self, request, busy, ns):
+        with request as grant:
+            yield grant
+            busy.acquire(self.env.now)
+            try:
+                yield self.env.timeout(ns)
+            finally:
+                busy.release(self.env.now)
+
+    def pci_hold(self, ns, priority):
+        return self._hold(self.pci.request(priority=priority), self.busy[0], ns)
+
+    def wire_hold(self, ns):
+        return self._hold(self.wire.request(), self.busy[2], ns)
+
+    def mem_copy(self, nbytes, priority):
+        duration = self._copy_time(nbytes)
+        busy = self.busy[1]
+        with self.mem.request() as grant:
+            yield grant
+            busy.acquire(self.env.now)
+            try:
+                yield from self.cpu.execute(duration, priority, label="memcpy")
+            finally:
+                busy.release(self.env.now)
+
+    def total_busy(self):
+        return [self.cpu.total_busy] + [busy.total_busy for busy in self.busy]
+
+
+class _ServerDevices:
+    """The simulator's shapes: two bare servers and a :class:`MemoryBus`."""
+
+    def __init__(self, env):
+        self.cpu = Cpu(env, CpuParams())
+        self.pci = Server(env)
+        self.mem = MemoryBus(env, _MEMORY)
+        self.wire = Server(env)
+
+    def pci_hold(self, ns, priority):
+        return self.pci.hold(ns, priority)
+
+    def wire_hold(self, ns):
+        return self.wire.hold(ns)
+
+    def mem_copy(self, nbytes, priority):
+        return self.mem.cpu_copy(self.cpu, nbytes, priority)
+
+    def total_busy(self):
+        return [d.total_busy for d in (self.cpu, self.pci, self.mem, self.wire)]
+
+
+def _device_scenario(make_devices, seed):
+    """Random PCI holds at priorities 0/2/5/9, memory-bus copies whose
+    CPU slices IRQ work preempts, and FIFO wire holds, on the coarse time
+    grid of :func:`_cpu_scenario`; returns everything observable."""
+    rng = random.Random(seed)
+    env = Environment()
+    dev = make_devices(env)
+    log = []
+    gates = [env.event() for _ in range(3)]
+
+    def claim(kind, ns):
+        if kind == "pci":
+            yield from dev.pci_hold(ns, rng.choice((0, 2, 5, 9)))
+        elif kind == "copy":
+            yield from dev.mem_copy(ns, rng.choice((PRIO_SOFTIRQ, PRIO_KERNEL, PRIO_USER)))
+        elif kind == "wire":
+            yield from dev.wire_hold(ns)
+        else:
+            yield from dev.cpu.execute(ns, PRIO_IRQ, label="irq")
+
+    def worker(name, steps):
+        for i, (wait, kind, ns) in enumerate(steps):
+            if wait == "gate":
+                yield gates[i % len(gates)]
+            elif wait:
+                yield env.timeout(wait)
+            yield from claim(kind, ns)
+            log.append((env.now, name, i))
+
+    kinds = ("pci", "pci", "copy", "copy", "wire", "irq")
+    for w in range(rng.randint(3, 8)):
+        steps = [(rng.choice((0, 0, 5, 10, 20, "gate")), rng.choice(kinds),
+                  rng.choice((0, 5, 10, 20, 30)))
+                 for _ in range(rng.randint(1, 6))]
+        env.process(worker(f"w{w}", steps))
+    _collisions(env, rng, log, lambda: env.process(
+        worker("late", [(0, rng.choice(kinds), 10)])))
+    for i, gate in enumerate(gates):
+        env.call_later(10 * (i + 1), gate.succeed)
+    env.run()
+    return (log, env.now, env._seq, dev.total_busy(),
+            sorted(dev.cpu.counters.items()))
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_device_servers_order_like_held_resources(seed):
+    """Same-time claims, grants and completions on the PCI bus, the
+    memory bus (held around a preemptible CPU slice) and the wire land
+    where the resource-holding processes put them: the same log, clock,
+    tie-break counter, busy times and CPU counters."""
+    expected = _device_scenario(_ResourceDevices, seed)
+    assert _device_scenario(_ServerDevices, seed) == expected
+
+
+# -- the store -----------------------------------------------------------------
+
+def _store_scenario(make_store, seed):
+    """Random puts (some not waited for, as a backlog's producers do) and
+    gets at capacity 1-3, with producers and consumers colliding on a
+    coarse time grid; returns everything observable."""
+    rng = random.Random(seed)
+    env = Environment()
+    store = make_store(env, rng.randint(1, 3))
+    log = []
+    gate = env.event()
+
+    def pause(wait):
+        if wait == "gate":
+            return gate
+        return env.timeout(wait)
+
+    def producer(name, steps):
+        for i, (wait, waited) in enumerate(steps):
+            yield pause(wait)
+            put = store.put((name, i))
+            if waited:
+                yield put
+            log.append((env.now, name, i, put.processed))
+
+    def consumer(name, waits):
+        for wait in waits:
+            yield pause(wait)
+            item = yield store.get()
+            log.append((env.now, name, item))
+
+    waits = (0, 0, 5, 10, "gate")
+    for p in range(rng.randint(1, 4)):
+        env.process(producer(f"p{p}", [(rng.choice(waits), rng.random() < 0.8)
+                                       for _ in range(rng.randint(1, 6))]))
+    for c in range(rng.randint(1, 4)):
+        env.process(consumer(f"c{c}", [rng.choice(waits) for _ in range(rng.randint(1, 6))]))
+    for t in (5, 10, 15):
+        env.call_later(t, lambda: log.append((env.now, "timer")))
+    env.call_later(10, gate.succeed)
+    env.run()
+    return log, env.now, env._seq, list(store.items)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_store_hands_off_like_the_fixpoint_store(seed):
+    """Direct hand-off (a put serves one waiting getter, a get admits one
+    waiting putter) schedules what re-running the put/get fixpoint after
+    every operation did, in the same order."""
+    expected = _store_scenario(lambda env, cap: FixpointStore(env, capacity=cap), seed)
+    assert _store_scenario(lambda env, cap: Store(env, capacity=cap), seed) == expected

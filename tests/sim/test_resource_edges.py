@@ -1,11 +1,13 @@
-"""Remaining edge coverage for resources and kernel wrappers."""
+"""Remaining edge coverage for the reference resource model, the CPU's
+``occupy`` and the kernel wrappers."""
 
 import pytest
+from reference_resources import Resource
 
 from repro.config import CpuParams, KernelParams, MemoryParams
 from repro.hw import Cpu, MemoryBus, PRIO_IRQ, PRIO_KERNEL
 from repro.oskernel import Kernel
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 
 
 def test_release_of_queued_request_acts_as_cancel():

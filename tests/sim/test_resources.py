@@ -1,25 +1,22 @@
-"""Unit tests for queuing resources and stores."""
+"""Unit tests for the exclusive server and the store, and for the
+reference resource model the ordering replays compare them against."""
 
 import pytest
+from reference_resources import Resource
 
-from repro.sim import (
-    Environment,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim import Environment, Server, Store
 
 
 def test_resource_serializes_users():
     env = Environment()
-    res = Resource(env, capacity=1)
+    server = Server(env)
     log = []
 
     def user(env, name):
-        with res.request() as req:
-            yield req
-            log.append((name, "in", env.now))
-            yield env.timeout(10)
+        yield from server.acquire()
+        log.append((name, "in", env.now))
+        yield env.timeout(10)
+        server.release()
         log.append((name, "out", env.now))
 
     env.process(user(env, "a"))
@@ -98,27 +95,21 @@ def test_release_via_context_manager_even_on_exception():
 
 def test_priority_resource_orders_by_priority():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    server = Server(env)
     order = []
-
-    def holder(env):
-        with res.request(priority=5) as req:
-            yield req
-            yield env.timeout(100)
 
     def contender(env, name, prio, delay):
         yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
+        yield from server.hold(1, prio)
+        order.append(name)
 
-    env.process(holder(env))
+    env.process(server.hold(100, 5))
     env.process(contender(env, "low", 10, 1))
     env.process(contender(env, "high", 0, 2))
     env.process(contender(env, "mid", 5, 3))
+    env.process(contender(env, "mid-later", 5, 3))
     env.run()
-    assert order == ["high", "mid", "low"]
+    assert order == ["high", "mid", "mid-later", "low"]
 
 
 def test_store_put_get_fifo():
@@ -163,20 +154,6 @@ def test_store_capacity_blocks_producer():
     env.run()
     assert ("put-a", 0) in log
     assert ("put-b", 100) in log
-
-
-def test_store_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-
-    def fill(env):
-        yield store.put(7)
-
-    env.process(fill(env))
-    env.run()
-    assert store.try_get() == 7
-    assert store.try_get() is None
 
 
 def test_store_len():
