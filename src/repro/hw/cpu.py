@@ -26,7 +26,7 @@ simulated bandwidth curves.  :meth:`Cpu.occupy` holds the CPU captive
 while a device operation runs; nothing preempts it.
 
 Scheduling order is exact: every grant, preemption and completion
-lands at the same ``(time, priority, seq)`` place in the event heap as
+lands at the same ``(time, priority, seq)`` place in the event queue as
 it would if each slice were a process holding a preemptible resource
 (DESIGN.md §9 gives the argument).
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from heapq import heappop
 from typing import Dict, Generator
 
 from ..config import CpuParams
@@ -139,45 +138,43 @@ class Cpu(Server):
 
         A granted slice that has not started yet (grant and preemption
         in one timestep) is charged nothing; its dead start entry is
-        dropped at once if it heads the heap.  A running one has its
-        timer cancelled and its remaining time banked.
+        dropped at once if it heads the queue.  A running one has its
+        timer cancelled, its waiter moved to a fresh unqueued event (the
+        completion timer of its next start) and its remaining time
+        banked.
 
         The slice is re-queued where a preempted process would re-request
         the CPU: on an URGENT zero-delay entry.  It is re-queued at once
         instead when nothing could run before that entry — the preemptor
-        is the sole callback being dispatched and no other URGENT entry
-        is due now.  If, further, nothing at all is due now, the
-        preemptor may start at once too: a preemptor's grant waits in the
-        heap only behind that URGENT entry.  A slice banked down to
-        nothing ends instead: its waiter resumes on the URGENT entry.
+        is alone ahead of it (:meth:`Environment._alone` at URGENT).  If
+        it is alone ahead of a NORMAL entry too, the preemptor may start
+        at once: a preemptor's grant waits in the queue only behind that
+        URGENT entry.  A slice banked down to nothing ends
+        instead: its waiter resumes on the URGENT entry.
         """
         env = self.env
-        queue = env._queue
-        now = env._now
         grant = victim.grant
         if grant is not None:
             grant.cancel()
             victim.grant = None
-            if queue[0][3] is grant:
-                heappop(queue)
+            if env._head()[1] is grant:
+                env._pop()
             ran = False
         else:
-            victim.carrier.callbacks = None
-            victim.remaining -= now - self._busy_since
+            victim.hand_to(Event(env))
+            victim.remaining -= env._now - self._busy_since
             ran = True
             if not victim.remaining > 0:
                 # preempted at the instant it would have ended: the
                 # preemption left no time to run
                 self._stop()
                 self.counters["preemptions"] += 1
-                done = victim.hand_to(Event(env))
-                done._value = True
-                env._schedule(done, URGENT)
+                victim.carrier._value = True
+                env._schedule(victim.carrier, URGENT)
                 return False
-        if (env._active_proc is not None and len(env._dispatch) == 1
-                and not (queue and queue[0][0] == now and queue[0][1] == URGENT)):
+        if env._alone(URGENT):
             self._requeue(victim, ran)
-            return not queue or queue[0][0] > now
+            return env._alone()
         env.call_later(0, partial(self._requeue, victim, ran), URGENT)
         return False
 

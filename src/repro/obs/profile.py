@@ -32,7 +32,7 @@ class EnvProfiler:
 
     # -- hooks called by the event loop ---------------------------------
     def on_schedule(self, queue_depth: int) -> None:
-        """Called by the loop after pushing an event onto the heap."""
+        """Called by the loop after queueing an event."""
         self.events_scheduled += 1
         if queue_depth > self.queue_high_water:
             self.queue_high_water = queue_depth

@@ -443,7 +443,7 @@ class WindowedSender:
         self._retx_seqs.update(seqs)
 
     def _start_timer(self) -> None:
-        # Re-arming cancels the previous timer lazily (dead heap entry),
+        # Re-arming cancels the previous timer lazily (dead queue entry),
         # so ack-by-ack restarts cost one handle + one push, not a
         # process spawn.
         if self._timer is not None:

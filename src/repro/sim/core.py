@@ -8,9 +8,13 @@ generator *processes* that ``yield`` events; the :class:`Environment`
 advances virtual time from one scheduled event to the next.
 
 Time is measured in **nanoseconds** throughout the project (see
-:mod:`repro.units`).  Events scheduled for the same timestamp are processed
-in FIFO order of scheduling (a monotonic tie-break counter in the heap
-entries — never re-sorted), which keeps every simulation bit-reproducible.
+:mod:`repro.units`).  Entries run in ``(time, priority, seq)`` order:
+URGENT before NORMAL at one timestamp, and FIFO in scheduling order
+within a priority, which keeps every simulation bit-reproducible.  The
+queue keeps that order without sorting what is due now: entries due at
+the current time sit in two FIFO lanes (URGENT, NORMAL), and later
+NORMAL entries in one bucket per time, under a heap of the distinct
+times (:class:`Environment` gives the argument).
 
 Hot-path shortcuts keep the per-event Python cost down, each exact (the
 same events run in the same order at the same times):
@@ -21,20 +25,21 @@ same events run in the same order at the same times):
   are armed and cancelled far more often than they fire;
 * :meth:`Environment.defer` runs a callback ordered exactly like a
   process spawned now that sleeps and then calls it (a zero-delay
-  URGENT trampoline takes the heap slot the process's start event
+  URGENT trampoline takes the queue slot the process's start event
   would have held) — per-frame hops use it instead of spawning;
 * cancellation is *lazy*: :meth:`TimerHandle.cancel` just marks the
-  handle dead, and the loop drops the stale heap entry when it reaches
-  the top, instead of rebuilding the heap;
+  handle dead, and the loop drops the stale entry when it reaches the
+  head of the queue;
 * an event the loop would pop next with nothing else to run in between
   is *born processed* instead of scheduled (:meth:`Environment._settle`
   holds the guard), so an uncontended store operation or server claim
-  costs no heap entry and no process suspension.
+  costs no queue entry and no process suspension.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional
@@ -205,7 +210,7 @@ class Timeout(Event):
 
     Construction is inlined (no ``Event.__init__``/``_schedule`` calls):
     a ``Timeout`` is the most frequently created object in the whole
-    simulator, so it pays to assign the slots and push the heap entry
+    simulator, so it pays to assign the slots and queue the entry
     directly.
     """
 
@@ -221,22 +226,26 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._seq += 1
-        _heappush(env._queue, (env._now + delay, NORMAL, env._seq, self))
+        when = env._now + delay
+        if when == env._now:
+            env._ready.append(self)
+        else:
+            env._add_later(when, self)
         if env.profiler is not None:
-            env.profiler.on_schedule(len(env._queue))
+            env.profiler.on_schedule(env._depth())
 
 
 class TimerHandle:
     """A one-shot scheduled callback (see :meth:`Environment.call_later`).
 
     The cheap alternative to a timer *process*: one slotted object, one
-    heap entry, and a bare no-argument callable stored in the
+    queue entry, and a bare no-argument callable stored in the
     ``callbacks`` slot (the event loop dispatches on its type).  The
     reliability/coalescing timers arm and cancel these constantly and
     only rarely let them fire.
 
-    :meth:`cancel` is O(1) and lazy — the dead heap entry is discarded
-    when the loop pops it, without touching the rest of the heap.  A
+    :meth:`cancel` is O(1) and lazy — the dead entry is discarded when
+    the loop pops it, without touching the rest of the queue.  A
     fired or cancelled handle is never reused (pooling handles was
     considered and rejected: a stale ``cancel()`` on a recycled handle
     would silently kill an unrelated timer).
@@ -454,6 +463,28 @@ class AllOf(Condition):
 class Environment:
     """The simulation environment: clock plus event queue.
 
+    The queue runs entries in ``(time, priority, seq)`` order, ``seq``
+    being the scheduling order, without a heap over the entries:
+
+    * ``_urgent`` and ``_ready`` are FIFO lanes of the URGENT and NORMAL
+      entries due at ``now``;
+    * ``_later`` maps each later time to its NORMAL entries in
+      scheduling order (one entry as itself, two or more as a list),
+      and ``_times`` is a heap of those times;
+    * ``_ahead`` is a heap of ``(time, seq, entry)`` for URGENT entries
+      scheduled for a later time (rare: nothing in the model makes
+      them).
+
+    Sequence numbers only grow, so an entry scheduled for ``t`` while the
+    clock reads ``t`` sorts after every entry queued for ``t`` before.
+    When the clock moves to ``t`` (both lanes are then empty), the
+    URGENT entries ahead for ``t`` go to the urgent lane and ``t``'s
+    bucket to the ready lane; what is scheduled during ``t`` is appended
+    behind them.  Popping the urgent lane, then the ready lane, is thus
+    ``(time, priority, seq)`` order.  The clock moves only to a live
+    entry: a cancelled one is dropped where it lies, and a bucket whose
+    head is dead gives up that head alone, as one heap would.
+
     Parameters
     ----------
     initial_time:
@@ -467,7 +498,13 @@ class Environment:
 
     def __init__(self, initial_time: float = 0, profile: bool = False):
         self._now = initial_time
-        self._queue: list = []  # heap of (time, priority, seq, event)
+        self._urgent: deque = deque()
+        self._ready: deque = deque()
+        self._later: dict = {}
+        self._times: list = []
+        #: entries in ``_later`` beyond the first at their time
+        self._shared = 0
+        self._ahead: list = []
         self._seq = 0
         self._active_proc: Optional[Process] = None
         #: callback list of the event being dispatched (see _settle)
@@ -507,16 +544,14 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none.
 
-        Lazily prunes cancelled timer entries from the head of the heap
+        Lazily prunes cancelled timer entries from the head of the queue
         so the answer always refers to an event that will actually run.
         """
-        queue = self._queue
-        while queue:
-            if queue[0][3].callbacks is None:
-                _heappop(queue)  # lazily-cancelled timer: drop and retry
-                continue
-            return queue[0][0]
-        return float("inf")
+        while True:
+            when, entry = self._head()
+            if entry is None or entry.callbacks is not None:
+                return when
+            self._pop()  # lazily-cancelled timer: drop and retry
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
@@ -538,7 +573,7 @@ class Environment:
 
         The fast path for one-shot timers: compared to spawning a
         process that yields a :class:`Timeout`, this allocates one
-        slotted handle and one heap entry, and cancellation via
+        slotted handle and one queue entry, and cancellation via
         :meth:`TimerHandle.cancel` leaves the dead entry to be dropped
         lazily by the loop.  ``fn`` takes no arguments and must not
         raise (an exception would abort the whole simulation, exactly
@@ -547,17 +582,14 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         handle = TimerHandle(fn)
-        self._seq += 1
-        _heappush(self._queue, (self._now + delay, priority, self._seq, handle))
-        if self.profiler is not None:
-            self.profiler.on_schedule(len(self._queue))
+        self._schedule(handle, priority, delay)
         return handle
 
     def defer(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` ns, ordered exactly as a process
         spawned now that yields ``timeout(delay)`` and then calls ``fn``.
 
-        A zero-delay URGENT trampoline takes the heap slot the process's
+        A zero-delay URGENT trampoline takes the queue slot the process's
         start event would have held; when it runs it schedules ``fn``,
         drawing the tie-break sequence number the process's timeout
         would have drawn.  So ``fn`` runs in the same place among
@@ -578,11 +610,106 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling & the loop ---------------------------------------------
-    def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0) -> None:
+    def _schedule(self, event: Any, priority: int = NORMAL, delay: float = 0) -> None:
+        """Queue ``event`` (an event or a timer handle) ``delay`` ns from
+        now at ``priority`` (:data:`URGENT` or :data:`NORMAL`)."""
         self._seq += 1
-        _heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        when = self._now + delay
+        if when == self._now:
+            (self._ready if priority else self._urgent).append(event)
+        elif priority:
+            self._add_later(when, event)
+        else:
+            _heappush(self._ahead, (when, self._seq, event))
         if self.profiler is not None:
-            self.profiler.on_schedule(len(self._queue))
+            self.profiler.on_schedule(self._depth())
+
+    def _add_later(self, when: float, entry: Any) -> None:
+        """Append a NORMAL ``entry`` due at the later time ``when`` to
+        that time's bucket."""
+        later = self._later
+        bucket = later.get(when)
+        if bucket is None:
+            later[when] = entry
+            _heappush(self._times, when)
+            return
+        if type(bucket) is list:
+            bucket.append(entry)
+        else:
+            later[when] = [bucket, entry]
+        self._shared += 1
+
+    def _depth(self) -> int:
+        """Entries in the queue, cancelled ones included."""
+        return (len(self._urgent) + len(self._ready) + len(self._later) + self._shared
+                + len(self._ahead))
+
+    def _head(self) -> tuple:
+        """``(time, entry)`` of the next entry to pop, live or cancelled;
+        ``(inf, None)`` when the queue is empty."""
+        if self._urgent:
+            return self._now, self._urgent[0]
+        if self._ready:
+            return self._now, self._ready[0]
+        ahead, times = self._ahead, self._times
+        if ahead and (not times or ahead[0][0] <= times[0]):
+            return ahead[0][0], ahead[0][2]
+        if times:
+            bucket = self._later[times[0]]
+            return times[0], bucket[0] if type(bucket) is list else bucket
+        return float("inf"), None
+
+    def _pop(self) -> Any:
+        """Remove and return the next entry (``None`` when there is none),
+        moving the clock to its time if it is live."""
+        if self._urgent:
+            return self._urgent.popleft()
+        if self._ready:
+            return self._ready.popleft()
+        ahead, times = self._ahead, self._times
+        if ahead and (not times or ahead[0][0] <= times[0]):
+            when, _, entry = _heappop(ahead)
+            if entry.callbacks is not None:
+                self._now = when
+                while ahead and ahead[0][0] == when:
+                    self._urgent.append(_heappop(ahead)[2])
+                if times and times[0] == when:
+                    self._take()
+            return entry
+        if not times:
+            return None
+        when = times[0]
+        entry = self._later[when]
+        if type(entry) is list:
+            if len(entry) > 1 and entry[0].callbacks is None:
+                self._shared -= 1
+                return entry.pop(0)  # a dead head leaves alone
+            self._take()
+            entry = self._ready.popleft()
+        else:
+            del self._later[when]
+            _heappop(times)
+        if entry.callbacks is not None:
+            self._now = when
+        return entry
+
+    def _take(self) -> None:
+        """Move the earliest bucket into the (empty) ready lane."""
+        bucket = self._later.pop(_heappop(self._times))
+        if type(bucket) is list:
+            self._shared -= len(bucket) - 1
+            self._ready.extend(bucket)
+        else:
+            self._ready.append(bucket)
+
+    def _alone(self, priority: int = NORMAL) -> bool:
+        """Whether the running process is alone at this instant ahead of
+        a zero-delay entry at ``priority``: it is the sole callback of the
+        event being dispatched, and no entry due now pops before that one
+        (the urgent lane is empty and, for NORMAL, the ready lane too;
+        what the clock reached has already left the buckets)."""
+        return (self._active_proc is not None and len(self._dispatch) == 1
+                and not self._urgent and not (priority and self._ready))
 
     def _settle(self, event: Event, value: Any) -> None:
         """Succeed a fresh ``event`` that its creator yields at once:
@@ -597,42 +724,40 @@ class Environment:
           (a store operation satisfied at once);
         * a process is running and is the sole callback of the event
           being dispatched (no sibling callback runs after it);
-        * nothing else is due at ``now`` (the heap head is later).
+        * nothing else is due at ``now`` (both lanes are empty; URGENT
+          entries scheduled ahead for ``now`` joined the urgent lane when
+          the clock got here).
 
         Callers also yield the event before scheduling anything else:
         an URGENT event scheduled in between would have run first.
 
-        The last two conditions say the running process is *alone* at
-        this instant: an exclusive :class:`~repro.sim.resources.Server`
-        (the CPU, the buses, the wire) tests the same guard to start a
-        claim at once where a resource grant would have been born
-        processed.
+        The last two conditions are :meth:`_alone`: an exclusive
+        :class:`~repro.sim.resources.Server` (the CPU, the buses, the
+        wire) tests the same guard to start a claim at once where a
+        resource grant would have been born processed.
         """
         event._value = value
-        queue = self._queue
-        if (self._active_proc is not None and len(self._dispatch) == 1
-                and (not queue or queue[0][0] > self._now)):
+        if self._alone():
             event.callbacks = None
             return
         self._seq += 1
-        _heappush(queue, (self._now, NORMAL, self._seq, event))
+        self._ready.append(event)
         if self.profiler is not None:
-            self.profiler.on_schedule(len(queue))
+            self.profiler.on_schedule(self._depth())
 
     def step(self) -> None:
         """Process the next scheduled event (advancing the clock).
 
-        A lazily-cancelled timer entry at the head of the heap is
+        A lazily-cancelled timer entry at the head of the queue is
         dropped without running anything or advancing the clock (it is
         no longer an event, just garbage awaiting collection).
         """
-        if not self._queue:
+        event = self._pop()
+        if event is None:
             raise SimulationError("no more events")
-        when, _, _, event = _heappop(self._queue)
         callbacks = event.callbacks
         if callbacks is None:
             return  # cancelled timer: drop the dead entry
-        self._now = when
         event.callbacks = None
         if self.profiler is not None:
             self.profiler.on_step(event, callbacks)
@@ -670,19 +795,30 @@ class Environment:
                     )
         try:
             if stop_at is None and self.profiler is None:
-                # Hot loop: ``step()`` inlined with the queue, heappop
-                # and the per-event bookkeeping bound to locals.  Event
-                # semantics are identical to ``step()`` (the ordering
-                # tests in tests/sim pin this).
-                queue = self._queue
-                pop = _heappop
-                while queue:
-                    item = pop(queue)
-                    event = item[3]
+                # Hot loop: ``step()`` inlined, popping the lanes
+                # directly.  Event semantics are identical to ``step()``
+                # (the ordering tests in tests/sim pin this).
+                urgent, ready = self._urgent, self._ready
+                later, times, ahead = self._later, self._times, self._ahead
+                pop_urgent, pop_ready, pop = urgent.popleft, ready.popleft, self._pop
+                while True:
+                    if urgent:
+                        event = pop_urgent()
+                    elif ready:
+                        event = pop_ready()
+                    elif times and not ahead and type(later[times[0]]) is not list:
+                        # ``_pop`` of the next time's lone entry, inlined
+                        when = _heappop(times)
+                        event = later.pop(when)
+                        if event.callbacks is not None:
+                            self._now = when
+                    else:
+                        event = pop()
+                        if event is None:
+                            break
                     callbacks = event.callbacks
                     if callbacks is None:
                         continue  # lazily-cancelled timer entry
-                    self._now = item[0]
                     event.callbacks = None
                     if type(callbacks) is list:
                         self._dispatch = callbacks
@@ -693,8 +829,11 @@ class Environment:
                     else:
                         callbacks()  # TimerHandle fast path
             else:
-                while self._queue:
-                    if stop_at is not None and self._queue[0][0] > stop_at:
+                while True:
+                    when, head = self._head()
+                    if head is None:
+                        break
+                    if stop_at is not None and when > stop_at:
                         self._now = stop_at
                         return None
                     self.step()

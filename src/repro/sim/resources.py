@@ -8,7 +8,7 @@
 * :class:`Store` — a producer/consumer buffer of Python objects (NIC
   descriptor rings, switch port queues, protocol backlogs).
 
-Neither takes a heap entry that exists only as bookkeeping, and both put
+Neither takes a queue entry that exists only as bookkeeping, and both put
 every entry they do take at the ``(time, priority, seq)`` place the
 resource-based model they replaced put it (a process holding a priority
 resource; a store re-running a fixpoint after each operation).  DESIGN.md
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from .core import Environment, Event, SimulationError, Timeout
+from .core import NORMAL, Environment, Event, SimulationError, Timeout, TimerHandle
 
 __all__ = ["Server", "Store", "StorePut", "StoreGet"]
 
@@ -38,7 +38,8 @@ class _Claim:
         self.remaining = remaining
         #: callback list of the process waiting for the claim
         self.waiter: Optional[list] = None
-        #: the event that currently carries ``waiter``
+        #: the event that currently carries ``waiter``; a claim whose
+        #: start was scheduled makes it its completion timer
         self.carrier: Optional[Event] = None
         #: scheduled start of a granted claim that has not run yet
         self.grant = None
@@ -60,9 +61,9 @@ class Server:
 
     Claims are served lowest priority number first, FIFO within a
     priority.  A timed claim (:meth:`hold`) holds the server for a fixed
-    time through one completion :class:`~repro.sim.Timeout` that carries
-    the waiting process's callbacks; a hold-while (:meth:`acquire` …
-    :meth:`release`) holds it around other work.
+    time through one completion timer that carries the waiting process's
+    callbacks; a hold-while (:meth:`acquire` … :meth:`release`) holds it
+    around other work.
 
     Ordering is exact: grants and completions land where they would if
     the server were a priority resource whose waiter resumed, held and
@@ -70,7 +71,9 @@ class Server:
     the claimant is alone at this instant (the guard of
     :meth:`Environment._settle`); otherwise its start is scheduled at
     ``(now, NORMAL)``, where the resource's grant would sit, and so is
-    the next claim's start when a holder finishes.
+    the next claim's start when a holder finishes.  A scheduled start
+    then queues the event its waiter already waits on as the completion
+    timer, in the slot a fresh :class:`~repro.sim.Timeout` would take.
     """
 
     def __init__(self, env: Environment):
@@ -83,6 +86,8 @@ class Server:
         self.total_busy = 0.0
         #: start of the run in progress (``None`` while none runs)
         self._busy_since: Optional[float] = None
+        #: the start trampoline's callback, bound once
+        self._start_next = self._start_holder
 
     def hold(self, duration: float, priority: int = 0) -> Generator:
         """Hold the server for ``duration`` ns at ``priority`` (lower is
@@ -128,11 +133,8 @@ class Server:
         """
         if self._holder is None:
             self._holder = claim
-            env = self.env
-            queue = env._queue
             # alone at this instant: the guard of Environment._settle
-            if (env._active_proc is not None and len(env._dispatch) == 1
-                    and (not queue or queue[0][0] > env._now)):
+            if self.env._alone():
                 return self._start(claim)
             return self._schedule_start(claim)
         return self._contend(claim)
@@ -149,8 +151,9 @@ class Server:
         queue.append(claim)
 
     def _start(self, claim: _Claim) -> Optional[Timeout]:
-        """Run ``claim`` from now: arm a timed claim's completion timer
-        (handed the waiter's callbacks), or let a hold-while continue."""
+        """Run a fresh ``claim`` from now: arm a timed claim's completion
+        timer (handed the waiter's callbacks), or let a hold-while
+        continue."""
         if claim.remaining is None:
             return None
         env = self.env
@@ -159,20 +162,27 @@ class Server:
 
     def _schedule_start(self, claim: _Claim) -> Event:
         """Grant ``claim`` with its start at ``(now, NORMAL)``: a
-        trampoline that arms a timed claim's timer, or a zero timeout
-        that resumes a hold-while's process."""
+        trampoline that arms a timed claim's timer, or a zero timeout that
+        resumes a hold-while's process."""
         env = self.env
         if claim.remaining is None:
             return claim.hand_to(Timeout(env, 0))
-        claim.grant = env.call_later(0, self._start_holder)
+        claim.grant = grant = TimerHandle(self._start_next)
+        env._schedule(grant)
         if claim.carrier is None:
             claim.hand_to(Event(env))
         return claim.carrier
 
     def _start_holder(self) -> None:
+        """The start trampoline: the holder's carrier, which no entry
+        holds yet, becomes its completion timer."""
         claim = self._holder
         claim.grant = None
-        self._start(claim)
+        env = self.env
+        self._busy_since = env._now
+        carrier = claim.carrier
+        carrier._value = None
+        env._schedule(carrier, NORMAL, claim.remaining)
 
     def _stop(self) -> None:
         """Close the run in progress into the busy integral."""

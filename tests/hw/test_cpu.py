@@ -5,6 +5,7 @@ import pytest
 from repro.config import CpuParams
 from repro.hw import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
 from repro.sim import Environment
+from tests.sim.reference_resources import pending
 
 
 def make_cpu(env):
@@ -228,9 +229,9 @@ def test_zero_work_schedules_no_event():
 
     def work(env):
         yield env.timeout(5)
-        before = list(env._queue)
+        before = pending(env), env._seq
         yield from cpu.execute(0, PRIO_KERNEL, label="nothing")
-        seen.append((env.now, env._queue == before))
+        seen.append((env.now, (pending(env), env._seq) == before))
 
     env.process(work(env))
     env.run()

@@ -1,18 +1,90 @@
-"""Reference models for the exclusive server and the store (test-only).
+"""Reference models for the event queue, the exclusive server and the
+store (test-only).
 
-The counted resource, the priority resource (with its ``preempt`` flag),
-busy-interval tracking and the fixpoint store below are the shapes the
-simulator's :class:`repro.sim.Server` and :class:`repro.sim.Store` must
+The heap-queued environment, the counted resource, the priority resource
+(with its ``preempt`` flag), busy-interval tracking and the fixpoint
+store below are the shapes the simulator's :class:`repro.sim.Environment`
+queue, :class:`repro.sim.Server` and :class:`repro.sim.Store` must
 reproduce event for event.  ``test_ordering_invariants.py`` replays
 random scenarios against them; nothing under ``src/`` uses them.
+:func:`pending` lists what the simulator's queue holds.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Any, List, Optional
+from heapq import heappop, heappush
+from typing import Any, List, Optional, Tuple
 
 from repro.sim import Environment, Event
+from repro.sim.core import NORMAL, URGENT
+
+
+class HeapEnvironment(Environment):
+    """The event queue as one heap of ``(time, priority, seq, entry)``.
+
+    Overrides only the queue primitives (:meth:`Environment.step`,
+    :meth:`~Environment.peek` and both loops of
+    :meth:`~Environment.run` go through them) and :meth:`timeout` (a
+    :class:`~repro.sim.Timeout` queues itself), so it covers bare
+    entries scheduled, cancelled and run; the guards of ``_settle`` and
+    the servers read the lanes and do not apply to it.
+    """
+
+    def __init__(self, initial_time: float = 0):
+        super().__init__(initial_time)
+        self._queue: list = []
+
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        event = Event(self)
+        event._value = value
+        self._schedule(event, NORMAL, delay)
+        return event
+
+    def _schedule(self, event: Any, priority: int = NORMAL, delay: float = 0) -> None:
+        self._seq += 1
+        heappush(self._queue, (self._now + delay, priority, self._seq, event))
+
+    def _depth(self) -> int:
+        return len(self._queue)
+
+    def _head(self) -> tuple:
+        if self._queue:
+            return self._queue[0][0], self._queue[0][3]
+        return float("inf"), None
+
+    def _pop(self) -> Any:
+        if not self._queue:
+            return None
+        when, _, _, entry = heappop(self._queue)
+        if entry.callbacks is not None:
+            self._now = when
+        return entry
+
+
+def pending(env: Environment) -> List[Tuple[float, int]]:
+    """``(time, priority)`` of every entry in the simulator's queue,
+    cancelled ones included, in pop order."""
+    now = env._now
+    later = [(when, URGENT) for when, _, _ in env._ahead]
+    for when, bucket in env._later.items():
+        later += [(when, NORMAL)] * (len(bucket) if type(bucket) is list else 1)
+    return ([(now, URGENT)] * len(env._urgent) + [(now, NORMAL)] * len(env._ready)
+            + sorted(later))
+
+
+def due_now(env: Environment) -> Tuple[bool, bool]:
+    """Whether any entry, and any URGENT entry, is due now: the heap head
+    is at ``now``, or (as the simulator's guards read it) a lane is not
+    empty."""
+    if isinstance(env, HeapEnvironment):
+        # nothing may bypass the heap into the simulator's own queue
+        assert not (env._urgent or env._ready or env._later or env._ahead)
+        head = env._queue[0] if env._queue else (float("inf"), NORMAL)
+        return head[0] == env._now, head[0] == env._now and head[1] == URGENT
+    # whatever the clock reached has left the buckets and the ahead heap
+    assert env._now not in env._later and not (env._ahead and env._ahead[0][0] == env._now)
+    return bool(env._urgent or env._ready), bool(env._urgent)
 
 
 class Request(Event):

@@ -1,19 +1,25 @@
-"""Heap totals of two fixed runs, pinned.
+"""Queue totals of three fixed runs, pinned.
 
 The exclusive servers (CPU, PCI bus, memory bus, wire) and the store
-take exactly the heap entries of the resource-holding processes they
+take exactly the queue entries of the resource-holding processes they
 stand for: a start trampoline or zero timeout sits where a resource
-grant sat, and a release takes none.  Only the event type that carries
-an entry may differ, so a seed-1 CLIC bulk stream and a TCP ping-pong
-pin the totals, and no resource request or release event is left.
+grant sat, and a release takes none.  The event queue's lanes and
+buckets hold what one heap held, cancelled entries included.  Only the
+event type that carries an entry may differ (a scheduled start queues
+its waiter's own ``Event`` as the completion timer, where a ``Timeout``
+used to be), so a seed-1 CLIC bulk stream, a TCP ping-pong and a
+16-node fat-tree host allreduce pin the processed, scheduled and
+high-water totals, and no resource request or release event is left.
 """
 
 import pytest
 
 from repro import Cluster, granada2003, pingpong, stream
+from repro.config import Topology
 from repro.obs import aggregate_profiles
 from repro.sim import profiled
 from repro.workloads import clic_pair, tcp_pair
+from repro.workloads.mpibench import collective_rank_times
 
 
 def _clic_bulk():
@@ -25,13 +31,21 @@ def _tcp_pingpong():
     pingpong(Cluster(granada2003()), tcp_pair(), 1039, repeats=40, warmup=1)
 
 
-@pytest.mark.parametrize("run, processed, scheduled", [
-    (_clic_bulk, 21_995, 24_316),
-    (_tcp_pingpong, 6_677, 6_761),
-], ids=["clic-bulk", "tcp-pingpong"])
-def test_heap_totals_are_pinned(run, processed, scheduled):
+def _fat_tree_allreduce():
+    cfg = granada2003(num_nodes=16).with_topology(
+        Topology("fat-tree", leaf_fan=4, uplink_fan=2))
+    collective_rank_times(cfg, "clic", "allreduce", 64, repeats=2, collectives="host")
+
+
+@pytest.mark.parametrize("run, processed, scheduled, high_water", [
+    (_clic_bulk, 21_995, 24_316, 90),
+    (_tcp_pingpong, 6_677, 6_761, 85),
+    (_fat_tree_allreduce, 18_311, 18_723, 202),
+], ids=["clic-bulk", "tcp-pingpong", "fat-tree-allreduce"])
+def test_heap_totals_are_pinned(run, processed, scheduled, high_water):
     with profiled() as sink:
         run()
     profile = aggregate_profiles(sink)
-    assert (profile["events_processed"], profile["events_scheduled"]) == (processed, scheduled)
+    assert (profile["events_processed"], profile["events_scheduled"],
+            profile["queue_high_water"]) == (processed, scheduled, high_water)
     assert not {"Request", "PriorityRequest", "Release"} & set(profile["per_type"])

@@ -3,23 +3,27 @@
 The reliability timers and the NIC coalescer assume: same-timestamp
 events run in scheduling (FIFO) order, URGENT beats NORMAL at equal
 timestamps, and a cancelled :class:`~repro.sim.TimerHandle` never fires
-— its dead heap entry is dropped without advancing the clock.
+— its dead queue entry is dropped without advancing the clock.
 
 The hot-path shortcuts must not move anything: a deferred callback runs
 where the process it replaces would have, an uncontended claim skips the
-heap only when nothing could have run before its waiter, and a release
-never takes a heap slot.  The exclusive servers order claims, grants and
+queue only when nothing could have run before its waiter, and a release
+never takes a queue slot.  The exclusive servers order claims, grants and
 completions exactly as processes holding resources would (the CPU's
 preemptions too), and the store's direct hand-off schedules what its old
-fixpoint did; the reference models live in ``reference_resources.py``.
+fixpoint did.  The event queue's lanes and per-time buckets pop, move
+the clock and drop cancelled entries exactly as one ``(time, priority,
+seq)`` heap does.  The reference models live in ``reference_resources.py``.
 """
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
-from reference_resources import BusyTracker, PriorityResource, Resource
+from reference_resources import (BusyTracker, HeapEnvironment, PriorityResource, Resource,
+                                 due_now, pending)
 from reference_resources import Store as FixpointStore
 
 from repro.config import CpuParams, MemoryParams
@@ -97,6 +101,17 @@ def test_dropping_dead_entries_does_not_advance_clock():
     assert env.now == 0
     env.step()
     assert seen == [30] and env.now == 30
+
+
+def test_run_drains_dead_entries_without_advancing_clock():
+    """The run loop drops dead entries at later times, one alone at
+    its time and two sharing one, without moving the clock to them."""
+    env = Environment()
+    env.call_later(10, lambda: None)
+    for delay in (20, 30, 30):
+        env.call_later(delay, lambda: None).cancel()
+    env.run()
+    assert env.now == 10
 
 
 def test_negative_delay_rejected():
@@ -189,11 +204,11 @@ def test_uncontended_grant_is_born_processed_when_nothing_else_is_due():
     def user():
         yield env.timeout(10)
         yield from server.acquire()  # starts at once: no grant entry
-        seen.append((env.now, len(env._queue)))
+        seen.append((env.now, len(pending(env))))
         server.release()
         hold = server.hold(5)
         timer = next(hold)  # starts at once: only its completion timer
-        seen.append((type(timer).__name__, [entry[0] for entry in env._queue]))
+        seen.append((type(timer).__name__, [when for when, _ in pending(env)]))
         yield timer
         with pytest.raises(StopIteration):
             next(hold)
@@ -294,14 +309,14 @@ def test_release_takes_no_heap_slot_and_resumes_at_once():
     def user():
         yield from server.acquire()
         yield env.timeout(10)
-        before = list(env._queue)
+        before = pending(env), env._seq
         server.release()
-        assert env._queue == before
+        assert (pending(env), env._seq) == before
         yield from server.acquire()
         env.process(waiter())
         yield env.timeout(10)
         server.release()
-        assert [entry[:2] for entry in env._queue] == [(20, NORMAL)]
+        assert pending(env) == [(20, NORMAL)]
         log.append(("released", env.now))
 
     def waiter():
@@ -648,3 +663,101 @@ def test_store_hands_off_like_the_fixpoint_store(seed):
     every operation did, in the same order."""
     expected = _store_scenario(lambda env, cap: FixpointStore(env, capacity=cap), seed)
     assert _store_scenario(lambda env, cap: Store(env, capacity=cap), seed) == expected
+
+
+# -- the queue: lanes and buckets against one heap ------------------------------
+
+def _queue_scenario(make_env, seed, ops=60):
+    """Random entries on a coarse time grid, dense in zero delays, URGENT
+    entries due now and ahead, pushes for a bucket's time from earlier
+    clocks and cancellations (of one entry, a time's first entry, every
+    entry at a time), driven by ``step``, ``peek`` and ``run(until=t)``
+    and a final drain.  Returns everything observable: the log of every
+    callback, and after every operation the clock, the queue depth and
+    what is due now."""
+    rng = random.Random(seed)
+    env = make_env()
+    log = []
+    by_time = {}  # time -> handles and timeouts queued for it, in order
+    count = [0]
+
+    def note(what):
+        log.append((what, env.now, env._depth(), due_now(env)))
+
+    def fire(name):
+        note(name)
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            push(name)
+        if rng.random() < 0.3:
+            cancel()
+
+    def push(tag):
+        count[0] += 1
+        name = f"{tag}.{count[0]}"
+        delay = rng.choice((0, 0, 0, 5, 5, 10, 15))
+        kind = rng.random()
+        if kind < 0.5:
+            entry = env.call_later(delay, partial(fire, name), NORMAL)
+        elif kind < 0.75:
+            entry = env.call_later(delay, partial(fire, name), URGENT)
+        elif kind < 0.9:
+            entry = env.timeout(delay)
+            entry.callbacks.append(lambda _, name=name: fire(name))
+        else:
+            env.defer(delay, partial(fire, name))
+            return
+        by_time.setdefault(env.now + delay, []).append(entry)
+
+    def cancel():
+        times = sorted(by_time)
+        if not times:
+            return
+        entries = by_time[rng.choice(times)]
+        how = rng.random()
+        if how < 0.4:
+            entries = [rng.choice(entries)]
+        elif how < 0.7:
+            entries = entries[:1]
+        for entry in entries:
+            entry.callbacks = None
+
+    for _ in range(rng.randint(1, 6)):
+        push("init")
+    for _ in range(ops):
+        op = rng.random()
+        if op < 0.3:
+            push("top")
+        elif op < 0.4:
+            cancel()
+        elif op < 0.7:
+            try:
+                env.step()
+            except SimulationError:
+                push("empty")
+        elif op < 0.85:
+            note(("peek", env.peek()))
+        else:
+            env.run(until=env.now + rng.choice((0, 5, 10, 15)))
+        note("op")
+    if by_time and rng.random() < 0.5:
+        for entry in by_time[max(by_time)]:  # the drain may end on dead entries
+            entry.callbacks = None
+    env.run()
+    note("end")
+    return log
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_queue_pops_like_one_heap(seed):
+    """Random schedules pop, move the clock, answer ``peek`` and report
+    what is due now exactly as one ``(time, priority, seq)`` heap does,
+    dead entries dropped at the same places."""
+    assert _queue_scenario(Environment, seed) == _queue_scenario(HeapEnvironment, seed)
+
+
+@pytest.mark.slow
+def test_queue_pops_like_one_heap_long():
+    """The same replay over 3,000 further schedules."""
+    for seed in range(300, 3300):
+        expected = _queue_scenario(HeapEnvironment, seed)
+        assert _queue_scenario(Environment, seed) == expected, f"seed {seed}"
