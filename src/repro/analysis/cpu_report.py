@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..hw.cpu import Cpu
 from .tables import format_table
 
-__all__ = ["CATEGORIES", "categorize", "cpu_breakdown", "breakdown_table"]
+__all__ = ["CATEGORIES", "cpu_breakdown", "breakdown_table"]
 
 #: label-prefix -> category, first match wins.
 CATEGORIES: List[Tuple[str, str]] = [

@@ -88,10 +88,6 @@ class PacketTimeline:
                 return s
         raise KeyError(f"no stage {name!r} (have {[s.name for s in self.stages]})")
 
-    def as_rows(self) -> List[tuple]:
-        """Rows of (stage, start us, duration us) for tabulation."""
-        return [(s.name, round(s.start_ns / 1000, 2), round(s.duration_us, 2)) for s in self.stages]
-
 
 def fig7_timeline(path: CriticalPath) -> PacketTimeline:
     """Regroup a critical path's hops into the Figure-7 stages.

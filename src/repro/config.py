@@ -321,8 +321,6 @@ class MpiParams:
     per_call_ns: float = 2_500.0
     #: envelope bytes added to each message
     envelope_bytes: int = 24
-    #: eager/rendezvous switch-over
-    rendezvous_threshold: int = 128 * 1024
 
 
 @dataclass(frozen=True)

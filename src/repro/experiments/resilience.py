@@ -192,8 +192,7 @@ def adversarial_slo(kind: str, messages: int) -> SLOSpec:
     scenario's expectations — full delivery, the degraded-mode machinery
     actually engaging, and (for the lossless overload fabric) a strict
     zero loss budget — are data a scorecard is produced from, so the
-    same contract gates ``shape_checks``, renders in dashboards, and
-    rides the run artifact.
+    same contract gates ``shape_checks`` and rides the run artifact.
     """
     common = (
         Objective("delivered", "summary.delivered", "floor", float(messages),

@@ -17,24 +17,22 @@ reports its numbers through the instruments here:
   :class:`TimeSeriesSampler`) behind a :class:`MetricsRegistry`;
 * :mod:`repro.obs.profile` — event-loop profiling hooks for
   :class:`repro.sim.Environment` (events per process, queue high-water);
-* :mod:`repro.obs.slo` — declarative service-level objectives: JSON-able
-  :class:`SLOSpec` documents (percentile ceilings, goodput floors,
-  loss/pause budgets, windowed burn-rates) evaluated into structured
-  scorecards that bench gates and CI fail on;
+* :mod:`repro.obs.slo` — declarative service-level objectives:
+  :class:`SLOSpec` bundles of :class:`Objective` bounds (percentile
+  ceilings, goodput floors, loss/pause budgets, windowed burn-rates)
+  evaluated into structured scorecards that bench gates and the shape
+  checks read;
 * :mod:`repro.obs.health` — the in-sim :class:`HealthWatchdog`: stall
   and storm detection riding the sampler cadence, emitting structured
   :class:`HealthEvent` records in simulated time;
-* :mod:`repro.obs.report` — any :class:`RunArtifact` rendered as a
-  single self-contained HTML dashboard (stat tiles, SLO scorecard,
-  health log, time-series charts, journey waterfall);
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto /
   ``chrome://tracing``; spans as slices, journeys as flow events, time
   series as counters) and the per-run :class:`RunArtifact` JSON.
 
 Only :mod:`~repro.obs.metrics` and :mod:`~repro.obs.span` load with the
-package, because the models record through them.  ``analyze``, ``diff``,
-``export``, ``health``, ``journey``, ``profile``, ``report`` and ``slo``
-load on first use: ``from repro.obs import RunArtifact`` (or any other
+package, because the models record through them.  ``analyze``,
+``export``, ``health``, ``journey``, ``profile`` and ``slo`` load on
+first use: ``from repro.obs import RunArtifact`` (or any other
 name of theirs in ``__all__``) imports the defining submodule then, so a
 run that never analyses or exports pays nothing for them.
 
@@ -58,36 +56,28 @@ from .span import NULL_SPAN, Instant, Span, Tracer
 _LAZY = {
     "analyze": (
         "LAYERS", "CriticalPath", "PathSegment", "ScopeStat", "SpanNode",
-        "attribution_table", "critical_path", "explain_outliers",
-        "journey_latency_summary", "journey_waterfall", "layer_attribution",
-        "outlier_report", "scope_stats", "span_tree", "summary_table",
-        "waterfall_table",
+        "critical_path", "explain_outliers", "journey_latency_summary",
+        "journey_waterfall", "outlier_report", "scope_stats", "span_tree",
+        "summary_table", "waterfall_table",
     ),
-    "diff": ("Delta", "RunDiff", "flatten_numeric"),
     "export": (
-        "RUN_SCHEMA", "RUN_SCHEMA_V1", "RUN_SCHEMA_V2", "RUN_SCHEMA_V3",
-        "RunArtifact", "chrome_trace_events", "chrome_trace_json",
-        "instants_of", "jsonable", "spans_of", "timeseries_of",
+        "RUN_SCHEMA", "RunArtifact", "chrome_trace_events",
+        "chrome_trace_json", "instants_of", "jsonable", "spans_of",
+        "timeseries_of",
     ),
     "health": ("HEALTH_SCHEMA", "SEVERITIES", "HealthEvent", "HealthWatchdog"),
-    "journey": ("HOP_CHAIN", "Journey", "JourneyProbe", "JourneyRecorder", "packet_key"),
+    "journey": ("Journey", "JourneyProbe", "JourneyRecorder"),
     "profile": ("EnvProfiler", "aggregate_profiles"),
-    "report": ("render_html", "write_html"),
-    "slo": (
-        "OBJECTIVE_KINDS", "SCORECARD_SCHEMA", "SLO_SCHEMA", "Objective",
-        "SLOSpec", "evaluate", "resolve_metric",
-    ),
+    "slo": ("OBJECTIVE_KINDS", "SCORECARD_SCHEMA", "Objective", "SLOSpec", "evaluate"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "Counter",
     "CriticalPath",
-    "Delta",
     "EnvProfiler",
     "Gauge",
     "HEALTH_SCHEMA",
-    "HOP_CHAIN",
     "HealthEvent",
     "HealthWatchdog",
     "Histogram",
@@ -102,15 +92,10 @@ __all__ = [
     "Objective",
     "PathSegment",
     "RUN_SCHEMA",
-    "RUN_SCHEMA_V1",
-    "RUN_SCHEMA_V2",
-    "RUN_SCHEMA_V3",
     "RunArtifact",
-    "RunDiff",
     "SCORECARD_SCHEMA",
     "SEVERITIES",
     "SLOSpec",
-    "SLO_SCHEMA",
     "ScopeStat",
     "Span",
     "SpanNode",
@@ -118,27 +103,20 @@ __all__ = [
     "TimeSeriesSampler",
     "Tracer",
     "aggregate_profiles",
-    "attribution_table",
     "chrome_trace_events",
     "chrome_trace_json",
     "critical_path",
     "evaluate",
     "explain_outliers",
-    "flatten_numeric",
     "instants_of",
     "journey_latency_summary",
     "journey_waterfall",
     "jsonable",
-    "layer_attribution",
     "outlier_report",
-    "packet_key",
-    "render_html",
-    "resolve_metric",
     "scope_stats",
     "span_tree",
     "spans_of",
     "summary_table",
     "timeseries_of",
     "waterfall_table",
-    "write_html",
 ]

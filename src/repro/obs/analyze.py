@@ -16,9 +16,9 @@ into exactly those budgets:
   owns it — the one derivation of the Figure 7 breakdown, which
   :func:`repro.analysis.fig7_timeline` regroups into the paper's
   stages;
-* :func:`layer_attribution` / :func:`attribution_table` — fold a
-  critical path into the per-layer table (user/CLIC/kernel/driver/
-  NIC/wire) the paper argues about;
+* :meth:`CriticalPath.layer_ns` / :meth:`CriticalPath.layer_shares` —
+  fold a critical path into the per-layer budget (user/CLIC/kernel/
+  driver/NIC/wire) the paper argues about;
 * :func:`journey_waterfall` / :func:`explain_outliers` /
   :func:`journey_latency_summary` — the per-message view: turn a
   :class:`~repro.obs.journey.Journey` export dict into a waterfall of
@@ -58,12 +58,10 @@ __all__ = [
     "PathSegment",
     "ScopeStat",
     "SpanNode",
-    "attribution_table",
     "critical_path",
     "explain_outliers",
     "journey_latency_summary",
     "journey_waterfall",
-    "layer_attribution",
     "outlier_report",
     "scope_stats",
     "span_tree",
@@ -229,17 +227,6 @@ class CriticalPath:
         total = self.total_ns or 1.0
         return {layer: ns / total for layer, ns in self.layer_ns().items()}
 
-    def table(self, title: str = "Critical path") -> str:
-        """The hop-by-hop path as a text table."""
-        rows = [
-            (seg.layer, seg.name, round(seg.start_ns / 1000, 2),
-             round(seg.duration_us, 2))
-            for seg in self.segments
-        ]
-        return _format_table(["layer", "hop", "start us", "us"], rows,
-                            title=f"{title} (pkt {self.packet_id}, "
-                                  f"{self.total_us:.1f} us)")
-
 
 def _first_span(spans: Sequence[Dict[str, Any]], *, scope: Optional[str] = None,
                 scope_prefix: Optional[str] = None, name: Optional[str] = None,
@@ -369,24 +356,6 @@ def critical_path(spans: Sequence[Dict[str, Any]], instants: Sequence[Dict[str, 
     return CriticalPath(packet_id, [s for s in segments if s.duration_ns > 0.0]
                         or segments[:1],
                         direct=bool((irq.get("attrs") or {}).get("direct")))
-
-
-def layer_attribution(path: CriticalPath) -> Dict[str, float]:
-    """Per-layer time (ns) of a critical path; alias of ``layer_ns``."""
-    return path.layer_ns()
-
-
-def attribution_table(layers_ns: Dict[str, float],
-                      title: str = "Per-layer attribution") -> str:
-    """Render a layer -> ns mapping as a table with share percentages."""
-    total = sum(layers_ns.values()) or 1.0
-    rows = [
-        (layer, round(layers_ns.get(layer, 0.0) / 1000, 2),
-         round(layers_ns.get(layer, 0.0) / total * 100, 1))
-        for layer in LAYERS
-    ]
-    rows.append(("TOTAL", round(total / 1000, 2), 100.0))
-    return _format_table(["layer", "us", "%"], rows, title=title)
 
 
 # ---------------------------------------------------------------------------

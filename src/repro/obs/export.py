@@ -30,9 +30,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "RUN_SCHEMA",
-    "RUN_SCHEMA_V1",
-    "RUN_SCHEMA_V2",
-    "RUN_SCHEMA_V3",
     "RunArtifact",
     "chrome_trace_events",
     "chrome_trace_json",
@@ -42,16 +39,8 @@ __all__ = [
     "timeseries_of",
 ]
 
-#: current artifact schema: v4 adds the SLO scorecard (``slo``) and
-#: structured health events (``health``); v3 added message journeys
-#: (``journeys``) and sampled time series (``timeseries``); v2 added the
-#: aggregated EnvProfiler snapshot (``profile``).  Loading accepts
-#: v1/v2/v3 documents and upgrades them in place (the new fields just
-#: stay empty).
+#: the artifact schema, and the only one :meth:`RunArtifact.from_dict` loads
 RUN_SCHEMA = "repro.run/4"
-RUN_SCHEMA_V3 = "repro.run/3"
-RUN_SCHEMA_V2 = "repro.run/2"
-RUN_SCHEMA_V1 = "repro.run/1"
 BATCH_SCHEMA = "repro.run-batch/1"
 
 
@@ -297,12 +286,6 @@ class RunArtifact:
             fh.write(self.to_json())
             fh.write("\n")
 
-    def chrome_json(self, indent: Optional[int] = None) -> str:
-        """Chrome trace document for this artifact's spans/records/
-        journeys/time series."""
-        return chrome_trace_json(self.spans, self.records, self.journeys,
-                                 self.timeseries, indent=indent)
-
     # -- loading ---------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunArtifact":
@@ -310,21 +293,12 @@ class RunArtifact:
         if not isinstance(data, dict):
             raise ValueError(f"artifact must be a JSON object, got {type(data).__name__}")
         schema = data.get("schema")
-        if schema not in (RUN_SCHEMA, RUN_SCHEMA_V3, RUN_SCHEMA_V2, RUN_SCHEMA_V1):
+        if schema != RUN_SCHEMA:
             raise ValueError(f"unknown artifact schema {schema!r} (want {RUN_SCHEMA!r})")
         if not data.get("experiment"):
             raise ValueError("artifact missing 'experiment'")
         fields = {f.name for f in dataclasses.fields(cls)}
-        loaded = cls(**{k: v for k, v in data.items() if k in fields})
-        # v1/v2/v3 documents upgrade in place: same fields, the newer
-        # ones (profile / journeys / timeseries / slo / health) just
-        # stay empty.  Older writers mirrored every span edge into the
-        # records as ``span_begin``/``span_end``; the spans already hold
-        # those, so the records keep only the instants.
-        loaded.records = [r for r in loaded.records
-                          if r.get("event") not in ("span_begin", "span_end")]
-        loaded.schema = RUN_SCHEMA
-        return loaded
+        return cls(**{k: v for k, v in data.items() if k in fields})
 
     @classmethod
     def load(cls, path: str) -> "RunArtifact":

@@ -66,14 +66,6 @@ class HealthEvent:
             "details": dict(self.details),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HealthEvent":
-        return cls(
-            t_ns=float(data["t_ns"]), rule=data["rule"], kind=data["kind"],
-            severity=data["severity"], message=data["message"],
-            details=dict(data.get("details", {})),
-        )
-
 
 class _ProgressRule:
     """Flags a stall when a progress probe flat-lines for N ticks."""

@@ -34,13 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = [
-    "HOP_CHAIN",
-    "Journey",
-    "JourneyProbe",
-    "JourneyRecorder",
-    "packet_key",
-]
+__all__ = ["Journey", "JourneyProbe", "JourneyRecorder"]
 
 #: canonical hop order of one fragment's life, send call to delivery
 HOP_CHAIN = (
@@ -98,13 +92,6 @@ class Journey:
         self.events: List[Dict[str, Any]] = []
         #: summary of retransmissions: ``{"pkt", "kind", "t", "parent"}``
         self.retransmits: List[Dict[str, Any]] = []
-
-    @property
-    def latency_ns(self) -> float:
-        """End-to-end time, send call to delivery."""
-        if self.end_ns is None:
-            raise ValueError(f"journey {self.journey_id} not delivered")
-        return self.end_ns - self.start_ns
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict export form (see :class:`~repro.obs.RunArtifact`)."""

@@ -69,10 +69,6 @@ class EnvProfiler:
             "per_process": dict(sorted(self.per_process.items())),
         }
 
-    def top_processes(self, n: int = 10):
-        """The ``n`` busiest processes as (name, events) pairs."""
-        return sorted(self.per_process.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-
     def __repr__(self) -> str:
         return (f"<EnvProfiler events={self.events_processed} "
                 f"high_water={self.queue_high_water}>")

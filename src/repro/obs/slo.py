@@ -11,13 +11,13 @@ module gives the reproduction that layer:
   of increase of a :class:`~repro.obs.metrics.TimeSeries`, in units per
   simulated second;
 * an :class:`SLOSpec` is a named bundle of objectives.  Both are frozen
-  dataclasses with exact ``to_dict``/``from_dict`` round-trips, so specs
-  live in JSON documents, bench baselines and CI configuration rather
-  than in code;
+  dataclasses: a spec is declared as data next to the run it bounds
+  (:func:`repro.trace.fig4_point_slo`,
+  :func:`repro.experiments.resilience.adversarial_slo`), not as asserts;
 * :func:`evaluate` scores a spec against any artifact-shaped document
   (``result`` / ``metrics`` / ``timeseries`` sections, or a bench
-  document) and returns a structured scorecard — the thing dashboards
-  render and CI fails on.
+  document) and returns a structured scorecard — the thing artifacts
+  carry and the bench and shape checks read.
 
 Metric paths are dotted (``result.latency.p99_us``,
 ``metrics.switch.pause_time_ns``) and resolve with longest-key-first
@@ -31,21 +31,11 @@ Like the rest of :mod:`repro.obs`, nothing here imports
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
-__all__ = [
-    "OBJECTIVE_KINDS",
-    "SCORECARD_SCHEMA",
-    "SLO_SCHEMA",
-    "Objective",
-    "SLOSpec",
-    "evaluate",
-    "resolve_metric",
-]
+__all__ = ["OBJECTIVE_KINDS", "SCORECARD_SCHEMA", "Objective", "SLOSpec", "evaluate"]
 
-SLO_SCHEMA = "repro.slo/1"
 SCORECARD_SCHEMA = "repro.slo-scorecard/1"
 
 #: ``ceiling``/``budget`` pass when value <= threshold (a budget is a
@@ -76,27 +66,6 @@ class Objective:
                 f"objective {self.name!r}: kind must be one of "
                 f"{OBJECTIVE_KINDS}, got {self.kind!r}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (drops defaulted fields for compact specs)."""
-        d: Dict[str, Any] = {
-            "name": self.name, "metric": self.metric,
-            "kind": self.kind, "threshold": self.threshold,
-        }
-        if self.window_ns:
-            d["window_ns"] = self.window_ns
-        if self.description:
-            d["description"] = self.description
-        return d
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Objective":
-        return cls(
-            name=data["name"], metric=data["metric"], kind=data["kind"],
-            threshold=float(data["threshold"]),
-            window_ns=float(data.get("window_ns", 0.0)),
-            description=data.get("description", ""),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class SLOSpec:
@@ -113,38 +82,6 @@ class SLOSpec:
             if obj.name in seen:
                 raise ValueError(f"duplicate objective name {obj.name!r}")
             seen.add(obj.name)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Schema-tagged plain-dict form (exact round-trip)."""
-        return {
-            "schema": SLO_SCHEMA,
-            "name": self.name,
-            "description": self.description,
-            "objectives": [o.to_dict() for o in self.objectives],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """The spec as deterministic JSON (sorted keys)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SLOSpec":
-        schema = data.get("schema", SLO_SCHEMA)
-        if schema != SLO_SCHEMA:
-            raise ValueError(f"unknown SLO schema {schema!r} (want {SLO_SCHEMA!r})")
-        return cls(
-            name=data["name"],
-            objectives=tuple(Objective.from_dict(o)
-                             for o in data.get("objectives", ())),
-            description=data.get("description", ""),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SLOSpec":
-        return cls.from_dict(json.loads(text))
-
-    def __len__(self) -> int:
-        return len(self.objectives)
 
 
 def resolve_metric(doc: Dict[str, Any], path: str) -> Any:

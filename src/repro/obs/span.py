@@ -78,10 +78,6 @@ class Span:
 
     # -- queries ---------------------------------------------------------
     @property
-    def complete(self) -> bool:
-        return self.end_ns is not None
-
-    @property
     def duration_ns(self) -> float:
         if self.end_ns is None:
             raise ValueError(f"span {self.name!r} still open")
@@ -90,10 +86,6 @@ class Span:
     @property
     def duration_us(self) -> float:
         return self.duration_ns / 1000.0
-
-    def contains(self, t: float) -> bool:
-        """True when ``t`` falls inside the (closed) span."""
-        return self.end_ns is not None and self.start_ns <= t <= self.end_ns
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form used by exporters and artifacts."""
@@ -124,7 +116,6 @@ class _NullSpan:
     end_ns = 0.0
     parent_id = None
     attrs: Dict[str, Any] = {}
-    complete = True
     duration_ns = 0.0
     duration_us = 0.0
 
@@ -133,9 +124,6 @@ class _NullSpan:
 
     def end(self, **attrs: Any) -> "_NullSpan":
         return self
-
-    def contains(self, t: float) -> bool:
-        return False
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -239,21 +227,6 @@ class Tracer:
             out.append(span)
         return out
 
-    def first(self, scope: Optional[str] = None, name: Optional[str] = None,
-              scope_prefix: Optional[str] = None, **attrs: Any) -> Optional[Span]:
-        """First span matching the :meth:`find` filters, or ``None``."""
-        found = self.find(scope=scope, name=name, scope_prefix=scope_prefix, **attrs)
-        return found[0] if found else None
-
-    def containing(self, t: float, name: Optional[str] = None,
-                   scope_prefix: Optional[str] = None) -> Optional[Span]:
-        """The latest-starting closed span that contains time ``t``."""
-        best: Optional[Span] = None
-        for span in self.find(name=name, scope_prefix=scope_prefix):
-            if span.contains(t) and (best is None or span.start_ns >= best.start_ns):
-                best = span
-        return best
-
     def instants(self, name: Optional[str] = None, scope_prefix: Optional[str] = None,
                  **detail: Any) -> List[Instant]:
         """Point events in append order, filtered by name, scope prefix
@@ -272,11 +245,6 @@ class Tracer:
         return found[0] if found else None
 
     # -- maintenance -----------------------------------------------------
-    @property
-    def open_spans(self) -> List[Span]:
-        """Spans begun but not yet ended (normally empty after a run)."""
-        return [s for s in self.spans if s.end_ns is None]
-
     def clear(self) -> None:
         """Drop all spans and instants (the id sequence keeps counting)."""
         self.spans.clear()

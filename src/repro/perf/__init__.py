@@ -1,4 +1,4 @@
-"""The simulated-physics regression gate: bench, diff, and check.
+"""The simulated-physics regression gate: bench and check.
 
 ``python -m repro.perf`` turns the observability stack into a gate:
 
@@ -7,8 +7,6 @@
   resilience, journey tracing, the hybrid flow engine and NIC
   collectives) and writes a versioned ``BENCH_<rev>.json`` of gated
   simulated metrics and event counts — deterministic, no wall time;
-* ``diff`` compares any two run/bench JSON documents metric-by-metric
-  (see :class:`~repro.obs.RunDiff`);
 * ``check`` compares a bench document against the committed baseline
   (``benchmarks/baselines/BENCH_baseline.json``) and exits non-zero
   when a gated metric regresses beyond its tolerance — the trajectory

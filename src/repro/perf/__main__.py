@@ -1,10 +1,8 @@
-"""CLI entry: ``python -m repro.perf {bench,diff,check}``.
+"""CLI entry: ``python -m repro.perf {bench,check}``.
 
 * ``bench`` runs the pinned scenario suite and writes
   ``BENCH_<rev>.json`` (see :mod:`repro.perf.bench`); ``--jobs N`` fans
   the scenarios out over worker processes and writes the same bytes;
-* ``diff A B`` compares two run/bench JSON documents metric-by-metric
-  and exits 1 when anything moved beyond tolerance;
 * ``check [CANDIDATE]`` gates a bench document against the committed
   baseline and exits 1 on regression (``--warn-only`` downgrades
   failures to warnings for first-landing workflows) and 2 when the
@@ -14,7 +12,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -34,19 +31,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"{name}: {gates}")
     print(f"wrote {path}")
     return 0
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    from ..obs import RunDiff
-
-    with open(args.a) as fh:
-        a = json.load(fh)
-    with open(args.b) as fh:
-        b = json.load(fh)
-    diff = RunDiff(a, b, tolerance=args.tolerance)
-    print(diff.report(only_changes=not args.all,
-                      title=f"Run diff: {args.a} -> {args.b}"))
-    return 0 if diff.within_tolerance() else 1
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -81,11 +65,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Parse arguments and dispatch to bench/diff/check."""
+    """Parse arguments and dispatch to bench/check."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="Benchmark lab: run the pinned suite, diff runs, "
-                    "gate regressions",
+        description="Benchmark lab: run the pinned suite, gate regressions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -102,16 +85,6 @@ def main(argv: Optional[list] = None) -> int:
                        help="run only this scenario (repeatable)")
     add_jobs_argument(bench)
     bench.set_defaults(func=_cmd_bench)
-
-    diff = sub.add_parser("diff", help="compare two run/bench JSON documents")
-    diff.add_argument("a", help="first (old) JSON document")
-    diff.add_argument("b", help="second (new) JSON document")
-    diff.add_argument("--tolerance", type=float, default=0.05,
-                      help="relative tolerance before a metric counts as "
-                           "changed (default 0.05)")
-    diff.add_argument("--all", action="store_true",
-                      help="show every compared metric, not only changes")
-    diff.set_defaults(func=_cmd_diff)
 
     check = sub.add_parser("check", help="gate a bench run against the baseline")
     check.add_argument("candidate", nargs="?", default=None,

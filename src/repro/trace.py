@@ -283,8 +283,8 @@ def main(argv=None) -> int:
     """CLI entry: capture (or load) a run and export its trace."""
     import argparse
 
-    from .obs import (RunArtifact, chrome_trace_json, outlier_report, render_html,
-                      summary_table, waterfall_table)
+    from .obs import (RunArtifact, chrome_trace_json, outlier_report, summary_table,
+                      waterfall_table)
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
@@ -346,12 +346,6 @@ def main(argv=None) -> int:
              "Chrome JSON (inspect a trace without a viewer)",
     )
     parser.add_argument(
-        "--html", action="store_true",
-        help="emit a self-contained HTML run dashboard (stat tiles, SLO "
-             "scorecard, health events, time-series charts, journey "
-             "waterfall) instead of Chrome JSON",
-    )
-    parser.add_argument(
         "--top", type=int, default=15, metavar="N",
         help="number of rows in the --summary table (default 15)",
     )
@@ -401,8 +395,6 @@ def main(argv=None) -> int:
             out = waterfall_table(matches[0])
         else:
             out = outlier_report(artifact.journeys, top=args.outliers)
-    elif args.html:
-        out = render_html(artifact.to_dict())
     elif args.spans:
         out = _span_listing(spans)
     elif args.summary:

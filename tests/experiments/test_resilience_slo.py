@@ -10,14 +10,13 @@ from repro.experiments.resilience import (
     _cell,
     adversarial_slo,
 )
-from repro.obs import Histogram, MetricsRegistry, SLOSpec, evaluate
+from repro.obs import Histogram, MetricsRegistry, evaluate
 
 
 def test_adversarial_slo_specs_are_data():
     for kind in ADVERSARIAL_KINDS:
         spec = adversarial_slo(kind, messages=40)
         assert spec.name == f"adversarial.{kind}"
-        assert SLOSpec.from_json(spec.to_json()) == spec
         names = [o.name for o in spec.objectives]
         assert names[0] == "delivered"
     overload = adversarial_slo("overload", 40)

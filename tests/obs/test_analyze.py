@@ -4,9 +4,7 @@ import pytest
 
 from repro.obs import (
     LAYERS,
-    attribution_table,
     critical_path,
-    layer_attribution,
     scope_stats,
     span_tree,
     summary_table,
@@ -89,16 +87,13 @@ def test_critical_path_covers_figure7_window(fig7_artifact):
         assert seg.layer in LAYERS
     # The path spans the same window the fig7 experiment measures.
     assert path.total_us == pytest.approx(art.result["total_us"], rel=1e-9)
-    layers = layer_attribution(path)
-    assert layers == path.layer_ns()
+    layers = path.layer_ns()
+    assert set(layers) == set(LAYERS)
     assert sum(layers.values()) == pytest.approx(path.total_ns)
     # Every share in [0, 1], summing to 1.
     shares = path.layer_shares()
     assert all(0.0 <= v <= 1.0 for v in shares.values())
     assert sum(shares.values()) == pytest.approx(1.0)
-    # Tables render without touching live simulator objects.
-    assert "pkt" in path.table()
-    assert "TOTAL" in attribution_table(layers)
 
 
 def test_span_attribution_matches_fig7_experiment(fig7_artifact):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs import (
     RUN_SCHEMA,
-    RUN_SCHEMA_V1,
     RunArtifact,
     chrome_trace_events,
     chrome_trace_json,
@@ -77,7 +76,7 @@ def test_run_artifact_round_trip(tmp_path):
     assert loaded == art
     assert loaded.schema == RUN_SCHEMA
     # An artifact loaded from disk can still export Chrome JSON.
-    assert json.loads(loaded.chrome_json())["traceEvents"]
+    assert json.loads(chrome_trace_json(loaded.spans, loaded.records))["traceEvents"]
 
 
 def test_run_artifact_to_dict_is_a_fixed_point():
@@ -124,31 +123,15 @@ def test_run_artifact_to_dict_does_not_alias_the_artifact():
     assert art.to_dict() == before
 
 
-def test_run_artifact_loads_schema_v1():
-    """Pre-profile artifacts (schema v1) load and upgrade in place."""
-    art = RunArtifact.from_dict({
-        "schema": RUN_SCHEMA_V1, "experiment": "fig7",
-        "result": {"total_us": 84.9},
-    })
-    assert art.schema == RUN_SCHEMA  # upgraded on load
-    assert art.profile == {}
-    assert art.result["total_us"] == 84.9
-
-
-def test_run_artifact_load_drops_span_edge_records():
-    """Older artifacts mirrored every span edge into their records; the
-    spans already carry those, so loading keeps only the instants."""
+@pytest.mark.parametrize("schema", ["repro.run/1", "repro.run/2", "repro.run/3"],
+                         ids=["v1", "v2", "v3"])
+def test_run_artifact_refuses_older_schemas(schema):
+    """Only the current schema loads: no writer produces v1-v3, so an
+    older document is refused by name rather than upgraded."""
     doc = RunArtifact(experiment="fig7", spans=SPANS, records=RECORDS).to_dict()
-    doc["records"] = doc["records"] + [
-        {"time": 100.0, "source": "node0.kernel", "event": "span_begin",
-         "detail": {"span": 9}},
-        {"time": 200.0, "source": "node0.kernel", "event": "span_end",
-         "detail": {"span": 9, "dur_ns": 100.0}},
-    ]
-    loaded = RunArtifact.from_dict(doc)
-    assert loaded.records == RECORDS
-    with open(GOLDEN) as fh:
-        assert loaded.chrome_json(indent=2) == fh.read().rstrip("\n")
+    doc["schema"] = schema
+    with pytest.raises(ValueError, match=schema):
+        RunArtifact.from_dict(doc)
 
 
 def test_chrome_export_is_deterministic_across_runs():
@@ -157,7 +140,8 @@ def test_chrome_export_is_deterministic_across_runs():
     from repro.trace import capture_fig7
 
     a, b = capture_fig7(), capture_fig7()
-    assert a.chrome_json() == b.chrome_json()
+    assert (chrome_trace_json(a.spans, a.records)
+            == chrome_trace_json(b.spans, b.records))
     assert a.to_json() == b.to_json()
     assert a.profile and a.profile == b.profile
 

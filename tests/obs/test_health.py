@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     HEALTH_SCHEMA,
-    HealthEvent,
     HealthWatchdog,
     MetricsRegistry,
     TimeSeriesSampler,
@@ -91,12 +90,6 @@ def test_severity_validated_and_summary_worst():
     dog = HealthWatchdog(_Clock())
     with pytest.raises(ValueError, match="severity"):
         dog.watch_progress("x", lambda: 0.0, severity="fatal")
-
-
-def test_event_round_trip():
-    e = HealthEvent(t_ns=1.0, rule="r", kind="storm", severity="warning",
-                    message="m", details={"rise": 2.0})
-    assert HealthEvent.from_dict(e.to_dict()) == e
 
 
 def test_watchdog_is_pure_observer_on_sampler():

@@ -19,7 +19,6 @@ from repro.cluster import Cluster
 from repro.config import granada2003
 from repro.faults import FaultPlan
 from repro.obs import (
-    HOP_CHAIN,
     JourneyProbe,
     JourneyRecorder,
     RunArtifact,
@@ -30,6 +29,7 @@ from repro.obs import (
     outlier_report,
     waterfall_table,
 )
+from repro.obs.journey import HOP_CHAIN
 from repro.workloads.adapters import clic_pair
 from repro.workloads.pingpong import stream
 
@@ -181,12 +181,7 @@ def test_artifact_roundtrip_preserves_journeys_and_timeseries(tmp_path, lossy_ru
     loaded = RunArtifact.load(str(path))
     assert loaded == art
     assert loaded.to_json() == art.to_json()
-    assert loaded.chrome_json() == art.chrome_json()
-    # v2 documents (no journeys/timeseries) still load and upgrade
-    doc = art.to_dict()
-    doc.pop("journeys")
-    doc.pop("timeseries")
-    doc["schema"] = "repro.run/2"
-    old = RunArtifact.from_dict(doc)
-    assert old.schema == "repro.run/4"
-    assert old.journeys == [] and old.timeseries == {}
+    assert (chrome_trace_json(loaded.spans, loaded.records, loaded.journeys,
+                              loaded.timeseries)
+            == chrome_trace_json(art.spans, art.records, art.journeys,
+                                 art.timeseries))

@@ -220,25 +220,6 @@ def test_capture_fig4_point_never_serializes_in_the_run(monkeypatch):
     assert len(art.slo["objectives"]) == 5
 
 
-def test_cli_html_dashboard_is_self_contained(fig4p_artifact, tmp_path, capsys):
-    _, path = fig4p_artifact
-    out = tmp_path / "dash.html"
-    assert main(["--input", str(path), "--html", "-o", str(out)]) == 0
-    html = out.read_text()
-    assert html.startswith("<!DOCTYPE html>")
-    assert "<svg" in html
-    for needle in ("http://", "https://", "<script src"):
-        assert needle not in html
-    assert "fig4.point" in html
-    assert "SLO scorecard" in html
-
-
-def test_cli_html_to_stdout(fig4p_artifact, capsys):
-    _, path = fig4p_artifact
-    assert main(["--input", str(path), "--html"]) == 0
-    assert "<!DOCTYPE html>" in capsys.readouterr().out
-
-
 def test_cli_fig4_point_capture_is_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(_FIG4P_ARGS + ["-o", str(out_a)]) == 0

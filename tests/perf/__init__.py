@@ -1,1 +1,1 @@
-"""Tests for the repro.perf benchmark lab (bench/diff/check)."""
+"""Tests for the repro.perf benchmark lab (bench/check)."""

@@ -92,17 +92,6 @@ def test_cli_check_pass_fail_and_warn_only(tmp_path, capsys):
     assert "regressed" in out.out and "warning" in out.err
 
 
-def test_cli_diff_exit_codes(tmp_path, capsys):
-    a = _write(tmp_path, "a.json", {"m": {"x": 1.0}})
-    same = _write(tmp_path, "same.json", {"m": {"x": 1.01}})
-    far = _write(tmp_path, "far.json", {"m": {"x": 2.0}})
-    assert main(["diff", a, same]) == 0
-    assert main(["diff", a, far]) == 1
-    assert "+100.0%" in capsys.readouterr().out
-    # A loose tolerance downgrades the same change to in-tolerance.
-    assert main(["diff", a, far, "--tolerance", "2.0"]) == 0
-
-
 def test_check_rejects_quick_vs_full(tmp_path, capsys):
     """A --full candidate measures other points than a quick baseline:
     check refuses the pair (exit 2) rather than report regressions."""

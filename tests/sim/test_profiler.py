@@ -53,14 +53,6 @@ def test_profiler_off_by_default_and_enable_late():
     assert env.profiler is prof
 
 
-def test_top_processes_ordering():
-    env = Environment(profile=True)
-    run_workload(env)
-    top = env.profiler.top_processes(2)
-    assert len(top) == 2
-    assert top[0][1] >= top[1][1]
-
-
 def test_profiled_run_matches_unprofiled_run():
     """Profiling must observe, never perturb: event order and final
     simulated time are identical with and without the hooks."""

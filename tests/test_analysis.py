@@ -3,12 +3,10 @@
 import pytest
 
 from repro.analysis import (
-    crossover_size,
     format_series_table,
     format_table,
     interpolate_half_bandwidth,
     logx_plot,
-    ratio_at,
     size_reaching,
 )
 from repro.workloads import SweepSeries
@@ -95,17 +93,6 @@ def test_size_reaching():
     assert 100 < mid < 1_000
 
 
-def test_crossover_and_ratio():
-    sizes = [1, 2, 3]
-    a = [10.0, 10.0, 5.0]
-    b = [1.0, 1.0, 8.0]
-    assert crossover_size(sizes, a, b) == 3
-    assert crossover_size(sizes, a, [0.0, 0.0, 0.0]) is None
-    assert ratio_at(sizes, a, b, 1) == 10.0
-    with pytest.raises(ZeroDivisionError):
-        ratio_at(sizes, a, [0.0, 1.0, 1.0], 1)
-
-
 def test_timeline_extraction_from_real_trace():
     from repro.analysis import fig7_timeline
     from repro.cluster import Cluster
@@ -136,8 +123,6 @@ def test_timeline_extraction_from_real_trace():
     # Stages are contiguous and ordered.
     for first, second in zip(timeline.stages, timeline.stages[1:]):
         assert first.end_ns == second.start_ns
-    rows = timeline.as_rows()
-    assert len(rows) == len(timeline.stages)
     with pytest.raises(KeyError):
         timeline.stage("nonexistent")
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import breakdown_table, categorize, cpu_breakdown
+from repro.analysis import breakdown_table, cpu_breakdown
+from repro.analysis.cpu_report import categorize
 from repro.config import CpuParams
 from repro.hw import Cpu, PRIO_KERNEL, PRIO_USER
 from repro.sim import Environment

@@ -10,7 +10,7 @@ long since imported everything.
 
 from .fresh import run_fresh
 
-LAZY_OBS = ("analyze", "diff", "export", "health", "journey", "report", "slo")
+LAZY_OBS = ("analyze", "export", "health", "journey", "slo")
 
 PROGRAM = f"""
 import sys
