@@ -312,8 +312,8 @@ class ClicModule:
                         tag=tag,
                         payload=payload,
                     ))
-                for pkt in packets:
-                    pkt.seq = sender.register(pkt)
+                for seq, pkt in enumerate(packets, sender.register_run(packets)):
+                    pkt.seq = seq
                 train = ClicTrain(packets=tuple(packets), frag_bytes=frag_max)
                 yield from self._tx_train(train, dst_node)
                 index += k
@@ -546,23 +546,27 @@ class ClicModule:
         item = skb.payload
         if isinstance(item, ClicTrain):
             # Flow-mode train: k module entries charged in one CPU
-            # slice, then per-packet receiver semantics as pure calls
+            # slice, then the receiver takes the k packets in one call
             # (sequencing, duplicate suppression and ack cadence are
-            # identical to k separate arrivals).
-            k = len(item.packets)
+            # those of k separate arrivals).
+            packets = item.packets
+            k = len(packets)
             yield from cpu.execute(self.params.module_rx_ns * k, PRIO_SOFTIRQ,
                                    label="clic_rx")
-            for pkt in item.packets:
+            for pkt in packets:
                 pkt._direct_delivery = skb.direct_delivery
-            receiver = self._receiver(item.packets[0].src_node)
-            for pkt in item.packets:
-                receiver.on_packet(pkt.seq, pkt)
+            head = packets[0]
+            self._receiver(head.src_node).on_run(head.seq, packets)
             if self._rx_ready:
                 # Drain in place: the receiver holds a bound ``append`` of
                 # this exact list object, so rebinding would orphan it.
                 fragments = self._rx_ready[:]
                 self._rx_ready.clear()
-                yield from self._consume_released(fragments)
+                # k consecutive seqs from the head are the train's own
+                # fragments: one message's, all full-size.
+                whole = fragments[0] is head and len(fragments) == k
+                yield from self._consume_released(
+                    fragments, item.frag_bytes * k if whole else None)
             span.end(kind="train", frames=k)
             return
         yield from cpu.execute(self.params.module_rx_ns, PRIO_SOFTIRQ, label="clic_rx")
@@ -594,7 +598,8 @@ class ClicModule:
             yield from self._consume_fragment(fragment)
         span.end(pkt=pkt.packet_id)
 
-    def _consume_released(self, fragments: List[ClicPacket]) -> Generator:
+    def _consume_released(self, fragments: List[ClicPacket],
+                          total: Optional[int] = None) -> Generator:
         """Consume fragments a train's arrival released, batching copies.
 
         When the whole run is one message *strictly mid-stream* (the
@@ -602,18 +607,22 @@ class ClicModule:
         the per-fragment staging copies collapse into one CPU slice
         charging ``k`` copy setups.  Anything else — mixed messages, a
         run that completes a message via previously stashed successors —
-        falls back to exact per-fragment consumption.
+        falls back to exact per-fragment consumption.  A caller that
+        knows the run is one message's data fragments passes their byte
+        ``total``, and the run is not inspected fragment by fragment.
         """
         first = fragments[0]
         key = (first.src_node, first.msg_id)
-        total = sum(pkt.frag_bytes for pkt in fragments)
+        homogeneous = True
+        if total is None:
+            total = sum(pkt.frag_bytes for pkt in fragments)
+            homogeneous = all(
+                (pkt.src_node, pkt.msg_id) == key
+                and pkt.ptype not in (ClicPacketType.KERNEL_FN, ClicPacketType.BCAST)
+                for pkt in fragments
+            )
         partial = self._partials.get(key)
         received = partial.received if partial is not None else 0
-        homogeneous = all(
-            (pkt.src_node, pkt.msg_id) == key
-            and pkt.ptype not in (ClicPacketType.KERNEL_FN, ClicPacketType.BCAST)
-            for pkt in fragments
-        )
         if not homogeneous or received + total >= first.msg_bytes:
             for pkt in fragments:
                 yield from self._consume_fragment(pkt)

@@ -22,12 +22,20 @@ model:
 Both sides are transport-agnostic: they call back into their owner to
 actually emit packets/acks, so the full cost of every retransmission and
 ack (CPU, PCI, wire) is charged through the normal send path.
+
+A run of consecutive packets (a flow-mode train's fragments) can cross
+the channel in one call on each side: :meth:`WindowedSender.register_run`
+and :meth:`OrderedReceiver.on_run` take a plain list or tuple of
+packets (never a train object) and do what ``k`` calls of
+``register``/``on_packet`` would, except that an in-order run arms the
+delayed-ack timer once instead of re-arming it per packet (one queue
+entry instead of ``k``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set
 
 from ..obs import MetricsRegistry
 from ..sim import Environment, Event, TimerHandle
@@ -318,6 +326,34 @@ class WindowedSender:
         if len(self._in_flight) == 1:
             self._start_timer()
         return seq
+
+    def register_run(self, packets: Sequence[Any]) -> int:
+        """Register a run of packets at once, as :meth:`register` would
+        one by one; returns the first one's sequence number (the rest
+        follow consecutively).
+
+        The run must fit the window whole; otherwise this raises before
+        changing any state.  The retransmission timer starts once, if
+        the window was empty, exactly as the first ``register`` would
+        have started it.
+        """
+        self._check_failed()
+        n = len(packets)
+        if len(self._in_flight) + n > self.window:
+            raise RuntimeError(f"{self.name}: register_run() of {n} without window space")
+        first = self.next_seq
+        was_empty = not self._in_flight
+        in_flight, sent_at, now, probe = self._in_flight, self._sent_at, self.env.now, self.probe
+        for seq, packet in enumerate(packets, first):
+            in_flight[seq] = packet
+            sent_at[seq] = now
+            if probe is not None:
+                probe.on_register(self, seq)
+        self.next_seq = first + n
+        self.counters["registered"] += n
+        if was_empty and n:
+            self._start_timer()
+        return first
 
     @property
     def retransmitting(self) -> bool:
@@ -631,6 +667,37 @@ class OrderedReceiver:
             self.counters["stash_overflow_drops"] += 1
         # Remind the sender where we are (acts like a duplicate ack).
         self._emit_ack()
+
+    def on_run(self, seq: int, packets: Sequence[Any]) -> None:
+        """Handle a run of arriving packets with the consecutive channel
+        sequence numbers ``seq, seq + 1, ...``, as one :meth:`on_packet`
+        call per packet would.
+
+        An in-order run (it starts at ``expected`` and nothing is
+        stashed) is delivered in one pass, with an ack wherever the
+        cadence falls.  The delayed-ack timer is armed once, at the end,
+        and only if the run ends below the threshold.  The per-packet
+        calls would re-arm it after every sub-threshold delivery, and
+        only the last re-arm, made after the last ``deliver``, would
+        stay live: the single arm takes the same queue slot, and the
+        earlier re-arms would only have left dead entries.  Any other
+        run (a duplicate, one ahead of ``expected``, or a non-empty
+        stash) goes through :meth:`on_packet` packet by packet.
+        """
+        if seq != self.expected or self._stash:
+            for packet in packets:
+                self.on_packet(seq, packet)
+                seq += 1
+            return
+        ack_every = self.ack_every
+        for packet in packets:
+            self._deliver_next(seq, packet)
+            seq += 1
+            if self._unacked >= ack_every:
+                self._emit_ack()
+        self.counters["delivered_in_order"] += len(packets)
+        if self._unacked and packets:
+            self._schedule_delayed_ack()
 
     # -- ack cadence --------------------------------------------------------
     def _emit_ack(self) -> None:

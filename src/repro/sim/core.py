@@ -13,8 +13,10 @@ URGENT before NORMAL at one timestamp, and FIFO in scheduling order
 within a priority, which keeps every simulation bit-reproducible.  The
 queue keeps that order without sorting what is due now: entries due at
 the current time sit in two FIFO lanes (URGENT, NORMAL), and later
-NORMAL entries in one bucket per time, under a heap of the distinct
-times (:class:`Environment` gives the argument).
+entries in one bucket per time, under a heap of the distinct times
+(:class:`Environment` gives the argument).  Only NORMAL entries can be
+later: an URGENT entry is always due now, and scheduling one with a
+positive delay raises :class:`ValueError`.
 
 Hot-path shortcuts keep the per-event Python cost down, each exact (the
 same events run in the same order at the same times):
@@ -468,19 +470,18 @@ class Environment:
 
     * ``_urgent`` and ``_ready`` are FIFO lanes of the URGENT and NORMAL
       entries due at ``now``;
-    * ``_later`` maps each later time to its NORMAL entries in
-      scheduling order (one entry as itself, two or more as a list),
-      and ``_times`` is a heap of those times;
-    * ``_ahead`` is a heap of ``(time, seq, entry)`` for URGENT entries
-      scheduled for a later time (rare: nothing in the model makes
-      them).
+    * ``_later`` maps each later time to its entries in scheduling
+      order (one entry as itself, two or more as a list), and ``_times``
+      is a heap of those times.
 
-    Sequence numbers only grow, so an entry scheduled for ``t`` while the
-    clock reads ``t`` sorts after every entry queued for ``t`` before.
-    When the clock moves to ``t`` (both lanes are then empty), the
-    URGENT entries ahead for ``t`` go to the urgent lane and ``t``'s
-    bucket to the ready lane; what is scheduled during ``t`` is appended
-    behind them.  Popping the urgent lane, then the ready lane, is thus
+    Only NORMAL entries may be scheduled for a later time: an URGENT
+    entry must be due now (:meth:`_schedule` refuses a positive delay at
+    URGENT), which is all the model ever asks for.  Sequence numbers
+    only grow, so an entry scheduled for ``t`` while the clock reads
+    ``t`` sorts after every entry queued for ``t`` before.  When the
+    clock moves to ``t`` (both lanes are then empty), ``t``'s bucket
+    goes to the ready lane; what is scheduled during ``t`` is appended
+    behind it.  Popping the urgent lane, then the ready lane, is thus
     ``(time, priority, seq)`` order.  The clock moves only to a live
     entry: a cancelled one is dropped where it lies, and a bucket whose
     head is dead gives up that head alone, as one heap would.
@@ -504,7 +505,6 @@ class Environment:
         self._times: list = []
         #: entries in ``_later`` beyond the first at their time
         self._shared = 0
-        self._ahead: list = []
         self._seq = 0
         self._active_proc: Optional[Process] = None
         #: callback list of the event being dispatched (see _settle)
@@ -577,7 +577,8 @@ class Environment:
         :meth:`TimerHandle.cancel` leaves the dead entry to be dropped
         lazily by the loop.  ``fn`` takes no arguments and must not
         raise (an exception would abort the whole simulation, exactly
-        as an undefused failure does).
+        as an undefused failure does).  At :data:`URGENT`, ``delay``
+        must be 0 (see :meth:`_schedule`).
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
@@ -612,21 +613,26 @@ class Environment:
     # -- scheduling & the loop ---------------------------------------------
     def _schedule(self, event: Any, priority: int = NORMAL, delay: float = 0) -> None:
         """Queue ``event`` (an event or a timer handle) ``delay`` ns from
-        now at ``priority`` (:data:`URGENT` or :data:`NORMAL`)."""
-        self._seq += 1
+        now at ``priority`` (:data:`URGENT` or :data:`NORMAL`).
+
+        Raises :class:`ValueError` for a positive delay at URGENT: an
+        URGENT entry runs ahead of what is due now, and nothing in the
+        model needs one later (the queue keeps no place for it).
+        """
         when = self._now + delay
         if when == self._now:
             (self._ready if priority else self._urgent).append(event)
         elif priority:
             self._add_later(when, event)
         else:
-            _heappush(self._ahead, (when, self._seq, event))
+            raise ValueError(f"URGENT entry with positive delay {delay!r}")
+        self._seq += 1
         if self.profiler is not None:
             self.profiler.on_schedule(self._depth())
 
     def _add_later(self, when: float, entry: Any) -> None:
-        """Append a NORMAL ``entry`` due at the later time ``when`` to
-        that time's bucket."""
+        """Append an ``entry`` due at the later time ``when`` to that
+        time's bucket."""
         later = self._later
         bucket = later.get(when)
         if bucket is None:
@@ -641,8 +647,7 @@ class Environment:
 
     def _depth(self) -> int:
         """Entries in the queue, cancelled ones included."""
-        return (len(self._urgent) + len(self._ready) + len(self._later) + self._shared
-                + len(self._ahead))
+        return len(self._urgent) + len(self._ready) + len(self._later) + self._shared
 
     def _head(self) -> tuple:
         """``(time, entry)`` of the next entry to pop, live or cancelled;
@@ -651,9 +656,7 @@ class Environment:
             return self._now, self._urgent[0]
         if self._ready:
             return self._now, self._ready[0]
-        ahead, times = self._ahead, self._times
-        if ahead and (not times or ahead[0][0] <= times[0]):
-            return ahead[0][0], ahead[0][2]
+        times = self._times
         if times:
             bucket = self._later[times[0]]
             return times[0], bucket[0] if type(bucket) is list else bucket
@@ -666,16 +669,7 @@ class Environment:
             return self._urgent.popleft()
         if self._ready:
             return self._ready.popleft()
-        ahead, times = self._ahead, self._times
-        if ahead and (not times or ahead[0][0] <= times[0]):
-            when, _, entry = _heappop(ahead)
-            if entry.callbacks is not None:
-                self._now = when
-                while ahead and ahead[0][0] == when:
-                    self._urgent.append(_heappop(ahead)[2])
-                if times and times[0] == when:
-                    self._take()
-            return entry
+        times = self._times
         if not times:
             return None
         when = times[0]
@@ -724,9 +718,8 @@ class Environment:
           (a store operation satisfied at once);
         * a process is running and is the sole callback of the event
           being dispatched (no sibling callback runs after it);
-        * nothing else is due at ``now`` (both lanes are empty; URGENT
-          entries scheduled ahead for ``now`` joined the urgent lane when
-          the clock got here).
+        * nothing else is due at ``now`` (both lanes are empty; what the
+          clock reached left its bucket when the clock got here).
 
         Callers also yield the event before scheduling anything else:
         an URGENT event scheduled in between would have run first.
@@ -799,14 +792,14 @@ class Environment:
                 # directly.  Event semantics are identical to ``step()``
                 # (the ordering tests in tests/sim pin this).
                 urgent, ready = self._urgent, self._ready
-                later, times, ahead = self._later, self._times, self._ahead
+                later, times = self._later, self._times
                 pop_urgent, pop_ready, pop = urgent.popleft, ready.popleft, self._pop
                 while True:
                     if urgent:
                         event = pop_urgent()
                     elif ready:
                         event = pop_ready()
-                    elif times and not ahead and type(later[times[0]]) is not list:
+                    elif times and type(later[times[0]]) is not list:
                         # ``_pop`` of the next time's lone entry, inlined
                         when = _heappop(times)
                         event = later.pop(when)

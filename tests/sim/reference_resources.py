@@ -62,14 +62,18 @@ class HeapEnvironment(Environment):
         return entry
 
 
-def pending(env: Environment) -> List[Tuple[float, int]]:
-    """``(time, priority)`` of every entry in the simulator's queue,
-    cancelled ones included, in pop order."""
+def pending(env: Environment, live: bool = False) -> List[Tuple[float, int]]:
+    """``(time, priority)`` of every entry in the simulator's queue, in
+    pop order: cancelled ones included, or with ``live`` left out."""
+
+    def count(entries):
+        return sum(1 for entry in entries if not live or entry.callbacks is not None)
+
     now = env._now
-    later = [(when, URGENT) for when, _, _ in env._ahead]
+    later = []
     for when, bucket in env._later.items():
-        later += [(when, NORMAL)] * (len(bucket) if type(bucket) is list else 1)
-    return ([(now, URGENT)] * len(env._urgent) + [(now, NORMAL)] * len(env._ready)
+        later += [(when, NORMAL)] * count(bucket if type(bucket) is list else [bucket])
+    return ([(now, URGENT)] * count(env._urgent) + [(now, NORMAL)] * count(env._ready)
             + sorted(later))
 
 
@@ -79,11 +83,11 @@ def due_now(env: Environment) -> Tuple[bool, bool]:
     empty."""
     if isinstance(env, HeapEnvironment):
         # nothing may bypass the heap into the simulator's own queue
-        assert not (env._urgent or env._ready or env._later or env._ahead)
+        assert not (env._urgent or env._ready or env._later)
         head = env._queue[0] if env._queue else (float("inf"), NORMAL)
         return head[0] == env._now, head[0] == env._now and head[1] == URGENT
-    # whatever the clock reached has left the buckets and the ahead heap
-    assert env._now not in env._later and not (env._ahead and env._ahead[0][0] == env._now)
+    # whatever the clock reached has left the buckets
+    assert env._now not in env._later
     return bool(env._urgent or env._ready), bool(env._urgent)
 
 

@@ -1,4 +1,4 @@
-"""Queue totals of three fixed runs, pinned.
+"""Queue totals of four fixed runs, pinned.
 
 The exclusive servers (CPU, PCI bus, memory bus, wire) and the store
 take exactly the queue entries of the resource-holding processes they
@@ -10,6 +10,13 @@ its waiter's own ``Event`` as the completion timer, where a ``Timeout``
 used to be), so a seed-1 CLIC bulk stream, a TCP ping-pong and a
 16-node fat-tree host allreduce pin the processed, scheduled and
 high-water totals, and no resource request or release event is left.
+
+The same CLIC bulk stream under ``flow_mode="auto"`` pins the flow
+engine's totals.  A train's in-order fragments cross the reliability
+channel in one call, so its delayed ack is armed once instead of once
+per fragment: the run processes the 1,574 entries it processed when
+every fragment re-armed the timer, but schedules 1,829 instead of 2,488
+and peaks at 23 queued entries instead of 83.
 """
 
 import pytest
@@ -22,9 +29,13 @@ from repro.workloads import clic_pair, tcp_pair
 from repro.workloads.mpibench import collective_rank_times
 
 
-def _clic_bulk():
-    cluster = Cluster(granada2003(mtu=1500).with_flow_mode("off"), protocols=("clic",))
+def _clic_bulk(flow_mode="off"):
+    cluster = Cluster(granada2003(mtu=1500).with_flow_mode(flow_mode), protocols=("clic",))
     stream(cluster, clic_pair(), 524_718, messages=2)
+
+
+def _clic_bulk_flow():
+    _clic_bulk("auto")
 
 
 def _tcp_pingpong():
@@ -39,9 +50,10 @@ def _fat_tree_allreduce():
 
 @pytest.mark.parametrize("run, processed, scheduled, high_water", [
     (_clic_bulk, 21_995, 24_316, 90),
+    (_clic_bulk_flow, 1_574, 1_829, 23),
     (_tcp_pingpong, 6_677, 6_761, 85),
     (_fat_tree_allreduce, 18_311, 18_723, 202),
-], ids=["clic-bulk", "tcp-pingpong", "fat-tree-allreduce"])
+], ids=["clic-bulk", "clic-bulk-flow", "tcp-pingpong", "fat-tree-allreduce"])
 def test_heap_totals_are_pinned(run, processed, scheduled, high_water):
     with profiled() as sink:
         run()

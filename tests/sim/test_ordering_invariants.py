@@ -44,12 +44,38 @@ def test_same_timestamp_fifo():
 
 
 def test_urgent_before_normal_at_same_time():
+    """An URGENT entry made at 100 runs before the NORMAL entries
+    already queued for 100, whether they were queued earlier (for a
+    later time) or at 100 just before it."""
     env = Environment()
     order = []
+
+    def at_100():
+        order.append("timer")
+        env.call_later(0, lambda: order.append("normal-now"), priority=NORMAL)
+        env.call_later(0, lambda: order.append("urgent"), priority=URGENT)
+
+    env.call_later(100, at_100)
     env.call_later(100, lambda: order.append("normal"), priority=NORMAL)
-    env.call_later(100, lambda: order.append("urgent"), priority=URGENT)
     env.run()
-    assert order == ["urgent", "normal"]
+    assert order == ["timer", "urgent", "normal", "normal-now"]
+    assert env.now == 100
+
+
+def test_urgent_entry_with_positive_delay_is_refused():
+    """URGENT entries are due now: a positive delay at URGENT raises
+    and queues nothing."""
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.call_later(5, lambda: None, priority=URGENT)
+    with pytest.raises(ValueError):
+        env._schedule(env.event(), URGENT, 5)
+    assert pending(env) == [] and env._seq == 0
+    fired = []
+    env.call_later(0, lambda: fired.append(env.now), priority=URGENT)
+    assert pending(env) == [(0, URGENT)]
+    env.run()
+    assert fired == [0]
 
 
 def test_cancelled_timer_never_fires():
@@ -410,7 +436,9 @@ class _ResourceCpu:
 
 def _collisions(env, rng, log, spawn):
     """Unrelated events on the scenarios' coarse time grid: sleeping
-    processes, NORMAL and URGENT timers and a late-spawned claimant."""
+    processes, NORMAL timers, URGENT entries (made at their time by a
+    NORMAL timer, the only way an URGENT entry lands later) and a
+    late-spawned claimant."""
 
     def sleeper(name, naps):
         for nap in naps:
@@ -424,9 +452,13 @@ def _collisions(env, rng, log, spawn):
     for s in range(2):
         env.process(sleeper(f"s{s}", [rng.choice((5, 10, 20)) for _ in range(8)]))
     env.process(spawner())
+
+    def urgent():
+        env.call_later(0, lambda: log.append((env.now, "urgent")), URGENT)
+
     for t in (10, 20, 30, 40, 60):
+        env.call_later(t, urgent)
         env.call_later(t, lambda: log.append((env.now, "timer")))
-        env.call_later(t, lambda: log.append((env.now, "urgent")), URGENT)
 
 
 def _cpu_scenario(make_cpu, seed):
@@ -669,12 +701,12 @@ def test_store_hands_off_like_the_fixpoint_store(seed):
 
 def _queue_scenario(make_env, seed, ops=60):
     """Random entries on a coarse time grid, dense in zero delays, URGENT
-    entries due now and ahead, pushes for a bucket's time from earlier
-    clocks and cancellations (of one entry, a time's first entry, every
-    entry at a time), driven by ``step``, ``peek`` and ``run(until=t)``
-    and a final drain.  Returns everything observable: the log of every
-    callback, and after every operation the clock, the queue depth and
-    what is due now."""
+    entries due now (made at once, or later by a NORMAL timer), pushes
+    for a bucket's time from earlier clocks and cancellations (of one
+    entry, a time's first entry, every entry at a time), driven by
+    ``step``, ``peek`` and ``run(until=t)`` and a final drain.  Returns
+    everything observable: the log of every callback, and after every
+    operation the clock, the queue depth and what is due now."""
     rng = random.Random(seed)
     env = make_env()
     log = []
@@ -699,7 +731,8 @@ def _queue_scenario(make_env, seed, ops=60):
         if kind < 0.5:
             entry = env.call_later(delay, partial(fire, name), NORMAL)
         elif kind < 0.75:
-            entry = env.call_later(delay, partial(fire, name), URGENT)
+            urgent = partial(env.call_later, 0, partial(fire, name), URGENT)
+            entry = env.call_later(delay, urgent) if delay else urgent()
         elif kind < 0.9:
             entry = env.timeout(delay)
             entry.callbacks.append(lambda _, name=name: fire(name))
