@@ -266,7 +266,7 @@ def _adversarial_run(kind: str, nbytes: int, messages: int) -> Dict:
     reads counters through non-creating accessors, so the simulated
     metrics are bit-identical with it on or off.
     """
-    from ..obs import JourneyProbe, JourneyRecorder, journey_latency_summary
+    from ..obs import JourneyRecorder, journey_latency_summary
 
     plan, backpressure, queue_frames = _adversarial_setup(kind)
     cfg = replace(_cfg(SEEDS[0]), switch_backpressure=backpressure)
@@ -276,7 +276,6 @@ def _adversarial_run(kind: str, nbytes: int, messages: int) -> Dict:
         port.queue.capacity = queue_frames
     recorder = JourneyRecorder(cluster.env)
     cluster.tracer.journeys = recorder
-    probe = JourneyProbe.install(recorder)
     sampler = TimeSeriesSampler(cluster.env, interval_ns=50_000.0)
     watchdog = HealthWatchdog(cluster.env).attach(sampler)
     watchdog.watch_progress(
@@ -293,7 +292,6 @@ def _adversarial_run(kind: str, nbytes: int, messages: int) -> Dict:
         res = stream(cluster, clic_pair(), nbytes, messages=messages)
     finally:
         sampler.stop()
-        probe.uninstall()
     metrics = cluster.metrics
     out = {
         "kind": kind,
@@ -327,18 +325,13 @@ def _tail_latency(rate: float, nbytes: int, messages: int) -> Dict:
     whether loss/retransmission drove it there.  Runs serially (one
     cluster, one seed) so ``--jobs N`` artifacts stay byte-identical.
     """
-    from ..obs import (JourneyProbe, JourneyRecorder, explain_outliers,
-                       journey_latency_summary)
+    from ..obs import JourneyRecorder, explain_outliers, journey_latency_summary
 
     cluster = Cluster(_cfg(SEEDS[0]), protocols=("clic",),
                       faults=_plan("burst", rate))
     recorder = JourneyRecorder(cluster.env)
     cluster.tracer.journeys = recorder
-    probe = JourneyProbe.install(recorder)
-    try:
-        stream(cluster, clic_pair(), nbytes, messages=messages)
-    finally:
-        probe.uninstall()
+    stream(cluster, clic_pair(), nbytes, messages=messages)
     journeys = recorder.as_dicts()
     return {
         "rate": rate,

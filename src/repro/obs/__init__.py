@@ -66,7 +66,7 @@ _LAZY = {
         "timeseries_of",
     ),
     "health": ("HEALTH_SCHEMA", "SEVERITIES", "HealthEvent", "HealthWatchdog"),
-    "journey": ("Journey", "JourneyProbe", "JourneyRecorder"),
+    "journey": ("Journey", "JourneyRecorder"),
     "profile": ("EnvProfiler", "aggregate_profiles"),
     "slo": ("OBJECTIVE_KINDS", "SCORECARD_SCHEMA", "Objective", "SLOSpec", "evaluate"),
 }
@@ -83,7 +83,6 @@ __all__ = [
     "Histogram",
     "Instant",
     "Journey",
-    "JourneyProbe",
     "JourneyRecorder",
     "LAYERS",
     "MetricsRegistry",

@@ -8,9 +8,9 @@ DMA/txpump → wire → switch egress → rx IRQ → BH → reassembly →
 deliver — as causally-linked events sharing a *journey id*, so each
 delivered message yields a waterfall of per-hop latencies
 (:func:`repro.obs.analyze.journey_waterfall`), and each retransmission
-is recorded as a child of the original transmission (the genealogy
-comes from the :class:`~repro.protocols.reliability.ChannelProbe`
-retransmit events, bridged by :class:`JourneyProbe`).
+is recorded as a child of the original transmission (the CLIC module
+notes each retransmission's reason, ``"fast"``, ``"partial_ack"`` or
+``"rto"``, when the reliability layer hands it the packets).
 
 Enablement is one attribute on the cluster's tracer::
 
@@ -20,8 +20,8 @@ Instrumented components (CLIC module, driver, NIC, switch) check
 ``tracer.journeys is not None`` inline, so the disabled default costs
 one attribute load per hop site and schedules **zero** simulation
 events — a run with journeys on is simulated-time bit-identical to the
-same run with journeys off (the perf suite's ``journey`` scenario
-enforces this).
+same run with journeys off (the ``journey`` gate scenario in
+``tests/perf/test_gates.py`` enforces this).
 
 Like the rest of :mod:`repro.obs`, this module imports nothing from
 :mod:`repro.sim`: ``env`` is duck-typed (only ``.now`` is used) and
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Journey", "JourneyProbe", "JourneyRecorder"]
+__all__ = ["Journey", "JourneyRecorder"]
 
 #: canonical hop order of one fragment's life, send call to delivery
 HOP_CHAIN = (
@@ -165,8 +165,8 @@ class JourneyRecorder:
         The first attempt anchors the fragment's transmission; every
         later attempt is a retransmission and is linked as a *child* of
         the original (``parent`` = the first ``tx_queue`` event index,
-        ``kind`` = the reliability layer's reason, via
-        :class:`JourneyProbe`).
+        ``kind`` = the reliability layer's reason, noted by
+        :meth:`note_retransmit`).
         """
         journey = self._journeys.get(packet_key(pkt))
         if journey is None:
@@ -221,8 +221,9 @@ class JourneyRecorder:
 
     def note_retransmit(self, pkt: Any, kind: str) -> None:
         """Reliability-layer decision: ``pkt`` will be re-emitted
-        (``kind`` is ``"rto"`` or ``"fast"``); the next ``tx`` of the
-        packet becomes a genealogy child with this kind."""
+        (``kind`` is ``"fast"``, ``"partial_ack"`` or ``"rto"``); the
+        next ``tx`` of the packet becomes a genealogy child with this
+        kind."""
         pkt_id = getattr(pkt, "packet_id", None)
         if pkt_id is not None:
             self._retx_kind[pkt_id] = kind
@@ -265,105 +266,3 @@ class JourneyRecorder:
     def __repr__(self) -> str:
         done = sum(1 for j in self._journeys.values() if j.delivered)
         return f"<JourneyRecorder {len(self._journeys)} journeys ({done} delivered)>"
-
-
-class JourneyProbe:
-    """Bridges :class:`~repro.protocols.reliability.ChannelProbe`
-    retransmit events into the recorder's genealogy.
-
-    The channel-probe slot is process-global and single; this probe
-    therefore *chains*: every callback is forwarded to the previously
-    installed probe (e.g. the invariant harness), so journey capture
-    composes with validation instead of displacing it.  Install with::
-
-        probe = JourneyProbe(recorder, inner=install_channel_probe(None))
-        install_channel_probe(probe)
-
-    or use :meth:`install` which does exactly that and returns the
-    probe to restore afterwards.
-    """
-
-    def __init__(self, recorder: JourneyRecorder, inner: Any = None):
-        self.recorder = recorder
-        self.inner = inner
-
-    @classmethod
-    def install(cls, recorder: JourneyRecorder) -> "JourneyProbe":
-        """Chain a journey probe onto the global channel-probe slot.
-
-        Returns the installed probe; the caller should restore the
-        previous probe (``probe.inner``) with ``install_channel_probe``
-        in a ``finally`` block.
-        """
-        from ..protocols.reliability import install_channel_probe
-
-        probe = cls(recorder, inner=install_channel_probe(None))
-        install_channel_probe(probe)
-        return probe
-
-    def uninstall(self) -> None:
-        """Restore the previously installed probe (if any)."""
-        from ..protocols.reliability import install_channel_probe
-
-        install_channel_probe(self.inner)
-
-    # -- the one event this probe consumes -------------------------------
-    def on_retransmit(self, sender: Any, seqs: List[int], kind: str) -> None:
-        """Record genealogy for each retransmitted seq, then forward."""
-        # Read-only peek at the sender's in-flight table to map seq ->
-        # packet; the recorder links the upcoming re-emission to the
-        # original transmission.
-        in_flight = getattr(sender, "_in_flight", {})
-        for seq in seqs:
-            pkt = in_flight.get(seq)
-            if pkt is not None:
-                self.recorder.note_retransmit(pkt, kind)
-        if self.inner is not None:
-            self.inner.on_retransmit(sender, seqs, kind)
-
-    # -- pure forwarding -------------------------------------------------
-    def on_sender(self, sender: Any) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_sender(sender)
-
-    def on_receiver(self, receiver: Any) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_receiver(receiver)
-
-    def on_register(self, sender: Any, seq: int) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_register(sender, seq)
-
-    def on_ack_applied(self, sender: Any, base_before: int, cum: int) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_ack_applied(sender, base_before, cum)
-
-    def on_rtt_sample(self, sender: Any, seq: int, rtt_ns: float) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_rtt_sample(sender, seq, rtt_ns)
-
-    def on_timeout(self, sender: Any, rto_before_ns: float,
-                   rto_after_ns: float) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_timeout(sender, rto_before_ns, rto_after_ns)
-
-    def on_fail(self, sender: Any, reason: str) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_fail(sender, reason)
-
-    def on_deliver(self, receiver: Any, seq: int) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_deliver(receiver, seq)
-
-    def on_ack_emitted(self, receiver: Any, cum: int) -> None:
-        """Forward to the previously installed probe."""
-        if self.inner is not None:
-            self.inner.on_ack_emitted(receiver, cum)

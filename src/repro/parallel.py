@@ -1,7 +1,7 @@
 """Deterministic fan-out of independent simulation points.
 
 The paper's figures are built from dozens of *independent* ping-pong
-simulations — every sweep size, experiment id, bench scenario and
+simulations — every sweep size, experiment id, fuzz scenario and
 resilience loss-rate builds a fresh cluster from a config and a seed.
 This module exploits that embarrassing parallelism (NetPIPE-style
 harnesses do the same) without giving up bit-reproducibility:

@@ -174,7 +174,7 @@ class ClicModule:
                 window=self.params.window_frames,
                 retransmit_timeout_ns=self.params.retransmit_timeout_ns,
                 max_retries=self.params.max_retries,
-                retransmit=lambda packets, d=dst_node: self._retransmit(d, packets),
+                retransmit=lambda packets, kind, d=dst_node: self._retransmit(d, packets, kind),
                 name=f"{self.node.name}.clic.tx->{dst_node}",
                 rto=rto,
                 metrics=self.metrics,
@@ -258,7 +258,8 @@ class ClicModule:
         handed off to the NIC or staged in system memory."""
         if nbytes < 0:
             raise ValueError("negative message size")
-        if dst_node == self.node_id:
+        node_id = self.node_id
+        if dst_node == node_id:
             result = yield from self._send_local(port, nbytes, tag, payload)
             return result
         msg_id = next(self._msg_ids)
@@ -266,7 +267,7 @@ class ClicModule:
                                  dst=dst_node, nbytes=nbytes, msg=msg_id)
         journeys = self.tracer.journeys
         if journeys is not None:
-            journeys.begin(self.node_id, msg_id, dst_node, port, nbytes, self.scope)
+            journeys.begin(node_id, msg_id, dst_node, port, nbytes, self.scope)
         sender = self._sender(dst_node)
         if remote_write:
             ptype = ClicPacketType.REMOTE_WRITE
@@ -294,14 +295,14 @@ class ClicModule:
                 # never rides a train — batched delivery stays strictly
                 # mid-stream, so message completion is always exact.
                 remaining_full = len(plan) - 1 - index
-                k = flow.plan_train(self.node_id, dst_node, sender,
+                k = flow.plan_train(node_id, dst_node, sender,
                                     remaining_full, self.env.now)
             if k >= 2:
                 packets = []
                 for train_offset, train_frag in plan[index:index + k]:
                     packets.append(ClicPacket(
                         ptype=ptype,
-                        src_node=self.node_id,
+                        src_node=node_id,
                         dst_node=dst_node,
                         port=port,
                         msg_id=msg_id,
@@ -320,7 +321,7 @@ class ClicModule:
                 continue
             pkt = ClicPacket(
                 ptype=ptype,
-                src_node=self.node_id,
+                src_node=node_id,
                 dst_node=dst_node,
                 port=port,
                 msg_id=msg_id,
@@ -481,8 +482,17 @@ class ClicModule:
                     break
                 yield self.env.timeout(5_000.0)  # ring still full; retry soon
 
-    def _retransmit(self, dst_node: int, packets: List[ClicPacket]) -> None:
-        """WindowedSender timeout callback: re-emit in a kernel process."""
+    def _retransmit(self, dst_node: int, packets: List[ClicPacket], kind: str) -> None:
+        """WindowedSender retransmit callback: re-emit in a kernel process.
+
+        With journeys on, each packet's next transmission is noted now as
+        a retransmit child of ``kind`` (``"fast"``, ``"partial_ack"`` or
+        ``"rto"``), before the re-emitting process is spawned.
+        """
+        journeys = self.tracer.journeys
+        if journeys is not None:
+            for pkt in packets:
+                journeys.note_retransmit(pkt, kind)
 
         def _do() -> Generator:
             for pkt in packets:

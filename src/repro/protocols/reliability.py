@@ -85,7 +85,8 @@ class ChannelProbe:
         """The RTO estimator consumed an RTT measurement from ``seq``."""
 
     def on_retransmit(self, sender: "WindowedSender", seqs: List[int], kind: str) -> None:
-        """``seqs`` were re-emitted (``kind``: ``"rto"`` or ``"fast"``)."""
+        """``seqs`` were re-emitted (``kind``: ``"fast"``, ``"partial_ack"``
+        or ``"rto"``)."""
 
     def on_timeout(self, sender: "WindowedSender", rto_before_ns: float,
                    rto_after_ns: float) -> None:
@@ -208,8 +209,9 @@ class WindowedSender:
     max_retries:
         Rounds of retransmission before declaring the peer dead.
     retransmit:
-        Callback ``(packets: list) -> None`` that re-emits the given
-        in-flight packets (owner schedules the actual sends).
+        Callback ``(packets: list, kind: str) -> None`` that re-emits
+        the given in-flight packets (owner schedules the actual sends);
+        ``kind`` is why: ``"fast"``, ``"partial_ack"`` or ``"rto"``.
     rto:
         Optional :class:`RtoEstimator`; when present the retransmission
         timer adapts to measured RTTs and backs off exponentially on
@@ -229,7 +231,7 @@ class WindowedSender:
         window: int,
         retransmit_timeout_ns: float,
         max_retries: int,
-        retransmit: Callable[[List[Any]], None],
+        retransmit: Callable[[List[Any], str], None],
         name: str = "sender",
         rto: Optional[RtoEstimator] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -404,7 +406,7 @@ class WindowedSender:
                     if self.probe is not None:
                         self.probe.on_retransmit(self, [self.base], "fast")
                     self._start_timer()
-                    self.retransmit([self._in_flight[self.base]])
+                    self.retransmit([self._in_flight[self.base]], "fast")
             return
         base_before = self.base
         acked = cumulative_seq - self.base
@@ -446,7 +448,7 @@ class WindowedSender:
             self._note_retransmitted([self.base])  # Karn: RTT now ambiguous
             if self.probe is not None:
                 self.probe.on_retransmit(self, [self.base], "partial_ack")
-            self.retransmit([self._in_flight[self.base]])
+            self.retransmit([self._in_flight[self.base]], "partial_ack")
         if self._in_flight:
             self._start_timer()  # restart for the new oldest packet
         else:
@@ -522,7 +524,7 @@ class WindowedSender:
             self.probe.on_retransmit(self, seqs, "rto")
         self.counters["retransmitted"] += len(packets)
         self._start_timer()
-        self.retransmit(packets)
+        self.retransmit(packets, "rto")
 
     # -- failure ------------------------------------------------------------
     @property

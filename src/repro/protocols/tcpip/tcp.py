@@ -201,7 +201,7 @@ class TcpConnection:
         yield from self.layer.ip.tx(dgram)
         self.counters["segments_tx"] += 1
 
-    def _retransmit(self, segments: List[TcpSegment]) -> None:
+    def _retransmit(self, segments: List[TcpSegment], kind: str) -> None:
         def _do() -> Generator:
             for seg in segments:
                 self.counters["segments_retx"] += 1

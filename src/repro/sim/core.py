@@ -75,7 +75,7 @@ NORMAL = 1
 
 #: When a :func:`profiled` block is active, every new Environment
 #: attaches an :class:`~repro.obs.profile.EnvProfiler` and registers it
-#: here, so tooling (``repro.perf``, ``--json`` artifact capture) can
+#: here, so tooling (the physics gates, ``--json`` artifact capture) can
 #: account simulator cost without threading a flag through every config.
 _PROFILE_SINK: Optional[List[Any]] = None
 

@@ -166,7 +166,7 @@ def capture_fig4_point(
     from .cluster import Cluster
     from .config import granada2003
     from .faults import FaultPlan
-    from .obs import (HealthWatchdog, JourneyProbe, JourneyRecorder, RunArtifact,
+    from .obs import (HealthWatchdog, JourneyRecorder, RunArtifact,
                       TimeSeriesSampler, evaluate, instants_of, journey_latency_summary,
                       spans_of, timeseries_of)
     from .workloads.adapters import clic_pair
@@ -184,7 +184,6 @@ def capture_fig4_point(
                       faults=faults if loss > 0 else None)
     recorder = JourneyRecorder(cluster.env)
     cluster.tracer.journeys = recorder
-    probe = JourneyProbe.install(recorder)
     sampler = TimeSeriesSampler(cluster.env, interval_ns=sample_ns)
     for node in cluster.nodes:
         for nic in node.nics:
@@ -222,7 +221,6 @@ def capture_fig4_point(
         res = stream(cluster, clic_pair(), nbytes, messages=messages)
     finally:
         sampler.stop()
-        probe.uninstall()
     journeys = recorder.as_dicts()
     profiler = cluster.env.profiler
     artifact = RunArtifact(

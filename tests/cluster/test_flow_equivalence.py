@@ -104,18 +104,14 @@ def test_journey_tracing_is_bit_identical():
     """Journey tracing forces the exact path (per-frame identity must
     stay observable), so a traced ``auto`` run matches a traced ``off``
     run bit for bit."""
-    from repro.obs import JourneyProbe, JourneyRecorder
+    from repro.obs import JourneyRecorder
 
     results = {}
     for mode in ("off", "auto"):
         cluster = Cluster(_cfg(mode), protocols=("clic",))
         recorder = JourneyRecorder(cluster.env)
         cluster.tracer.journeys = recorder
-        probe = JourneyProbe.install(recorder)
-        try:
-            res = stream(cluster, clic_pair(), 300_000, messages=3)
-        finally:
-            probe.uninstall()
+        res = stream(cluster, clic_pair(), 300_000, messages=3)
         if mode == "auto":
             assert cluster.env.flow.counters.get("trains", 0) == 0
             assert cluster.env.flow.counters.get("acks_express", 0) == 0

@@ -19,7 +19,6 @@ from repro.cluster import Cluster
 from repro.config import granada2003
 from repro.faults import FaultPlan
 from repro.obs import (
-    JourneyProbe,
     JourneyRecorder,
     RunArtifact,
     chrome_trace_json,
@@ -41,11 +40,7 @@ def _traced_stream(nbytes, messages, faults=None, seed=42):
     cluster = Cluster(cfg, protocols=("clic",), faults=faults)
     recorder = JourneyRecorder(cluster.env)
     cluster.tracer.journeys = recorder
-    probe = JourneyProbe.install(recorder)
-    try:
-        res = stream(cluster, clic_pair(), nbytes, messages=messages)
-    finally:
-        probe.uninstall()
+    res = stream(cluster, clic_pair(), nbytes, messages=messages)
     return res, recorder.as_dicts(), cluster.metrics.snapshot()
 
 
@@ -104,6 +99,36 @@ def test_retransmit_genealogy_under_injected_loss(lossy_run):
             assert parent["hop"] == "tx_queue"
             assert parent["pkt"] == child["pkt"]
             assert parent["t"] < child["t"]
+
+
+def test_journeys_and_a_validation_probe_compose():
+    """Journeys take the retransmit reason from the retransmit callback,
+    not from the channel-probe slot, so a validation probe installed in
+    that slot sees the same retransmits the journeys record."""
+    from collections import Counter
+
+    from repro.protocols.reliability import install_channel_probe
+    from repro.validate.probes import ProbeRecorder
+
+    probe = ProbeRecorder()
+    previous = install_channel_probe(probe)
+    try:
+        _, journeys, _ = _traced_stream(
+            65_536, 4,
+            faults=FaultPlan.bursty(0.02, mean_burst_frames=8.0, loss_bad=1.0))
+    finally:
+        install_channel_probe(previous)
+    children = Counter()
+    for j in journeys:
+        seq_of = {e["pkt"]: e["seq"] for e in j["events"] if e["hop"] == "fragment"}
+        for child in j["retransmits"]:
+            children[child["kind"], seq_of[child["pkt"]]] += 1
+    (log,) = [log for log in probe.sender_logs.values()
+              if log.name == "node0.clic.tx->1"]
+    logged = Counter((e[1], seq) for e in log.events if e[0] == "retx"
+                     for seq in e[2])
+    assert children, "burst loss produced no retransmit children"
+    assert children == logged
 
 
 def test_outliers_name_dominant_hop_and_loss_involvement(lossy_run):

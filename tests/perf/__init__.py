@@ -1,1 +1,1 @@
-"""Tests for the repro.perf benchmark lab (bench/check)."""
+"""Simulated-physics gates on the paper's headline numbers (``test_gates.py``)."""

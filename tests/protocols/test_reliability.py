@@ -15,7 +15,7 @@ def make_sender(env, window=4, timeout=1000, retries=3, sink=None):
         window=window,
         retransmit_timeout_ns=timeout,
         max_retries=retries,
-        retransmit=lambda pkts: retransmitted.extend(pkts),
+        retransmit=lambda pkts, kind: retransmitted.extend(pkts),
     )
     return sender, retransmitted
 
@@ -127,7 +127,7 @@ def test_duplicate_acks_ignored():
 def test_invalid_window_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        WindowedSender(env, window=0, retransmit_timeout_ns=1, max_retries=1, retransmit=lambda p: None)
+        WindowedSender(env, window=0, retransmit_timeout_ns=1, max_retries=1, retransmit=lambda p, kind: None)
 
 
 def make_receiver(env, ack_every=2, stash=4):
@@ -305,7 +305,7 @@ def test_sender_timer_uses_adaptive_rto():
     rto = RtoEstimator(initial_ns=500.0, min_ns=100.0, max_ns=1e9)
     sender = WindowedSender(
         env, window=4, retransmit_timeout_ns=999_999.0, max_retries=50,
-        retransmit=lambda pkts: retx.extend(pkts), rto=rto,
+        retransmit=lambda pkts, kind: retx.extend(pkts), rto=rto,
     )
     sender.register("a")
     env.run(until=600)  # initial 500 ns from the estimator, not 999999
@@ -320,7 +320,7 @@ def test_karn_rule_no_sample_from_retransmitted():
     rto = RtoEstimator(initial_ns=500.0, min_ns=100.0, max_ns=1e9)
     sender = WindowedSender(
         env, window=4, retransmit_timeout_ns=500.0, max_retries=50,
-        retransmit=lambda pkts: None, rto=rto,
+        retransmit=lambda pkts, kind: None, rto=rto,
     )
     sender.register("a")
     env.run(until=600)  # RTO fires: "a" is now retransmitted/ambiguous

@@ -67,8 +67,8 @@ class _Pair:
         try:
             self.sender = WindowedSender(
                 env, window=case["window"], retransmit_timeout_ns=case["rto_ns"],
-                max_retries=100, retransmit=lambda pkts: self.log.append(
-                    ("retx", env.now, list(pkts))),
+                max_retries=100, retransmit=lambda pkts, kind: self.log.append(
+                    ("retx", env.now, kind, list(pkts))),
                 metrics=self.metrics, prefix="tx.")
             self.receiver = OrderedReceiver(
                 env, deliver=lambda pkt: self.log.append(("deliver", env.now, pkt)),
@@ -208,7 +208,7 @@ def test_in_order_run_arms_the_delayed_ack_once():
 def test_register_run_that_does_not_fit_changes_nothing():
     env = Environment()
     sender = WindowedSender(env, window=4, retransmit_timeout_ns=1e3, max_retries=1,
-                            retransmit=lambda pkts: None)
+                            retransmit=lambda pkts, kind: None)
     sender.register("a")
     before = (sender.next_seq, dict(sender._in_flight), dict(sender.counters), pending(env))
     with pytest.raises(RuntimeError):
@@ -222,7 +222,7 @@ def test_register_run_that_does_not_fit_changes_nothing():
 def test_register_run_on_a_failed_sender_raises():
     env = Environment()
     sender = WindowedSender(env, window=4, retransmit_timeout_ns=1e3, max_retries=1,
-                            retransmit=lambda pkts: None)
+                            retransmit=lambda pkts, kind: None)
     sender.abort("peer dead")
     with pytest.raises(DeliveryFailed):
         sender.register_run(["a", "b"])

@@ -58,7 +58,7 @@ def _run_stress(rng, total: int = 60, loss: float = 0.2):
         window=8,
         retransmit_timeout_ns=2_000.0,
         max_retries=200,
-        retransmit=lambda pkts: [channel.push(on_data, p) for p in pkts],
+        retransmit=lambda pkts, kind: [channel.push(on_data, p) for p in pkts],
         rto=RtoEstimator(initial_ns=2_000.0, min_ns=500.0, max_ns=50_000.0),
     )
     sender.dupack_threshold = 3
