@@ -34,9 +34,7 @@ def sweep(label, protocols, pair_factory) -> SweepSeries:
     series = SweepSeries(label)
     for nbytes in SIZES:
         cluster = Cluster(granada2003(), protocols=protocols)
-        series.points.append(
-            pingpong(cluster, pair_factory(), nbytes, repeats=1, warmup=1)
-        )
+        series.add(pingpong(cluster, pair_factory(), nbytes, repeats=1, warmup=1))
     return series
 
 

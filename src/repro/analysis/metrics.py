@@ -13,16 +13,7 @@ def interpolate_half_bandwidth(sizes: Sequence[int], mbps: Sequence[float]) -> O
     final bandwidth — the paper's 4 KB / 16 KB metric."""
     if len(sizes) != len(mbps) or not sizes:
         raise ValueError("mismatched or empty curve")
-    target = mbps[-1] / 2
-    for i, bw in enumerate(mbps):
-        if bw >= target:
-            if i == 0:
-                return float(sizes[0])
-            x0, x1 = math.log10(sizes[i - 1]), math.log10(sizes[i])
-            y0, y1 = mbps[i - 1], mbps[i]
-            frac = (target - y0) / (y1 - y0) if y1 != y0 else 0.0
-            return 10 ** (x0 + frac * (x1 - x0))
-    return None
+    return size_reaching(sizes, mbps, mbps[-1] / 2)
 
 
 def size_reaching(sizes: Sequence[int], mbps: Sequence[float], threshold: float) -> Optional[float]:
@@ -38,4 +29,3 @@ def size_reaching(sizes: Sequence[int], mbps: Sequence[float], threshold: float)
             frac = (threshold - y0) / (y1 - y0) if y1 != y0 else 0.0
             return 10 ** (x0 + frac * (x1 - x0))
     return None
-

@@ -86,7 +86,6 @@ class Cluster:
         self,
         cfg: Optional[ClusterConfig] = None,
         protocols: Iterable[str] = ("clic", "tcp"),
-        loss_rate: float = 0.0,
         node_overrides: Optional[dict] = None,
         faults: Optional[FaultPlan] = None,
     ):
@@ -97,9 +96,7 @@ class Cluster:
         ``faults`` is a declarative :class:`~repro.faults.FaultPlan`
         (bursty loss, corruption, scheduled link outages, switch egress
         blackouts) injected deterministically from the cluster's seeded
-        RNG streams; the legacy ``loss_rate`` float is shorthand for
-        ``FaultPlan.uniform(loss_rate)`` and draws the same random
-        sequence it always has."""
+        RNG streams; plain i.i.d. loss is ``FaultPlan.uniform(p)``."""
         self.cfg = cfg if cfg is not None else ClusterConfig()
         self.protocols = tuple(protocols)
         unknown = set(self.protocols) - _PULL_PROTOCOLS - _PUSH_PROTOCOLS
@@ -144,12 +141,6 @@ class Cluster:
         self._chan_map: dict = {}
         self._port_map: dict = {}
 
-        if faults is not None and loss_rate:
-            raise ValueError("give either loss_rate or a FaultPlan, not both")
-        if loss_rate:
-            from ..faults import FaultPlan
-
-            faults = FaultPlan.uniform(loss_rate)
         #: the active fault plan (None = clean links)
         self.faults = faults
 
@@ -208,9 +199,9 @@ class Cluster:
     def _channel_faults(self, node_id: int, ch: int, direction: str) -> Optional[ChannelFaults]:
         """Build the fault injector for one simplex link, or ``None``.
 
-        The RNG stream name matches the historical per-link loss streams
-        (``loss.{node}.{ch}.{up|down}``), so a plain ``loss_rate`` run is
-        bit-identical to pre-fault-subsystem builds.
+        Each simplex link draws from its own RNG stream,
+        ``loss.{node}.{ch}.{up|down}``, so adding a fault to one link
+        never shifts another link's draws.
         """
         if self.faults is None:
             return None

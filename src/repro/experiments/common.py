@@ -7,10 +7,10 @@ the paper's qualitative claims — that the benchmark suite asserts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..cluster import Cluster
-from ..config import ClusterConfig, granada2003
+from ..config import ClusterConfig
 from ..parallel import run_tasks
 from ..workloads import SweepSeries, netpipe_sizes, pingpong, stream
 
@@ -53,20 +53,22 @@ def _pingpong_point(spec):
 
 def sweep_pingpong(
     label: str,
-    cfg_factory: Callable[[], ClusterConfig],
+    cfg: ClusterConfig,
     setup_factory: Callable,
     sizes: Sequence[int],
     repeats: int = 1,
     jobs: int = 1,
 ) -> SweepSeries:
-    """NetPIPE-style ping-pong bandwidth curve.
+    """NetPIPE-style ping-pong bandwidth curve: a fresh ``Cluster(cfg)``
+    per size, so no state carries over between points.
 
-    The configs are materialized up front (pure data), so with
-    ``jobs > 1`` the points fan out over a process pool and workers
-    rebuild each cluster from its config; ``setup_factory`` must then be
-    a module-level callable (``clic_pair``, ``tcp_pair``, ...).
+    ``cfg`` is pure data, so with ``jobs > 1`` the points fan out over a
+    process pool and workers rebuild each cluster from it;
+    ``setup_factory`` must then be a module-level callable
+    (``clic_pair``, ``tcp_pair``, ...).  Points come back in size order,
+    so the series is identical at any ``jobs`` value.
     """
-    specs = [(cfg_factory(), setup_factory, nbytes, repeats) for nbytes in sizes]
+    specs = [(cfg, setup_factory, nbytes, repeats) for nbytes in sizes]
     return SweepSeries(label, run_tasks(_pingpong_point, specs, jobs=jobs))
 
 
@@ -79,7 +81,7 @@ def _stream_point(spec):
 
 def sweep_stream(
     label: str,
-    cfg_factory: Callable[[], ClusterConfig],
+    cfg: ClusterConfig,
     setup_factory: Callable,
     sizes: Sequence[int],
     messages: int = 12,
@@ -90,7 +92,7 @@ def sweep_stream(
     fan-out works exactly as in :func:`sweep_pingpong`."""
     from ..workloads.pingpong import PingPongResult
 
-    specs = [(cfg_factory(), setup_factory, nbytes, messages) for nbytes in sizes]
+    specs = [(cfg, setup_factory, nbytes, messages) for nbytes in sizes]
     series = SweepSeries(label)
     for result in run_tasks(_stream_point, specs, jobs=jobs):
         per_message_ns = result.elapsed_ns / result.messages

@@ -43,9 +43,9 @@ def run(quick: bool = True, jobs: int = 1) -> Dict:
     pp_series = []
     st_series = []
     for label, mtu, zero_copy in CONFIGS:
-        cfg_factory = lambda m=mtu, z=zero_copy: granada2003(mtu=m, zero_copy=z)
-        pp_series.append(sweep_pingpong(f"pp {label}", cfg_factory, clic_pair, sizes, jobs=jobs))
-        st_series.append(sweep_stream(f"st {label}", cfg_factory, clic_pair, sizes, jobs=jobs))
+        cfg = granada2003(mtu=mtu, zero_copy=zero_copy)
+        pp_series.append(sweep_pingpong(f"pp {label}", cfg, clic_pair, sizes, jobs=jobs))
+        st_series.append(sweep_stream(f"st {label}", cfg, clic_pair, sizes, jobs=jobs))
 
     report = "\n\n".join(
         [

@@ -26,10 +26,10 @@ def run(quick: bool = True, jobs: int = 1) -> Dict:
     """Run the experiment; returns results incl. a printable report."""
     sizes = quick_sizes() if quick else full_sizes()
     series = [
-        sweep_pingpong("CLIC 9000", lambda: granada2003(mtu=MTU_JUMBO), clic_pair, sizes, jobs=jobs),
-        sweep_pingpong("CLIC 1500", lambda: granada2003(mtu=MTU_STANDARD), clic_pair, sizes, jobs=jobs),
-        sweep_pingpong("TCP 9000", lambda: granada2003(mtu=MTU_JUMBO), tcp_pair, sizes, jobs=jobs),
-        sweep_pingpong("TCP 1500", lambda: granada2003(mtu=MTU_STANDARD), tcp_pair, sizes, jobs=jobs),
+        sweep_pingpong("CLIC 9000", granada2003(mtu=MTU_JUMBO), clic_pair, sizes, jobs=jobs),
+        sweep_pingpong("CLIC 1500", granada2003(mtu=MTU_STANDARD), clic_pair, sizes, jobs=jobs),
+        sweep_pingpong("TCP 9000", granada2003(mtu=MTU_JUMBO), tcp_pair, sizes, jobs=jobs),
+        sweep_pingpong("TCP 1500", granada2003(mtu=MTU_STANDARD), tcp_pair, sizes, jobs=jobs),
     ]
     report = "\n\n".join(
         [

@@ -85,7 +85,7 @@ def run(quick: bool = True, jobs: int = 1) -> Dict:
     """Run the experiment; returns results incl. a printable report."""
     sizes = quick_sizes() if quick else full_sizes()
     series = [
-        sweep_pingpong("CLIC", lambda: granada2003(mtu=MTU_JUMBO), clic_pair, sizes, jobs=jobs),
+        sweep_pingpong("CLIC", granada2003(mtu=MTU_JUMBO), clic_pair, sizes, jobs=jobs),
         mpi_sweep("MPI-CLIC", "clic", sizes, jobs=jobs),
         mpi_sweep("MPI/TCP", "tcp", sizes, jobs=jobs),
         pvm_sweep("PVM/TCP", sizes, jobs=jobs),

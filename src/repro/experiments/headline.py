@@ -28,17 +28,17 @@ def run(quick: bool = True) -> Dict:
     tcp_latency = pingpong(Cluster(granada2003()), tcp_pair(), 0, repeats=3, warmup=1)
 
     bw_jumbo = sweep_stream(
-        "CLIC 9000", lambda: granada2003(mtu=MTU_JUMBO), clic_pair, [2_000_000], messages=8
+        "CLIC 9000", granada2003(mtu=MTU_JUMBO), clic_pair, [2_000_000], messages=8
     ).asymptote()
     bw_std = sweep_stream(
-        "CLIC 1500", lambda: granada2003(mtu=MTU_STANDARD), clic_pair, [2_000_000], messages=8
+        "CLIC 1500", granada2003(mtu=MTU_STANDARD), clic_pair, [2_000_000], messages=8
     ).asymptote()
 
     clic_curve = sweep_stream(
-        "CLIC", lambda: granada2003(mtu=MTU_JUMBO), clic_pair, HALF_BW_SIZES, messages=8
+        "CLIC", granada2003(mtu=MTU_JUMBO), clic_pair, HALF_BW_SIZES, messages=8
     )
     tcp_curve = sweep_stream(
-        "TCP", lambda: granada2003(mtu=MTU_JUMBO), tcp_pair, HALF_BW_SIZES, messages=8
+        "TCP", granada2003(mtu=MTU_JUMBO), tcp_pair, HALF_BW_SIZES, messages=8
     )
     clic_half = interpolate_half_bandwidth(clic_curve.sizes, clic_curve.mbps)
     tcp_half = interpolate_half_bandwidth(tcp_curve.sizes, tcp_curve.mbps)

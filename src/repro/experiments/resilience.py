@@ -33,10 +33,10 @@ each scenario's degraded-mode expectations are an
 assert statements), and an in-sim :class:`~repro.obs.HealthWatchdog`
 rides a sampler cadence during each run — the overload row must be
 flagged as a pause storm while leaving the simulated metrics
-bit-identical.  Every grid cell also ships its full metrics digest, so
-``run()`` folds per-cell histograms into one fleet-wide registry via
-:meth:`~repro.obs.MetricsRegistry.merge_from` and reports true global
-syscall-latency tails (identical at any ``--jobs`` value).
+bit-identical.  Every grid cell also ships its histograms (exact
+bucket counts, :meth:`~repro.obs.Histogram.to_dict`), so ``run()`` folds
+them into fleet-wide histograms and reports true global syscall-latency
+tails (identical at any ``--jobs`` value).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from ..faults import FaultPlan
 from ..obs import (
     HealthWatchdog,
     Histogram,
-    MetricsRegistry,
     Objective,
     SLOSpec,
     TimeSeriesSampler,
@@ -92,6 +91,22 @@ def _sum_counters(cluster: Cluster, suffix: str) -> float:
     )
 
 
+def _fold(fold: Dict[str, Histogram], hist: Histogram) -> None:
+    """Merge ``hist`` into ``fold``'s histogram of the same name (bucket
+    merges are exact, so the fold loses nothing)."""
+    into = fold.get(hist.name)
+    if into is None:
+        into = fold[hist.name] = Histogram(hist.name, hist.growth)
+    into.merge(hist)
+
+
+def _fold_cluster(fold: Dict[str, Histogram], cluster: Cluster) -> None:
+    """Fold every histogram of ``cluster``'s registry into ``fold``."""
+    for _, inst in cluster.metrics.items():
+        if inst.kind == "histogram":
+            _fold(fold, inst)
+
+
 def _fault_drops(cluster: Cluster) -> float:
     """Total frames the fault plan removed or damaged, from obs metrics."""
     return sum(
@@ -114,16 +129,16 @@ def _cell(protocol: str, model: str, rate: float,
           nbytes: int, messages: int) -> Dict:
     """One grid cell, averaged over :data:`SEEDS`.
 
-    The cell also folds every seed run's registry into one digest
-    (exact histogram-bucket merges), which travels back to ``run()`` as
-    plain JSON so the parent can aggregate fleet-wide percentiles —
-    the per-shard half of the :meth:`MetricsRegistry.merge_from` fold.
+    The cell also folds every seed run's histograms by name (exact
+    bucket merges) and ships them back to ``run()`` as plain JSON
+    (``histograms``: name -> :meth:`~repro.obs.Histogram.to_dict`), so
+    the parent can aggregate fleet-wide percentiles.
     """
     goodputs: List[float] = []
     retx_overheads: List[float] = []
     fast_retx = 0.0
     drops = 0.0
-    fold = MetricsRegistry()
+    fold: Dict[str, Histogram] = {}
     for seed in SEEDS:
         cluster = Cluster(_cfg(seed), protocols=(protocol,), faults=_plan(model, rate))
         res = stream(cluster, _pair(protocol), nbytes, messages=messages)
@@ -133,14 +148,14 @@ def _cell(protocol: str, model: str, rate: float,
         retx_overheads.append(retransmitted / registered if registered else 0.0)
         fast_retx += _sum_counters(cluster, ".fast_retransmits")
         drops += _fault_drops(cluster)
-        fold.merge_from(cluster.metrics)
+        _fold_cluster(fold, cluster)
 
     # Enough repeats that the loss model actually intersects the pings
     # (a 1024 B exchange is only ~2 frames).
     lat_cluster = Cluster(_cfg(SEEDS[0]), protocols=(protocol,),
                           faults=_plan(model, rate))
     lat = pingpong(lat_cluster, _pair(protocol), 1024, repeats=20, warmup=2)
-    fold.merge_from(lat_cluster.metrics)
+    _fold_cluster(fold, lat_cluster)
     return {
         "protocol": protocol,
         "model": model,
@@ -151,7 +166,7 @@ def _cell(protocol: str, model: str, rate: float,
         "retx_overhead": sum(retx_overheads) / len(retx_overheads),
         "fast_retransmits": fast_retx,
         "fault_drops": drops,
-        "digest": fold.digest(),
+        "histograms": {name: fold[name].to_dict() for name in sorted(fold)},
     }
 
 
@@ -369,25 +384,24 @@ def run(quick: bool = True, jobs: int = 1) -> Dict:
         for kind in ADVERSARIAL_KINDS
     }
 
-    # Fold every cell's digest (submission order — identical at any
-    # --jobs value) into one fleet registry: bucket merges are exact, so
-    # these are the *true* global percentiles over every seed of every
-    # cell, not an average of per-cell percentiles.
-    fleet_reg = MetricsRegistry()
+    # Fold every cell's histograms by name (cells in submission order —
+    # identical at any --jobs value): bucket merges are exact, so these
+    # are the *true* global percentiles over every seed of every cell,
+    # not an average of per-cell percentiles.
+    fleet_hists: Dict[str, Histogram] = {}
     for c in cells:
-        fleet_reg.merge_from(c["digest"])
+        for name, entry in c["histograms"].items():
+            _fold(fleet_hists, Histogram.from_dict(entry, name))
     syscall = Histogram("kernel.syscall_ns")
-    for name, inst in fleet_reg.items():
-        if inst.kind == "histogram" and name.endswith("kernel.syscall_ns"):
-            syscall.merge(inst)
+    for name in sorted(fleet_hists):
+        if name.endswith("kernel.syscall_ns"):
+            syscall.merge(fleet_hists[name])
     fleet = {
         "cells": len(cells),
         "seeds_per_cell": len(SEEDS),
         "syscall_ns": syscall.as_dict(),
-        "histograms": {
-            name: inst.as_dict()
-            for name, inst in fleet_reg.items() if inst.kind == "histogram"
-        },
+        "histograms": {name: fleet_hists[name].as_dict()
+                       for name in sorted(fleet_hists)},
     }
 
     rows = [

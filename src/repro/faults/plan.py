@@ -307,8 +307,7 @@ class FaultPlan:
     # -- convenience constructors -------------------------------------------
     @classmethod
     def uniform(cls, loss_rate: float) -> "FaultPlan":
-        """Bernoulli loss on every link direction (the historical
-        ``Cluster(loss_rate=...)`` behaviour)."""
+        """Bernoulli (i.i.d.) loss on every link direction."""
         return cls(default_link=LinkFaultSpec(loss_rate=loss_rate))
 
     @classmethod

@@ -2,7 +2,7 @@
 
 from .cpu import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
 from .fabric import Fabric
-from .link import Channel, Link
+from .link import Channel
 from .memory import MemoryBus
 from .pci import PciBus
 from .switch import Switch, SwitchPort
@@ -11,7 +11,6 @@ __all__ = [
     "Channel",
     "Cpu",
     "Fabric",
-    "Link",
     "MemoryBus",
     "PciBus",
     "PRIO_IRQ",

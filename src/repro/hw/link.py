@@ -1,7 +1,7 @@
 """Point-to-point Gigabit Ethernet links.
 
-A :class:`Link` is full duplex: two independent :class:`Channel`\\ s, one
-per direction.  Each channel serializes frames at the line rate
+A full-duplex link is two independent :class:`Channel`\\ s, one per
+direction.  Each channel serializes frames at the line rate
 (including preamble, CRC padding and inter-frame gap) and delivers them
 to its sink after the propagation delay.  Fault injection (loss, burst
 loss, corruption, outages — see :mod:`repro.faults`) exercises the
@@ -25,13 +25,13 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..config import LinkParams
-from ..sim import Environment, Pcg64, Server
+from ..sim import Environment, Server
 from .nic.frames import Frame, frame_time_ns
 
 if TYPE_CHECKING:
     from ..faults import ChannelFaults
 
-__all__ = ["Channel", "Link"]
+__all__ = ["Channel"]
 
 
 class Channel(Server):
@@ -46,29 +46,17 @@ class Channel(Server):
         env: Environment,
         params: LinkParams,
         name: str = "chan",
-        loss_rate: float = 0.0,
-        rng: Optional[Pcg64] = None,
         faults: Optional[ChannelFaults] = None,
         tracer=None,
     ):
         super().__init__(env)
         self.params = params
         self.name = name
-        self.loss_rate = loss_rate
-        self._rng = rng
         self._sink: Optional[Callable[[Frame], None]] = None
         self.counters = Counter()
         #: optional :class:`repro.obs.Tracer`; only its ``journeys``
         #: attribute is consulted (for wire drop / duplicate events)
         self.tracer = tracer
-        if loss_rate and rng is None and faults is None:
-            raise ValueError("loss injection requires an RNG stream")
-        if faults is None and loss_rate:
-            # Legacy constructor path: plain Bernoulli loss from the given
-            # stream (draw-for-draw identical to the historical behaviour).
-            from ..faults import ChannelFaults, LinkFaultSpec
-
-            faults = ChannelFaults(LinkFaultSpec(loss_rate=loss_rate), rng=rng)
         self.faults = faults
 
     def _journeys(self):
@@ -166,21 +154,3 @@ class Channel(Server):
             self.counters["frames"] += 1
             self.counters["bytes"] += frame.payload_bytes
             self.env.defer(delay, partial(self._sink, frame))
-
-
-class Link:
-    """A full-duplex link between two endpoints, A and B."""
-
-    def __init__(
-        self,
-        env: Environment,
-        params: LinkParams,
-        name: str = "link",
-        loss_rate: float = 0.0,
-        rng: Optional[Pcg64] = None,
-    ):
-        self.env = env
-        self.params = params
-        self.name = name
-        self.a_to_b = Channel(env, params, f"{name}.a2b", loss_rate, rng)
-        self.b_to_a = Channel(env, params, f"{name}.b2a", loss_rate, rng)

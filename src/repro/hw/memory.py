@@ -1,12 +1,12 @@
 """Main-memory subsystem.
 
 Models the cost of CPU-driven copies (the "1-copy" in the paper's
-vocabulary) and provides a contended bus for non-CPU engines.  The bus
-is an exclusive :class:`~repro.sim.Server` served FIFO.  A CPU memcpy is
-charged *on the CPU* (the processor is busy moving the bytes — this is
-the very resource drain the paper's 0-copy work removes) while also
-holding the memory bus, so concurrent DMA observes the contention: the
-copy claims the bus, runs a preemptible ``cpu.execute`` and releases it.
+vocabulary).  The bus is an exclusive :class:`~repro.sim.Server` served
+FIFO.  A CPU memcpy is charged *on the CPU* (the processor is busy
+moving the bytes — this is the very resource drain the paper's 0-copy
+work removes) while also holding the memory bus: the copy claims the
+bus, runs a preemptible ``cpu.execute`` and releases it.  NIC DMA is
+timed on the PCI bus, the slower segment in this machine.
 """
 
 from __future__ import annotations
@@ -59,14 +59,3 @@ class MemoryBus(Server):
         self.release()
         self.counters["cpu_copies"] += setups
         self.counters["cpu_copy_bytes"] += nbytes
-
-    def engine_transfer(self, nbytes: int, label: str = "dma") -> Generator:
-        """A non-CPU engine (NIC DMA) crossing the memory bus.
-
-        The PCI bus is the slower segment in this machine, so the transfer
-        *time* is charged there; this call only accounts occupancy so
-        utilization reports include DMA traffic.
-        """
-        # Occupies the bus for the bytes' memory-side time.
-        yield from self.hold(nbytes / self.params.copy_bw_Bps * 1e9)
-        self.counters[f"{label}_bytes"] += nbytes

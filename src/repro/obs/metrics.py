@@ -57,14 +57,6 @@ class Counter:
         """Snapshot form: counters export as their bare value."""
         return self.value
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Full-fidelity digest form (see :meth:`MetricsRegistry.digest`)."""
-        return {"kind": self.kind, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], name: str = "") -> "Counter":
-        return cls(name, data["value"])
-
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value!r})"
 
@@ -100,38 +92,6 @@ class Gauge:
             "low_water": self.low_water if self.samples else 0.0,
             "samples": self.samples,
         }
-
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Fold another gauge in: extremes combine, sample counts add,
-        and the merged level is the *other* side's (fold order is the
-        shard order, so the last-folded shard's level wins — a level has
-        no meaningful cross-shard sum)."""
-        if isinstance(other, dict):
-            other = Gauge.from_dict(other)
-        if other.samples:
-            self.value = other.value
-            self.samples += other.samples
-            if other.high_water > self.high_water:
-                self.high_water = other.high_water
-            if other.low_water < self.low_water:
-                self.low_water = other.low_water
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full-fidelity digest form (see :meth:`MetricsRegistry.digest`)."""
-        d = self.as_dict()
-        d["kind"] = self.kind
-        return d
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], name: str = "") -> "Gauge":
-        g = cls(name)
-        g.samples = int(data["samples"])
-        g.value = float(data["value"])
-        if g.samples:
-            g.high_water = float(data["high_water"])
-            g.low_water = float(data["low_water"])
-        return g
 
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {self.value!r}, high={self.high_water!r})"
@@ -183,8 +143,7 @@ class Histogram:
 
     # -- merging ---------------------------------------------------------
     def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram (or its :meth:`to_dict` form) into this
-        one — **losslessly**.
+        """Fold another histogram into this one — **losslessly**.
 
         Log buckets are exact under merge: the merged bucket counts (and
         underflow, count, total, min, max) are identical to recording the
@@ -193,8 +152,6 @@ class Histogram:
         Both sides must share the same ``growth`` (bucket boundaries are
         a function of it); merging mismatched digests raises.
         """
-        if isinstance(other, dict):
-            other = Histogram.from_dict(other)
         if other.growth != self.growth:
             raise ValueError(
                 f"cannot merge histograms with different growth "
@@ -347,31 +304,6 @@ class TimeSeries:
             "count": len(self.points),
             "points": [[t, v] for t, v in self.points],
         }
-
-    def merge(self, other: "TimeSeries") -> "TimeSeries":
-        """Append another series' points (shard fold order; points stay
-        timestamped, so consumers can re-sort across shards if needed)."""
-        if isinstance(other, dict):
-            other = TimeSeries.from_dict(other)
-        if other.unit and self.unit and other.unit != self.unit:
-            raise ValueError(
-                f"cannot merge series with units {self.unit!r} vs {other.unit!r}")
-        if other.unit and not self.unit:
-            self.unit = other.unit
-        self.points.extend(other.points)
-        return self
-
-    def to_dict(self) -> Dict[str, object]:
-        """Full-fidelity digest form (see :meth:`MetricsRegistry.digest`)."""
-        d = self.as_dict()
-        d["kind"] = self.kind
-        return d
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], name: str = "") -> "TimeSeries":
-        ts = cls(name, unit=data.get("unit", ""))
-        ts.points = [(float(t), float(v)) for t, v in data.get("points", ())]
-        return ts
 
     def __repr__(self) -> str:
         return f"TimeSeries({self.name!r}, n={len(self.points)})"
@@ -553,60 +485,6 @@ class MetricsRegistry:
         if unit and not series.unit:
             series.unit = unit
         return series
-
-    # -- merging ---------------------------------------------------------
-    #: digest ``kind`` tag -> instrument class (rebuild side of
-    #: :meth:`digest`/:meth:`merge_from`)
-    _KINDS = {"counter": Counter, "gauge": Gauge,
-              "histogram": Histogram, "timeseries": TimeSeries}
-
-    def digest(self) -> Dict[str, Dict[str, Any]]:
-        """Full-fidelity, JSON-able dump of every instrument, sorted by
-        name: ``{name: instrument.to_dict()}`` with a ``kind`` tag per
-        entry.
-
-        Unlike :meth:`snapshot` (percentile *estimates* for humans and
-        artifacts), a digest preserves the raw bucket counts, so
-        registries can be shipped across process boundaries and folded
-        back together losslessly — the :mod:`repro.parallel` fold-back
-        path.
-        """
-        return {name: inst.to_dict() for name, inst in self.items()}
-
-    def merge_from(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry — or a :meth:`digest` dict — into this one.
-
-        Per-name semantics: counters add (into the tally of their scope),
-        gauges combine extremes (the folded-last level wins), histograms
-        merge **exactly** (bucket counts add — merged percentiles equal
-        a single-registry run over the concatenated samples), and time
-        series concatenate their timestamped points.  A name present on
-        both sides with different kinds raises, mirroring the
-        get-or-create kind check.  Folding shards in submission order is
-        deterministic, so a ``--jobs N`` fleet fold is byte-identical to
-        the serial one.
-        """
-        items = other.items() if isinstance(other, MetricsRegistry) \
-            else sorted(other.items())
-        for name, entry in items:
-            if isinstance(entry, dict):
-                cls = self._KINDS.get(entry.get("kind"))
-                if cls is None:
-                    raise ValueError(
-                        f"digest entry {name!r} has unknown kind "
-                        f"{entry.get('kind')!r}")
-                entry = cls.from_dict(entry, name)
-            cls = type(entry)
-            if cls is Counter:
-                if name in self._instruments:
-                    raise TypeError(f"metric {name!r} is a "
-                                    f"{self._instruments[name].kind}, not a counter")
-                scope, _, key = name.rpartition(".")
-                self.tallies(scope)[key] += entry.value
-                continue
-            args = (entry.growth,) if cls is Histogram else ()
-            self._get(name, cls, *args).merge(entry)
-        return self
 
     # -- introspection ---------------------------------------------------
     def peek(self, name: str):

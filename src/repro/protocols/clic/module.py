@@ -385,9 +385,6 @@ class ClicModule:
         self._kernel_fns[fn_id] = handler
 
     # -- transmission mechanics ----------------------------------------------
-    def _wire_bytes(self, pkt: ClicPacket) -> int:
-        return self.params.header_bytes + pkt.frag_bytes
-
     def _tx_packet(self, pkt: ClicPacket, dst_mac: Optional[MacAddress] = None) -> Generator:
         """Compose headers + SK_BUFF, call the driver; stage on refusal."""
         cpu = self.kernel.cpu

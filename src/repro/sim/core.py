@@ -188,18 +188,6 @@ class Event:
         self.env._schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self._defuse_of(event)
-            self.fail(event._value)
-
-    @staticmethod
-    def _defuse_of(event: "Event") -> None:
-        event._defused = True
-
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"

@@ -13,11 +13,11 @@ from .adapters import (
 )
 from .pingpong import PingPongResult, StreamResult, TransferFailed, pingpong, stream
 
-#: the MPI benchmark, traffic patterns and sweep runner, imported when first used
+#: the MPI benchmark, traffic patterns and sweep grid/series, imported when first used
 _LAZY = {
     "mpibench": ("COLLECTIVES", "collective_time", "mpi_pingpong"),
     "patterns": ("HotspotResult", "all_pairs", "hotspot", "overlap_efficiency"),
-    "sweep": ("SweepSeries", "bandwidth_sweep", "netpipe_sizes"),
+    "sweep": ("SweepSeries", "netpipe_sizes"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
@@ -37,7 +37,6 @@ __all__ = [
     "TcpAdapter",
     "TransferFailed",
     "ViaAdapter",
-    "bandwidth_sweep",
     "clic_pair",
     "gamma_pair",
     "netpipe_sizes",

@@ -38,13 +38,13 @@ def test_size_grids():
 
 
 def test_sweep_pingpong_produces_series():
-    series = sweep_pingpong("t", granada2003, clic_pair, sizes=[1_000, 100_000])
+    series = sweep_pingpong("t", granada2003(), clic_pair, sizes=[1_000, 100_000])
     assert series.sizes == [1_000, 100_000]
     assert series.mbps[1] > series.mbps[0]
 
 
 def test_sweep_stream_wraps_as_series():
-    series = sweep_stream("t", granada2003, clic_pair, sizes=[10_000], messages=4)
+    series = sweep_stream("t", granada2003(), clic_pair, sizes=[10_000], messages=4)
     assert series.sizes == [10_000]
     assert series.asymptote() > 0
     # Stream "rtt" is synthesized as 2x the per-message time so the

@@ -29,9 +29,9 @@ def test_battery_jobs2_byte_identical(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_resilience_jobs2_fleet_fold_byte_identical(tmp_path, capsys):
-    """The fleet-wide digest fold happens in the parent, in submission
-    order, so a ``--jobs 2`` resilience sweep — cells fanned out over a
-    pool, digests folded back with ``merge_from`` — must be
+    """The fleet-wide histogram fold happens in the parent, in
+    submission order, so a ``--jobs 2`` resilience sweep — cells fanned
+    out over a pool, their histograms folded back by name — must be
     byte-identical to the serial run, global percentiles included."""
 
     def run(tag, extra):

@@ -10,7 +10,7 @@ from repro.experiments.resilience import (
     _cell,
     adversarial_slo,
 )
-from repro.obs import Histogram, MetricsRegistry, evaluate
+from repro.obs import Histogram, evaluate
 
 
 def test_adversarial_slo_specs_are_data():
@@ -50,20 +50,25 @@ def test_cell_digest_folds_to_fleet_percentiles():
     a = _cell("clic", "uniform", 0.0, nbytes=2048, messages=2)
     b = _cell("clic", "uniform", 0.02, nbytes=2048, messages=2)
     for cell in (a, b):
-        json.dumps(cell["digest"])  # pool-safe plain JSON
-    fleet = MetricsRegistry()
-    fleet.merge_from(a["digest"])
-    fleet.merge_from(b["digest"])
+        assert list(cell["histograms"]) == sorted(cell["histograms"])
+        assert {e["kind"] for e in cell["histograms"].values()} == {"histogram"}
+        # pool-safe plain JSON that rebuilds losslessly
+        shipped = json.loads(json.dumps(cell["histograms"]))
+        assert shipped == cell["histograms"]
+    fleet = {}
+    for cell in (a, b):
+        for name, entry in cell["histograms"].items():
+            hist = Histogram.from_dict(entry, name)
+            fleet.setdefault(name, Histogram(name, hist.growth)).merge(hist)
     syscall = Histogram("kernel.syscall_ns")
-    merged_names = []
-    for name, inst in fleet.items():
-        if name.endswith("kernel.syscall_ns"):
-            merged_names.append(name)
-            syscall.merge(inst)
+    merged_names = [name for name in sorted(fleet)
+                    if name.endswith("kernel.syscall_ns")]
     assert merged_names, "cells should carry per-node syscall histograms"
+    for name in merged_names:
+        syscall.merge(fleet[name])
     assert syscall.count == sum(
         entry["count"]
         for cell in (a, b)
-        for name, entry in cell["digest"].items()
+        for name, entry in cell["histograms"].items()
         if name.endswith("kernel.syscall_ns"))
     assert syscall.p999 >= syscall.p50 > 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import LinkParams
-from repro.hw import Channel, Link, Switch
+from repro.hw import Channel, Switch
 from repro.hw.nic.frames import (
     BROADCAST,
     EtherType,
@@ -105,9 +105,11 @@ def test_channel_requires_sink():
 
 
 def test_channel_loss_injection_drops_frames():
+    from repro.faults import ChannelFaults, LinkFaultSpec
+
     env = Environment()
     rng = RngStreams(1).stream("loss")
-    chan = Channel(env, LINK, loss_rate=1.0, rng=rng)
+    chan = Channel(env, LINK, faults=ChannelFaults(LinkFaultSpec(loss_rate=1.0), rng=rng))
     arrivals = []
     chan.connect(lambda f: arrivals.append(f))
 
@@ -118,12 +120,6 @@ def test_channel_loss_injection_drops_frames():
     env.run()
     assert arrivals == []
     assert chan.counters["frames_lost"] == 1
-
-
-def test_channel_loss_requires_rng():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Channel(env, LINK, loss_rate=0.5)
 
 
 def build_switched_pair(env):
@@ -222,16 +218,16 @@ def test_switch_store_and_forward_latency():
 
 def test_full_duplex_link_directions_independent():
     env = Environment()
-    link = Link(env, LINK, "l")
+    a_to_b, b_to_a = Channel(env, LINK, "l.a2b"), Channel(env, LINK, "l.b2a")
     t_a, t_b = [], []
-    link.a_to_b.connect(lambda f: t_a.append(env.now))
-    link.b_to_a.connect(lambda f: t_b.append(env.now))
+    a_to_b.connect(lambda f: t_a.append(env.now))
+    b_to_a.connect(lambda f: t_b.append(env.now))
 
     def send(env, chan):
         yield from chan.transmit(make_frame(9000))
 
-    env.process(send(env, link.a_to_b))
-    env.process(send(env, link.b_to_a))
+    env.process(send(env, a_to_b))
+    env.process(send(env, b_to_a))
     env.run()
     # Both directions complete at the same time: no shared serialization.
     assert t_a[0] == pytest.approx(t_b[0])

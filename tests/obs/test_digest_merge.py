@@ -1,9 +1,9 @@
 """Digest merging: exact histogram folds and the parallel fold-back.
 
 The contract under test is the one ``--jobs N`` sweeps rely on: folding
-per-shard digests through :meth:`MetricsRegistry.merge_from` in
-submission order must reproduce the single-registry run exactly —
-bucket counts, every percentile, and (byte-for-byte) the JSON digest.
+per-shard histogram digests (:meth:`Histogram.to_dict`) in submission
+order must reproduce the single-pass run exactly — bucket counts, every
+percentile, and (byte-for-byte) the JSON digest.
 """
 
 import json
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry
+from repro.obs import Histogram
 from repro.parallel import run_tasks
 
 
@@ -75,10 +75,10 @@ def test_merge_underflow_and_extremes():
     assert merged.percentile(100) == 7.0
 
 
-def test_merge_accepts_digest_dict_and_checks_growth():
+def test_merge_rebuilt_digest_and_checks_growth():
     h = _hist(_samples(4, 100))
     other = _hist(_samples(5, 100))
-    via_dict = _hist(_samples(4, 100)).merge(other.to_dict())
+    via_dict = _hist(_samples(4, 100)).merge(Histogram.from_dict(other.to_dict()))
     via_inst = _hist(_samples(4, 100)).merge(other)
     assert via_dict.to_dict() == via_inst.to_dict()
     with pytest.raises(ValueError):
@@ -100,69 +100,19 @@ def test_as_dict_carries_total_and_underflow():
     assert snap["count"] == 3
 
 
-# -- registry fold -------------------------------------------------------
-
-def _fill(reg, seed, n=120):
-    reg.tallies("")["pkts"] += n
-    g = reg.gauge("depth")
-    hist = reg.histogram("lat_ns")
-    for i, s in enumerate(_samples(seed, n)):
-        hist.record(s)
-        g.set(s)
-        reg.timeseries("q", "frames").sample(float(i), s)
-    return reg
-
-
-def test_registry_merge_from_instance_and_digest_agree():
-    shards = [_fill(MetricsRegistry(), seed) for seed in (1, 2, 3)]
-    by_inst = MetricsRegistry()
-    by_dict = MetricsRegistry()
-    for shard in shards:
-        by_inst.merge_from(shard)
-        by_dict.merge_from(shard.digest())
-    assert json.dumps(by_inst.digest(), sort_keys=True) == \
-        json.dumps(by_dict.digest(), sort_keys=True)
-    assert by_inst.value("pkts") == 360.0
-
-
-def test_registry_merge_kind_mismatch_raises():
-    a = MetricsRegistry()
-    a.tallies("")["m"] += 0
-    b = MetricsRegistry()
-    b.gauge("m")
-    with pytest.raises(TypeError):
-        a.merge_from(b)
-
-
-def test_folded_percentiles_match_single_registry():
-    shards = [_fill(MetricsRegistry(), seed) for seed in (7, 8, 9)]
-    fold = MetricsRegistry()
-    for shard in shards:
-        fold.merge_from(shard.digest())
-    single = MetricsRegistry()
-    hist = single.histogram("lat_ns")
-    for seed in (7, 8, 9):
-        for s in _samples(seed, 120):
-            hist.record(s)
-    folded = fold.peek("lat_ns")
-    for p in (50, 95, 99, 99.9):
-        assert folded.percentile(p) == hist.percentile(p)
-    assert folded.to_dict()["buckets"] == hist.to_dict()["buckets"]
-
-
 # -- jobs-vs-serial byte identity ---------------------------------------
 
 def _shard_digest(seed):
-    """Worker for the pool: one shard registry's digest (module-level so
+    """Worker for the pool: one shard histogram's digest (module-level so
     it pickles)."""
-    return _fill(MetricsRegistry(), seed).digest()
+    return _hist(_samples(seed, 120), "lat_ns").to_dict()
 
 
 def _fold(digests):
-    fleet = MetricsRegistry()
+    fleet = Histogram("lat_ns")
     for digest in digests:
-        fleet.merge_from(digest)
-    return json.dumps(fleet.digest(), sort_keys=True)
+        fleet.merge(Histogram.from_dict(digest, "lat_ns"))
+    return json.dumps(fleet.to_dict(), sort_keys=True)
 
 
 def test_jobs_fold_is_byte_identical_to_serial():
@@ -170,3 +120,4 @@ def test_jobs_fold_is_byte_identical_to_serial():
     serial = _fold(run_tasks(_shard_digest, seeds, jobs=1))
     parallel = _fold(run_tasks(_shard_digest, seeds, jobs=2))
     assert serial == parallel
+    assert json.loads(serial)["count"] == 4 * 120

@@ -112,7 +112,7 @@ def test_watchdog_is_pure_observer_on_sampler():
             clock.now += 100.0
             reg.tallies("")["pkts"] += 1
             sampler._sample_all()
-        return json.dumps({"snapshot": reg.snapshot(),
-                           "digest": reg.digest()}, sort_keys=True)
+        return json.dumps({name: inst.as_dict() for name, inst in reg.items()},
+                          sort_keys=True)
 
     assert run(watched=False) == run(watched=True)

@@ -19,8 +19,6 @@ def test_counter_basics():
     c = Counter("x", 3)
     assert c.value == 3.0 and isinstance(c.value, float)
     assert c.as_dict() == 3.0
-    assert c.to_dict() == {"kind": "counter", "value": 3.0}
-    assert Counter.from_dict(c.to_dict(), "x").value == 3.0
 
 
 def test_gauge_tracks_extremes():
@@ -330,19 +328,3 @@ def test_value_sees_a_bump_between_sampler_ticks():
     tally["pkts_rx"] += 5
     env.run_until(20.0)
     assert ts.points == [(0.0, 0.0), (10.0, 2.0), (20.0, 7.0)]
-
-
-def test_tally_digest_merge_round_trips_exactly():
-    import json
-
-    shard = MetricsRegistry()
-    shard.tallies("sw")["pause_time_ns"] += 0.1
-    shard.tallies("sw")["pause_time_ns"] += 0.2
-    shard.tallies("node0.nic0")["tx_frames"] += 2 ** 40 + 1
-    shard.tallies("")["registered"] += 0
-    fold = MetricsRegistry().merge_from(shard.digest())
-    assert json.dumps(fold.digest(), sort_keys=True) == \
-        json.dumps(shard.digest(), sort_keys=True)
-    assert fold.value("sw.pause_time_ns") == 0.1 + 0.2
-    assert fold.snapshot() == shard.snapshot()
-    assert fold.tallies("node0.nic0")["tx_frames"] == 2 ** 40 + 1

@@ -84,7 +84,7 @@ def fig4():
     from repro.workloads import clic_pair
 
     def asymptote(label, mtu):
-        return sweep_stream(label, lambda: granada2003(mtu=mtu), clic_pair,
+        return sweep_stream(label, granada2003(mtu=mtu), clic_pair,
                             [1_000_000], messages=8).asymptote()
 
     return {"bw_mtu9000_mbps": asymptote("CLIC 9000", MTU_JUMBO),
@@ -100,7 +100,7 @@ def fig5():
     from repro.workloads import clic_pair, tcp_pair
 
     def mbps(label, pair):
-        return sweep_pingpong(label, lambda: granada2003(mtu=MTU_JUMBO), pair,
+        return sweep_pingpong(label, granada2003(mtu=MTU_JUMBO), pair,
                               [1_000_000]).mbps[0]
 
     clic, tcp = mbps("CLIC 9000", clic_pair), mbps("TCP 9000", tcp_pair)

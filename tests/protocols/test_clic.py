@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import MTU_JUMBO, MTU_STANDARD, granada2003
+from repro.faults import FaultPlan
 from repro.protocols.clic import ClicEndpoint
 from repro.units import us
 
@@ -355,7 +356,7 @@ def test_bonding_improves_bandwidth_when_io_bus_allows():
 
 def test_reliability_under_frame_loss():
     """Packets dropped on the wire are retransmitted transparently."""
-    cluster = Cluster(granada2003(mtu=MTU_STANDARD), loss_rate=0.05)
+    cluster = Cluster(granada2003(mtu=MTU_STANDARD), faults=FaultPlan.uniform(0.05))
 
     def a(proc):
         ep = ClicEndpoint(proc, 1)
@@ -372,7 +373,7 @@ def test_reliability_under_frame_loss():
 
 
 def test_exactly_once_under_loss_many_messages():
-    cluster = Cluster(granada2003(), loss_rate=0.05)
+    cluster = Cluster(granada2003(), faults=FaultPlan.uniform(0.05))
 
     def a(proc):
         ep = ClicEndpoint(proc, 1)

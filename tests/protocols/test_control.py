@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import granada2003
+from repro.faults import FaultPlan
 from repro.protocols.clic import ClicControl, ClicEndpoint
 
 
@@ -54,7 +55,7 @@ def test_kernel_echo_faster_than_process_pingpong():
 
 
 def test_echo_timeout_on_dead_link():
-    cluster = Cluster(granada2003(), loss_rate=1.0)
+    cluster = Cluster(granada2003(), faults=FaultPlan.uniform(1.0))
     ctl = make_controls(cluster)
     results = []
 
@@ -82,7 +83,7 @@ def test_is_alive_true_and_false():
     alive_cluster.env.run(done)
     assert flags == [True]
 
-    dead_cluster = Cluster(granada2003(), loss_rate=1.0)
+    dead_cluster = Cluster(granada2003(), faults=FaultPlan.uniform(1.0))
     ctl2 = make_controls(dead_cluster)
     flags2 = []
 

@@ -118,16 +118,6 @@ def test_step_on_empty_queue_raises():
         env.step()
 
 
-def test_trigger_copies_state_from_other_event():
-    env = Environment()
-    src = env.event()
-    dst = env.event()
-    src.succeed("payload")
-    env.run()
-    dst.trigger(src)
-    assert dst.triggered and dst.value == "payload"
-
-
 def test_process_repr_and_event_repr():
     env = Environment()
 

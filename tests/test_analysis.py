@@ -17,7 +17,7 @@ def make_series(label, points):
     s = SweepSeries(label)
     for nbytes, mbps in points:
         one_way = nbytes * 8 / (mbps * 1e6) * 1e9 if mbps else 1.0
-        s.points.append(PingPongResult(nbytes=nbytes, repeats=1, rtt_ns=2 * one_way))
+        s.add(PingPongResult(nbytes=nbytes, repeats=1, rtt_ns=2 * one_way))
     return s
 
 

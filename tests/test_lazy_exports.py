@@ -3,7 +3,9 @@
 Every package that loads submodules on first use still exports exactly
 its ``__all__``: each name resolves (to the object, never to a shadowing
 submodule), ``dir()`` lists it, and each is either bound by the
-package's own import or listed in its lazy table, never both.
+package's own import or listed in its lazy table, never both.  A
+package with no lazy table (``repro.oskernel``) must bind all of
+``__all__`` on import.
 """
 
 import importlib
@@ -45,7 +47,8 @@ def test_lazy_table_and_eager_names_make_up_all(package):
 import importlib, json
 m = importlib.import_module({package!r})
 bound = [n for n in m.__all__ if n in vars(m)]
-print(json.dumps([m.__all__, bound, [n for names in m._LAZY.values() for n in names]]))
+lazy = getattr(m, "_LAZY", {{}})  # repro.oskernel binds every name eagerly
+print(json.dumps([m.__all__, bound, [n for names in lazy.values() for n in names]]))
 """))
     assert len(public) == len(set(public))
     assert len(lazy) == len(set(lazy))

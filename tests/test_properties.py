@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.config import LinkParams, NicParams
 from repro.hw.nic.frames import EtherType, Frame, MacAddress, frame_time_ns, wire_bytes
 from repro.hw.nic.interrupts import InterruptCoalescer
-from repro.oskernel import BufferPool
 from repro.sim import Environment, Store
 
 LINK = LinkParams()
@@ -33,48 +32,6 @@ def test_property_wire_bytes_bounds(nbytes):
 def test_property_frame_time_is_wire_bits_at_gigabit(nbytes):
     f = Frame(src=MacAddress(1), dst=MacAddress(2), ethertype=0, payload_bytes=nbytes)
     assert frame_time_ns(f, LINK) == pytest.approx(wire_bytes(f, LINK) * 8)
-
-
-# ---------------------------------------------------------------------------
-# BufferPool
-# ---------------------------------------------------------------------------
-@settings(max_examples=200, deadline=None)
-@given(ops=st.lists(st.integers(min_value=-100, max_value=100), max_size=60))
-def test_property_buffer_pool_accounting(ops):
-    """Random take/give sequences: in_use stays within [0, capacity] and
-    equals the sum of outstanding allocations."""
-    env = Environment()
-    pool = BufferPool(env, 100)
-    outstanding = []
-    for op in ops:
-        if op > 0:
-            if pool.try_take(op):
-                outstanding.append(op)
-        elif op < 0 and outstanding:
-            amount = outstanding.pop()
-            pool.give(amount)
-        assert 0 <= pool.in_use <= pool.capacity
-        assert pool.in_use == pytest.approx(sum(outstanding))
-
-
-@settings(max_examples=50, deadline=None)
-@given(sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=20))
-def test_property_pool_blocking_takers_all_eventually_served(sizes):
-    """Blocking takers + a releaser: everyone gets served, FIFO."""
-    env = Environment()
-    pool = BufferPool(env, 50)
-    served = []
-
-    def taker(env, idx, n):
-        yield from pool.take(n)
-        served.append(idx)
-        yield env.timeout(10)
-        pool.give(n)
-
-    for idx, n in enumerate(sizes):
-        env.process(taker(env, idx, n))
-    env.run()
-    assert served == list(range(len(sizes)))
 
 
 # ---------------------------------------------------------------------------
