@@ -15,8 +15,9 @@ USER      10     application computation
 Work is charged with :meth:`Cpu.execute`, a generator that waits for
 the CPU at the given priority and burns the requested time.  The CPU is
 an exclusive :class:`~repro.sim.Server` — a FIFO of waiting *slices*
-per priority and one completion timer for the running slice — plus
-preemption, which is all this module adds.  IRQ-priority work
+per priority and one completion timer for the running slice, or none
+when nothing could run before its end — plus preemption, which is all
+this module adds.  IRQ-priority work
 preempts lower-priority work exactly as hardware interrupts steal
 cycles from applications — the running slice's timer is cancelled, its
 remaining time banked and the slice re-queued, and it resumes with the
@@ -80,17 +81,19 @@ class Cpu(Server):
     ) -> Generator:
         """Charge ``duration`` ns of CPU time at ``priority``.
 
-        Yields until the work completes.  If preempted by higher-priority
-        work, the remaining time is re-queued; total busy time charged is
-        exactly ``duration`` (preemption overhead is charged by the
-        preemptor, e.g. interrupt entry costs).  Zero work schedules
-        nothing.
+        Yields until the work completes (not at all when the slice
+        completes in place, see :meth:`Server._start`).  If preempted by
+        higher-priority work, the remaining time is re-queued; total busy
+        time charged is exactly ``duration`` (preemption overhead is
+        charged by the preemptor, e.g. interrupt entry costs).  Zero work
+        schedules nothing.
         """
         if duration < 0:
             raise ValueError(f"negative CPU work {duration!r}")
         if duration > 0:
             # :meth:`hold`, inlined on the simulator's hottest claim
-            if (yield self._claim(_Claim(priority, float(duration)))) is None:
+            wait = self._claim(_Claim(priority, float(duration)))
+            if wait is None or (yield wait) is None:
                 self._finish()
         self.counters[self._work_counter(label)] += duration
 

@@ -35,7 +35,12 @@ same events run in the same order at the same times):
 * an event the loop would pop next with nothing else to run in between
   is *born processed* instead of scheduled (:meth:`Environment._settle`
   holds the guard), so an uncontended store operation or server claim
-  costs no queue entry and no process suspension.
+  costs no queue entry and no process suspension;
+* a timed server hold the loop would complete next, with nothing due
+  before its end, *completes in place*: the clock moves to the end and
+  the holder carries on without a timer, a queue entry or a generator
+  round trip (:meth:`Environment._skip_to` holds the guard, and keeps
+  the clock inside ``run(until=t)``).
 """
 
 from __future__ import annotations
@@ -497,6 +502,9 @@ class Environment:
         self._active_proc: Optional[Process] = None
         #: callback list of the event being dispatched (see _settle)
         self._dispatch: Any = ()
+        #: the ``t`` of the ``run(until=t)`` in progress: nothing may
+        #: move the clock past it (see _skip_to)
+        self._until = float("inf")
         #: optional :class:`~repro.obs.profile.EnvProfiler`
         self.profiler = None
         #: optional :class:`~repro.sim.flowmode.FlowModeController` — the
@@ -693,6 +701,27 @@ class Environment:
         return (self._active_proc is not None and len(self._dispatch) == 1
                 and not self._urgent and not (priority and self._ready))
 
+    def _skip_to(self, when: float) -> bool:
+        """Move the clock to ``when`` as the loop would by popping an
+        entry scheduled now for that time, if it would pop that entry
+        next; ``False`` (nothing done) otherwise.
+
+        The entry would pop next when nothing is due now (both lanes are
+        empty), the earliest later time is strictly after ``when`` (an
+        entry already queued at ``when`` sorts first) and ``when`` does
+        not pass the ``t`` of a ``run(until=t)``.  The tie-break number
+        the entry would have drawn is drawn.  Callers make sure the
+        entry's one callback resumes the running process alone
+        (:meth:`repro.sim.resources.Server._start`).
+        """
+        times = self._times
+        if (self._urgent or self._ready or when > self._until
+                or (times and times[0] <= when)):
+            return False
+        self._seq += 1
+        self._now = when
+        return True
+
     def _settle(self, event: Event, value: Any) -> None:
         """Succeed a fresh ``event`` that its creator yields at once:
         born processed when that cannot reorder anything, else scheduled.
@@ -732,6 +761,12 @@ class Environment:
         A lazily-cancelled timer entry at the head of the queue is
         dropped without running anything or advancing the clock (it is
         no longer an event, just garbage awaiting collection).
+
+        One step may move the clock more than once: a process it resumes
+        can complete timed server holds in place
+        (:meth:`repro.sim.resources.Server._start`), each moving the
+        clock to its end because nothing is due before it.  Inside
+        ``run(until=t)`` the clock never passes ``t``.
         """
         event = self._pop()
         if event is None:
@@ -774,6 +809,7 @@ class Environment:
                     raise ValueError(
                         f"until ({stop_at}) must not be earlier than now ({self._now})"
                     )
+                until_before, self._until = self._until, stop_at
         try:
             if stop_at is None and self.profiler is None:
                 # Hot loop: ``step()`` inlined, popping the lanes
@@ -820,6 +856,9 @@ class Environment:
                     self.step()
         except StopSimulation as stop:
             return stop.value
+        finally:
+            if stop_at is not None:
+                self._until = until_before
         if stop_event is not None and not stop_event.triggered:
             raise SimulationError(
                 f"event queue drained but {stop_event!r} never triggered"

@@ -11,8 +11,10 @@
 Neither takes a queue entry that exists only as bookkeeping, and both put
 every entry they do take at the ``(time, priority, seq)`` place the
 resource-based model they replaced put it (a process holding a priority
-resource; a store re-running a fixpoint after each operation).  DESIGN.md
-§9 gives the rules.
+resource; a store re-running a fixpoint after each operation).  A timed
+hold whose completion timer nothing could observe takes no entry: it
+completes in place (:meth:`Server._start`).  DESIGN.md §9 gives the
+rules.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ class Server:
     the next claim's start when a holder finishes.  A scheduled start
     then queues the event its waiter already waits on as the completion
     timer, in the slot a fresh :class:`~repro.sim.Timeout` would take.
+
+    A timed claim that starts at once *completes in place* when its
+    completion timer would be the next entry the loop pops: the clock
+    moves to its end and :meth:`hold` goes on without yielding
+    (:meth:`_start` gives the rule).
     """
 
     def __init__(self, env: Environment):
@@ -92,7 +99,8 @@ class Server:
     def hold(self, duration: float, priority: int = 0) -> Generator:
         """Hold the server for ``duration`` ns at ``priority`` (lower is
         more important), waiting for it first while it is busy."""
-        if (yield self._claim(_Claim(priority, duration))) is None:
+        wait = self._claim(_Claim(priority, duration))
+        if wait is None or (yield wait) is None:
             self._finish()
 
     def acquire(self, priority: int = 0) -> Generator:
@@ -128,8 +136,9 @@ class Server:
         """Grant, start or queue ``claim`` for the running process.
 
         Returns the event the process waits on: a timed claim's
-        completion timer, or a hold-while's grant — ``None`` when the
-        hold-while runs at once.
+        completion timer, or a hold-while's grant — ``None`` when there
+        is nothing to wait for (the hold-while runs at once, or the
+        timed claim completed in place).
         """
         if self._holder is None:
             self._holder = claim
@@ -150,15 +159,31 @@ class Server:
             queue = self._waiting[claim.priority] = []
         queue.append(claim)
 
-    def _start(self, claim: _Claim) -> Optional[Timeout]:
+    def _start(self, claim: _Claim) -> Optional[Event]:
         """Run a fresh ``claim`` from now: arm a timed claim's completion
-        timer (handed the waiter's callbacks), or let a hold-while
-        continue."""
-        if claim.remaining is None:
+        timer (handed the waiter's callbacks) or complete it in place, or
+        let a hold-while continue.
+
+        The caller starts ``claim`` at once because its process is alone
+        at this instant (:meth:`Environment._alone`, read by
+        :meth:`_claim` and, after an eviction, by the CPU), and that
+        process yields the timer before it schedules anything.  So when
+        :meth:`Environment._skip_to` finds the timer would be the next
+        entry popped (nothing due now, nothing queued up to the claim's
+        end, on a tie the timer is kept, never past ``run(until=t)``),
+        popping it would only resume that process alone at the end:
+        nothing can observe the hold.  The clock moves to the end
+        instead, drawing the timer's tie-break number, and ``None``
+        tells the claimant to finish without yielding.
+        """
+        remaining = claim.remaining
+        if remaining is None:
             return None
         env = self.env
-        self._busy_since = env._now
-        return claim.hand_to(Timeout(env, claim.remaining))
+        now = self._busy_since = env._now
+        if env._skip_to(now + remaining):
+            return None
+        return claim.hand_to(Timeout(env, remaining))
 
     def _schedule_start(self, claim: _Claim) -> Event:
         """Grant ``claim`` with its start at ``(now, NORMAL)``: a

@@ -5,6 +5,7 @@ import pytest
 from repro.config import CpuParams
 from repro.hw import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
 from repro.sim import Environment
+from repro.sim.core import NORMAL
 from tests.sim.reference_resources import pending
 
 
@@ -77,6 +78,32 @@ def test_irq_evicts_user_mid_slice_and_runs_at_once():
     env.run()
     assert log == [("irq-done", 50), ("user-done", 120)]
     assert cpu.counters["preemptions"] == 1
+
+
+def test_irq_that_evicts_a_slice_completes_in_place():
+    """Nothing is due before the IRQ slice ends (the victim's old timer
+    at 100 is dead and later), so it completes in place: no yield, the
+    clock at its end, and only the victim's restart is live."""
+    env = Environment()
+    cpu = make_cpu(env)
+    log = []
+
+    def user(env):
+        yield from cpu.execute(100, PRIO_USER)
+        log.append(("user-done", env.now))
+
+    def irq(env):
+        yield env.timeout(30)
+        work = cpu.execute(20, PRIO_IRQ)
+        with pytest.raises(StopIteration):
+            next(work)
+        log.append(("irq-done", env.now, pending(env, live=True)))
+
+    env.process(user(env))
+    env.process(irq(env))
+    env.run()
+    assert log == [("irq-done", 50, [(50, NORMAL)]), ("user-done", 120)]
+    assert cpu.counters["preemptions"] == 1 and cpu.total_busy == 120
 
 
 def test_preempted_slice_is_charged_only_the_time_it_ran():

@@ -185,7 +185,7 @@ def journey():
             "journeys_delivered": float(len(recorder.delivered()))}
 
 
-@gates("bulk-flowmode", event_reduction=(HIGHER, TOL),
+@gates("bulk-flowmode", events_off=(LOWER, TOL), events_auto=(LOWER, TOL),
        bw_auto_mbps=(HIGHER, TOL), bw_off_mbps=(HIGHER, TOL))
 def bulk_flowmode():
     """Hybrid-engine headline: the fig4 bulk point, exact vs flow mode.
@@ -193,7 +193,10 @@ def bulk_flowmode():
     The same 1 MB MTU-1500 stream under ``flow_mode="off"`` (the
     packet-exact reference) and ``"auto"``: the hybrid engine must cut
     ``events_processed`` at least 10x and keep the bandwidth within 5 %
-    of ``off``, whatever the recorded values say.
+    of ``off``, whatever the recorded values say.  Each engine's event
+    count is gated on its own: their ratio also moves when the work both
+    engines share (CPU slices, bus holds) gets cheaper, which says
+    nothing about flow batching.
     """
     from repro.cluster import Cluster
     from repro.config import MTU_STANDARD, granada2003
@@ -211,7 +214,8 @@ def bulk_flowmode():
     assert ratio >= 10.0, f"flow mode cut events only {ratio:.2f}x ({ev_off} -> {ev_auto})"
     assert abs(bw_auto - bw_off) / bw_off <= 0.05, (
         f"flow mode moved bulk bandwidth: off={bw_off:.2f}, auto={bw_auto:.2f} MB/s")
-    return {"event_reduction": ratio, "bw_auto_mbps": bw_auto, "bw_off_mbps": bw_off}
+    return {"events_off": float(ev_off), "events_auto": float(ev_auto),
+            "bw_auto_mbps": bw_auto, "bw_off_mbps": bw_off}
 
 
 @gates("collectives-scaling", host_barrier_us=(LOWER, TOL),

@@ -7,11 +7,13 @@ timestamps, and a cancelled :class:`~repro.sim.TimerHandle` never fires
 
 The hot-path shortcuts must not move anything: a deferred callback runs
 where the process it replaces would have, an uncontended claim skips the
-queue only when nothing could have run before its waiter, and a release
-never takes a queue slot.  The exclusive servers order claims, grants and
-completions exactly as processes holding resources would (the CPU's
-preemptions too), and the store's direct hand-off schedules what its old
-fixpoint did.  The event queue's lanes and per-time buckets pop, move
+queue only when nothing could have run before its waiter, a timed hold
+completes in place only when its timer would have been the next entry
+popped (never on a tie at its end, never past ``run(until=t)``), and a
+release never takes a queue slot.  The exclusive servers order claims,
+grants and completions exactly as processes holding resources would (the
+CPU's preemptions too), and the store's direct hand-off schedules what
+its old fixpoint did.  The event queue's lanes and per-time buckets pop, move
 the clock and drop cancelled entries exactly as one ``(time, priority,
 seq)`` heap does.  The reference models live in ``reference_resources.py``.
 """
@@ -223,6 +225,9 @@ def test_defer_rejects_negative_delay():
 # -- claims started at once ---------------------------------------------------
 
 def test_uncontended_grant_is_born_processed_when_nothing_else_is_due():
+    """Nothing is queued at all: the hold-while starts at once, and the
+    timed hold completes in place — ``next(hold)`` finishes without
+    yielding, the clock reads its end and nothing is pending."""
     env = Environment()
     server = Server(env)
     seen = []
@@ -232,18 +237,111 @@ def test_uncontended_grant_is_born_processed_when_nothing_else_is_due():
         yield from server.acquire()  # starts at once: no grant entry
         seen.append((env.now, len(pending(env))))
         server.release()
+        seq = env._seq
         hold = server.hold(5)
-        timer = next(hold)  # starts at once: only its completion timer
-        seen.append((type(timer).__name__, [when for when, _ in pending(env)]))
-        yield timer
         with pytest.raises(StopIteration):
-            next(hold)
-        seen.append(env.now)
+            next(hold)  # completes in place: no timer, no yield
+        seen.append((env.now, pending(env), env._seq - seq))
 
     env.process(user())
     env.run()
-    assert seen == [(10, 0), ("Timeout", [15]), 15]
-    assert server.total_busy == 5
+    assert seen == [(10, 0), (15, [], 1)]
+    assert server.total_busy == 5 and server._holder is None
+
+
+def test_hold_keeps_its_timer_when_an_entry_is_due_at_its_end():
+    """An entry already queued at the hold's end pops before the timer
+    would, so the timer is kept and that entry runs first."""
+    env = Environment()
+    server = Server(env)
+    log = []
+
+    def user():
+        yield env.timeout(10)
+        hold = server.hold(5)
+        timer = next(hold)
+        log.append((type(timer).__name__, pending(env)))
+        yield timer
+        with pytest.raises(StopIteration):
+            next(hold)
+        log.append(("user-resumed", env.now))
+
+    env.call_later(15, lambda: log.append(("tie", env.now)))
+    env.process(user())
+    env.run()
+    assert log == [("Timeout", [(15, NORMAL), (15, NORMAL)]), ("tie", 15),
+                   ("user-resumed", 15)]
+
+
+@pytest.mark.parametrize("until, clock, done", [(12, 12, []), (15, 15, [15])])
+def test_hold_never_completes_past_run_until(until, clock, done):
+    """``run(until=t)`` runs entries at ``t`` and stops after it: a hold
+    ending at ``t`` completes in place, one ending later keeps its timer
+    and the clock stops at ``t``."""
+    env = Environment()
+    server = Server(env)
+    log = []
+
+    def user():
+        yield env.timeout(10)
+        yield from server.hold(5)
+        log.append(env.now)
+
+    env.process(user())
+    env.run(until=until)
+    assert (env.now, log) == (clock, done)
+    assert pending(env) == ([] if done else [(15, NORMAL)])
+    env.run()
+    assert (env.now, log) == (15, [15])
+
+
+def test_acquire_and_release_are_unchanged():
+    """A hold-while never completes in place: it starts at once without
+    moving the clock, holds around other work, and a release hands the
+    server to a waiting hold through a scheduled start."""
+    env = Environment()
+    server = Server(env)
+    log = []
+
+    def holder():
+        yield env.timeout(10)
+        acquire = server.acquire()
+        with pytest.raises(StopIteration):
+            next(acquire)  # starts at once; the clock stays put
+        log.append(("acquired", env.now, pending(env, live=True)))
+        yield env.timeout(7)
+        server.release()
+        log.append(("released", env.now, pending(env, live=True)))
+
+    def waiter():
+        yield env.timeout(12)
+        yield from server.hold(5)
+        log.append(("waiter-done", env.now))
+
+    env.process(holder())
+    env.process(waiter())
+    env.run()
+    assert log == [("acquired", 10, [(12, NORMAL)]),
+                   ("released", 17, [(17, NORMAL)]), ("waiter-done", 22)]
+    assert server.total_busy == 12
+
+
+def test_one_step_may_move_the_clock_more_than_once():
+    """A step that resumes a process may let it complete several timed
+    holds in place: each moves the clock to its own end."""
+    env = Environment()
+    server = Server(env)
+    log = []
+
+    def user():
+        yield from server.hold(5)
+        log.append(env.now)
+        yield from server.hold(7)
+        log.append(env.now)
+
+    env.process(user())
+    env.step()  # the process's start
+    assert (env.now, log, pending(env)) == (12, [5, 12], [(12, NORMAL)])
 
 
 def test_immediate_grant_goes_through_heap_when_another_event_is_due():
@@ -518,6 +616,15 @@ def test_cpu_scheduler_orders_like_a_preemptible_resource(seed):
     assert _cpu_scenario(lambda env: Cpu(env, CpuParams()), seed) == expected
 
 
+@pytest.mark.slow
+def test_cpu_scheduler_orders_like_a_preemptible_resource_long():
+    """The same replay over 3,000 further scenarios."""
+    for seed in range(300, 3300):
+        expected = _cpu_scenario(_ResourceCpu, seed)
+        assert _cpu_scenario(lambda env: Cpu(env, CpuParams()), seed) == expected, \
+            f"seed {seed}"
+
+
 # -- the PCI bus, memory bus and wire ------------------------------------------
 
 #: a memory bus whose copy of ``n`` bytes takes ``n / 1e9 * 1e9`` ns
@@ -642,6 +749,14 @@ def test_device_servers_order_like_held_resources(seed):
     tie-break counter, busy times and CPU counters."""
     expected = _device_scenario(_ResourceDevices, seed)
     assert _device_scenario(_ServerDevices, seed) == expected
+
+
+@pytest.mark.slow
+def test_device_servers_order_like_held_resources_long():
+    """The same replay over 3,000 further scenarios."""
+    for seed in range(300, 3300):
+        expected = _device_scenario(_ResourceDevices, seed)
+        assert _device_scenario(_ServerDevices, seed) == expected, f"seed {seed}"
 
 
 # -- the store -----------------------------------------------------------------
