@@ -86,7 +86,7 @@ from .config import (  # noqa: E402
 #: protocol engines and workloads, imported on first access
 _LAZY = {
     "protocols.clic": ("ClicEndpoint", "ClicMessage"),
-    "protocols.tcpip": ("TcpIpStack", "TcpSocket", "UdpSocket"),
+    "protocols.tcpip": ("TcpIpStack", "TcpSocket"),
     "workloads": ("pingpong", "stream"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
@@ -104,7 +104,6 @@ __all__ = [
     "NodeConfig",
     "TcpIpStack",
     "TcpSocket",
-    "UdpSocket",
     "granada2003",
     "pingpong",
     "stream",

@@ -38,7 +38,6 @@ CATEGORIES: List[Tuple[str, str]] = [
     ("pvm_unpack", "copies"),
     ("clic_", "protocol"),
     ("tcp_", "protocol"),
-    ("udp_", "protocol"),
     ("sock_", "protocol"),
     ("gamma_", "protocol"),
     ("via_poll", "polling"),

@@ -46,12 +46,10 @@ _GLOBAL_ID_COUNTERS = (
     ("repro.mpi.transports", "_world_ports", 1000),
     ("repro.oskernel.process", "_pids", 1),
     ("repro.oskernel.skbuff", "_skb_ids", 1),
-    ("repro.protocols.clic.control", "_echo_ids", 1),
     ("repro.protocols.gamma", "_msg_ids", 1),
     ("repro.protocols.headers", "_packet_ids", 1),
     ("repro.protocols.tcpip.ip", "_dgram_ids", 1),
     ("repro.protocols.tcpip.tcp", "_conn_ids", 1),
-    ("repro.protocols.tcpip.udp", "_udp_ids", 1),
     ("repro.protocols.via", "_msg_ids", 1),
     ("repro.protocols.via", "_vi_ids", 1),
     ("repro.pvm.api", "_task_ids", 1),

@@ -325,11 +325,6 @@ class FaultPlan:
         return cls(default_link=LinkFaultSpec(burst=burst))
 
     @classmethod
-    def corruption(cls, corrupt_rate: float) -> "FaultPlan":
-        """CRC-corruption on every link direction."""
-        return cls(default_link=LinkFaultSpec(corrupt_rate=corrupt_rate))
-
-    @classmethod
     def reordering(cls, rate: float, max_delay_ns: float) -> "FaultPlan":
         """Bounded-displacement reordering (delay jitter) on every link
         direction."""

@@ -101,10 +101,27 @@ class World:
         """Rank living on the given node id."""
         return self._node_to_rank[node_id]
 
-    def run(self, program: Callable[[RankContext], Generator], until: float = 120e9) -> List:
-        """Run ``program(ctx)`` on every rank; returns per-rank results."""
+    def run(self, program: Callable[[RankContext], Generator]) -> List:
+        """Run ``program(ctx)`` on every rank; returns per-rank results.
+
+        Returns once every rank has finished.  A rank that raises is
+        never waited on, so its exception leaves ``env.run``.
+        """
+        env = self.cluster.env
         done = [ctx.proc.run(lambda p, c=ctx: program(c)) for ctx in self.ranks]
-        self.cluster.env.run(self.cluster.env.all_of(done))
+        all_done = env.event()
+        pending = len(done)
+
+        def count(event) -> None:
+            nonlocal pending
+            if event.ok:
+                pending -= 1
+                if not pending:
+                    all_done.succeed()
+
+        for event in done:
+            event.callbacks.append(count)
+        env.run(all_done)
         return [d.value for d in done]
 
 

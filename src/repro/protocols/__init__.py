@@ -9,7 +9,7 @@ from .reliability import DeliveryFailed, OrderedReceiver, WindowedSender
 _LAZY = {
     "clic": ("ClicEndpoint", "ClicMessage", "ClicModule"),
     "gamma": ("GammaLayer", "GammaMessage"),
-    "tcpip": ("TcpIpStack", "TcpSocket", "UdpSocket"),
+    "tcpip": ("TcpIpStack", "TcpSocket"),
     "via": ("ViaMessage", "ViaNic", "VirtualInterface"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
@@ -29,7 +29,6 @@ __all__ = [
     "TcpIpStack",
     "TcpSegment",
     "TcpSocket",
-    "UdpSocket",
     "ViaMessage",
     "ViaNic",
     "ViaPacket",

@@ -115,12 +115,8 @@ class ClicModule:
         self._kernel_fns: Dict[int, Callable] = {}
         self._bond_rr = 0  # round-robin channel-bonding cursor
 
-        #: peers declared unreachable — by retry exhaustion on a data
-        #: channel or by the control layer's aliveness pings; both paths
-        #: converge here so the module has ONE opinion per peer.
+        #: peers declared unreachable by retry exhaustion on a data channel
         self.dead_peers: Dict[int, str] = {}
-        #: callbacks ``(peer: int, reason: str)`` fired once per death
-        self.peer_death_listeners: List[Callable[[int, str], None]] = []
 
         #: staged (system-memory) sends waiting for NIC ring space
         self._backlog: Store = Store(self.env, name=f"{node.name}.clic.backlog")
@@ -214,32 +210,16 @@ class ClicModule:
         """True once ``peer`` has been declared unreachable."""
         return peer in self.dead_peers
 
-    def declare_peer_dead(self, peer: int, reason: str) -> None:
-        """Record ``peer`` as unreachable and notify listeners (idempotent).
-
-        Any live sender channel to the peer is aborted, so blocked
-        ``send``/``flush`` callers observe :class:`DeliveryFailed` — the
-        retry-exhaustion path and the proactive-ping path (see
-        :class:`~repro.protocols.clic.control.ClicControl`) thereby agree.
-        """
-        if peer in self.dead_peers:
-            return
-        self.dead_peers[peer] = reason
-        self.counters["peers_dead"] += 1
-        self.tracer.instant(self.scope, "peer_dead", peer=peer, reason=reason)
-        sender = self._senders.get(peer)
-        if sender is not None and not sender.failed:
-            sender.abort(f"peer {peer} declared dead: {reason}")
-        for listener in list(self.peer_death_listeners):
-            listener(peer, reason)
-
     def failed_channels(self) -> List[DeliveryFailed]:
         """The error of every failed sender channel, by peer."""
         return [s.failure for _, s in sorted(self._senders.items()) if s.failed]
 
     def _on_peer_failed(self, peer: int, reason: str) -> None:
-        """A sender channel exhausted its retry budget."""
-        self.declare_peer_dead(peer, reason)
+        """The sender channel to ``peer`` exhausted its retry budget (once
+        per channel): record the peer as unreachable."""
+        self.dead_peers[peer] = reason
+        self.counters["peers_dead"] += 1
+        self.tracer.instant(self.scope, "peer_dead", peer=peer, reason=reason)
 
     # ------------------------------------------------------------------
     # send path (runs in kernel context, inside the caller's syscall)
@@ -371,15 +351,10 @@ class ClicModule:
         self.counters["bcasts_sent"] += 1
         return msg_id
 
-    def send_kernel_fn(self, dst_node: int, fn_id: int, nbytes: int = 0) -> Generator:
-        """Invoke a registered kernel function on ``dst_node`` (§3.1's
-        "kernel function packet" class)."""
-        yield from self.send(
-            dst_node, port=0, nbytes=nbytes, tag=fn_id, ptype=ClicPacketType.KERNEL_FN
-        )
-
     def register_kernel_fn(self, fn_id: int, handler: Callable[[ClicPacket], Generator]) -> None:
-        """Install a kernel-function handler for ``fn_id``."""
+        """Install a kernel-function handler for ``fn_id`` (§3.1's "kernel
+        function packet" class): a packet sent with ``tag=fn_id`` and
+        ``ptype=ClicPacketType.KERNEL_FN`` runs it on receive."""
         if fn_id in self._kernel_fns:
             raise ValueError(f"kernel fn {fn_id} already registered")
         self._kernel_fns[fn_id] = handler

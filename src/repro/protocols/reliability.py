@@ -52,7 +52,7 @@ __all__ = [
 
 class DeliveryFailed(Exception):
     """Raised when a packet exhausts its retransmission budget (or the
-    peer is declared dead by the aliveness machinery)."""
+    channel is aborted)."""
 
 
 class ChannelProbe:
@@ -539,8 +539,8 @@ class WindowedSender:
         return self._failed
 
     def abort(self, reason: str) -> None:
-        """Externally declare this channel dead (e.g. the aliveness
-        tracker lost the peer): fail all waiters, reject future sends."""
+        """Externally declare this channel dead: fail all waiters, reject
+        future sends."""
         if self._failed is None:
             self._fail(reason)
 

@@ -1,10 +1,9 @@
 """TCP/IP baseline stack."""
 
 from .ip import IpDatagram, IpLayer
-from .sockets import TcpSocket, UdpSocket
+from .sockets import TcpSocket
 from .stack import TcpIpStack
 from .tcp import TcpConnection, TcpLayer
-from .udp import UdpDatagramMsg, UdpLayer
 
 __all__ = [
     "IpDatagram",
@@ -13,7 +12,4 @@ __all__ = [
     "TcpIpStack",
     "TcpLayer",
     "TcpSocket",
-    "UdpDatagramMsg",
-    "UdpLayer",
-    "UdpSocket",
 ]

@@ -6,14 +6,14 @@ traversal on every packet.  We model it faithfully anyway, because the
 TCP/IP baseline must pay for it:
 
 * 20-byte header per packet (on top of 14 B Ethernet),
-* fragmentation of datagrams larger than the MTU (used by UDP; TCP
-  avoids it by segmenting to the MSS itself),
+* fragmentation of datagrams larger than the MTU (TCP avoids it by
+  segmenting to the MSS itself),
 * reassembly on receive.
 
 Per-packet CPU costs of the combined stack traversal live in
-:class:`~repro.config.TcpIpParams` and are charged by the TCP/UDP
-layers; this module charges the transmission mechanics (SK_BUFF fill +
-driver call) shared by both.
+:class:`~repro.config.TcpIpParams` and are charged by the TCP layer;
+this module charges the transmission mechanics (SK_BUFF fill + driver
+call).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class IpDatagram:
 
     src_node: int
     dst_node: int
-    protocol: str  # "tcp" | "udp"
+    protocol: str  # "tcp"
     data_bytes: int
     datagram_id: int
     frag_offset: int = 0

@@ -14,7 +14,7 @@ from ...hw.cpu import PRIO_KERNEL
 from ...oskernel import UserProcess
 from .tcp import TcpConnection
 
-__all__ = ["TcpSocket", "UdpSocket"]
+__all__ = ["TcpSocket"]
 
 
 class TcpSocket:
@@ -50,35 +50,3 @@ class TcpSocket:
         got = yield from self.kernel.syscall(body(), label="tcp_recv")
         return got
 
-
-class UdpSocket:
-    """A datagram socket bound to a port."""
-
-    def __init__(self, proc: UserProcess, port: int):
-        self.proc = proc
-        self.port = port
-        self.kernel = proc.node.kernel
-        self.params = proc.node.cfg.tcp
-        self.udp = proc.node.tcp.udp
-
-    def sendto(self, dst_node: int, nbytes: int, payload=None) -> Generator:
-        """Blocking datagram send of ``nbytes`` to a node."""
-        def body() -> Generator:
-            yield from self.kernel.cpu.execute(
-                self.params.socket_call_ns, PRIO_KERNEL, label="sock_sendto"
-            )
-            yield from self.udp.sendto(dst_node, self.port, nbytes, payload=payload)
-
-        yield from self.kernel.syscall(body(), label="udp_sendto")
-
-    def recvfrom(self, block: bool = True) -> Generator:
-        """Receive one datagram (or None when non-blocking)."""
-        def body() -> Generator:
-            yield from self.kernel.cpu.execute(
-                self.params.socket_call_ns, PRIO_KERNEL, label="sock_recvfrom"
-            )
-            msg = yield from self.udp.recvfrom(self.port, block=block)
-            return msg
-
-        msg = yield from self.kernel.syscall(body(), label="udp_recvfrom")
-        return msg

@@ -3,7 +3,7 @@
 Registers itself for the IPv4 ethertype; received buffers flow (in
 bottom-half context, exactly like CLIC's receive path — the two stacks
 differ above the driver, not below) through IP reassembly and are
-demuxed to TCP connections or UDP ports.
+demuxed to TCP connections.
 """
 
 from __future__ import annotations
@@ -13,15 +13,14 @@ from typing import Generator, Optional
 from ...hw.nic import EtherType
 from ...oskernel import SkBuff, UserProcess
 from .ip import IpDatagram, IpLayer
-from .sockets import TcpSocket, UdpSocket
+from .sockets import TcpSocket
 from .tcp import TcpConnection, TcpLayer
-from .udp import UdpLayer
 
 __all__ = ["TcpIpStack"]
 
 
 class TcpIpStack:
-    """IP + TCP + UDP for one node."""
+    """IP + TCP for one node."""
 
     def __init__(self, node):
         self.node = node
@@ -32,7 +31,6 @@ class TcpIpStack:
         self.counters = node.kernel.metrics.tallies(self.scope)
         self.ip = IpLayer(node, self.params)
         self.tcp = TcpLayer(node, self.params, self.ip)
-        self.udp = UdpLayer(node, self.params, self.ip)
         node.kernel.register_protocol(EtherType.IPV4, self._rx_entry)
 
     # -- socket factories ------------------------------------------------------
@@ -45,10 +43,6 @@ class TcpIpStack:
         conn_b = stack_b.tcp.connect(proc_a.node.node_id, conn_id=conn_a.conn_id)
         return TcpSocket(proc_a, conn_a), TcpSocket(proc_b, conn_b)
 
-    @staticmethod
-    def udp_socket(proc: UserProcess, port: int) -> UdpSocket:
-        return UdpSocket(proc, port)
-
     # -- receive entry (bottom-half context) -------------------------------------
     def _rx_entry(self, skb: SkBuff) -> Generator:
         with self.tracer.begin(self.scope, "tcpip_rx") as span:
@@ -60,8 +54,5 @@ class TcpIpStack:
             if complete.protocol == "tcp":
                 span.annotate(kind="tcp")
                 yield from self.tcp.dispatch(complete.payload)
-            elif complete.protocol == "udp":
-                span.annotate(kind="udp")
-                yield from self.udp.on_datagram(complete.payload)
             else:
                 self.counters["unknown_ip_protocol"] += 1

@@ -15,9 +15,6 @@ component's plain :class:`collections.Counter`.
 
 from .. import _lazy_exports
 from .core import (
-    AllOf,
-    AnyOf,
-    Condition,
     Environment,
     Event,
     Interrupt,
@@ -35,9 +32,6 @@ _LAZY = {"flowmode": ("FlowModeController", "FlowRoute")}
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Environment",
     "Event",
     "FlowModeController",

@@ -49,7 +49,7 @@ import heapq
 from collections import deque
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Generator, Iterator, List, Optional
 
 __all__ = [
     "Environment",
@@ -58,9 +58,6 @@ __all__ = [
     "TimerHandle",
     "Process",
     "Interrupt",
-    "Condition",
-    "AnyOf",
-    "AllOf",
     "SimulationError",
     "StopSimulation",
     "URGENT",
@@ -388,73 +385,6 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
-class Condition(Event):
-    """Waits for a combination of events (base for AnyOf/AllOf)."""
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list, int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-        if not self._events:
-            self.succeed(self._collect())
-            return
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        """Map of event -> value for all already-processed ok events, in order.
-
-        Uses ``processed`` rather than ``triggered`` because a
-        :class:`Timeout` carries its value from construction (it is
-        "triggered" before it happens).
-        """
-        return {e: e._value for e in self._events if e.processed and e._ok}
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any of the given events triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count >= 1, events)
-
-
-class AllOf(Condition):
-    """Triggers when all of the given events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count == len(events), events)
-
-
 class Environment:
     """The simulation environment: clock plus event queue.
 
@@ -597,14 +527,6 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self.call_later(0, partial(self.call_later, delay, fn), URGENT)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` does."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that triggers when all of ``events`` have."""
-        return AllOf(self, events)
 
     # -- scheduling & the loop ---------------------------------------------
     def _schedule(self, event: Any, priority: int = NORMAL, delay: float = 0) -> None:

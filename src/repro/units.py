@@ -13,15 +13,8 @@ __all__ = [
     "ms",
     "seconds",
     "KiB",
-    "MiB",
-    "kilobytes",
-    "megabytes",
-    "to_us",
-    "to_ms",
-    "to_seconds",
     "mbps",
     "bandwidth_mbps",
-    "transfer_time_ns",
 ]
 
 
@@ -46,34 +39,8 @@ def seconds(x: float) -> float:
     return float(x) * 1_000_000_000.0
 
 
-def to_us(t_ns: float) -> float:
-    """ns -> microseconds."""
-    return t_ns / 1_000.0
-
-
-def to_ms(t_ns: float) -> float:
-    """ns -> milliseconds."""
-    return t_ns / 1_000_000.0
-
-
-def to_seconds(t_ns: float) -> float:
-    """ns -> seconds."""
-    return t_ns / 1_000_000_000.0
-
-
 # -- sizes ---------------------------------------------------------------
 KiB = 1024
-MiB = 1024 * 1024
-
-
-def kilobytes(x: float) -> int:
-    """Decimal kilobytes -> bytes."""
-    return int(x * 1000)
-
-
-def megabytes(x: float) -> int:
-    """Decimal megabytes -> bytes."""
-    return int(x * 1_000_000)
 
 
 # -- rates ---------------------------------------------------------------
@@ -87,10 +54,3 @@ def bandwidth_mbps(nbytes: float, t_ns: float) -> float:
     if t_ns <= 0:
         return 0.0
     return (nbytes * 8) / (t_ns / 1e9) / 1e6
-
-
-def transfer_time_ns(nbytes: float, bytes_per_second: float) -> float:
-    """Time to move ``nbytes`` at ``bytes_per_second``."""
-    if bytes_per_second <= 0:
-        raise ValueError("bandwidth must be positive")
-    return nbytes / bytes_per_second * 1e9

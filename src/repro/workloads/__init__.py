@@ -13,10 +13,9 @@ from .adapters import (
 )
 from .pingpong import PingPongResult, StreamResult, TransferFailed, pingpong, stream
 
-#: the MPI benchmark, traffic patterns and sweep grid/series, imported when first used
+#: the MPI benchmark and the sweep grid/series, imported when first used
 _LAZY = {
     "mpibench": ("COLLECTIVES", "collective_time", "mpi_pingpong"),
-    "patterns": ("HotspotResult", "all_pairs", "hotspot", "overlap_efficiency"),
     "sweep": ("SweepSeries", "netpipe_sizes"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
@@ -24,12 +23,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 __all__ = [
     "COLLECTIVES",
     "ClicAdapter",
-    "HotspotResult",
-    "all_pairs",
     "collective_time",
-    "hotspot",
     "mpi_pingpong",
-    "overlap_efficiency",
     "GammaAdapter",
     "PingPongResult",
     "StreamResult",

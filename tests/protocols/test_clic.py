@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.config import MTU_JUMBO, MTU_STANDARD, granada2003
 from repro.faults import FaultPlan
+from repro.protocols import ClicPacketType
 from repro.protocols.clic import ClicEndpoint
 from repro.units import us
 
@@ -18,7 +19,8 @@ def run_pair(cluster, body_a, body_b, until=1e9):
     p0, p1 = n0.spawn("a"), n1.spawn("b")
     done_a = p0.run(body_a)
     done_b = p1.run(body_b)
-    cluster.env.run(cluster.env.all_of([done_a, done_b]))
+    for event in (done_a, done_b):
+        cluster.env.run(event)
     return done_a.value, done_b.value
 
 
@@ -291,7 +293,8 @@ def test_kernel_fn_packet_invokes_handler():
 
     def a(proc):
         yield from proc.node.kernel.syscall(
-            proc.node.clic.send_kernel_fn(1, 42)
+            proc.node.clic.send(1, port=0, nbytes=0, tag=42,
+                                ptype=ClicPacketType.KERNEL_FN)
         )
 
     cluster.nodes[0].spawn().run(a)

@@ -14,7 +14,8 @@ def run_pair(cluster, body_a, body_b):
     p0 = cluster.nodes[0].spawn()
     p1 = cluster.nodes[1].spawn()
     done_a, done_b = p0.run(body_a), p1.run(body_b)
-    cluster.env.run(cluster.env.all_of([done_a, done_b]))
+    for event in (done_a, done_b):
+        cluster.env.run(event)
     return done_a.value, done_b.value
 
 

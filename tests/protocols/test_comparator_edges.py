@@ -105,27 +105,3 @@ def test_tcp_negative_sizes_rejected():
     done = p0.run(bad_send)
     with pytest.raises(ValueError):
         cluster.env.run(done)
-
-
-def test_udp_two_ports_do_not_cross():
-    cluster = Cluster(granada2003())
-    p0, p1 = cluster.nodes[0].spawn(), cluster.nodes[1].spawn()
-    tx5 = TcpIpStack.udp_socket(p0, port=5)
-    tx6 = TcpIpStack.udp_socket(p0, port=6)
-    rx5 = TcpIpStack.udp_socket(p1, port=5)
-    rx6 = TcpIpStack.udp_socket(p1, port=6)
-    got = {}
-
-    def tx(proc):
-        yield from tx5.sendto(1, 100)
-        yield from tx6.sendto(1, 200)
-
-    def rx(proc):
-        m6 = yield from rx6.recvfrom()
-        m5 = yield from rx5.recvfrom()
-        got["sizes"] = (m5.nbytes, m6.nbytes)
-
-    p0.run(tx)
-    done = p1.run(rx)
-    cluster.env.run(done)
-    assert got["sizes"] == (100, 200)

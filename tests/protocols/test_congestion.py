@@ -74,7 +74,8 @@ def _transfer(loss_rate, nbytes=150_000):
         return got
 
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     return cluster, sa, db.value
 
 
@@ -116,7 +117,8 @@ def test_loss_hurts_tcp_bandwidth():
             done["t"] = proc.env.now
 
         da, db = p0.run(a), p1.run(b)
-        cluster.env.run(cluster.env.all_of([da, db]))
+        for event in (da, db):
+            cluster.env.run(event)
         return done["t"]
 
     clean = measure(0.0)

@@ -38,7 +38,8 @@ def test_bidirectional_streams_share_gracefully():
         if bidir:
             cluster.nodes[1].spawn().run(tx(1, 0, "b"))
             procs.append(cluster.nodes[0].spawn().run(rx(0, "rev")))
-        cluster.env.run(cluster.env.all_of(procs))
+        for event in procs:
+            cluster.env.run(event)
         return max(done.values()), n
 
     uni_t, n = run(False)
@@ -68,7 +69,8 @@ def test_trace_conservation_every_tx_packet_received():
     p0 = cluster.nodes[0].spawn()
     p1 = cluster.nodes[1].spawn()
     d0, d1 = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([d0, d1]))
+    for event in (d0, d1):
+        cluster.env.run(event)
 
     tx_pkts = [
         i.detail["pkt"]

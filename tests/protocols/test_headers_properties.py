@@ -6,7 +6,14 @@ the original payload for each packet family that fragments —
 ClicPacket, GammaPacket, ViaPacket — and for TcpSegment's byte-stream
 segmentation; ``is_last_fragment`` must hold for exactly one fragment
 per message, and it must be the final one.
+
+The plan is checked on its tuples for every size and fragment
+capacity.  Packets are built from it only where a fragment holds more
+than one byte: at ``frag_max=1`` that would be one object per byte of a
+message of up to 60,000 B, and the packet fields only copy the plan.
 """
+
+from itertools import accumulate
 
 import pytest
 
@@ -28,6 +35,22 @@ def _random_sizes(rng, count=40):
     exact = [0, 1, 1474, 1475, 2948, 8974, 9000]
     drawn = [int(rng.integers(0, 60_000)) for _ in range(count)]
     return exact + drawn
+
+
+def _check_plan(plan, nbytes, frag_max):
+    """The plan's fragments are contiguous, in order, cover the message
+    exactly once, fit ``frag_max``, are as few as possible, and exactly
+    one of them — the final one — reaches the message's end."""
+    offsets = [off for off, _ in plan]
+    frags = [frag for _, frag in plan]
+    ends = list(accumulate(frags))
+    assert offsets == [0] + ends[:-1]
+    assert ends[-1] == nbytes
+    assert 0 <= min(frags) and max(frags) <= frag_max
+    # ends never decrease, so only the final fragment is a last fragment
+    assert len(ends) == 1 or ends[-2] < nbytes
+    # ceil(nbytes / frag_max), with one (empty) fragment for the zero-byte message
+    assert len(plan) == max(1, -(-nbytes // frag_max))
 
 
 def _make_clic(offset, frag, nbytes):
@@ -57,15 +80,12 @@ def _make_via(offset, frag, nbytes):
 def test_property_fragment_reassemble_round_trip(seeded_rng, make, frag_max):
     rng = seeded_rng(frag_max)
     for nbytes in _random_sizes(rng):
-        pkts = [make(off, frag, nbytes) for off, frag in fragment_plan(nbytes, frag_max)]
-
-        # Reassembly: fragments are contiguous, in order, and cover the
-        # message exactly once.
-        assert pkts[0].frag_offset == 0
-        for prev, cur in zip(pkts, pkts[1:]):
-            assert cur.frag_offset == prev.frag_offset + prev.frag_bytes
-        assert sum(p.frag_bytes for p in pkts) == nbytes
-        assert all(0 <= p.frag_bytes <= frag_max for p in pkts)
+        plan = list(fragment_plan(nbytes, frag_max))
+        _check_plan(plan, nbytes, frag_max)
+        if frag_max == 1:
+            continue
+        pkts = [make(off, frag, nbytes) for off, frag in plan]
+        assert [(p.frag_offset, p.frag_bytes) for p in pkts] == plan
         assert all(p.msg_bytes == nbytes for p in pkts)
 
         # Exactly one last fragment, and it is the final one — the
@@ -74,11 +94,6 @@ def test_property_fragment_reassemble_round_trip(seeded_rng, make, frag_max):
         assert sum(last_flags) == 1
         assert last_flags[-1]
 
-        # Fragment count is minimal: ceil(nbytes / frag_max), with one
-        # (empty) fragment for the zero-byte message.
-        expected = max(1, -(-nbytes // frag_max))
-        assert len(pkts) == expected
-
 
 @pytest.mark.parametrize("frag_max", FRAG_MAXES)
 def test_property_tcp_segmentation_round_trip(seeded_rng, frag_max):
@@ -86,9 +101,13 @@ def test_property_tcp_segmentation_round_trip(seeded_rng, frag_max):
     data_bytes must add back up to the original send size."""
     rng = seeded_rng(frag_max)
     for nbytes in _random_sizes(rng):
+        plan = list(fragment_plan(nbytes, frag_max))
+        _check_plan(plan, nbytes, frag_max)
+        if frag_max == 1:
+            continue
         segs = [
             TcpSegment(src_node=0, dst_node=1, conn_id=1, seq=i, data_bytes=frag)
-            for i, (_, frag) in enumerate(fragment_plan(nbytes, frag_max))
+            for i, (_, frag) in enumerate(plan)
         ]
         assert sum(s.data_bytes for s in segs) == nbytes
         assert [s.seq for s in segs] == list(range(len(segs)))

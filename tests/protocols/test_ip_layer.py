@@ -15,7 +15,7 @@ def make_ip(mtu=MTU_STANDARD):
 
 def dgram(nbytes, datagram_id=1, **kw):
     return IpDatagram(
-        src_node=0, dst_node=1, protocol="udp", data_bytes=nbytes,
+        src_node=0, dst_node=1, protocol="tcp", data_bytes=nbytes,
         datagram_id=datagram_id, **kw,
     )
 

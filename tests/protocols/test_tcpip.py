@@ -17,7 +17,8 @@ def run_pair(cluster, body_a, body_b):
     p1 = cluster.nodes[1].spawn("b")
     done_a = p0.run(body_a)
     done_b = p1.run(body_b)
-    cluster.env.run(cluster.env.all_of([done_a, done_b]))
+    for event in (done_a, done_b):
+        cluster.env.run(event)
     return done_a.value, done_b.value, (p0, p1)
 
 
@@ -37,7 +38,8 @@ def test_tcp_stream_transfers_bytes():
     p1 = cluster.nodes[1].spawn()
     socks["a"], socks["b"] = TcpIpStack.connect_pair(p0, p1)
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     assert db.value == 100_000
 
 
@@ -54,7 +56,8 @@ def test_tcp_segments_to_mss():
         yield from sb.recv(10_000)
 
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     mss = 1500 - 40
     expected = -(-10_000 // mss)
     assert sa.conn.counters["segments_tx"] == expected
@@ -77,7 +80,8 @@ def test_tcp_bidirectional():
         return got
 
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     assert da.value == 7_000
     assert db.value == 5_000
 
@@ -99,7 +103,8 @@ def test_tcp_multiple_connections_demux():
         return (one, two)
 
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     assert db.value == (1_000, 2_000)
 
 
@@ -121,7 +126,8 @@ def test_tcp_recv_blocks_until_enough_bytes():
         times["recv_done"] = proc.env.now
 
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     assert times["recv_done"] > times["second_send"]
 
 
@@ -139,7 +145,8 @@ def test_tcp_reliability_under_loss():
         return got
 
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     assert db.value == 200_000
     assert sa.conn.counters["segments_retx"] > 0
 
@@ -165,80 +172,7 @@ def test_tcp_headers_count_on_wire():
         yield from sb.recv(1_460)
 
     da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
+    for event in (da, db):
+        cluster.env.run(event)
     # One data frame with 1460 + 20 (TCP) + 20 (IP) payload bytes.
     assert cluster.metrics.value("node0.nic0.tx_bytes") >= 1_500
-
-
-def test_udp_datagram_roundtrip():
-    cluster = make_cluster()
-    p0 = cluster.nodes[0].spawn()
-    p1 = cluster.nodes[1].spawn()
-    ua = TcpIpStack.udp_socket(p0, port=53)
-    ub = TcpIpStack.udp_socket(p1, port=53)
-
-    def a(proc):
-        yield from ua.sendto(1, 4_000)
-
-    def b(proc):
-        msg = yield from ub.recvfrom()
-        return (msg.nbytes, msg.src_node)
-
-    da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
-    assert db.value == (4_000, 0)
-
-
-def test_udp_fragments_over_mtu():
-    cluster = make_cluster(mtu=MTU_STANDARD)
-    p0 = cluster.nodes[0].spawn()
-    p1 = cluster.nodes[1].spawn()
-    ua = TcpIpStack.udp_socket(p0, port=5)
-    ub = TcpIpStack.udp_socket(p1, port=5)
-
-    def a(proc):
-        yield from ua.sendto(1, 60_000)
-
-    def b(proc):
-        msg = yield from ub.recvfrom()
-        return msg.nbytes
-
-    da, db = p0.run(a), p1.run(b)
-    cluster.env.run(cluster.env.all_of([da, db]))
-    assert db.value == 60_000
-    assert cluster.nodes[0].tcp.ip.counters["fragments_tx"] > 1
-
-
-def test_udp_nonblocking_recv():
-    cluster = make_cluster()
-    p1 = cluster.nodes[1].spawn()
-    ub = TcpIpStack.udp_socket(p1, port=9)
-
-    def b(proc):
-        msg = yield from ub.recvfrom(block=False)
-        return msg
-
-    db = p1.run(b)
-    assert cluster.env.run(db) is None
-
-
-def test_udp_loss_is_not_recovered():
-    """UDP gives no reliability — drops stay dropped (paper §3.2(a))."""
-    cluster = Cluster(granada2003(mtu=MTU_STANDARD), faults=FaultPlan.uniform(1.0))
-    p0 = cluster.nodes[0].spawn()
-    p1 = cluster.nodes[1].spawn()
-    ua = TcpIpStack.udp_socket(p0, port=5)
-    ub = TcpIpStack.udp_socket(p1, port=5)
-    got = []
-
-    def a(proc):
-        yield from ua.sendto(1, 1_000)
-
-    def b(proc):
-        msg = yield from ub.recvfrom()
-        got.append(msg)
-
-    p0.run(a)
-    p1.run(b)
-    cluster.env.run(until=50e6)
-    assert got == []

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -205,40 +203,6 @@ def test_interrupted_process_can_rewait():
     v = env.process(victim(env))
     env.process(pest(env, v))
     assert env.run(v) == 100
-
-
-def test_any_of_triggers_on_first():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(10, value="fast")
-        t2 = env.timeout(20, value="slow")
-        results = yield env.any_of([t1, t2])
-        return (env.now, list(results.values()))
-
-    assert env.run(env.process(proc(env))) == (10, ["fast"])
-
-
-def test_all_of_waits_for_all():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(10, value=1)
-        t2 = env.timeout(20, value=2)
-        results = yield env.all_of([t1, t2])
-        return (env.now, sorted(results.values()))
-
-    assert env.run(env.process(proc(env))) == (20, [1, 2])
-
-
-def test_all_of_empty_triggers_immediately():
-    env = Environment()
-
-    def proc(env):
-        results = yield env.all_of([])
-        return results
-
-    assert env.run(env.process(proc(env))) == {}
 
 
 def test_run_until_event_returns_its_value():

@@ -4,58 +4,11 @@ import pytest
 from reference_resources import Resource
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
     SimulationError,
 )
-
-
-def test_allof_fails_if_any_member_fails():
-    env = Environment()
-
-    def failing(env):
-        yield env.timeout(5)
-        raise RuntimeError("member died")
-
-    def waiter(env):
-        p = env.process(failing(env))
-        t = env.timeout(100)
-        try:
-            yield env.all_of([p, t])
-        except RuntimeError as exc:
-            return str(exc)
-
-    assert env.run(env.process(waiter(env))) == "member died"
-
-
-def test_anyof_failure_beats_success():
-    env = Environment()
-
-    def failing(env):
-        yield env.timeout(1)
-        raise ValueError("fast failure")
-
-    def waiter(env):
-        p = env.process(failing(env))
-        t = env.timeout(50)
-        try:
-            yield env.any_of([p, t])
-        except ValueError:
-            return "caught"
-        return "ok"
-
-    assert env.run(env.process(waiter(env))) == "caught"
-
-
-def test_condition_rejects_foreign_environment():
-    env1, env2 = Environment(), Environment()
-    t1 = env1.timeout(1)
-    t2 = env2.timeout(1)
-    with pytest.raises(SimulationError):
-        env1.all_of([t1, t2])
 
 
 def test_interrupt_while_queued_on_resource():

@@ -62,9 +62,8 @@ def test_lossy_runs_and_fuzzing_need_no_numpy():
 #: subsystems a fault-free, CLIC-only, packet-engine run never loads
 ON_DEMAND = (
     "repro.faults.inject", "repro.obs.profile", "repro.parallel",
-    "repro.protocols.clic.control", "repro.protocols.gamma",
-    "repro.protocols.tcpip", "repro.protocols.via", "repro.pvm",
-    "repro.sim.flowmode", "repro.workloads.mpibench", "repro.workloads.patterns",
+    "repro.protocols.gamma", "repro.protocols.tcpip", "repro.protocols.via",
+    "repro.pvm", "repro.sim.flowmode", "repro.workloads.mpibench",
     "repro.workloads.sweep",
 )
 #: ``repro`` modules such a run may load (the benchmark's set-up probe)

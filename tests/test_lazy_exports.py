@@ -4,8 +4,8 @@ Every package that loads submodules on first use still exports exactly
 its ``__all__``: each name resolves (to the object, never to a shadowing
 submodule), ``dir()`` lists it, and each is either bound by the
 package's own import or listed in its lazy table, never both.  A
-package with no lazy table (``repro.oskernel``) must bind all of
-``__all__`` on import.
+package with no lazy table (``repro.oskernel``, ``repro.protocols.clic``)
+must bind all of ``__all__`` on import.
 """
 
 import importlib
@@ -47,7 +47,7 @@ def test_lazy_table_and_eager_names_make_up_all(package):
 import importlib, json
 m = importlib.import_module({package!r})
 bound = [n for n in m.__all__ if n in vars(m)]
-lazy = getattr(m, "_LAZY", {{}})  # repro.oskernel binds every name eagerly
+lazy = getattr(m, "_LAZY", {{}})  # a package without one binds every name eagerly
 print(json.dumps([m.__all__, bound, [n for names in lazy.values() for n in names]]))
 """))
     assert len(public) == len(set(public))
