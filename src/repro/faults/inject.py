@@ -71,6 +71,11 @@ class FrameDecision:
         """True when no copy reaches the far end of the wire."""
         return self.verdict.dropped
 
+    @property
+    def corrupted(self) -> bool:
+        """True when the frame arrives damaged (its CRC check fails)."""
+        return self.verdict is FrameVerdict.CORRUPT
+
 
 class UniformLossModel:
     """Bernoulli (i.i.d.) frame loss — one draw per frame."""

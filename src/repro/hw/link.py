@@ -123,8 +123,6 @@ class Channel(Server):
             self.counters["bytes"] += frame.payload_bytes
             self.env.defer(self.params.propagation_ns, partial(self._sink, frame))
             return
-        from ..faults import FrameVerdict
-
         decision = self.faults.decide(self.env.now)
         journeys = self._journeys()
         if decision.dropped:
@@ -134,7 +132,7 @@ class Channel(Server):
                 journeys.hop(frame.payload, "wire_drop", "wire", link=self.name,
                              reason=decision.verdict.value)
             return
-        if decision.verdict is FrameVerdict.CORRUPT:
+        if decision.corrupted:
             # Deliver a damaged copy (a broadcast frame object is shared
             # across egress ports — never corrupt the shared instance).
             frame = replace(frame, corrupted=True)

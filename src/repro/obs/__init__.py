@@ -17,24 +17,16 @@ reports its numbers through the instruments here:
   :class:`TimeSeriesSampler`) behind a :class:`MetricsRegistry`;
 * :mod:`repro.obs.profile` — event-loop profiling hooks for
   :class:`repro.sim.Environment` (events per process, queue high-water);
-* :mod:`repro.obs.slo` — declarative service-level objectives:
-  :class:`SLOSpec` bundles of :class:`Objective` bounds (percentile
-  ceilings, goodput floors, loss/pause budgets, windowed burn-rates)
-  evaluated into structured scorecards that bench gates and the shape
-  checks read;
-* :mod:`repro.obs.health` — the in-sim :class:`HealthWatchdog`: stall
-  and storm detection riding the sampler cadence, emitting structured
-  :class:`HealthEvent` records in simulated time;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto /
   ``chrome://tracing``; spans as slices, journeys as flow events, time
   series as counters) and the per-run :class:`RunArtifact` JSON.
 
 Only :mod:`~repro.obs.metrics` and :mod:`~repro.obs.span` load with the
 package, because the models record through them.  ``analyze``,
-``export``, ``health``, ``journey``, ``profile`` and ``slo`` load on
-first use: ``from repro.obs import RunArtifact`` (or any other
-name of theirs in ``__all__``) imports the defining submodule then, so a
-run that never analyses or exports pays nothing for them.
+``export``, ``journey`` and ``profile`` load on first use: ``from
+repro.obs import RunArtifact`` (or any other name of theirs in
+``__all__``) imports the defining submodule then, so a run that never
+analyses or exports pays nothing for them.
 
 The package deliberately imports nothing from :mod:`repro.sim` so the
 simulation kernel can build *on top of* the instruments (``repro.sim``
@@ -65,10 +57,8 @@ _LAZY = {
         "chrome_trace_json", "instants_of", "jsonable", "spans_of",
         "timeseries_of",
     ),
-    "health": ("HEALTH_SCHEMA", "SEVERITIES", "HealthEvent", "HealthWatchdog"),
     "journey": ("Journey", "JourneyRecorder"),
     "profile": ("EnvProfiler", "aggregate_profiles"),
-    "slo": ("OBJECTIVE_KINDS", "SCORECARD_SCHEMA", "Objective", "SLOSpec", "evaluate"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
@@ -77,9 +67,6 @@ __all__ = [
     "CriticalPath",
     "EnvProfiler",
     "Gauge",
-    "HEALTH_SCHEMA",
-    "HealthEvent",
-    "HealthWatchdog",
     "Histogram",
     "Instant",
     "Journey",
@@ -87,14 +74,9 @@ __all__ = [
     "LAYERS",
     "MetricsRegistry",
     "NULL_SPAN",
-    "OBJECTIVE_KINDS",
-    "Objective",
     "PathSegment",
     "RUN_SCHEMA",
     "RunArtifact",
-    "SCORECARD_SCHEMA",
-    "SEVERITIES",
-    "SLOSpec",
     "ScopeStat",
     "Span",
     "SpanNode",
@@ -105,7 +87,6 @@ __all__ = [
     "chrome_trace_events",
     "chrome_trace_json",
     "critical_path",
-    "evaluate",
     "explain_outliers",
     "instants_of",
     "journey_latency_summary",

@@ -257,12 +257,10 @@ class RunArtifact:
     records: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
     journeys: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
     timeseries: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: SLO scorecard (see :func:`repro.obs.slo.evaluate`) — empty when
-    #: the run declared no SLO spec
+    #: envelope verdict of a run that checks one (``{"ok": bool,
+    #: "failed": [check names]}``, see :func:`repro.trace.capture_fig4_point`)
+    #: — empty otherwise
     slo: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    #: structured health events (see :mod:`repro.obs.health`), simulated
-    #: time order
-    health: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
     schema: str = RUN_SCHEMA
 
     def to_dict(self) -> Dict[str, Any]:
@@ -271,8 +269,8 @@ class RunArtifact:
         A full copy of the run's records — every span, journey event
         and time-series point is rebuilt, so nothing in the returned
         dict aliases the artifact.  That costs time proportional to the
-        capture; code that only *reads* a few sections (an SLO
-        evaluation, a summary) should read the attributes directly.
+        capture; code that only *reads* a few sections (a check, a
+        summary) should read the attributes directly.
         """
         return jsonable(self)
 

@@ -333,7 +333,6 @@ class TimeSeriesSampler:
         self.interval_ns = interval_ns
         self.max_samples = max_samples
         self._probes: List[Tuple[TimeSeries, Callable[[], float]]] = []
-        self._observers: List[Callable[[], None]] = []
         self._ticks = 0
         self._stopped = False
         self._started = False
@@ -343,18 +342,6 @@ class TimeSeriesSampler:
         """Register ``probe`` to feed ``series`` each tick."""
         self._probes.append((series, probe))
         return series
-
-    def on_tick(self, observer: Callable[[], None]) -> None:
-        """Register a callback run after each sampling round.
-
-        Observers fire in registration order, *after* every probe of the
-        round has sampled — so an observer (e.g. the
-        :class:`~repro.obs.health.HealthWatchdog`) sees a consistent
-        snapshot of the tick.  Observers must not mutate simulation
-        state: they ride the sampler's timer, which interleaves with but
-        never perturbs the simulated workload.
-        """
-        self._observers.append(observer)
 
     def start(self) -> None:
         """Take the first sample now and re-arm every ``interval_ns``."""
@@ -389,8 +376,6 @@ class TimeSeriesSampler:
         for series, probe in self._probes:
             series.sample(now, float(probe()))
         self._ticks += 1
-        for observer in self._observers:
-            observer()
 
     def _arm(self) -> None:
         self._handle = self.env.call_later(self.interval_ns, self._tick)
@@ -456,10 +441,10 @@ class MetricsRegistry:
     def value(self, name: str, default: float = 0.0) -> float:
         """Current value of a counter/gauge by name, without creating it.
 
-        The read-only accessor for pure observers (e.g. health-watchdog
-        probes) that must not perturb the registry: a tally that never
-        fires must stay absent from the snapshot whether or not it was
-        watched.
+        The read-only accessor for pure observers (sampler probes,
+        post-run reports) that must not perturb the registry: a tally
+        that never fires must stay absent from the snapshot whether or
+        not it was read.
         """
         scope, _, key = name.rpartition(".")
         tally = self._tallies.get(scope)

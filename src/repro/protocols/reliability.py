@@ -51,8 +51,7 @@ __all__ = [
 
 
 class DeliveryFailed(Exception):
-    """Raised when a packet exhausts its retransmission budget (or the
-    channel is aborted)."""
+    """Raised when a packet exhausts its retransmission budget."""
 
 
 class ChannelProbe:
@@ -222,7 +221,7 @@ class WindowedSender:
         fresh one.
     fail_listener:
         Called with a reason string when the retry budget is exhausted
-        (or :meth:`abort` is invoked) — the peer-death hook.
+        (the peer-death hook).
     """
 
     def __init__(
@@ -529,7 +528,7 @@ class WindowedSender:
     # -- failure ------------------------------------------------------------
     @property
     def failed(self) -> bool:
-        """True once the retry budget is exhausted or :meth:`abort` ran."""
+        """True once the retry budget is exhausted."""
         return self._failed is not None
 
     @property
@@ -537,12 +536,6 @@ class WindowedSender:
         """The error a failed channel raises (names it and why); None
         while the channel is healthy."""
         return self._failed
-
-    def abort(self, reason: str) -> None:
-        """Externally declare this channel dead: fail all waiters, reject
-        future sends."""
-        if self._failed is None:
-            self._fail(reason)
 
     def _fail(self, reason: str) -> None:
         self._failed = DeliveryFailed(f"{self.name}: {reason}")

@@ -46,13 +46,9 @@ class TcpIpStack:
     # -- receive entry (bottom-half context) -------------------------------------
     def _rx_entry(self, skb: SkBuff) -> Generator:
         with self.tracer.begin(self.scope, "tcpip_rx") as span:
-            dgram: IpDatagram = skb.payload
-            complete = self.ip.rx(dgram)
-            if complete is None:
-                span.annotate(kind="fragment")
-                return
-            if complete.protocol == "tcp":
+            dgram: IpDatagram = self.ip.rx(skb.payload)
+            if dgram.protocol == "tcp":
                 span.annotate(kind="tcp")
-                yield from self.tcp.dispatch(complete.payload)
+                yield from self.tcp.dispatch(dgram.payload)
             else:
                 self.counters["unknown_ip_protocol"] += 1

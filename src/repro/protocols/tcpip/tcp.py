@@ -195,7 +195,6 @@ class TcpConnection:
             dst_node=self.remote_node,
             protocol="tcp",
             data_bytes=seg.data_bytes + self.params.tcp_header_bytes,
-            datagram_id=seg.packet_id,
             payload=seg,
         )
         yield from self.layer.ip.tx(dgram)
@@ -253,7 +252,6 @@ class TcpConnection:
                 dst_node=self.remote_node,
                 protocol="tcp",
                 data_bytes=self.params.tcp_header_bytes,
-                datagram_id=ack.packet_id,
                 payload=ack,
             )
             yield from self.layer.ip.tx(dgram)

@@ -7,7 +7,7 @@ Each pin is the sha256 and byte length of one serialized output:
 * the Figure-7 capture's Chrome export.
 
 Together they cover the simulated numbers (timings, journeys, time
-series, metrics, SLO scorecard, health events) and the exporters' byte
+series, metrics, the envelope-check verdict) and the exporters' byte
 format.  A change that deletes or refactors telemetry must leave them
 alone.  Regenerate a pin only when a change moves it on purpose
 (print ``_pin(...)`` for the output in question), and name the pin with
@@ -22,7 +22,7 @@ from repro.trace import capture_fig4_point, capture_fig7
 
 #: (sha256 hex digest, byte length) of each pinned output
 FIG4_POINT_ARTIFACT = (
-    "26801db55e7e6f526a1cf5430e9f148dab880f472bb2b493eabf8f59fed8d081", 191521)
+    "1293f6e8b66e6ae483bba9fa4c6a12424ff29ab34583a25a922a4cbd5f3a7e61", 189967)
 FIG4_POINT_CHROME = (
     "6e2aa5037eaa7ad158767e97c4b2d8da306693cab42aaf040d3be0d5d42226f9", 209060)
 FIG7_CHROME = (

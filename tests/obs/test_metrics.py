@@ -234,18 +234,6 @@ def test_sampler_stop_cancels_pending_timer_on_real_env():
     assert len(ts.points) == 4
 
 
-def test_sampler_on_tick_observers_see_sampled_round():
-    env = _FakeEnv()
-    sampler = TimeSeriesSampler(env, interval_ns=10.0)
-    ts = sampler.add(TimeSeries("d"), lambda: float(sampler.ticks))
-    seen = []
-    sampler.on_tick(lambda: seen.append(len(ts.points)))
-    sampler.start()
-    env.run_until(25.0)
-    # Each observer call happens after that round's probes sampled.
-    assert seen == [1, 2, 3]
-
-
 def test_registry_timeseries_unit_mismatch_raises():
     reg = MetricsRegistry()
     reg.timeseries("q.depth", unit="frames")

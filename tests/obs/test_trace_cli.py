@@ -176,31 +176,59 @@ def test_cli_unknown_journey_id_errors(fig4p_artifact, capsys):
     assert "no journey with id 999" in capsys.readouterr().err
 
 
-def test_capture_fig4_point_has_slo_and_health(fig4p_artifact):
+def test_capture_fig4_point_checks_its_envelope(fig4p_artifact):
     art, _ = fig4p_artifact
-    card = art.slo
-    assert card["schema"] == "repro.slo-scorecard/1"
-    assert card["slo"] == "fig4-point"
-    assert card["ok"], f"fig4-point SLO violated: {card['violations']}"
-    names = {r["name"] for r in card["objectives"]}
-    assert {"delivered", "p999-latency", "goodput",
-            "retransmit-budget", "rx-depth-burn"} <= names
-    # The watchdog rode the sampler; a healthy lossy-but-delivering run
-    # has an event list (possibly empty) and no critical events.
-    assert isinstance(art.health, list)
-    assert not any(e["severity"] == "critical" for e in art.health)
+    assert art.slo == {"ok": True, "failed": []}
 
 
 def test_capture_fig4_point_live_scorecard_equals_serialized(fig4p_artifact):
-    """The SLO is scored on the live sections; re-scoring the serialized
-    artifact, and the artifact reloaded from disk, gives the same card."""
-    from repro.obs import evaluate
-    from repro.trace import fig4_point_slo
+    """The checks run on the live sections; re-checking the serialized
+    artifact, and the artifact reloaded from disk, gives the same verdict."""
+    from repro.trace import _fig4_point_failed
 
     art, path = fig4p_artifact
-    spec = fig4_point_slo(16_384, 8, 0.02)
-    assert art.slo == evaluate(spec, art.to_dict())
-    assert RunArtifact.load(str(path)).slo == evaluate(spec, art.to_dict())
+    for doc in (art.to_dict(), RunArtifact.load(str(path)).to_dict()):
+        assert doc["slo"] == art.slo
+        assert _fig4_point_failed(doc["result"], doc["timeseries"],
+                                  16_384, 8, 0.02) == art.slo["failed"]
+
+
+def _envelope_sections(loss=0.02, **latency):
+    """Synthetic result/timeseries sections of a 4 x 10 kB fig4-point run
+    that pass every check; ``latency`` overrides latency fields."""
+    result = {"goodput_mbps": 300.0,
+              "latency": {"delivered": 4, "p999_us": 1_000.0,
+                          "retransmitted": 1 if loss else 0, **latency}}
+    # 10 frames in 1 ms = 10,000 frames/s, well under the 64,000 cap
+    rx_depth = {"points": [[0.0, 0.0], [500_000.0, 4.0], [1_000_000.0, 10.0]]}
+    return result, {"node1.nic0.rx_depth": rx_depth}
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.02])
+def test_fig4_point_checks_fail_one_by_one(loss):
+    from repro.trace import _fig4_point_failed
+
+    def failed(result, timeseries):
+        return _fig4_point_failed(result, timeseries, 10_000, 4, loss)
+
+    result, timeseries = _envelope_sections(loss)
+    assert failed(result, timeseries) == []
+    # 4 x 80 µs x 4 + 5 ms = 6,280 µs of tail budget
+    for name, latency in [("delivered", {"delivered": 3}),
+                          ("p999-latency", {"p999_us": 6_281.0}),
+                          ("p999-latency", {"p999_us": float("nan")}),
+                          ("retransmit-budget", {"retransmitted": 5 if loss else 1})]:
+        result, timeseries = _envelope_sections(loss, **latency)
+        assert failed(result, timeseries) == [name], latency
+    result, timeseries = _envelope_sections(loss)
+    result["goodput_mbps"] = 49.0 if loss else 199.0
+    assert failed(result, timeseries) == ["goodput"]
+    result["goodput_mbps"] = 50.0 if loss else 200.0
+    assert failed(result, timeseries) == []
+    # 65 frames within 1 ms rise faster than 64,000 frames/s
+    timeseries["node1.nic0.rx_depth"]["points"].append([1_500_000.0, 75.0])
+    assert failed(result, timeseries) == ["rx-depth-burn"]
+    assert failed(result, {}) == ["rx-depth-burn"]
 
 
 def test_capture_fig4_point_never_serializes_in_the_run(monkeypatch):
@@ -216,8 +244,7 @@ def test_capture_fig4_point_never_serializes_in_the_run(monkeypatch):
     monkeypatch.setattr(RunArtifact, "to_dict", forbidden)
     monkeypatch.setattr(dataclasses, "asdict", forbidden)
     art = capture_fig4_point(nbytes=8_192, messages=2, loss=0.02)
-    assert art.slo["slo"] == "fig4-point"
-    assert len(art.slo["objectives"]) == 5
+    assert sorted(art.slo) == ["failed", "ok"]
 
 
 def test_cli_fig4_point_capture_is_deterministic(tmp_path):

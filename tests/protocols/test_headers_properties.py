@@ -28,7 +28,7 @@ from repro.protocols.headers import (
 
 #: user bytes per frame for the MTUs the paper evaluates, minus
 #: representative header overheads (CLIC: 14 eth + 12 clic).
-FRAG_MAXES = [1474, 1500 - 26, 9000 - 26, 1, 7, 8973]
+FRAG_MAXES = [1500 - 26, 9000 - 26, 1, 7, 8973]
 
 
 def _random_sizes(rng, count=40):

@@ -405,9 +405,9 @@ def test_fast_retransmit_counts_reset_after_progress():
     assert sender.metrics.value("fast_retransmits") == 1
 
 
-def test_abort_fails_waiters_and_rejects_future_sends():
+def test_retry_exhaustion_fails_waiters_and_rejects_future_sends():
     env = Environment()
-    sender, _ = make_sender(env, window=1, timeout=1e9)
+    sender, _ = make_sender(env, window=1, timeout=100, retries=1)
     sender.register("stuck")
     outcomes = []
 
@@ -421,10 +421,10 @@ def test_abort_fails_waiters_and_rejects_future_sends():
     env.run(until=10)
     reasons = []
     sender.fail_listener = reasons.append
-    sender.abort("peer declared dead")
-    env.run(until=20)
+    # one retry at t=100, the budget is spent when the RTO fires again
+    env.run(until=1000)
     assert outcomes == ["failed"]
-    assert reasons == ["peer declared dead"]
+    assert reasons == ["no ack after 1 retries (base=0, in flight=1)"]
     assert sender.failed
     with pytest.raises(DeliveryFailed):
         sender.register("more")

@@ -223,7 +223,9 @@ def test_register_run_on_a_failed_sender_raises():
     env = Environment()
     sender = WindowedSender(env, window=4, retransmit_timeout_ns=1e3, max_retries=1,
                             retransmit=lambda pkts, kind: None)
-    sender.abort("peer dead")
+    sender.register("stuck")
+    env.run(until=1e4)  # one retry, then the retry budget is spent
+    assert sender.failed
     with pytest.raises(DeliveryFailed):
         sender.register_run(["a", "b"])
-    assert sender.next_seq == 0 and sender.in_flight == 0
+    assert sender.next_seq == 1 and sender.in_flight == 1
