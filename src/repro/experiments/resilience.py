@@ -33,8 +33,9 @@ stash, duplication is suppressed, and overload engages PAUSE
 backpressure (at least 100 µs of pause) without shedding a frame.
 Every grid cell also ships its histograms (exact bucket counts,
 :meth:`~repro.obs.Histogram.to_dict`), so ``run()`` folds them into
-fleet-wide histograms and reports true global syscall-latency tails
-(identical at any ``--jobs`` value).
+fleet-wide histograms and reports the global tails of syscall duration,
+entry to return with any blocking inside the call (identical at any
+``--jobs`` value).
 """
 
 from __future__ import annotations
@@ -403,7 +404,8 @@ def run(quick: bool = True, jobs: int = 1) -> Dict:
     sc = fleet["syscall_ns"]
     report += (
         "\n\nAdversarial degraded-mode checks:" + "".join(verdicts)
-        + f"\nFleet-wide syscall tails (exact digest merge over "
+        + f"\nFleet-wide syscall duration, entry to return incl. blocking "
+        f"(histograms merged over "
         f"{fleet['cells']} cells x {fleet['seeds_per_cell']} seeds, "
         f"{sc['count']} samples): p50 {sc['p50'] / 1e3:.1f} us, "
         f"p99 {sc['p99'] / 1e3:.1f} us, p99.9 {sc['p999'] / 1e3:.1f} us"

@@ -13,12 +13,18 @@ actually configured — so a plain uniform-loss plan
 frame, and adding a new fault family never perturbs the draw sequence
 of an existing plan.
 Congestion windows are a deterministic timeline: zero draws.
+
+Cost discipline: an engine checks only the families its spec
+configures (settled once, at construction), so a loss-only channel
+never scans outage or congestion windows.  A decision that carries
+nothing but its verdict is a shared, interned instance — decisions
+are frozen, so callers may keep one but never mutate it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..obs import MetricsRegistry
@@ -55,7 +61,9 @@ class FrameDecision:
     Extends the bare :class:`FrameVerdict` with the adversarial-delivery
     families: how many copies arrive (duplication), how much extra
     delay each pick up (jitter-driven reordering), and whether a
-    congestion window covered the frame.
+    congestion window covered the frame.  Instances are frozen and may
+    be shared: a decision with nothing but its verdict set is one
+    interned instance per verdict.
     """
 
     verdict: FrameVerdict
@@ -65,16 +73,24 @@ class FrameDecision:
     copies: int = 1
     #: a congestion window covered this frame's serialization
     congested: bool = False
+    #: no copy reaches the far end of the wire (derived from ``verdict``)
+    dropped: bool = field(init=False, repr=False, compare=False)
+    #: the frame arrives damaged, its CRC check fails (derived from ``verdict``)
+    corrupted: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def dropped(self) -> bool:
-        """True when no copy reaches the far end of the wire."""
-        return self.verdict.dropped
+    def __post_init__(self) -> None:
+        # stored, not computed per read: the link asks both per frame
+        object.__setattr__(self, "dropped", self.verdict.dropped)
+        object.__setattr__(self, "corrupted", self.verdict is FrameVerdict.CORRUPT)
 
-    @property
-    def corrupted(self) -> bool:
-        """True when the frame arrives damaged (its CRC check fails)."""
-        return self.verdict is FrameVerdict.CORRUPT
+
+# The shared decision of each verdict when nothing else is set.  Held
+# under module names: reading an enum member through its class, or
+# hashing one, costs more than the rest of a plain decision.
+_DELIVERED = FrameDecision(FrameVerdict.DELIVER)
+_LOST = FrameDecision(FrameVerdict.LOST)
+_OUTAGE = FrameDecision(FrameVerdict.OUTAGE)
+_CORRUPTED = FrameDecision(FrameVerdict.CORRUPT)
 
 
 class UniformLossModel:
@@ -148,12 +164,20 @@ class ChannelFaults:
         if self.stochastic and rng is None:
             raise ValueError("stochastic fault injection requires an RNG stream")
         self.model = None
+        self._drop_tally = "loss_drops"
         if spec.burst is not None:
             self.model = GilbertElliottModel(spec.burst)
+            self._drop_tally = "burst_drops"
         elif spec.loss_rate:
             self.model = UniformLossModel(spec.loss_rate)
         self._outages: Tuple[OutageWindow, ...] = tuple(sorted(spec.outages))
         self._congestion = tuple(sorted(spec.congestion, key=lambda c: c.window))
+        #: a congestion window is configured — only then does the link
+        #: ask for :meth:`congestion_factor` and :meth:`congestion_latency_ns`
+        self.has_congestion = bool(self._congestion)
+        self._corrupt_rate = spec.corrupt_rate
+        #: jitter or duplication draws for each delivered frame
+        self._delivery_draws = spec.jitter is not None or spec.duplicate is not None
 
     def link_down(self, now: float) -> bool:
         """True while a scheduled outage window covers ``now``."""
@@ -199,46 +223,48 @@ class ChannelFaults:
             c.extra_latency_ns for c in self._congestion if c.window.covers(now)
         )
 
-    def judge(self, now: float) -> FrameVerdict:
-        """Pass verdict on one frame whose serialization ends at ``now``."""
-        if self.link_down(now):
-            self.counters["outage_drops"] += 1
-            return FrameVerdict.OUTAGE
-        if self.model is not None and self.model.frame_lost(self.rng):
-            kind = "burst" if isinstance(self.model, GilbertElliottModel) else "loss"
-            self.counters[f"{kind}_drops"] += 1
-            return FrameVerdict.LOST
-        if self.spec.corrupt_rate and self.rng.random() < self.spec.corrupt_rate:
-            self.counters["corrupted"] += 1
-            return FrameVerdict.CORRUPT
-        return FrameVerdict.DELIVER
-
     def decide(self, now: float) -> FrameDecision:
         """The full fate of one frame whose serialization ends at ``now``.
 
-        Extends :meth:`judge` with jitter and duplication.  Draw order
-        is strict — outage check, loss model, corruption, *then* jitter,
-        *then* duplication, and the new families draw only for frames
-        that are actually delivered — so a plan without them consumes
-        exactly the draws it always did.
+        Draw order is strict — outage check, loss model, corruption,
+        *then* jitter, *then* duplication, and the adversarial families
+        draw only for frames that are actually delivered — so a plan
+        without them consumes exactly the draws it always did.  Each
+        family is checked only when the spec configures it; a decision
+        with nothing but its verdict set is the verdict's shared instance.
         """
-        congested = self.congested(now)
-        if congested:
-            self.counters["congested"] += 1
-        verdict = self.judge(now)
-        if verdict.dropped:
-            return FrameDecision(verdict, congested=congested)
+        counters = self.counters
+        congested = False
+        if self.has_congestion:
+            congested = self.congested(now)
+            if congested:
+                counters["congested"] += 1
+        model = self.model
+        corrupt_rate = self._corrupt_rate
+        if self._outages and self.link_down(now):
+            counters["outage_drops"] += 1
+            plain = _OUTAGE
+        elif model is not None and model.frame_lost(self.rng):
+            counters[self._drop_tally] += 1
+            plain = _LOST
+        elif corrupt_rate and self.rng.random() < corrupt_rate:
+            counters["corrupted"] += 1
+            plain = _CORRUPTED
+        else:
+            plain = _DELIVERED
         extra_delay = 0.0
-        jitter = self.spec.jitter
-        if jitter is not None and self.rng.random() < jitter.rate:
-            extra_delay = float(self.rng.random() * jitter.max_delay_ns)
-            self.counters["jittered"] += 1
         copies = 1
-        duplicate = self.spec.duplicate
-        if duplicate is not None and self.rng.random() < duplicate.rate:
-            copies = 1 + int(self.rng.integers(1, duplicate.max_copies + 1))
-            self.counters["duplicated"] += 1
-            self.counters["dup_copies"] += copies - 1
-        return FrameDecision(
-            verdict, extra_delay_ns=extra_delay, copies=copies, congested=congested
-        )
+        if self._delivery_draws and not plain.dropped:
+            jitter = self.spec.jitter
+            if jitter is not None and self.rng.random() < jitter.rate:
+                extra_delay = float(self.rng.random() * jitter.max_delay_ns)
+                counters["jittered"] += 1
+            duplicate = self.spec.duplicate
+            if duplicate is not None and self.rng.random() < duplicate.rate:
+                copies = 1 + int(self.rng.integers(1, duplicate.max_copies + 1))
+                counters["duplicated"] += 1
+                counters["dup_copies"] += copies - 1
+        if extra_delay or copies > 1 or congested:
+            return FrameDecision(plain.verdict, extra_delay_ns=extra_delay,
+                                 copies=copies, congested=congested)
+        return plain

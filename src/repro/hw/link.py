@@ -97,11 +97,12 @@ class Channel(Server):
             # (Utilization under-reports by (k-1)/k per train — a
             # documented flow-mode approximation.)
             duration /= frame.train_frames
-        if self.faults is not None:
+        faults = self.faults
+        if faults is not None and faults.has_congestion:
             # Congestion collapses effective bandwidth: the wire is held
             # for a multiple of the healthy serialization time, so every
             # queued successor is pushed out too (the spike cascades).
-            duration *= self.faults.congestion_factor(self.env.now)
+            duration *= faults.congestion_factor(self.env.now)
         yield from self.hold(duration)
         k = frame.train_frames
         self.counters["frames_offered"] += k
@@ -118,16 +119,16 @@ class Channel(Server):
             self.env.call_later(self.params.propagation_ns,
                                 lambda: sink(frame))
             return
-        if self.faults is None:
+        if faults is None:
             self.counters["frames"] += 1
             self.counters["bytes"] += frame.payload_bytes
             self.env.defer(self.params.propagation_ns, partial(self._sink, frame))
             return
-        decision = self.faults.decide(self.env.now)
-        journeys = self._journeys()
+        decision = faults.decide(self.env.now)
         if decision.dropped:
             self.counters["frames_lost"] += 1
             self.counters["bytes_lost"] += frame.payload_bytes
+            journeys = self._journeys()
             if journeys is not None:
                 journeys.hop(frame.payload, "wire_drop", "wire", link=self.name,
                              reason=decision.verdict.value)
@@ -137,14 +138,13 @@ class Channel(Server):
             # across egress ports — never corrupt the shared instance).
             frame = replace(frame, corrupted=True)
             self.counters["frames_corrupted"] += 1
-        delay = (
-            self.params.propagation_ns
-            + decision.extra_delay_ns
-            + self.faults.congestion_latency_ns(self.env.now)
-        )
+        delay = self.params.propagation_ns + decision.extra_delay_ns
+        if faults.has_congestion:
+            delay += faults.congestion_latency_ns(self.env.now)
         if decision.copies > 1:
             self.counters["frames_duplicated"] += decision.copies - 1
             self.counters["bytes_duplicated"] += frame.payload_bytes * (decision.copies - 1)
+            journeys = self._journeys()
             if journeys is not None:
                 journeys.hop(frame.payload, "wire_dup", "wire", link=self.name,
                              copies=decision.copies)

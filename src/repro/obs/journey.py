@@ -23,6 +23,10 @@ events — a run with journeys on is simulated-time bit-identical to the
 same run with journeys off (the ``journey`` gate scenario in
 ``tests/perf/test_gates.py`` enforces this).
 
+Recording is the per-frame cost, export is paid once: each event is
+stored as a compact tuple ``(t, hop, scope, pkt_id, parent, detail)``
+and :meth:`Journey.to_dict` builds its plain dict only at export.
+
 Like the rest of :mod:`repro.obs`, this module imports nothing from
 :mod:`repro.sim`: ``env`` is duck-typed (only ``.now`` is used) and
 packets are duck-typed by their identity fields (``src_node``,
@@ -86,15 +90,29 @@ class Journey:
         self.end_ns: Optional[float] = None
         self.delivered = False
         self.fragments = 0
-        #: causally-ordered events: ``{"i", "t", "hop", "scope", "pkt"?,
-        #: "parent"?, ...detail}`` — ``parent`` is the in-journey index
-        #: of the originating event (retransmit genealogy).
-        self.events: List[Dict[str, Any]] = []
+        #: causally-ordered event records ``(t, hop, scope, pkt_id,
+        #: parent, detail)``, exported as ``{"i", "t", "hop", "scope",
+        #: "pkt"?, "parent"?, ...detail}`` — ``parent`` is the
+        #: in-journey index of the originating event (retransmit
+        #: genealogy), ``i`` the record's own index.
+        self.events: List[Tuple[float, str, str, Optional[int], Optional[int],
+                                Dict[str, Any]]] = []
         #: summary of retransmissions: ``{"pkt", "kind", "t", "parent"}``
         self.retransmits: List[Dict[str, Any]] = []
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict export form (see :class:`~repro.obs.RunArtifact`)."""
+        """Plain-dict export form (see :class:`~repro.obs.RunArtifact`).
+
+        Each event record becomes its dict here, once."""
+        events = []
+        for i, (t, hop, scope, pkt_id, parent, detail) in enumerate(self.events):
+            ev: Dict[str, Any] = {"i": i, "t": t, "hop": hop, "scope": scope}
+            if pkt_id is not None:
+                ev["pkt"] = pkt_id
+            if parent is not None:
+                ev["parent"] = parent
+            ev.update(detail)
+            events.append(ev)
         return {
             "id": self.journey_id,
             "key": f"{self.src_node}:{self.msg_id}",
@@ -108,7 +126,7 @@ class Journey:
             "delivered": self.delivered,
             "fragments": self.fragments,
             "retransmits": [dict(r) for r in self.retransmits],
-            "events": [dict(e) for e in self.events],
+            "events": events,
         }
 
     def __repr__(self) -> str:
@@ -175,39 +193,42 @@ class JourneyRecorder:
         entry = self._pkt_tx.get(pkt_id)
         first_tx = entry[1] if entry is not None else None
         if first_tx is None:
-            ev = self._event(journey, "tx_queue", scope, pkt_id=pkt_id,
-                             seq=pkt.seq, accepted=accepted)
-            self._pkt_tx[pkt_id] = (journey, ev["i"])
+            i = self._event(journey, "tx_queue", scope, pkt_id=pkt_id,
+                            seq=pkt.seq, accepted=accepted)
+            self._pkt_tx[pkt_id] = (journey, i)
             return
         kind = self._retx_kind.get(pkt_id, "unknown")
-        ev = self._event(journey, "tx_queue", scope, pkt_id=pkt_id,
-                         parent=first_tx, seq=pkt.seq, accepted=accepted,
-                         kind=kind)
+        self._event(journey, "tx_queue", scope, pkt_id=pkt_id,
+                    parent=first_tx, seq=pkt.seq, accepted=accepted, kind=kind)
         journey.retransmits.append(
-            {"pkt": pkt_id, "kind": kind, "t": ev["t"], "parent": first_tx})
+            {"pkt": pkt_id, "kind": kind, "t": self.env.now, "parent": first_tx})
 
     def hop(self, payload: Any, hop: str, scope: str, **detail: Any) -> None:
         """Record a generic hop for the packet carried by ``payload``.
 
         ``payload`` may be the packet itself or a wrapper with a
         ``.payload`` attribute (NIC fragmentation-offload markers);
-        payloads without message identity are ignored.
+        payloads without message identity are ignored.  Called per frame
+        per hop, so :func:`packet_key` and :meth:`_event` are inlined.
         """
-        key = packet_key(payload)
         pkt = payload
-        if key is None:
-            inner = getattr(payload, "payload", None)
-            if inner is None:
+        msg_id = getattr(pkt, "msg_id", None)
+        src = None if msg_id is None else getattr(pkt, "src_node", None)
+        if src is None:
+            pkt = getattr(payload, "payload", None)
+            if pkt is None:
                 return
-            key = packet_key(inner)
-            if key is None:
+            msg_id = getattr(pkt, "msg_id", None)
+            if msg_id is None:
                 return
-            pkt = inner
-        journey = self._journeys.get(key)
+            src = getattr(pkt, "src_node", None)
+            if src is None:
+                return
+        journey = self._journeys.get((src, msg_id))
         if journey is None:
             return
-        self._event(journey, hop, scope,
-                    pkt_id=getattr(pkt, "packet_id", None), **detail)
+        journey.events.append((self.env.now, hop, scope,
+                               getattr(pkt, "packet_id", None), None, detail))
 
     def deliver(self, pkt: Any, scope: str, **detail: Any) -> None:
         """The message completed reassembly: close the journey."""
@@ -231,16 +252,11 @@ class JourneyRecorder:
     # -- internals -------------------------------------------------------
     def _event(self, journey: Journey, hop: str, scope: str,
                pkt_id: Optional[int] = None, parent: Optional[int] = None,
-               **detail: Any) -> Dict[str, Any]:
-        ev: Dict[str, Any] = {"i": len(journey.events), "t": self.env.now,
-                              "hop": hop, "scope": scope}
-        if pkt_id is not None:
-            ev["pkt"] = pkt_id
-        if parent is not None:
-            ev["parent"] = parent
-        ev.update(detail)
-        journey.events.append(ev)
-        return ev
+               **detail: Any) -> int:
+        """Append one event record; returns its in-journey index."""
+        events = journey.events
+        events.append((self.env.now, hop, scope, pkt_id, parent, detail))
+        return len(events) - 1
 
     # -- queries ---------------------------------------------------------
     @property

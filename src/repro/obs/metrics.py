@@ -276,9 +276,9 @@ class TimeSeries:
     """A level sampled over simulated time: ``(t_ns, value)`` points.
 
     The instrument itself is passive — something (normally a
-    :class:`TimeSeriesSampler`) calls :meth:`sample` on a cadence.
-    Points are kept in sample order, which for a single-threaded
-    discrete-event simulation is time order.
+    :class:`TimeSeriesSampler`) appends ``(t_ns, value)`` to
+    :attr:`points` on a cadence.  Points are kept in sample order,
+    which for a single-threaded discrete-event simulation is time order.
     """
 
     __slots__ = ("name", "unit", "points")
@@ -289,10 +289,6 @@ class TimeSeries:
         self.name = name
         self.unit = unit
         self.points: List[Tuple[float, float]] = []
-
-    def sample(self, t_ns: float, value: float) -> None:
-        """Append one ``(time, level)`` observation."""
-        self.points.append((t_ns, value))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -374,7 +370,7 @@ class TimeSeriesSampler:
     def _sample_all(self) -> None:
         now = self.env.now
         for series, probe in self._probes:
-            series.sample(now, float(probe()))
+            series.points.append((now, float(probe())))
         self._ticks += 1
 
     def _arm(self) -> None:

@@ -77,6 +77,11 @@ class Kernel:
         Charges mode-switch entry, runs the body at kernel priority (the
         body itself charges its own CPU/bus costs), charges the exit and —
         per CLIC's design — a scheduler pass on return to user mode.
+
+        The histogram ``<kernel>.syscall_ns`` records each call's
+        simulated duration from entry to return: the body's whole time,
+        including any time it blocks waiting for a peer, not only the
+        mode-switch cost.
         """
         self.counters["syscalls"] += 1
         t0 = self.env.now

@@ -17,7 +17,6 @@ call).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
@@ -44,12 +43,12 @@ class IpDatagram:
 
 
 class IpLayer:
-    """Per-node IP tx/rx mechanics."""
+    """Per-node IP transmit mechanics.  Receive needs none: the stack
+    hands a datagram's payload straight to TCP."""
 
     def __init__(self, node, params: TcpIpParams):
         self.node = node
         self.params = params
-        self.counters = Counter()
         self._backlog: Store = Store(node.env, name=f"{node.name}.ip.backlog")
         node.env.process(self._backlog_pump(), name=f"{node.name}.ip.pump")
 
@@ -75,11 +74,8 @@ class IpLayer:
         driver = self.node.drivers[0]
         mac = self.node.mac_of(dgram.dst_node, 0)
         accepted = yield from driver.transmit(skb, mac, EtherType.IPV4)
-        if accepted:
-            self.counters["datagrams_tx"] += 1
-        else:
+        if not accepted:
             self._backlog.put((skb, mac))
-            self.counters["datagrams_backlogged"] += 1
 
     def _backlog_pump(self) -> Generator:
         while True:
@@ -89,9 +85,3 @@ class IpLayer:
                 if accepted:
                     break
                 yield self.node.env.timeout(5_000.0)
-
-    # -- receive ----------------------------------------------------------------
-    def rx(self, dgram: IpDatagram) -> IpDatagram:
-        """Count a received datagram and hand it up."""
-        self.counters["datagrams_rx"] += 1
-        return dgram

@@ -46,7 +46,7 @@ class TcpIpStack:
     # -- receive entry (bottom-half context) -------------------------------------
     def _rx_entry(self, skb: SkBuff) -> Generator:
         with self.tracer.begin(self.scope, "tcpip_rx") as span:
-            dgram: IpDatagram = self.ip.rx(skb.payload)
+            dgram: IpDatagram = skb.payload
             if dgram.protocol == "tcp":
                 span.annotate(kind="tcp")
                 yield from self.tcp.dispatch(dgram.payload)

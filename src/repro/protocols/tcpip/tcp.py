@@ -305,7 +305,6 @@ class TcpLayer:
         """Demux an arriving segment to its connection."""
         conn = self.connections.get(seg.conn_id)
         if conn is None:
-            # RST territory in real TCP; count and drop.
-            self.ip.counters["tcp_no_connection"] += 1
+            # RST territory in real TCP; drop.
             return
         yield from conn.on_segment(seg)

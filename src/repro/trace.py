@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:
@@ -193,6 +194,7 @@ def capture_fig4_point(
     recorder = JourneyRecorder(cluster.env)
     cluster.tracer.journeys = recorder
     sampler = TimeSeriesSampler(cluster.env, interval_ns=sample_ns)
+    frag_bytes = attrgetter("frag_bytes")  # the in-flight sum runs in C
     for node in cluster.nodes:
         for nic in node.nics:
             # the NIC already owns a gauge called rx_buffer_depth, so the
@@ -207,9 +209,8 @@ def capture_fig4_point(
             sampler.add(
                 cluster.metrics.timeseries(f"{node.name}.clic.inflight_bytes", "bytes"),
                 lambda mod=node.clic: sum(
-                    pkt.frag_bytes
-                    for sender in mod._senders.values()
-                    for pkt in sender._in_flight.values()))
+                    sum(map(frag_bytes, sender._in_flight.values()))
+                    for sender in mod._senders.values()))
     for port in cluster.switch.ports:
         sampler.add(
             cluster.metrics.timeseries(f"switch.port{port.index}.queue", "frames"),

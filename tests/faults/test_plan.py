@@ -124,8 +124,8 @@ def test_link_outage_constructor_targets_both_directions():
 def test_channel_faults_outage_beats_loss_model():
     spec = LinkFaultSpec(loss_rate=0.0, outages=(OutageWindow(100.0, 200.0),))
     eng = ChannelFaults(spec, rng=None)
-    assert eng.judge(150.0) is FrameVerdict.OUTAGE
-    assert eng.judge(250.0) is FrameVerdict.DELIVER
+    assert eng.decide(150.0).verdict is FrameVerdict.OUTAGE
+    assert eng.decide(250.0).verdict is FrameVerdict.DELIVER
     assert eng.metrics.value("outage_drops") == 1
 
 
@@ -138,7 +138,7 @@ def test_channel_faults_corruption_verdict():
     eng = ChannelFaults(
         LinkFaultSpec(corrupt_rate=1.0), rng=np.random.default_rng(0)
     )
-    assert eng.judge(0.0) is FrameVerdict.CORRUPT
+    assert eng.decide(0.0).verdict is FrameVerdict.CORRUPT
     assert not FrameVerdict.CORRUPT.dropped  # delivered, then killed by CRC
     assert FrameVerdict.LOST.dropped and FrameVerdict.OUTAGE.dropped
     assert eng.metrics.value("corrupted") == 1
@@ -226,16 +226,25 @@ def test_adversarial_plan_constructors():
 
 
 # -- ChannelFaults.decide ----------------------------------------------------
-def test_decide_draw_order_matches_judge_for_legacy_plans():
-    """A loss-only plan must consume the exact same RNG sequence through
-    decide() as through judge() — the bit-reproducibility contract."""
+def test_decide_draw_order_for_legacy_plans():
+    """A loss + corruption plan draws one loss trial per frame and a
+    corruption trial only for frames the loss model spared, nothing
+    else — the bit-reproducibility contract."""
     spec = LinkFaultSpec(loss_rate=0.3, corrupt_rate=0.1)
-    a = ChannelFaults(spec, rng=np.random.default_rng(42))
-    b = ChannelFaults(spec, rng=np.random.default_rng(42))
-    verdicts_judge = [a.judge(float(t)) for t in range(200)]
-    decisions = [b.decide(float(t)) for t in range(200)]
-    assert [d.verdict for d in decisions] == verdicts_judge
+    eng = ChannelFaults(spec, rng=np.random.default_rng(42))
+    ref = np.random.default_rng(42)
+    expected = []
+    for _ in range(200):
+        if ref.random() < 0.3:
+            expected.append(FrameVerdict.LOST)
+        elif ref.random() < 0.1:
+            expected.append(FrameVerdict.CORRUPT)
+        else:
+            expected.append(FrameVerdict.DELIVER)
+    decisions = [eng.decide(float(t)) for t in range(200)]
+    assert [d.verdict for d in decisions] == expected
     assert all(d.copies == 1 and d.extra_delay_ns == 0.0 for d in decisions)
+    assert eng.rng.random() == ref.random()
 
 
 def test_decide_jitter_bounds_and_counter():

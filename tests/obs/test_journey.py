@@ -12,6 +12,7 @@ perturbing the simulation at all.
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -210,3 +211,69 @@ def test_artifact_roundtrip_preserves_journeys_and_timeseries(tmp_path, lossy_ru
                               loaded.timeseries)
             == chrome_trace_json(art.spans, art.records, art.journeys,
                                  art.timeseries))
+
+
+# -- JourneyRecorder.hop branches -------------------------------------------
+class _Clock:
+    now = 0.0
+
+
+def _packet(src=0, msg=7, pkt=11):
+    return SimpleNamespace(src_node=src, msg_id=msg, packet_id=pkt, seq=0,
+                           frag_offset=0, frag_bytes=100)
+
+
+def _recorder():
+    clock = _Clock()
+    rec = JourneyRecorder(clock)
+    rec.begin(0, 7, dst_node=1, port=3, nbytes=100, scope="node0.clic")
+    return rec, clock
+
+
+def test_hop_records_the_packet_inside_a_payload_wrapper():
+    rec, clock = _recorder()
+    clock.now = 250.0
+    rec.hop(SimpleNamespace(payload=_packet(pkt=42)), "nic_dma", "node0.nic0",
+            zero_copy=True)
+    (journey,) = rec.as_dicts()
+    assert journey["events"][-1] == {"i": 1, "t": 250.0, "hop": "nic_dma",
+                                     "scope": "node0.nic0", "pkt": 42,
+                                     "zero_copy": True}
+
+
+def test_hop_without_identity_or_journey_records_nothing():
+    rec, _ = _recorder()
+    ack = SimpleNamespace(packet_id=5, src_node=1)
+    rec.hop(ack, "wire", "node1.nic0")                         # no message identity
+    rec.hop(object(), "wire", "node1.nic0")                    # nothing at all
+    rec.hop(SimpleNamespace(payload=ack), "wire", "node1.nic0")  # wrapped ack
+    rec.hop(_packet(msg=8), "wire", "node0.nic0")              # no such journey
+    rec.hop(_packet(src=1), "wire", "node1.nic0")              # ditto, other sender
+    (journey,) = rec.as_dicts()
+    assert [e["hop"] for e in journey["events"]] == ["send"]
+
+
+def test_exported_event_keys_keep_their_order():
+    rec, clock = _recorder()
+    pkt = _packet()
+    rec.fragment(pkt, "node0.clic")
+    clock.now = 10.0
+    rec.tx(pkt, "node0.clic", accepted=True)
+    rec.note_retransmit(pkt, "rto")
+    clock.now = 20.0
+    rec.tx(pkt, "node0.clic", accepted=True)
+    rec.hop(pkt, "wire", "node0.nic0", link="a", bytes=100)
+    (journey,) = rec.as_dicts()
+    assert [list(e) for e in journey["events"]] == [
+        ["i", "t", "hop", "scope", "dst", "nbytes"],
+        ["i", "t", "hop", "scope", "pkt", "seq", "offset", "nbytes"],
+        ["i", "t", "hop", "scope", "pkt", "seq", "accepted"],
+        ["i", "t", "hop", "scope", "pkt", "parent", "seq", "accepted", "kind"],
+        ["i", "t", "hop", "scope", "pkt", "link", "bytes"],
+    ]
+    assert journey["events"][3]["parent"] == 2
+    assert journey["retransmits"] == [
+        {"pkt": 11, "kind": "rto", "t": 20.0, "parent": 2}]
+    # the export is a fresh copy: mutating it leaves the recorder intact
+    journey["events"][0]["t"] = -1.0
+    assert rec.as_dicts()[0]["events"][0]["t"] == 0.0

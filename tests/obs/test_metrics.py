@@ -145,8 +145,8 @@ def test_histogram_p999_tracks_extreme_tail():
 
 def test_timeseries_records_points_in_order():
     ts = TimeSeries("q.depth", unit="frames")
-    ts.sample(0.0, 1.0)
-    ts.sample(50.0, 3.0)
+    ts.points.append((0.0, 1.0))
+    ts.points.append((50.0, 3.0))
     assert len(ts) == 2
     assert ts.as_dict() == {
         "unit": "frames", "count": 2, "points": [[0.0, 1.0], [50.0, 3.0]]}
@@ -205,7 +205,7 @@ def test_registry_timeseries_excluded_from_snapshot():
     reg = MetricsRegistry()
     reg.tallies("")["a"] += 1
     ts = reg.timeseries("b.depth", unit="frames")
-    ts.sample(0.0, 2.0)
+    ts.points.append((0.0, 2.0))
     assert reg.timeseries("b.depth") is ts
     assert list(reg.snapshot()) == ["a"]
     with pytest.raises(TypeError, match="timeseries"):

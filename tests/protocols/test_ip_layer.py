@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import MTU_STANDARD, granada2003
+from repro.oskernel import SkBuff
 from repro.protocols.tcpip.ip import IpDatagram
 
 
@@ -29,7 +30,7 @@ def test_tx_small_datagram_single_frame():
         yield from ip.tx(dgram(1000))
 
     cluster.env.run(cluster.env.process(body(cluster.env)))
-    assert ip.counters["datagrams_tx"] == 1
+    assert node.drivers[0].counters["tx_accepted"] == 1
 
 
 def test_tx_rejects_a_datagram_larger_than_the_mtu():
@@ -42,11 +43,30 @@ def test_tx_rejects_a_datagram_larger_than_the_mtu():
 
     with pytest.raises(ValueError, match="exceeds"):
         cluster.env.run(cluster.env.process(body(cluster.env)))
-    assert ip.counters["datagrams_tx"] == 1
+    assert node.drivers[0].counters["tx_accepted"] == 1
 
 
 def test_rx_unfragmented_passthrough():
+    """A received datagram's payload goes to TCP as it is; a datagram of
+    another protocol is counted and dropped."""
     cluster, ip, node = make_ip()
-    d = dgram(500)
-    assert ip.rx(d) is d
-    assert ip.counters["datagrams_rx"] == 1
+    stack = node.tcp
+    dispatched = []
+
+    def dispatch(seg):
+        dispatched.append(seg)
+        yield from ()
+
+    stack.tcp.dispatch = dispatch
+    segment = object()
+    tcp_dgram = IpDatagram(src_node=1, dst_node=0, protocol="tcp",
+                           data_bytes=500, payload=segment)
+    other = IpDatagram(src_node=1, dst_node=0, protocol="udp", data_bytes=500)
+
+    def body(env):
+        for d in (tcp_dgram, other):
+            yield from stack._rx_entry(SkBuff.for_system_payload(500, payload=d))
+
+    cluster.env.run(cluster.env.process(body(cluster.env)))
+    assert dispatched == [segment]
+    assert stack.counters["unknown_ip_protocol"] == 1
