@@ -82,21 +82,20 @@ class Channel(Server):
 
     def transmit(self, frame: Frame) -> Generator:
         """Serialize ``frame`` onto the wire (the caller waits for that),
-        then deliver it to the sink after propagation."""
+        then deliver it to the sink after propagation.
+
+        A frame is ``k = train_frames`` equal-size frames (``k > 1`` is
+        a flow-mode train) and holds the wire ``1/k`` of their summed
+        serialization time: cut-through timing, because the slower
+        upstream stage (host PCI DMA) paces the train and the wire
+        overlaps it; holding it ``k`` frame times would stack latency
+        the pipelined packet model does not have.  (Utilization
+        under-reports by (k-1)/k per train — a documented flow-mode
+        approximation.)
+        """
         if self._sink is None:
             raise RuntimeError(f"channel {self.name} has no sink")
-        duration = frame_time_ns(frame, self.params)
-        if frame.train_frames > 1:
-            # Flow-mode train, cut-through timing: the train is paced by
-            # the slower upstream stage (host PCI DMA serializes the k
-            # frames before the wire ever sees them), so in the exact
-            # simulation the wire overlaps with that pacing and adds only
-            # one frame's serialization to the tail latency.  Holding the
-            # wire k frame-times here would stack latency the pipelined
-            # packet model does not have; hold one frame time instead.
-            # (Utilization under-reports by (k-1)/k per train — a
-            # documented flow-mode approximation.)
-            duration /= frame.train_frames
+        duration = frame_time_ns(frame, self.params) / frame.train_frames
         faults = self.faults
         if faults is not None and faults.has_congestion:
             # Congestion collapses effective bandwidth: the wire is held
@@ -108,11 +107,12 @@ class Channel(Server):
         self.counters["frames_offered"] += k
         self.counters["bytes_offered"] += frame.payload_bytes
         if k > 1:
-            # Flow-mode train: it only formed because the controller
-            # proved both directions quiet over its horizon (no
-            # stochastic models, no outage/congestion window), so the
-            # verdict is DELIVER with no extras — skip the per-frame
-            # draw and hand the batch to the sink with one plain timer.
+            # Flow-mode train, a fork of its own because it schedules
+            # differently: it only formed because the controller proved
+            # both directions quiet over its horizon (no stochastic
+            # models, no outage/congestion window), so the verdict is
+            # DELIVER with no extras — skip the per-frame draw and hand
+            # the batch to the sink with one plain timer, not ``defer``.
             self.counters["frames"] += k
             self.counters["bytes"] += frame.payload_bytes
             sink = self._sink

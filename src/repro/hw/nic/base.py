@@ -172,7 +172,7 @@ class Nic:
             if journeys is not None:
                 journeys.hop(frame.payload, "nic_drop", self.name, reason="crc")
             return
-        per_payload = frame.payload_bytes // k if k > 1 else frame.payload_bytes
+        per_payload = frame.payload_bytes // k
         if per_payload > self.params.effective_mtu():
             # Jumbo interoperability (paper §2: "both communicating
             # computers have to use Jumbo frames"): an oversized frame is
@@ -245,11 +245,9 @@ class Nic:
 
     def _effective_mtu_check(self, desc: TxDescriptor) -> None:
         mtu = self.params.effective_mtu()
-        nbytes = desc.payload_bytes
-        if desc.train_frames > 1:
-            # A train is k equal-size frames: the MTU bound applies to
-            # each constituent frame, not the batch total.
-            nbytes //= desc.train_frames
+        # A train is k equal-size frames: the MTU bound applies to each
+        # constituent frame, not the batch total.
+        nbytes = desc.payload_bytes // desc.train_frames
         if nbytes > mtu and not self.params.supports_fragmentation:
             raise ValueError(
                 f"descriptor of {desc.payload_bytes} B exceeds MTU {mtu} and "
@@ -258,29 +256,30 @@ class Nic:
             )
 
     def _tx_pump(self) -> Generator:
+        """Serve the tx ring.  A descriptor is ``k = train_frames`` equal
+        frames (``k > 1``: a flow-mode train): one DMA burst of ``k``
+        setups, ``k`` frames of firmware time and one FIFO entry, equal
+        to ``k`` per-frame passes.  A train whose hop the flow
+        controller proves clear takes the analytic lane instead."""
         while True:
             desc: TxDescriptor = yield self._tx_ring.get()
             span = self.tracer.begin(self.name, "nic_tx", nbytes=desc.payload_bytes)
-            if desc.train_frames > 1:
-                k = desc.train_frames
-                per_frame = desc.payload_bytes // k
+            k = desc.train_frames
+            if k > 1:
                 flow = self.env.flow
                 route = (flow.hop_route(self, desc.dst)
                          if flow is not None else None)
                 if (route is not None and desc.on_wire is None
                         and not self._tx_fifo.items and route.hop_clear()):
-                    # Analytic fast path.  Pay the *head* frame's DMA
-                    # inline (the PCI grant paces back-to-back trains
-                    # exactly as k per-frame transfers would) and hold
-                    # the bus for the remaining k-1 frames in the
-                    # background — utilization and inter-train cadence
-                    # stay exact, while the train's head reaches the
-                    # destination at the pipelined (cut-through) time
-                    # instead of after k serial hop charges.  The
-                    # receive side then drains the k frames with the
-                    # fully simulated ring/IRQ machinery, overlapping
-                    # the background DMA just as the exact per-packet
-                    # schedule does.
+                    # Analytic lane, a fork because it schedules
+                    # differently: pay the *head* frame's DMA inline (the
+                    # PCI grant paces back-to-back trains as k per-frame
+                    # transfers would) and hold the bus for the other k-1
+                    # in the background, so utilization and cadence stay
+                    # exact while the head lands at the cut-through time;
+                    # the receive side drains the k frames fully
+                    # simulated, overlapping that DMA as the packets would.
+                    per_frame = desc.payload_bytes // k
                     yield from self.pci.dma(per_frame, priority=2,
                                             label=self._tx_label)
                     self.env.process(
@@ -305,35 +304,16 @@ class Nic:
                     route.carry(frame)
                     span.end(frames=k, analytic=True)
                     continue
-                # Exact-resource train path: one bus-master burst charging
-                # k descriptor setups + the batch bytes, k frames' worth of
-                # firmware processing, and a single batched FIFO entry —
-                # closed-form equal to k back-to-back per-frame passes.
-                yield from self.pci.dma(desc.payload_bytes, priority=2,
-                                        label=self._tx_label,
-                                        transactions=k)
-                yield self.env.timeout(self.params.frame_processing_ns * k)
-                frame = Frame(
-                    src=self.mac,
-                    dst=desc.dst,
-                    ethertype=desc.ethertype,
-                    payload_bytes=desc.payload_bytes,
-                    payload=desc.payload,
-                    train_frames=k,
-                )
-                yield self._tx_fifo.put((frame, desc.on_wire))
-                if desc.from_user_memory:
-                    self.counters["tx_zero_copy"] += k
-                span.end(frames=k)
-                continue
             # Bus-master DMA: fetch the payload (plus headers) across PCI.
-            yield from self.pci.dma(desc.payload_bytes, priority=2, label=self._tx_label)
+            yield from self.pci.dma(desc.payload_bytes, priority=2,
+                                    label=self._tx_label, transactions=k)
             journeys = self.tracer.journeys
             if journeys is not None:
                 journeys.hop(desc.payload, "nic_dma", self.name,
                              nbytes=desc.payload_bytes)
             mtu = self.params.effective_mtu()
-            if desc.payload_bytes <= mtu:
+            if k > 1 or desc.payload_bytes <= mtu:
+                # One frame, or one train of k frames (never split).
                 pieces = [(desc.payload_bytes, desc.payload, True)]
             else:
                 # Fragmentation offload: firmware splits into MTU frames.
@@ -346,21 +326,22 @@ class Nic:
                 self.counters["tx_offload_fragmented"] += 1
             last_idx = len(pieces) - 1
             for idx, (nbytes, payload, last) in enumerate(pieces):
-                yield self.env.timeout(self.params.frame_processing_ns)
+                yield self.env.timeout(self.params.frame_processing_ns * k)
                 frame = Frame(
                     src=self.mac,
                     dst=desc.dst,
                     ethertype=desc.ethertype,
                     payload_bytes=nbytes,
                     payload=payload,
+                    train_frames=k,
                 )
                 if len(pieces) > 1:
                     frame.payload = _FragmentMarker(desc.desc_id, payload, last=last, total=desc.payload_bytes)
                 on_wire = desc.on_wire if idx == last_idx else None
                 yield self._tx_fifo.put((frame, on_wire))
             if desc.from_user_memory:
-                self.counters["tx_zero_copy"] += 1
-            span.end(frames=len(pieces))
+                self.counters["tx_zero_copy"] += k
+            span.end(frames=k * len(pieces))
 
     def _wire_pump(self) -> Generator:
         """Drain the on-card FIFO onto the wire (overlaps host DMA)."""

@@ -104,7 +104,7 @@ def wire_bytes(frame: Frame, link: LinkParams) -> int:
     to sending the ``k`` frames back to back.
     """
     k = frame.train_frames
-    per_payload = frame.payload_bytes // k if k > 1 else frame.payload_bytes
+    per_payload = frame.payload_bytes // k
     mac_frame = link.mac_header_bytes + per_payload + link.crc_bytes
     mac_frame = max(mac_frame, link.min_frame_bytes)
     return (link.preamble_bytes + mac_frame + link.ifg_bytes) * k

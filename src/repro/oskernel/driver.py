@@ -26,7 +26,7 @@ from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL
 from ..hw.nic import MacAddress, Nic, TxDescriptor
 from ..sim import Event
 from .kernel import Kernel
-from .skbuff import NIC_MEMORY, SYSTEM_MEMORY, USER_MEMORY, SkBuff
+from .skbuff import SYSTEM_MEMORY, SkBuff
 
 __all__ = ["VendorDriver"]
 
@@ -112,50 +112,39 @@ class VendorDriver:
         while self.nic.rx_pending() and drained < self.params.rx_budget_per_irq:
             head = self.nic.peek_rx()
             k = head.frame.train_frames
-            if k > 1 and drained + k > self.params.rx_budget_per_irq:
+            if drained + k > self.params.rx_budget_per_irq:
                 # A train drains whole or not at all; leave it pending and
                 # let ``service_done`` schedule the next IRQ round.
                 break
             t0 = env.now
             frame_span = self.tracer.begin(self.name, "rx_frame")
+            if not direct:
+                # Stock path: allocate the sk_buff (a train charges its k
+                # per-frame costs in one CPU slice); the bytes then move
+                # NIC -> system memory with the CPU captive, and the
+                # protocol work is deferred to a bottom half.  Figure
+                # 8(b) skips the staging: the DMA lands where the module
+                # directs (user memory if a receiver waits) and the
+                # module runs in-line from the handler.
+                yield from cpu.execute(self.params.rx_per_frame_ns * k, PRIO_IRQ, label="drv_rx_skb")
+            rx = yield from cpu.occupy(self.nic.dma_frame_to_host(), PRIO_IRQ, label="drv_rx_dma")
+            journeys = self.tracer.journeys
+            if journeys is not None:
+                journeys.hop(rx.frame.payload, "irq", self.name, direct=direct)
+            skb = SkBuff(
+                payload_bytes=rx.frame.payload_bytes,
+                fragments=[(SYSTEM_MEMORY, rx.frame.payload_bytes)] if rx.frame.payload_bytes else [],
+                payload=rx.frame.payload,
+                direct_delivery=direct,
+            )
+            frame_span.end(pkt=_pkt_id(rx.frame.payload), nbytes=rx.frame.payload_bytes)
+            self.tracer.instant(
+                self.name, "driver_rx",
+                pkt=_pkt_id(rx.frame.payload), t0=t0, nbytes=rx.frame.payload_bytes,
+            )
             if direct:
-                # Figure 8(b): no sk_buff staging; DMA lands where the
-                # module directs (user memory if a receiver waits).
-                rx = yield from cpu.occupy(self.nic.dma_frame_to_host(), PRIO_IRQ, label="drv_rx_dma")
-                journeys = self.tracer.journeys
-                if journeys is not None:
-                    journeys.hop(rx.frame.payload, "irq", self.name, direct=True)
-                skb = SkBuff(
-                    payload_bytes=rx.frame.payload_bytes,
-                    fragments=[(SYSTEM_MEMORY, rx.frame.payload_bytes)] if rx.frame.payload_bytes else [],
-                    payload=rx.frame.payload,
-                    direct_delivery=True,
-                )
-                frame_span.end(pkt=_pkt_id(rx.frame.payload), nbytes=rx.frame.payload_bytes)
-                self.tracer.instant(
-                    self.name, "driver_rx",
-                    pkt=_pkt_id(rx.frame.payload), t0=t0, nbytes=rx.frame.payload_bytes,
-                )
                 yield from self.kernel.direct_rx(rx.frame.ethertype, skb)
             else:
-                # Stock path: allocate sk_buff, move NIC -> system memory
-                # with the CPU captive, defer protocol work to a BH.
-                # A train charges its k per-frame costs in one CPU slice.
-                yield from cpu.execute(self.params.rx_per_frame_ns * k, PRIO_IRQ, label="drv_rx_skb")
-                rx = yield from cpu.occupy(self.nic.dma_frame_to_host(), PRIO_IRQ, label="drv_rx_dma")
-                journeys = self.tracer.journeys
-                if journeys is not None:
-                    journeys.hop(rx.frame.payload, "irq", self.name, direct=False)
-                skb = SkBuff(
-                    payload_bytes=rx.frame.payload_bytes,
-                    fragments=[(SYSTEM_MEMORY, rx.frame.payload_bytes)] if rx.frame.payload_bytes else [],
-                    payload=rx.frame.payload,
-                )
-                frame_span.end(pkt=_pkt_id(rx.frame.payload), nbytes=rx.frame.payload_bytes)
-                self.tracer.instant(
-                    self.name, "driver_rx",
-                    pkt=_pkt_id(rx.frame.payload), t0=t0, nbytes=rx.frame.payload_bytes,
-                )
                 self.kernel.deliver_rx(rx.frame.ethertype, skb, in_irq_context=True)
             drained += k
         self.counters["rx_frames"] += drained

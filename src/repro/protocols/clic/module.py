@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ...config import ClicParams
 from ...hw.cpu import PRIO_KERNEL, PRIO_SOFTIRQ
 from ...hw.nic import BROADCAST, EtherType, MacAddress
 from ...oskernel import SkBuff
 from ...sim import Environment, Event, Store
-from ..headers import ClicAck, ClicPacket, ClicPacketType, ClicTrain, fragment_plan
+from ..headers import (ClicAck, ClicPacket, ClicPacketType, ClicTrain, fragment_plan,
+                       reassembled)
 from ..reliability import DeliveryFailed, OrderedReceiver, RtoEstimator, WindowedSender
 
 __all__ = ["ClicModule", "ClicMessage", "RemoteRegion"]
@@ -206,10 +207,6 @@ class ClicModule:
         return receiver.stash_depth if receiver is not None else 0
 
     # -- peer aliveness -------------------------------------------------------
-    def peer_is_dead(self, peer: int) -> bool:
-        """True once ``peer`` has been declared unreachable."""
-        return peer in self.dead_peers
-
     def failed_channels(self) -> List[DeliveryFailed]:
         """The error of every failed sender channel, by peer."""
         return [s.failure for _, s in sorted(self._senders.items()) if s.failed]
@@ -267,56 +264,36 @@ class ClicModule:
         )
         index = 0
         while index < len(plan):
-            offset, frag = plan[index]
             yield from sender.reserve()
-            k = 0
-            if trainable and frag == frag_max and not self._backlog.items:
+            k = 1
+            if trainable and plan[index][1] == frag_max and not self._backlog.items:
                 # The tail fragment (the last entry, full-size or not)
                 # never rides a train — batched delivery stays strictly
                 # mid-stream, so message completion is always exact.
                 remaining_full = len(plan) - 1 - index
                 k = flow.plan_train(node_id, dst_node, sender,
-                                    remaining_full, self.env.now)
-            if k >= 2:
-                packets = []
-                for train_offset, train_frag in plan[index:index + k]:
-                    packets.append(ClicPacket(
-                        ptype=ptype,
-                        src_node=node_id,
-                        dst_node=dst_node,
-                        port=port,
-                        msg_id=msg_id,
-                        seq=0,  # assigned at register
-                        frag_offset=train_offset,
-                        frag_bytes=train_frag,
-                        msg_bytes=nbytes,
-                        tag=tag,
-                        payload=payload,
-                    ))
-                for seq, pkt in enumerate(packets, sender.register_run(packets)):
-                    pkt.seq = seq
-                train = ClicTrain(packets=tuple(packets), frag_bytes=frag_max)
-                yield from self._tx_train(train, dst_node)
-                index += k
-                continue
-            pkt = ClicPacket(
-                ptype=ptype,
-                src_node=node_id,
-                dst_node=dst_node,
-                port=port,
-                msg_id=msg_id,
-                seq=0,  # assigned at register
-                frag_offset=offset,
-                frag_bytes=frag,
-                msg_bytes=nbytes,
-                tag=tag,
-                payload=payload,
-            )
-            pkt.seq = sender.register(pkt)
-            if journeys is not None:
-                journeys.fragment(pkt, self.scope)
-            yield from self._tx_packet(pkt)
-            index += 1
+                                    remaining_full, self.env.now) or 1
+            packets = []
+            for offset, frag in plan[index:index + k]:
+                packets.append(ClicPacket(
+                    ptype=ptype,
+                    src_node=node_id,
+                    dst_node=dst_node,
+                    port=port,
+                    msg_id=msg_id,
+                    seq=0,  # assigned at register
+                    frag_offset=offset,
+                    frag_bytes=frag,
+                    msg_bytes=nbytes,
+                    tag=tag,
+                    payload=payload,
+                ))
+            for seq, pkt in enumerate(packets, sender.register_run(packets)):
+                pkt.seq = seq
+                if journeys is not None:
+                    journeys.fragment(pkt, self.scope)
+            yield from self._tx_run(packets)
+            index += k
         self.counters["msgs_sent"] += 1
         self.counters["bytes_sent"] += nbytes
         span.end()
@@ -347,7 +324,7 @@ class ClicModule:
                 tag=tag,
                 payload=payload,
             )
-            yield from self._tx_packet(pkt, dst_mac=BROADCAST)
+            yield from self._tx_run((pkt,), dst_mac=BROADCAST)
         self.counters["bcasts_sent"] += 1
         return msg_id
 
@@ -360,77 +337,56 @@ class ClicModule:
         self._kernel_fns[fn_id] = handler
 
     # -- transmission mechanics ----------------------------------------------
-    def _tx_packet(self, pkt: ClicPacket, dst_mac: Optional[MacAddress] = None) -> Generator:
-        """Compose headers + SK_BUFF, call the driver; stage on refusal."""
+    def _tx_run(self, packets: Sequence[ClicPacket],
+                dst_mac: Optional[MacAddress] = None) -> Generator:
+        """Compose headers + one SK_BUFF for ``k`` consecutive fragments,
+        call the driver once; stage the whole run on refusal.
+
+        A lone fragment rides as a bare :class:`ClicPacket`, a flow-mode
+        train (``k >= 2``) as one :class:`ClicTrain`.  Each cost is the
+        per-fragment cost times ``k``, the sum of ``k`` single passes.
+        """
         cpu = self.kernel.cpu
-        span = self.tracer.begin(self.scope, "clic_tx",
-                                 pkt=pkt.packet_id, nbytes=pkt.frag_bytes)
-        yield from cpu.execute(self.params.module_tx_ns, PRIO_KERNEL, label="clic_tx")
+        k = len(packets)
+        head = packets[0]
+        nbytes = head.frag_bytes * k
+        if k == 1:
+            item = head
+            span = self.tracer.begin(self.scope, "clic_tx",
+                                     pkt=head.packet_id, nbytes=nbytes)
+        else:
+            item = ClicTrain(packets=tuple(packets), frag_bytes=head.frag_bytes)
+            span = self.tracer.begin(self.scope, "clic_tx_train",
+                                     frames=k, nbytes=nbytes)
+        yield from cpu.execute(self.params.module_tx_ns * k, PRIO_KERNEL, label="clic_tx")
         zero_copy = self.params.zero_copy and self.node.nic_supports_sg()
-        driver, mac = self._route(pkt, dst_mac)
+        driver, mac = self._route(head, dst_mac)
         if zero_copy:
-            skb = SkBuff.for_user_payload(pkt.frag_bytes, payload=pkt)
+            skb = SkBuff.for_user_payload(nbytes, payload=item)
         else:
             # Fast Ethernet-era path: one copy user -> system memory first.
-            yield from self.kernel.copy_user_to_system(pkt.frag_bytes)
-            skb = SkBuff.for_system_payload(pkt.frag_bytes, payload=pkt)
-        skb.push_header("clic", self.params.header_bytes)
+            yield from self.kernel.copy_user_to_system(nbytes, setups=k)
+            skb = SkBuff.for_system_payload(nbytes, payload=item)
+        skb.push_header("clic", self.params.header_bytes * k)
         accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
         journeys = self.tracer.journeys
         if journeys is not None:
-            journeys.tx(pkt, self.scope, accepted)
+            for pkt in packets:
+                journeys.tx(pkt, self.scope, accepted)
         if accepted:
-            self.counters["pkts_tx"] += 1
+            self.counters["pkts_tx"] += k
             span.end(accepted=True)
             return
         # NIC busy: stage in system memory (the copy overlaps other
-        # traffic; §3.1) and let the pump retry.
+        # traffic; §3.1) and let the pump retry — a train stays intact
+        # in the backlog.
         if skb.is_zero_copy:
-            yield from self.kernel.copy_user_to_system(pkt.frag_bytes)
-            skb.relocate("system")
-            self.counters["staged_copies"] += 1
-        self.counters["pkts_staged"] += 1
-        self._backlog.put((skb, mac))
-        span.end(accepted=False)
-
-    def _tx_train(self, train: ClicTrain, dst_node: int) -> Generator:
-        """Batched transmit of a flow-mode train (see :mod:`repro.sim.flowmode`).
-
-        Closed-form over the batch: ``k`` module-entry costs in one CPU
-        slice, one SK_BUFF spanning the ``k`` fragments (``k`` staging
-        copy setups when not zero-copy), one driver call posting a
-        ``k``-wide descriptor.  Every modeled cost equals the sum of the
-        ``k`` per-packet passes it replaces.
-        """
-        cpu = self.kernel.cpu
-        k = len(train.packets)
-        total_user = train.frag_bytes * k
-        span = self.tracer.begin(self.scope, "clic_tx_train",
-                                 frames=k, nbytes=total_user)
-        yield from cpu.execute(self.params.module_tx_ns * k, PRIO_KERNEL,
-                               label="clic_tx")
-        zero_copy = self.params.zero_copy and self.node.nic_supports_sg()
-        driver, mac = self.node.drivers[0], self.node.mac_of(dst_node, 0)
-        if zero_copy:
-            skb = SkBuff.for_user_payload(total_user, payload=train)
-        else:
-            yield from self.kernel.copy_user_to_system(total_user, setups=k)
-            skb = SkBuff.for_system_payload(total_user, payload=train)
-        skb.push_header("clic", self.params.header_bytes * k)
-        accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
-        if accepted:
-            self.counters["pkts_tx"] += k
-            span.end(accepted=True, frames=k)
-            return
-        # NIC busy mid-train: stage the whole batch (one copy, k setups)
-        # and let the pump retry — the train stays intact in the backlog.
-        if skb.is_zero_copy:
-            yield from self.kernel.copy_user_to_system(total_user, setups=k)
+            yield from self.kernel.copy_user_to_system(nbytes, setups=k)
             skb.relocate("system")
             self.counters["staged_copies"] += k
         self.counters["pkts_staged"] += k
         self._backlog.put((skb, mac))
-        span.end(accepted=False, frames=k)
+        span.end(accepted=False)
 
     def _route(self, pkt: ClicPacket, dst_mac: Optional[MacAddress]):
         """Pick (driver, dst MAC) — round-robin across bonded channels."""
@@ -469,7 +425,7 @@ class ClicModule:
         def _do() -> Generator:
             for pkt in packets:
                 self.counters["pkts_retx"] += 1
-                yield from self._tx_packet(pkt)
+                yield from self._tx_run((pkt,))
 
         self.env.process(_do(), name=f"{self.node.name}.clic.retx")
 
@@ -527,10 +483,11 @@ class ClicModule:
         span = self.tracer.begin(self.scope, "clic_rx", direct=skb.direct_delivery)
         item = skb.payload
         if isinstance(item, ClicTrain):
-            # Flow-mode train: k module entries charged in one CPU
-            # slice, then the receiver takes the k packets in one call
-            # (sequencing, duplicate suppression and ack cadence are
-            # those of k separate arrivals).
+            # Flow-mode train, a branch because it schedules
+            # differently: k module entries in one CPU slice, then one
+            # ``on_run`` call (the sequencing, duplicate suppression and
+            # ack cadence of k arrivals, one delayed-ack arm), and
+            # ``_consume_released`` may land the run in one batched copy.
             packets = item.packets
             k = len(packets)
             yield from cpu.execute(self.params.module_rx_ns * k, PRIO_SOFTIRQ,
@@ -577,7 +534,7 @@ class ClicModule:
         # Process fragments released in order by the receiver machinery.
         while self._rx_ready:
             fragment = self._rx_ready.pop(0)
-            yield from self._consume_fragment(fragment)
+            yield from self._consume_fragment(fragment, fragment.frag_bytes, 1)
         span.end(pkt=pkt.packet_id)
 
     def _consume_released(self, fragments: List[ClicPacket],
@@ -586,12 +543,13 @@ class ClicModule:
 
         When the whole run is one message *strictly mid-stream* (the
         common steady-state case: trains never carry a message's tail),
-        the per-fragment staging copies collapse into one CPU slice
-        charging ``k`` copy setups.  Anything else — mixed messages, a
-        run that completes a message via previously stashed successors —
-        falls back to exact per-fragment consumption.  A caller that
-        knows the run is one message's data fragments passes their byte
-        ``total``, and the run is not inspected fragment by fragment.
+        it lands as one :meth:`_consume_fragment` call for ``k``
+        fragments: one CPU slice charging ``k`` copy setups.  Anything
+        else — mixed messages, a run that completes a message via
+        previously stashed successors — falls back to exact per-fragment
+        consumption.  A caller that knows the run is one message's data
+        fragments passes their byte ``total``, and the run is not
+        inspected fragment by fragment.
         """
         first = fragments[0]
         key = (first.src_node, first.msg_id)
@@ -607,42 +565,17 @@ class ClicModule:
         received = partial.received if partial is not None else 0
         if not homogeneous or received + total >= first.msg_bytes:
             for pkt in fragments:
-                yield from self._consume_fragment(pkt)
+                yield from self._consume_fragment(pkt, pkt.frag_bytes, 1)
             return
-        k = len(fragments)
-        self.counters["pkts_rx"] += k
-        if partial is None:
-            partial = _Partial(
-                src_node=first.src_node,
-                port=first.port,
-                tag=first.tag,
-                msg_id=first.msg_id,
-                msg_bytes=first.msg_bytes,
-                remote_write=first.ptype is ClicPacketType.REMOTE_WRITE,
-                payload=first.payload,
-            )
-            self._partials[key] = partial
-            if not partial.remote_write:
-                self._bind_waiter(partial)
-        direct = getattr(first, "_direct_delivery", False)
-        if partial.remote_write:
-            if not direct:
-                yield from self.kernel.copy_system_to_user(
-                    total, PRIO_SOFTIRQ, setups=k
-                )
-            region = self.port(first.port).region
-            if region is not None:
-                region.bytes_written += total
-        elif partial.bound_waiter is not None and direct:
-            self.counters["direct_user_deliveries"] += k
-        elif partial.bound_waiter is not None:
-            yield from self.kernel.copy_system_to_user(
-                total, PRIO_SOFTIRQ, setups=k
-            )
-        partial.received += total
+        yield from self._consume_fragment(first, total, len(fragments))
 
-    def _consume_fragment(self, pkt: ClicPacket) -> Generator:
-        self.counters["pkts_rx"] += 1
+    def _consume_fragment(self, pkt: ClicPacket, nbytes: int, k: int) -> Generator:
+        """Land ``k`` consecutive fragments of one message (``nbytes`` in
+        all, headed by ``pkt``) with one copy charging ``k`` setups, and
+        complete the message once every byte is in.  ``k > 1`` only for
+        a released train that stays mid-stream (:meth:`_consume_released`).
+        """
+        self.counters["pkts_rx"] += k
         key = (pkt.src_node, pkt.msg_id)
         partial = self._partials.get(key)
         if partial is None:
@@ -665,25 +598,25 @@ class ClicModule:
             # region, no receive call needed (§3.1 step 7).  On the
             # Figure 8(b) path the DMA already targeted the region.
             if not direct:
-                yield from self.kernel.copy_system_to_user(pkt.frag_bytes, PRIO_SOFTIRQ)
+                yield from self.kernel.copy_system_to_user(nbytes, PRIO_SOFTIRQ, setups=k)
             region = self.port(pkt.port).region
             if region is not None:
-                region.bytes_written += pkt.frag_bytes
+                region.bytes_written += nbytes
         elif partial.bound_waiter is not None and direct:
             # Figure 8(b): the module directed the DMA straight into the
             # waiting process's buffer — no staging copy at all.
-            self.counters["direct_user_deliveries"] += 1
+            self.counters["direct_user_deliveries"] += k
         elif partial.bound_waiter is not None:
             # A process is already waiting: move the fragment into its
             # memory right away.
-            yield from self.kernel.copy_system_to_user(pkt.frag_bytes, PRIO_SOFTIRQ)
+            yield from self.kernel.copy_system_to_user(nbytes, PRIO_SOFTIRQ, setups=k)
 
-        partial.received += pkt.frag_bytes
+        partial.received += nbytes
         journeys = self.tracer.journeys
         if journeys is not None:
             journeys.hop(pkt, "reassembly", self.scope,
                          received=partial.received, total=partial.msg_bytes)
-        if partial.received < partial.msg_bytes or (partial.msg_bytes == 0 and not pkt.is_last_fragment):
+        if not reassembled(partial, pkt):
             return
         # Message complete.
         del self._partials[key]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config import GammaParams
@@ -31,7 +31,7 @@ from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL
 from ..hw.nic import EtherType, RxFrame, TxDescriptor
 from ..oskernel import SkBuff, UserProcess
 from ..sim import Event
-from .headers import GammaPacket, fragment_plan
+from .headers import GammaPacket, Reassembly, fragment_plan, reassembled
 
 __all__ = ["GammaLayer", "GammaPort", "GammaMessage"]
 
@@ -46,13 +46,6 @@ class GammaMessage:
     msg_id: int
     payload: Any = None
     completed_at: float = 0.0
-
-
-@dataclass
-class _Assembling:
-    msg_bytes: int
-    received: int = 0
-    payload: Any = None
 
 
 class GammaPort:
@@ -73,7 +66,7 @@ class GammaLayer:
         self.kernel = node.kernel
         self.counters = Counter()
         self._ports: Dict[int, GammaPort] = {}
-        self._assembling: Dict[Tuple[int, int], _Assembling] = {}
+        self._assembling: Dict[Tuple[int, int], Reassembly] = {}
         nic = node.nics[0]
         if nic.rx_deliver != "push":
             raise RuntimeError(
@@ -142,9 +135,9 @@ class GammaLayer:
         key = (pkt.src_node, pkt.msg_id)
         acc = self._assembling.get(key)
         if acc is None:
-            acc = self._assembling[key] = _Assembling(msg_bytes=pkt.msg_bytes, payload=pkt.payload)
+            acc = self._assembling[key] = Reassembly(msg_bytes=pkt.msg_bytes, payload=pkt.payload)
         acc.received += pkt.frag_bytes
-        if acc.received < acc.msg_bytes or (acc.msg_bytes == 0 and not pkt.is_last_fragment):
+        if not reassembled(acc, pkt):
             return
         del self._assembling[key]
         msg = GammaMessage(

@@ -33,6 +33,8 @@ __all__ = [
     "GammaPacket",
     "ViaPacket",
     "fragment_plan",
+    "Reassembly",
+    "reassembled",
 ]
 
 _packet_ids = itertools.count(1)
@@ -59,6 +61,24 @@ def fragment_plan(nbytes: int, frag_max: int) -> Iterator[Tuple[int, int]]:
         offset += frag
         if offset >= nbytes:
             return
+
+
+@dataclass
+class Reassembly:
+    """A message being put back together from its fragments."""
+
+    msg_bytes: int
+    received: int = 0
+    payload: Any = None
+
+
+def reassembled(partial: Any, pkt: Any) -> bool:
+    """The completion rule of every protocol module: ``partial`` (any
+    record with ``received`` and ``msg_bytes``) holds its whole message
+    once ``pkt`` landed; a zero-byte message completes on its last
+    (empty) fragment."""
+    return partial.received >= partial.msg_bytes and (
+        partial.msg_bytes != 0 or pkt.is_last_fragment)
 
 
 class ClicPacketType(Enum):
@@ -112,9 +132,6 @@ class ClicTrain:
     packets: Tuple[ClicPacket, ...]
     #: user-payload bytes of each fragment (identical across the train)
     frag_bytes: int
-
-    def __len__(self) -> int:
-        return len(self.packets)
 
 
 @dataclass

@@ -309,29 +309,18 @@ class WindowedSender:
             self._check_failed()
 
     def register(self, packet: Any) -> int:
-        """Assign the next sequence number to ``packet`` and track it.
+        """Assign the next sequence number to ``packet`` and track it: a
+        run of one (:meth:`register_run`).
 
         The caller must have reserved window space; the packet object is
         retained for retransmission until acknowledged.
         """
-        self._check_failed()
-        if self.window_full():
-            raise RuntimeError(f"{self.name}: register() without window space")
-        seq = self.next_seq
-        self.next_seq += 1
-        self._in_flight[seq] = packet
-        self._sent_at[seq] = self.env.now
-        self.counters["registered"] += 1
-        if self.probe is not None:
-            self.probe.on_register(self, seq)
-        if len(self._in_flight) == 1:
-            self._start_timer()
-        return seq
+        return self.register_run((packet,))
 
     def register_run(self, packets: Sequence[Any]) -> int:
-        """Register a run of packets at once, as :meth:`register` would
-        one by one; returns the first one's sequence number (the rest
-        follow consecutively).
+        """Register a run of packets at once, as one registration per
+        packet in order would; returns the first one's sequence number
+        (the rest follow consecutively).
 
         The run must fit the window whole; otherwise this raises before
         changing any state.  The retransmission timer starts once, if

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config import ViaParams
 from ..hw.cpu import PRIO_USER
 from ..hw.nic import EtherType, RxFrame, TxDescriptor
-from .headers import ViaPacket, fragment_plan
+from .headers import Reassembly, ViaPacket, fragment_plan, reassembled
 
 __all__ = ["ViaNic", "VirtualInterface", "ViaMessage"]
 
@@ -41,13 +41,6 @@ class ViaMessage:
     msg_id: int
     payload: Any = None
     completed_at: float = 0.0
-
-
-@dataclass
-class _Assembling:
-    msg_bytes: int
-    received: int = 0
-    payload: Any = None
 
 
 class VirtualInterface:
@@ -126,7 +119,7 @@ class ViaNic:
         self.params: ViaParams = node.cfg.via
         self.counters = Counter()
         self._vis: Dict[int, VirtualInterface] = {}
-        self._assembling: Dict[Tuple[int, int], _Assembling] = {}
+        self._assembling: Dict[Tuple[int, int], Reassembly] = {}
         nic = node.nics[0]
         if nic.rx_deliver != "push":
             raise RuntimeError(
@@ -156,9 +149,9 @@ class ViaNic:
         key = (pkt.src_node, pkt.msg_id)
         acc = self._assembling.get(key)
         if acc is None:
-            acc = self._assembling[key] = _Assembling(msg_bytes=pkt.msg_bytes, payload=pkt.payload)
+            acc = self._assembling[key] = Reassembly(msg_bytes=pkt.msg_bytes, payload=pkt.payload)
         acc.received += pkt.frag_bytes
-        if acc.received < acc.msg_bytes or (acc.msg_bytes == 0 and not pkt.is_last_fragment):
+        if not reassembled(acc, pkt):
             return
         del self._assembling[key]
         vi.completions.append(

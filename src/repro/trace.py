@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -101,11 +102,19 @@ def _burn_rate(points, window_ns: float) -> float:
     second.  Only increases count: a draining queue burns nothing."""
     best = 0.0
     lo = 0
+    # indices in [lo, hi) with non-decreasing values: the front is the
+    # window's minimum (its first occurrence, as ``min`` would pick)
+    rising: deque = deque()
     for hi, (t, v) in enumerate(points):
         while t - points[lo][0] > window_ns:
             lo += 1
-        if lo < hi:
-            best = max(best, v - min(p[1] for p in points[lo:hi]))
+        while rising and rising[0] < lo:
+            rising.popleft()
+        if rising:
+            best = max(best, v - points[rising[0]][1])
+        while rising and points[rising[-1]][1] > v:
+            rising.pop()
+        rising.append(hi)
     return best * 1e9 / window_ns
 
 

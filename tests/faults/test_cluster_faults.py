@@ -108,7 +108,7 @@ def test_outage_within_retry_budget_is_survived_losslessly():
     assert res.rtt_ns > 0  # all 7 round trips completed
 
     module = cluster.nodes[0].clic
-    assert not module.peer_is_dead(1)
+    assert 1 not in module.dead_peers
     assert _sum(cluster, ".outage_drops") > 0  # the outage really bit
     assert _sum(cluster, ".timeouts") > 0      # ... and cost RTO stalls
     sender = module._senders[1]
@@ -140,7 +140,7 @@ def test_outage_exceeding_budget_kills_peer_consistently():
     assert "sent" not in outcome
     assert "retries" in outcome["error"]
     module = cluster.nodes[0].clic
-    assert module.peer_is_dead(1)
+    assert 1 in module.dead_peers
     assert _sum(cluster, ".peers_dead") == 1
     with pytest.raises(DeliveryFailed):
         cluster.env.run(

@@ -76,6 +76,41 @@ def test_tx_fragmentation_offload_splits_to_mtu():
     assert nic.metrics.value("nic.tx_offload_fragmented") == 1
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_tx_train_descriptor_is_k_frames_in_one_pass(k):
+    """With no flow controller a k-frame train descriptor takes the
+    pump's ordinary body: one wire frame, k DMA setups, k frames of
+    firmware time, k frames tallied."""
+    env = Environment()
+    nic, sent = make_nic(env)
+    params = nic.params
+    per_frame = 1_000
+    nbytes = per_frame * k
+    on_wire_at = []
+    transmit = nic._tx_channel.transmit
+
+    def timed_transmit(frame):
+        on_wire_at.append(env.now)
+        return transmit(frame)
+
+    nic._tx_channel.transmit = timed_transmit
+    assert env.flow is None
+    assert nic.try_post_tx(desc(nbytes, payload="train", train_frames=k,
+                                from_user_memory=True))
+    env.run()
+    assert len(sent) == 1
+    frame = sent[0]
+    assert frame.train_frames == k
+    assert frame.payload_bytes == nbytes and frame.payload == "train"
+    assert nic.pci.counters["nic.tx_transactions"] == k
+    assert nic.pci.counters["nic.tx_bytes"] == nbytes
+    assert nic.metrics.value("nic.tx_frames") == k
+    assert nic.metrics.value("nic.tx_zero_copy") == k
+    assert on_wire_at == [pytest.approx(
+        nic.pci.transfer_time(nbytes, k) + k * params.frame_processing_ns,
+        rel=0, abs=1e-6)]
+
+
 def test_jumbo_mtu_requires_support():
     env = Environment()
     params = NicParams(mtu=9000, supports_jumbo=False)

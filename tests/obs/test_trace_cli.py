@@ -231,6 +231,57 @@ def test_fig4_point_checks_fail_one_by_one(loss):
     assert failed(result, {}) == ["rx-depth-burn"]
 
 
+def _burn_rate_rescan(points, window_ns):
+    """The windowed burn rate by its definition: rescan every window."""
+    best = 0.0
+    lo = 0
+    for hi, (t, v) in enumerate(points):
+        while t - points[lo][0] > window_ns:
+            lo += 1
+        if lo < hi:
+            best = max(best, v - min(p[1] for p in points[lo:hi]))
+    return best * 1e9 / window_ns
+
+
+def _random_series(rng, n):
+    t, points = 0.0, []
+    for _ in range(n):
+        t += rng.choice((0.0, 0.0, 1_000.0, 50_000.0, rng.uniform(0, 400_000.0)))
+        v = rng.choice((rng.randint(0, 8), float(rng.randint(0, 8)), rng.uniform(0, 64)))
+        points.append([t, v])
+    return points
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_burn_rate_equals_the_window_rescan(seed):
+    """The sliding-window minimum gives the rescan's float exactly."""
+    import random
+
+    from repro.trace import _burn_rate
+
+    rng = random.Random(seed)
+    for n in (0, 1, 2, 3, 17, 200):
+        points = _random_series(rng, n)
+        for window in (1.0, 1_000.0, 100_000.0, 1_000_000.0):
+            assert repr(_burn_rate(points, window)) == repr(
+                _burn_rate_rescan(points, window)), (n, window)
+
+
+def test_burn_rate_edge_series():
+    from repro.trace import _burn_rate
+
+    window = 1_000_000.0
+    equal_times = [[5.0, 3.0], [5.0, 1.0], [5.0, 4.0], [5.0, 1.0], [5.0, 9.0]]
+    for points in ([], [[0.0, 7.0]], equal_times,
+                   [[0.0, 2], [1.0, 2.0], [2.0, 2], [3.0, 5]],
+                   [[0.0, 9.0], [2e6, 0.0], [2.5e6, 3.0]]):
+        assert repr(_burn_rate(points, window)) == repr(_burn_rate_rescan(points, window))
+    assert _burn_rate([], window) == 0.0
+    assert _burn_rate([[0.0, 7.0]], window) == 0.0
+    # equal timestamps share one window: the rise is 9 - 1
+    assert _burn_rate(equal_times, window) == 8.0 * 1e9 / window
+
+
 def test_capture_fig4_point_never_serializes_in_the_run(monkeypatch):
     """Structural cost pin: a capture builds no serialized copy of its
     records — neither RunArtifact.to_dict nor dataclasses.asdict runs."""
