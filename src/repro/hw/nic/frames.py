@@ -121,9 +121,10 @@ def split_train(frame: Frame) -> list:
     The fallback boundary of the flow-mode fast path: a hop that cannot
     keep the batch together (rx-ring shortfall, mid-flight blackout)
     splits the train and continues exact per-frame simulation.  The
-    train's payload is duck-typed — anything with a ``packets`` sequence
-    (:class:`repro.protocols.headers.ClicTrain`) works; each packet gets
-    its own frame with an equal share of the payload bytes.
+    train's payload is duck-typed — any iterable of its packets
+    (:class:`repro.protocols.headers.ClicTrain`, which builds each
+    fragment as it is read) works; each packet gets its own frame with
+    an equal share of the payload bytes.
     """
     k = frame.train_frames
     if k <= 1:
@@ -133,7 +134,7 @@ def split_train(frame: Frame) -> list:
         Frame(src=frame.src, dst=frame.dst, ethertype=frame.ethertype,
               payload_bytes=per_payload, payload=packet,
               corrupted=frame.corrupted)
-        for packet in frame.payload.packets
+        for packet in frame.payload
     ]
 
 

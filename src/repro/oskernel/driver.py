@@ -68,10 +68,9 @@ class VendorDriver:
         it is possible or not to send the data").
         """
         # A flow-mode train skb carries a batch payload (anything with a
-        # ``packets`` sequence): charge k driver-entry costs in one CPU
+        # ``frames`` count): charge k driver-entry costs in one CPU
         # slice and post one k-wide descriptor.
-        packets = getattr(skb.payload, "packets", None)
-        train_frames = len(packets) if packets is not None else 1
+        train_frames = getattr(skb.payload, "frames", 1)
         yield from self.kernel.cpu.execute(
             self.params.tx_call_ns * train_frames, PRIO_KERNEL, label="drv_tx"
         )

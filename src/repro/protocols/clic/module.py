@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from ...config import ClicParams
 from ...hw.cpu import PRIO_KERNEL, PRIO_SOFTIRQ
@@ -37,6 +37,15 @@ from ..reliability import DeliveryFailed, OrderedReceiver, RtoEstimator, Windowe
 __all__ = ["ClicModule", "ClicMessage", "RemoteRegion"]
 
 ETH_HEADER = 14
+
+# Packet classes as module-level names: the per-packet paths read them
+# several times a packet, and a module global is ~10x cheaper to read
+# than an enum member through its class.
+_REMOTE_WRITE = ClicPacketType.REMOTE_WRITE
+_KERNEL_FN = ClicPacketType.KERNEL_FN
+_BCAST = ClicPacketType.BCAST
+_TRAINABLE = (ClicPacketType.DATA, ClicPacketType.MPI, _REMOTE_WRITE)
+_UNBATCHED = (_KERNEL_FN, _BCAST)
 
 
 @dataclass
@@ -188,6 +197,7 @@ class ClicModule:
             receiver = OrderedReceiver(
                 self.env,
                 deliver=self._rx_ready.append,
+                deliver_run=self._rx_ready.append,
                 send_ack=lambda cum, s=src_node: self._emit_ack(s, cum),
                 ack_every=self.params.ack_every,
                 ack_delay_ns=self.params.ack_delay_ns,
@@ -247,9 +257,13 @@ class ClicModule:
             journeys.begin(node_id, msg_id, dst_node, port, nbytes, self.scope)
         sender = self._sender(dst_node)
         if remote_write:
-            ptype = ClicPacketType.REMOTE_WRITE
+            ptype = _REMOTE_WRITE
+        # Fragment i is offset i * frag_max and min(frag_max, nbytes -
+        # offset) bytes (``fragment_plan``'s split, computed per step).
         frag_max = self.max_fragment()
-        plan = list(fragment_plan(nbytes, frag_max))
+        if frag_max <= 0:
+            raise ValueError(f"fragment capacity must be positive (got {frag_max!r})")
+        count = max(1, -(-nbytes // frag_max))
         # Hybrid fast path (flow mode): with the controller installed,
         # module-level preconditions met, and the controller's
         # eligibility oracle agreeing, a run of full-size fragments
@@ -259,40 +273,32 @@ class ClicModule:
             flow is not None
             and journeys is None
             and len(self.node.drivers) == 1
-            and ptype in (ClicPacketType.DATA, ClicPacketType.MPI,
-                          ClicPacketType.REMOTE_WRITE)
+            and ptype in _TRAINABLE
         )
         index = 0
-        while index < len(plan):
+        while index < count:
             yield from sender.reserve()
+            offset = index * frag_max
+            frag = min(frag_max, nbytes - offset)
             k = 1
-            if trainable and plan[index][1] == frag_max and not self._backlog.items:
-                # The tail fragment (the last entry, full-size or not)
+            if trainable and frag == frag_max and not self._backlog.items:
+                # The tail fragment (the last one, full-size or not)
                 # never rides a train — batched delivery stays strictly
                 # mid-stream, so message completion is always exact.
-                remaining_full = len(plan) - 1 - index
                 k = flow.plan_train(node_id, dst_node, sender,
-                                    remaining_full, self.env.now) or 1
-            packets = []
-            for offset, frag in plan[index:index + k]:
-                packets.append(ClicPacket(
-                    ptype=ptype,
-                    src_node=node_id,
-                    dst_node=dst_node,
-                    port=port,
-                    msg_id=msg_id,
-                    seq=0,  # assigned at register
-                    frag_offset=offset,
-                    frag_bytes=frag,
-                    msg_bytes=nbytes,
-                    tag=tag,
-                    payload=payload,
-                ))
-            for seq, pkt in enumerate(packets, sender.register_run(packets)):
-                pkt.seq = seq
-                if journeys is not None:
+                                    count - 1 - index, self.env.now) or 1
+            head = ClicPacket(ptype, node_id, dst_node, port, msg_id,
+                              0,  # seq: assigned at register
+                              offset, frag, nbytes, tag, payload)
+            if k == 1:
+                item, run = head, (head,)
+            else:
+                item = run = ClicTrain(head, k)
+            head.seq = sender.register_run(run)
+            if journeys is not None:
+                for pkt in run:
                     journeys.fragment(pkt, self.scope)
-            yield from self._tx_run(packets)
+            yield from self._tx_run(item)
             index += k
         self.counters["msgs_sent"] += 1
         self.counters["bytes_sent"] += nbytes
@@ -324,7 +330,7 @@ class ClicModule:
                 tag=tag,
                 payload=payload,
             )
-            yield from self._tx_run((pkt,), dst_mac=BROADCAST)
+            yield from self._tx_run(pkt, dst_mac=BROADCAST)
         self.counters["bcasts_sent"] += 1
         return msg_id
 
@@ -337,7 +343,7 @@ class ClicModule:
         self._kernel_fns[fn_id] = handler
 
     # -- transmission mechanics ----------------------------------------------
-    def _tx_run(self, packets: Sequence[ClicPacket],
+    def _tx_run(self, item: Union[ClicPacket, ClicTrain],
                 dst_mac: Optional[MacAddress] = None) -> Generator:
         """Compose headers + one SK_BUFF for ``k`` consecutive fragments,
         call the driver once; stage the whole run on refusal.
@@ -347,17 +353,16 @@ class ClicModule:
         per-fragment cost times ``k``, the sum of ``k`` single passes.
         """
         cpu = self.kernel.cpu
-        k = len(packets)
-        head = packets[0]
-        nbytes = head.frag_bytes * k
-        if k == 1:
-            item = head
-            span = self.tracer.begin(self.scope, "clic_tx",
-                                     pkt=head.packet_id, nbytes=nbytes)
-        else:
-            item = ClicTrain(packets=tuple(packets), frag_bytes=head.frag_bytes)
+        if type(item) is ClicTrain:
+            head, k = item.head, item.frames
+            nbytes = head.frag_bytes * k
             span = self.tracer.begin(self.scope, "clic_tx_train",
                                      frames=k, nbytes=nbytes)
+        else:
+            head, k = item, 1
+            nbytes = head.frag_bytes
+            span = self.tracer.begin(self.scope, "clic_tx",
+                                     pkt=head.packet_id, nbytes=nbytes)
         yield from cpu.execute(self.params.module_tx_ns * k, PRIO_KERNEL, label="clic_tx")
         zero_copy = self.params.zero_copy and self.node.nic_supports_sg()
         driver, mac = self._route(head, dst_mac)
@@ -371,7 +376,7 @@ class ClicModule:
         accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
         journeys = self.tracer.journeys
         if journeys is not None:
-            for pkt in packets:
+            for pkt in (item,) if k == 1 else item:
                 journeys.tx(pkt, self.scope, accepted)
         if accepted:
             self.counters["pkts_tx"] += k
@@ -425,7 +430,7 @@ class ClicModule:
         def _do() -> Generator:
             for pkt in packets:
                 self.counters["pkts_retx"] += 1
-                yield from self._tx_run((pkt,))
+                yield from self._tx_run(pkt)
 
         self.env.process(_do(), name=f"{self.node.name}.clic.retx")
 
@@ -480,32 +485,40 @@ class ClicModule:
     # ------------------------------------------------------------------
     def _rx_entry(self, skb: SkBuff) -> Generator:
         cpu = self.kernel.cpu
-        span = self.tracer.begin(self.scope, "clic_rx", direct=skb.direct_delivery)
+        direct = skb.direct_delivery  # Figure 8(b) path
+        span = self.tracer.begin(self.scope, "clic_rx", direct=direct)
         item = skb.payload
-        if isinstance(item, ClicTrain):
+        if type(item) is ClicTrain:
             # Flow-mode train, a branch because it schedules
             # differently: k module entries in one CPU slice, then one
             # ``on_run`` call (the sequencing, duplicate suppression and
-            # ack cadence of k arrivals, one delayed-ack arm), and
-            # ``_consume_released`` may land the run in one batched copy.
-            packets = item.packets
-            k = len(packets)
+            # ack cadence of k arrivals, one delayed-ack arm), and the
+            # run may land in one batched copy.
+            head, k = item.head, item.frames
             yield from cpu.execute(self.params.module_rx_ns * k, PRIO_SOFTIRQ,
                                    label="clic_rx")
-            for pkt in packets:
-                pkt._direct_delivery = skb.direct_delivery
-            head = packets[0]
-            self._receiver(head.src_node).on_run(head.seq, packets)
-            if self._rx_ready:
-                # Drain in place: the receiver holds a bound ``append`` of
-                # this exact list object, so rebinding would orphan it.
-                fragments = self._rx_ready[:]
-                self._rx_ready.clear()
-                # k consecutive seqs from the head are the train's own
-                # fragments: one message's, all full-size.
-                whole = fragments[0] is head and len(fragments) == k
-                yield from self._consume_released(
-                    fragments, item.frag_bytes * k if whole else None)
+            self._receiver(head.src_node).on_run(head.seq, item)
+            ready = self._rx_ready
+            if ready:
+                nbytes = head.frag_bytes * k
+                if ready[0] is item:
+                    # Arrived whole and in order: the receiver handed
+                    # the train up in one call, and nothing else.  It is
+                    # one message's full fragments and never its tail,
+                    # so it lands as one copy of k fragments.
+                    ready.clear()
+                    yield from self._consume_fragment(head, nbytes, k, direct)
+                else:
+                    # Drain in place: the receiver holds a bound
+                    # ``append`` of this exact list object, so rebinding
+                    # would orphan it.
+                    fragments = ready[:]
+                    ready.clear()
+                    # k consecutive seqs from the head are the train's
+                    # own fragments: one message's, all full-size.
+                    whole = fragments[0] is head and len(fragments) == k
+                    yield from self._consume_released(
+                        fragments, nbytes if whole else None, direct)
             span.end(kind="train", frames=k)
             return
         yield from cpu.execute(self.params.module_rx_ns, PRIO_SOFTIRQ, label="clic_rx")
@@ -525,31 +538,32 @@ class ClicModule:
         )
         journeys = self.tracer.journeys
         if journeys is not None:
-            journeys.hop(pkt, "bh", self.scope, direct=skb.direct_delivery)
-        pkt._direct_delivery = skb.direct_delivery  # Figure 8(b) path
-        if pkt.ptype is ClicPacketType.BCAST:
+            journeys.hop(pkt, "bh", self.scope, direct=direct)
+        if pkt.ptype is _BCAST:
             self._rx_ready.append(pkt)  # unreliable: no sequencing
         else:
             self._receiver(pkt.src_node).on_packet(pkt.seq, pkt)
         # Process fragments released in order by the receiver machinery.
         while self._rx_ready:
             fragment = self._rx_ready.pop(0)
-            yield from self._consume_fragment(fragment, fragment.frag_bytes, 1)
+            yield from self._consume_fragment(fragment, fragment.frag_bytes, 1, direct)
         span.end(pkt=pkt.packet_id)
 
-    def _consume_released(self, fragments: List[ClicPacket],
-                          total: Optional[int] = None) -> Generator:
-        """Consume fragments a train's arrival released, batching copies.
+    def _consume_released(self, fragments: List[ClicPacket], total: Optional[int],
+                          direct: bool) -> Generator:
+        """Consume the fragments a train's arrival released when the
+        train did not arrive whole and in order (a duplicate, a gap, or
+        stashed successors), batching copies where it can.
 
-        When the whole run is one message *strictly mid-stream* (the
-        common steady-state case: trains never carry a message's tail),
-        it lands as one :meth:`_consume_fragment` call for ``k``
+        When the fragments are one message's data *strictly mid-stream*,
+        they land as one :meth:`_consume_fragment` call for ``k``
         fragments: one CPU slice charging ``k`` copy setups.  Anything
         else — mixed messages, a run that completes a message via
         previously stashed successors — falls back to exact per-fragment
         consumption.  A caller that knows the run is one message's data
         fragments passes their byte ``total``, and the run is not
-        inspected fragment by fragment.
+        inspected fragment by fragment.  A train that arrived whole and
+        in order never comes here: :meth:`_rx_entry` lands it directly.
         """
         first = fragments[0]
         key = (first.src_node, first.msg_id)
@@ -557,23 +571,24 @@ class ClicModule:
         if total is None:
             total = sum(pkt.frag_bytes for pkt in fragments)
             homogeneous = all(
-                (pkt.src_node, pkt.msg_id) == key
-                and pkt.ptype not in (ClicPacketType.KERNEL_FN, ClicPacketType.BCAST)
+                (pkt.src_node, pkt.msg_id) == key and pkt.ptype not in _UNBATCHED
                 for pkt in fragments
             )
         partial = self._partials.get(key)
         received = partial.received if partial is not None else 0
         if not homogeneous or received + total >= first.msg_bytes:
             for pkt in fragments:
-                yield from self._consume_fragment(pkt, pkt.frag_bytes, 1)
+                yield from self._consume_fragment(pkt, pkt.frag_bytes, 1, direct)
             return
-        yield from self._consume_fragment(first, total, len(fragments))
+        yield from self._consume_fragment(first, total, len(fragments), direct)
 
-    def _consume_fragment(self, pkt: ClicPacket, nbytes: int, k: int) -> Generator:
+    def _consume_fragment(self, pkt: ClicPacket, nbytes: int, k: int,
+                          direct: bool) -> Generator:
         """Land ``k`` consecutive fragments of one message (``nbytes`` in
         all, headed by ``pkt``) with one copy charging ``k`` setups, and
         complete the message once every byte is in.  ``k > 1`` only for
-        a released train that stays mid-stream (:meth:`_consume_released`).
+        a released train that stays mid-stream.  ``direct`` is the
+        Figure 8(b) path: the DMA already targeted user memory.
         """
         self.counters["pkts_rx"] += k
         key = (pkt.src_node, pkt.msg_id)
@@ -585,14 +600,13 @@ class ClicModule:
                 tag=pkt.tag,
                 msg_id=pkt.msg_id,
                 msg_bytes=pkt.msg_bytes,
-                remote_write=pkt.ptype is ClicPacketType.REMOTE_WRITE,
+                remote_write=pkt.ptype is _REMOTE_WRITE,
                 payload=pkt.payload,
             )
             self._partials[key] = partial
-            if not partial.remote_write and pkt.ptype is not ClicPacketType.KERNEL_FN:
+            if not partial.remote_write and pkt.ptype is not _KERNEL_FN:
                 self._bind_waiter(partial)
 
-        direct = getattr(pkt, "_direct_delivery", False)
         if partial.remote_write:
             # Asynchronous remote write: straight to the registered user
             # region, no receive call needed (§3.1 step 7).  On the
@@ -622,7 +636,7 @@ class ClicModule:
         del self._partials[key]
         if journeys is not None:
             journeys.deliver(pkt, self.scope, nbytes=partial.msg_bytes)
-        if pkt.ptype is ClicPacketType.KERNEL_FN:
+        if pkt.ptype is _KERNEL_FN:
             handler = self._kernel_fns.get(pkt.tag)
             if handler is None:
                 self.counters["kernel_fn_unknown"] += 1

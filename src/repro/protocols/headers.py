@@ -18,8 +18,10 @@ carry no modeled bytes.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Any, Iterator, Optional, Tuple
 
 __all__ = [
@@ -115,23 +117,50 @@ class ClicPacket:
         return self.frag_offset + self.frag_bytes >= self.msg_bytes
 
 
-@dataclass
 class ClicTrain:
-    """A batch of consecutive, equal-size CLIC fragments (flow mode).
+    """A batch of consecutive, equal-size CLIC fragments (flow mode): a
+    head fragment and a count.
 
-    Carries no modeled bytes of its own: a train is ``len(packets)``
-    ordinary frames that happen to advance through the pipeline as one
+    Carries no modeled bytes of its own: a train is ``frames`` ordinary
+    frames that happen to advance through the pipeline as one
     analytically batched unit (see :mod:`repro.sim.flowmode`).  Every
-    packet is a full ``frag_bytes`` fragment of the same message — the
-    short tail fragment always travels alone — so per-frame wire math
-    divides evenly.  Any hop that cannot keep batching (ring shortfall,
-    mid-flight blackout) splits the train back into per-packet frames
-    and continues exact simulation from there.
+    fragment is a full ``frag_bytes`` fragment of the head's message —
+    the short tail fragment always travels alone — so per-frame wire
+    math divides evenly.
+
+    Only the head is a :class:`ClicPacket`; fragment ``i`` is implied
+    (its ``seq``, ``frag_offset`` and ``packet_id`` step from the head's
+    by ``i``, ``i * frag_bytes`` and ``i``) and indexing builds it on
+    demand, for the few paths that need one fragment: a hop that splits
+    the train back into per-packet frames, a retransmission, an
+    out-of-order arrival.  Construction reserves the ``frames - 1``
+    packet ids the fragments take, so every id is the one eager
+    building would have drawn.
     """
 
-    packets: Tuple[ClicPacket, ...]
-    #: user-payload bytes of each fragment (identical across the train)
-    frag_bytes: int
+    __slots__ = ("head", "frames")
+
+    def __init__(self, head: ClicPacket, frames: int):
+        self.head = head
+        self.frames = frames
+        deque(islice(_packet_ids, frames - 1), maxlen=0)
+
+    def __len__(self) -> int:
+        return self.frames
+
+    def __getitem__(self, i: int) -> ClicPacket:
+        if not 0 <= i < self.frames:
+            raise IndexError(f"fragment {i} of a {self.frames}-fragment train")
+        head = self.head
+        if i == 0:
+            return head
+        return ClicPacket(head.ptype, head.src_node, head.dst_node, head.port,
+                          head.msg_id, head.seq + i,
+                          head.frag_offset + i * head.frag_bytes, head.frag_bytes,
+                          head.msg_bytes, head.tag, head.payload, head.packet_id + i)
+
+    def __iter__(self) -> Iterator[ClicPacket]:
+        return map(self.__getitem__, range(self.frames))
 
 
 @dataclass

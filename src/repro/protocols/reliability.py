@@ -25,17 +25,20 @@ ack (CPU, PCI, wire) is charged through the normal send path.
 
 A run of consecutive packets (a flow-mode train's fragments) can cross
 the channel in one call on each side: :meth:`WindowedSender.register_run`
-and :meth:`OrderedReceiver.on_run` take a plain list or tuple of
-packets (never a train object) and do what ``k`` calls of
-``register``/``on_packet`` would, except that an in-order run arms the
-delayed-ack timer once instead of re-arming it per packet (one queue
-entry instead of ``k``).
+and :meth:`OrderedReceiver.on_run` take any sequence of packets (a
+lazy train included) and do what ``k`` calls of ``register``/
+``on_packet`` would, except that an in-order run arms the delayed-ack
+timer once instead of re-arming it per packet.  Neither reads an
+element on the steady-state path; see their docstrings.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set
+from itertools import chain, islice
+from operator import itemgetter
+from typing import (Any, Callable, Deque, Dict, Generator, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..obs import MetricsRegistry
 from ..sim import Environment, Event, TimerHandle
@@ -48,6 +51,10 @@ __all__ = [
     "ChannelProbe",
     "install_channel_probe",
 ]
+
+
+#: a run record's packets (``(first_seq, packets, sent_at)``)
+_packets_of = itemgetter(1)
 
 
 class DeliveryFailed(Exception):
@@ -259,8 +266,11 @@ class WindowedSender:
 
         self.next_seq = 0
         self.base = 0  # lowest unacked seq
-        self._in_flight: Dict[int, Any] = {}
-        self._sent_at: Dict[int, float] = {}
+        #: registered runs not yet wholly acked, oldest first, each
+        #: ``(first_seq, packets, sent_at)``; together they hold every
+        #: seq in ``[base, next_seq)`` (the head run may start below
+        #: ``base`` when an ack split it)
+        self._runs: Deque[Tuple[int, Sequence[Any], float]] = deque()
         self._retx_seqs: Set[int] = set()  # Karn's rule: ambiguous RTTs
         # Deques: waiters wake FIFO from the left, and a long stall can
         # park thousands of producers — list.pop(0) would be O(n) each.
@@ -292,7 +302,7 @@ class WindowedSender:
     # -- producer side ---------------------------------------------------
     @property
     def in_flight(self) -> int:
-        return len(self._in_flight)
+        return self.next_seq - self.base
 
     def window_full(self) -> bool:
         """True when no more packets may enter the network."""
@@ -322,28 +332,52 @@ class WindowedSender:
         packet in order would; returns the first one's sequence number
         (the rest follow consecutively).
 
-        The run must fit the window whole; otherwise this raises before
-        changing any state.  The retransmission timer starts once, if
-        the window was empty, exactly as the first ``register`` would
-        have started it.
+        The run is kept whole, as one ``(first_seq, packets, sent_at)``
+        record, and no element is read: ``packets`` may be a lazy train
+        whose fragments exist only when indexed (a retransmission
+        indexes into its run).  The run must fit the window whole;
+        otherwise this raises before changing any state.  The
+        retransmission timer starts once, if the window was empty,
+        exactly as the first ``register`` would have started it.
         """
         self._check_failed()
         n = len(packets)
-        if len(self._in_flight) + n > self.window:
-            raise RuntimeError(f"{self.name}: register_run() of {n} without window space")
         first = self.next_seq
-        was_empty = not self._in_flight
-        in_flight, sent_at, now, probe = self._in_flight, self._sent_at, self.env.now, self.probe
-        for seq, packet in enumerate(packets, first):
-            in_flight[seq] = packet
-            sent_at[seq] = now
-            if probe is not None:
+        if first - self.base + n > self.window:
+            raise RuntimeError(f"{self.name}: register_run() of {n} without window space")
+        was_empty = first == self.base
+        self._runs.append((first, packets, self.env.now))
+        probe = self.probe
+        if probe is not None:
+            for seq in range(first, first + n):
+                self.next_seq = seq + 1  # the probe sees each seq in flight
                 probe.on_register(self, seq)
         self.next_seq = first + n
         self.counters["registered"] += n
         if was_empty and n:
             self._start_timer()
         return first
+
+    def unacked(self) -> Iterator[Any]:
+        """The packets in flight, oldest first (seqs ``base`` to
+        ``next_seq - 1``).  The iterator is chained in C over the runs,
+        so summing a field over it (the in-flight bytes probe) runs no
+        Python loop."""
+        runs = self._runs
+        if not runs:
+            return iter(())
+        first, packets, _ = runs[0]
+        if first < self.base:  # an ack split the head run
+            return chain(islice(packets, self.base - first, None),
+                         chain.from_iterable(map(_packets_of, islice(runs, 1, None))))
+        return chain.from_iterable(map(_packets_of, runs))
+
+    def _packet(self, seq: int) -> Any:
+        """The in-flight packet with sequence ``seq``."""
+        for first, packets, _ in self._runs:
+            if seq < first + len(packets):
+                return packets[seq - first]
+        raise KeyError(seq)
 
     @property
     def retransmitting(self) -> bool:
@@ -354,7 +388,7 @@ class WindowedSender:
     def drain(self) -> Generator:
         """Block until everything sent so far is acknowledged."""
         self._check_failed()
-        while self._in_flight:
+        while self.base < self.next_seq:
             event = self.env.event()
             self._drained_waiters.append(event)
             yield event
@@ -385,7 +419,7 @@ class WindowedSender:
                 # dupacks for the same base are echoes of our own resend
                 # (or of duplicated frames) and must not re-trigger.
                 self._dupacks = 0
-                if self.base in self._in_flight:
+                if self.base < self.next_seq:
                     self._recover = self.next_seq - 1
                     self.counters["fast_retransmits"] += 1
                     self._note_retransmitted([self.base])  # Karn: RTT now ambiguous
@@ -394,21 +428,31 @@ class WindowedSender:
                     if self.probe is not None:
                         self.probe.on_retransmit(self, [self.base], "fast")
                     self._start_timer()
-                    self.retransmit([self._in_flight[self.base]], "fast")
+                    self.retransmit([self._packet(self.base)], "fast")
             return
         base_before = self.base
         acked = cumulative_seq - self.base
         self._dupacks = 0
+        # The RTT sample comes from the newest acked seq that was never
+        # retransmitted (Karn's rule), taken from the run that holds it.
+        sample_seq = min(cumulative_seq, self.next_seq) - 1
+        retx = self._retx_seqs
+        if retx:
+            while sample_seq >= base_before and sample_seq in retx:
+                sample_seq -= 1
+            retx -= {seq for seq in retx if seq < cumulative_seq}
         rtt_sample_sent_at: Optional[float] = None
         rtt_sample_seq: Optional[int] = None
-        for seq in range(self.base, cumulative_seq):
-            self._in_flight.pop(seq, None)
-            sent_at = self._sent_at.pop(seq, None)
-            if seq in self._retx_seqs:
-                self._retx_seqs.discard(seq)  # Karn's rule: never sample these
-            elif sent_at is not None:
-                rtt_sample_sent_at = sent_at  # newest unambiguous packet wins
-                rtt_sample_seq = seq
+        runs = self._runs
+        while runs:
+            first, packets, sent_at = runs[0]
+            end = first + len(packets)
+            if base_before <= sample_seq and first <= sample_seq < end:
+                rtt_sample_sent_at = sent_at
+                rtt_sample_seq = sample_seq
+            if end > cumulative_seq:
+                break  # partly acked: the run stays, split at the new base
+            runs.popleft()
         if self.rto is not None and rtt_sample_sent_at is not None:
             self.rto.sample(self.env.now - rtt_sample_sent_at)
             self._note_rto()
@@ -425,7 +469,7 @@ class WindowedSender:
         if self._acked_gauge is None:
             self._acked_gauge = self.metrics.gauge(f"{self.prefix}acked_through")
         self._acked_gauge.set(cumulative_seq)
-        if self.base <= self._recover and self.base in self._in_flight:
+        if self.base <= self._recover and self.base < self.next_seq:
             # RFC 6582 partial ack: the cumulative ack advanced without
             # passing the recovery point, so the next hole is known lost
             # (reordering would have filled it) — resend it now instead
@@ -436,8 +480,8 @@ class WindowedSender:
             self._note_retransmitted([self.base])  # Karn: RTT now ambiguous
             if self.probe is not None:
                 self.probe.on_retransmit(self, [self.base], "partial_ack")
-            self.retransmit([self._in_flight[self.base]], "partial_ack")
-        if self._in_flight:
+            self.retransmit([self._packet(self.base)], "partial_ack")
+        if self.base < self.next_seq:
             self._start_timer()  # restart for the new oldest packet
         else:
             self._cancel_timer()
@@ -483,7 +527,7 @@ class WindowedSender:
 
     def _on_rto(self) -> None:
         self._timer = None
-        if not self._in_flight:
+        if self.base >= self.next_seq:
             return
         self._retries += 1
         if self._retries > self.max_retries:
@@ -501,8 +545,8 @@ class WindowedSender:
             self.probe.on_timeout(self, rto_before, self.current_timeout_ns())
         if self.timeout_listener is not None:
             self.timeout_listener()
-        seqs = sorted(self._in_flight)
-        packets = [self._in_flight[s] for s in seqs]
+        seqs = list(range(self.base, self.next_seq))
+        packets = list(self.unacked())
         # The go-back-N flood will echo back as dupacks; none of them is
         # evidence of a *new* hole (RFC 6582 applies the recovery point
         # to timeout retransmissions for the same reason).
@@ -549,6 +593,10 @@ class OrderedReceiver:
 
     Like :class:`WindowedSender`, it tallies into ``metrics`` (a fresh
     registry by default) under ``prefix``, e.g. ``node1.clic.rx0.``.
+
+    ``deliver`` hands one packet to the owner, in order; ``deliver_run``
+    hands it a whole in-order run (the sequence :meth:`on_run` got) in
+    one call, and an owner that calls :meth:`on_run` must give it.
     """
 
     def __init__(
@@ -562,11 +610,13 @@ class OrderedReceiver:
         name: str = "receiver",
         metrics: Optional[MetricsRegistry] = None,
         prefix: str = "",
+        deliver_run: Optional[Callable[[Sequence[Any]], None]] = None,
     ):
         if ack_every < 1:
             raise ValueError("ack_every must be >= 1")
         self.env = env
         self.deliver = deliver
+        self.deliver_run = deliver_run
         self.send_ack = send_ack
         self.ack_every = ack_every
         self.ack_delay_ns = ack_delay_ns
@@ -658,29 +708,43 @@ class OrderedReceiver:
         call per packet would.
 
         An in-order run (it starts at ``expected`` and nothing is
-        stashed) is delivered in one pass, with an ack wherever the
-        cadence falls.  The delayed-ack timer is armed once, at the end,
-        and only if the run ends below the threshold.  The per-packet
-        calls would re-arm it after every sub-threshold delivery, and
-        only the last re-arm, made after the last ``deliver``, would
-        stay live: the single arm takes the same queue slot, and the
-        earlier re-arms would only have left dead entries.  Any other
-        run (a duplicate, one ahead of ``expected``, or a non-empty
-        stash) goes through :meth:`on_packet` packet by packet.
+        stashed) goes to the owner whole, in one ``deliver_run`` call,
+        and no element is read.  Acks go out where the ``ack_every``
+        cadence falls, after ``ack_every - unacked`` packets and every
+        ``ack_every`` after that, each with ``expected`` at the seq it
+        would have had; an installed probe sees the per-packet calls'
+        ``on_deliver`` / ``on_ack_emitted`` sequence from this same
+        path.  The delayed-ack timer is armed once, at the end, and only
+        if the run ends below the threshold: of the per-packet calls'
+        re-arms only the last would stay live, in the same queue slot.
+        Any other run (a duplicate, one ahead of ``expected``, or a
+        non-empty stash) goes through :meth:`on_packet` packet by packet.
         """
         if seq != self.expected or self._stash:
             for packet in packets:
                 self.on_packet(seq, packet)
                 seq += 1
             return
+        k = len(packets)
+        self.deliver_run(packets)
+        probe = self.probe
         ack_every = self.ack_every
-        for packet in packets:
-            self._deliver_next(seq, packet)
-            seq += 1
-            if self._unacked >= ack_every:
-                self._emit_ack()
-        self.counters["delivered_in_order"] += len(packets)
-        if self._unacked and packets:
+        unacked = self._unacked
+        delivered = 0  # packets the probe has seen delivered
+        for done in range(ack_every - unacked, k + 1, ack_every):
+            if probe is not None:
+                for s in range(seq + delivered, seq + done):
+                    probe.on_deliver(self, s)
+                delivered = done
+            self.expected = seq + done
+            self._emit_ack()
+        if probe is not None:
+            for s in range(seq + delivered, seq + k):
+                probe.on_deliver(self, s)
+        self.expected = seq + k
+        self._unacked = (unacked + k) % ack_every
+        self.counters["delivered_in_order"] += k
+        if self._unacked and k:
             self._schedule_delayed_ack()
 
     # -- ack cadence --------------------------------------------------------

@@ -78,7 +78,7 @@ class FlowRoute:
 
     __slots__ = ("env", "up", "down", "port", "switch", "src_nic",
                  "src_driver", "dst_nic", "rx_budget", "dst_coalescing",
-                 "module", "peer", "ack_bytes", "ack_latency_ns")
+                 "module", "peer", "ack_bytes", "ack_latency_ns", "offload")
 
     def __init__(self, up: Any, down: Any, port: Any, switch: Any,
                  src_nic: Any, src_driver: Any, dst_nic: Any,
@@ -113,6 +113,11 @@ class FlowRoute:
         #: this route (computed once by the cluster wiring from the
         #: per-node hardware parameters)
         self.ack_latency_ns = ack_latency_ns
+        #: either NIC does fragmentation offload: the sender's fragments
+        #: are super-packets only the firmware splits, so neither lane
+        #: engages (a train of them would arrive oversize)
+        self.offload = (src_nic.params.supports_fragmentation
+                        or dst_nic.params.supports_fragmentation)
 
     # -- train hop -------------------------------------------------------
     def hop_clear(self) -> bool:
@@ -236,12 +241,14 @@ class FlowModeController:
         An ack may skip the event-level transit only when its whole path
         is provably quiet for the flight: no fault model on either wire,
         both wires idle, egress port empty, and no blackout window
-        intersecting the horizon.  Reordering against exact-path acks is
+        intersecting the horizon.  A fragmentation-offload route never
+        batches, so its acks stay exact too and the whole flow runs
+        bit-identical to ``"off"``.  Reordering against exact-path acks is
         tolerated by cumulative-ack semantics; reordering against *data*
         is impossible because acks travel the reverse direction.
         """
         route = self._routes.get((src, dst))
-        if route is None:
+        if route is None or route.offload:
             self.counters["acks_exact"] += 1
             return None
         horizon_end = now + HORIZON_NS
@@ -285,6 +292,8 @@ class FlowModeController:
           dupack/timeout state in flight;
         * topology — no registered route (channel bonding, unknown
           peer);
+        * fragmentation offload — either NIC on the route splits
+          super-packets in firmware;
         * faults — a stochastic loss/corruption/jitter/duplication
           model on either link direction, or a scheduled
           outage/congestion window intersecting the horizon;
@@ -305,6 +314,8 @@ class FlowModeController:
         route = self._routes.get((src, dst))
         if route is None:
             return self._fallback("topology")
+        if route.offload:
+            return self._fallback("fragmentation_offload")
         horizon_end = now + HORIZON_NS
         for channel in (route.up, route.down):
             faults = channel.faults

@@ -218,7 +218,7 @@ def capture_fig4_point(
             sampler.add(
                 cluster.metrics.timeseries(f"{node.name}.clic.inflight_bytes", "bytes"),
                 lambda mod=node.clic: sum(
-                    sum(map(frag_bytes, sender._in_flight.values()))
+                    sum(map(frag_bytes, sender.unacked()))
                     for sender in mod._senders.values()))
     for port in cluster.switch.ports:
         sampler.add(

@@ -55,7 +55,10 @@ class SenderLog:
             "name": self.name,
             "next_seq": s.next_seq,
             "base": s.base,
-            "in_flight": s.in_flight,
+            # counted over the sender's runs, so the catalog's
+            # ``next_seq == base + in_flight`` checks that they cover
+            # exactly the window
+            "in_flight": sum(1 for _ in s.unacked()),
             "failed": s.failed,
             "registered": self.registered,
             "max_in_flight": self.max_in_flight,

@@ -8,7 +8,8 @@ Three tiers of agreement, mirroring the engine's contract:
   gate metrics within a small tolerance while processing an order of
   magnitude fewer events;
 * ``"auto"`` where the fast path provably never engages (channel
-  bonding, journey tracing) must be *bit-identical* to ``"off"``.
+  bonding, fragmentation offload, journey tracing) must be
+  *bit-identical* to ``"off"``.
 """
 
 import json
@@ -98,6 +99,28 @@ def test_bonded_cluster_is_bit_identical():
                          cluster.env.profiler.events_processed,
                          _snapshot(cluster))
     assert results["off"] == results["auto"]
+
+
+def test_fragmentation_offload_is_bit_identical():
+    """A fragmentation-offload NIC sends super-packets only its firmware
+    splits, so the engine stands down on its routes (a train of them
+    would be dropped as oversize at the receiver): a 1 MiB x 4 stream
+    under ``auto`` takes the ``off`` time and drops nothing."""
+    results = {}
+    for mode in ("off", "auto"):
+        cfg = _cfg(mode)
+        cfg = cfg.with_node(cfg.node.with_fragmentation_offload(True))
+        res, cluster = _stream(cfg, nbytes=1 << 20, messages=4)
+        if mode == "auto":
+            flow = cluster.env.flow.counters
+            assert flow["trains"] == 0 and flow["fallback_fragmentation_offload"] > 0
+            assert flow.get("acks_express", 0) == 0
+        assert cluster.metrics.value("node1.nic0.rx_oversize_drops") in (None, 0)
+        results[mode] = (res.elapsed_ns, res.nbytes_total,
+                         cluster.env.profiler.events_processed,
+                         _snapshot(cluster))
+    assert results["off"] == results["auto"]
+    assert results["off"][0] == pytest.approx(55_072_956.384)
 
 
 def test_journey_tracing_is_bit_identical():

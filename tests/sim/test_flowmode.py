@@ -47,8 +47,9 @@ class _Port:
 
 
 class _Nic:
-    def __init__(self, headroom=64, mac="nic", env=None, metrics=None):
+    def __init__(self, headroom=64, mac="nic", env=None, metrics=None, offload=False):
         self._headroom = headroom
+        self.params = SimpleNamespace(supports_fragmentation=offload)
         self.mac = mac
         self.name = f"{mac}.nic0"
         self.env = env
@@ -148,6 +149,15 @@ def test_topology_fallback_without_route():
     ctl = _controller()
     assert plan(ctl) == 0
     assert ctl.counters["fallback_topology"] == 1
+
+
+def test_fragmentation_offload_route_stands_both_lanes_down():
+    ctl = _controller()
+    _register(ctl, _route(dst_nic=_Nic(mac="dst", offload=True)))
+    assert plan(ctl) == 0
+    assert ctl.counters["fallback_fragmentation_offload"] == 1
+    assert ctl.express_ack_route(0, 1, now=0.0) is None
+    assert ctl.counters["acks_exact"] == 1
 
 
 def test_fault_window_inside_horizon_forces_exact():

@@ -55,3 +55,36 @@ def test_cli_replay_rejects_unknown_schema(tmp_path, capsys):
     bogus = tmp_path / "REPLAY_bogus.json"
     bogus.write_text(json.dumps({"schema": "repro.validate/999"}))
     assert main(["replay", str(bogus)]) == 2
+
+
+def test_trains_hold_all_invariants(monkeypatch):
+    """The drawn fuzz campaigns form no train (their small messages and
+    drawn axes fall back before one forms), so this fault-free star CLIC
+    scenario sends messages long enough to batch under ``auto`` and runs
+    it through the harness with the probe on every channel: trains
+    form, no rule of the catalog is violated, and every node receives
+    the bytes the ``off`` run does."""
+    from repro.validate import Message, Scenario
+    from repro.validate import runner
+
+    built = []
+
+    class _Kept(runner.Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(runner, "Cluster", _Kept)
+    messages = (Message(0, 1, 300_000, 1), Message(0, 1, 200_003, 2),
+                Message(2, 1, 150_000, 3), Message(1, 0, 250_000, 4),
+                Message(0, 2, 64_001, 5))
+    received = {}
+    for mode in ("off", "auto"):
+        scenario = Scenario(seed=11, num_nodes=3, messages=messages, flow_mode=mode)
+        report = run_scenario(scenario.to_dict())
+        assert report["violations"] == [], report["violations"]
+        assert report["stats"]["unfinished_procs"] == 0
+        cluster = built[-1]
+        received[mode] = [node.clic.counters["bytes_rx"] for node in cluster.nodes]
+    assert cluster.env.flow.counters["trains"] > 0
+    assert received["auto"] == received["off"] == [250_000, 650_003, 64_001]
