@@ -215,7 +215,7 @@ class Cluster:
             prefix=f"faults.link.{node_id}.{ch}.{direction}.",
         )
         for window in spec.outages:
-            self.env.process(
+            self.env.spawn(
                 self._outage_span(window, f"node{node_id}.ch{ch}.{direction}"),
                 name=f"faults.outage.{node_id}.{ch}.{direction}",
             )
@@ -230,7 +230,7 @@ class Cluster:
             return
         port.switch.set_blackouts(port, windows)
         for window in windows:
-            self.env.process(
+            self.env.spawn(
                 self._blackout_span(window, f"port{port.index}"),
                 name=f"faults.blackout.{node_id}.{ch}",
             )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import Dict, Generator
+from typing import Dict, Generator, Optional
 
 from ..config import CpuParams
 from ..sim import Environment, Event, Server
@@ -82,7 +82,7 @@ class Cpu(Server):
         """Charge ``duration`` ns of CPU time at ``priority``.
 
         Yields until the work completes (not at all when the slice
-        completes in place, see :meth:`Server._start`).  If preempted by
+        completes in place, see :meth:`Server.hold`).  If preempted by
         higher-priority work, the remaining time is re-queued; total busy
         time charged is exactly ``duration`` (preemption overhead is
         charged by the preemptor, e.g. interrupt entry costs).  Zero work
@@ -92,9 +92,17 @@ class Cpu(Server):
             raise ValueError(f"negative CPU work {duration!r}")
         if duration > 0:
             # :meth:`hold`, inlined on the simulator's hottest claim
-            wait = self._claim(_Claim(priority, float(duration)))
-            if wait is None or (yield wait) is None:
-                self._finish()
+            env = self.env
+            now = env._now
+            remaining = float(duration)
+            at_once = self._holder is None and env._alone()
+            if at_once and env._skip_to(now + remaining):
+                # completed in place: no claim, no timer
+                self.total_busy += env._now - now
+            else:
+                wait = self._claim(priority, remaining, at_once)
+                if wait is None or (yield wait) is None:
+                    self._finish()
         self.counters[self._work_counter(label)] += duration
 
     def occupy(self, subwork: Generator, priority: int = PRIO_IRQ, label: str = "occupy") -> Generator:
@@ -123,7 +131,7 @@ class Cpu(Server):
         return name
 
     # -- preemption ------------------------------------------------------------
-    def _contend(self, claim: _Claim) -> Event:
+    def _contend(self, claim: _Claim) -> Optional[Event]:
         """An IRQ-level claim evicts a less important running slice;
         anything else queues."""
         holder = self._holder
@@ -131,6 +139,13 @@ class Cpu(Server):
                 and holder.remaining is not None):
             self._holder = claim
             if self._evict(holder):
+                # alone now: a timed preemptor may complete in place
+                # (see Server.hold); ``None`` tells it to finish
+                env = self.env
+                now = env._now
+                if claim.remaining is not None and env._skip_to(now + claim.remaining):
+                    self._busy_since = now
+                    return None
                 return self._start(claim)
             return self._schedule_start(claim)
         return super()._contend(claim)

@@ -133,8 +133,8 @@ class Nic:
         self.coalescer = InterruptCoalescer(env, params, self._assert_irq, name=f"{name}.coalesce")
         #: on-card tx FIFO: decouples host-side DMA from wire serialization
         self._tx_fifo: Store = Store(env, capacity=params.tx_fifo_frames, name=f"{name}.txfifo")
-        env.process(self._tx_pump(), name=f"{name}.txpump")
-        env.process(self._wire_pump(), name=f"{name}.wirepump")
+        env.spawn(self._tx_pump(), name=f"{name}.txpump")
+        env.spawn(self._wire_pump(), name=f"{name}.wirepump")
 
         # On-NIC reassembly state for fragmentation offload.
         self._reassembly: dict = {}
@@ -210,7 +210,7 @@ class Nic:
         self._rx_claimed += k  # hardware claims the descriptor(s) at arrival
         rx = RxFrame(frame=frame, arrived_at=self.env.now)
         if self.rx_deliver == "push":
-            self.env.process(self._rx_push(rx), name=f"{self.name}.rx")
+            self.env.spawn(self._rx_push(rx), name=f"{self.name}.rx")
         else:
             # A zero-delay URGENT trampoline: ``_rx_begin`` (which opens
             # the span) runs where a process spawned now would start;
@@ -282,7 +282,7 @@ class Nic:
                     per_frame = desc.payload_bytes // k
                     yield from self.pci.dma(per_frame, priority=2,
                                             label=self._tx_label)
-                    self.env.process(
+                    self.env.spawn(
                         self.pci.dma(desc.payload_bytes - per_frame,
                                      priority=2, label=self._tx_label,
                                      transactions=k - 1),

@@ -171,7 +171,7 @@ class CollectiveEngine:
         )
         yield from self.nic.pci.pio(label=f"{self.nic.name}.coll_doorbell")
         state = self._state_for(op, coll_id, root)
-        self.env.process(
+        self.env.spawn(
             self._local_post(state, nbytes),
             name=f"{self.nic.name}.coll.post",
         )
@@ -216,7 +216,7 @@ class CollectiveEngine:
 
     def on_frame(self, frame: Frame) -> None:
         """Rx-path hook: consume one collective frame on-card."""
-        self.env.process(
+        self.env.spawn(
             self._handle(frame), name=f"{self.nic.name}.coll.rx")
 
     def _handle(self, frame: Frame) -> Generator:

@@ -66,7 +66,7 @@ class SwitchPort:
         #: broadcast frames replicate out this port (fabric builders clear
         #: this on redundant trunk ports to keep the flood tree loop-free)
         self.flood = True
-        switch.env.process(self._pump(), name=f"{switch.name}.port{index}.tx")
+        switch.env.spawn(self._pump(), name=f"{switch.name}.port{index}.tx")
 
     @property
     def occupancy(self) -> int:
@@ -235,7 +235,7 @@ class Switch:
         def _receive(frame: Frame) -> None:
             if self.backpressure == "pause":
                 # Enqueueing may block: the forward stays a process.
-                self.env.process(self._forward_paused(frame, from_port),
+                self.env.spawn(self._forward_paused(frame, from_port),
                                  name=f"{self.name}.forward")
             elif frame.train_frames > 1:
                 # Flow-mode train: one plain timer for the whole stage.

@@ -74,10 +74,11 @@ class VendorDriver:
         yield from self.kernel.cpu.execute(
             self.params.tx_call_ns * train_frames, PRIO_KERNEL, label="drv_tx"
         )
+        nbytes = skb.total_bytes()
         desc = TxDescriptor(
             dst=dst,
             ethertype=ethertype,
-            payload_bytes=skb.total_bytes(),
+            payload_bytes=nbytes,
             payload=skb.payload,
             from_user_memory=skb.is_zero_copy,
             on_wire=on_wire,
@@ -86,10 +87,9 @@ class VendorDriver:
         accepted = self.nic.try_post_tx(desc)
         if accepted:
             self.counters["tx_accepted"] += train_frames
-            self.tracer.instant(
-                self.name, "driver_tx",
-                pkt=_pkt_id(skb.payload), nbytes=skb.total_bytes(),
-            )
+            if self.tracer.enabled:
+                self.tracer.instant(self.name, "driver_tx",
+                                    pkt=_pkt_id(skb.payload), nbytes=nbytes)
         else:
             self.counters["tx_ring_busy"] += 1
         return accepted
@@ -136,11 +136,11 @@ class VendorDriver:
                 payload=rx.frame.payload,
                 direct_delivery=direct,
             )
-            frame_span.end(pkt=_pkt_id(rx.frame.payload), nbytes=rx.frame.payload_bytes)
-            self.tracer.instant(
-                self.name, "driver_rx",
-                pkt=_pkt_id(rx.frame.payload), t0=t0, nbytes=rx.frame.payload_bytes,
-            )
+            if self.tracer.enabled:
+                pkt = _pkt_id(rx.frame.payload)
+                frame_span.end(pkt=pkt, nbytes=rx.frame.payload_bytes)
+                self.tracer.instant(self.name, "driver_rx",
+                                    pkt=pkt, t0=t0, nbytes=rx.frame.payload_bytes)
             if direct:
                 yield from self.kernel.direct_rx(rx.frame.ethertype, skb)
             else:

@@ -45,7 +45,7 @@ class BottomHalves:
         #: live queue depth (+ high-water mark) of deferred work
         self._depth_gauge = self.metrics.gauge(f"{name}.queue_depth")
         self._queue: Store = Store(env, name=f"{name}.queue")
-        env.process(self._worker(), name=f"{name}.worker")
+        env.spawn(self._worker(), name=f"{name}.worker")
 
     def schedule(self, work: Callable[[], Generator]) -> None:
         """Queue ``work`` (a generator factory) to run in softirq context."""
@@ -85,7 +85,7 @@ class IrqController:
         is edge-like here; re-arming is the coalescer's job).
         """
         self.counters["raised"] += 1
-        self.env.process(self._service(handler, label), name=f"{self.name}.{label}")
+        self.env.spawn(self._service(handler, label), name=f"{self.name}.{label}")
 
     def _service(self, handler: Callable[[], Generator], label: str) -> Generator:
         yield from self.cpu.execute(self.params.irq_entry_ns, PRIO_IRQ, label="irq_entry")

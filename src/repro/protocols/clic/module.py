@@ -130,7 +130,7 @@ class ClicModule:
 
         #: staged (system-memory) sends waiting for NIC ring space
         self._backlog: Store = Store(self.env, name=f"{node.name}.clic.backlog")
-        self.env.process(self._backlog_pump(), name=f"{node.name}.clic.pump")
+        self.env.spawn(self._backlog_pump(), name=f"{node.name}.clic.pump")
 
         self.kernel.register_protocol(EtherType.CLIC, self._rx_entry)
 
@@ -432,7 +432,7 @@ class ClicModule:
                 self.counters["pkts_retx"] += 1
                 yield from self._tx_run(pkt)
 
-        self.env.process(_do(), name=f"{self.node.name}.clic.retx")
+        self.env.spawn(_do(), name=f"{self.node.name}.clic.retx")
 
     def _emit_ack(self, dst_node: int, cumulative_seq: int) -> None:
         """OrderedReceiver callback: send a cumulative ack packet."""
@@ -468,7 +468,7 @@ class ClicModule:
                 self._backlog.put((skb, mac))
             self.counters["acks_tx"] += 1
 
-        self.env.process(_do(), name=f"{self.node.name}.clic.ack")
+        self.env.spawn(_do(), name=f"{self.node.name}.clic.ack")
 
     def receive_ack(self, src_node: int, cumulative_seq: int) -> None:
         """Apply a cumulative ack from ``src_node`` to our sender.

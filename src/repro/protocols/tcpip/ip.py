@@ -50,7 +50,7 @@ class IpLayer:
         self.node = node
         self.params = params
         self._backlog: Store = Store(node.env, name=f"{node.name}.ip.backlog")
-        node.env.process(self._backlog_pump(), name=f"{node.name}.ip.pump")
+        node.env.spawn(self._backlog_pump(), name=f"{node.name}.ip.pump")
 
     def mtu_payload(self) -> int:
         """IP payload bytes per frame (MTU minus the IP header)."""

@@ -206,7 +206,7 @@ class TcpConnection:
                 self.counters["segments_retx"] += 1
                 yield from self._tx_segment(seg)
 
-        self.env.process(_do(), name=f"tcp{self.conn_id}.retx")
+        self.env.spawn(_do(), name=f"tcp{self.conn_id}.retx")
 
     # -- receive (softirq context) -------------------------------------------------
     def on_segment(self, seg: TcpSegment) -> Generator:
@@ -257,7 +257,7 @@ class TcpConnection:
             yield from self.layer.ip.tx(dgram)
             self.counters["acks_tx"] += 1
 
-        self.env.process(_do(), name=f"tcp{self.conn_id}.ack")
+        self.env.spawn(_do(), name=f"tcp{self.conn_id}.ack")
 
     # -- recv (kernel context, inside the caller's syscall) ----------------------
     def recv(self, nbytes: int) -> Generator:

@@ -38,9 +38,14 @@ same events run in the same order at the same times):
   costs no queue entry and no process suspension;
 * a timed server hold the loop would complete next, with nothing due
   before its end, *completes in place*: the clock moves to the end and
-  the holder carries on without a timer, a queue entry or a generator
-  round trip (:meth:`Environment._skip_to` holds the guard, and keeps
-  the clock inside ``run(until=t)``).
+  the holder carries on without a claim object, a timer, a queue entry
+  or a generator round trip (:meth:`Environment._skip_to` holds the
+  guard, and keeps the clock inside ``run(until=t)``);
+* a process nobody can wait on, started with :meth:`Environment.spawn`,
+  *ends processed*: when its generator returns, its end event takes no
+  queue entry, since an entry with no callback to run moves no other
+  event (a spawned process that raises still schedules its end, so the
+  failure surfaces from :meth:`Environment.run`).
 """
 
 from __future__ import annotations
@@ -353,7 +358,10 @@ class Process(Event):
                 env._active_proc = None
                 self._ok = True
                 self._value = exc.value
-                env._schedule(self)
+                if type(self) is _Spawned:
+                    self.callbacks = None  # nobody can wait: ends processed
+                else:
+                    env._schedule(self)
                 return
             except BaseException as exc:
                 env._active_proc = None
@@ -383,6 +391,13 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
+
+
+class _Spawned(Process):
+    """A process started by :meth:`Environment.spawn`: no handle is
+    returned, so nothing can wait on its end."""
+
+    __slots__ = ()
 
 
 class Environment:
@@ -491,6 +506,20 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
+
+    def spawn(self, generator: Generator, name: str = "") -> None:
+        """Start a process running ``generator`` that nobody waits on.
+
+        It starts exactly as :meth:`process` starts one, but no handle is
+        returned, so no waiter can ever join its end event's callbacks.
+        When the generator returns, that event is therefore marked
+        processed instead of scheduled: its queue entry would run
+        nothing, and an entry that runs nothing moves no other event
+        (the guards of :meth:`_settle` and :meth:`_skip_to` only see
+        fewer entries due now).  A spawned process that raises still
+        schedules its end, so the failure surfaces from :meth:`run`.
+        """
+        _Spawned(self, generator, name=name)
 
     def call_later(
         self, delay: float, fn: Callable[[], None], priority: int = NORMAL
@@ -634,7 +663,7 @@ class Environment:
         not pass the ``t`` of a ``run(until=t)``.  The tie-break number
         the entry would have drawn is drawn.  Callers make sure the
         entry's one callback resumes the running process alone
-        (:meth:`repro.sim.resources.Server._start`).
+        (:meth:`repro.sim.resources.Server.hold`).
         """
         times = self._times
         if (self._urgent or self._ready or when > self._until
@@ -686,7 +715,7 @@ class Environment:
 
         One step may move the clock more than once: a process it resumes
         can complete timed server holds in place
-        (:meth:`repro.sim.resources.Server._start`), each moving the
+        (:meth:`repro.sim.resources.Server.hold`), each moving the
         clock to its end because nothing is due before it.  Inside
         ``run(until=t)`` the clock never passes ``t``.
         """

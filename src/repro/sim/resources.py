@@ -12,9 +12,9 @@ Neither takes a queue entry that exists only as bookkeeping, and both put
 every entry they do take at the ``(time, priority, seq)`` place the
 resource-based model they replaced put it (a process holding a priority
 resource; a store re-running a fixpoint after each operation).  A timed
-hold whose completion timer nothing could observe takes no entry: it
-completes in place (:meth:`Server._start`).  DESIGN.md §9 gives the
-rules.
+hold whose completion timer nothing could observe takes no entry and
+builds no claim: it completes in place (:meth:`Server.hold`).  DESIGN.md
+§9 gives the rules.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class Server:
 
     A timed claim that starts at once *completes in place* when its
     completion timer would be the next entry the loop pops: the clock
-    moves to its end and :meth:`hold` goes on without yielding
-    (:meth:`_start` gives the rule).
+    moves to its end and :meth:`hold` goes on without yielding, a claim
+    object or a call into the scheduler (:meth:`hold` gives the rule).
     """
 
     def __init__(self, env: Environment):
@@ -98,14 +98,34 @@ class Server:
 
     def hold(self, duration: float, priority: int = 0) -> Generator:
         """Hold the server for ``duration`` ns at ``priority`` (lower is
-        more important), waiting for it first while it is busy."""
-        wait = self._claim(_Claim(priority, duration))
+        more important), waiting for it first while it is busy.
+
+        The hold *completes in place* when the server is free, the
+        claimant is alone at this instant (:meth:`Environment._alone`)
+        and :meth:`Environment._skip_to` finds that its completion timer
+        would be the next entry popped (nothing due now, nothing queued
+        up to the end, on a tie the timer is kept, never past
+        ``run(until=t)``).  The claimant would yield that timer before
+        scheduling anything, so popping it would only resume the
+        claimant alone at the end: nothing can observe the hold.  The
+        clock moves to the end instead, drawing the timer's tie-break
+        number, the run is added to the busy integral as
+        :meth:`_finish` adds it, and the hold returns without yielding;
+        no claim is built and the scheduler is not entered.
+        """
+        env = self.env
+        now = env._now
+        at_once = self._holder is None and env._alone()
+        if at_once and env._skip_to(now + duration):
+            self.total_busy += env._now - now
+            return
+        wait = self._claim(priority, duration, at_once)
         if wait is None or (yield wait) is None:
             self._finish()
 
     def acquire(self, priority: int = 0) -> Generator:
         """Wait for the server and hold it until :meth:`release`."""
-        wait = self._claim(_Claim(priority, None))
+        wait = self._claim(priority, None, self._holder is None and self.env._alone())
         if wait is not None:
             yield wait
         self._busy_since = self.env._now
@@ -132,23 +152,31 @@ class Server:
         return self.busy_time(now) / now
 
     # -- the scheduler ------------------------------------------------------
-    def _claim(self, claim: _Claim) -> Optional[Event]:
-        """Grant, start or queue ``claim`` for the running process.
+    def _claim(self, priority: int, duration: Optional[float],
+               at_once: bool) -> Optional[Event]:
+        """Grant, start or queue a claim for the running process.
+
+        The caller has tested ``at_once``: the server is free and the
+        claimant alone at this instant (the guard of
+        :meth:`Environment._settle`).  A timed claim that could start at
+        once has also failed to complete in place, so the caller read
+        the queue once and :meth:`Environment._alone` and
+        :meth:`Environment._skip_to` are not asked again.  Only a claim
+        that must be remembered gets here: one that queues, is timed by
+        an entry or is held across a yield.
 
         Returns the event the process waits on: a timed claim's
         completion timer, or a hold-while's grant — ``None`` when there
-        is nothing to wait for (the hold-while runs at once, or the
-        timed claim completed in place).
+        is nothing to wait for (the hold-while runs at once, or a
+        preemptor completed in place).
         """
-        if self._holder is None:
-            self._holder = claim
-            # alone at this instant: the guard of Environment._settle
-            if self.env._alone():
-                return self._start(claim)
-            return self._schedule_start(claim)
-        return self._contend(claim)
+        claim = _Claim(priority, duration)
+        if self._holder is not None:
+            return self._contend(claim)
+        self._holder = claim
+        return self._start(claim) if at_once else self._schedule_start(claim)
 
-    def _contend(self, claim: _Claim) -> Event:
+    def _contend(self, claim: _Claim) -> Optional[Event]:
         """The server is held: queue ``claim`` behind it."""
         self._enqueue(claim)
         return claim.hand_to(Event(self.env))
@@ -160,29 +188,14 @@ class Server:
         queue.append(claim)
 
     def _start(self, claim: _Claim) -> Optional[Event]:
-        """Run a fresh ``claim`` from now: arm a timed claim's completion
-        timer (handed the waiter's callbacks) or complete it in place, or
-        let a hold-while continue.
-
-        The caller starts ``claim`` at once because its process is alone
-        at this instant (:meth:`Environment._alone`, read by
-        :meth:`_claim` and, after an eviction, by the CPU), and that
-        process yields the timer before it schedules anything.  So when
-        :meth:`Environment._skip_to` finds the timer would be the next
-        entry popped (nothing due now, nothing queued up to the claim's
-        end, on a tie the timer is kept, never past ``run(until=t)``),
-        popping it would only resume that process alone at the end:
-        nothing can observe the hold.  The clock moves to the end
-        instead, drawing the timer's tie-break number, and ``None``
-        tells the claimant to finish without yielding.
-        """
+        """Run ``claim``, the new holder, from now: arm a timed claim's
+        completion timer (handed the waiter's callbacks), or let a
+        hold-while continue."""
         remaining = claim.remaining
         if remaining is None:
             return None
         env = self.env
-        now = self._busy_since = env._now
-        if env._skip_to(now + remaining):
-            return None
+        self._busy_since = env._now
         return claim.hand_to(Timeout(env, remaining))
 
     def _schedule_start(self, claim: _Claim) -> Event:

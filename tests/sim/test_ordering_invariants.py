@@ -9,8 +9,9 @@ The hot-path shortcuts must not move anything: a deferred callback runs
 where the process it replaces would have, an uncontended claim skips the
 queue only when nothing could have run before its waiter, a timed hold
 completes in place only when its timer would have been the next entry
-popped (never on a tie at its end, never past ``run(until=t)``), and a
-release never takes a queue slot.  The exclusive servers order claims,
+popped (never on a tie at its end, never past ``run(until=t)``) and then
+builds no claim, a release never takes a queue slot, and a spawned
+process, which nobody can wait on, ends without one.  The exclusive servers order claims,
 grants and completions exactly as processes holding resources would (the
 CPU's preemptions too), and the store's direct hand-off schedules what
 its old fixpoint did.  The event queue's lanes and per-time buckets pop, move
@@ -344,6 +345,78 @@ def test_one_step_may_move_the_clock_more_than_once():
     assert (env.now, log, pending(env)) == (12, [5, 12], [(12, NORMAL)])
 
 
+def test_in_place_claim_builds_no_claim_and_skips_the_scheduler(monkeypatch):
+    """A timed claim that completes in place allocates no claim object
+    and enters none of ``_claim``, ``_start`` and ``_finish``: the hold
+    and the CPU slice add their busy time and return."""
+    from repro.sim import resources
+
+    def refuse(*args):
+        raise AssertionError("the scheduler was entered")
+
+    monkeypatch.setattr(resources, "_Claim", refuse)
+    for name in ("_claim", "_start", "_finish"):
+        monkeypatch.setattr(Server, name, refuse)
+    env = Environment()
+    server, cpu = Server(env), Cpu(env, CpuParams())
+    log = []
+
+    def user():
+        yield from server.hold(5)
+        yield from cpu.execute(7, PRIO_KERNEL, label="k")
+        log.append(env.now)
+
+    env.process(user())
+    env.run()
+    assert log == [12]
+    assert (server.total_busy, cpu.total_busy, cpu.counters["work.k"]) == (5, 7, 7)
+    assert server._holder is None and cpu._holder is None
+
+
+@pytest.mark.parametrize("make", [Server, lambda env: Cpu(env, CpuParams())],
+                         ids=["server", "cpu"])
+def test_a_claim_reads_the_queue_once(make, monkeypatch):
+    """A claim asks ``_alone`` and ``_skip_to`` at most once each: a
+    queued claim asks neither, a claim that is not alone never tries to
+    complete in place, and one that fails to complete in place arms its
+    timer without asking again."""
+    calls = Counter()
+    alone, skip_to = Environment._alone, Environment._skip_to
+
+    def counting_alone(env, priority=NORMAL):
+        calls[env.active_process.name, "alone"] += 1
+        return alone(env, priority)
+
+    def counting_skip_to(env, when):
+        calls[env.active_process.name, "skip_to"] += 1
+        return skip_to(env, when)
+
+    monkeypatch.setattr(Environment, "_alone", counting_alone)
+    monkeypatch.setattr(Environment, "_skip_to", counting_skip_to)
+    env = Environment()
+    server = make(env)
+    hold = server.execute if isinstance(server, Cpu) else server.hold
+    log = []
+
+    def claim(at, due=None):
+        yield env.timeout(at)
+        if due is not None:
+            env.call_later(due, lambda: log.append(("entry", env.now)))
+        yield from hold(5, 5)
+        log.append((env.active_process.name, env.now))
+
+    env.process(claim(10, due=3), name="timer")  # an entry is due before its end
+    env.process(claim(11), name="queued")
+    env.process(claim(30, due=0), name="not-alone")
+    env.process(claim(50), name="in-place")
+    env.run()
+    assert log == [("entry", 13), ("timer", 15), ("queued", 20), ("entry", 30),
+                   ("not-alone", 35), ("in-place", 55)]
+    assert calls == {("timer", "alone"): 1, ("timer", "skip_to"): 1,
+                     ("not-alone", "alone"): 1,
+                     ("in-place", "alone"): 1, ("in-place", "skip_to"): 1}
+
+
 def test_immediate_grant_goes_through_heap_when_another_event_is_due():
     env = Environment()
     server = Server(env)
@@ -591,9 +664,9 @@ def _cpu_scenario(make_cpu, seed):
             log.append((env.now, name, i))
 
     for w in range(rng.randint(2, 6)):
-        steps = [(rng.choice((0, 0, 10, 20, 30, "gate")),
+        steps = [(rng.choice((0, 0, 3, 7, 10, 20, 30, 45, "gate")),
                   rng.choice(("exec", "exec", "exec", "occupy", "spawn")),
-                  rng.choice(prios), rng.choice((0, 5, 10, 20, 30)))
+                  rng.choice(prios), rng.choice((0, 4, 5, 10, 20, 30)))
                  for _ in range(rng.randint(1, 6))]
         env.process(worker(f"w{w}", steps))
     _collisions(env, rng, log,
@@ -601,14 +674,15 @@ def _cpu_scenario(make_cpu, seed):
     for i, gate in enumerate(gates):
         env.call_later(10 * (i + 1), gate.succeed)
     env.run()
-    return log, env.now, cpu.total_busy, sorted(cpu.counters.items())
+    return log, env.now, cpu.total_busy.hex(), sorted(cpu.counters.items())
 
 
 @pytest.mark.parametrize("seed", range(300))
 def test_cpu_scheduler_orders_like_a_preemptible_resource(seed):
     """Same-time grants, preemptions (mid-slice, in the grant's own
-    timestep, at the slice's last instant) and completions interleave
-    with other events exactly as under the reference model.
+    timestep, at the slice's last instant), completions and slices
+    completed in place interleave with other events exactly as under
+    the reference model, and the busy time has the same bits.
 
     The tie-break counter is not compared: a preemption the CPU resolves
     at once draws no number where the reference's ``Interrupt`` did."""
@@ -728,8 +802,8 @@ def _device_scenario(make_devices, seed):
 
     kinds = ("pci", "pci", "copy", "copy", "wire", "irq")
     for w in range(rng.randint(3, 8)):
-        steps = [(rng.choice((0, 0, 5, 10, 20, "gate")), rng.choice(kinds),
-                  rng.choice((0, 5, 10, 20, 30)))
+        steps = [(rng.choice((0, 0, 3, 5, 7, 10, 20, 45, "gate")), rng.choice(kinds),
+                  rng.choice((0, 4, 5, 10, 20, 30)))
                  for _ in range(rng.randint(1, 6))]
         env.process(worker(f"w{w}", steps))
     _collisions(env, rng, log, lambda: env.process(
@@ -737,7 +811,7 @@ def _device_scenario(make_devices, seed):
     for i, gate in enumerate(gates):
         env.call_later(10 * (i + 1), gate.succeed)
     env.run()
-    return (log, env.now, env._seq, dev.total_busy(),
+    return (log, env.now, env._seq, [busy.hex() for busy in dev.total_busy()],
             sorted(dev.cpu.counters.items()))
 
 
@@ -745,8 +819,9 @@ def _device_scenario(make_devices, seed):
 def test_device_servers_order_like_held_resources(seed):
     """Same-time claims, grants and completions on the PCI bus, the
     memory bus (held around a preemptible CPU slice) and the wire land
-    where the resource-holding processes put them: the same log, clock,
-    tie-break counter, busy times and CPU counters."""
+    where the resource-holding processes put them, whether a hold
+    completes in place, is timed by an entry or waits: the same log,
+    clock, tie-break counter, busy-time bits and CPU counters."""
     expected = _device_scenario(_ResourceDevices, seed)
     assert _device_scenario(_ServerDevices, seed) == expected
 
@@ -757,6 +832,142 @@ def test_device_servers_order_like_held_resources_long():
     for seed in range(300, 3300):
         expected = _device_scenario(_ResourceDevices, seed)
         assert _device_scenario(_ServerDevices, seed) == expected, f"seed {seed}"
+
+
+def test_server_replays_mix_every_kind_of_claim(monkeypatch):
+    """The random programs above exercise every path a claim can take:
+    completed in place, started at once with a timer, started by a
+    scheduled grant, queued behind a holder, preempted, and hold-whiles;
+    most scenarios mix claims completed in place with queued ones."""
+    tally = Counter()
+    skip_to, enqueue, claim = Environment._skip_to, Server._enqueue, Server._claim
+
+    def counting_skip_to(env, when):
+        done = skip_to(env, when)
+        tally["in place" if done else "timer"] += 1
+        return done
+
+    def counting_enqueue(server, queued):
+        tally["queued"] += 1
+        enqueue(server, queued)
+
+    def counting_claim(server, priority, duration, at_once):
+        tally["hold-while" if duration is None else
+              "at once" if at_once else "scheduled or queued"] += 1
+        return claim(server, priority, duration, at_once)
+
+    monkeypatch.setattr(Environment, "_skip_to", counting_skip_to)
+    monkeypatch.setattr(Server, "_enqueue", counting_enqueue)
+    monkeypatch.setattr(Server, "_claim", counting_claim)
+    for scenario in (lambda seed: _cpu_scenario(lambda env: Cpu(env, CpuParams()), seed),
+                     lambda seed: _device_scenario(_ServerDevices, seed)):
+        tally.clear()
+        mixed = preempted = 0
+        for seed in range(100):
+            before = Counter(tally)
+            counters = dict(scenario(seed)[-1])
+            preempted += counters.get("preemptions", 0)
+            delta = tally - before
+            mixed += bool(delta["in place"] and delta["queued"])
+        assert min(tally[path] for path in ("in place", "timer", "queued", "hold-while",
+                                            "at once", "scheduled or queued")) > 0, tally
+        assert preempted > 0
+        assert mixed >= 40, (mixed, tally)
+
+
+# -- processes nobody waits on ------------------------------------------------
+
+def _end_scenario(seed, schedule_every_end):
+    """Spawned processes and processes someone waits on end side by side,
+    on a coarse time grid, between CPU slices, wire holds and store
+    operations whose shortcuts read what is due now.  With
+    ``schedule_every_end`` every ``spawn`` is a ``process`` whose handle
+    is dropped, so each end takes its queue entry.  Returns everything
+    observable."""
+    rng = random.Random(seed)
+    env = Environment()
+    if schedule_every_end:
+        env.spawn = lambda generator, name="": env.process(generator, name) and None
+    cpu, wire, store = Cpu(env, CpuParams()), Server(env), Store(env, capacity=2)
+    log = []
+
+    def claim(kind, ns):
+        if kind == "cpu":
+            yield from cpu.execute(ns, rng.choice((PRIO_IRQ, PRIO_KERNEL, PRIO_USER)))
+        elif kind == "wire":
+            yield from wire.hold(ns)
+        elif kind == "put":
+            yield store.put(ns)
+        elif store.items:
+            yield store.get()
+
+    def child(name, kind, ns):
+        yield from claim(kind, ns)
+        log.append((env.now, name))
+        return name
+
+    kinds = ("cpu", "cpu", "wire", "put", "get")
+
+    def parent(name, steps):
+        for i, (wait, kind, ns, how) in enumerate(steps):
+            if wait:
+                yield env.timeout(wait)
+            args = (f"{name}.{i}", rng.choice(kinds), rng.choice((0, 0, 5, 10)))
+            if how == "spawn":
+                assert env.spawn(child(*args)) is None
+            elif how == "wait":
+                got = yield env.process(child(*args))
+                log.append((env.now, name, "joined", got))
+            else:
+                env.process(child(*args))
+            yield from claim(kind, ns)
+            log.append((env.now, name, i))
+
+    for p in range(rng.randint(2, 6)):
+        steps = [(rng.choice((0, 0, 5, 10)), rng.choice(kinds), rng.choice((0, 5, 10, 20)),
+                  rng.choice(("spawn", "spawn", "wait", "drop")))
+                 for _ in range(rng.randint(1, 6))]
+        env.spawn(parent(f"p{p}", steps))
+    for t in (5, 10, 20):
+        env.call_later(t, lambda: log.append((env.now, "timer")))
+    env.run()
+    return log, env.now, cpu.total_busy.hex(), wire.total_busy.hex(), list(store.items)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_spawned_ends_take_no_entry_and_move_nothing(seed):
+    """A spawned process's end is marked processed, not scheduled: the
+    same program with every end scheduled runs the same callbacks in
+    the same order at the same times, with the same busy-time bits."""
+    assert _end_scenario(seed, False) == _end_scenario(seed, True)
+
+
+def test_spawn_returns_none_and_its_end_takes_no_entry():
+    env = Environment()
+    done = []
+
+    def body():
+        yield env.timeout(5)
+        done.append(env.now)
+
+    assert env.spawn(body(), name="fire-and-forget") is None
+    env.step()  # the start
+    seq = env._seq
+    env.step()  # the timeout resumes the body, which returns
+    assert (done, pending(env), env._seq) == ([5], [], seq)
+
+
+def test_spawned_process_that_raises_fails_the_run():
+    env = Environment()
+
+    def body():
+        yield env.timeout(5)
+        raise RuntimeError("boom")
+
+    env.spawn(body())
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert env.now == 5
 
 
 # -- the store -----------------------------------------------------------------
