@@ -108,7 +108,7 @@ class Cluster:
         rx_mode = "push" if set(self.protocols) & _PUSH_PROTOCOLS else "irq-pull"
 
         _reset_global_ids()
-        self.env = Environment(profile=getattr(self.cfg, "profile", False))
+        self.env = Environment(profile=self.cfg.profile)
         self.rng = RngStreams(self.cfg.seed)
         #: cluster-wide span tracer (see repro.obs.span)
         self.tracer = Tracer(self.env, enabled=self.cfg.trace)
@@ -120,11 +120,11 @@ class Cluster:
         self.fabric = Fabric(
             self.env,
             self.cfg.link,
-            getattr(self.cfg, "topology", None),
+            self.cfg.topology,
             self.cfg.num_nodes,
             tracer=self.tracer,
             metrics=self.metrics,
-            backpressure=getattr(self.cfg, "switch_backpressure", "drop"),
+            backpressure=self.cfg.switch_backpressure,
         )
         #: the first switch — the whole fabric in the single-switch case
         #: (legacy accessor kept for experiments and the validate harness)
@@ -184,10 +184,8 @@ class Cluster:
 
         self._attach_protocols()
 
-        sim = getattr(self.cfg, "sim", None)
         if (
-            sim is not None
-            and sim.flow_mode == "auto"
+            self.cfg.sim.flow_mode == "auto"
             and rx_mode == "irq-pull"
             and "clic" in self.protocols
         ):

@@ -319,8 +319,6 @@ class MpiParams:
 
     #: library overhead per point-to-point call (matching, request mgmt)
     per_call_ns: float = 2_500.0
-    #: envelope bytes added to each message
-    envelope_bytes: int = 24
 
 
 @dataclass(frozen=True)

@@ -22,46 +22,19 @@ from typing import Dict, List
 from ..analysis import format_series_table, logx_plot
 from ..cluster import Cluster
 from ..config import MTU_JUMBO, granada2003
-from ..mpi import build_world
 from ..pvm import pvm_pair
 from ..parallel import run_tasks
-from ..workloads import SweepSeries, clic_pair, pingpong
+from ..workloads import SweepSeries, clic_pair, mpi_pingpong, pingpong
 from ..workloads.pingpong import PingPongResult
 from .common import check, full_sizes, quick_sizes, sweep_pingpong
 
 EXPERIMENT_ID = "FIG6"
 
 
-def mpi_pingpong(transport: str, nbytes: int, repeats: int = 1, warmup: int = 1) -> PingPongResult:
-    """Ping-pong between ranks 0 and 1 through the MPI layer."""
-    cluster = Cluster(granada2003(mtu=MTU_JUMBO))
-    world = build_world(cluster, transport)
-    n = max(nbytes, 1) if transport == "tcp" else nbytes
-
-    def program(ctx):
-        peer = 1 - ctx.rank
-        if ctx.rank == 0:
-            for _ in range(warmup):
-                yield from ctx.send(peer, n)
-                yield from ctx.recv(n, source=peer)
-            t0 = ctx.proc.env.now
-            for _ in range(repeats):
-                yield from ctx.send(peer, n)
-                yield from ctx.recv(n, source=peer)
-            return (ctx.proc.env.now - t0) / repeats
-        for _ in range(warmup + repeats):
-            yield from ctx.recv(n, source=peer)
-            yield from ctx.send(peer, n)
-        return None
-
-    rtt = world.run(program)[0]
-    return PingPongResult(nbytes=nbytes, repeats=repeats, rtt_ns=rtt)
-
-
 def _mpi_point(spec):
     """One MPI sweep point from a pure-data spec (pool-safe)."""
     transport, nbytes = spec
-    return mpi_pingpong(transport, nbytes)
+    return mpi_pingpong(granada2003(mtu=MTU_JUMBO), transport, nbytes)
 
 
 def mpi_sweep(label: str, transport: str, sizes, jobs: int = 1) -> SweepSeries:

@@ -64,7 +64,8 @@ def capture(direct_rx: bool = False) -> Tuple[Cluster, int, PacketTimeline, floa
     cluster.env.run(done)
 
     # The single data packet is the first CLIC DATA packet traced.
-    pkt_id = cluster.tracer.first_instant("driver_tx").detail["pkt"]
+    pkt_id = next(i.detail["pkt"] for i in cluster.tracer.instants
+                  if i.name == "driver_tx")
     path = critical_path(spans_of(cluster.tracer), instants_of(cluster.tracer),
                          pkt_id, "node0", "node1")
     return cluster, pkt_id, fig7_timeline(path), outcome["done"]

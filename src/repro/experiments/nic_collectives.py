@@ -113,10 +113,9 @@ def _traced_critical_path(mode: str) -> Dict[str, float]:
 
     world.run(program)
     start = max(t0)  # every rank is past the warm-up barrier by here
-    syscalls = sum(1 for s in cluster.tracer.find(name="syscall")
-                   if s.start_ns >= start)
-    irqs = sum(1 for s in cluster.tracer.find(name="irq")
-               if s.start_ns >= start)
+    spans = [s for s in cluster.tracer.spans if s.start_ns >= start]
+    syscalls = sum(1 for s in spans if s.name == "syscall")
+    irqs = sum(1 for s in spans if s.name == "irq")
     return {"syscall_spans": syscalls, "irq_spans": irqs,
             "bh_scheduled": float(bh_scheduled() - bh_before[0])}
 

@@ -1,7 +1,7 @@
 """Gigabit Ethernet NIC model."""
 
 from .base import Nic, RxFrame, TxDescriptor
-from .frames import BROADCAST, EtherType, Frame, MacAddress, frame_time_ns, max_payload, wire_bytes
+from .frames import BROADCAST, EtherType, Frame, MacAddress, frame_time_ns, wire_bytes
 from .interrupts import InterruptCoalescer
 
 __all__ = [
@@ -14,6 +14,5 @@ __all__ = [
     "RxFrame",
     "TxDescriptor",
     "frame_time_ns",
-    "max_payload",
     "wire_bytes",
 ]

@@ -40,8 +40,7 @@ from ..pci import PciBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: link.py needs frames.py
     from ..link import Channel
-from .frames import (EtherType, Frame, MacAddress, max_payload,
-                     split_train)
+from .frames import EtherType, Frame, MacAddress, split_train
 from .interrupts import InterruptCoalescer
 
 __all__ = ["TxDescriptor", "RxFrame", "Nic"]

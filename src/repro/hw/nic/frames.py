@@ -23,7 +23,6 @@ __all__ = [
     "Frame",
     "wire_bytes",
     "frame_time_ns",
-    "max_payload",
     "split_train",
 ]
 
@@ -136,15 +135,3 @@ def split_train(frame: Frame) -> list:
               corrupted=frame.corrupted)
         for packet in frame.payload
     ]
-
-
-def max_payload(mtu: int) -> int:
-    """Maximum protocol payload per frame for a given MTU.
-
-    MTU counts bytes above the MAC header (the classical Ethernet MTU of
-    1500 spans IP header + data), so it is exactly the frame's
-    ``payload_bytes`` budget.
-    """
-    if mtu <= 0:
-        raise ValueError("MTU must be positive")
-    return mtu

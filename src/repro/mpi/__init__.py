@@ -6,7 +6,7 @@ from .. import _lazy_exports
 _LAZY = {
     "api": ("ANY_SOURCE", "ANY_TAG", "MpiMessage", "RankContext", "Request"),
     "transports": ("ClicTransport", "TcpTransport"),
-    "world": ("World", "build_world", "mpirun"),
+    "world": ("World", "build_world"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
 
@@ -20,5 +20,4 @@ __all__ = [
     "TcpTransport",
     "World",
     "build_world",
-    "mpirun",
 ]

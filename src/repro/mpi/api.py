@@ -19,7 +19,6 @@ from typing import Generator, Optional
 from ..config import MpiParams
 from ..hw.cpu import PRIO_USER
 from ..sim import Process
-from .transports import ClicTransport, Envelope, TcpTransport
 
 __all__ = ["RankContext", "Request", "MpiMessage", "ANY_SOURCE", "ANY_TAG"]
 
@@ -98,14 +97,7 @@ class RankContext:
         if source is not None:
             self._check_rank(source)
         yield from self._library_overhead()
-        if isinstance(self.transport, TcpTransport):
-            if source is None:
-                raise NotImplementedError(
-                    "ANY_SOURCE needs the CLIC transport (see TcpTransport)"
-                )
-            env, payload = yield from self.transport.recv_sized(source, nbytes)
-        else:
-            env, payload = yield from self.transport.recv(source, tag)
+        env, payload = yield from self.transport.recv(source, tag, nbytes)
         if env.nbytes != nbytes:
             raise AssertionError(
                 f"rank {self.rank}: posted {nbytes} B but received {env.nbytes} B"
@@ -158,38 +150,6 @@ class RankContext:
             results.append(result)
         return results
 
-    def iprobe(self, source: Optional[int] = ANY_SOURCE, tag: Optional[int] = ANY_TAG):
-        """MPI_Iprobe: non-consuming, non-blocking envelope check.
-
-        Returns an :class:`MpiMessage` (payload-free) or ``None``.
-        Only available over the CLIC transport, whose in-kernel matching
-        supports peeking; MPICH's ch_p4-style TCP binding could not
-        probe either without a progress thread.
-        """
-        if isinstance(self.transport, TcpTransport):
-            raise NotImplementedError("probe needs the CLIC transport")
-        src_node = None if source is None else self.world._rank_to_node[source]
-        msg = self.transport.ep.module.probe(self.transport.ep.port, tag=tag, src=src_node)
-        if msg is None:
-            return None
-        from .transports import ENVELOPE_BYTES
-
-        return MpiMessage(
-            source=self.world.node_to_rank(msg.src_node),
-            tag=msg.tag,
-            nbytes=msg.nbytes - ENVELOPE_BYTES,
-        )
-
-    def probe(self, source: Optional[int] = ANY_SOURCE, tag: Optional[int] = ANY_TAG) -> Generator:
-        """MPI_Probe: block until a matching message is available,
-        without consuming it."""
-        poll_ns = 2_000.0
-        while True:
-            found = self.iprobe(source=source, tag=tag)
-            if found is not None:
-                return found
-            yield self.proc.env.timeout(poll_ns)
-
     # -- collectives are provided by mixin-style functions -----------------------
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world.size:
@@ -199,7 +159,7 @@ class RankContext:
     # this module focused on point-to-point).
     def barrier(self) -> Generator:
         """MPI_Barrier (dissemination; NIC-resident in ``"nic"`` mode)."""
-        if getattr(self.world, "collectives", "host") == "nic":
+        if self.world.collectives == "nic":
             from .collectives import nic_barrier
 
             yield from nic_barrier(self)
@@ -210,7 +170,7 @@ class RankContext:
 
     def bcast(self, nbytes: int, root: int = 0) -> Generator:
         """MPI_Bcast (binomial tree; NIC-resident in ``"nic"`` mode)."""
-        if getattr(self.world, "collectives", "host") == "nic":
+        if self.world.collectives == "nic":
             from .collectives import nic_bcast
 
             result = yield from nic_bcast(self, nbytes, root)
@@ -220,17 +180,10 @@ class RankContext:
         result = yield from bcast(self, nbytes, root)
         return result
 
-    def reduce(self, nbytes: int, root: int = 0) -> Generator:
-        """MPI_Reduce (binomial tree to the root)."""
-        from .collectives import reduce
-
-        result = yield from reduce(self, nbytes, root)
-        return result
-
     def allreduce(self, nbytes: int) -> Generator:
         """MPI_Allreduce (recursive doubling; NIC-resident in ``"nic"``
         mode — combine up the binomial tree, result broadcast down)."""
-        if getattr(self.world, "collectives", "host") == "nic":
+        if self.world.collectives == "nic":
             from .collectives import nic_allreduce
 
             result = yield from nic_allreduce(self, nbytes)
@@ -238,46 +191,4 @@ class RankContext:
         from .collectives import allreduce
 
         result = yield from allreduce(self, nbytes)
-        return result
-
-    def gather(self, nbytes: int, root: int = 0) -> Generator:
-        """MPI_Gather (linear to the root)."""
-        from .collectives import gather
-
-        result = yield from gather(self, nbytes, root)
-        return result
-
-    def scatter(self, nbytes: int, root: int = 0) -> Generator:
-        """MPI_Scatter (linear from the root)."""
-        from .collectives import scatter
-
-        result = yield from scatter(self, nbytes, root)
-        return result
-
-    def allgather(self, nbytes: int) -> Generator:
-        """MPI_Allgather (ring)."""
-        from .collectives import allgather
-
-        result = yield from allgather(self, nbytes)
-        return result
-
-    def alltoall(self, nbytes: int) -> Generator:
-        """MPI_Alltoall (pairwise exchange)."""
-        from .collectives import alltoall
-
-        result = yield from alltoall(self, nbytes)
-        return result
-
-    def scan(self, nbytes: int) -> Generator:
-        """MPI_Scan (linear prefix chain)."""
-        from .collectives import scan
-
-        result = yield from scan(self, nbytes)
-        return result
-
-    def reduce_scatter(self, nbytes_per_rank: int) -> Generator:
-        """MPI_Reduce_scatter (ring)."""
-        from .collectives import reduce_scatter
-
-        result = yield from reduce_scatter(self, nbytes_per_rank)
         return result

@@ -1,16 +1,12 @@
 """MPI collective algorithms over point-to-point.
 
 Classic implementations (the ones LAM/MPICH shipped in 2001-2003), built
-purely on the rank's send/recv so they run over either transport:
+purely on the rank's send/recv so they run over either transport.  These
+are the three collectives the experiments and the bench measure:
 
 * ``barrier``   — dissemination (log2 P rounds of 0-byte exchanges)
 * ``bcast``     — binomial tree from the root
-* ``reduce``    — binomial tree to the root (data flows leaf -> root)
 * ``allreduce`` — recursive doubling
-* ``gather``    — linear to the root (rank order, as LAM's basic algo)
-* ``scatter``   — linear from the root
-* ``allgather`` — ring (P-1 steps of neighbour exchange)
-* ``alltoall``  — pairwise exchange schedule
 
 Tags in the 0x7Fxx range keep collective traffic from colliding with
 application point-to-point messages on the same communicator.
@@ -23,14 +19,7 @@ from typing import Generator
 __all__ = [
     "barrier",
     "bcast",
-    "reduce",
     "allreduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "alltoall",
-    "scan",
-    "reduce_scatter",
     "nic_barrier",
     "nic_bcast",
     "nic_allreduce",
@@ -38,14 +27,7 @@ __all__ = [
 
 TAG_BARRIER = 0x7F01
 TAG_BCAST = 0x7F02
-TAG_REDUCE = 0x7F03
 TAG_ALLREDUCE = 0x7F04
-TAG_GATHER = 0x7F05
-TAG_SCATTER = 0x7F06
-TAG_ALLGATHER = 0x7F07
-TAG_ALLTOALL = 0x7F08
-TAG_SCAN = 0x7F09
-TAG_REDSCAT = 0x7F0A
 
 
 def barrier(ctx) -> Generator:
@@ -88,29 +70,6 @@ def bcast(ctx, nbytes: int, root: int = 0) -> Generator:
     return nbytes
 
 
-def reduce(ctx, nbytes: int, root: int = 0) -> Generator:
-    """Binomial-tree reduction to the root; returns total contributions
-    seen at this rank (== P at the root)."""
-    size = ctx.size
-    vrank = (ctx.rank - root) % size
-    contributions = 1
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            dest = ((vrank - mask) + root) % size
-            yield from ctx.send(dest, nbytes, tag=TAG_REDUCE, payload=contributions)
-            break
-        else:
-            vsource = vrank + mask
-            if vsource < size:
-                msg = yield from ctx.recv(
-                    nbytes, source=(vsource + root) % size, tag=TAG_REDUCE
-                )
-                contributions += msg.payload if isinstance(msg.payload, int) else 1
-        mask *= 2
-    return contributions
-
-
 def allreduce(ctx, nbytes: int) -> Generator:
     """Recursive doubling (power-of-two ranks take the fast path; the
     remainder folds in/out as MPICH does)."""
@@ -146,95 +105,6 @@ def allreduce(ctx, nbytes: int) -> Generator:
     if rank >= pof2 - rem and rank < pof2:
         yield from ctx.send(rank + rem, nbytes, tag=TAG_ALLREDUCE, payload=contributions)
     return contributions
-
-
-def gather(ctx, nbytes: int, root: int = 0) -> Generator:
-    """Linear gather; the root receives P-1 messages in rank order."""
-    if ctx.rank == root:
-        received = {ctx.rank: nbytes}
-        for rank in range(ctx.size):
-            if rank == root:
-                continue
-            msg = yield from ctx.recv(nbytes, source=rank, tag=TAG_GATHER)
-            received[rank] = msg.nbytes
-        return received
-    yield from ctx.send(root, nbytes, tag=TAG_GATHER)
-    return None
-
-
-def scatter(ctx, nbytes: int, root: int = 0) -> Generator:
-    """Linear scatter: the root sends each rank its slice."""
-    if ctx.rank == root:
-        for rank in range(ctx.size):
-            if rank == root:
-                continue
-            yield from ctx.send(rank, nbytes, tag=TAG_SCATTER)
-        return nbytes
-    msg = yield from ctx.recv(nbytes, source=root, tag=TAG_SCATTER)
-    return msg.nbytes
-
-
-def allgather(ctx, nbytes: int) -> Generator:
-    """Ring allgather: P-1 neighbour steps, each of ``nbytes``."""
-    size, rank = ctx.size, ctx.rank
-    total = nbytes
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for _ in range(size - 1):
-        msg = yield from ctx.sendrecv(right, nbytes, left, nbytes, tag=TAG_ALLGATHER)
-        total += msg.nbytes
-    return total
-
-
-def scan(ctx, nbytes: int) -> Generator:
-    """Inclusive prefix reduction (linear chain, as LAM's basic scan):
-    rank r ends up holding the combination of ranks 0..r.  Returns the
-    number of contributions combined at this rank."""
-    rank = ctx.rank
-    contributions = 1
-    if rank > 0:
-        msg = yield from ctx.recv(nbytes, source=rank - 1, tag=TAG_SCAN)
-        contributions += msg.payload if isinstance(msg.payload, int) else rank
-    if rank < ctx.size - 1:
-        yield from ctx.send(rank + 1, nbytes, tag=TAG_SCAN, payload=contributions)
-    return contributions
-
-
-def reduce_scatter(ctx, nbytes_per_rank: int) -> Generator:
-    """Reduce-scatter (pairwise-exchange): each rank ends up with the
-    fully reduced slice of size ``nbytes_per_rank``.  Implemented as the
-    ring algorithm: P-1 steps, each combining a slice with a neighbour's
-    partial result.  Returns contributions in this rank's slice (== P).
-    """
-    size, rank = ctx.size, ctx.rank
-    if size == 1:
-        return 1
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    contributions = 1
-    for _ in range(size - 1):
-        msg = yield from ctx.sendrecv(
-            right, nbytes_per_rank, left, nbytes_per_rank, tag=TAG_REDSCAT
-        )
-        contributions += 1
-    return contributions
-
-
-def alltoall(ctx, nbytes: int) -> Generator:
-    """Pairwise-exchange alltoall (XOR schedule for power-of-two sizes,
-    shifted ring otherwise)."""
-    size, rank = ctx.size, ctx.rank
-    total = nbytes  # own slice
-    is_pof2 = (size & (size - 1)) == 0
-    for step in range(1, size):
-        if is_pof2:
-            peer = rank ^ step
-        else:
-            peer = (rank + step) % size
-        recv_from = peer if is_pof2 else (rank - step) % size
-        msg = yield from ctx.sendrecv(peer, nbytes, recv_from, nbytes, tag=TAG_ALLTOALL)
-        total += msg.nbytes
-    return total
 
 
 # ----------------------------------------------------------------------

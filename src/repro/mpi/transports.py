@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional
 
 from ..protocols.clic import ClicEndpoint
 
@@ -51,8 +51,9 @@ class ClicTransport:
             self.rank_to_node[dest_rank], nbytes + ENVELOPE_BYTES, tag=tag, payload=payload
         )
 
-    def recv(self, source_rank: Optional[int], tag: Optional[int]) -> Generator:
-        """Receive a message; returns (Envelope, payload)."""
+    def recv(self, source_rank: Optional[int], tag: Optional[int], nbytes: int) -> Generator:
+        """Receive a message; returns (Envelope, payload).  CLIC's
+        matching finds the message, so ``nbytes`` is not needed."""
         src_node = None if source_rank is None else self.rank_to_node[source_rank]
         msg = yield from self.ep.recv(tag=tag, src=src_node)
         env = Envelope(source=msg.src_node, tag=msg.tag, nbytes=msg.nbytes - ENVELOPE_BYTES)
@@ -79,23 +80,18 @@ class TcpTransport:
         # the header into the same writev).
         yield from sock.send(nbytes + ENVELOPE_BYTES)
 
-    def recv(self, source_rank: Optional[int], tag: Optional[int]) -> Generator:
-        """Unsupported: wildcard matching needs a progress engine."""
+    def recv(self, source_rank: Optional[int], tag: Optional[int], nbytes: int) -> Generator:
+        """Read the next ``nbytes`` message (+envelope) from the pair's
+        stream; returns (Envelope, payload).  The stream matches per pair
+        in order (as ch_p4 did), so ``tag`` is not matched and there is
+        no wildcard source."""
         if source_rank is None:
             raise NotImplementedError(
                 "ANY_SOURCE requires a receive progress engine; the TCP "
                 "binding (like ch_p4) matches per-pair in order — use the "
                 "CLIC transport for wildcard receives"
             )
-        sock = self.sockets[source_rank]
-        # The caller knows the expected size from the benchmark protocol;
-        # we model envelope-then-payload as one sized read.
-        raise NotImplementedError("use recv_sized")
-
-    def recv_sized(self, source_rank: int, nbytes: int) -> Generator:
-        """Read one sized message from ``source_rank``'s stream."""
-        sock = self.sockets[source_rank]
-        got = yield from sock.recv(nbytes + ENVELOPE_BYTES)
+        got = yield from self.sockets[source_rank].recv(nbytes + ENVELOPE_BYTES)
         return Envelope(source=source_rank, tag=0, nbytes=got - ENVELOPE_BYTES), None
 
 

@@ -2,8 +2,8 @@
 
 ``build_world(cluster, transport=...)`` places one rank per node (the
 paper's configuration), wires the chosen transport, and runs each rank's
-program as a user process.  The runner collects per-rank return values —
-the moral equivalent of ``mpirun`` over the simulated cluster.
+program as a user process.  ``World.run`` collects per-rank return
+values — the moral equivalent of ``mpirun`` over the simulated cluster.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from ..config import MpiParams
 if TYPE_CHECKING:
     from .api import RankContext
 
-__all__ = ["World", "build_world", "mpirun"]
+__all__ = ["World", "build_world"]
 
 
 class World:
@@ -26,7 +26,7 @@ class World:
     ``"host"`` is the classic 2003 software algorithms over the
     transport; ``"nic"`` offloads them to the NIC-resident engine
     (:mod:`repro.hw.nic.collective` — requires a fault-free fabric and
-    one NIC per node; the remaining collectives stay host-based).
+    one NIC per node).
     """
 
     def __init__(self, cluster: Cluster, transport: str = "clic",
@@ -130,12 +130,3 @@ def build_world(cluster: Cluster, transport: str = "clic",
     """Create an MPI world over ``cluster`` with the chosen transport."""
     return World(cluster, transport=transport, collectives=collectives)
 
-
-def mpirun(
-    cluster: Cluster,
-    program: Callable[[RankContext], Generator],
-    transport: str = "clic",
-    collectives: str = "host",
-) -> List:
-    """One-shot: build a world and run ``program`` on every rank."""
-    return build_world(cluster, transport, collectives=collectives).run(program)

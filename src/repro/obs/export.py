@@ -54,7 +54,7 @@ def instants_of(tracer) -> List[Dict[str, Any]]:
     ``records`` of a :class:`RunArtifact`."""
     return [
         {"time": i.time, "source": i.scope, "event": i.name, "detail": dict(i.detail)}
-        for i in tracer.instants()
+        for i in tracer.instants
     ]
 
 

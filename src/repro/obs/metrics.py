@@ -362,11 +362,6 @@ class TimeSeriesSampler:
         if handle is not None and hasattr(handle, "cancel"):
             handle.cancel()
 
-    @property
-    def ticks(self) -> int:
-        """Number of sampling rounds taken so far."""
-        return self._ticks
-
     def _sample_all(self) -> None:
         now = self.env.now
         for series, probe in self._probes:
@@ -468,14 +463,6 @@ class MetricsRegistry:
         return series
 
     # -- introspection ---------------------------------------------------
-    def peek(self, name: str):
-        """The instrument called ``name``, or ``None`` (never creates);
-        a tally reads as its :class:`Counter`."""
-        inst = self._instruments.get(name)
-        if inst is None and self.value(name, None) is not None:
-            inst = Counter(name, self.value(name))
-        return inst
-
     def items(self) -> Iterator[Tuple[str, object]]:
         """(name, instrument) pairs sorted by name; each tally key reads
         as a :class:`Counter` named ``scope.key``."""

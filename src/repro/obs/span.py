@@ -24,7 +24,7 @@ This module intentionally imports nothing from :mod:`repro.sim` — the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional
 
 __all__ = ["Span", "Instant", "Tracer", "NULL_SPAN"]
 
@@ -139,7 +139,7 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Factory and index for spans/instants of one simulation run."""
+    """Factory and record of the spans/instants of one simulation run."""
 
     def __init__(self, env: Any, enabled: bool = False):
         self.env = env
@@ -154,9 +154,8 @@ class Tracer:
         #: every span ever begun, in begin order (deterministic ids)
         self.spans: List[Span] = []
         self._stacks: Dict[Any, List[Span]] = {}
-        self._by_name: Dict[Tuple[str, str], List[Span]] = {}
         #: every instant recorded, in append (= simulated time) order
-        self._instants: List[Instant] = []
+        self.instants: List[Instant] = []
 
     # -- span lifecycle --------------------------------------------------
     def begin(self, scope: str, name: str, parent: Optional[Span] = None,
@@ -181,7 +180,6 @@ class Tracer:
         self._seq += 1
         span = Span(self, self._seq, scope, name, now, parent_id, dict(attrs), key)
         self.spans.append(span)
-        self._by_name.setdefault((scope, name), []).append(span)
         if stack is None:
             self._stacks[key] = [span]
         else:
@@ -206,51 +204,7 @@ class Tracer:
         """Record a point event that is not a span edge."""
         if not self.enabled:
             return
-        self._instants.append(Instant(self.env.now, scope, name, detail))
-
-    # -- lookups ---------------------------------------------------------
-    def find(self, scope: Optional[str] = None, name: Optional[str] = None,
-             scope_prefix: Optional[str] = None, **attrs: Any) -> List[Span]:
-        """Spans matching scope (exact or prefix), name, and attributes."""
-        if scope is not None and name is not None and not attrs:
-            return list(self._by_name.get((scope, name), []))
-        out = []
-        for span in self.spans:
-            if scope is not None and span.scope != scope:
-                continue
-            if scope_prefix is not None and not span.scope.startswith(scope_prefix):
-                continue
-            if name is not None and span.name != name:
-                continue
-            if attrs and not all(span.attrs.get(k) == v for k, v in attrs.items()):
-                continue
-            out.append(span)
-        return out
-
-    def instants(self, name: Optional[str] = None, scope_prefix: Optional[str] = None,
-                 **detail: Any) -> List[Instant]:
-        """Point events in append order, filtered by name, scope prefix
-        and detail (every instant when no filter is given)."""
-        return [
-            i for i in self._instants
-            if (name is None or i.name == name)
-            and (scope_prefix is None or i.scope.startswith(scope_prefix))
-            and all(i.detail.get(k) == v for k, v in detail.items())
-        ]
-
-    def first_instant(self, name: str, scope_prefix: Optional[str] = None,
-                      **detail: Any) -> Optional[Instant]:
-        """First instant matching the :meth:`instants` filters, or ``None``."""
-        found = self.instants(name, scope_prefix=scope_prefix, **detail)
-        return found[0] if found else None
-
-    # -- maintenance -----------------------------------------------------
-    def clear(self) -> None:
-        """Drop all spans and instants (the id sequence keeps counting)."""
-        self.spans.clear()
-        self._stacks.clear()
-        self._by_name.clear()
-        self._instants.clear()
+        self.instants.append(Instant(self.env.now, scope, name, detail))
 
     def __repr__(self) -> str:
         return f"<Tracer spans={len(self.spans)} enabled={self.enabled}>"

@@ -36,8 +36,6 @@ from ..reliability import DeliveryFailed, OrderedReceiver, RtoEstimator, Windowe
 
 __all__ = ["ClicModule", "ClicMessage", "RemoteRegion"]
 
-ETH_HEADER = 14
-
 # Packet classes as module-level names: the per-packet paths read them
 # several times a packet, and a module global is ~10x cheaper to read
 # than an enum member through its class.
@@ -95,11 +93,27 @@ class _Partial:
     payload: Any = None
 
 
+def _matches(tag: Optional[int], src: Optional[int], msg_tag: int, msg_src: int) -> bool:
+    """Does a receive posted for ``(tag, src)`` take a message with this
+    envelope?  ``None`` matches anything."""
+    return (tag is None or msg_tag == tag) and (src is None or msg_src == src)
+
+
 class _PortState:
     def __init__(self) -> None:
         self.ready: List[ClicMessage] = []
-        self.waiters: List[Tuple[Callable[[ClicMessage], bool], Event]] = []
+        #: blocked receivers in arrival order: (tag, src, event)
+        self.waiters: List[Tuple[Optional[int], Optional[int], Event]] = []
         self.region: Optional[RemoteRegion] = None
+
+    def pop_waiter(self, msg_tag: int, msg_src: int) -> Optional[Event]:
+        """Remove and return the first blocked receiver that takes a
+        message with this envelope, or ``None``."""
+        for idx, (tag, src, event) in enumerate(self.waiters):
+            if _matches(tag, src, msg_tag, msg_src):
+                del self.waiters[idx]
+                return event
+        return None
 
 
 class ClicModule:
@@ -605,7 +619,9 @@ class ClicModule:
             )
             self._partials[key] = partial
             if not partial.remote_write and pkt.ptype is not _KERNEL_FN:
-                self._bind_waiter(partial)
+                # Attach the first matching blocked receiver.
+                partial.bound_waiter = self.port(partial.port).pop_waiter(
+                    partial.tag, partial.src_node)
 
         if partial.remote_write:
             # Asynchronous remote write: straight to the registered user
@@ -671,28 +687,11 @@ class ClicModule:
         # A receiver may have blocked *after* the first fragment arrived
         # (so no waiter was bound then): match again at completion.
         state = self.port(message.port)
-        for idx, (match, event) in enumerate(state.waiters):
-            if match(message):
-                state.waiters.pop(idx)
-                event.succeed(message)
-                return
+        waiter = state.pop_waiter(message.tag, message.src_node)
+        if waiter is not None:
+            waiter.succeed(message)
+            return
         state.ready.append(message)
-
-    def _bind_waiter(self, partial: _Partial) -> None:
-        """Attach the first matching blocked receiver to this message."""
-        state = self.port(partial.port)
-        probe = ClicMessage(
-            src_node=partial.src_node,
-            port=partial.port,
-            tag=partial.tag,
-            nbytes=partial.msg_bytes,
-            msg_id=partial.msg_id,
-        )
-        for idx, (match, event) in enumerate(state.waiters):
-            if match(probe):
-                state.waiters.pop(idx)
-                partial.bound_waiter = event
-                return
 
     # ------------------------------------------------------------------
     # receive API (kernel context, inside the caller's syscall)
@@ -709,13 +708,9 @@ class ClicModule:
         Non-blocking flavour returns ``None`` immediately when nothing
         matches ("_MODULE does nothing and returns", §3.1).
         """
-
-        def match(msg: ClicMessage) -> bool:
-            return (tag is None or msg.tag == tag) and (src is None or msg.src_node == src)
-
         state = self.port(port)
         for idx, msg in enumerate(state.ready):
-            if match(msg):
+            if _matches(tag, src, msg.tag, msg.src_node):
                 state.ready.pop(idx)
                 if not msg.in_user_memory:
                     yield from self.kernel.copy_system_to_user(msg.nbytes)
@@ -726,7 +721,7 @@ class ClicModule:
             self.counters["recv_would_block"] += 1
             return None
         event = self.env.event()
-        state.waiters.append((match, event))
+        state.waiters.append((tag, src, event))
         self.counters["recv_blocked"] += 1
         msg = yield from self.kernel.block_on(event, label=f"recv:{port}")
         if not msg.in_user_memory:
@@ -735,24 +730,6 @@ class ClicModule:
             yield from self.kernel.copy_system_to_user(msg.nbytes)
             msg.in_user_memory = True
         return msg
-
-    def probe(
-        self,
-        port: int,
-        tag: Optional[int] = None,
-        src: Optional[int] = None,
-    ) -> Optional[ClicMessage]:
-        """Non-consuming match test: the first complete ready message
-        matching (tag, src), or ``None``.  The message stays queued (the
-        MPI_Iprobe building block)."""
-
-        def match(msg: ClicMessage) -> bool:
-            return (tag is None or msg.tag == tag) and (src is None or msg.src_node == src)
-
-        for msg in self.port(port).ready:
-            if match(msg):
-                return msg
-        return None
 
     # -- remote-write regions -------------------------------------------------
     def register_region(self, port: int, size: int) -> RemoteRegion:
@@ -793,29 +770,27 @@ class ClicModule:
             completed_at=self.env.now,
         )
         state = self.port(port)
-        for idx, (match, event) in enumerate(state.waiters):
-            if match(message):
-                state.waiters.pop(idx)
-                # Single kernel-mediated copy, sender memory -> receiver memory.
-                yield from self.kernel.copy_user_to_user(nbytes)
-                message.in_user_memory = True
-                message.completed_at = self.env.now
-                event.succeed(message)
-                self.counters["local_direct"] += 1
-                span.end(path="direct")
-                return msg_id
+        waiter = state.pop_waiter(tag, self.node_id)
+        if waiter is not None:
+            # Single kernel-mediated copy, sender memory -> receiver memory.
+            yield from self.kernel.copy_user_to_user(nbytes)
+            message.in_user_memory = True
+            message.completed_at = self.env.now
+            waiter.succeed(message)
+            self.counters["local_direct"] += 1
+            span.end(path="direct")
+            return msg_id
         # Nobody waiting: stage in system memory; recv() will copy out.
         yield from self.kernel.copy_user_to_system(nbytes)
         # A receiver may have blocked *during* the staging copy — re-check
         # before parking the message, or its wakeup is lost.
-        for idx, (match, event) in enumerate(state.waiters):
-            if match(message):
-                state.waiters.pop(idx)
-                message.completed_at = self.env.now
-                event.succeed(message)
-                self.counters["local_direct"] += 1
-                span.end(path="late-direct")
-                return msg_id
+        waiter = state.pop_waiter(tag, self.node_id)
+        if waiter is not None:
+            message.completed_at = self.env.now
+            waiter.succeed(message)
+            self.counters["local_direct"] += 1
+            span.end(path="late-direct")
+            return msg_id
         state.ready.append(message)
         self.counters["local_staged"] += 1
         span.end(path="staged")

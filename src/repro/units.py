@@ -10,9 +10,7 @@ from __future__ import annotations
 __all__ = [
     "ns",
     "us",
-    "ms",
     "seconds",
-    "KiB",
     "mbps",
     "bandwidth_mbps",
 ]
@@ -29,18 +27,9 @@ def us(x: float) -> float:
     return float(x) * 1_000.0
 
 
-def ms(x: float) -> float:
-    """Milliseconds -> ns."""
-    return float(x) * 1_000_000.0
-
-
 def seconds(x: float) -> float:
     """Seconds -> ns."""
     return float(x) * 1_000_000_000.0
-
-
-# -- sizes ---------------------------------------------------------------
-KiB = 1024
 
 
 # -- rates ---------------------------------------------------------------

@@ -18,7 +18,7 @@ from .pingpong import PingPongResult
 
 __all__ = ["mpi_pingpong", "collective_time", "collective_rank_times", "COLLECTIVES"]
 
-COLLECTIVES = ("barrier", "bcast", "reduce", "allreduce", "allgather", "alltoall")
+COLLECTIVES = ("barrier", "bcast", "allreduce")
 
 
 def mpi_pingpong(

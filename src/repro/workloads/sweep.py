@@ -41,23 +41,17 @@ def netpipe_sizes(
 class SweepSeries:
     """One labeled bandwidth-vs-size curve.
 
-    Iterable and sized (``for point in series`` / ``len(series)``), with
-    O(1) size lookup via :meth:`at` — analysis code should use these
-    rather than reaching into ``points``, and append through :meth:`add`
-    (which keeps the size index current).
+    Iterable and sized (``for point in series`` / ``len(series)``);
+    points are appended through :meth:`add`.
     """
 
     def __init__(self, label: str, points: Optional[Sequence[PingPongResult]] = None):
         self.label = label
-        self.points: List[PingPongResult] = []
-        self._by_size: Dict[int, PingPongResult] = {}
-        for point in points or ():
-            self.add(point)
+        self.points: List[PingPongResult] = list(points or ())
 
     def add(self, point: PingPongResult) -> PingPongResult:
-        """Append one measured point (keeps the size index current)."""
+        """Append one measured point."""
         self.points.append(point)
-        self._by_size[point.nbytes] = point
         return point
 
     def __len__(self) -> int:
@@ -73,13 +67,6 @@ class SweepSeries:
     @property
     def mbps(self) -> List[float]:
         return [p.bandwidth_mbps for p in self.points]
-
-    def at(self, nbytes: int) -> PingPongResult:
-        """The measured point for an exact size (KeyError if absent)."""
-        try:
-            return self._by_size[nbytes]
-        except KeyError:
-            raise KeyError(f"no point at {nbytes} B in {self.label}") from None
 
     def asymptote(self) -> float:
         """Bandwidth at the largest measured size."""

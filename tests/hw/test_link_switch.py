@@ -10,7 +10,6 @@ from repro.hw.nic.frames import (
     Frame,
     MacAddress,
     frame_time_ns,
-    max_payload,
     wire_bytes,
 )
 from repro.sim import Environment, RngStreams
@@ -38,13 +37,6 @@ def test_frame_time_gigabit():
     f = make_frame(1500)
     t = frame_time_ns(f, LINK)
     assert t == pytest.approx(wire_bytes(f, LINK) * 8)  # 1 Gb/s = 1 bit/ns
-
-
-def test_max_payload_matches_mtu():
-    assert max_payload(1500) == 1500
-    assert max_payload(9000) == 9000
-    with pytest.raises(ValueError):
-        max_payload(0)
 
 
 def test_negative_payload_rejected():

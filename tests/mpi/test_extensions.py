@@ -1,10 +1,12 @@
-"""Tests for MPI extensions: waitall, probe/iprobe, scan, reduce_scatter."""
+"""Tests for MPI extensions: waitall, and scan / reduce_scatter run as
+programs over the point-to-point API (a payload-carrying chain and a
+ring of sendrecv steps)."""
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.config import granada2003
-from repro.mpi import mpirun
+from repro.mpi import build_world
 
 
 def make_cluster(nodes=2):
@@ -22,49 +24,8 @@ def test_waitall_gathers_results_in_order():
         msgs = yield from ctx.waitall(reqs)
         return [m.nbytes for m in msgs]
 
-    results = mpirun(cluster, program)
+    results = build_world(cluster).run(program)
     assert results == [[100, 200, 300]] * 2
-
-
-def test_iprobe_sees_without_consuming():
-    cluster = make_cluster()
-
-    def program(ctx):
-        if ctx.rank == 0:
-            yield from ctx.send(1, 500, tag=9)
-            return None
-        found = yield from ctx.probe(source=0, tag=9)
-        still_there = ctx.iprobe(source=0, tag=9)
-        msg = yield from ctx.recv(500, source=0, tag=9)
-        gone = ctx.iprobe(source=0, tag=9)
-        return (found.nbytes, still_there is not None, msg.nbytes, gone)
-
-    results = mpirun(cluster, program)
-    assert results[1] == (500, True, 500, None)
-
-
-def test_iprobe_none_when_empty():
-    cluster = make_cluster()
-
-    def program(ctx):
-        return ctx.iprobe()
-        yield  # pragma: no cover
-
-    assert mpirun(cluster, program) == [None, None]
-
-
-def test_probe_on_tcp_transport_raises():
-    cluster = make_cluster()
-
-    def program(ctx):
-        try:
-            ctx.iprobe()
-        except NotImplementedError:
-            return "nope"
-        return "ok"
-        yield  # pragma: no cover
-
-    assert mpirun(cluster, program, transport="tcp") == ["nope", "nope"]
 
 
 @pytest.mark.parametrize("nodes", [2, 3, 5])
@@ -72,10 +33,16 @@ def test_scan_prefix_counts(nodes):
     cluster = make_cluster(nodes)
 
     def program(ctx):
-        count = yield from ctx.scan(1_000)
+        # Inclusive prefix along a linear chain (LAM's basic scan).
+        count = 1
+        if ctx.rank > 0:
+            msg = yield from ctx.recv(1_000, source=ctx.rank - 1, tag=9)
+            count += msg.payload
+        if ctx.rank < ctx.size - 1:
+            yield from ctx.send(ctx.rank + 1, 1_000, tag=9, payload=count)
         return count
 
-    assert mpirun(cluster, program) == [r + 1 for r in range(nodes)]
+    assert build_world(cluster).run(program) == [r + 1 for r in range(nodes)]
 
 
 @pytest.mark.parametrize("nodes", [2, 4, 5])
@@ -83,25 +50,12 @@ def test_reduce_scatter_everyone_combines_all(nodes):
     cluster = make_cluster(nodes)
 
     def program(ctx):
-        count = yield from ctx.reduce_scatter(2_000)
+        # Ring reduce-scatter: P-1 steps, each folding in one partial.
+        right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+        count = 1
+        for _ in range(ctx.size - 1):
+            yield from ctx.sendrecv(right, 2_000, left, 2_000, tag=10)
+            count += 1
         return count
 
-    assert mpirun(cluster, program) == [nodes] * nodes
-
-
-def test_probe_blocks_until_message(capsys=None):
-    cluster = make_cluster()
-
-    def program(ctx):
-        if ctx.rank == 0:
-            yield from ctx.proc.compute(200_000)  # delay the send
-            yield from ctx.send(1, 64, tag=1)
-            return None
-        t0 = ctx.proc.env.now
-        found = yield from ctx.probe(source=0, tag=1)
-        waited = ctx.proc.env.now - t0
-        yield from ctx.recv(64, source=0, tag=1)
-        return (found.nbytes, waited > 100_000)
-
-    results = mpirun(cluster, program)
-    assert results[1] == (64, True)
+    assert build_world(cluster).run(program) == [nodes] * nodes

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.config import Topology, granada2003
 from repro.faults import FaultPlan
-from repro.mpi import build_world, mpirun
+from repro.mpi import build_world
 
 PAYLOAD = 1_024
 
@@ -36,7 +36,7 @@ def collective_suite(cluster, mode, root=0):
         count = yield from ctx.allreduce(PAYLOAD)
         return (got, count)
 
-    return mpirun(cluster, program, collectives=mode)
+    return build_world(cluster, collectives=mode).run(program)
 
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
@@ -69,7 +69,7 @@ def test_nic_barrier_release_ordering(nodes):
         yield from ctx.barrier()
         return ctx.proc.env.now
 
-    leaves = mpirun(cluster, program, collectives="nic")
+    leaves = build_world(cluster, collectives="nic").run(program)
     assert min(leaves) >= max(arrivals.values())
 
 
@@ -81,7 +81,7 @@ def test_nic_allreduce_byte_accounting():
         count = yield from ctx.allreduce(PAYLOAD)
         return count
 
-    assert mpirun(cluster, program, collectives="nic") == [nodes] * nodes
+    assert build_world(cluster, collectives="nic").run(program) == [nodes] * nodes
     # Every rank's engine DMAs the full reduced payload to its host.
     delivered = sum(
         node.nics[0].collective_engine().counters["bytes_delivered"]
@@ -102,7 +102,7 @@ def test_nic_bcast_fragments_to_mtu():
         got = yield from ctx.bcast(big, root=2)
         return got
 
-    assert mpirun(cluster, program, collectives="nic") == [big] * 4
+    assert build_world(cluster, collectives="nic").run(program) == [big] * 4
 
 
 def test_nic_mode_has_zero_kernel_crossings():
@@ -119,10 +119,10 @@ def test_nic_mode_has_zero_kernel_crossings():
 
     world.run(program)
     start = max(t0)
-    syscalls = [s for s in cluster.tracer.find(name="syscall")
-                if s.start_ns >= start]
-    irqs = [s for s in cluster.tracer.find(name="irq")
-            if s.start_ns >= start]
+    syscalls = [s for s in cluster.tracer.spans
+                if s.name == "syscall" and s.start_ns >= start]
+    irqs = [s for s in cluster.tracer.spans
+            if s.name == "irq" and s.start_ns >= start]
     assert syscalls == [], f"{len(syscalls)} syscall spans on the NIC path"
     assert irqs == [], f"{len(irqs)} IRQ spans on the NIC path"
     bh = sum(node.kernel.bottom_halves.counters["scheduled"]
@@ -144,8 +144,8 @@ def test_host_mode_does_cross_the_kernel():
 
     world.run(program)
     start = max(t0)
-    syscalls = [s for s in cluster.tracer.find(name="syscall")
-                if s.start_ns >= start]
+    syscalls = [s for s in cluster.tracer.spans
+                if s.name == "syscall" and s.start_ns >= start]
     assert syscalls, "host barrier ran without a single syscall?"
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import granada2003
-from repro.mpi import build_world, mpirun
+from repro.mpi import build_world
 
 
 def make_cluster(nodes=2):
@@ -24,7 +24,7 @@ def test_send_recv_roundtrip(transport):
         yield from ctx.send(0, 5_000, tag=4)
         return msg.nbytes
 
-    results = mpirun(cluster, program, transport=transport)
+    results = build_world(cluster, transport=transport).run(program)
     assert results == [5_000, 10_000]
 
 
@@ -41,7 +41,7 @@ def test_any_source_recv_on_clic():
         yield from ctx.send(0, 100)
         return None
 
-    results = mpirun(cluster, program, transport="clic")
+    results = build_world(cluster, transport="clic").run(program)
     assert results[0] == {1, 2}
 
 
@@ -59,7 +59,7 @@ def test_any_source_on_tcp_raises():
             yield from ctx.send(0, 100)
         return None
 
-    results = mpirun(cluster, program, transport="tcp")
+    results = build_world(cluster, transport="tcp").run(program)
     assert results[0] == "fellback"
 
 
@@ -74,7 +74,7 @@ def test_isend_irecv_overlap():
         yield from sreq.wait()
         return msg.nbytes
 
-    assert mpirun(cluster, program) == [2_000, 2_000]
+    assert build_world(cluster).run(program) == [2_000, 2_000]
 
 
 def test_request_test_polls_completion():
@@ -91,7 +91,7 @@ def test_request_test_polls_completion():
         assert req.test() is not None
         return msg.nbytes
 
-    assert mpirun(cluster, program) == [100, 100]
+    assert build_world(cluster).run(program) == [100, 100]
 
 
 def test_sendrecv_exchanges_without_deadlock():
@@ -102,7 +102,7 @@ def test_sendrecv_exchanges_without_deadlock():
         msg = yield from ctx.sendrecv(peer, 50_000, peer, 50_000)
         return msg.nbytes
 
-    assert mpirun(cluster, program) == [50_000, 50_000]
+    assert build_world(cluster).run(program) == [50_000, 50_000]
 
 
 def test_wrong_size_recv_detected():
@@ -115,7 +115,7 @@ def test_wrong_size_recv_detected():
             yield from ctx.recv(100, source=0)
 
     with pytest.raises(AssertionError):
-        mpirun(cluster, program)
+        build_world(cluster).run(program)
 
 
 def test_rank_out_of_range_rejected():
@@ -125,7 +125,7 @@ def test_rank_out_of_range_rejected():
         yield from ctx.send(5, 100)
 
     with pytest.raises(ValueError):
-        mpirun(cluster, program)
+        build_world(cluster).run(program)
 
 
 def test_invalid_transport_rejected():
@@ -146,7 +146,7 @@ def test_tag_matching_across_messages():
             return (early.tag, late.tag)
         return None
 
-    results = mpirun(cluster, program, transport="clic")
+    results = build_world(cluster, transport="clic").run(program)
     assert results[1] == (7, 8)
 
 

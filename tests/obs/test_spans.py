@@ -1,4 +1,5 @@
-"""Span-layer tests: parenting, lookups, null path, and determinism."""
+"""Span-layer tests: parenting, the span and instant lists, null path,
+and determinism."""
 
 import pytest
 
@@ -24,7 +25,7 @@ def test_spans_nest_within_one_process():
 
     env.process(proc(), name="p")
     env.run()
-    outer, inner = tracer.find(name="syscall")[0], tracer.find(name="clic_send")[0]
+    outer, inner = tracer.spans  # begin order
     assert inner.parent_id == outer.span_id
     assert outer.parent_id is None
     assert inner.start_ns == 0 and inner.end_ns == 10
@@ -50,7 +51,8 @@ def test_concurrent_processes_do_not_cross_parent():
     env.process(sleeper(), name="a")
     env.process(interloper(), name="b")
     env.run()
-    irq = tracer.find(name="irq")[0]
+    syscall, irq = tracer.spans  # begin order
+    assert irq.name == "irq"
     assert irq.parent_id is None  # not the sleeping process's syscall
 
 
@@ -61,7 +63,7 @@ def test_disabled_tracer_returns_null_span():
     span.annotate(a=1).end()
     tracer.instant("x", "z")
     assert tracer.spans == []
-    assert tracer.instants() == []
+    assert tracer.instants == []
 
 
 def test_span_double_end_raises():
@@ -89,12 +91,12 @@ def test_lookups():
 
     env.process(proc(), name="p")
     env.run()
-    assert len(tracer.find(scope="node1.eth0", name="irq")) == 2
-    assert tracer.find(scope_prefix="node1", name="irq")[0].start_ns == 0
-    assert tracer.find(name="nonexistent") == []
-    inst = tracer.first_instant("driver_rx", pkt=7)
-    assert inst.time == 10
-    assert tracer.first_instant("driver_rx", pkt=8) is None
+    # Callers look records up by scanning the two lists.
+    irqs = [s for s in tracer.spans if s.scope == "node1.eth0" and s.name == "irq"]
+    assert [(s.start_ns, s.end_ns) for s in irqs] == [(0, 10), (20, 30)]
+    assert [s for s in tracer.spans if s.name == "nonexistent"] == []
+    rx = [i for i in tracer.instants if i.name == "driver_rx" and i.detail["pkt"] == 7]
+    assert [(i.time, i.scope) for i in rx] == [(10, "node1.eth0")]
 
 
 def test_same_seed_runs_are_byte_identical():

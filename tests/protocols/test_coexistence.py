@@ -45,7 +45,7 @@ def test_clic_and_tcp_share_the_wire():
 
 
 def test_mpi_over_bonded_nics():
-    from repro.mpi import mpirun
+    from repro.mpi import build_world
 
     cfg = granada2003()
     cfg = cfg.with_node(cfg.node.with_nic_count(2))
@@ -56,7 +56,7 @@ def test_mpi_over_bonded_nics():
         msg = yield from ctx.sendrecv(peer, 100_000, peer, 100_000)
         return msg.nbytes
 
-    assert mpirun(cluster, program) == [100_000, 100_000]
+    assert build_world(cluster).run(program) == [100_000, 100_000]
     # Both channels carried traffic.
     for node in cluster.nodes:
         assert cluster.metrics.value(f"{node.name}.nic0.tx_frames") > 0

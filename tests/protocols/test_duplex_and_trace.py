@@ -74,13 +74,15 @@ def test_trace_conservation_every_tx_packet_received():
 
     tx_pkts = [
         i.detail["pkt"]
-        for i in cluster.tracer.instants("driver_tx", scope_prefix="node0.eth0")
-        if i.detail.get("nbytes", 0) > 100
+        for i in cluster.tracer.instants
+        if i.name == "driver_tx" and i.scope.startswith("node0.eth0")
+        and i.detail.get("nbytes", 0) > 100
     ]
     rx_pkts = [
         i.detail["pkt"]
-        for i in cluster.tracer.instants("driver_rx", scope_prefix="node1.eth0")
-        if i.detail.get("nbytes", 0) > 100
+        for i in cluster.tracer.instants
+        if i.name == "driver_rx" and i.scope.startswith("node1.eth0")
+        and i.detail.get("nbytes", 0) > 100
     ]
     assert sorted(tx_pkts) == sorted(rx_pkts)
     assert len(tx_pkts) == len(set(tx_pkts))  # no duplicates either

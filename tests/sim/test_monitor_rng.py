@@ -9,7 +9,7 @@ from repro.sim import Environment, RngStreams, Server, SimulationError
 def test_trace_disabled_records_nothing():
     tracer = Tracer(Environment())
     tracer.instant("src", "ev", x=1)
-    assert tracer.instants() == []
+    assert tracer.instants == []
 
 
 def test_trace_filter_by_source_and_event():
@@ -24,13 +24,10 @@ def test_trace_filter_by_source_and_event():
 
     env.process(proc())
     env.run()
-    assert [i.time for i in tracer.instants()] == [1, 2, 3]
-    assert len(tracer.instants(scope_prefix="a")) == 2
-    assert len(tracer.instants("x")) == 2
-    assert len(tracer.instants("x", scope_prefix="a")) == 1
-    assert tracer.instants(k=1)[0].time == 1
-    tracer.clear()
-    assert tracer.instants() == []
+    assert [i.time for i in tracer.instants] == [1, 2, 3]
+    assert [i.time for i in tracer.instants if i.scope.startswith("a")] == [1, 2]
+    assert [i.time for i in tracer.instants if i.name == "x"] == [1, 3]
+    assert [i.time for i in tracer.instants if i.detail.get("k") == 1] == [1]
 
 
 def test_busy_tracker_integrates_intervals():

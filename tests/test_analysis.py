@@ -113,7 +113,7 @@ def test_timeline_extraction_from_real_trace():
     p0.run(a)
     done = p1.run(b)
     cluster.env.run(done)
-    pkt = cluster.tracer.first_instant("driver_tx").detail["pkt"]
+    pkt = next(i.detail["pkt"] for i in cluster.tracer.instants if i.name == "driver_tx")
     path = critical_path(spans_of(cluster.tracer), instants_of(cluster.tracer),
                          pkt, "node0", "node1")
     timeline = fig7_timeline(path)

@@ -3,18 +3,13 @@
 import pytest
 
 from repro import config
-from repro.units import KiB, bandwidth_mbps, mbps, ms, ns, seconds, us
+from repro.units import bandwidth_mbps, mbps, ns, seconds, us
 
 
 def test_time_conversions_roundtrip():
     assert us(1) == 1_000
-    assert ms(1) == 1_000_000
     assert seconds(1) == 1_000_000_000
     assert ns(7) == 7.0
-
-
-def test_size_helpers():
-    assert KiB == 1024
 
 
 def test_bandwidth_math():

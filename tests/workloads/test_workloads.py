@@ -58,9 +58,6 @@ def test_sweep_series_helpers():
     assert series.label == "clic"
     assert series.sizes == [100, 10_000, 1_000_000]
     assert series.asymptote() == series.mbps[-1]
-    assert series.at(10_000).nbytes == 10_000
-    with pytest.raises(KeyError):
-        series.at(555)
     # Monotone rising curve for these sizes.
     assert series.mbps == sorted(series.mbps)
 
@@ -76,7 +73,6 @@ def test_sweep_series_is_a_sequence():
     series.add(b)
     assert len(series) == 2
     assert list(series) == [a, b]
-    assert series.at(200) is b
 
 
 def test_bandwidth_sweep_parallel_matches_serial():
