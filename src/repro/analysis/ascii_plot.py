@@ -14,16 +14,13 @@ from typing import List, Optional, Sequence
 __all__ = ["logx_plot"]
 
 _MARKERS = "ox+*#@%&"
+#: plot area in characters
+_WIDTH = 72
+_HEIGHT = 20
 
 
-def logx_plot(
-    series_list: Sequence,
-    width: int = 72,
-    height: int = 20,
-    title: Optional[str] = None,
-    ylabel: str = "Mbps",
-) -> str:
-    """Render SweepSeries curves on a log-x / linear-y character grid."""
+def logx_plot(series_list: Sequence, title: Optional[str] = None) -> str:
+    """Render SweepSeries curves (Mbps) on a log-x / linear-y character grid."""
     if not series_list:
         raise ValueError("no series")
     all_x = [x for s in series_list for x in s.sizes if x > 0]
@@ -34,37 +31,37 @@ def logx_plot(
     y_hi = max(all_y) * 1.05 or 1.0
     x_span = max(x_hi - x_lo, 1e-9)
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * _WIDTH for _ in range(_HEIGHT)]
     for si, series in enumerate(series_list):
         marker = _MARKERS[si % len(_MARKERS)]
         for x, y in zip(series.sizes, series.mbps):
             if x <= 0:
                 continue
-            col = int((math.log10(x) - x_lo) / x_span * (width - 1))
-            row = height - 1 - int(y / y_hi * (height - 1))
-            row = min(max(row, 0), height - 1)
+            col = int((math.log10(x) - x_lo) / x_span * (_WIDTH - 1))
+            row = _HEIGHT - 1 - int(y / y_hi * (_HEIGHT - 1))
+            row = min(max(row, 0), _HEIGHT - 1)
             grid[row][col] = marker
 
     lines = []
     if title:
         lines.append(title)
     for i, row in enumerate(grid):
-        y_val = y_hi * (height - 1 - i) / (height - 1)
+        y_val = y_hi * (_HEIGHT - 1 - i) / (_HEIGHT - 1)
         lines.append(f"{y_val:8.0f} |" + "".join(row))
-    lines.append(" " * 9 + "+" + "-" * width)
+    lines.append(" " * 9 + "+" + "-" * _WIDTH)
     # Decade tick labels.
-    ticks = [" "] * width
+    ticks = [" "] * _WIDTH
     decade = math.ceil(x_lo)
     while decade <= x_hi:
-        col = int((decade - x_lo) / x_span * (width - 1))
+        col = int((decade - x_lo) / x_span * (_WIDTH - 1))
         label = f"1e{decade}"
         for j, ch in enumerate(label):
-            if col + j < width:
+            if col + j < _WIDTH:
                 ticks[col + j] = ch
         decade += 1
     lines.append(" " * 10 + "".join(ticks) + "  bytes")
     legend = "   ".join(
         f"{_MARKERS[i % len(_MARKERS)]} {s.label}" for i, s in enumerate(series_list)
     )
-    lines.append(f"  [{ylabel}]  {legend}")
+    lines.append(f"  [Mbps]  {legend}")
     return "\n".join(lines)

@@ -11,7 +11,7 @@ that CLIC gives most of it back).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..hw.cpu import Cpu
 from .tables import format_table
@@ -70,32 +70,24 @@ def cpu_breakdown(cpu: Cpu) -> Dict[str, float]:
 
 def breakdown_table(
     cpus: Mapping[str, Cpu],
-    wall_ns: Optional[float] = None,
     title: str = "CPU time breakdown",
 ) -> str:
-    """Tabulate breakdowns for several CPUs side by side (us, with a
-    percent-of-wall column when ``wall_ns`` is given)."""
+    """Tabulate breakdowns for several CPUs side by side (us)."""
     if not cpus:
         raise ValueError("no CPUs")
     breakdowns = {name: cpu_breakdown(cpu) for name, cpu in cpus.items()}
     categories = sorted({c for b in breakdowns.values() for c in b})
-    headers = ["category"] + [
-        h for name in breakdowns for h in ((f"{name} (us)", f"{name} %") if wall_ns else (f"{name} (us)",))
-    ]
+    headers = ["category"] + [f"{name} (us)" for name in breakdowns]
     rows = []
     for category in categories:
         row: List = [category]
         for name in breakdowns:
             ns = breakdowns[name].get(category, 0.0)
             row.append(round(ns / 1000, 1))
-            if wall_ns:
-                row.append(round(ns / wall_ns * 100, 1))
         rows.append(row)
     total_row: List = ["TOTAL busy"]
     for name in breakdowns:
         total = sum(breakdowns[name].values())
         total_row.append(round(total / 1000, 1))
-        if wall_ns:
-            total_row.append(round(total / wall_ns * 100, 1))
     rows.append(total_row)
     return format_table(headers, rows, title=title)

@@ -16,13 +16,12 @@ def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence],
     title: Optional[str] = None,
-    floatfmt: str = ".1f",
 ) -> str:
-    """Render rows as an aligned text table."""
+    """Render rows as an aligned text table (floats to one decimal)."""
     str_rows: List[List[str]] = []
     for row in rows:
         str_rows.append(
-            [f"{v:{floatfmt}}" if isinstance(v, float) else str(v) for v in row]
+            [f"{v:.1f}" if isinstance(v, float) else str(v) for v in row]
         )
     widths = [len(h) for h in headers]
     for row in str_rows:

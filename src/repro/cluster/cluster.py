@@ -42,10 +42,8 @@ _PUSH_PROTOCOLS = {"gamma", "via"}
 #: repro.parallel)
 _GLOBAL_ID_COUNTERS = (
     ("repro.hw.nic.base", "_desc_ids", 1),
-    ("repro.hw.nic.frames", "_frame_ids", 1),
     ("repro.mpi.transports", "_world_ports", 1000),
     ("repro.oskernel.process", "_pids", 1),
-    ("repro.oskernel.skbuff", "_skb_ids", 1),
     ("repro.protocols.gamma", "_msg_ids", 1),
     ("repro.protocols.headers", "_packet_ids", 1),
     ("repro.protocols.tcpip.ip", "_dgram_ids", 1),
@@ -92,7 +90,7 @@ class Cluster:
         one side runs MTU 9000 and the other MTU 1500).
 
         ``faults`` is a declarative :class:`~repro.faults.FaultPlan`
-        (bursty loss, corruption, scheduled link outages, switch egress
+        (bursty loss, scheduled link outages, switch egress
         blackouts) injected deterministically from the cluster's seeded
         RNG streams; plain i.i.d. loss is ``FaultPlan.uniform(p)``."""
         self.cfg = cfg if cfg is not None else ClusterConfig()
@@ -223,7 +221,7 @@ class Cluster:
         """Attach any matching switch egress-blackout windows to ``port``."""
         if self.faults is None:
             return
-        windows = self.faults.blackouts_for(node_id, ch)
+        windows = self.faults.blackouts_for(node_id)
         if not windows:
             return
         port.switch.set_blackouts(port, windows)

@@ -41,7 +41,6 @@ class Node:
         cfg: NodeConfig,
         link_params: LinkParams,
         node_id: int,
-        name: str = "",
         rx_mode: str = "irq-pull",
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -50,7 +49,7 @@ class Node:
         self.cfg = cfg
         self.link_params = link_params
         self.node_id = node_id
-        self.name = name or f"node{node_id}"
+        self.name = f"node{node_id}"
         self.rx_mode = rx_mode
 
         self.cpu = Cpu(env, cfg.cpu, name=f"{self.name}.cpu")

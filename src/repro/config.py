@@ -15,7 +15,6 @@ Calibration sources (all from the paper text):
 paper statement                        parameter(s)
 ====================================  ==========================================
 syscall enter+leave ~= 0.65 us         ``kernel.syscall_enter_ns + syscall_exit_ns``
-1.5 GHz PC                             ``cpu.freq_hz``
 33 MHz / 32-bit PCI                    ``pci.clock_hz, width_bytes``
 PCI 2.1 delays "of microseconds"       ``pci.transaction_setup_ns``
 interrupt path ~20 us (Fig 7a)         irq entry + driver rx stage for 1400 B
@@ -67,9 +66,9 @@ MTU_JUMBO = 9000
 
 @dataclass(frozen=True)
 class CpuParams:
-    """Host processor."""
+    """Host processor (the paper's 1.5 GHz PC; costs are charged in ns,
+    no clock is modelled)."""
 
-    freq_hz: float = 1.5e9
     #: cost of a context switch between user processes
     context_switch_ns: float = 2_000.0
     #: cost of one scheduler pass (run-queue scan + pick)
@@ -268,9 +267,6 @@ class TcpIpParams:
     #: software checksum cost per byte, each side (~330 MB/s: a separate
     #: byte-touching pass on uncached data)
     checksum_ns_per_byte: float = 3.0
-    #: socket-layer copy between user and kernel buffers (both sides)
-    copies_on_tx: int = 1
-    copies_on_rx: int = 1
     #: congestion/flow window in segments (large: LAN, no loss)
     window_segments: int = 64
     ack_every: int = 2  # delayed acks
@@ -278,8 +274,6 @@ class TcpIpParams:
     #: Linux's minimum RTO of the era (200 ms)
     retransmit_timeout_ns: float = 200_000_000.0
     max_retries: int = 10
-    #: adaptive RTO (Jacobson/Karels), as the real stack does
-    adaptive_rto: bool = True
     #: Linux clamps the computed RTO to [200 ms, 120 s]
     min_rto_ns: float = 200_000_000.0
     max_rto_ns: float = 120_000_000_000.0
@@ -296,7 +290,6 @@ class GammaParams:
     port_tx_ns: float = 900.0
     #: rx handled entirely in the (modified) driver IRQ, direct to user
     port_rx_ns: float = 700.0
-    zero_copy: bool = True
 
 
 @dataclass(frozen=True)
@@ -327,10 +320,7 @@ class PvmParams:
 
     per_call_ns: float = 6_000.0
     envelope_bytes: int = 40
-    #: pvm_pack copies the payload into a send buffer (extra memcpy)
-    pack_copy: bool = True
-    #: fraction of messages routed via the pvmd daemon (extra hop cost);
-    #: modeled as added per-message latency
+    #: added per-message latency of the route through the pvmd daemons
     daemon_detour_ns: float = 25_000.0
 
 
@@ -476,7 +466,7 @@ def pci_66mhz_64bit() -> PciParams:
                      transaction_setup_ns=600.0)
 
 
-def fastethernet2001(num_nodes: int = 2, trace: bool = False, seed: int = 2001) -> ClusterConfig:
+def fastethernet2001() -> ClusterConfig:
     """The *previous* CLIC testbed: Fast Ethernet, first-generation CLIC.
 
     100 Mb/s links, no jumbo frames, no interrupt coalescing, and the
@@ -495,7 +485,7 @@ def fastethernet2001(num_nodes: int = 2, trace: bool = False, seed: int = 2001) 
         coalescing_enabled=False,
     )
     node = NodeConfig(nic=nic).with_zero_copy(False)
-    return ClusterConfig(node=node, num_nodes=num_nodes, link=link, trace=trace, seed=seed)
+    return ClusterConfig(node=node, link=link, seed=2001)
 
 
 def granada2003(
@@ -503,7 +493,6 @@ def granada2003(
     zero_copy: bool = True,
     num_nodes: int = 2,
     trace: bool = False,
-    seed: int = 2003,
     profile: bool = False,
 ) -> ClusterConfig:
     """The calibrated testbed of the paper.
@@ -514,5 +503,4 @@ def granada2003(
     (jumbo frames, 0-copy, coalesced interrupts).
     """
     node = NodeConfig().with_mtu(mtu).with_zero_copy(zero_copy)
-    return ClusterConfig(node=node, num_nodes=num_nodes, trace=trace, seed=seed,
-                         profile=profile)
+    return ClusterConfig(node=node, num_nodes=num_nodes, trace=trace, profile=profile)

@@ -45,8 +45,9 @@ def _bandwidth(cfg, nbytes=2_000_000) -> float:
     return stream(Cluster(cfg), clic_pair(), nbytes).bandwidth_mbps
 
 
-def _via_pingpong(poll_pci: bool, poll_interval_ns: float, repeats: int = 4) -> Dict:
-    """0-byte VIA ping-pong with explicit polling parameters."""
+def _via_pingpong(poll_pci: bool, poll_interval_ns: float) -> Dict:
+    """0-byte VIA ping-pong (4 round trips) with explicit polling parameters."""
+    repeats = 4
     cfg = granada2003()
     cfg = cfg.with_node(
         replace(cfg.node, via=replace(cfg.node.via, poll_interval_ns=poll_interval_ns))

@@ -46,9 +46,9 @@ def full_sizes() -> List[int]:
 
 def _pingpong_point(spec):
     """One ping-pong sweep point from a pure-data spec (pool-safe)."""
-    cfg, setup_factory, nbytes, repeats = spec
+    cfg, setup_factory, nbytes = spec
     cluster = Cluster(cfg)
-    return pingpong(cluster, setup_factory(), nbytes, repeats=repeats, warmup=1)
+    return pingpong(cluster, setup_factory(), nbytes, repeats=1, warmup=1)
 
 
 def sweep_pingpong(
@@ -56,7 +56,6 @@ def sweep_pingpong(
     cfg: ClusterConfig,
     setup_factory: Callable,
     sizes: Sequence[int],
-    repeats: int = 1,
     jobs: int = 1,
 ) -> SweepSeries:
     """NetPIPE-style ping-pong bandwidth curve: a fresh ``Cluster(cfg)``
@@ -68,7 +67,7 @@ def sweep_pingpong(
     (``clic_pair``, ``tcp_pair``, ...).  Points come back in size order,
     so the series is identical at any ``jobs`` value.
     """
-    specs = [(cfg, setup_factory, nbytes, repeats) for nbytes in sizes]
+    specs = [(cfg, setup_factory, nbytes) for nbytes in sizes]
     return SweepSeries(label, run_tasks(_pingpong_point, specs, jobs=jobs))
 
 
@@ -99,7 +98,6 @@ def sweep_stream(
         series.add(
             PingPongResult(
                 nbytes=result.nbytes_total // result.messages,
-                repeats=result.messages,
                 rtt_ns=2 * per_message_ns,
             )
         )

@@ -100,10 +100,10 @@ def _fold_cluster(fold: Dict[str, Histogram], cluster: Cluster) -> None:
 
 
 def _fault_drops(cluster: Cluster) -> float:
-    """Total frames the fault plan removed or damaged, from obs metrics."""
+    """Total frames the fault plan removed, from obs metrics."""
     return sum(
         _sum_counters(cluster, s)
-        for s in (".loss_drops", ".burst_drops", ".outage_drops", ".corrupted")
+        for s in (".loss_drops", ".burst_drops", ".outage_drops")
     )
 
 

@@ -11,8 +11,6 @@ schedule is bit-reproducible from ``(seed, plan)``:
 * **bursty loss** — a Gilbert–Elliott two-state channel
   (:class:`BurstLoss`), matching how real links actually fail (clock
   slips, EMI bursts, congested queues) rather than i.i.d. coin flips;
-* **frame corruption** — frames arrive but fail the NIC's Ethernet CRC
-  check and are dropped there (counted as ``rx_crc_drops``);
 * **link outages / flaps** — a down/up timeline per link direction
   (:class:`OutageWindow`, :func:`flap_timeline`);
 * **switch egress blackouts** — a switch port stops transmitting for a
@@ -28,7 +26,7 @@ schedule is bit-reproducible from ``(seed, plan)``:
   on links and switch uplinks (:class:`CongestionWindow`), deterministic
   timelines that never perturb the stochastic draw sequence.
 
-Every injected fault is observable: drop/corruption tallies land in the
+Every injected fault is observable: drop and delivery tallies land in the
 cluster's :class:`~repro.obs.MetricsRegistry` under ``faults.*`` and
 scheduled windows are emitted as ``link_outage`` / ``egress_blackout``
 spans on the cluster tracer.

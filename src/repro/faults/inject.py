@@ -2,12 +2,11 @@
 
 A :class:`ChannelFaults` sits inside one :class:`~repro.hw.link.Channel`
 and passes verdict on every frame the moment its serialization finishes:
-delivered, lost to the loss model, lost to a scheduled outage, or
-delivered *corrupted* (to be dropped by the receiving NIC's CRC check).
+delivered, lost to the loss model, or lost to a scheduled outage.
 
 Draw discipline: the engine consumes its RNG stream in a fixed order
-(loss model first, then corruption, then — for delivered frames only —
-delay jitter, then duplication) and only draws for mechanisms that are
+(loss model first, then — for delivered frames only — delay jitter,
+then duplication) and only draws for mechanisms that are
 actually configured — so a plain uniform-loss plan
 (:meth:`~repro.faults.FaultPlan.uniform`) consumes exactly one draw per
 frame, and adding a new fault family never perturbs the draw sequence
@@ -46,7 +45,6 @@ class FrameVerdict(enum.Enum):
     DELIVER = "deliver"
     LOST = "lost"
     OUTAGE = "outage"
-    CORRUPT = "corrupt"
 
     @property
     def dropped(self) -> bool:
@@ -75,13 +73,10 @@ class FrameDecision:
     congested: bool = False
     #: no copy reaches the far end of the wire (derived from ``verdict``)
     dropped: bool = field(init=False, repr=False, compare=False)
-    #: the frame arrives damaged, its CRC check fails (derived from ``verdict``)
-    corrupted: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # stored, not computed per read: the link asks both per frame
+        # stored, not computed per read: the link asks it per frame
         object.__setattr__(self, "dropped", self.verdict.dropped)
-        object.__setattr__(self, "corrupted", self.verdict is FrameVerdict.CORRUPT)
 
 
 # The shared decision of each verdict when nothing else is set.  Held
@@ -90,7 +85,6 @@ class FrameDecision:
 _DELIVERED = FrameDecision(FrameVerdict.DELIVER)
 _LOST = FrameDecision(FrameVerdict.LOST)
 _OUTAGE = FrameDecision(FrameVerdict.OUTAGE)
-_CORRUPTED = FrameDecision(FrameVerdict.CORRUPT)
 
 
 class UniformLossModel:
@@ -135,11 +129,11 @@ class GilbertElliottModel:
 
 
 class ChannelFaults:
-    """One channel's fault engine: loss model + corruption + outages.
+    """One channel's fault engine: loss model + outages + the adversarial
+    delivery families.
 
     Every verdict it passes is tallied as a counter ``<prefix><kind>``
-    (``loss_drops``, ``burst_drops``, ``outage_drops``, ``corrupted``,
-    ``congested``, ``jittered``, ``duplicated``, ``dup_copies``) in
+    (``loss_drops``, ``burst_drops``, ``outage_drops``, ``congested``, ``jittered``, ``duplicated``, ``dup_copies``) in
     ``metrics`` — the cluster registry under ``faults.link.<node>.<ch>.
     <dir>.``, or a fresh registry when none is given.
     """
@@ -158,7 +152,7 @@ class ChannelFaults:
         #: any draw-consuming model configured — such a channel is never
         #: provably quiet, so flow-mode trains may not cross it
         self.stochastic = bool(
-            spec.loss_rate or spec.burst is not None or spec.corrupt_rate
+            spec.loss_rate or spec.burst is not None
             or spec.jitter is not None or spec.duplicate is not None
         )
         if self.stochastic and rng is None:
@@ -175,7 +169,6 @@ class ChannelFaults:
         #: a congestion window is configured — only then does the link
         #: ask for :meth:`congestion_factor` and :meth:`congestion_latency_ns`
         self.has_congestion = bool(self._congestion)
-        self._corrupt_rate = spec.corrupt_rate
         #: jitter or duplication draws for each delivered frame
         self._delivery_draws = spec.jitter is not None or spec.duplicate is not None
 
@@ -187,7 +180,7 @@ class ChannelFaults:
         """True when this channel is provably undisturbed over ``[start, end)``.
 
         The flow-mode eligibility check: a stochastic model (loss,
-        burst, corruption, jitter, duplication) can strike any frame, so
+        burst, jitter, duplication) can strike any frame, so
         its mere presence answers False; otherwise the channel is quiet
         iff no scheduled outage or congestion window intersects the
         interval.
@@ -226,8 +219,7 @@ class ChannelFaults:
     def decide(self, now: float) -> FrameDecision:
         """The full fate of one frame whose serialization ends at ``now``.
 
-        Draw order is strict — outage check, loss model, corruption,
-        *then* jitter, *then* duplication, and the adversarial families
+        Draw order is strict — outage check, loss model, *then* jitter, *then* duplication, and the adversarial families
         draw only for frames that are actually delivered — so a plan
         without them consumes exactly the draws it always did.  Each
         family is checked only when the spec configures it; a decision
@@ -240,16 +232,12 @@ class ChannelFaults:
             if congested:
                 counters["congested"] += 1
         model = self.model
-        corrupt_rate = self._corrupt_rate
         if self._outages and self.link_down(now):
             counters["outage_drops"] += 1
             plain = _OUTAGE
         elif model is not None and model.frame_lost(self.rng):
             counters[self._drop_tally] += 1
             plain = _LOST
-        elif corrupt_rate and self.rng.random() < corrupt_rate:
-            counters["corrupted"] += 1
-            plain = _CORRUPTED
         else:
             plain = _DELIVERED
         extra_delay = 0.0

@@ -1,7 +1,7 @@
 """Declarative fault plans.
 
 A plan is configuration, not machinery: frozen dataclasses naming loss
-models, corruption rates, outage timelines and switch blackouts.  The
+models, outage timelines and switch blackouts.  The
 cluster builder resolves one :class:`LinkFaultSpec` per link direction
 (``node -> switch`` is ``"up"``, ``switch -> node`` is ``"down"``) and
 compiles it into a :class:`~repro.faults.inject.ChannelFaults` engine.
@@ -192,8 +192,8 @@ class CongestionWindow:
     bandwidth collapses by ``bandwidth_factor`` (serialization takes
     that many times longer) and every delivery picks up
     ``extra_latency_ns`` of queueing delay.  Deterministic — no RNG
-    draws — so adding a congestion schedule never perturbs the loss /
-    corruption draw sequence of an existing plan.
+    draws — so adding a congestion schedule never perturbs the loss
+    draw sequence of an existing plan.
     """
 
     window: OutageWindow
@@ -225,8 +225,6 @@ class LinkFaultSpec:
     loss_rate: float = 0.0
     #: Gilbert–Elliott burst model (overrides ``loss_rate``)
     burst: Optional[BurstLoss] = None
-    #: probability a delivered frame arrives with a bad CRC
-    corrupt_rate: float = 0.0
     #: down/up timeline for this direction
     outages: Tuple[OutageWindow, ...] = ()
     #: bounded-displacement reordering via delay jitter
@@ -238,41 +236,31 @@ class LinkFaultSpec:
 
     def __post_init__(self) -> None:
         _require_probability("LinkFaultSpec", "loss_rate", self.loss_rate)
-        _require_probability("LinkFaultSpec", "corrupt_rate", self.corrupt_rate)
 
     @property
     def active(self) -> bool:
         """True when this spec injects anything at all."""
         return bool(
-            self.loss_rate or self.burst is not None or self.corrupt_rate
-            or self.outages or self.jitter is not None
+            self.loss_rate or self.burst is not None or self.outages or self.jitter is not None
             or self.duplicate is not None or self.congestion
         )
 
 
 @dataclass(frozen=True)
 class SwitchBlackout:
-    """An egress blackout of one (or every) switch port."""
+    """An egress blackout of the switch ports feeding one (or every) node."""
 
     window: OutageWindow
     #: target node (None = every port)
     node: Optional[int] = None
-    #: target NIC channel on that node (None = every channel)
-    channel: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.node is not None and self.node < 0:
             raise ValueError(f"SwitchBlackout.node must be >= 0 (got {self.node!r})")
-        if self.channel is not None and self.channel < 0:
-            raise ValueError(
-                f"SwitchBlackout.channel must be >= 0 (got {self.channel!r})"
-            )
 
-    def matches(self, node_id: int, channel: int) -> bool:
-        """Does this blackout target the port feeding (node, channel)?"""
-        return (self.node is None or self.node == node_id) and (
-            self.channel is None or self.channel == channel
-        )
+    def matches(self, node_id: int) -> bool:
+        """Does this blackout target the ports feeding ``node_id``?"""
+        return self.node is None or self.node == node_id
 
 
 @dataclass
@@ -297,12 +285,10 @@ class FaultPlan:
         """The effective spec for one link direction."""
         return self.links.get((node_id, channel, direction), self.default_link)
 
-    def blackouts_for(self, node_id: int, channel: int) -> Tuple[OutageWindow, ...]:
-        """The egress-blackout windows of the switch port feeding
-        ``node_id``'s ``channel``-th NIC."""
-        return tuple(
-            b.window for b in self.switch_blackouts if b.matches(node_id, channel)
-        )
+    def blackouts_for(self, node_id: int) -> Tuple[OutageWindow, ...]:
+        """The egress-blackout windows of the switch ports feeding
+        ``node_id``'s NICs."""
+        return tuple(b.window for b in self.switch_blackouts if b.matches(node_id))
 
     # -- convenience constructors -------------------------------------------
     @classmethod

@@ -40,7 +40,7 @@ from ..config import LinkParams, Topology
 from ..sim import Environment
 from .link import Channel
 from .nic.frames import MacAddress
-from .switch import DEFAULT_FORWARD_NS, Switch, SwitchPort
+from .switch import Switch, SwitchPort
 
 __all__ = ["Fabric", "TRUNK_MAC_BASE"]
 
@@ -66,7 +66,6 @@ class Fabric:
         link_params: LinkParams,
         topology: Optional[Topology],
         num_nodes: int,
-        forward_ns: float = DEFAULT_FORWARD_NS,
         tracer=None,
         metrics=None,
         backpressure: str = "drop",
@@ -92,7 +91,6 @@ class Fabric:
             self.switches.append(Switch(
                 env,
                 link_params,
-                forward_ns=forward_ns,
                 tracer=tracer,
                 metrics=metrics,
                 backpressure=backpressure,

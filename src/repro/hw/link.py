@@ -4,14 +4,13 @@ A full-duplex link is two independent :class:`Channel`\\ s, one per
 direction.  Each channel serializes frames at the line rate
 (including preamble, CRC padding and inter-frame gap) and delivers them
 to its sink after the propagation delay.  Fault injection (loss, burst
-loss, corruption, outages — see :mod:`repro.faults`) exercises the
-protocols' reliability machinery.
+loss, outages, jitter, duplication, congestion — see
+:mod:`repro.faults`) exercises the protocols' reliability machinery.
 
 Counter semantics: ``frames_offered``/``bytes_offered`` count everything
 serialized onto the wire (one per transmit, however many copies result);
 ``frames``/``bytes`` count what is actually *delivered* to the sink —
-every copy (corrupted frames are delivered — the receiving NIC's CRC
-check drops them); ``frames_lost``/``bytes_lost`` count drops from loss
+every copy; ``frames_lost``/``bytes_lost`` count drops from loss
 models and outages; ``frames_duplicated``/``bytes_duplicated`` count the
 *extra* copies a duplication fault produced.  Offered + duplicated =
 delivered + lost, always.
@@ -20,7 +19,6 @@ delivered + lost, always.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
@@ -133,11 +131,6 @@ class Channel(Server):
                 journeys.hop(frame.payload, "wire_drop", "wire", link=self.name,
                              reason=decision.verdict.value)
             return
-        if decision.corrupted:
-            # Deliver a damaged copy (a broadcast frame object is shared
-            # across egress ports — never corrupt the shared instance).
-            frame = replace(frame, corrupted=True)
-            self.counters["frames_corrupted"] += 1
         delay = self.params.propagation_ns + decision.extra_delay_ns
         if faults.has_congestion:
             delay += faults.congestion_latency_ns(self.env.now)

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from ...config import LinkParams, NicParams
 from ...obs import MetricsRegistry, Tracer
-from ...sim import Environment, Event, Store
+from ...sim import Environment, Store
 from ...sim.core import URGENT
 from ..pci import PciBus
 
@@ -58,8 +58,6 @@ class TxDescriptor:
     payload: Any = None
     #: scatter/gather straight from user memory (0-copy) vs kernel staging
     from_user_memory: bool = False
-    #: event succeeded when the (last) frame has left the NIC
-    on_wire: Optional[Event] = None
     desc_id: int = field(default_factory=lambda: next(_desc_ids))
     #: flow-mode batch width: this descriptor stands for ``k`` equal-size
     #: frames (``payload_bytes`` is the train total; see repro.sim.flowmode)
@@ -71,9 +69,6 @@ class RxFrame:
     """A received frame waiting in (or delivered from) the NIC."""
 
     frame: Frame
-    arrived_at: float
-    #: set once the bytes sit in host memory
-    in_host_memory: bool = False
 
 
 class Nic:
@@ -164,13 +159,6 @@ class Nic:
         self.counters["rx_frames"] += k
         self.counters["rx_bytes"] += frame.payload_bytes
         journeys = self.tracer.journeys
-        if frame.corrupted:
-            # Ethernet CRC check in NIC hardware: a damaged frame never
-            # reaches the host — the reliability layer must retransmit.
-            self.counters["rx_crc_drops"] += k
-            if journeys is not None:
-                journeys.hop(frame.payload, "nic_drop", self.name, reason="crc")
-            return
         per_payload = frame.payload_bytes // k
         if per_payload > self.params.effective_mtu():
             # Jumbo interoperability (paper §2: "both communicating
@@ -207,7 +195,7 @@ class Nic:
             journeys.hop(frame.payload, "nic_rx", self.name,
                          nbytes=frame.payload_bytes)
         self._rx_claimed += k  # hardware claims the descriptor(s) at arrival
-        rx = RxFrame(frame=frame, arrived_at=self.env.now)
+        rx = RxFrame(frame=frame)
         if self.rx_deliver == "push":
             self.env.spawn(self._rx_push(rx), name=f"{self.name}.rx")
         else:
@@ -268,8 +256,7 @@ class Nic:
                 flow = self.env.flow
                 route = (flow.hop_route(self, desc.dst)
                          if flow is not None else None)
-                if (route is not None and desc.on_wire is None
-                        and not self._tx_fifo.items and route.hop_clear()):
+                if route is not None and not self._tx_fifo.items and route.hop_clear():
                     # Analytic lane, a fork because it schedules
                     # differently: pay the *head* frame's DMA inline (the
                     # PCI grant paces back-to-back trains as k per-frame
@@ -323,8 +310,7 @@ class Nic:
                     remaining -= take
                     pieces.append((take, desc.payload, remaining == 0))
                 self.counters["tx_offload_fragmented"] += 1
-            last_idx = len(pieces) - 1
-            for idx, (nbytes, payload, last) in enumerate(pieces):
+            for nbytes, payload, last in pieces:
                 yield self.env.timeout(self.params.frame_processing_ns * k)
                 frame = Frame(
                     src=self.mac,
@@ -335,9 +321,8 @@ class Nic:
                     train_frames=k,
                 )
                 if len(pieces) > 1:
-                    frame.payload = _FragmentMarker(desc.desc_id, payload, last=last, total=desc.payload_bytes)
-                on_wire = desc.on_wire if idx == last_idx else None
-                yield self._tx_fifo.put((frame, on_wire))
+                    frame.payload = _FragmentMarker(desc.desc_id, payload, last=last)
+                yield self._tx_fifo.put(frame)
             if desc.from_user_memory:
                 self.counters["tx_zero_copy"] += k
             span.end(frames=k * len(pieces))
@@ -345,7 +330,7 @@ class Nic:
     def _wire_pump(self) -> Generator:
         """Drain the on-card FIFO onto the wire (overlaps host DMA)."""
         while True:
-            frame, on_wire = yield self._tx_fifo.get()
+            frame = yield self._tx_fifo.get()
             yield from self._tx_channel.transmit(frame)
             journeys = self.tracer.journeys
             if journeys is not None:
@@ -353,8 +338,6 @@ class Nic:
                              nbytes=frame.payload_bytes)
             self.counters["tx_frames"] += frame.train_frames
             self.counters["tx_bytes"] += frame.payload_bytes
-            if on_wire is not None:
-                on_wire.succeed(self.env.now)
 
     # ------------------------------------------------------------------
     # receive path
@@ -392,7 +375,6 @@ class Nic:
             return
         # NIC pushes straight to host memory, then tells the host.
         yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
-        rx.in_host_memory = True
         self._rx_claimed -= k  # descriptor recycled after the push
         if self.push_callback is not None:
             self.push_callback(rx)
@@ -463,18 +445,12 @@ class Nic:
         yield from self.pci.dma(rx.frame.payload_bytes, priority=2,
                                 label=self._rx_label,
                                 transactions=rx.frame.train_frames)
-        rx.in_host_memory = True
         return rx
 
     def irq_service_done(self) -> None:
-        """Driver-side: drain finished; re-arm coalescing.
-
-        Pending frames are counted off the buffer itself (train-aware)
-        rather than the ``_rx_occ`` gauge so frames parked on the ring
-        by other means (tests, diagnostics) are still serviced.
-        """
-        pending = sum(rx.frame.train_frames for rx in self._rx_buffer)
-        self.coalescer.service_done(pending)
+        """Driver-side: drain finished; re-arm coalescing for the frames
+        still pending (``_rx_occ`` counts a train as its ``k`` frames)."""
+        self.coalescer.service_done(self._rx_occ)
 
 
 @dataclass
@@ -484,4 +460,3 @@ class _FragmentMarker:
     desc_id: int
     payload: Any
     last: bool = False
-    total: int = 0

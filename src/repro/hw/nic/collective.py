@@ -314,7 +314,7 @@ class CollectiveEngine:
               frag_bytes: int, contributions: int = 1) -> Generator:
         coll = ClicCollective(
             op=state.op, phase=phase, coll_id=state.coll_id,
-            root=state.root, src_rank=self.rank, dst_rank=dst_rank,
+            root=state.root, src_rank=self.rank,
             nbytes=state.nbytes, frag_bytes=frag_bytes,
             contributions=contributions,
         )
@@ -326,5 +326,5 @@ class CollectiveEngine:
         )
         # On-card injection: straight into the tx FIFO — no host DMA,
         # no tx ring descriptor, no doorbell.
-        yield self.nic._tx_fifo.put((frame, None))
+        yield self.nic._tx_fifo.put(frame)
         self.counters["tx_frames"] += 1

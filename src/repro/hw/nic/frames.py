@@ -10,8 +10,7 @@ exact (tested by conservation invariants).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ...config import LinkParams
@@ -55,9 +54,6 @@ class EtherType:
     VIA = 0x6009
 
 
-_frame_ids = itertools.count(1)
-
-
 @dataclass(slots=True)
 class Frame:
     """One Ethernet frame on the wire.
@@ -79,9 +75,6 @@ class Frame:
     ethertype: int
     payload_bytes: int
     payload: Any = None
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
-    #: damaged in flight — fails the receiving NIC's CRC check
-    corrupted: bool = False
     #: frames represented by this object (> 1 only for flow-mode trains)
     train_frames: int = 1
 
@@ -131,7 +124,6 @@ def split_train(frame: Frame) -> list:
     per_payload = frame.payload_bytes // k
     return [
         Frame(src=frame.src, dst=frame.dst, ethertype=frame.ethertype,
-              payload_bytes=per_payload, payload=packet,
-              corrupted=frame.corrupted)
+              payload_bytes=per_payload, payload=packet)
         for packet in frame.payload
     ]

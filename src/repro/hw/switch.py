@@ -161,8 +161,6 @@ class Switch:
         self,
         env: Environment,
         link_params: LinkParams,
-        forward_ns: float = DEFAULT_FORWARD_NS,
-        queue_frames: int = 512,
         tracer=None,
         metrics=None,
         backpressure: str = "drop",
@@ -176,8 +174,9 @@ class Switch:
         self.env = env
         self.name = name
         self.link_params = link_params
-        self.forward_ns = forward_ns
-        self.queue_frames = queue_frames
+        self.forward_ns = DEFAULT_FORWARD_NS
+        #: egress queue depth of the ports attached from now on
+        self.queue_frames = 512
         self.backpressure = backpressure
         self.ports: List[SwitchPort] = []
         self._mac_table: Dict[MacAddress, SwitchPort] = {}

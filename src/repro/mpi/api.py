@@ -120,10 +120,10 @@ class RankContext:
         return msg
 
     # -- nonblocking -------------------------------------------------------------
-    def isend(self, dest: int, nbytes: int, tag: int = 0, payload=None) -> Request:
+    def isend(self, dest: int, nbytes: int, tag: int = 0) -> Request:
         """MPI_Isend."""
         process = self.proc.env.process(
-            self.send(dest, nbytes, tag=tag, payload=payload),
+            self.send(dest, nbytes, tag=tag),
             name=f"rank{self.rank}.isend",
         )
         return Request(process)

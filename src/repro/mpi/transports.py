@@ -10,14 +10,17 @@ bindings are that mapping:
   module's tag/src matching implements MPI envelope matching directly.
 * :class:`TcpTransport` — a full mesh of TCP connections; every message
   is framed as a fixed-size envelope plus payload on the pair's stream
-  (per-pair in-order matching, as MPICH's ch_p4 did).
+  (per-pair in-order matching, as MPICH's ch_p4 did).  The stream
+  carries only byte counts, so each pair also queues the envelopes of
+  its messages in stream order beside it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Deque, Dict, Generator, Optional
 
 from ..protocols.clic import ClicEndpoint
 
@@ -68,14 +71,20 @@ class TcpTransport:
         self.rank = rank
         #: peer rank -> connected socket
         self.sockets: Dict[int, object] = {}
+        #: peer rank -> envelopes of its messages to us, in stream order
+        self._inbox: Dict[int, Deque[Envelope]] = {}
+        #: peer rank -> that peer's inbox of our messages
+        self._outbox: Dict[int, Deque[Envelope]] = {}
 
-    def connect(self, peer_rank: int, socket) -> None:
-        """Attach the connected socket for ``peer_rank``."""
-        self.sockets[peer_rank] = socket
+    def connect(self, peer: "TcpTransport", socket) -> None:
+        """Attach the connected socket to ``peer``'s rank."""
+        self.sockets[peer.rank] = socket
+        self._outbox[peer.rank] = peer._inbox.setdefault(self.rank, deque())
 
     def send(self, dest_rank: int, nbytes: int, tag: int, payload=None) -> Generator:
         """Send ``nbytes`` (+envelope) on the pair's stream."""
         sock = self.sockets[dest_rank]
+        self._outbox[dest_rank].append(Envelope(source=self.rank, tag=tag, nbytes=nbytes))
         # Envelope + payload on the stream (one send call: MPICH batched
         # the header into the same writev).
         yield from sock.send(nbytes + ENVELOPE_BYTES)
@@ -83,16 +92,22 @@ class TcpTransport:
     def recv(self, source_rank: Optional[int], tag: Optional[int], nbytes: int) -> Generator:
         """Read the next ``nbytes`` message (+envelope) from the pair's
         stream; returns (Envelope, payload).  The stream matches per pair
-        in order (as ch_p4 did), so ``tag`` is not matched and there is
-        no wildcard source."""
+        in order (as ch_p4 did): the next message must carry ``tag``
+        (``None`` takes any), and there is no wildcard source."""
         if source_rank is None:
             raise NotImplementedError(
                 "ANY_SOURCE requires a receive progress engine; the TCP "
                 "binding (like ch_p4) matches per-pair in order — use the "
                 "CLIC transport for wildcard receives"
             )
-        got = yield from self.sockets[source_rank].recv(nbytes + ENVELOPE_BYTES)
-        return Envelope(source=source_rank, tag=0, nbytes=got - ENVELOPE_BYTES), None
+        yield from self.sockets[source_rank].recv(nbytes + ENVELOPE_BYTES)
+        env = self._inbox[source_rank].popleft()
+        if tag is not None and env.tag != tag:
+            raise AssertionError(
+                f"rank {self.rank}: posted tag {tag} but the next message "
+                f"from rank {source_rank} has tag {env.tag}"
+            )
+        return env, None
 
 
 def fresh_world_port() -> int:

@@ -64,8 +64,8 @@ class World:
             for a in range(self.size):
                 for b in range(a + 1, self.size):
                     sock_a, sock_b = TcpIpStack.connect_pair(procs[a], procs[b])
-                    transports[a].connect(b, sock_a)
-                    transports[b].connect(a, sock_b)
+                    transports[a].connect(transports[b], sock_a)
+                    transports[b].connect(transports[a], sock_b)
             for rank, proc in enumerate(procs):
                 self.ranks.append(RankContext(self, rank, proc, transports[rank]))
 

@@ -274,9 +274,9 @@ class RunArtifact:
         """
         return jsonable(self)
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize the artifact (sorted keys, deterministic)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """Serialize the artifact (sorted keys, indent 2, deterministic)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def write(self, path: str) -> None:
         """Write the artifact JSON to ``path``."""

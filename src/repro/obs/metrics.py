@@ -425,9 +425,9 @@ class MetricsRegistry:
         """Get or create the gauge called ``name``."""
         return self._get(name, Gauge)
 
-    def histogram(self, name: str, growth: float = 1.05) -> Histogram:
-        """Get or create the histogram called ``name``."""
-        return self._get(name, Histogram, growth)
+    def histogram(self, name: str) -> Histogram:
+        """Get or create the histogram called ``name`` (growth 1.05)."""
+        return self._get(name, Histogram)
 
     def value(self, name: str, default: float = 0.0) -> float:
         """Current value of a counter/gauge by name, without creating it.

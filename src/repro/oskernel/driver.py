@@ -24,7 +24,6 @@ from typing import Generator, Optional
 from ..config import DriverParams
 from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL
 from ..hw.nic import MacAddress, Nic, TxDescriptor
-from ..sim import Event
 from .kernel import Kernel
 from .skbuff import SYSTEM_MEMORY, SkBuff
 
@@ -53,13 +52,7 @@ class VendorDriver:
     # ------------------------------------------------------------------
     # transmit
     # ------------------------------------------------------------------
-    def transmit(
-        self,
-        skb: SkBuff,
-        dst: MacAddress,
-        ethertype: int,
-        on_wire: Optional[Event] = None,
-    ) -> Generator:
+    def transmit(self, skb: SkBuff, dst: MacAddress, ethertype: int) -> Generator:
         """Try to hand ``skb`` to the NIC; returns True if accepted.
 
         Runs in the caller's (kernel) context; charges the driver's tx
@@ -81,7 +74,6 @@ class VendorDriver:
             payload_bytes=nbytes,
             payload=skb.payload,
             from_user_memory=skb.is_zero_copy,
-            on_wire=on_wire,
             train_frames=train_frames,
         )
         accepted = self.nic.try_post_tx(desc)

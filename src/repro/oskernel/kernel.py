@@ -130,8 +130,7 @@ class Kernel:
     # ------------------------------------------------------------------
     # data movement
     # ------------------------------------------------------------------
-    def copy_user_to_system(self, nbytes: int, priority: int = PRIO_KERNEL,
-                            setups: int = 1) -> Generator:
+    def copy_user_to_system(self, nbytes: int, setups: int = 1) -> Generator:
         """CPU copy from user buffer into kernel memory (the "1-copy").
 
         ``setups`` batches a flow-mode train's per-fragment copies into
@@ -139,7 +138,7 @@ class Kernel:
         """
         self.counters["copies_user_to_system"] += setups
         self.counters["copy_bytes"] += nbytes
-        yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="u2s",
+        yield from self.memory.cpu_copy(self.cpu, nbytes, PRIO_KERNEL, label="u2s",
                                         setups=setups)
 
     def copy_system_to_user(self, nbytes: int, priority: int = PRIO_KERNEL,
@@ -150,11 +149,11 @@ class Kernel:
         yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="s2u",
                                         setups=setups)
 
-    def copy_user_to_user(self, nbytes: int, priority: int = PRIO_KERNEL) -> Generator:
+    def copy_user_to_user(self, nbytes: int) -> Generator:
         """Same-node process-to-process copy (CLIC local delivery)."""
         self.counters["copies_user_to_user"] += 1
         self.counters["copy_bytes"] += nbytes
-        yield from self.memory.cpu_copy(self.cpu, nbytes, priority, label="u2u")
+        yield from self.memory.cpu_copy(self.cpu, nbytes, PRIO_KERNEL, label="u2u")
 
     # ------------------------------------------------------------------
     # protocol demux

@@ -15,7 +15,6 @@ payload fragment").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
@@ -24,9 +23,6 @@ __all__ = ["SkBuff", "USER_MEMORY", "SYSTEM_MEMORY", "NIC_MEMORY"]
 USER_MEMORY = "user"
 SYSTEM_MEMORY = "system"
 NIC_MEMORY = "nic"
-
-_skb_ids = itertools.count(1)
-
 
 @dataclass
 class SkBuff:
@@ -48,7 +44,6 @@ class SkBuff:
     fragments: List[Tuple[str, int]] = field(default_factory=list)
     headers: List[Tuple[str, int]] = field(default_factory=list)
     payload: Any = None
-    skb_id: int = field(default_factory=lambda: next(_skb_ids))
     #: Figure 8(b) receive path: the DMA was directed by the protocol
     #: module and may have landed straight in user memory — the module
     #: skips its own staging copy for bound receivers.

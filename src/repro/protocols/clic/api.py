@@ -57,13 +57,11 @@ class ClicEndpoint:
         """Wait until everything sent to ``dst_node`` is acknowledged."""
         yield from self.kernel.syscall(self.module.flush(dst_node), label="clic_flush")
 
-    def remote_write(self, dst_node: int, nbytes: int, tag: int = 0, payload=None) -> Generator:
+    def remote_write(self, dst_node: int, nbytes: int, tag: int = 0) -> Generator:
         """Asynchronous write into the receiver's registered region; the
         remote process needs no receive call (§3.1)."""
         result = yield from self.kernel.syscall(
-            self.module.send(
-                dst_node, self.port, nbytes, tag=tag, payload=payload, remote_write=True
-            ),
+            self.module.send(dst_node, self.port, nbytes, tag=tag, remote_write=True),
             label="clic_remote_write",
         )
         return result

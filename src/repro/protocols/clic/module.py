@@ -57,7 +57,6 @@ class ClicMessage:
     msg_id: int
     payload: Any = None
     remote_write: bool = False
-    completed_at: float = 0.0
     #: True once the payload sits in the receiving process's memory
     in_user_memory: bool = False
 
@@ -68,10 +67,9 @@ class RemoteRegion:
 
     port: int
     size: int
-    bytes_written: int = 0
+    bytes_written: int = field(default=0, init=False)
     #: events to succeed as messages complete
     waiters: List[Event] = field(default_factory=list)
-    completed_messages: int = 0
     #: completions not yet observed by a waiter (so notifications are
     #: never lost when writes finish while nobody is waiting)
     unclaimed: List["ClicMessage"] = field(default_factory=list)
@@ -86,9 +84,9 @@ class _Partial:
     tag: int
     msg_id: int
     msg_bytes: int
-    received: int = 0
+    received: int = field(default=0, init=False)
     #: receiver already bound: fragments are copied to user memory on arrival
-    bound_waiter: Optional[Event] = None
+    bound_waiter: Optional[Event] = field(default=None, init=False)
     remote_write: bool = False
     payload: Any = None
 
@@ -667,7 +665,6 @@ class ClicModule:
             msg_id=partial.msg_id,
             payload=partial.payload,
             remote_write=partial.remote_write,
-            completed_at=self.env.now,
             in_user_memory=partial.bound_waiter is not None or partial.remote_write,
         )
         self.counters["msgs_rx"] += 1
@@ -675,7 +672,6 @@ class ClicModule:
         if partial.remote_write:
             region = self.port(message.port).region
             if region is not None:
-                region.completed_messages += 1
                 if region.waiters:
                     region.waiters.pop(0).succeed(message)
                 else:
@@ -767,7 +763,6 @@ class ClicModule:
             nbytes=nbytes,
             msg_id=msg_id,
             payload=payload,
-            completed_at=self.env.now,
         )
         state = self.port(port)
         waiter = state.pop_waiter(tag, self.node_id)
@@ -775,7 +770,6 @@ class ClicModule:
             # Single kernel-mediated copy, sender memory -> receiver memory.
             yield from self.kernel.copy_user_to_user(nbytes)
             message.in_user_memory = True
-            message.completed_at = self.env.now
             waiter.succeed(message)
             self.counters["local_direct"] += 1
             span.end(path="direct")
@@ -786,7 +780,6 @@ class ClicModule:
         # before parking the message, or its wakeup is lost.
         waiter = state.pop_waiter(tag, self.node_id)
         if waiter is not None:
-            message.completed_at = self.env.now
             waiter.succeed(message)
             self.counters["local_direct"] += 1
             span.end(path="late-direct")

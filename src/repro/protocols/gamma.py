@@ -45,7 +45,6 @@ class GammaMessage:
     nbytes: int
     msg_id: int
     payload: Any = None
-    completed_at: float = 0.0
 
 
 class GammaPort:
@@ -146,7 +145,6 @@ class GammaLayer:
             nbytes=pkt.msg_bytes,
             msg_id=pkt.msg_id,
             payload=acc.payload,
-            completed_at=self.env.now,
         )
         self.counters["msgs_rx"] += 1
         state = self.port(pkt.port)

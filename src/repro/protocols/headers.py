@@ -70,7 +70,7 @@ class Reassembly:
     """A message being put back together from its fragments."""
 
     msg_bytes: int
-    received: int = 0
+    received: int = field(default=0, init=False)
     payload: Any = None
 
 
@@ -198,7 +198,6 @@ class ClicCollective:
                           # every rank, so ids agree cluster-wide)
     root: int             # root *rank* of the binomial tree
     src_rank: int
-    dst_rank: int
     nbytes: int = 0       # total op payload (0 for barrier)
     frag_bytes: int = 0   # this fragment's payload share
     contributions: int = 1  # ranks folded into this (sub)tree so far
@@ -218,7 +217,6 @@ class TcpSegment:
     data_bytes: int
     is_ack: bool = False
     ack_seq: int = 0
-    payload: Any = None
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
 

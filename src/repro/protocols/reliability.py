@@ -127,11 +127,17 @@ def install_channel_probe(probe: Optional[ChannelProbe]) -> Optional[ChannelProb
     return previous
 
 
+#: RFC 6298 smoothing gains of SRTT and RTTVAR, and the RTTVAR weight
+RTT_ALPHA = 0.125
+RTT_BETA = 0.25
+RTO_K = 4.0
+
+
 class RtoEstimator:
     """Jacobson/Karels adaptive retransmission-timeout estimation.
 
     ``RTO = clamp(SRTT + k * RTTVAR, min, max)``, with SRTT/RTTVAR
-    smoothed by the RFC 6298 gains (alpha = 1/8, beta = 1/4).  Karn's
+    smoothed by the RFC 6298 gains (alpha = 1/8, beta = 1/4, k = 4).  Karn's
     rule is enforced by the *caller*: only RTT samples from packets that
     were never retransmitted reach :meth:`sample`.  Each timeout doubles
     the effective timeout (exponential backoff) until a fresh,
@@ -147,15 +153,7 @@ class RtoEstimator:
     #: dominates anyway; the bound keeps the float well-behaved)
     MAX_BACKOFF = 65536.0
 
-    def __init__(
-        self,
-        initial_ns: float,
-        min_ns: float,
-        max_ns: float,
-        alpha: float = 0.125,
-        beta: float = 0.25,
-        k: float = 4.0,
-    ):
+    def __init__(self, initial_ns: float, min_ns: float, max_ns: float):
         if initial_ns <= 0 or min_ns <= 0:
             raise ValueError("RTO bounds must be positive")
         if max_ns < min_ns:
@@ -163,9 +161,6 @@ class RtoEstimator:
         self.initial_ns = initial_ns
         self.min_ns = min_ns
         self.max_ns = max_ns
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.samples = 0
@@ -184,10 +179,10 @@ class RtoEstimator:
             self.srtt = rtt_ns
             self.rttvar = rtt_ns / 2.0
         else:
-            self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(self.srtt - rtt_ns)
-            self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt_ns
+            self.rttvar = (1 - RTT_BETA) * self.rttvar + RTT_BETA * abs(self.srtt - rtt_ns)
+            self.srtt = (1 - RTT_ALPHA) * self.srtt + RTT_ALPHA * rtt_ns
         self.samples += 1
-        self._base = min(max(self.srtt + self.k * self.rttvar, self.min_ns), self.max_ns)
+        self._base = min(max(self.srtt + RTO_K * self.rttvar, self.min_ns), self.max_ns)
         self.backoff = 1.0  # an unambiguous sample ends the backoff episode
 
     def on_timeout(self) -> None:

@@ -40,7 +40,7 @@ _conn_ids = itertools.count(1)
 class _RxSide:
     """Receive state of one connection end."""
 
-    buffered_bytes: int = 0
+    buffered_bytes: int = field(default=0, init=False)
     waiters: List[Tuple[int, Event]] = field(default_factory=list)  # (wanted, event)
 
 
@@ -55,9 +55,9 @@ class RenoCongestion:
     behaviour — exercised by the loss-injection tests.
     """
 
-    def __init__(self, flow_window: int, initial_cwnd: int = 2):
+    def __init__(self, flow_window: int):
         self.flow_window = flow_window
-        self.cwnd = float(initial_cwnd)
+        self.cwnd = 2.0  # initial window: two segments
         self.ssthresh = float(flow_window)
         self.in_slow_start_restarts = 0
 
@@ -98,13 +98,11 @@ class TcpConnection:
         self.conn_id = conn_id
         self.counters = Counter()
 
-        rto = None
-        if self.params.adaptive_rto:
-            rto = RtoEstimator(
-                initial_ns=self.params.retransmit_timeout_ns,
-                min_ns=self.params.min_rto_ns,
-                max_ns=self.params.max_rto_ns,
-            )
+        rto = RtoEstimator(
+            initial_ns=self.params.retransmit_timeout_ns,
+            min_ns=self.params.min_rto_ns,
+            max_ns=self.params.max_rto_ns,
+        )
         registry = layer.node.kernel.metrics
         self.sender = WindowedSender(
             self.env,
@@ -162,8 +160,7 @@ class TcpConnection:
             raise ValueError("negative send")
         kernel = self.layer.node.kernel
         # Socket layer: user -> kernel copy (the copy CLIC's 0-copy removes).
-        for _ in range(self.params.copies_on_tx):
-            yield from kernel.copy_user_to_system(nbytes)
+        yield from kernel.copy_user_to_system(nbytes)
         mss = self.mss()
         offset = 0
         while True:
@@ -183,13 +180,13 @@ class TcpConnection:
                 break
         self.counters["bytes_sent"] += nbytes
 
-    def _tx_segment(self, seg: TcpSegment, priority: int = PRIO_KERNEL) -> Generator:
+    def _tx_segment(self, seg: TcpSegment) -> Generator:
         kernel = self.layer.node.kernel
         cost = (
             self.params.per_segment_tx_ns
             + seg.data_bytes * self.params.checksum_ns_per_byte
         )
-        yield from kernel.cpu.execute(cost, priority, label="tcp_tx")
+        yield from kernel.cpu.execute(cost, PRIO_KERNEL, label="tcp_tx")
         dgram = IpDatagram(
             src_node=self.local_node,
             dst_node=self.remote_node,
@@ -271,8 +268,7 @@ class TcpConnection:
             yield from kernel.block_on(event, label=f"tcp_recv{self.conn_id}")
         else:
             self.rx.buffered_bytes -= nbytes
-        for _ in range(self.params.copies_on_rx):
-            yield from kernel.copy_system_to_user(nbytes)
+        yield from kernel.copy_system_to_user(nbytes)
         self.counters["bytes_recv"] += nbytes
         return nbytes
 

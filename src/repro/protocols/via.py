@@ -40,7 +40,6 @@ class ViaMessage:
     nbytes: int
     msg_id: int
     payload: Any = None
-    completed_at: float = 0.0
 
 
 class VirtualInterface:
@@ -161,7 +160,6 @@ class ViaNic:
                 nbytes=pkt.msg_bytes,
                 msg_id=pkt.msg_id,
                 payload=acc.payload,
-                completed_at=self.node.env.now,
             )
         )
         self.counters["msgs_rx"] += 1

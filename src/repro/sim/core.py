@@ -213,12 +213,12 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self.env = env
         self.callbacks = []
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
         self.delay = delay
@@ -424,10 +424,10 @@ class Environment:
     entry: a cancelled one is dropped where it lies, and a bucket whose
     head is dead gives up that head alone, as one heap would.
 
+    The clock starts at 0 ns.
+
     Parameters
     ----------
-    initial_time:
-        Starting value of the simulation clock (nanoseconds).
     profile:
         When true, attach an :class:`~repro.obs.profile.EnvProfiler`
         that tallies events per process/type and the queue's high-water
@@ -435,8 +435,8 @@ class Environment:
         is one ``is None`` check per scheduled/processed event.
     """
 
-    def __init__(self, initial_time: float = 0, profile: bool = False):
-        self._now = initial_time
+    def __init__(self, profile: bool = False):
+        self._now = 0
         self._urgent: deque = deque()
         self._ready: deque = deque()
         self._later: dict = {}
@@ -499,9 +499,9 @@ class Environment:
         """Create a new, untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that triggers after ``delay`` ns."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""

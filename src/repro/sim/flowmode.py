@@ -294,7 +294,7 @@ class FlowModeController:
           peer);
         * fragmentation offload — either NIC on the route splits
           super-packets in firmware;
-        * faults — a stochastic loss/corruption/jitter/duplication
+        * faults — a stochastic loss/jitter/duplication
           model on either link direction, or a scheduled
           outage/congestion window intersecting the horizon;
         * switch contention — the egress queue is non-empty or a

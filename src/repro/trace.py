@@ -162,7 +162,6 @@ def capture_fig4_point(
     loss: float = 0.02,
     loss_model: str = "ge",
     seed: int = 42,
-    sample_ns: float = 50_000.0,
 ) -> RunArtifact:
     """One fig4-style bulk transfer with journey tracing + telemetry on.
 
@@ -170,7 +169,7 @@ def capture_fig4_point(
     (MTU 1500) with injected loss (``ge`` = Gilbert–Elliott bursts,
     ``uniform`` = Bernoulli), capturing every message's journey, the
     retransmit genealogy, and queue-depth time series sampled every
-    ``sample_ns``.  Span tracing stays *off* — journeys are the
+    50 us.  Span tracing stays *off* — journeys are the
     per-message instrument and keep a 1 MB capture tractable.  The
     returned artifact is bit-reproducible under a fixed seed.
 
@@ -202,7 +201,7 @@ def capture_fig4_point(
                       faults=faults if loss > 0 else None)
     recorder = JourneyRecorder(cluster.env)
     cluster.tracer.journeys = recorder
-    sampler = TimeSeriesSampler(cluster.env, interval_ns=sample_ns)
+    sampler = TimeSeriesSampler(cluster.env, interval_ns=50_000.0)
     frag_bytes = attrgetter("frag_bytes")  # the in-flight sum runs in C
     for node in cluster.nodes:
         for nic in node.nics:

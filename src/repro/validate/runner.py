@@ -188,13 +188,11 @@ def _assemble(
 
     links = {
         name: {c: chan.counters[c] for c in
-               ("frames_offered", "frames", "frames_lost", "frames_corrupted",
-                "frames_duplicated")}
+               ("frames_offered", "frames", "frames_lost", "frames_duplicated")}
         for name, chan in cluster.channels
     }
     nic_totals = {c: 0.0 for c in
-                  ("tx_frames", "rx_frames", "rx_crc_drops",
-                   "rx_oversize_drops", "rx_drops")}
+                  ("tx_frames", "rx_frames", "rx_oversize_drops", "rx_drops")}
     rx_buffer_peak = 0
     for node in cluster.nodes:
         for nic in node.nics:

@@ -106,9 +106,9 @@ class ViaAdapter:
 
 
 # -- pair factories (the ``setup`` argument of the workloads) ---------------
-def clic_pair(port: int = 0):
+def clic_pair():
     """CLIC endpoints on a fresh port for both processes."""
-    bound_port = port or next(_ports)
+    bound_port = next(_ports)
 
     def setup(proc_a, proc_b) -> Tuple[ClicAdapter, ClicAdapter]:
         return (
@@ -131,9 +131,9 @@ def tcp_pair():
     return setup
 
 
-def gamma_pair(port: int = 0):
+def gamma_pair():
     """GAMMA active ports on both processes."""
-    bound_port = port or next(_ports)
+    bound_port = next(_ports)
 
     def setup(proc_a, proc_b) -> Tuple[GammaAdapter, GammaAdapter]:
         return (

@@ -25,10 +25,9 @@ def mpi_pingpong(
     cfg: ClusterConfig,
     transport: str,
     nbytes: int,
-    repeats: int = 1,
-    warmup: int = 1,
 ) -> PingPongResult:
-    """Ping-pong between ranks 0 and 1 through the MPI layer."""
+    """Ping-pong between ranks 0 and 1 through the MPI layer: one
+    warm-up round trip, then one timed."""
     cluster = Cluster(cfg)
     world = build_world(cluster, transport)
     n = max(nbytes, 1) if transport == "tcp" else nbytes
@@ -36,21 +35,19 @@ def mpi_pingpong(
     def program(ctx):
         peer = 1 - ctx.rank
         if ctx.rank == 0:
-            for _ in range(warmup):
-                yield from ctx.send(peer, n)
-                yield from ctx.recv(n, source=peer)
+            yield from ctx.send(peer, n)
+            yield from ctx.recv(n, source=peer)
             t0 = ctx.proc.env.now
-            for _ in range(repeats):
-                yield from ctx.send(peer, n)
-                yield from ctx.recv(n, source=peer)
-            return (ctx.proc.env.now - t0) / repeats
-        for _ in range(warmup + repeats):
+            yield from ctx.send(peer, n)
+            yield from ctx.recv(n, source=peer)
+            return ctx.proc.env.now - t0
+        for _ in range(2):
             yield from ctx.recv(n, source=peer)
             yield from ctx.send(peer, n)
         return None
 
     rtt = world.run(program)[0]
-    return PingPongResult(nbytes=nbytes, repeats=repeats, rtt_ns=rtt)
+    return PingPongResult(nbytes=nbytes, rtt_ns=rtt)
 
 
 def collective_time(
@@ -59,19 +56,14 @@ def collective_time(
     collective: str,
     nbytes: int,
     repeats: int = 3,
-    collectives: str = "host",
 ) -> float:
-    """Average wall time (ns) of one collective across all ranks.
+    """Average wall time (ns) of one host-algorithm collective across
+    all ranks.
 
     Measured the standard way: barrier, timestamp, ``repeats``
     back-to-back collectives, timestamp, max across ranks.
-    ``collectives`` selects the host algorithms or the NIC-resident
-    engine (see :class:`repro.mpi.World`).
     """
-    return max(collective_rank_times(
-        cfg, transport, collective, nbytes,
-        repeats=repeats, collectives=collectives,
-    ))
+    return max(collective_rank_times(cfg, transport, collective, nbytes, repeats=repeats))
 
 
 def collective_rank_times(

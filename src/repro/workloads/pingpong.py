@@ -81,7 +81,6 @@ class PingPongResult:
     """Outcome of one ping-pong measurement."""
 
     nbytes: int
-    repeats: int
     rtt_ns: float  # average round-trip time
 
     @property
@@ -149,7 +148,7 @@ def pingpong(cluster, setup, nbytes: int, repeats: int = 3, warmup: int = 1) -> 
     _run_to(cluster, done_a, "ping-pong")
     if "rtt" not in result:
         raise RuntimeError("ping-pong did not complete")
-    return PingPongResult(nbytes=nbytes, repeats=repeats, rtt_ns=result["rtt"])
+    return PingPongResult(nbytes=nbytes, rtt_ns=result["rtt"])
 
 
 def stream(cluster, setup, nbytes: int, messages: int = 1) -> StreamResult:

@@ -73,8 +73,11 @@ def test_cluster_repr():
 
 def test_deterministic_rebuild_same_results():
     """Two identical clusters produce bit-identical results."""
+    from dataclasses import replace
+
     from repro.workloads import clic_pair, pingpong
 
-    r1 = pingpong(Cluster(granada2003(seed=5)), clic_pair(), 10_000, repeats=2, warmup=1)
-    r2 = pingpong(Cluster(granada2003(seed=5)), clic_pair(), 10_000, repeats=2, warmup=1)
+    cfg = replace(granada2003(), seed=5)
+    r1 = pingpong(Cluster(cfg), clic_pair(), 10_000, repeats=2, warmup=1)
+    r2 = pingpong(Cluster(cfg), clic_pair(), 10_000, repeats=2, warmup=1)
     assert r1.rtt_ns == r2.rtt_ns

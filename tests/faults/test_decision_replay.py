@@ -40,10 +40,9 @@ SPECS = {
     "congestion_spike": FaultPlan.congestion_spike(
         100_000.0, 300_000.0, bandwidth_factor=4.0, extra_latency_ns=2_000.0).default_link,
     "link_outage": FaultPlan.link_outage(200_000.0, 260_000.0).default_link,
-    "corrupt": LinkFaultSpec(corrupt_rate=0.1),
     # every family at once: the draw order across families
     "everything": LinkFaultSpec(
-        loss_rate=0.1, corrupt_rate=0.1,
+        loss_rate=0.1,
         outages=(OutageWindow(50_000.0, 80_000.0),),
         jitter=DelayJitter(rate=0.3, max_delay_ns=10_000.0),
         duplicate=Duplication(rate=0.2, max_copies=2),
@@ -69,13 +68,10 @@ EXPECTED = {
                          {"congested": 200}, 0.625095466604667),
     "link_outage": ("f12e9d0dacd89ba0f80f8e9c5ef254c80e585d506a7d18ea55a987596a086c9f",
                     {"outage_drops": 60}, 0.625095466604667),
-    "corrupt": ("2b181af4944e29c4f352d2f09ae7b705088ac55b0b83bb2d1353e2c48afb2055",
-                {"corrupted": 46}, 0.4202426227262105),
-    "everything": ("19fefb95d3e74bee1fdbdb556780a3249bc163e709685bea87a6a359f981c37c",
-                   {"congested": 300, "corrupted": 45, "dup_copies": 134,
-                    "duplicated": 94, "jittered": 120, "loss_drops": 45,
-                    "outage_drops": 30},
-                   0.571610031517343),
+    "everything": ("9f241511882b4275b77a1a5da1259347b35f33b2269faee95d149224b8e1a97b",
+                   {"congested": 300, "dup_copies": 123, "duplicated": 83,
+                    "jittered": 138, "loss_drops": 43, "outage_drops": 30},
+                   0.3089802466173387),
 }
 
 
@@ -94,15 +90,15 @@ def test_decisions_replay_exactly(name):
 
 
 def test_a_plain_decision_is_shared_and_frozen():
-    eng = ChannelFaults(LinkFaultSpec(corrupt_rate=0.5), Pcg64(7))
+    eng = ChannelFaults(LinkFaultSpec(loss_rate=0.5), Pcg64(7))
     decisions = [eng.decide(float(t)) for t in range(40)]
     by_verdict = {}
     for d in decisions:
         assert by_verdict.setdefault(d.verdict, d) is d
-    assert set(by_verdict) == {FrameVerdict.DELIVER, FrameVerdict.CORRUPT}
+    assert set(by_verdict) == {FrameVerdict.DELIVER, FrameVerdict.LOST}
     shared = by_verdict[FrameVerdict.DELIVER]
-    assert not shared.dropped and not shared.corrupted
-    assert by_verdict[FrameVerdict.CORRUPT].corrupted
+    assert not shared.dropped
+    assert by_verdict[FrameVerdict.LOST].dropped
     with pytest.raises(dataclasses.FrozenInstanceError):
         shared.copies = 2
     assert shared.copies == 1

@@ -107,10 +107,10 @@ def test_blackouts_for_matches_wildcards():
     w = OutageWindow(0.0, 10.0)
     plan = FaultPlan(switch_blackouts=(
         SwitchBlackout(window=w),                 # every port
-        SwitchBlackout(window=OutageWindow(5.0, 6.0), node=1, channel=0),
+        SwitchBlackout(window=OutageWindow(5.0, 6.0), node=1),
     ))
-    assert plan.blackouts_for(0, 0) == (w,)
-    assert len(plan.blackouts_for(1, 0)) == 2
+    assert plan.blackouts_for(0) == (w,)
+    assert len(plan.blackouts_for(1)) == 2
 
 
 def test_link_outage_constructor_targets_both_directions():
@@ -127,21 +127,12 @@ def test_channel_faults_outage_beats_loss_model():
     assert eng.decide(150.0).verdict is FrameVerdict.OUTAGE
     assert eng.decide(250.0).verdict is FrameVerdict.DELIVER
     assert eng.metrics.value("outage_drops") == 1
+    assert FrameVerdict.LOST.dropped and FrameVerdict.OUTAGE.dropped
 
 
 def test_channel_faults_requires_rng_for_stochastic_models():
     with pytest.raises(ValueError):
         ChannelFaults(LinkFaultSpec(loss_rate=0.1), rng=None)
-
-
-def test_channel_faults_corruption_verdict():
-    eng = ChannelFaults(
-        LinkFaultSpec(corrupt_rate=1.0), rng=np.random.default_rng(0)
-    )
-    assert eng.decide(0.0).verdict is FrameVerdict.CORRUPT
-    assert not FrameVerdict.CORRUPT.dropped  # delivered, then killed by CRC
-    assert FrameVerdict.LOST.dropped and FrameVerdict.OUTAGE.dropped
-    assert eng.metrics.value("corrupted") == 1
 
 
 # -- adversarial-delivery spec validation ------------------------------------
@@ -191,8 +182,6 @@ def test_congestion_window_validation():
 def test_switch_blackout_validation():
     with pytest.raises(ValueError):
         SwitchBlackout(window=OutageWindow(0.0, 1.0), node=-1)
-    with pytest.raises(ValueError):
-        SwitchBlackout(window=OutageWindow(0.0, 1.0), channel=-2)
 
 
 def test_new_families_make_a_spec_active():
@@ -227,18 +216,15 @@ def test_adversarial_plan_constructors():
 
 # -- ChannelFaults.decide ----------------------------------------------------
 def test_decide_draw_order_for_legacy_plans():
-    """A loss + corruption plan draws one loss trial per frame and a
-    corruption trial only for frames the loss model spared, nothing
+    """A uniform-loss plan draws one loss trial per frame, nothing
     else — the bit-reproducibility contract."""
-    spec = LinkFaultSpec(loss_rate=0.3, corrupt_rate=0.1)
+    spec = LinkFaultSpec(loss_rate=0.3)
     eng = ChannelFaults(spec, rng=np.random.default_rng(42))
     ref = np.random.default_rng(42)
     expected = []
     for _ in range(200):
         if ref.random() < 0.3:
             expected.append(FrameVerdict.LOST)
-        elif ref.random() < 0.1:
-            expected.append(FrameVerdict.CORRUPT)
         else:
             expected.append(FrameVerdict.DELIVER)
     decisions = [eng.decide(float(t)) for t in range(200)]

@@ -55,7 +55,7 @@ def test_channel_delivers_after_serialization_and_propagation():
     env = Environment()
     chan = Channel(env, LINK, "c")
     arrivals = []
-    chan.connect(lambda f: arrivals.append((f.frame_id, env.now)))
+    chan.connect(lambda f: arrivals.append((f, env.now)))
     f = make_frame(1500)
 
     def send(env):
@@ -65,6 +65,7 @@ def test_channel_delivers_after_serialization_and_propagation():
     sent_at = env.run(env.process(send(env)))
     env.run()
     assert sent_at == pytest.approx(frame_time_ns(f, LINK))
+    assert arrivals[0][0] is f
     assert arrivals[0][1] == pytest.approx(sent_at + LINK.propagation_ns)
 
 
@@ -240,14 +241,15 @@ def test_channel_duplication_delivers_extra_copies():
     env = Environment()
     chan = _faulted_channel(env, LinkFaultSpec(duplicate=Duplication(rate=1.0)))
     arrivals = []
-    chan.connect(lambda f: arrivals.append(f.frame_id))
+    chan.connect(arrivals.append)
+    frame = make_frame(100)
 
     def send(env):
-        yield from chan.transmit(make_frame(100))
+        yield from chan.transmit(frame)
 
     env.process(send(env))
     env.run()
-    assert len(arrivals) == 2  # original + 1 forced copy
+    assert arrivals == [frame, frame]  # original + 1 forced copy
     assert chan.counters["frames_offered"] == 1
     assert chan.counters["frames_duplicated"] == 1
     assert chan.counters["frames"] == 2  # every delivered copy counts

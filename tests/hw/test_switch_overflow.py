@@ -95,8 +95,8 @@ class _JourneyLog:
 
 def _switch_with_port(queue_frames, backpressure="drop", tracer=None):
     env = Environment()
-    switch = Switch(env, LINK, queue_frames=queue_frames, tracer=tracer,
-                    backpressure=backpressure)
+    switch = Switch(env, LINK, tracer=tracer, backpressure=backpressure)
+    switch.queue_frames = queue_frames
     egress = Channel(env, LINK, "sw->n1")
     egress.connect(lambda f: None)
     port = switch.attach(egress, MacAddress(1))

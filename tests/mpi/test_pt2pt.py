@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.config import granada2003
 from repro.mpi import build_world
+from repro.sim import SimulationError
 
 
 def make_cluster(nodes=2):
@@ -106,16 +107,31 @@ def test_sendrecv_exchanges_without_deadlock():
 
 
 def test_wrong_size_recv_detected():
-    cluster = make_cluster()
-
     def program(ctx):
         if ctx.rank == 0:
             yield from ctx.send(1, 200)
         else:
             yield from ctx.recv(100, source=0)
 
-    with pytest.raises(AssertionError):
-        build_world(cluster).run(program)
+    for transport in ("clic", "tcp"):
+        with pytest.raises(AssertionError):
+            build_world(make_cluster(), transport=transport).run(program)
+
+
+@pytest.mark.parametrize("transport, error", [("clic", SimulationError),
+                                              ("tcp", AssertionError)])
+def test_recv_of_another_size_and_tag_raises(transport, error):
+    """Rank 0 sends 200 B with tag 3; rank 1 posts 100 B with tag 9.
+    CLIC never matches the receive, so the run cannot finish; TCP takes
+    the pair's next message in order and finds its tag wrong."""
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from ctx.send(1, 200, tag=3)
+        else:
+            yield from ctx.recv(100, source=0, tag=9)
+
+    with pytest.raises(error):
+        build_world(make_cluster(), transport=transport).run(program)
 
 
 def test_rank_out_of_range_rejected():

@@ -26,17 +26,6 @@ def test_pvm_slower_than_raw_tcp():
     assert pvm.bandwidth_mbps < tcp.bandwidth_mbps
 
 
-def test_direct_route_faster_than_daemon_route():
-    n = 50_000
-    daemon = pingpong(
-        make_cluster(), pvm_pair(granada2003().pvm, direct_route=False), n, repeats=1, warmup=1
-    )
-    direct = pingpong(
-        make_cluster(), pvm_pair(granada2003().pvm, direct_route=True), n, repeats=1, warmup=1
-    )
-    assert direct.rtt_ns < daemon.rtt_ns
-
-
 def test_pack_copy_charges_memory_traffic():
     cluster = make_cluster()
     pingpong(cluster, pvm_pair(cluster.cfg.pvm), 50_000, repeats=1, warmup=0)

@@ -59,9 +59,7 @@ def test_irq_handler_respects_budget():
     budget = n1.cfg.driver.rx_budget_per_irq
     # Park more frames than the budget on the NIC without kernel help.
     for i in range(budget + 4):
-        nic._rx_buffer.append(
-            type(nic._rx_buffer)() if False else _rx(nic, 100)
-        )
+        _park(nic, 100)
     # Trigger the handler directly.
     n1.drivers[0]._on_irq()
     cluster.env.run(until=cluster.env.now + 5e6)
@@ -72,19 +70,21 @@ def test_irq_handler_respects_budget():
     assert nic.rx_pending() == 0
 
 
-def _rx(nic, nbytes):
+def _park(nic, nbytes):
+    """Park one frame on the NIC's rx ring as its receive path would,
+    keeping the ring occupancy in step."""
     from repro.hw.nic.base import RxFrame
 
-    return RxFrame(
+    nic._rx_buffer.append(RxFrame(
         frame=Frame(src=MacAddress(99), dst=nic.mac, ethertype=0x9999, payload_bytes=nbytes),
-        arrived_at=0.0,
-    )
+    ))
+    nic._rx_occ += 1
 
 
 def test_unknown_ethertype_counted_not_crashed():
     cluster, n0, n1 = make_node()
     nic = n1.nics[0]
-    nic._rx_buffer.append(_rx(nic, 50))
+    _park(nic, 50)
     n1.drivers[0]._on_irq()
     cluster.env.run(until=cluster.env.now + 5e6)
     assert cluster.metrics.value("node1.kernel.rx_unknown_ethertype") == 1

@@ -228,13 +228,13 @@ def collectives_scaling():
     bottom half."""
     from repro.config import Topology, granada2003
     from repro.experiments.nic_collectives import _traced_critical_path
-    from repro.workloads.mpibench import collective_time
+    from repro.workloads.mpibench import collective_rank_times
 
     cfg = granada2003(num_nodes=16).with_topology(
         Topology("fat-tree", leaf_fan=4, uplink_fan=2))
     times_ns = {
-        (op, mode): collective_time(cfg, "clic", op, nbytes, repeats=2,
-                                    collectives=mode)
+        (op, mode): max(collective_rank_times(cfg, "clic", op, nbytes, repeats=2,
+                                              collectives=mode))
         for op, nbytes in (("barrier", 0), ("allreduce", 64))
         for mode in ("host", "nic")
     }

@@ -10,7 +10,7 @@ from repro.protocols.tcpip.tcp import RenoCongestion
 
 
 def test_slow_start_doubles_per_window():
-    cc = RenoCongestion(flow_window=64, initial_cwnd=2)
+    cc = RenoCongestion(flow_window=64)
     assert cc.window() == 2
     cc.on_ack(2)  # a full window of acks -> cwnd doubles
     assert cc.window() == 4
@@ -19,7 +19,7 @@ def test_slow_start_doubles_per_window():
 
 
 def test_congestion_avoidance_is_linear():
-    cc = RenoCongestion(flow_window=64, initial_cwnd=2)
+    cc = RenoCongestion(flow_window=64)
     cc.ssthresh = 4.0
     cc.on_ack(2)  # -> 4, hits ssthresh
     w0 = cc.cwnd
@@ -50,7 +50,7 @@ def test_fast_retransmit_halves():
 
 
 def test_window_never_below_one():
-    cc = RenoCongestion(flow_window=64, initial_cwnd=1)
+    cc = RenoCongestion(flow_window=64)
     cc.on_timeout()
     cc.on_timeout()
     assert cc.window() == 1

@@ -31,13 +31,13 @@ class HeapEnvironment(Environment):
     the servers read the lanes and do not apply to it.
     """
 
-    def __init__(self, initial_time: float = 0):
-        super().__init__(initial_time)
+    def __init__(self):
+        super().__init__()
         self._queue: list = []
 
-    def timeout(self, delay: float, value: Any = None) -> Event:
+    def timeout(self, delay: float) -> Event:
         event = Event(self)
-        event._value = value
+        event._value = None
         self._schedule(event, NORMAL, delay)
         return event
 

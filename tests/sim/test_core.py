@@ -29,10 +29,10 @@ def test_timeout_value():
     env = Environment()
 
     def proc(env):
-        value = yield env.timeout(10, value="hello")
-        return value
+        value = yield env.timeout(10)
+        return value, env.now
 
-    assert env.run(env.process(proc(env))) == "hello"
+    assert env.run(env.process(proc(env))) == (None, 10)
 
 
 def test_negative_timeout_rejected():
@@ -207,7 +207,9 @@ def test_interrupted_process_can_rewait():
 
 def test_run_until_event_returns_its_value():
     env = Environment()
-    assert env.run(env.timeout(5, value="v")) == "v"
+    ev = env.event()
+    env.call_later(5, lambda: ev.succeed("v"))
+    assert env.run(ev) == "v"
     assert env.now == 5
 
 

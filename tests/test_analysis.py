@@ -17,7 +17,7 @@ def make_series(label, points):
     s = SweepSeries(label)
     for nbytes, mbps in points:
         one_way = nbytes * 8 / (mbps * 1e6) * 1e9 if mbps else 1.0
-        s.add(PingPongResult(nbytes=nbytes, repeats=1, rtt_ns=2 * one_way))
+        s.add(PingPongResult(nbytes=nbytes, rtt_ns=2 * one_way))
     return s
 
 
@@ -59,7 +59,7 @@ def test_series_table_contents():
 
 def test_logx_plot_renders_markers_and_legend():
     s = make_series("clic", [(10, 100.0), (1000, 300.0), (100000, 500.0)])
-    out = logx_plot([s], width=40, height=10)
+    out = logx_plot([s])
     assert "o clic" in out
     assert out.count("o") >= 3  # three plotted points (plus legend char)
     assert "1e3" in out

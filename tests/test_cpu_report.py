@@ -60,18 +60,6 @@ def test_breakdown_table_renders_multiple_cpus():
     assert "1.0" in out  # 1000 ns -> 1.0 us
 
 
-def test_breakdown_table_with_wall_percentage():
-    env = Environment()
-    cpu = Cpu(env, CpuParams())
-
-    def work(env):
-        yield from cpu.execute(5_000, PRIO_KERNEL, label="clic_rx")
-
-    env.run(env.process(work(env)))
-    out = breakdown_table({"rx": cpu}, wall_ns=10_000)
-    assert "50.0" in out  # 50% of wall
-
-
 def test_breakdown_table_empty_rejected():
     with pytest.raises(ValueError):
         breakdown_table({})

@@ -1,4 +1,5 @@
-"""Every definition in ``src/repro`` is reachable from code that runs.
+"""Every definition in ``src/repro`` is reachable from code that runs,
+and every value it lets a caller set is set by code that runs.
 
 The walk starts from the top-level code of every module under
 ``src/``, ``bench/`` and ``examples/`` (import-time statements,
@@ -15,7 +16,10 @@ lazy ``_LAZY`` export tables only declare names, so they reach nothing;
 tests reach nothing either.
 
 A definition the walk does not reach is read by tests only: delete it,
-or list it in :data:`KEEP` with the reason it stays.
+or list it in :data:`KEEP` with the reason it stays.  The options census
+at the end of this file does the same for parameters, config switches
+and dataclass fields (:data:`KEEP_OPTIONS`).  Both read the same
+non-test file set, :func:`non_test_modules`.
 """
 
 import ast
@@ -204,15 +208,28 @@ def _module_name(path):
 
 
 @functools.lru_cache(maxsize=None)
+def non_test_modules():
+    """``(module name, AST)`` of every non-test file under :data:`ROOTS`:
+    the code both censuses count as uses."""
+    return tuple(
+        (_module_name(path), ast.parse(path.read_text(), str(path)))
+        for root in ROOTS for path in sorted(root.rglob("*.py"))
+        if "tests" not in path.relative_to(root).parts
+    )
+
+
+def _src_modules():
+    return {_module_name(p) for p in SRC.rglob("*.py")}
+
+
+@functools.lru_cache(maxsize=None)
 def unreached():
     """Qualified names of the ``src/repro`` definitions nothing reaches."""
     census = _Census()
-    for root in ROOTS:
-        for path in sorted(root.rglob("*.py")):
-            if "tests" not in path.relative_to(root).parts:
-                census.module(_module_name(path), ast.parse(path.read_text(), str(path)))
+    for module, tree in non_test_modules():
+        census.module(module, tree)
     reached = census.reached()
-    src_modules = {_module_name(p) for p in SRC.rglob("*.py")}
+    src_modules = _src_modules()
     return sorted(
         qual for entries in census.defs.values() for qual, _, _ in entries
         if qual not in reached and qual.split(":")[0] in src_modules
@@ -258,3 +275,281 @@ def test_the_walk_follows_attributes_strings_and_self():
     reached = census.reached()
     assert {"m:A", "m:A.used", "m:A.helper", "m:by_string"} <= reached
     assert not {"m:A.by_name", "m:B.helper"} & reached
+
+
+# -- The options census -----------------------------------------------------
+#
+# A settable value that only tests set is an option with one setting in
+# use: a constant.  Three rules, all matched by name like the walk above:
+#
+# * every defaulted parameter of a module-level function or method in
+#   ``src/repro`` is passed by some non-test call of that name, by
+#   keyword or positionally at or past its index (``main`` and nested
+#   functions are skipped; a ``*``/``**`` call passes every parameter,
+#   but ``replace(x, **kw)`` spells its fields as data and passes none).
+#   ``__init__`` parameters and dataclass fields match calls of the class
+#   name (or of a subclass that inherits the ``__init__``), ``cls(...)`` in
+#   its classmethods, ``super().__init__(...)`` in a subclass and
+#   ``replace(..., name=)``; ``partial(f, ...)`` is a call of ``f``.
+#   Fields built with ``default_factory`` or ``init=False`` are exempt;
+# * every ``bool`` or ``str`` field of a ``repro.config`` dataclass is set
+#   somewhere; the numeric fields are the calibration table and exempt;
+# * every dataclass field in ``src/repro`` is read somewhere: an attribute
+#   load or an identifier-like string of its name.
+#
+# An entry reads ``module:Owner(name)`` for a value nothing sets and
+# ``module:Class.field`` for a field nothing reads.
+
+#: settable value -> why it stays although only tests set or read it
+KEEP_OPTIONS = {
+    "cluster.cluster:Cluster(node_overrides)":
+        "the paper's section-2 mixed-MTU pair, which the CLIC edge tests drive into peer death",
+    "protocols.clic.module:ClicModule.send(ptype)":
+        "kernel-function packets (paper section 3.1)",
+    "protocols.clic.api:ClicEndpoint.send_confirm(tag)":
+        "CLIC's confirmed send, part of the paper's section-5 API",
+    "protocols.clic.api:ClicEndpoint.send_confirm(payload)":
+        "CLIC's confirmed send, part of the paper's section-5 API",
+    "protocols.clic.api:ClicEndpoint.recv_nonblocking(tag)":
+        "CLIC's non-blocking receive, part of the paper's section-5 API",
+    "protocols.clic.api:ClicEndpoint.recv_nonblocking(src)":
+        "CLIC's non-blocking receive, part of the paper's section-5 API",
+    "sim.core:Process.interrupt(cause)":
+        "what the interrupter passes; Interrupt.cause carries it",
+    "obs.metrics:TimeSeriesSampler(max_samples)":
+        "the leak cap on a long run's samples, which tests lower",
+    "validate.shrink:shrink(max_runs)":
+        "the shrinker's budget, which tests lower to keep a failing case quick",
+    "obs.metrics:Gauge(name)":
+        "MetricsRegistry._get builds every instrument as cls(name, *args)",
+    "obs.metrics:TimeSeries(name)":
+        "MetricsRegistry._get builds every instrument as cls(name, *args)",
+    "obs.metrics:TimeSeries(unit)":
+        "MetricsRegistry._get builds every instrument as cls(name, *args)",
+    "obs.export:RunArtifact.quick":
+        "jsonable writes every field of the artifact into its JSON",
+}
+
+_SWITCH_TYPES = {"bool", "str"}
+
+
+def _decorators(node):
+    return {_base_name(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+
+
+def _keywords(node):
+    """``{keyword: value}`` of a call node; ``{}`` for anything else."""
+    if not isinstance(node, ast.Call):
+        return {}
+    return {k.arg: k.value for k in node.keywords}
+
+
+class _Options:
+    """Settable values by name, and the calls and reads that use them."""
+
+    def __init__(self):
+        #: value -> (names of the calls that pass it, keyword, position or
+        #: None, whether ``replace(..., name=)`` sets it)
+        self.options = {}
+        #: dataclass field -> its name
+        self.fields = {}
+        #: call name -> [(positional count, keyword names, starred)]
+        self.calls = {}
+        #: attribute names and identifier-like strings non-test code reads
+        self.reads = set()
+        #: class name -> names whose calls run its ``__init__``
+        self.callers = {}
+        self.bases = {}
+        self.own_init = set()
+
+    def call(self, name, node, skip=0):
+        if name is None:
+            return
+        args = node.args[skip:]
+        star = (any(isinstance(a, ast.Starred) for a in args)
+                or any(k.arg is None for k in node.keywords))
+        self.calls.setdefault(name, []).append(
+            (len(args), {k.arg for k in node.keywords}, star))
+
+    def module(self, module, tree, src=True):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                self.call(_base_name(node.func), node)
+                if _base_name(node.func) == "partial" and node.args:
+                    self.call(_base_name(node.args[0]), node, skip=1)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                self.reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                self.reads.update(part for part in re.split(r"[.:]", node.value)
+                                  if _IDENT.fullmatch(part))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                self.klass(module, stmt, src)
+            elif isinstance(stmt, ast.FunctionDef) and src:
+                self.function(f"{module}:{stmt.name}", stmt, {stmt.name}, offset=0)
+
+    def function(self, qual, fn, names, offset, replaceable=False):
+        if fn.name == "main":
+            return
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            self.options[f"{qual}({arg.arg})"] = (names, arg.arg, index - offset, replaceable)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                self.options[f"{qual}({arg.arg})"] = (names, arg.arg, None, replaceable)
+
+    def klass(self, module, cls, src):
+        names = self.callers.setdefault(cls.name, {cls.name})
+        bases = self.bases.setdefault(cls.name, set(filter(None, map(_base_name, cls.bases))))
+        dataclass = "dataclass" in _decorators(cls)
+        if dataclass:
+            self.own_init.add(cls.name)
+        for stmt in cls.body:
+            if not isinstance(stmt, ast.FunctionDef):
+                continue
+            decorators = _decorators(stmt)
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                if "classmethod" in decorators and _base_name(node.func) == "cls":
+                    self.call(cls.name, node)
+                elif (isinstance(node.func, ast.Attribute) and node.func.attr == "__init__"
+                      and isinstance(node.func.value, ast.Call)
+                      and _base_name(node.func.value.func) == "super"):
+                    for base in bases:
+                        self.call(base, node)
+            if stmt.name == "__init__":
+                self.own_init.add(cls.name)
+                if src:
+                    self.function(f"{module}:{cls.name}", stmt, names, offset=1)
+            elif src and not stmt.name.startswith("__"):
+                offset = 0 if "staticmethod" in decorators else 1
+                self.function(f"{module}:{cls.name}.{stmt.name}", stmt, {stmt.name}, offset)
+        if dataclass and src:
+            self.dataclass(module, cls, names)
+
+    def dataclass(self, module, cls, names):
+        kw_only = any(isinstance(d, ast.Call) and "kw_only" in _keywords(d)
+                      for d in cls.decorator_list)
+        position = 0
+        for stmt in cls.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            kind = ast.unparse(stmt.annotation).strip("'\"")
+            if "ClassVar" in kind:
+                continue
+            name = stmt.target.id
+            self.fields[f"{module}:{cls.name}.{name}"] = name
+            spec = _keywords(stmt.value) if _base_name(getattr(stmt.value, "func", None)) == "field" else {}
+            init = spec.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            index, position = position, position + 1
+            if "default_factory" in spec:
+                continue
+            if module == "config" and kind not in _SWITCH_TYPES:
+                continue  # a cost: the calibration table
+            if stmt.value is None and module != "config":
+                continue  # a required field is passed wherever the class is built
+            self.options[f"{module}:{cls.name}({name})"] = (
+                names, name, None if kw_only else index, True)
+
+    def inherit_inits(self):
+        """Calls of a subclass without its own ``__init__`` run its base's."""
+        for cls, names in self.callers.items():
+            todo = [cls]
+            while todo:
+                base = todo.pop()
+                for sub, bases in self.bases.items():
+                    if base in bases and sub not in self.own_init and sub not in names:
+                        names.add(sub)
+                        todo.append(sub)
+
+    def passed(self, names, keyword, position, replaceable):
+        calls = [c for name in names for c in self.calls.get(name, ())]
+        if replaceable:
+            calls += [(0, kws, False) for _, kws, _ in self.calls.get("replace", ())]
+        return any(star or keyword in kws or (position is not None and count > position)
+                   for count, kws, star in calls)
+
+    def unset(self):
+        self.inherit_inits()
+        return sorted(q for q, option in self.options.items() if not self.passed(*option))
+
+    def unread(self):
+        return sorted(q for q, name in self.fields.items() if name not in self.reads)
+
+
+@functools.lru_cache(maxsize=None)
+def options_only_tests_use():
+    """Settable values only tests set, and dataclass fields only tests read."""
+    census = _Options()
+    src_modules = _src_modules()
+    for module, tree in non_test_modules():
+        census.module(module, tree, src=module in src_modules)
+    return census.unset() + census.unread()
+
+
+def test_every_option_is_set_and_every_field_read_or_kept():
+    unused = [q for q in options_only_tests_use() if q not in KEEP_OPTIONS]
+    assert not unused, f"options only tests set, fields only tests read (delete or keep them): {unused}"
+
+
+def test_every_keep_options_entry_names_an_unused_option():
+    stale = sorted(set(KEEP_OPTIONS) - set(options_only_tests_use()))
+    assert not stale, f"KEEP_OPTIONS entries that are used or gone: {stale}"
+
+
+def test_the_options_census_follows_calls_replace_and_reads():
+    census = _Options()
+    census.module("config", ast.parse(textwrap.dedent("""
+        @dataclass(frozen=True)
+        class Params:
+            cost_ns: float = 1.0
+            flag: bool = False
+            mode: str = "a"
+    """)))
+    census.module("m", ast.parse(textwrap.dedent("""
+        def f(a, b=1, c=2, *, d=3, e=4):
+            pass
+
+        def g(x=0):
+            pass
+
+        class K:
+            def __init__(self, x=0, y=0):
+                pass
+
+            @classmethod
+            def make(cls):
+                return cls(y=1)
+
+            def m(self, p=0, q=0):
+                pass
+
+        class Sub(K):
+            pass
+
+        @dataclass
+        class D:
+            kept: int = 0
+            replaced: int = 0
+            state: int = field(default=0, init=False)
+            items: list = field(default_factory=list)
+            unread: int = 0
+
+        def main(z=0):
+            f(0, 1, e=2)
+            g(**{})
+            Sub(5)
+            K().m(0)
+            D(1, unread=2).kept
+            replace(D(), replaced=3).replaced
+            replace(Params(), mode="b", **{"flag": True})
+            print(D().state, D().items)
+    """)))
+    assert census.unset() == ["config:Params(flag)", "m:K.m(q)", "m:f(c)", "m:f(d)"]
+    # "flag" is read: an identifier-like string counts, as in the walk
+    assert census.unread() == ["config:Params.cost_ns", "config:Params.mode", "m:D.unread"]

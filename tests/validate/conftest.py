@@ -68,7 +68,7 @@ def make_record(**overrides):
                 "0.0.down": _link(1),  # ack delivered to node 0
                 "1.0.down": _link(1),  # data delivered to node 1
             },
-            "nic": {"tx_frames": 2, "rx_frames": 2, "rx_crc_drops": 0,
+            "nic": {"tx_frames": 2, "rx_frames": 2,
                     "rx_oversize_drops": 0, "rx_drops": 0,
                     "rx_buffer_peak": 1, "rx_ring_slots": 256},
             "switch": {"forwarded": 2, "drops": 0, "blackout_drops": 0,
@@ -88,12 +88,11 @@ def make_record(**overrides):
     return record
 
 
-def _link(frames, lost=0, corrupted=0, duplicated=0):
+def _link(frames, lost=0, duplicated=0):
     return {
         "frames_offered": frames + lost - duplicated,
         "frames": frames,
         "frames_lost": lost,
-        "frames_corrupted": corrupted,
         "frames_duplicated": duplicated,
     }
 

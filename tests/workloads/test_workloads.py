@@ -67,8 +67,8 @@ def test_sweep_series_is_a_sequence():
 
     series = SweepSeries("s")
     assert len(series) == 0 and list(series) == []
-    a = PingPongResult(nbytes=100, repeats=1, rtt_ns=10_000)
-    b = PingPongResult(nbytes=200, repeats=1, rtt_ns=12_000)
+    a = PingPongResult(nbytes=100, rtt_ns=10_000)
+    b = PingPongResult(nbytes=200, rtt_ns=12_000)
     series.add(a)
     series.add(b)
     assert len(series) == 2
