@@ -231,7 +231,7 @@ def _adversarial_run(kind: str, nbytes: int, messages: int) -> Dict:
     byte-identical.  :func:`shape_checks` asserts the degraded-mode
     conditions over ``summary`` and ``degraded``.
     """
-    from ..obs import JourneyRecorder, journey_latency_summary
+    from ..obs import journey_latency_summary, journeys_of
 
     plan, backpressure, queue_frames = _adversarial_setup(kind)
     cfg = replace(_cfg(SEEDS[0]), switch_backpressure=backpressure)
@@ -239,15 +239,14 @@ def _adversarial_run(kind: str, nbytes: int, messages: int) -> Dict:
     cluster.switch.queue_frames = queue_frames
     for port in cluster.switch.ports:
         port.queue.capacity = queue_frames
-    recorder = JourneyRecorder(cluster.env)
-    cluster.tracer.journeys = recorder
+    cluster.tracer.hop_log = []
     res = stream(cluster, clic_pair(), nbytes, messages=messages)
     metrics = cluster.metrics
     return {
         "kind": kind,
         "backpressure": backpressure,
         "goodput_mbps": res.bandwidth_mbps,
-        "summary": journey_latency_summary(recorder.as_dicts()),
+        "summary": journey_latency_summary(journeys_of(cluster.tracer.hop_log)),
         "degraded": {
             "dup_suppressed": _sum_counters(cluster, ".duplicates"),
             "reorder_buffered": _sum_counters(cluster, ".stashed"),
@@ -291,14 +290,13 @@ def _tail_latency(rate: float, nbytes: int, messages: int) -> Dict:
     whether loss/retransmission drove it there.  Runs serially (one
     cluster, one seed) so ``--jobs N`` artifacts stay byte-identical.
     """
-    from ..obs import JourneyRecorder, explain_outliers, journey_latency_summary
+    from ..obs import explain_outliers, journey_latency_summary, journeys_of
 
     cluster = Cluster(_cfg(SEEDS[0]), protocols=("clic",),
                       faults=_plan("burst", rate))
-    recorder = JourneyRecorder(cluster.env)
-    cluster.tracer.journeys = recorder
+    cluster.tracer.hop_log = []
     stream(cluster, clic_pair(), nbytes, messages=messages)
-    journeys = recorder.as_dicts()
+    journeys = journeys_of(cluster.tracer.hop_log)
     return {
         "rate": rate,
         "summary": journey_latency_summary(journeys),

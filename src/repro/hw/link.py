@@ -52,13 +52,10 @@ class Channel(Server):
         self.name = name
         self._sink: Optional[Callable[[Frame], None]] = None
         self.counters = Counter()
-        #: optional :class:`repro.obs.Tracer`; only its ``journeys``
-        #: attribute is consulted (for wire drop / duplicate events)
+        #: optional :class:`repro.obs.Tracer`; only its hop records are
+        #: written (wire drop / duplicate hops)
         self.tracer = tracer
         self.faults = faults
-
-    def _journeys(self):
-        return self.tracer.journeys if self.tracer is not None else None
 
     @property
     def idle(self) -> bool:
@@ -126,10 +123,10 @@ class Channel(Server):
         if decision.dropped:
             self.counters["frames_lost"] += 1
             self.counters["bytes_lost"] += frame.payload_bytes
-            journeys = self._journeys()
-            if journeys is not None:
-                journeys.hop(frame.payload, "wire_drop", "wire", link=self.name,
-                             reason=decision.verdict.value)
+            tracer = self.tracer
+            if tracer is not None and tracer.hop_log is not None:
+                tracer.hop(frame.payload, "wire_drop", "wire", link=self.name,
+                           reason=decision.verdict.value)
             return
         delay = self.params.propagation_ns + decision.extra_delay_ns
         if faults.has_congestion:
@@ -137,10 +134,10 @@ class Channel(Server):
         if decision.copies > 1:
             self.counters["frames_duplicated"] += decision.copies - 1
             self.counters["bytes_duplicated"] += frame.payload_bytes * (decision.copies - 1)
-            journeys = self._journeys()
-            if journeys is not None:
-                journeys.hop(frame.payload, "wire_dup", "wire", link=self.name,
-                             copies=decision.copies)
+            tracer = self.tracer
+            if tracer is not None and tracer.hop_log is not None:
+                tracer.hop(frame.payload, "wire_dup", "wire", link=self.name,
+                           copies=decision.copies)
         for _ in range(decision.copies):
             self.counters["frames"] += 1
             self.counters["bytes"] += frame.payload_bytes

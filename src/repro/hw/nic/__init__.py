@@ -1,6 +1,6 @@
 """Gigabit Ethernet NIC model."""
 
-from .base import Nic, RxFrame, TxDescriptor
+from .base import Nic, TxDescriptor
 from .frames import BROADCAST, EtherType, Frame, MacAddress, frame_time_ns, wire_bytes
 from .interrupts import InterruptCoalescer
 
@@ -11,7 +11,6 @@ __all__ = [
     "InterruptCoalescer",
     "MacAddress",
     "Nic",
-    "RxFrame",
     "TxDescriptor",
     "frame_time_ns",
     "wire_bytes",

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: link.py needs frames.py
 from .frames import EtherType, Frame, MacAddress, split_train
 from .interrupts import InterruptCoalescer
 
-__all__ = ["TxDescriptor", "RxFrame", "Nic"]
+__all__ = ["TxDescriptor", "Nic"]
 
 _desc_ids = itertools.count(1)
 
@@ -62,13 +62,6 @@ class TxDescriptor:
     #: flow-mode batch width: this descriptor stands for ``k`` equal-size
     #: frames (``payload_bytes`` is the train total; see repro.sim.flowmode)
     train_frames: int = 1
-
-
-@dataclass(slots=True)
-class RxFrame:
-    """A received frame waiting in (or delivered from) the NIC."""
-
-    frame: Frame
 
 
 class Nic:
@@ -105,7 +98,7 @@ class Nic:
         self._rx_depth_gauge = self.metrics.gauge(f"{name}.rx_buffer_depth")
 
         self._tx_ring: Store = Store(env, capacity=params.tx_ring_slots, name=f"{name}.txring")
-        self._rx_buffer: List[RxFrame] = []  # bounded by rx_ring_slots
+        self._rx_buffer: List[Frame] = []  # bounded by rx_ring_slots
         #: rx-buffer occupancy in *frame* units (a flow-mode train entry
         #: occupies ``train_frames`` ring descriptors) — equals
         #: ``len(_rx_buffer)`` whenever no train is buffered
@@ -122,7 +115,7 @@ class Nic:
         #: host-side IRQ trampoline, installed by the driver
         self.irq_callback: Optional[Callable[[], None]] = None
         #: push-mode per-frame host callback (GAMMA/VIA)
-        self.push_callback: Optional[Callable[[RxFrame], None]] = None
+        self.push_callback: Optional[Callable[[Frame], None]] = None
 
         self.coalescer = InterruptCoalescer(env, params, self._assert_irq, name=f"{name}.coalesce")
         #: on-card tx FIFO: decouples host-side DMA from wire serialization
@@ -158,15 +151,14 @@ class Nic:
         k = frame.train_frames
         self.counters["rx_frames"] += k
         self.counters["rx_bytes"] += frame.payload_bytes
-        journeys = self.tracer.journeys
         per_payload = frame.payload_bytes // k
         if per_payload > self.params.effective_mtu():
             # Jumbo interoperability (paper §2: "both communicating
             # computers have to use Jumbo frames"): an oversized frame is
             # dropped by a standard-MTU receiver.
             self.counters["rx_oversize_drops"] += k
-            if journeys is not None:
-                journeys.hop(frame.payload, "nic_drop", self.name, reason="oversize")
+            if self.tracer.hop_log is not None:
+                self.tracer.hop(frame.payload, "nic_drop", self.name, reason="oversize")
             return
         if self._collective is not None and self._collective.match(frame):
             # Collective frames are combined/forwarded on-card: they
@@ -179,30 +171,30 @@ class Nic:
             # as one unit, so materialize it and admit frame by frame —
             # partial admission and per-frame drops stay exact.
             for sub in split_train(frame):
-                self._admit(sub, journeys)
+                self._admit(sub)
             return
-        self._admit(frame, journeys)
+        self._admit(frame)
 
-    def _admit(self, frame: Frame, journeys) -> None:
+    def _admit(self, frame: Frame) -> None:
         """Ring admission for one (possibly train) frame; counts drops."""
         k = frame.train_frames
+        tracer = self.tracer
         if self._rx_occ + self._rx_claimed + k > self.params.rx_ring_slots:
             self.counters["rx_drops"] += k
-            if journeys is not None:
-                journeys.hop(frame.payload, "nic_drop", self.name, reason="overflow")
+            if tracer.hop_log is not None:
+                tracer.hop(frame.payload, "nic_drop", self.name, reason="overflow")
             return
-        if journeys is not None:
-            journeys.hop(frame.payload, "nic_rx", self.name,
-                         nbytes=frame.payload_bytes)
+        if tracer.hop_log is not None:
+            tracer.hop(frame.payload, "nic_rx", self.name,
+                       nbytes=frame.payload_bytes)
         self._rx_claimed += k  # hardware claims the descriptor(s) at arrival
-        rx = RxFrame(frame=frame)
         if self.rx_deliver == "push":
-            self.env.spawn(self._rx_push(rx), name=f"{self.name}.rx")
+            self.env.spawn(self._rx_push(frame), name=f"{self.name}.rx")
         else:
             # A zero-delay URGENT trampoline: ``_rx_begin`` (which opens
             # the span) runs where a process spawned now would start;
             # see Environment.defer.
-            self.env.call_later(0, partial(self._rx_begin, rx), URGENT)
+            self.env.call_later(0, partial(self._rx_begin, frame), URGENT)
 
     # ------------------------------------------------------------------
     # transmit path
@@ -293,10 +285,9 @@ class Nic:
             # Bus-master DMA: fetch the payload (plus headers) across PCI.
             yield from self.pci.dma(desc.payload_bytes, priority=2,
                                     label=self._tx_label, transactions=k)
-            journeys = self.tracer.journeys
-            if journeys is not None:
-                journeys.hop(desc.payload, "nic_dma", self.name,
-                             nbytes=desc.payload_bytes)
+            if self.tracer.hop_log is not None:
+                self.tracer.hop(desc.payload, "nic_dma", self.name,
+                                nbytes=desc.payload_bytes)
             mtu = self.params.effective_mtu()
             if k > 1 or desc.payload_bytes <= mtu:
                 # One frame, or one train of k frames (never split).
@@ -332,73 +323,72 @@ class Nic:
         while True:
             frame = yield self._tx_fifo.get()
             yield from self._tx_channel.transmit(frame)
-            journeys = self.tracer.journeys
-            if journeys is not None:
-                journeys.hop(frame.payload, "wire", self.name,
-                             nbytes=frame.payload_bytes)
+            if self.tracer.hop_log is not None:
+                self.tracer.hop(frame.payload, "wire", self.name,
+                                nbytes=frame.payload_bytes)
             self.counters["tx_frames"] += frame.train_frames
             self.counters["tx_bytes"] += frame.payload_bytes
 
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _rx_reassemble(self, rx: RxFrame, span) -> bool:
+    def _rx_reassemble(self, frame: Frame, span) -> bool:
         """Firmware fragment handling once a frame is processed on-card;
         False when the frame was absorbed into a partial reassembly."""
-        marker = rx.frame.payload if isinstance(rx.frame.payload, _FragmentMarker) else None
+        marker = frame.payload if isinstance(frame.payload, _FragmentMarker) else None
         if marker is not None and self.params.supports_fragmentation:
             # On-NIC reassembly: accumulate, deliver once complete.
             acc = self._reassembly.setdefault(marker.desc_id, [0])
-            acc[0] += rx.frame.payload_bytes
+            acc[0] += frame.payload_bytes
             if not marker.last:
                 self._rx_claimed -= 1  # fragment consumed on-card
                 span.end(reassembling=True)
                 return False
             total = acc[0]
             del self._reassembly[marker.desc_id]
-            rx.frame.payload_bytes = total
-            rx.frame.payload = marker.payload
+            frame.payload_bytes = total
+            frame.payload = marker.payload
             self.counters["rx_offload_reassembled"] += 1
         elif marker is not None:
             # Fragments but no offload on this side: hand up as-is; the
             # protocol module deals with it (interop corner, counted).
             self.counters["rx_fragment_no_offload"] += 1
-            rx.frame.payload = marker.payload
+            frame.payload = marker.payload
         return True
 
-    def _rx_push(self, rx: RxFrame) -> Generator:
+    def _rx_push(self, frame: Frame) -> Generator:
         """Push mode: process on-card, then DMA to host and call back."""
-        span = self.tracer.begin(self.name, "nic_rx", nbytes=rx.frame.payload_bytes)
-        k = rx.frame.train_frames
+        span = self.tracer.begin(self.name, "nic_rx", nbytes=frame.payload_bytes)
+        k = frame.train_frames
         yield self.env.timeout(self.params.frame_processing_ns * k)
-        if not self._rx_reassemble(rx, span):
+        if not self._rx_reassemble(frame, span):
             return
         # NIC pushes straight to host memory, then tells the host.
-        yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
+        yield from self.pci.dma(frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
         self._rx_claimed -= k  # descriptor recycled after the push
         if self.push_callback is not None:
-            self.push_callback(rx)
+            self.push_callback(frame)
         span.end(pushed=True)
 
-    def _rx_begin(self, rx: RxFrame) -> None:
+    def _rx_begin(self, frame: Frame) -> None:
         """irq-pull mode, first half: start on-card processing."""
         # Begun outside any process, the span takes a stack of its own
-        # (no parent, no children), keyed by the frame: unique while the
-        # frame is in flight.
-        span = self.tracer.begin(self.name, "nic_rx", owner=id(rx),
-                                 nbytes=rx.frame.payload_bytes)
-        self.env.call_later(self.params.frame_processing_ns * rx.frame.train_frames,
-                            partial(self._rx_buffer_frame, rx, span))
+        # (no parent, no children), keyed by a fresh object: unique per
+        # admission even when a duplicated frame arrives twice at once.
+        span = self.tracer.begin(self.name, "nic_rx", owner=object(),
+                                 nbytes=frame.payload_bytes)
+        self.env.call_later(self.params.frame_processing_ns * frame.train_frames,
+                            partial(self._rx_buffer_frame, frame, span))
 
-    def _rx_buffer_frame(self, rx: RxFrame, span) -> None:
+    def _rx_buffer_frame(self, frame: Frame, span) -> None:
         """irq-pull mode, second half: park the frame for the driver and
         feed the interrupt coalescer."""
-        if not self._rx_reassemble(rx, span):
+        if not self._rx_reassemble(frame, span):
             return
-        k = rx.frame.train_frames
+        k = frame.train_frames
         self._rx_claimed -= k  # claimed -> buffered
         self._rx_occ += k
-        self._rx_buffer.append(rx)
+        self._rx_buffer.append(frame)
         self._rx_depth_gauge.set(self._rx_occ)
         # Receiver-overrun accounting: the high-water mark the bounded-
         # memory invariant audits against ``rx_ring_slots``.
@@ -425,7 +415,7 @@ class Nic:
         """Free rx descriptors right now (flow-mode admission check)."""
         return self.params.rx_ring_slots - self._rx_occ - self._rx_claimed
 
-    def peek_rx(self) -> Optional[RxFrame]:
+    def peek_rx(self) -> Optional[Frame]:
         """The oldest pending rx frame without removing it (or None)."""
         return self._rx_buffer[0] if self._rx_buffer else None
 
@@ -435,17 +425,17 @@ class Nic:
         Charges the PCI transfer (one burst of ``train_frames``
         descriptor setups for a flow-mode train); the *caller* (the
         driver, in interrupt context) stays busy for its own per-frame
-        costs.  Returns the :class:`RxFrame`.
+        costs.  Returns the :class:`Frame`.
         """
         if not self._rx_buffer:
             raise RuntimeError(f"{self.name}: no pending rx frame")
-        rx = self._rx_buffer.pop(0)
-        self._rx_occ -= rx.frame.train_frames
+        frame = self._rx_buffer.pop(0)
+        self._rx_occ -= frame.train_frames
         self._rx_depth_gauge.set(self._rx_occ)
-        yield from self.pci.dma(rx.frame.payload_bytes, priority=2,
+        yield from self.pci.dma(frame.payload_bytes, priority=2,
                                 label=self._rx_label,
-                                transactions=rx.frame.train_frames)
-        return rx
+                                transactions=frame.train_frames)
+        return frame
 
     def irq_service_done(self) -> None:
         """Driver-side: drain finished; re-arm coalescing for the frames

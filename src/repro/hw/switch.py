@@ -102,10 +102,10 @@ class SwitchPort:
         switch = self.switch
         if self.blackouts and self.in_blackout(switch.env.now):
             switch.counters["blackout_drops"] += frame.train_frames
-            journeys = switch._journeys()
-            if journeys is not None:
-                journeys.hop(frame.payload, "switch_drop", "switch",
-                             port=self.index, reason="blackout")
+            tracer = switch.tracer
+            if tracer is not None and tracer.hop_log is not None:
+                tracer.hop(frame.payload, "switch_drop", "switch",
+                           port=self.index, reason="blackout")
             return True
         return False
 
@@ -115,16 +115,17 @@ class SwitchPort:
         if self._drop_for_blackout(frame):
             return
         k = frame.train_frames
-        journeys = self.switch._journeys()
+        tracer = self.switch.tracer
+        hops = tracer is not None and tracer.hop_log is not None
         if self.occupancy + k > self.queue.capacity:
             self.switch.counters["drops"] += k
-            if journeys is not None:
-                journeys.hop(frame.payload, "switch_drop", "switch",
-                             port=self.index, reason="overflow")
+            if hops:
+                tracer.hop(frame.payload, "switch_drop", "switch",
+                           port=self.index, reason="overflow")
             return
-        if journeys is not None:
-            journeys.hop(frame.payload, "switch", "switch",
-                         port=self.index, depth=self.occupancy)
+        if hops:
+            tracer.hop(frame.payload, "switch", "switch",
+                       port=self.index, depth=self.occupancy)
         self.queue.put(frame)
         self._note_depth()
 
@@ -139,10 +140,10 @@ class SwitchPort:
         """
         if self._drop_for_blackout(frame):
             return
-        journeys = self.switch._journeys()
-        if journeys is not None:
-            journeys.hop(frame.payload, "switch", "switch",
-                         port=self.index, depth=self.occupancy)
+        tracer = self.switch.tracer
+        if tracer is not None and tracer.hop_log is not None:
+            tracer.hop(frame.payload, "switch", "switch",
+                       port=self.index, depth=self.occupancy)
         if len(self.queue.items) >= self.queue.capacity:
             switch = self.switch
             switch.counters["pause_events"] += 1
@@ -187,12 +188,9 @@ class Switch:
         #: highest egress-queue occupancy seen on any port
         self.max_queue_depth = 0
         self._max_depth_gauge = None  # registered on first use
-        #: optional :class:`repro.obs.Tracer`; only its ``journeys``
-        #: attribute is consulted (the switch emits no spans)
+        #: optional :class:`repro.obs.Tracer`; only its hop records are
+        #: written (the switch emits no spans)
         self.tracer = tracer
-
-    def _journeys(self):
-        return self.tracer.journeys if self.tracer is not None else None
 
     def note_depth(self, depth: int) -> None:
         """Fold one port's high-water mark into the switch-wide gauge."""

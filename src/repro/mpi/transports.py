@@ -12,7 +12,9 @@ bindings are that mapping:
   is framed as a fixed-size envelope plus payload on the pair's stream
   (per-pair in-order matching, as MPICH's ch_p4 did).  The stream
   carries only byte counts, so each pair also queues the envelopes of
-  its messages in stream order beside it.
+  its messages in stream order beside it, and the receive sizes posted
+  for them: the n-th message and the n-th receive on a pair must agree
+  in size, checked by whichever of the two comes second.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Generator, Optional
+from typing import Deque, Dict, Generator, Optional, Tuple
 
 from ..protocols.clic import ClicEndpoint
 
@@ -71,20 +73,24 @@ class TcpTransport:
         self.rank = rank
         #: peer rank -> connected socket
         self.sockets: Dict[int, object] = {}
-        #: peer rank -> envelopes of its messages to us, in stream order
-        self._inbox: Dict[int, Deque[Envelope]] = {}
-        #: peer rank -> that peer's inbox of our messages
-        self._outbox: Dict[int, Deque[Envelope]] = {}
+        #: peer rank -> (envelopes of its messages to us, sizes we posted
+        #: for them), each in stream order and not yet received
+        self._inbox: Dict[int, Tuple[Deque[Envelope], Deque[int]]] = {}
+        #: peer rank -> that peer's inbox entry for our messages
+        self._outbox: Dict[int, Tuple[Deque[Envelope], Deque[int]]] = {}
 
     def connect(self, peer: "TcpTransport", socket) -> None:
         """Attach the connected socket to ``peer``'s rank."""
         self.sockets[peer.rank] = socket
-        self._outbox[peer.rank] = peer._inbox.setdefault(self.rank, deque())
+        self._outbox[peer.rank] = peer._inbox.setdefault(self.rank, (deque(), deque()))
 
     def send(self, dest_rank: int, nbytes: int, tag: int, payload=None) -> Generator:
         """Send ``nbytes`` (+envelope) on the pair's stream."""
         sock = self.sockets[dest_rank]
-        self._outbox[dest_rank].append(Envelope(source=self.rank, tag=tag, nbytes=nbytes))
+        envelopes, posted = self._outbox[dest_rank]
+        if len(envelopes) < len(posted):
+            _check_size(dest_rank, posted[len(envelopes)], nbytes)
+        envelopes.append(Envelope(source=self.rank, tag=tag, nbytes=nbytes))
         # Envelope + payload on the stream (one send call: MPICH batched
         # the header into the same writev).
         yield from sock.send(nbytes + ENVELOPE_BYTES)
@@ -100,14 +106,27 @@ class TcpTransport:
                 "binding (like ch_p4) matches per-pair in order — use the "
                 "CLIC transport for wildcard receives"
             )
+        envelopes, posted = self._inbox[source_rank]
+        if len(posted) < len(envelopes):
+            _check_size(self.rank, nbytes, envelopes[len(posted)].nbytes)
+        posted.append(nbytes)
         yield from self.sockets[source_rank].recv(nbytes + ENVELOPE_BYTES)
-        env = self._inbox[source_rank].popleft()
+        posted.popleft()
+        env = envelopes.popleft()
         if tag is not None and env.tag != tag:
             raise AssertionError(
                 f"rank {self.rank}: posted tag {tag} but the next message "
                 f"from rank {source_rank} has tag {env.tag}"
             )
         return env, None
+
+
+def _check_size(rank: int, posted: int, sent: int) -> None:
+    """A receive of ``posted`` bytes cannot take a ``sent``-byte message:
+    the stream would hand it a cut or a run-on message, or wait forever
+    for bytes nobody sends."""
+    if posted != sent:
+        raise AssertionError(f"rank {rank}: posted {posted} B but received {sent} B")
 
 
 def fresh_world_port() -> int:

@@ -7,10 +7,12 @@ reports its numbers through the instruments here:
 
 * :mod:`repro.obs.span` — span-based structured tracing (``begin``/
   ``end`` with parent links and per-node/per-subsystem scopes such as
-  ``node0.clic``) plus point instants — the run's one record stream;
-* :mod:`repro.obs.journey` — per-message causal tracing: every message
-  followed send → fragment → wire → reassembly → deliver as a
-  :class:`Journey` with per-hop waterfalls and retransmit genealogy;
+  ``node0.clic``), point instants and per-message hop records — the
+  run's one record stream;
+* :mod:`repro.obs.journey` — per-message causal tracing:
+  :func:`journeys_of` derives from the hop records every message's
+  journey send → fragment → wire → reassembly → deliver, with per-hop
+  waterfalls and retransmit genealogy;
 * :mod:`repro.obs.metrics` — typed instruments (:class:`Counter`,
   :class:`Gauge`, :class:`Histogram` with streaming p50/p95/p99/p99.9,
   :class:`TimeSeries` sampled on a cadence by
@@ -57,7 +59,7 @@ _LAZY = {
         "chrome_trace_json", "instants_of", "jsonable", "spans_of",
         "timeseries_of",
     ),
-    "journey": ("Journey", "JourneyRecorder"),
+    "journey": ("journeys_of",),
     "profile": ("EnvProfiler", "aggregate_profiles"),
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _LAZY)
@@ -69,8 +71,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Instant",
-    "Journey",
-    "JourneyRecorder",
     "LAYERS",
     "MetricsRegistry",
     "NULL_SPAN",
@@ -91,6 +91,7 @@ __all__ = [
     "instants_of",
     "journey_latency_summary",
     "journey_waterfall",
+    "journeys_of",
     "jsonable",
     "outlier_report",
     "scope_stats",

@@ -21,13 +21,13 @@ into exactly those budgets:
   driver/NIC/wire) the paper argues about;
 * :func:`journey_waterfall` / :func:`explain_outliers` /
   :func:`journey_latency_summary` — the per-message view: turn a
-  :class:`~repro.obs.journey.Journey` export dict into a waterfall of
+  journey dict of :func:`~repro.obs.journey.journeys_of` into a waterfall of
   per-hop latencies (telescoping, so segments sum exactly to the
   end-to-end latency) and name the dominant hop — and whether loss /
   retransmission was involved — for the p99/p99.9 journeys of a run.
 
 Everything operates on the *plain dict* export forms (``Span.to_dict``
-/ ``Journey.to_dict`` / instant-record dicts), so a
+/ :func:`~repro.obs.journey.journeys_of` / instant-record dicts), so a
 :class:`~repro.obs.RunArtifact` loaded from disk can be analyzed
 without live simulator objects.
 """

@@ -11,9 +11,12 @@ sim process and gets its own stack).
 
 Next to spans, the :class:`Tracer` keeps *instants*: point events that
 are not span edges (``driver_tx``, ``driver_rx``, ``module_rx``,
-``peer_dead``), in one append-ordered list.  Spans and instants are the
-run's only record stream; :func:`repro.obs.critical_path` derives the
-Figure-7 breakdown from their export dicts.
+``peer_dead``), in one append-ordered list, and, when asked to, *hop
+records*: one message fragment passing one stage of its journey (see
+:mod:`repro.obs.journey`).  These are the run's only record stream:
+:func:`repro.obs.critical_path` derives the Figure-7 breakdown from the
+span and instant export dicts, :func:`repro.obs.journeys_of` every
+message's journey from the hop records.
 
 Everything is cheap when tracing is disabled: one attribute check and a
 shared :data:`NULL_SPAN` singleton on the hot paths.
@@ -24,7 +27,7 @@ This module intentionally imports nothing from :mod:`repro.sim` — the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["Span", "Instant", "Tracer", "NULL_SPAN"]
 
@@ -145,11 +148,11 @@ class Tracer:
         self.env = env
         #: span/instant recording switch (``ClusterConfig.trace``)
         self.enabled = enabled
-        #: optional :class:`repro.obs.journey.JourneyRecorder`; ``None``
-        #: (the default) disables journey capture — instrumented hop
-        #: sites check this attribute inline, independent of span
-        #: tracing, so journeys can be on while spans are off
-        self.journeys = None
+        #: hop records ``(t, hop, scope, payload, detail)`` in record
+        #: order, or ``None`` (the default): not recording.  Hop sites
+        #: check it inline, independent of span tracing, so journeys can
+        #: be on while spans are off
+        self.hop_log: Optional[List[Tuple[float, str, str, Any, Dict[str, Any]]]] = None
         self._seq = 0
         #: every span ever begun, in begin order (deterministic ids)
         self.spans: List[Span] = []
@@ -158,10 +161,9 @@ class Tracer:
         self.instants: List[Instant] = []
 
     # -- span lifecycle --------------------------------------------------
-    def begin(self, scope: str, name: str, parent: Optional[Span] = None,
-              owner: Any = None, **attrs: Any) -> Span:
-        """Open a span; the parent defaults to the innermost open span of
-        the same simulated process.
+    def begin(self, scope: str, name: str, owner: Any = None, **attrs: Any) -> Span:
+        """Open a span; its parent is the innermost open span of the same
+        simulated process.
 
         ``owner`` stands in for the process when a span is begun from a
         callback rather than a process: spans nest within one owner.
@@ -171,12 +173,7 @@ class Tracer:
         now = self.env.now
         key = owner if owner is not None else getattr(self.env, "active_process", None)
         stack = self._stacks.get(key)
-        if parent is not None:
-            parent_id: Optional[int] = parent.span_id
-        elif stack:
-            parent_id = stack[-1].span_id
-        else:
-            parent_id = None
+        parent_id = stack[-1].span_id if stack else None
         self._seq += 1
         span = Span(self, self._seq, scope, name, now, parent_id, dict(attrs), key)
         self.spans.append(span)
@@ -205,6 +202,14 @@ class Tracer:
         if not self.enabled:
             return
         self.instants.append(Instant(self.env.now, scope, name, detail))
+
+    # -- hops ------------------------------------------------------------
+    def hop(self, payload: Any, hop: str, scope: str, **detail: Any) -> None:
+        """Record ``payload`` passing stage ``hop`` of its journey.
+
+        Callers check ``hop_log is not None`` first, and compute
+        ``detail`` only then."""
+        self.hop_log.append((self.env.now, hop, scope, payload, detail))
 
     def __repr__(self) -> str:
         return f"<Tracer spans={len(self.spans)} enabled={self.enabled}>"

@@ -101,8 +101,7 @@ class VendorDriver:
         yield from cpu.execute(self.params.irq_overhead_ns, PRIO_IRQ, label="drv_irq")
         drained = 0
         while self.nic.rx_pending() and drained < self.params.rx_budget_per_irq:
-            head = self.nic.peek_rx()
-            k = head.frame.train_frames
+            k = self.nic.peek_rx().train_frames
             if drained + k > self.params.rx_budget_per_irq:
                 # A train drains whole or not at all; leave it pending and
                 # let ``service_done`` schedule the next IRQ round.
@@ -118,25 +117,24 @@ class VendorDriver:
                 # directs (user memory if a receiver waits) and the
                 # module runs in-line from the handler.
                 yield from cpu.execute(self.params.rx_per_frame_ns * k, PRIO_IRQ, label="drv_rx_skb")
-            rx = yield from cpu.occupy(self.nic.dma_frame_to_host(), PRIO_IRQ, label="drv_rx_dma")
-            journeys = self.tracer.journeys
-            if journeys is not None:
-                journeys.hop(rx.frame.payload, "irq", self.name, direct=direct)
+            frame = yield from cpu.occupy(self.nic.dma_frame_to_host(), PRIO_IRQ, label="drv_rx_dma")
+            if self.tracer.hop_log is not None:
+                self.tracer.hop(frame.payload, "irq", self.name, direct=direct)
             skb = SkBuff(
-                payload_bytes=rx.frame.payload_bytes,
-                fragments=[(SYSTEM_MEMORY, rx.frame.payload_bytes)] if rx.frame.payload_bytes else [],
-                payload=rx.frame.payload,
+                payload_bytes=frame.payload_bytes,
+                fragments=[(SYSTEM_MEMORY, frame.payload_bytes)] if frame.payload_bytes else [],
+                payload=frame.payload,
                 direct_delivery=direct,
             )
             if self.tracer.enabled:
-                pkt = _pkt_id(rx.frame.payload)
-                frame_span.end(pkt=pkt, nbytes=rx.frame.payload_bytes)
+                pkt = _pkt_id(frame.payload)
+                frame_span.end(pkt=pkt, nbytes=frame.payload_bytes)
                 self.tracer.instant(self.name, "driver_rx",
-                                    pkt=pkt, t0=t0, nbytes=rx.frame.payload_bytes)
+                                    pkt=pkt, t0=t0, nbytes=frame.payload_bytes)
             if direct:
-                yield from self.kernel.direct_rx(rx.frame.ethertype, skb)
+                yield from self.kernel.direct_rx(frame.ethertype, skb)
             else:
-                self.kernel.deliver_rx(rx.frame.ethertype, skb, in_irq_context=True)
+                self.kernel.deliver_rx(frame.ethertype, skb, in_irq_context=True)
             drained += k
         self.counters["rx_frames"] += drained
         irq_span.end(drained=drained)

@@ -264,9 +264,11 @@ class ClicModule:
         msg_id = next(self._msg_ids)
         span = self.tracer.begin(self.scope, "clic_send",
                                  dst=dst_node, nbytes=nbytes, msg=msg_id)
-        journeys = self.tracer.journeys
-        if journeys is not None:
-            journeys.begin(node_id, msg_id, dst_node, port, nbytes, self.scope)
+        tracer = self.tracer
+        hops = tracer.hop_log is not None
+        if hops:
+            tracer.hop(None, "send", self.scope, src_node=node_id, msg_id=msg_id,
+                       port=port, dst=dst_node, nbytes=nbytes)
         sender = self._sender(dst_node)
         if remote_write:
             ptype = _REMOTE_WRITE
@@ -283,7 +285,7 @@ class ClicModule:
         flow = self.env.flow
         trainable = (
             flow is not None
-            and journeys is None
+            and not hops
             and len(self.node.drivers) == 1
             and ptype in _TRAINABLE
         )
@@ -307,9 +309,10 @@ class ClicModule:
             else:
                 item = run = ClicTrain(head, k)
             head.seq = sender.register_run(run)
-            if journeys is not None:
+            if hops:
                 for pkt in run:
-                    journeys.fragment(pkt, self.scope)
+                    tracer.hop(pkt, "fragment", self.scope, seq=pkt.seq,
+                               offset=pkt.frag_offset, nbytes=pkt.frag_bytes)
             yield from self._tx_run(item)
             index += k
         self.counters["msgs_sent"] += 1
@@ -386,10 +389,10 @@ class ClicModule:
             skb = SkBuff.for_system_payload(nbytes, payload=item)
         skb.push_header("clic", self.params.header_bytes * k)
         accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
-        journeys = self.tracer.journeys
-        if journeys is not None:
+        if self.tracer.hop_log is not None:
             for pkt in (item,) if k == 1 else item:
-                journeys.tx(pkt, self.scope, accepted)
+                self.tracer.hop(pkt, "tx_queue", self.scope, seq=pkt.seq,
+                                accepted=accepted)
         if accepted:
             self.counters["pkts_tx"] += k
             span.end(accepted=True)
@@ -430,14 +433,14 @@ class ClicModule:
     def _retransmit(self, dst_node: int, packets: List[ClicPacket], kind: str) -> None:
         """WindowedSender retransmit callback: re-emit in a kernel process.
 
-        With journeys on, each packet's next transmission is noted now as
-        a retransmit child of ``kind`` (``"fast"``, ``"partial_ack"`` or
-        ``"rto"``), before the re-emitting process is spawned.
+        With hops recorded, each packet's ``retx`` hop names ``kind``
+        (``"fast"``, ``"partial_ack"`` or ``"rto"``) now, before the
+        re-emitting process is spawned; the packet's next transmission
+        is its retransmit child of that kind.
         """
-        journeys = self.tracer.journeys
-        if journeys is not None:
+        if self.tracer.hop_log is not None:
             for pkt in packets:
-                journeys.note_retransmit(pkt, kind)
+                self.tracer.hop(pkt, "retx", self.scope, kind=kind)
 
         def _do() -> Generator:
             for pkt in packets:
@@ -454,7 +457,7 @@ class ClicModule:
             flow = self.env.flow
             route = (flow.express_ack_route(self.node_id, dst_node, self.env.now)
                      if flow is not None and len(self.node.drivers) == 1
-                     and self.tracer.journeys is None else None)
+                     and self.tracer.hop_log is None else None)
             if route is not None:
                 # Flow-mode express lane: the whole reverse path is
                 # provably quiet, so charge the same local CPU work in
@@ -548,9 +551,8 @@ class ClicModule:
         self.tracer.instant(
             self.scope, "module_rx", pkt=pkt.packet_id, nbytes=pkt.frag_bytes,
         )
-        journeys = self.tracer.journeys
-        if journeys is not None:
-            journeys.hop(pkt, "bh", self.scope, direct=direct)
+        if self.tracer.hop_log is not None:
+            self.tracer.hop(pkt, "bh", self.scope, direct=direct)
         if pkt.ptype is _BCAST:
             self._rx_ready.append(pkt)  # unreliable: no sequencing
         else:
@@ -640,16 +642,17 @@ class ClicModule:
             yield from self.kernel.copy_system_to_user(nbytes, PRIO_SOFTIRQ, setups=k)
 
         partial.received += nbytes
-        journeys = self.tracer.journeys
-        if journeys is not None:
-            journeys.hop(pkt, "reassembly", self.scope,
-                         received=partial.received, total=partial.msg_bytes)
+        tracer = self.tracer
+        hops = tracer.hop_log is not None
+        if hops:
+            tracer.hop(pkt, "reassembly", self.scope,
+                       received=partial.received, total=partial.msg_bytes)
         if not reassembled(partial, pkt):
             return
         # Message complete.
         del self._partials[key]
-        if journeys is not None:
-            journeys.deliver(pkt, self.scope, nbytes=partial.msg_bytes)
+        if hops:
+            tracer.hop(pkt, "deliver", self.scope, nbytes=partial.msg_bytes)
         if pkt.ptype is _KERNEL_FN:
             handler = self._kernel_fns.get(pkt.tag)
             if handler is None:

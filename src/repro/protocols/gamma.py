@@ -28,7 +28,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config import GammaParams
 from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL
-from ..hw.nic import EtherType, RxFrame, TxDescriptor
+from ..hw.nic import EtherType, Frame, TxDescriptor
 from ..oskernel import SkBuff, UserProcess
 from ..sim import Event
 from .headers import GammaPacket, Reassembly, fragment_plan, reassembled
@@ -123,11 +123,11 @@ class GammaLayer:
         return result
 
     # -- receive (interrupt context, modified driver) -------------------------
-    def _on_push(self, rx: RxFrame) -> None:
-        self.kernel.irq.raise_irq(lambda rx=rx: self._rx_handler(rx), label="gamma.rx")
+    def _on_push(self, frame: Frame) -> None:
+        self.kernel.irq.raise_irq(lambda frame=frame: self._rx_handler(frame), label="gamma.rx")
 
-    def _rx_handler(self, rx: RxFrame) -> Generator:
-        pkt: GammaPacket = rx.frame.payload
+    def _rx_handler(self, frame: Frame) -> Generator:
+        pkt: GammaPacket = frame.payload
         yield from self.kernel.cpu.execute(self.params.port_rx_ns, PRIO_IRQ, label="gamma_rx")
         # Data was DMA'd directly into the destination user buffer by the
         # patched driver: no further copy.

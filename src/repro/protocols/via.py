@@ -24,7 +24,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config import ViaParams
 from ..hw.cpu import PRIO_USER
-from ..hw.nic import EtherType, RxFrame, TxDescriptor
+from ..hw.nic import EtherType, Frame, TxDescriptor
 from .headers import Reassembly, ViaPacket, fragment_plan, reassembled
 
 __all__ = ["ViaNic", "VirtualInterface", "ViaMessage"]
@@ -138,8 +138,8 @@ class ViaNic:
         return vi
 
     # -- NIC push: data already in user memory; write the CQ entry -------------
-    def _on_push(self, rx: RxFrame) -> None:
-        pkt: ViaPacket = rx.frame.payload
+    def _on_push(self, frame: Frame) -> None:
+        pkt: ViaPacket = frame.payload
         vi = self._vis.get(pkt.vi_id)
         if vi is None:
             # No receive descriptor posted: VIA drops (counted).

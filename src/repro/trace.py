@@ -183,8 +183,8 @@ def capture_fig4_point(
     from .cluster import Cluster
     from .config import granada2003
     from .faults import FaultPlan
-    from .obs import (JourneyRecorder, RunArtifact, TimeSeriesSampler,
-                      instants_of, journey_latency_summary, spans_of,
+    from .obs import (RunArtifact, TimeSeriesSampler, instants_of,
+                      journey_latency_summary, journeys_of, spans_of,
                       timeseries_of)
     from .workloads.adapters import clic_pair
     from .workloads.pingpong import stream
@@ -199,8 +199,7 @@ def capture_fig4_point(
     cfg = dataclasses.replace(granada2003(mtu=1500), seed=seed)
     cluster = Cluster(cfg, protocols=("clic",),
                       faults=faults if loss > 0 else None)
-    recorder = JourneyRecorder(cluster.env)
-    cluster.tracer.journeys = recorder
+    cluster.tracer.hop_log = []
     sampler = TimeSeriesSampler(cluster.env, interval_ns=50_000.0)
     frag_bytes = attrgetter("frag_bytes")  # the in-flight sum runs in C
     for node in cluster.nodes:
@@ -228,7 +227,7 @@ def capture_fig4_point(
         res = stream(cluster, clic_pair(), nbytes, messages=messages)
     finally:
         sampler.stop()
-    journeys = recorder.as_dicts()
+    journeys = journeys_of(cluster.tracer.hop_log)
     profiler = cluster.env.profiler
     artifact = RunArtifact(
         experiment="fig4.point",

@@ -127,20 +127,19 @@ def test_journey_tracing_is_bit_identical():
     """Journey tracing forces the exact path (per-frame identity must
     stay observable), so a traced ``auto`` run matches a traced ``off``
     run bit for bit."""
-    from repro.obs import JourneyRecorder
+    from repro.obs import journeys_of
 
     results = {}
     for mode in ("off", "auto"):
         cluster = Cluster(_cfg(mode), protocols=("clic",))
-        recorder = JourneyRecorder(cluster.env)
-        cluster.tracer.journeys = recorder
+        cluster.tracer.hop_log = []
         res = stream(cluster, clic_pair(), 300_000, messages=3)
         if mode == "auto":
             assert cluster.env.flow.counters.get("trains", 0) == 0
             assert cluster.env.flow.counters.get("acks_express", 0) == 0
         results[mode] = (res.elapsed_ns, res.nbytes_total,
                          cluster.env.profiler.events_processed,
-                         _snapshot(cluster), len(recorder))
+                         _snapshot(cluster), len(journeys_of(cluster.tracer.hop_log)))
     assert results["off"] == results["auto"]
 
 

@@ -288,23 +288,14 @@ def test_channel_jitter_can_reorder_frames():
 
 
 def test_wire_drop_and_dup_journey_hops():
-    from types import SimpleNamespace
-
     from repro.faults import Duplication, LinkFaultSpec
-
-    class _JourneyLog:
-        """Minimal journey index standing in for the cluster tracer's."""
-
-        def __init__(self):
-            self.hops = []
-
-        def hop(self, payload, hop, scope, **detail):
-            self.hops.append((hop, detail))
+    from repro.obs import Tracer
 
     env = Environment()
-    log = _JourneyLog()
+    tracer = Tracer(env)
+    tracer.hop_log = []
     spec = LinkFaultSpec(loss_rate=0.5, duplicate=Duplication(rate=1.0))
-    chan = _faulted_channel(env, spec, tracer=SimpleNamespace(journeys=log))
+    chan = _faulted_channel(env, spec, tracer=tracer)
     chan.connect(lambda f: None)
 
     def burst(env):
@@ -313,11 +304,12 @@ def test_wire_drop_and_dup_journey_hops():
 
     env.process(burst(env))
     env.run()
-    kinds = {h for h, _ in log.hops}
+    hops = [(h, d) for _, h, _, _, d in tracer.hop_log]
+    kinds = {h for h, _ in hops}
     assert kinds == {"wire_drop", "wire_dup"}
-    drop_reasons = {d["reason"] for h, d in log.hops if h == "wire_drop"}
+    drop_reasons = {d["reason"] for h, d in hops if h == "wire_drop"}
     assert drop_reasons == {"lost"}
-    assert all(d["copies"] >= 2 for h, d in log.hops if h == "wire_dup")
+    assert all(d["copies"] >= 2 for h, d in hops if h == "wire_dup")
 
 
 def test_congestion_stretches_serialization_and_adds_latency():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import LinkParams, NicParams, PciParams
 from repro.hw import Channel, PciBus
-from repro.hw.nic import EtherType, Frame, MacAddress, Nic, RxFrame, TxDescriptor
+from repro.hw.nic import EtherType, Frame, MacAddress, Nic, TxDescriptor
 from repro.hw.nic.interrupts import InterruptCoalescer
 from repro.sim import Environment
 
@@ -183,7 +183,7 @@ def test_dma_frame_to_host_moves_oldest():
     def drain(env):
         first = yield from nic.dma_frame_to_host()
         second = yield from nic.dma_frame_to_host()
-        return (first.frame.payload_bytes, second.frame.payload_bytes)
+        return (first.payload_bytes, second.payload_bytes)
 
     assert env.run(env.process(drain(env))) == (100, 200)
 
@@ -203,11 +203,11 @@ def test_push_mode_delivers_to_callback_without_irq():
     env = Environment()
     nic, _ = make_nic(env, rx_deliver="push")
     got = []
-    nic.push_callback = lambda rx: got.append(rx)
+    nic.push_callback = got.append
     nic.receive_frame(Frame(src=MacAddress(2), dst=MacAddress(1), ethertype=EtherType.CLIC, payload_bytes=700))
     env.run()
     assert len(got) == 1
-    assert got[0].frame.payload_bytes == 700
+    assert got[0].payload_bytes == 700
     assert nic.counters["irqs_asserted"] == 0
 
 
@@ -261,5 +261,24 @@ def test_per_frame_objects_are_slotted():
     ``__slots__`` (no per-instance ``__dict__``), which halves their
     footprint and speeds attribute access on the hot path."""
     frame = Frame(MacAddress(1), MacAddress(2), EtherType.CLIC, 1400)
-    for obj in (frame, desc(1400), RxFrame(frame)):
+    for obj in (frame, desc(1400)):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_a_duplicated_frame_opens_two_unparented_rx_spans():
+    """A duplication fault hands the same Frame object to the NIC twice
+    at one instant; each admission keys its ``nic_rx`` span by a fresh
+    owner, so neither copy's span nests under the other's."""
+    from repro.cluster import Cluster
+    from repro.config import granada2003
+    from repro.faults import FaultPlan
+    from repro.workloads.adapters import clic_pair
+    from repro.workloads.pingpong import stream
+
+    cluster = Cluster(granada2003(trace=True), protocols=("clic",),
+                      faults=FaultPlan.duplication(1.0))
+    stream(cluster, clic_pair(), 16_384, messages=2)
+    spans = [s for s in cluster.tracer.spans if s.name == "nic_rx"]
+    starts = [(s.scope, s.start_ns) for s in spans]
+    assert len(set(starts)) < len(starts)  # copies admitted at one instant
+    assert all(s.parent_id is None for s in spans)

@@ -72,29 +72,21 @@ def test_no_livelock_with_per_frame_irq_driver():
 
 
 # -- port-level backpressure unit tests --------------------------------------
-from types import SimpleNamespace
-
 from repro.config import LinkParams
 from repro.faults import OutageWindow
 from repro.hw import Channel, Switch
 from repro.hw.nic.frames import EtherType, Frame, MacAddress, frame_time_ns
+from repro.obs import Tracer
 from repro.sim import Environment
 
 LINK = LinkParams()
 
 
-class _JourneyLog:
-    """Captures journey hops the way the real journey index records them."""
-
-    def __init__(self):
-        self.hops = []
-
-    def hop(self, payload, hop, scope, **detail):
-        self.hops.append((hop, detail))
-
-
-def _switch_with_port(queue_frames, backpressure="drop", tracer=None):
+def _switch_with_port(queue_frames, backpressure="drop", record_hops=False):
     env = Environment()
+    tracer = Tracer(env)
+    if record_hops:
+        tracer.hop_log = []
     switch = Switch(env, LINK, tracer=tracer, backpressure=backpressure)
     switch.queue_frames = queue_frames
     egress = Channel(env, LINK, "sw->n1")
@@ -111,9 +103,7 @@ def _frame(n=0):
 def test_enqueue_drops_at_exactly_full_capacity():
     """The overflow check is >= capacity: the first frame past a full
     queue is dropped, counted, and never touches the queue."""
-    journeys = _JourneyLog()
-    env, switch, port = _switch_with_port(
-        2, tracer=SimpleNamespace(journeys=journeys))
+    env, switch, port = _switch_with_port(2, record_hops=True)
     port.enqueue(_frame(0))
     port.enqueue(_frame(1))
     assert len(port.queue.items) == 2
@@ -121,7 +111,7 @@ def test_enqueue_drops_at_exactly_full_capacity():
     port.enqueue(_frame(2))
     assert len(port.queue.items) == 2  # untouched
     assert switch.metrics.value("switch.drops") == 1
-    drop_hops = [d for h, d in journeys.hops if h == "switch_drop"]
+    drop_hops = [d for _, h, _, _, d in switch.tracer.hop_log if h == "switch_drop"]
     assert drop_hops == [{"port": 0, "reason": "overflow"}]
 
 

@@ -134,6 +134,32 @@ def test_recv_of_another_size_and_tag_raises(transport, error):
         build_world(make_cluster(), transport=transport).run(program)
 
 
+@pytest.mark.parametrize("first", ["send", "recv"])
+def test_tcp_recv_posted_larger_than_the_next_message_raises(first):
+    """Rank 0 sends 100 B; rank 1 posts 200 B.  The stream would wait
+    for bytes nobody sends; the pair's size check raises instead, as
+    CLIC's receive does, whether the send or the receive comes first
+    (a 1-byte message orders them)."""
+    def program(ctx):
+        if ctx.rank == 0:
+            if first == "send":
+                yield from ctx.send(1, 1)
+            else:
+                yield from ctx.recv(1, source=1)
+            yield from ctx.send(1, 100, tag=3)
+        else:
+            if first == "send":
+                yield from ctx.recv(1, source=0)
+            else:
+                yield from ctx.send(0, 1)
+            yield from ctx.recv(200, source=0, tag=3)
+
+    with pytest.raises(AssertionError, match="posted 200 B but received 100 B") as raised:
+        build_world(make_cluster(), transport="tcp").run(program)
+    # the second of the two calls raised
+    assert raised.traceback[-2].name == ("recv" if first == "send" else "send")
+
+
 def test_rank_out_of_range_rejected():
     cluster = make_cluster()
 

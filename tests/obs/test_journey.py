@@ -20,12 +20,13 @@ from repro.cluster import Cluster
 from repro.config import granada2003
 from repro.faults import FaultPlan
 from repro.obs import (
-    JourneyRecorder,
     RunArtifact,
+    Tracer,
     chrome_trace_json,
     explain_outliers,
     journey_latency_summary,
     journey_waterfall,
+    journeys_of,
     outlier_report,
     waterfall_table,
 )
@@ -39,10 +40,9 @@ def _traced_stream(nbytes, messages, faults=None, seed=42):
     metrics snapshot)."""
     cfg = dataclasses.replace(granada2003(mtu=1500), seed=seed)
     cluster = Cluster(cfg, protocols=("clic",), faults=faults)
-    recorder = JourneyRecorder(cluster.env)
-    cluster.tracer.journeys = recorder
+    cluster.tracer.hop_log = []
     res = stream(cluster, clic_pair(), nbytes, messages=messages)
-    return res, recorder.as_dicts(), cluster.metrics.snapshot()
+    return res, journeys_of(cluster.tracer.hop_log), cluster.metrics.snapshot()
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +213,7 @@ def test_artifact_roundtrip_preserves_journeys_and_timeseries(tmp_path, lossy_ru
                                  art.timeseries))
 
 
-# -- JourneyRecorder.hop branches -------------------------------------------
+# -- journeys_of over Tracer.hop records -----------------------------------
 class _Clock:
     now = 0.0
 
@@ -223,47 +223,51 @@ def _packet(src=0, msg=7, pkt=11):
                            frag_offset=0, frag_bytes=100)
 
 
-def _recorder():
+def _tracer():
+    """A tracer recording hops, with one journey (node 0, msg 7) open."""
     clock = _Clock()
-    rec = JourneyRecorder(clock)
-    rec.begin(0, 7, dst_node=1, port=3, nbytes=100, scope="node0.clic")
-    return rec, clock
+    tracer = Tracer(clock)
+    tracer.hop_log = []
+    tracer.hop(None, "send", "node0.clic", src_node=0, msg_id=7, port=3,
+               dst=1, nbytes=100)
+    return tracer, clock
 
 
 def test_hop_records_the_packet_inside_a_payload_wrapper():
-    rec, clock = _recorder()
+    tracer, clock = _tracer()
     clock.now = 250.0
-    rec.hop(SimpleNamespace(payload=_packet(pkt=42)), "nic_dma", "node0.nic0",
-            zero_copy=True)
-    (journey,) = rec.as_dicts()
+    tracer.hop(SimpleNamespace(payload=_packet(pkt=42)), "nic_dma", "node0.nic0",
+               zero_copy=True)
+    (journey,) = journeys_of(tracer.hop_log)
     assert journey["events"][-1] == {"i": 1, "t": 250.0, "hop": "nic_dma",
                                      "scope": "node0.nic0", "pkt": 42,
                                      "zero_copy": True}
 
 
 def test_hop_without_identity_or_journey_records_nothing():
-    rec, _ = _recorder()
+    tracer, _ = _tracer()
     ack = SimpleNamespace(packet_id=5, src_node=1)
-    rec.hop(ack, "wire", "node1.nic0")                         # no message identity
-    rec.hop(object(), "wire", "node1.nic0")                    # nothing at all
-    rec.hop(SimpleNamespace(payload=ack), "wire", "node1.nic0")  # wrapped ack
-    rec.hop(_packet(msg=8), "wire", "node0.nic0")              # no such journey
-    rec.hop(_packet(src=1), "wire", "node1.nic0")              # ditto, other sender
-    (journey,) = rec.as_dicts()
+    tracer.hop(ack, "wire", "node1.nic0")                         # no message identity
+    tracer.hop(object(), "wire", "node1.nic0")                    # nothing at all
+    tracer.hop(SimpleNamespace(payload=ack), "wire", "node1.nic0")  # wrapped ack
+    tracer.hop(_packet(msg=8), "wire", "node0.nic0")              # no such journey
+    tracer.hop(_packet(src=1), "wire", "node1.nic0")              # ditto, other sender
+    (journey,) = journeys_of(tracer.hop_log)
     assert [e["hop"] for e in journey["events"]] == ["send"]
 
 
 def test_exported_event_keys_keep_their_order():
-    rec, clock = _recorder()
+    tracer, clock = _tracer()
     pkt = _packet()
-    rec.fragment(pkt, "node0.clic")
+    tracer.hop(pkt, "fragment", "node0.clic", seq=pkt.seq,
+               offset=pkt.frag_offset, nbytes=pkt.frag_bytes)
     clock.now = 10.0
-    rec.tx(pkt, "node0.clic", accepted=True)
-    rec.note_retransmit(pkt, "rto")
+    tracer.hop(pkt, "tx_queue", "node0.clic", seq=pkt.seq, accepted=True)
+    tracer.hop(pkt, "retx", "node0.clic", kind="rto")
     clock.now = 20.0
-    rec.tx(pkt, "node0.clic", accepted=True)
-    rec.hop(pkt, "wire", "node0.nic0", link="a", bytes=100)
-    (journey,) = rec.as_dicts()
+    tracer.hop(pkt, "tx_queue", "node0.clic", seq=pkt.seq, accepted=True)
+    tracer.hop(pkt, "wire", "node0.nic0", link="a", bytes=100)
+    (journey,) = journeys_of(tracer.hop_log)
     assert [list(e) for e in journey["events"]] == [
         ["i", "t", "hop", "scope", "dst", "nbytes"],
         ["i", "t", "hop", "scope", "pkt", "seq", "offset", "nbytes"],
@@ -272,8 +276,35 @@ def test_exported_event_keys_keep_their_order():
         ["i", "t", "hop", "scope", "pkt", "link", "bytes"],
     ]
     assert journey["events"][3]["parent"] == 2
+    assert journey["fragments"] == 1
     assert journey["retransmits"] == [
         {"pkt": 11, "kind": "rto", "t": 20.0, "parent": 2}]
-    # the export is a fresh copy: mutating it leaves the recorder intact
+    # the export is a fresh copy: mutating it leaves the records intact
     journey["events"][0]["t"] = -1.0
-    assert rec.as_dicts()[0]["events"][0]["t"] == 0.0
+    journey["events"][1]["seq"] = -1
+    assert journeys_of(tracer.hop_log)[0]["events"][0]["t"] == 0.0
+    assert journeys_of(tracer.hop_log)[0]["events"][1]["seq"] == 0
+
+
+def test_a_retransmit_without_a_retx_record_is_of_unknown_kind():
+    tracer, clock = _tracer()
+    pkt = _packet()
+    tracer.hop(pkt, "tx_queue", "node0.clic", seq=0, accepted=False)
+    clock.now = 5.0
+    tracer.hop(pkt, "tx_queue", "node0.clic", seq=0, accepted=True)
+    clock.now = 9.0
+    tracer.hop(pkt, "deliver", "node1.clic", nbytes=100)
+    (journey,) = journeys_of(tracer.hop_log)
+    assert journey["retransmits"] == [
+        {"pkt": 11, "kind": "unknown", "t": 5.0, "parent": 1}]
+    assert (journey["delivered"], journey["start_ns"], journey["end_ns"]) == (True, 0.0, 9.0)
+    assert [e["hop"] for e in journey["events"]] == ["send", "tx_queue", "tx_queue", "deliver"]
+
+
+def test_journey_ids_follow_send_order():
+    tracer, _ = _tracer()
+    tracer.hop(None, "send", "node1.clic", src_node=1, msg_id=7, port=3,
+               dst=0, nbytes=50)
+    assert [(j["id"], j["key"], j["dst_node"], j["port"], j["nbytes"])
+            for j in journeys_of(tracer.hop_log)] == [
+        (1, "0:7", 1, 3, 100), (2, "1:7", 0, 3, 50)]

@@ -73,11 +73,8 @@ def test_irq_handler_respects_budget():
 def _park(nic, nbytes):
     """Park one frame on the NIC's rx ring as its receive path would,
     keeping the ring occupancy in step."""
-    from repro.hw.nic.base import RxFrame
-
-    nic._rx_buffer.append(RxFrame(
-        frame=Frame(src=MacAddress(99), dst=nic.mac, ethertype=0x9999, payload_bytes=nbytes),
-    ))
+    nic._rx_buffer.append(
+        Frame(src=MacAddress(99), dst=nic.mac, ethertype=0x9999, payload_bytes=nbytes))
     nic._rx_occ += 1
 
 

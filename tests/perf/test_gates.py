@@ -161,7 +161,7 @@ def journey():
     from repro.cluster import Cluster
     from repro.config import granada2003
     from repro.faults import FaultPlan
-    from repro.obs import JourneyRecorder
+    from repro.obs import journeys_of
     from repro.workloads import clic_pair, stream
 
     def one(with_journeys):
@@ -169,20 +169,19 @@ def journey():
                           protocols=("clic",),
                           faults=FaultPlan.bursty(0.02, mean_burst_frames=8.0,
                                                   loss_bad=1.0))
-        recorder = None
         if with_journeys:
-            recorder = cluster.tracer.journeys = JourneyRecorder(cluster.env)
+            cluster.tracer.hop_log = []
         res = stream(cluster, clic_pair(), 65_536, messages=8)
         snapshot = json.dumps(jsonable(cluster.metrics.snapshot()), sort_keys=True)
-        return res, snapshot, recorder
+        return res, snapshot, cluster.tracer.hop_log
 
     res_off, snap_off, _ = one(False)
-    res_on, snap_on, recorder = one(True)
+    res_on, snap_on, hop_log = one(True)
     assert (res_on.elapsed_ns, res_on.nbytes_total) == (
         res_off.elapsed_ns, res_off.nbytes_total), "journeys perturbed the run"
     assert snap_on == snap_off, "journeys perturbed the metrics snapshot"
     return {"goodput_mbps": res_on.bandwidth_mbps,
-            "journeys_delivered": float(len(recorder.delivered()))}
+            "journeys_delivered": float(sum(j["delivered"] for j in journeys_of(hop_log)))}
 
 
 @gates("bulk-flowmode", events_off=(LOWER, TOL), events_auto=(LOWER, TOL),
