@@ -101,23 +101,14 @@ class Channel(Server):
         k = frame.train_frames
         self.counters["frames_offered"] += k
         self.counters["bytes_offered"] += frame.payload_bytes
-        if k > 1:
-            # Flow-mode train, a fork of its own because it schedules
-            # differently: it only formed because the controller proved
+        if faults is None or k > 1:
+            # A flow-mode train only formed because the controller proved
             # both directions quiet over its horizon (no stochastic
-            # models, no outage/congestion window), so the verdict is
-            # DELIVER with no extras — skip the per-frame draw and hand
-            # the batch to the sink with one plain timer, not ``defer``.
+            # models, no outage/congestion window), so its verdict is
+            # DELIVER with no extras: it skips the per-frame draw.
             self.counters["frames"] += k
             self.counters["bytes"] += frame.payload_bytes
-            sink = self._sink
-            self.env.call_later(self.params.propagation_ns,
-                                lambda: sink(frame))
-            return
-        if faults is None:
-            self.counters["frames"] += 1
-            self.counters["bytes"] += frame.payload_bytes
-            self.env.defer(self.params.propagation_ns, partial(self._sink, frame))
+            self.env.tail_hop(self.params.propagation_ns, partial(self._sink, frame))
             return
         decision = faults.decide(self.env.now)
         if decision.dropped:
@@ -141,4 +132,4 @@ class Channel(Server):
         for _ in range(decision.copies):
             self.counters["frames"] += 1
             self.counters["bytes"] += frame.payload_bytes
-            self.env.defer(delay, partial(self._sink, frame))
+            self.env.tail_hop(delay, partial(self._sink, frame))

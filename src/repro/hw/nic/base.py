@@ -190,10 +190,14 @@ class Nic:
         self._rx_claimed += k  # hardware claims the descriptor(s) at arrival
         if self.rx_deliver == "push":
             self.env.spawn(self._rx_push(frame), name=f"{self.name}.rx")
+        elif self.env._tail():
+            # ``_rx_begin`` (which opens the span) runs where a process
+            # spawned now would start: admission ends a timer callback
+            # (a split train admits its frames in order), so that
+            # zero-delay URGENT start entry would pop next with nothing
+            # run before it (the guard of Environment.tail_hop).
+            self._rx_begin(frame)
         else:
-            # A zero-delay URGENT trampoline: ``_rx_begin`` (which opens
-            # the span) runs where a process spawned now would start;
-            # see Environment.defer.
             self.env.call_later(0, partial(self._rx_begin, frame), URGENT)
 
     # ------------------------------------------------------------------
@@ -214,7 +218,7 @@ class Nic:
             self.counters["tx_ring_full"] += 1
             return False
         self._effective_mtu_check(desc)
-        self._tx_ring.put(desc)
+        self._tx_ring.put_nowait(desc)
         return True
 
     def post_tx(self, desc: TxDescriptor):
@@ -332,36 +336,45 @@ class Nic:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _rx_reassemble(self, frame: Frame, span) -> bool:
-        """Firmware fragment handling once a frame is processed on-card;
-        False when the frame was absorbed into a partial reassembly."""
-        marker = frame.payload if isinstance(frame.payload, _FragmentMarker) else None
-        if marker is not None and self.params.supports_fragmentation:
+    def _rx_reassemble(self, frame: Frame, span) -> Optional[Frame]:
+        """Firmware fragment handling once a frame is processed on-card:
+        the frame to hand up, or ``None`` when it was absorbed into a
+        partial reassembly.
+
+        A received frame is never rewritten: a duplication fault delivers
+        the same ``Frame`` object more than once, and every copy must
+        reach the NIC as it left the wire.  A fragment goes up as a
+        fresh frame.
+        """
+        marker = frame.payload
+        if not isinstance(marker, _FragmentMarker):
+            return frame
+        if self.params.supports_fragmentation:
             # On-NIC reassembly: accumulate, deliver once complete.
             acc = self._reassembly.setdefault(marker.desc_id, [0])
             acc[0] += frame.payload_bytes
             if not marker.last:
                 self._rx_claimed -= 1  # fragment consumed on-card
                 span.end(reassembling=True)
-                return False
-            total = acc[0]
+                return None
+            nbytes = acc[0]
             del self._reassembly[marker.desc_id]
-            frame.payload_bytes = total
-            frame.payload = marker.payload
             self.counters["rx_offload_reassembled"] += 1
-        elif marker is not None:
+        else:
             # Fragments but no offload on this side: hand up as-is; the
             # protocol module deals with it (interop corner, counted).
+            nbytes = frame.payload_bytes
             self.counters["rx_fragment_no_offload"] += 1
-            frame.payload = marker.payload
-        return True
+        return Frame(src=frame.src, dst=frame.dst, ethertype=frame.ethertype,
+                     payload_bytes=nbytes, payload=marker.payload)
 
     def _rx_push(self, frame: Frame) -> Generator:
         """Push mode: process on-card, then DMA to host and call back."""
         span = self.tracer.begin(self.name, "nic_rx", nbytes=frame.payload_bytes)
         k = frame.train_frames
         yield self.env.timeout(self.params.frame_processing_ns * k)
-        if not self._rx_reassemble(frame, span):
+        frame = self._rx_reassemble(frame, span)
+        if frame is None:
             return
         # NIC pushes straight to host memory, then tells the host.
         yield from self.pci.dma(frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
@@ -383,7 +396,8 @@ class Nic:
     def _rx_buffer_frame(self, frame: Frame, span) -> None:
         """irq-pull mode, second half: park the frame for the driver and
         feed the interrupt coalescer."""
-        if not self._rx_reassemble(frame, span):
+        frame = self._rx_reassemble(frame, span)
+        if frame is None:
             return
         k = frame.train_frames
         self._rx_claimed -= k  # claimed -> buffered

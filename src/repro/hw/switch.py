@@ -126,7 +126,7 @@ class SwitchPort:
         if hops:
             tracer.hop(frame.payload, "switch", "switch",
                        port=self.index, depth=self.occupancy)
-        self.queue.put(frame)
+        self.queue.put_nowait(frame)
         self._note_depth()
 
     def enqueue_blocking(self, frame: Frame) -> Generator:
@@ -234,14 +234,10 @@ class Switch:
                 # Enqueueing may block: the forward stays a process.
                 self.env.spawn(self._forward_paused(frame, from_port),
                                  name=f"{self.name}.forward")
-            elif frame.train_frames > 1:
-                # Flow-mode train: one plain timer for the whole stage.
-                self.env.call_later(self.forward_ns,
-                                    partial(self._forward, frame, from_port))
             else:
                 # Drop mode never blocks: forwarding is a callback.
-                self.env.defer(self.forward_ns,
-                               partial(self._forward, frame, from_port))
+                self.env.tail_hop(self.forward_ns,
+                                  partial(self._forward, frame, from_port))
 
         return _receive
 

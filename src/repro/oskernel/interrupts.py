@@ -50,7 +50,7 @@ class BottomHalves:
     def schedule(self, work: Callable[[], Generator]) -> None:
         """Queue ``work`` (a generator factory) to run in softirq context."""
         self.counters["scheduled"] += 1
-        self._queue.put(work)
+        self._queue.put_nowait(work)
         self._depth_gauge.set(len(self._queue.items))
 
     def pending(self) -> int:

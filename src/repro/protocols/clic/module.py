@@ -405,7 +405,7 @@ class ClicModule:
             skb.relocate("system")
             self.counters["staged_copies"] += k
         self.counters["pkts_staged"] += k
-        self._backlog.put((skb, mac))
+        self._backlog.put_nowait((skb, mac))
         span.end(accepted=False)
 
     def _route(self, pkt: ClicPacket, dst_mac: Optional[MacAddress]):
@@ -480,7 +480,7 @@ class ClicModule:
             driver, mac = self.node.drivers[0], self.node.mac_of(dst_node, 0)
             accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
             if not accepted:
-                self._backlog.put((skb, mac))
+                self._backlog.put_nowait((skb, mac))
             self.counters["acks_tx"] += 1
 
         self.env.spawn(_do(), name=f"{self.node.name}.clic.ack")

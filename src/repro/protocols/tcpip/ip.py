@@ -75,7 +75,7 @@ class IpLayer:
         mac = self.node.mac_of(dgram.dst_node, 0)
         accepted = yield from driver.transmit(skb, mac, EtherType.IPV4)
         if not accepted:
-            self._backlog.put((skb, mac))
+            self._backlog.put_nowait((skb, mac))
 
     def _backlog_pump(self) -> Generator:
         while True:

@@ -29,6 +29,11 @@ same events run in the same order at the same times):
   process spawned now that sleeps and then calls it (a zero-delay
   URGENT trampoline takes the queue slot the process's start event
   would have held) — per-frame hops use it instead of spawning;
+* :meth:`Environment.tail_hop` is ``defer`` for a hop that ends its
+  step: with the urgent lane empty the trampoline would pop next and
+  only pass the callback on, so the callback is filed at once, one
+  queue entry instead of two (link delivery, switch forwarding; the
+  NIC's receive trampoline runs in place under the same guard);
 * cancellation is *lazy*: :meth:`TimerHandle.cancel` just marks the
   handle dead, and the loop drops the stale entry when it reaches the
   head of the queue;
@@ -45,7 +50,9 @@ same events run in the same order at the same times):
   *ends processed*: when its generator returns, its end event takes no
   queue entry, since an entry with no callback to run moves no other
   event (a spawned process that raises still schedules its end, so the
-  failure surfaces from :meth:`Environment.run`).
+  failure surfaces from :meth:`Environment.run`); for the same reason
+  a store put nobody waits on (:meth:`repro.sim.Store.put_nowait`)
+  makes no event at all.
 """
 
 from __future__ import annotations
@@ -556,6 +563,42 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self.call_later(0, partial(self.call_later, delay, fn), URGENT)
+
+    def tail_hop(self, delay: float, fn: Callable[[], None]) -> None:
+        """:meth:`defer` for a hop that ends its step: ``fn()`` runs where
+        ``defer`` would run it, from one queue entry instead of two
+        whenever the trampoline would only pass the entry on.
+
+        With the urgent lane empty, ``defer``'s trampoline would be the
+        next entry popped, with nothing run before it, and all it would
+        do is file ``fn`` at ``now + delay``.  So, for a positive
+        ``delay``, ``fn`` is filed now, drawing the tie-break number the
+        trampoline would have drawn.  Otherwise this is ``defer``.
+
+        The caller's obligation: it is the sole callback of the event
+        being dispatched (or a whole timer callback), and after this call
+        it files nothing more before its step ends, apart from further
+        tail hops in order and a store get its process yields at once
+        (the get files only at ``now``, where a later ``fn`` cannot
+        move it; a zero ``delay`` would, so it keeps the trampoline).
+        ``tests/test_tail_sites.py`` holds every call site to being the
+        last statement of its block.
+        """
+        if delay > 0 and not self._urgent:
+            # call_later(delay, fn), inlined (one per frame per hop)
+            self._seq += 1
+            self._add_later(self._now + delay, TimerHandle(fn))
+            if self.profiler is not None:
+                self.profiler.on_schedule(self._depth())
+        else:
+            self.defer(delay, fn)
+
+    def _tail(self) -> bool:
+        """Whether a zero-delay URGENT entry filed now by a caller that
+        ends its step (:meth:`tail_hop`'s obligation) would be the next
+        entry popped, with nothing run before it: the urgent lane is
+        empty."""
+        return not self._urgent
 
     # -- scheduling & the loop ---------------------------------------------
     def _schedule(self, event: Any, priority: int = NORMAL, delay: float = 0) -> None:

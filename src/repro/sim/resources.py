@@ -6,7 +6,8 @@
   link are servers; the host CPU is one with preemption on top
   (:class:`repro.hw.cpu.Cpu`).
 * :class:`Store` — a producer/consumer buffer of Python objects (NIC
-  descriptor rings, switch port queues, protocol backlogs).
+  descriptor rings, switch port queues, protocol backlogs); a put
+  nobody waits on (:meth:`Store.put_nowait`) makes no event.
 
 Neither takes a queue entry that exists only as bookkeeping, and both put
 every entry they do take at the ``(time, priority, seq)`` place the
@@ -320,6 +321,28 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Event that triggers once the item is stored."""
         return StorePut(self, item)
+
+    def put_nowait(self, item: Any) -> None:
+        """Store ``item`` now, for a caller that would drop the put's
+        event: hand it to the first waiting getter, or append it.
+
+        The store must have room (it is unbounded, or the caller checked
+        first); a full store raises :class:`SimulationError`.  No event
+        is made: the :class:`StorePut` would settle at once with no
+        callback, so its queue entry, if it took one, would run nothing,
+        and an entry that runs nothing moves no other event (DESIGN.md
+        §9).
+        """
+        getters = self._getters
+        if getters:
+            # a getter waits, so the store is empty: hand it over
+            getter = getters.pop(0)
+            getter._value = item
+            self.env._schedule(getter)
+        elif len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            raise SimulationError(f"put_nowait on full store {self.name!r}")
 
     def get(self) -> StoreGet:
         """Event that triggers with the next item."""

@@ -282,3 +282,34 @@ def test_a_duplicated_frame_opens_two_unparented_rx_spans():
     starts = [(s.scope, s.start_ns) for s in spans]
     assert len(set(starts)) < len(starts)  # copies admitted at one instant
     assert all(s.parent_id is None for s in spans)
+
+
+@pytest.mark.parametrize("receiver_offload", [True, False], ids=["offload", "no-offload"])
+def test_duplicated_fragments_are_counted_as_they_left_the_wire(receiver_offload):
+    """Firmware fragments go up as fresh frames instead of rewriting the
+    received one: a duplication fault delivers the same ``Frame`` object
+    again, and the NIC must see every copy as it left the wire.  So its
+    ``rx_bytes`` equals the bytes its ingress channel delivered, and a
+    receiver without offload counts every copy as a fragment.  (Only
+    data flows from node 0 to node 1; acks go the other way.)"""
+    from repro.cluster import Cluster
+    from repro.config import granada2003
+    from repro.faults import FaultPlan
+    from repro.workloads.adapters import clic_pair
+    from repro.workloads.pingpong import stream
+
+    cfg = granada2003(mtu=9000)
+    plain = cfg.node
+    cfg = cfg.with_node(cfg.node.with_fragmentation_offload(True))
+    cluster = Cluster(cfg, protocols=("clic",), faults=FaultPlan.duplication(1.0),
+                      node_overrides=None if receiver_offload else {1: plain})
+    stream(cluster, clic_pair(), 64_000, messages=2)
+    ingress = dict(cluster.channels)["1.0.down"].counters
+    m = cluster.metrics
+    # every data frame crosses two links, each delivering it twice
+    assert m.value("node1.nic0.rx_frames") == ingress["frames"] == 4 * m.value(
+        "node0.nic0.tx_frames")
+    assert m.value("node1.nic0.rx_bytes") == ingress["bytes"] == 4 * m.value(
+        "node0.nic0.tx_bytes")
+    if not receiver_offload:
+        assert m.value("node1.nic0.rx_fragment_no_offload") == ingress["frames"]

@@ -10,8 +10,10 @@ where the process it replaces would have, an uncontended claim skips the
 queue only when nothing could have run before its waiter, a timed hold
 completes in place only when its timer would have been the next entry
 popped (never on a tie at its end, never past ``run(until=t)``) and then
-builds no claim, a release never takes a queue slot, and a spawned
-process, which nobody can wait on, ends without one.  The exclusive servers order claims,
+builds no claim, a release never takes a queue slot, a spawned
+process, which nobody can wait on, ends without one, a hop that ends
+its step is filed at once where ``defer``'s trampoline would only pass
+it on, and a put nobody waits on makes no event.  The exclusive servers order claims,
 grants and completions exactly as processes holding resources would (the
 CPU's preemptions too), and the store's direct hand-off schedules what
 its old fixpoint did.  The event queue's lanes and per-time buckets pop, move
@@ -221,6 +223,24 @@ def test_deferred_callback_orders_like_a_spawned_process(spawn):
 def test_defer_rejects_negative_delay():
     with pytest.raises(ValueError, match="negative delay"):
         Environment().defer(-1, lambda: None)
+
+
+def test_tail_hop_files_at_once_only_behind_an_empty_urgent_lane():
+    """A positive-delay tail hop behind an empty urgent lane is one
+    entry at its time; a zero delay or a full urgent lane takes
+    ``defer``'s trampoline; a negative delay is refused."""
+    env = Environment()
+    fired = []
+    env.tail_hop(5, lambda: fired.append(env.now))
+    assert pending(env) == [(5, NORMAL)] and env._seq == 1
+    env.tail_hop(0, lambda: fired.append(env.now))
+    assert pending(env) == [(0, URGENT), (5, NORMAL)]
+    env.tail_hop(5, lambda: fired.append(env.now))
+    assert pending(env) == [(0, URGENT), (0, URGENT), (5, NORMAL)]
+    with pytest.raises(ValueError, match="negative delay"):
+        env.tail_hop(-1, lambda: None)
+    env.run()
+    assert fired == [0, 5, 5]
 
 
 # -- claims started at once ---------------------------------------------------
@@ -968,6 +988,193 @@ def test_spawned_process_that_raises_fails_the_run():
     with pytest.raises(RuntimeError, match="boom"):
         env.run()
     assert env.now == 5
+
+
+# -- hops that end their step --------------------------------------------------
+
+def _tail_scenario(seed, through_defer):
+    """Frames walk a two-stage path the way the link and the switch walk
+    them.  A pump process takes a frame from its queue, holds the wire
+    and ends its step with one or two tail hops (a fault copy each)
+    before it yields its next get; the forwarding callback may file an
+    URGENT entry or start a process, then ends with a tail hop of its
+    own.  CPU slices at every priority (an IRQ slice preempts with an
+    URGENT re-queue), sleeping processes, NORMAL and URGENT timers and
+    a late claimant collide with the hops on a coarse time grid, so a
+    hop finds the urgent lane empty at some points and full at others.
+    With ``through_defer`` every tail hop is a ``defer``.  Returns
+    everything observable."""
+    rng = random.Random(seed)
+    env = Environment()
+    if through_defer:
+        env.tail_hop = env.defer
+    cpu, wire, queue = Cpu(env, CpuParams()), Server(env), Store(env)
+    log = []
+    prios = (PRIO_IRQ, PRIO_SOFTIRQ, PRIO_KERNEL, PRIO_USER)
+    delays = (0, 5, 5, 10, 20)
+
+    def slice_(name, nap, ns, prio):
+        if nap:
+            yield env.timeout(nap)
+        yield from cpu.execute(ns, prio)
+        log.append((env.now, name))
+
+    def later(d, what):
+        env.call_later(d, lambda: log.append((env.now, what)))
+
+    def pump():
+        while True:
+            frame = yield queue.get()
+            yield from wire.hold(rng.choice((0, 5, 10)))
+            log.append((env.now, "wire", frame))
+            for copy in range(rng.choice((1, 1, 2))):
+                env.tail_hop(rng.choice(delays), partial(forward, (frame, copy)))
+
+    def forward(frame):
+        log.append((env.now, "fwd", frame))
+        what = rng.random()
+        if what < 0.25:  # files a tie for the hop from ahead of its trampoline
+            env.call_later(0, partial(later, rng.choice(delays), ("urgent", frame)), URGENT)
+        elif what < 0.5:
+            env.spawn(slice_(("rx", frame), rng.choice(delays), rng.choice((0, 5, 10)),
+                             rng.choice(prios)))
+        env.tail_hop(rng.choice(delays), lambda: log.append((env.now, "rx", frame)))
+
+    def producer(name, steps):
+        for i, (wait, ns, prio) in enumerate(steps):
+            if wait:
+                yield env.timeout(wait)
+            queue.put_nowait((name, i))
+            yield from cpu.execute(ns, prio)
+            log.append((env.now, name, i))
+
+    for p in range(2):
+        env.spawn(pump())
+    for p in range(rng.randint(1, 4)):
+        env.spawn(producer(f"p{p}", [(rng.choice((0, 0, 5, 10, 20)), rng.choice((0, 5, 10)),
+                                      rng.choice(prios)) for _ in range(rng.randint(1, 6))]))
+    _collisions(env, rng, log, lambda: env.spawn(slice_("late", 0, 10, PRIO_IRQ)))
+    env.run()
+    return log, env.now, cpu.total_busy.hex(), wire.total_busy.hex(), sorted(cpu.counters.items())
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_tail_hops_take_one_entry_and_move_nothing(seed):
+    """A tail hop filed at once, where ``defer``'s trampoline would have
+    popped next and only passed it on, runs the same callbacks in the
+    same order at the same times as the same program with every tail
+    hop deferred, with the same busy-time bits."""
+    assert _tail_scenario(seed, False) == _tail_scenario(seed, True)
+
+
+@pytest.mark.slow
+def test_tail_hops_take_one_entry_and_move_nothing_long():
+    """The same replay over 3,000 further programs."""
+    for seed in range(300, 3300):
+        assert _tail_scenario(seed, False) == _tail_scenario(seed, True), f"seed {seed}"
+
+
+# -- puts nobody waits on ---------------------------------------------------------
+
+def _put_scenario(seed, as_events):
+    """Items go into an unbounded store and a bounded one (room checked
+    first, as the switch port and the tx ring check it) from timer
+    callbacks and from processes that carry on at once with a CPU slice
+    or a wire hold, whose shortcuts read what is due now.  Consumers get
+    and hold the wire or the CPU; sleeping processes, NORMAL and URGENT
+    timers and a late claimant collide with them on a coarse time grid.
+    With ``as_events`` every ``put_nowait`` makes the ``StorePut`` its
+    caller drops.  Returns everything observable."""
+    rng = random.Random(seed)
+    env = Environment()
+    cpu, wire = Cpu(env, CpuParams()), Server(env)
+    stores = [Store(env), Store(env, capacity=rng.randint(1, 3))]
+    if as_events:
+        for store in stores:
+            store.put_nowait = store.put
+    log = []
+    prios = (PRIO_IRQ, PRIO_SOFTIRQ, PRIO_KERNEL, PRIO_USER)
+
+    def put(store, item):
+        if len(store.items) < store.capacity:
+            store.put_nowait(item)
+        else:
+            log.append((env.now, "full", item))
+
+    def claim(ns):
+        if rng.random() < 0.5:
+            yield from cpu.execute(ns, rng.choice(prios))
+        else:
+            yield from wire.hold(ns)
+
+    def producer(name, steps):
+        for i, (wait, which, ns) in enumerate(steps):
+            if wait:
+                yield env.timeout(wait)
+            put(stores[which], (name, i))
+            yield from claim(ns)
+            log.append((env.now, name, i))
+
+    def consumer(name, store, waits):
+        for wait in waits:
+            if wait:
+                yield env.timeout(wait)
+            item = yield store.get()
+            yield from claim(rng.choice((0, 5, 10)))
+            log.append((env.now, name, item))
+
+    grid = (0, 0, 5, 10, 20)
+    for p in range(rng.randint(1, 4)):
+        env.spawn(producer(f"p{p}", [(rng.choice(grid), rng.randint(0, 1), rng.choice((0, 5, 10)))
+                                     for _ in range(rng.randint(1, 6))]))
+    for c in range(rng.randint(1, 4)):
+        env.spawn(consumer(f"c{c}", stores[c % 2], [rng.choice(grid)
+                                                    for _ in range(rng.randint(1, 6))]))
+    for t in (5, 10, 15, 20):
+        env.call_later(t, lambda t=t: put(stores[t % 2], ("timer", t)))
+    _collisions(env, rng, log, lambda: env.spawn(claim(10)))
+    env.run()
+    return (log, env.now, cpu.total_busy.hex(), wire.total_busy.hex(),
+            [list(store.items) for store in stores])
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_puts_nobody_waits_on_make_no_event_and_move_nothing(seed):
+    """A put that makes no event runs the same callbacks in the same
+    order at the same times as the same program with every such put a
+    dropped ``StorePut``, with the same busy-time bits and contents."""
+    assert _put_scenario(seed, False) == _put_scenario(seed, True)
+
+
+@pytest.mark.slow
+def test_puts_nobody_waits_on_make_no_event_and_move_nothing_long():
+    """The same replay over 3,000 further programs."""
+    for seed in range(300, 3300):
+        assert _put_scenario(seed, False) == _put_scenario(seed, True), f"seed {seed}"
+
+
+def test_tail_and_put_replays_see_both_lanes(monkeypatch):
+    """The replays make tail hops and event-free puts with the urgent
+    lane empty and with it full, and their tail hops take both ways."""
+    seen = Counter()
+    tail_hop, put_nowait = Environment.tail_hop, Store.put_nowait
+
+    def counting_tail_hop(env, delay, fn):
+        seen["hop", delay > 0, bool(env._urgent)] += 1
+        tail_hop(env, delay, fn)
+
+    def counting_put_nowait(store, item):
+        seen["put", bool(store.env._urgent)] += 1
+        put_nowait(store, item)
+
+    monkeypatch.setattr(Environment, "tail_hop", counting_tail_hop)
+    monkeypatch.setattr(Store, "put_nowait", counting_put_nowait)
+    for seed in range(100):
+        _tail_scenario(seed, False)
+        _put_scenario(seed, False)
+    assert min(seen[key] for key in [("hop", True, False), ("hop", True, True),
+                                     ("hop", False, False), ("put", False),
+                                     ("put", True)]) > 0, seen
 
 
 # -- the store -----------------------------------------------------------------

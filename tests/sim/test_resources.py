@@ -167,3 +167,29 @@ def test_store_len():
     env.process(fill(env))
     env.run()
     assert len(store) == 2
+
+
+def test_put_nowait_hands_over_or_appends_and_refuses_a_full_store():
+    """The event-free put files only the waiting getter it serves, and
+    a store without room raises instead of queueing the item."""
+    from reference_resources import pending
+
+    from repro.sim import SimulationError
+
+    env = Environment()
+    store = Store(env, capacity=1)
+    got = []
+
+    def consumer():
+        got.append((yield store.get()))
+
+    env.process(consumer())
+    env.step()  # the consumer starts and waits
+    store.put_nowait("a")
+    assert pending(env) == [(0, 1)] and store.items == []  # the getter, nothing else
+    env.run()
+    store.put_nowait("b")
+    assert (got, store.items, pending(env)) == (["a"], ["b"], [])
+    with pytest.raises(SimulationError, match="full store"):
+        store.put_nowait("c")
+    assert store.items == ["b"]
